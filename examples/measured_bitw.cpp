@@ -186,15 +186,19 @@ int run() {
   std::printf("NC backlog bound %s vs simulated peak %s\n",
               util::format_size(model.backlog_bound().value).c_str(),
               util::format_size(sim.max_backlog).c_str());
+  const bool delay_ok = sim.max_delay <= model.delay_bound().value;
+  const bool backlog_ok = sim.max_backlog <= model.backlog_bound().value;
   std::printf("\nbracketing: delay %s, backlog %s, throughput %s\n",
-              sim.max_delay <= model.delay_bound().value ? "ok" : "VIOLATED",
-              sim.max_backlog <= model.backlog_bound().value ? "ok" : "VIOLATED",
+              delay_ok ? "ok" : "VIOLATED", backlog_ok ? "ok" : "VIOLATED",
               (sim.throughput <= tb.upper &&
                sim.throughput.in_bytes_per_sec() >=
                    0.95 * tb.lower.in_bytes_per_sec())
                   ? "ok"
                   : "VIOLATED");
-  return 0;
+  // The simulation must stay inside the NC worst-case bounds; the
+  // throughput line is a heuristic (5% slack on a short horizon) and only
+  // reported.
+  return delay_ok && backlog_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -163,16 +163,18 @@ int run() {
               util::format_duration(sim.max_delay).c_str(),
               util::format_size(model.backlog_bound().value).c_str(),
               util::format_size(sim.max_backlog).c_str());
+  const bool delay_ok = sim.max_delay <= model.delay_bound().value;
+  const bool backlog_ok = sim.max_backlog <= model.backlog_bound().value;
   std::printf("bracketing: delay %s, backlog %s\n",
-              sim.max_delay <= model.delay_bound().value ? "ok" : "VIOLATED",
-              sim.max_backlog <= model.backlog_bound().value ? "ok" : "VIOLATED");
+              delay_ok ? "ok" : "VIOLATED", backlog_ok ? "ok" : "VIOLATED");
 
   // Sanity: the kernels really find the planted homologies.
   const auto alignments =
       k::blastn_pipeline(k::fa2bit(db), db.size(), index);
   std::printf("\nBLASTN found %zu alignments over the planted homologies\n",
               alignments.size());
-  return 0;
+  // The simulation must stay inside the NC worst-case bounds.
+  return delay_ok && backlog_ok ? 0 : 1;
 }
 
 }  // namespace

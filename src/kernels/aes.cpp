@@ -1,12 +1,18 @@
 #include "kernels/aes.hpp"
 
+#include <cstddef>
+
 #include "util/error.hpp"
 
 namespace streamcalc::kernels {
 
 namespace {
 
-constexpr std::uint8_t kSbox[256] = {
+using ByteTable = std::array<std::uint8_t, 256>;
+using WordTable = std::array<std::uint32_t, 256>;
+using RoundTables = std::array<WordTable, 4>;
+
+constexpr ByteTable kSbox = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
     0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
     0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26,
@@ -34,88 +40,148 @@ constexpr std::uint8_t kRcon[15] = {0x01, 0x02, 0x04, 0x08, 0x10,
                                     0x20, 0x40, 0x80, 0x1b, 0x36,
                                     0x6c, 0xd8, 0xab, 0x4d, 0x9a};
 
-std::uint8_t inv_sbox(std::uint8_t v) {
-  // Computed lazily once: the inverse permutation of kSbox.
-  static const auto table = [] {
-    std::array<std::uint8_t, 256> t{};
-    for (int i = 0; i < 256; ++i) t[kSbox[i]] = static_cast<std::uint8_t>(i);
-    return t;
-  }();
-  return table[v];
-}
+constexpr ByteTable kInvSbox = [] {
+  ByteTable t{};
+  for (std::size_t i = 0; i < 256; ++i) {
+    t[kSbox[i]] = static_cast<std::uint8_t>(i);
+  }
+  return t;
+}();
 
-std::uint8_t xtime(std::uint8_t x) {
+constexpr std::uint8_t xtime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
-  std::uint8_t p = 0;
-  while (b) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
+// State and round keys are column words: row r of a column is byte
+// 3 - r of the word (big-endian), matching the FIPS-197 byte order.
+constexpr std::uint32_t column(std::uint8_t r0, std::uint8_t r1,
+                               std::uint8_t r2, std::uint8_t r3) {
+  return (static_cast<std::uint32_t>(r0) << 24) |
+         (static_cast<std::uint32_t>(r1) << 16) |
+         (static_cast<std::uint32_t>(r2) << 8) | r3;
+}
+
+// Table r maps a byte of state row r to its whole contribution to the
+// output column: the S-box result times the MixColumns matrix column r.
+// Matrix column r is column 0 rotated down by r rows.
+constexpr RoundTables with_rotations(const WordTable& t0) {
+  RoundTables t{};
+  t[0] = t0;
+  for (std::size_t r = 1; r < 4; ++r) {
+    for (std::size_t x = 0; x < 256; ++x) {
+      t[r][x] = (t[r - 1][x] >> 8) | (t[r - 1][x] << 24);
+    }
   }
-  return p;
+  return t;
 }
 
-void add_round_key(AesBlock& s, const std::array<std::uint8_t, 16>& rk) {
-  for (int i = 0; i < 16; ++i) s[static_cast<std::size_t>(i)] ^= rk[static_cast<std::size_t>(i)];
+// Te: SubBytes + MixColumns, matrix column (2, 1, 1, 3).
+constexpr RoundTables kTe = with_rotations([] {
+  WordTable t{};
+  for (std::size_t x = 0; x < 256; ++x) {
+    const std::uint8_t s = kSbox[x];
+    const std::uint8_t s2 = xtime(s);
+    t[x] = column(s2, s, s, static_cast<std::uint8_t>(s2 ^ s));
+  }
+  return t;
+}());
+
+// Td: InvSubBytes + InvMixColumns, matrix column (14, 9, 13, 11).
+constexpr RoundTables kTd = with_rotations([] {
+  WordTable t{};
+  for (std::size_t x = 0; x < 256; ++x) {
+    const std::uint8_t s = kInvSbox[x];
+    const std::uint8_t s2 = xtime(s);
+    const std::uint8_t s4 = xtime(s2);
+    const std::uint8_t s8 = xtime(s4);
+    t[x] = column(static_cast<std::uint8_t>(s8 ^ s4 ^ s2),
+                  static_cast<std::uint8_t>(s8 ^ s),
+                  static_cast<std::uint8_t>(s8 ^ s4 ^ s),
+                  static_cast<std::uint8_t>(s8 ^ s2 ^ s));
+  }
+  return t;
+}());
+
+using State = std::array<std::uint32_t, 4>;
+
+State load(const std::uint8_t* p) {
+  State s{};
+  for (std::size_t c = 0; c < 4; ++c, p += 4) {
+    s[c] = column(p[0], p[1], p[2], p[3]);
+  }
+  return s;
 }
 
-void sub_bytes(AesBlock& s) {
-  for (auto& b : s) b = kSbox[b];
-}
-
-void inv_sub_bytes(AesBlock& s) {
-  for (auto& b : s) b = inv_sbox(b);
-}
-
-// State layout: column-major, s[4*c + r] is row r of column c (the byte
-// order of the FIPS-197 test vectors).
-void shift_rows(AesBlock& s) {
-  AesBlock t = s;
-  for (int c = 0; c < 4; ++c) {
-    for (int r = 1; r < 4; ++r) {
-      s[static_cast<std::size_t>(4 * c + r)] =
-          t[static_cast<std::size_t>(4 * ((c + r) % 4) + r)];
+void store(const State& s, std::uint8_t* p) {
+  for (const std::uint32_t w : s) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      *p++ = static_cast<std::uint8_t>(w >> shift);
     }
   }
 }
 
-void inv_shift_rows(AesBlock& s) {
-  AesBlock t = s;
-  for (int c = 0; c < 4; ++c) {
-    for (int r = 1; r < 4; ++r) {
-      s[static_cast<std::size_t>(4 * ((c + r) % 4) + r)] =
-          t[static_cast<std::size_t>(4 * c + r)];
-    }
-  }
+// One output column of a middle round: rows 0-3 are taken from columns
+// a-d, which is where (Inv)ShiftRows moves them from.
+std::uint32_t round_column(const RoundTables& t, std::uint32_t a,
+                           std::uint32_t b, std::uint32_t c,
+                           std::uint32_t d, std::uint32_t key) {
+  return t[0][a >> 24] ^ t[1][(b >> 16) & 0xff] ^ t[2][(c >> 8) & 0xff] ^
+         t[3][d & 0xff] ^ key;
 }
 
-void mix_columns(AesBlock& s) {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = s.data() + 4 * c;
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-    col[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-    col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-    col[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-  }
+// The final round has no (Inv)MixColumns: S-box bytes only.
+std::uint32_t final_column(const ByteTable& sbox, std::uint32_t a,
+                           std::uint32_t b, std::uint32_t c,
+                           std::uint32_t d, std::uint32_t key) {
+  return column(sbox[a >> 24], sbox[(b >> 16) & 0xff],
+                sbox[(c >> 8) & 0xff], sbox[d & 0xff]) ^
+         key;
 }
 
-void inv_mix_columns(AesBlock& s) {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = s.data() + 4 * c;
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                       gmul(a2, 13) ^ gmul(a3, 9));
-    col[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                       gmul(a2, 11) ^ gmul(a3, 13));
-    col[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                       gmul(a2, 14) ^ gmul(a3, 11));
-    col[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                       gmul(a2, 9) ^ gmul(a3, 14));
+// ShiftRows takes row r of output column c from column c + r.
+State encrypt_state(State s, const std::uint32_t* rk, int rounds) {
+  for (std::size_t c = 0; c < 4; ++c) s[c] ^= rk[c];
+  for (int r = 1; r < rounds; ++r) {
+    rk += 4;
+    s = {round_column(kTe, s[0], s[1], s[2], s[3], rk[0]),
+         round_column(kTe, s[1], s[2], s[3], s[0], rk[1]),
+         round_column(kTe, s[2], s[3], s[0], s[1], rk[2]),
+         round_column(kTe, s[3], s[0], s[1], s[2], rk[3])};
   }
+  rk += 4;
+  return {final_column(kSbox, s[0], s[1], s[2], s[3], rk[0]),
+          final_column(kSbox, s[1], s[2], s[3], s[0], rk[1]),
+          final_column(kSbox, s[2], s[3], s[0], s[1], rk[2]),
+          final_column(kSbox, s[3], s[0], s[1], s[2], rk[3])};
+}
+
+// FIPS-197 §5.3.5 equivalent inverse cipher over the decrypt schedule;
+// InvShiftRows takes row r of output column c from column c - r.
+State decrypt_state(State s, const std::uint32_t* rk, int rounds) {
+  for (std::size_t c = 0; c < 4; ++c) s[c] ^= rk[c];
+  for (int r = 1; r < rounds; ++r) {
+    rk += 4;
+    s = {round_column(kTd, s[0], s[3], s[2], s[1], rk[0]),
+         round_column(kTd, s[1], s[0], s[3], s[2], rk[1]),
+         round_column(kTd, s[2], s[1], s[0], s[3], rk[2]),
+         round_column(kTd, s[3], s[2], s[1], s[0], rk[3])};
+  }
+  rk += 4;
+  return {final_column(kInvSbox, s[0], s[3], s[2], s[1], rk[0]),
+          final_column(kInvSbox, s[1], s[0], s[3], s[2], rk[1]),
+          final_column(kInvSbox, s[2], s[1], s[0], s[3], rk[2]),
+          final_column(kInvSbox, s[3], s[2], s[1], s[0], rk[3])};
+}
+
+std::uint32_t sub_word(std::uint32_t w) {
+  return column(kSbox[w >> 24], kSbox[(w >> 16) & 0xff],
+                kSbox[(w >> 8) & 0xff], kSbox[w & 0xff]);
+}
+
+// InvMixColumns of one column: Td folds in InvSubBytes, so undo it first.
+std::uint32_t inv_mix_column(std::uint32_t w) {
+  return kTd[0][kSbox[w >> 24]] ^ kTd[1][kSbox[(w >> 16) & 0xff]] ^
+         kTd[2][kSbox[(w >> 8) & 0xff]] ^ kTd[3][kSbox[w & 0xff]];
 }
 
 }  // namespace
@@ -123,80 +189,49 @@ void inv_mix_columns(AesBlock& s) {
 Aes::Aes(std::span<const std::uint8_t> key) {
   util::require(key.size() == 16 || key.size() == 32,
                 "Aes requires a 16-byte (AES-128) or 32-byte (AES-256) key");
-  const int nk = static_cast<int>(key.size() / 4);
-  rounds_ = nk + 6;
-  const int total_words = 4 * (rounds_ + 1);
+  const std::size_t nk = key.size() / 4;
+  rounds_ = static_cast<int>(nk) + 6;
+  const std::size_t total_words = 4 * (nk + 7);
 
-  std::vector<std::array<std::uint8_t, 4>> w(
-      static_cast<std::size_t>(total_words));
-  for (int i = 0; i < nk; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      w[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          key[static_cast<std::size_t>(4 * i + j)];
-    }
+  for (std::size_t i = 0; i < nk; ++i) {
+    enc_keys_[i] = column(key[4 * i], key[4 * i + 1], key[4 * i + 2],
+                          key[4 * i + 3]);
   }
-  for (int i = nk; i < total_words; ++i) {
-    std::array<std::uint8_t, 4> temp = w[static_cast<std::size_t>(i - 1)];
+  for (std::size_t i = nk; i < total_words; ++i) {
+    std::uint32_t temp = enc_keys_[i - 1];
     if (i % nk == 0) {
       // RotWord + SubWord + Rcon.
-      const std::uint8_t t0 = temp[0];
-      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^
-                                          kRcon[i / nk - 1]);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t0];
+      temp = sub_word((temp << 8) | (temp >> 24)) ^
+             (static_cast<std::uint32_t>(kRcon[i / nk - 1]) << 24);
     } else if (nk > 6 && i % nk == 4) {
-      for (auto& b : temp) b = kSbox[b];
+      temp = sub_word(temp);
     }
-    for (int j = 0; j < 4; ++j) {
-      w[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          static_cast<std::uint8_t>(
-              w[static_cast<std::size_t>(i - nk)][static_cast<std::size_t>(j)] ^
-              temp[static_cast<std::size_t>(j)]);
-    }
+    enc_keys_[i] = enc_keys_[i - nk] ^ temp;
   }
 
-  round_keys_.resize(static_cast<std::size_t>(rounds_ + 1));
-  for (int r = 0; r <= rounds_; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      for (int j = 0; j < 4; ++j) {
-        round_keys_[static_cast<std::size_t>(r)]
-                   [static_cast<std::size_t>(4 * c + j)] =
-            w[static_cast<std::size_t>(4 * r + c)]
-             [static_cast<std::size_t>(j)];
-      }
+  // Equivalent inverse cipher schedule: round keys in reverse order, with
+  // InvMixColumns applied to all but the first and last.
+  const std::size_t last = total_words - 4;
+  for (std::size_t i = 0; i < total_words; i += 4) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      const std::uint32_t w = enc_keys_[last - i + c];
+      dec_keys_[i + c] = (i == 0 || i == last) ? w : inv_mix_column(w);
     }
   }
 }
 
 AesBlock Aes::encrypt_block(const AesBlock& in) const {
-  AesBlock s = in;
-  add_round_key(s, round_keys_[0]);
-  for (int r = 1; r < rounds_; ++r) {
-    sub_bytes(s);
-    shift_rows(s);
-    mix_columns(s);
-    add_round_key(s, round_keys_[static_cast<std::size_t>(r)]);
-  }
-  sub_bytes(s);
-  shift_rows(s);
-  add_round_key(s, round_keys_[static_cast<std::size_t>(rounds_)]);
-  return s;
+  AesBlock out{};
+  store(encrypt_state(load(in.data()), enc_keys_.data(), rounds_),
+        out.data());
+  return out;
 }
 
 AesBlock Aes::decrypt_block(const AesBlock& in) const {
-  AesBlock s = in;
-  add_round_key(s, round_keys_[static_cast<std::size_t>(rounds_)]);
-  for (int r = rounds_ - 1; r >= 1; --r) {
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-    add_round_key(s, round_keys_[static_cast<std::size_t>(r)]);
-    inv_mix_columns(s);
-  }
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  add_round_key(s, round_keys_[0]);
-  return s;
+  AesBlock out{};
+  store(decrypt_state(load(in.data()), dec_keys_.data(), rounds_),
+        out.data());
+  return out;
 }
 
 std::vector<std::uint8_t> Aes::cbc_encrypt(std::span<const std::uint8_t> data,
@@ -204,15 +239,12 @@ std::vector<std::uint8_t> Aes::cbc_encrypt(std::span<const std::uint8_t> data,
   util::require(data.size() % 16 == 0,
                 "cbc_encrypt requires a multiple of 16 bytes");
   std::vector<std::uint8_t> out(data.size());
-  AesBlock chain = iv;
+  State chain = load(iv.data());
   for (std::size_t off = 0; off < data.size(); off += 16) {
-    AesBlock block;
-    for (std::size_t i = 0; i < 16; ++i) {
-      block[i] = static_cast<std::uint8_t>(data[off + i] ^ chain[i]);
-    }
-    chain = encrypt_block(block);
-    std::copy(chain.begin(), chain.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(off));
+    State s = load(data.data() + off);
+    for (std::size_t c = 0; c < 4; ++c) s[c] ^= chain[c];
+    chain = encrypt_state(s, enc_keys_.data(), rounds_);
+    store(chain, out.data() + off);
   }
   return out;
 }
@@ -222,17 +254,12 @@ std::vector<std::uint8_t> Aes::cbc_decrypt(std::span<const std::uint8_t> data,
   util::require(data.size() % 16 == 0,
                 "cbc_decrypt requires a multiple of 16 bytes");
   std::vector<std::uint8_t> out(data.size());
-  AesBlock chain = iv;
   for (std::size_t off = 0; off < data.size(); off += 16) {
-    AesBlock block;
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
-              data.begin() + static_cast<std::ptrdiff_t>(off + 16),
-              block.begin());
-    const AesBlock plain = decrypt_block(block);
-    for (std::size_t i = 0; i < 16; ++i) {
-      out[off + i] = static_cast<std::uint8_t>(plain[i] ^ chain[i]);
-    }
-    chain = block;
+    State s = decrypt_state(load(data.data() + off), dec_keys_.data(),
+                            rounds_);
+    const State prev = load(off == 0 ? iv.data() : data.data() + off - 16);
+    for (std::size_t c = 0; c < 4; ++c) s[c] ^= prev[c];
+    store(s, out.data() + off);
   }
   return out;
 }

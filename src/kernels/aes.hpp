@@ -1,12 +1,18 @@
 // AES-128/AES-256 in CBC mode — the software stand-in for the Vitis
 // 256-bit CBC AES kernel of the paper's bump-in-the-wire pipeline
-// (Section 5). Straightforward FIPS-197 implementation (S-box,
-// ShiftRows, MixColumns over GF(2^8)); validated against the FIPS-197
-// and NIST SP 800-38A known-answer vectors in the test suite.
+// (Section 5). Table-driven FIPS-197 implementation: the state is four
+// 32-bit column words, and each round is one lookup per byte into four
+// tables that fold SubBytes, ShiftRows and MixColumns together (Te0-Te3;
+// Td0-Td3 for the inverse), generated at compile time from the S-box.
+// Decryption uses the FIPS-197 §5.3.5 equivalent inverse cipher, whose
+// key schedule is built once in the constructor, so a decrypt round costs
+// the same as an encrypt round. Validated against the FIPS-197 and NIST
+// SP 800-38A known-answer vectors in the test suite.
 //
 // This is a functional kernel for throughput measurement and round-trip
-// testing, not a hardened cryptographic library (no constant-time
-// guarantees).
+// testing, not a hardened cryptographic library. It is not constant-time:
+// the table lookups index memory by key- and data-dependent bytes, so the
+// cache timing of a block leaks information about the key.
 #pragma once
 
 #include <array>
@@ -42,7 +48,11 @@ class Aes {
 
  private:
   int rounds_;
-  std::vector<std::array<std::uint8_t, 16>> round_keys_;
+  /// Encryption round keys as column words, 4 per round (AES-256: 60).
+  std::array<std::uint32_t, 60> enc_keys_{};
+  /// Equivalent inverse cipher schedule: enc_keys_ in reverse round order,
+  /// InvMixColumns applied to the middle rounds.
+  std::array<std::uint32_t, 60> dec_keys_{};
 };
 
 }  // namespace streamcalc::kernels

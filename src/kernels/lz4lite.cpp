@@ -126,10 +126,17 @@ std::vector<std::uint8_t> lz4lite_decompress(
     util::require(offset >= 1 && offset <= out.size(),
                   "lz4lite: match offset out of range");
     const std::size_t match_len = read_length(token & 0x0F) + kMinMatch;
-    // Overlapping copies are valid (and common for runs): copy bytewise.
-    std::size_t src = out.size() - offset;
-    for (std::size_t i = 0; i < match_len; ++i) {
-      out.push_back(out[src + i]);
+    const std::size_t end = out.size();
+    const std::size_t src = end - offset;
+    if (offset >= match_len) {
+      out.resize(end + match_len);
+      std::memcpy(out.data() + end, out.data() + src, match_len);
+    } else {
+      // Overlapping copies are valid (and common for runs): each byte may
+      // read one written earlier in the same match, so copy bytewise.
+      for (std::size_t i = 0; i < match_len; ++i) {
+        out.push_back(out[src + i]);
+      }
     }
   }
   return out;

@@ -117,6 +117,40 @@ TEST(Lz4Lite, DecompressRejectsBadOffset) {
   EXPECT_THROW(lz4lite_decompress(bogus), util::PreconditionError);
 }
 
+// Malformed input must produce a diagnostic, never a crash: every call
+// returns or throws PreconditionError. Any other exception fails the test,
+// and the sanitizer builds catch out-of-bounds reads and writes.
+void decompress_or_reject(const std::vector<std::uint8_t>& in) {
+  try {
+    (void)lz4lite_decompress(in);
+  } catch (const util::PreconditionError&) {
+  }
+}
+
+TEST(Lz4Lite, DecompressMalformedInputFuzz) {
+  util::Xoshiro256 rng(14);
+  for (int iter = 0; iter < 1000; ++iter) {
+    std::vector<std::uint8_t> noise(rng() % 4097);
+    for (auto& b : noise) b = static_cast<std::uint8_t>(rng());
+    decompress_or_reject(noise);
+  }
+  for (int iter = 0; iter < 20; ++iter) {
+    const std::size_t size = 1 + static_cast<std::size_t>(rng() % 4096);
+    const auto valid =
+        lz4lite_compress(telemetry_text(rng, size, rng.uniform01()));
+    for (std::size_t len = 0; len < valid.size(); ++len) {
+      decompress_or_reject({valid.begin(),
+                            valid.begin() + static_cast<std::ptrdiff_t>(len)});
+    }
+    for (int m = 0; m < 200; ++m) {
+      auto mutated = valid;
+      mutated[rng() % mutated.size()] ^=
+          static_cast<std::uint8_t>(1 + rng() % 255);
+      decompress_or_reject(mutated);
+    }
+  }
+}
+
 TEST(Lz4Lite, RoundTripFuzz) {
   util::Xoshiro256 rng(13);
   for (int iter = 0; iter < 50; ++iter) {
