@@ -11,6 +11,7 @@
 
 #include "obs/obs.hpp"
 #include "util/format.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace streamcalc::bench {
@@ -76,10 +77,10 @@ class JsonReport {
     std::fputs("[\n", out);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
-      std::fprintf(out,
-                   "  {\"name\": \"%s\", \"value\": %.17g, \"unit\": "
-                   "\"%s\"}%s\n",
-                   escape(r.name).c_str(), r.value, escape(r.unit).c_str(),
+      std::fprintf(out, "  {\"name\": %s, \"value\": %s, \"unit\": %s}%s\n",
+                   util::json_quote(r.name).c_str(),
+                   util::json_number(r.value).c_str(),
+                   util::json_quote(r.unit).c_str(),
                    i + 1 < rows.size() ? "," : "");
     }
     std::fputs("]\n", out);
@@ -97,16 +98,6 @@ class JsonReport {
     double value;
     std::string unit;
   };
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  }
 
   std::vector<Row> rows_;
 };

@@ -31,13 +31,13 @@
 
 #include "report.hpp"
 #include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "serve/server.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using streamcalc::serve::Client;
-using streamcalc::serve::Json;
+using streamcalc::util::Json;
 
 struct Options {
   std::string socket_path;  ///< empty: self-host an in-process server

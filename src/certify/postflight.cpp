@@ -57,13 +57,6 @@ CertifyMode certify_mode(const util::Context& ctx) {
   return CertifyMode::kOff;
 }
 
-CertifyMode certify_mode_from_env() {
-  util::warn_deprecated_once(
-      "certify_mode_from_env(): build a util::Context (Context::from_env()) "
-      "and pass it to the certify entry points instead");
-  return certify_mode(util::Context::active());
-}
-
 std::vector<BoundCertificate> emit_pipeline_certificates(
     const netcalc::PipelineModel& model) {
   std::vector<BoundCertificate> certs;

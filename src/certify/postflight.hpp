@@ -38,12 +38,6 @@ enum class CertifyMode {
 /// Maps a Context's certify policy onto the local mode enum.
 CertifyMode certify_mode(const util::Context& ctx);
 
-/// Deprecated shim: forwards to Context::active().certify (which still
-/// honours STREAMCALC_CERTIFY when no Context is installed) and prints a
-/// one-time deprecation note. New code should build a util::Context and
-/// pass it to the postflight entry points below.
-CertifyMode certify_mode_from_env();
-
 /// Emits certificates for every bound a PipelineModel reports: end-to-end
 /// delay and backlog (with the per-node service curves as concatenation
 /// provenance) plus per-node delay and backlog along the propagated

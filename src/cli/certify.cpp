@@ -1,8 +1,6 @@
 #include "cli/certify.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 
 #include "certify/interval.hpp"
@@ -11,23 +9,13 @@
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/json.hpp"
 
 namespace streamcalc::cli {
 
-namespace {
+using util::json_quote;
 
-bool read_input(const std::string& path, std::string& text) {
-  std::ostringstream ss;
-  if (path == "-") {
-    ss << std::cin.rdbuf();
-  } else {
-    std::ifstream in(path);
-    if (!in) return false;
-    ss << in.rdbuf();
-  }
-  text = ss.str();
-  return true;
-}
+namespace {
 
 certify::IntervalCertificate stability_at_spec(const Spec& spec) {
   const certify::ParamBox box =
@@ -75,8 +63,7 @@ int run_certify(const std::vector<std::string>& paths, const Options& opts) {
   for (const std::string& path : paths) {
     SC_OBS_SPAN("cli", "certify");
     std::string text;
-    if (!read_input(path, text)) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
+    if (!read_spec_text(path, text)) {
       any_unreadable = true;
       emit_json(path, "unreadable", {}, "");
       continue;

@@ -1,15 +1,16 @@
 #include "cli/lint.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 
 #include "diagnostics/lint.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace streamcalc::cli {
+
+using util::json_quote;
 
 diagnostics::LintReport lint_spec(const Spec& spec) {
   if (spec.is_dag()) {
@@ -27,23 +28,6 @@ diagnostics::LintReport lint_spec(const Spec& spec) {
 diagnostics::LintReport lint_spec_text(std::string_view text) {
   return lint_spec(parse_spec_lenient(text));
 }
-
-namespace {
-
-bool read_input(const std::string& path, std::string& text) {
-  std::ostringstream ss;
-  if (path == "-") {
-    ss << std::cin.rdbuf();
-  } else {
-    std::ifstream in(path);
-    if (!in) return false;
-    ss << in.rdbuf();
-  }
-  text = ss.str();
-  return true;
-}
-
-}  // namespace
 
 std::string findings_json(const diagnostics::LintReport& report) {
   std::ostringstream os;
@@ -72,8 +56,7 @@ int run_lint(const std::vector<std::string>& paths, const Options& opts) {
     std::string text;
     std::string status;
     diagnostics::LintReport report;
-    if (!read_input(path, text)) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
+    if (!read_spec_text(path, text)) {
       any_parse_failure = true;
       status = "unreadable";
     } else {

@@ -2,6 +2,9 @@
 
 #include <cctype>
 #include <cstdio>
+#include <fstream>
+#include <iostream>
+#include <sstream>
 
 namespace streamcalc::cli {
 
@@ -214,38 +217,20 @@ std::string help_text(const std::string& argv0) {
   return out;
 }
 
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+bool read_spec_text(const std::string& path, std::string& text) {
+  std::ostringstream ss;
+  if (path == "-") {
+    ss << std::cin.rdbuf();
+  } else {
+    std::ifstream in(path);
+    if (!in) {
+      std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
+      return false;
     }
+    ss << in.rdbuf();
   }
-  out += '"';
-  return out;
+  text = ss.str();
+  return true;
 }
 
 }  // namespace streamcalc::cli

@@ -70,7 +70,9 @@ ParseResult parse_args(int argc, const char* const* argv);
 /// The one help/usage table every subcommand shares.
 std::string help_text(const std::string& argv0);
 
-/// JSON string literal (quotes + escapes) for the CLI's --json emitters.
-std::string json_quote(const std::string& s);
+/// Reads the spec file at `path`, or stdin for "-", into `text`. Returns
+/// false after printing "error: cannot open '<path>'" to stderr when the
+/// file cannot be opened; every subcommand maps that to exit 1.
+bool read_spec_text(const std::string& path, std::string& text);
 
 }  // namespace streamcalc::cli

@@ -1,10 +1,7 @@
 #include "cli/report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 #include <vector>
 
@@ -20,19 +17,15 @@
 #include "streamsim/pipeline_sim.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace streamcalc::cli {
 
-namespace {
+using util::json_number;
+using util::json_quote;
 
-/// JSON number literal; non-finite values (divergent bounds) render null.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+namespace {
 
 /// Human label for a report's derivation: "chernoff (theta=3.2e-07)",
 /// "det_clamp", "deviation".
@@ -518,30 +511,6 @@ std::string run_stoch_report(const Spec& spec, double epsilon, bool json) {
   os << s.render();
   return os.str();
 }
-
-namespace {
-
-/// Reads a spec file (or stdin for "-") into `text`. False + stderr
-/// message when the file cannot be opened.
-bool read_spec_text(const std::string& path, std::string& text) {
-  if (path == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    text = ss.str();
-    return true;
-  }
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  text = ss.str();
-  return true;
-}
-
-}  // namespace
 
 int run_analyze(const Options& opts) {
   const std::string& path = opts.paths.front();

@@ -455,13 +455,6 @@ LintMode lint_mode(const util::Context& ctx) {
   return LintMode::kWarn;
 }
 
-LintMode lint_mode_from_env() {
-  util::warn_deprecated_once(
-      "lint_mode_from_env(): build a util::Context (Context::from_env()) "
-      "and pass it to the preflight entry points instead");
-  return lint_mode(util::Context::active());
-}
-
 void preflight(const std::string& context, const LintReport& report,
                LintMode mode) {
   if (mode == LintMode::kOff) return;

@@ -69,12 +69,6 @@ enum class LintMode {
 /// Maps a Context's lint policy onto the local mode enum.
 LintMode lint_mode(const util::Context& ctx);
 
-/// Deprecated shim: forwards to Context::active().lint (which still
-/// honours STREAMCALC_LINT when no Context is installed) and prints a
-/// one-time deprecation note. New code should build a util::Context and
-/// pass it to the preflight entry points below.
-LintMode lint_mode_from_env();
-
 /// Applies the mode policy to a finished report: renders findings to
 /// stderr (prefixed with `context`) unless off, and throws
 /// PreconditionError in strict mode when the report is not clean. The

@@ -27,7 +27,8 @@ netcalc::NodeSpec StageMeasurement::to_node(netcalc::NodeKind kind,
 
 StageMeasurement measure_stage(
     std::string name, const StageFn& fn,
-    std::span<const std::vector<std::uint8_t>> blocks, int repeats) {
+    std::span<const std::vector<std::uint8_t>> blocks, int repeats,
+    const StageClock& clock) {
   util::require(!blocks.empty(), "measure_stage requires at least one block");
   util::require(repeats >= 1, "measure_stage requires repeats >= 1");
   double bytes_sum = 0.0;
@@ -39,7 +40,12 @@ StageMeasurement measure_stage(
   // Warm-up pass (caches, allocators, branch predictors) — untimed.
   for (const auto& b : blocks) (void)fn(b);
 
-  using Clock = std::chrono::steady_clock;
+  const auto now = [&clock] {
+    if (clock) return clock();
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  };
   double r_min = std::numeric_limits<double>::infinity();
   double r_max = 0.0;
   double secs_sum = 0.0;
@@ -49,10 +55,9 @@ StageMeasurement measure_stage(
   std::size_t n = 0;
   for (int r = 0; r < repeats; ++r) {
     for (const auto& b : blocks) {
-      const auto start = Clock::now();
+      const double start = now();
       const std::size_t out_bytes = fn(b);
-      const auto stop = Clock::now();
-      double secs = std::chrono::duration<double>(stop - start).count();
+      double secs = now() - start;
       // Guard against clock granularity on very fast invocations.
       secs = std::max(secs, 1e-9);
       const double rate = static_cast<double>(b.size()) / secs;

@@ -42,6 +42,10 @@ struct StageMeasurement {
 /// observation).
 using StageFn = std::function<std::size_t(std::span<const std::uint8_t>)>;
 
+/// Monotonic time source in seconds. An empty StageClock means the steady
+/// clock; a scripted one makes the measured spread exact.
+using StageClock = std::function<double()>;
+
 /// Runs `fn` over every block `repeats` times (after one untimed warm-up
 /// pass) and collects the per-invocation rate/volume spread. Blocks may
 /// differ in size (rates are computed per invocation and the reported
@@ -49,6 +53,7 @@ using StageFn = std::function<std::size_t(std::span<const std::uint8_t>)>;
 /// repeats >= 1.
 StageMeasurement measure_stage(
     std::string name, const StageFn& fn,
-    std::span<const std::vector<std::uint8_t>> blocks, int repeats = 3);
+    std::span<const std::vector<std::uint8_t>> blocks, int repeats = 3,
+    const StageClock& clock = {});
 
 }  // namespace streamcalc::kernels

@@ -19,10 +19,8 @@
 // Provenance is plain-old-data on purpose: reports flow through the serve
 // admission hot path, which must not allocate per decision.
 //
-// Migration note (one release): BoundReport converts implicitly to its
-// quantity type so pre-redesign call sites keep compiling, but the
-// conversion is deprecated — write `.value` (and check `.kind` when the
-// bound may be probabilistic).
+// There is no implicit conversion to the quantity: read `.value`, and check
+// `.kind` when the bound may be probabilistic.
 #pragma once
 
 #include "util/units.hpp"
@@ -77,12 +75,6 @@ struct BoundReport {
     r.epsilon = eps;
     r.provenance = prov;
     return r;
-  }
-
-  /// Deprecated migration shim: pre-redesign call sites treated the bound
-  /// as the bare quantity. Write `.value` instead (and consult `.kind`).
-  [[deprecated("use .value (and check .kind)")]] operator Q() const {
-    return value;
   }
 };
 

@@ -2,39 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace streamcalc::obs {
 
-namespace {
-
-/// Shortest round-trip double rendering; avoids "1e+06"-style noise for
-/// the integral values metrics overwhelmingly hold.
-std::string format_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-}  // namespace
+using util::json_number;
+using util::json_quote;
 
 void Histogram::observe(double value) {
   const std::size_t i = bucket_index(value);
@@ -134,26 +111,26 @@ std::string Registry::json() const {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : impl_->counters) {
-    os << (first ? "" : ",") << "\n    " << quote(name) << ": "
+    os << (first ? "" : ",") << "\n    " << json_quote(name) << ": "
        << c->value();
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, g] : impl_->gauges) {
-    os << (first ? "" : ",") << "\n    " << quote(name) << ": "
-       << format_number(g->value());
+    os << (first ? "" : ",") << "\n    " << json_quote(name) << ": "
+       << json_number(g->value());
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : impl_->histograms) {
     const Histogram::Snapshot s = h->snapshot();
-    os << (first ? "" : ",") << "\n    " << quote(name) << ": {"
-       << "\"count\": " << s.count << ", \"sum\": " << format_number(s.sum);
+    os << (first ? "" : ",") << "\n    " << json_quote(name) << ": {"
+       << "\"count\": " << s.count << ", \"sum\": " << json_number(s.sum);
     if (s.count > 0) {
-      os << ", \"min\": " << format_number(s.min)
-         << ", \"max\": " << format_number(s.max);
+      os << ", \"min\": " << json_number(s.min)
+         << ", \"max\": " << json_number(s.max);
     }
     os << ", \"buckets\": [";
     bool first_bucket = true;
@@ -161,7 +138,7 @@ std::string Registry::json() const {
       if (s.buckets[i] == 0) continue;
       os << (first_bucket ? "" : ", ") << "{\"le\": ";
       if (i < Histogram::kBuckets) {
-        os << format_number(Histogram::bucket_bound(i));
+        os << json_number(Histogram::bucket_bound(i));
       } else {
         os << "\"inf\"";
       }

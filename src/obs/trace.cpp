@@ -9,6 +9,7 @@
 
 #include "obs/runtime.hpp"
 #include "obs/sink.hpp"
+#include "util/json.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -99,16 +100,14 @@ std::string Tracer::chrome_trace_json() const {
   os << "{\"traceEvents\": [";
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const SpanRecord& s = spans[i];
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "%s\n  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
-                  "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %u, "
-                  "\"args\": {\"depth\": %u}}",
-                  i > 0 ? "," : "", s.name, s.category,
-                  static_cast<double>(s.start_ns) / 1e3,
-                  static_cast<double>(s.duration_ns()) / 1e3, s.thread,
-                  s.depth);
-    os << buf;
+    os << (i > 0 ? "," : "") << "\n  {\"name\": " << util::json_quote(s.name)
+       << ", \"cat\": " << util::json_quote(s.category)
+       << ", \"ph\": \"X\", \"ts\": "
+       << util::json_number(static_cast<double>(s.start_ns) / 1e3)
+       << ", \"dur\": "
+       << util::json_number(static_cast<double>(s.duration_ns()) / 1e3)
+       << ", \"pid\": 1, \"tid\": " << s.thread
+       << ", \"args\": {\"depth\": " << s.depth << "}}";
   }
   os << "\n], \"displayTimeUnit\": \"ms\"}\n";
   return os.str();

@@ -14,6 +14,8 @@
 
 namespace streamcalc::serve {
 
+using util::Json;
+
 namespace {
 
 std::string errno_text(const std::string& what) {
@@ -124,7 +126,7 @@ std::string Client::request_raw(const std::string& payload) {
 
 Json Client::request(const Json& request) {
   const std::string reply = request_raw(request.dump());
-  JsonParseResult parsed = json_parse(reply);
+  util::JsonParseResult parsed = util::json_parse(reply);
   util::require(parsed.ok(), "malformed reply from server: " + parsed.error);
   return std::move(parsed.value);
 }

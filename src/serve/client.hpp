@@ -9,8 +9,8 @@
 
 #include <string>
 
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
+#include "util/json.hpp"
 
 namespace streamcalc::serve {
 
@@ -30,7 +30,7 @@ class Client {
 
   /// Framed request/reply. Throws PreconditionError on transport errors
   /// (connection closed, oversized reply).
-  Json request(const Json& request);
+  util::Json request(const util::Json& request);
 
   /// Same, but the payload is sent verbatim — lets tests deliver invalid
   /// JSON inside a valid frame.

@@ -1,107 +1,11 @@
-// Minimal JSON value model for the admission-control wire protocol.
-//
-// The serve daemon speaks length-prefixed JSON frames (protocol.hpp), so
-// it needs to *parse* JSON, which nothing else in the repository does (the
-// CLI and benches only emit it). This is a deliberately small
-// recursive-descent implementation covering exactly RFC 8259 minus the
-// exotica the protocol never uses: numbers are IEEE doubles, strings are
-// uninterpreted bytes with the standard escapes (\uXXXX escapes outside
-// the BMP are rejected rather than paired), and object keys are kept in a
-// sorted map so serialization is deterministic — tests and differential
-// oracles can compare replies textually.
-//
-// Parse errors carry a byte offset and a human-readable reason; the server
-// turns them into clean `{"ok": false, "error": ...}` replies instead of
-// dropping the connection (tests/serve/protocol_test.cpp pins this).
+// Forwarding header that exists only for perfbench/driver, which still
+// spells serve::Json; the JSON module is util/json.hpp. Delete it in the
+// next benchmark change. Nothing else may include it.
 #pragma once
 
-#include <cstddef>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
+#include "util/json.hpp"
 
 namespace streamcalc::serve {
-
-/// One JSON value. A tagged union over the seven RFC 8259 kinds (null,
-/// true/false collapse into kBool). Copyable; small protocol messages make
-/// deep copies acceptable.
-class Json {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  using Array = std::vector<Json>;
-  using Object = std::map<std::string, Json>;
-
-  Json() = default;  ///< null
-
-  // Implicit by design: Json is a literal-building sum type, and the
-  // builder idiom `Json::Object{{"key", 3}}` depends on these conversions.
-  // NOLINTBEGIN(google-explicit-constructor): implicit JSON value literals
-  Json(bool b) : kind_(Kind::kBool), bool_(b) {}
-  Json(double n) : kind_(Kind::kNumber), num_(n) {}
-  Json(int n) : kind_(Kind::kNumber), num_(n) {}
-  Json(const char* s) : kind_(Kind::kString), str_(s) {}
-  Json(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}
-  Json(Array a) : kind_(Kind::kArray), arr_(std::move(a)) {}
-  Json(Object o) : kind_(Kind::kObject), obj_(std::move(o)) {}
-  // NOLINTEND(google-explicit-constructor)
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-
-  /// Typed accessors; each requires the matching kind (checked, throws
-  /// util::PreconditionError otherwise).
-  bool as_bool() const;
-  double as_number() const;
-  const std::string& as_string() const;
-  const Array& as_array() const;
-  const Object& as_object() const;
-  Object& as_object();
-
-  /// Object field lookup: nullptr when this is not an object or the key is
-  /// absent. The pointer is into this value; do not outlive it.
-  const Json* find(const std::string& key) const;
-
-  /// Convenience typed field readers with defaults (object values only).
-  std::string string_or(const std::string& key,
-                        const std::string& fallback) const;
-  double number_or(const std::string& key, double fallback) const;
-  bool bool_or(const std::string& key, bool fallback) const;
-
-  /// Compact deterministic serialization (sorted object keys, no spaces;
-  /// non-finite numbers render as null, matching the CLI's JSON emitters).
-  std::string dump() const;
-
-  bool operator==(const Json& other) const;
-
- private:
-  void dump_to(std::string& out) const;
-
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  Array arr_;
-  Object obj_;
-};
-
-/// Result of parsing one JSON document.
-struct JsonParseResult {
-  Json value;
-  std::string error;      ///< empty on success
-  std::size_t offset = 0; ///< byte offset of the error
-  bool ok() const { return error.empty(); }
-};
-
-/// Parses exactly one JSON document occupying the whole input (trailing
-/// whitespace allowed, trailing garbage is an error). Never throws; all
-/// failures are reported through JsonParseResult::error.
-JsonParseResult json_parse(const std::string& text);
-
+using util::Json;
+using util::json_parse;
 }  // namespace streamcalc::serve

@@ -13,10 +13,13 @@
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace streamcalc::serve {
+
+using util::Json;
 
 namespace {
 
@@ -314,7 +317,7 @@ std::string Server::handle_request(const std::string& payload,
 
   Json reply;
   try {
-    const JsonParseResult parsed = json_parse(payload);
+    const util::JsonParseResult parsed = util::json_parse(payload);
     if (!parsed.ok()) {
       reply = error_reply("parse error at byte " +
                           std::to_string(parsed.offset) + ": " +

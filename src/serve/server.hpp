@@ -35,9 +35,9 @@
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/catalog.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "util/context.hpp"
+#include "util/json.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -107,11 +107,11 @@ class Server {
   std::string handle_request(const std::string& payload,
                              bool& want_shutdown);
 
-  Json handle_admit(const Json& req);
-  Json handle_release(const Json& req);
-  Json handle_query(const Json& req);
-  Json handle_stats();
-  Json handle_reload() SC_EXCLUDES(reload_mutex_);
+  util::Json handle_admit(const util::Json& req);
+  util::Json handle_release(const util::Json& req);
+  util::Json handle_query(const util::Json& req);
+  util::Json handle_stats();
+  util::Json handle_reload() SC_EXCLUDES(reload_mutex_);
 
   ServerConfig config_;
   std::shared_ptr<Catalog> catalog_;

@@ -1,7 +1,6 @@
 #include "srclint/runner.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -12,10 +11,12 @@
 #include "srclint/layers.hpp"
 #include "srclint/project.hpp"
 #include "srclint/rules.hpp"
+#include "util/json.hpp"
 
 namespace streamcalc::srclint {
 
 namespace fs = std::filesystem;
+using util::json_quote;
 
 namespace {
 
@@ -62,36 +63,6 @@ bool collect_files(const std::vector<std::string>& paths,
   std::sort(files->begin(), files->end());
   files->erase(std::unique(files->begin(), files->end()), files->end());
   return ok;
-}
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out + "\"";
 }
 
 std::string finding_json(const Finding& f) {

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <thread>
-
-#include <cstdio>
 
 #include "obs/runtime.hpp"
 #include "util/env.hpp"
@@ -120,14 +117,6 @@ unsigned Context::resolved_threads() const {
 unsigned Context::pool_workers() const {
   const unsigned resolved = resolved_threads();
   return resolved <= 1 ? 0u : resolved;
-}
-
-void warn_deprecated_once(const std::string& what) {
-  static Mutex mutex;
-  static std::set<std::string>* warned = new std::set<std::string>();
-  const MutexLock lock(mutex);
-  if (!warned->insert(what).second) return;
-  std::fprintf(stderr, "streamcalc: deprecated: %s\n", what.c_str());
 }
 
 }  // namespace streamcalc::util

@@ -13,11 +13,6 @@
 //   * after install(), the installed context (one source of truth);
 //   * before install(), a context built fresh from the environment on
 //     each call — so test fixtures that setenv/unsetenv keep working.
-//
-// The legacy per-variable readers (util::configured_thread_count,
-// diagnostics::lint_mode_from_env, certify::certify_mode_from_env) are
-// deprecated shims over Context::active() that warn once per process; see
-// DESIGN.md §10 for the migration table.
 #pragma once
 
 #include <cstddef>
@@ -90,9 +85,5 @@ struct Context {
   /// everything inline) when resolved_threads() <= 1.
   unsigned pool_workers() const;
 };
-
-/// Prints "streamcalc: deprecated: <what>" to stderr once per distinct
-/// message per process. Used by the legacy env-reader shims.
-void warn_deprecated_once(const std::string& what);
 
 }  // namespace streamcalc::util

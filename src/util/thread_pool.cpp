@@ -16,14 +16,6 @@ thread_local bool t_on_worker = false;
 
 }  // namespace
 
-unsigned configured_thread_count() {
-  warn_deprecated_once(
-      "util::configured_thread_count() reads the environment directly; "
-      "build a streamcalc::Context (Context::from_env()) and use "
-      "resolved_threads() instead");
-  return Context::active().resolved_threads();
-}
-
 ThreadPool::ThreadPool(const Context& ctx) : ThreadPool(ctx.pool_workers()) {}
 
 ThreadPool::ThreadPool(unsigned threads) {

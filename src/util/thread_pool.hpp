@@ -106,14 +106,4 @@ class ThreadPool {
   bool stopping_ SC_GUARDED_BY(mutex_) = false;
 };
 
-/// Number of threads the global pool was (or would be) configured with:
-/// the active Context's resolved thread count (STREAMCALC_THREADS,
-/// defaulting to hardware concurrency). Throws PreconditionError on a
-/// malformed value (anything other than a non-negative integer or the
-/// word "serial").
-///
-/// Deprecated shim (warns once): read Context::active().resolved_threads()
-/// — or better, build a Context once and pass it around — instead.
-unsigned configured_thread_count();
-
 }  // namespace streamcalc::util

@@ -22,21 +22,21 @@ class CertifyEnvTest : public ::testing::Test {
 
 TEST_F(CertifyEnvTest, DefaultsToOff) {
   unsetenv("STREAMCALC_CERTIFY");
-  EXPECT_EQ(certify_mode_from_env(), CertifyMode::kOff);
+  EXPECT_EQ(certify_mode(util::Context::from_env()), CertifyMode::kOff);
 }
 
 TEST_F(CertifyEnvTest, ParsesAllModes) {
   setenv("STREAMCALC_CERTIFY", "off", 1);
-  EXPECT_EQ(certify_mode_from_env(), CertifyMode::kOff);
+  EXPECT_EQ(certify_mode(util::Context::from_env()), CertifyMode::kOff);
   setenv("STREAMCALC_CERTIFY", "warn", 1);
-  EXPECT_EQ(certify_mode_from_env(), CertifyMode::kWarn);
+  EXPECT_EQ(certify_mode(util::Context::from_env()), CertifyMode::kWarn);
   setenv("STREAMCALC_CERTIFY", "strict", 1);
-  EXPECT_EQ(certify_mode_from_env(), CertifyMode::kStrict);
+  EXPECT_EQ(certify_mode(util::Context::from_env()), CertifyMode::kStrict);
 }
 
 TEST_F(CertifyEnvTest, RejectsUnknownMode) {
   setenv("STREAMCALC_CERTIFY", "paranoid", 1);
-  EXPECT_THROW(certify_mode_from_env(), util::Error);
+  EXPECT_THROW(certify_mode(util::Context::from_env()), util::Error);
 }
 
 TEST_F(CertifyEnvTest, EmitsOneDelayAndOneBacklogCertificatePerScope) {

@@ -377,24 +377,26 @@ class ScopedEnv {
   std::optional<std::string> previous_;
 };
 
+// The lint policy a Context reads from STREAMCALC_LINT, mapped onto
+// LintMode.
 TEST(LintModeTest, DefaultsToWarn) {
   ScopedEnv env("STREAMCALC_LINT", nullptr);
-  EXPECT_EQ(lint_mode_from_env(), LintMode::kWarn);
+  EXPECT_EQ(lint_mode(util::Context::from_env()), LintMode::kWarn);
 }
 
 TEST(LintModeTest, ParsesAllModes) {
   ScopedEnv warn("STREAMCALC_LINT", "warn");
-  EXPECT_EQ(lint_mode_from_env(), LintMode::kWarn);
+  EXPECT_EQ(lint_mode(util::Context::from_env()), LintMode::kWarn);
   ScopedEnv strict("STREAMCALC_LINT", "strict");
-  EXPECT_EQ(lint_mode_from_env(), LintMode::kStrict);
+  EXPECT_EQ(lint_mode(util::Context::from_env()), LintMode::kStrict);
   ScopedEnv off("STREAMCALC_LINT", "off");
-  EXPECT_EQ(lint_mode_from_env(), LintMode::kOff);
+  EXPECT_EQ(lint_mode(util::Context::from_env()), LintMode::kOff);
 }
 
 TEST(LintModeTest, RejectsGarbageNamingTheVariable) {
   ScopedEnv env("STREAMCALC_LINT", "pedantic");
   try {
-    lint_mode_from_env();
+    lint_mode(util::Context::from_env());
     FAIL() << "accepted STREAMCALC_LINT=pedantic";
   } catch (const util::PreconditionError& e) {
     EXPECT_NE(std::string(e.what()).find("STREAMCALC_LINT"),

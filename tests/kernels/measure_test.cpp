@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
-
 #include "util/error.hpp"
 
 namespace streamcalc::kernels {
@@ -55,14 +52,17 @@ TEST(Measure, VolumeRatioObserved) {
 }
 
 TEST(Measure, ToNodeProducesValidSpec) {
+  // A scripted clock the stage advances by 200 us per block: a real sleep
+  // overshoots by whole milliseconds on a loaded machine.
+  double clock_secs = 0.0;
   const auto blocks = make_blocks(2, 2048);
   const auto m = measure_stage(
       "sleeper",
-      [](std::span<const std::uint8_t> b) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      [&clock_secs](std::span<const std::uint8_t> b) {
+        clock_secs += 200e-6;
         return b.size();
       },
-      blocks, 2);
+      blocks, 2, [&clock_secs] { return clock_secs; });
   const netcalc::NodeSpec n =
       m.to_node(netcalc::NodeKind::kCompute, util::DataSize::bytes(2048));
   EXPECT_EQ(n.name, "sleeper");

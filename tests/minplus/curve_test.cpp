@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "minplus/operations.hpp"
 #include "util/error.hpp"
@@ -273,6 +274,11 @@ struct FamilyCase {
   const char* name;
   Curve curve;
 };
+
+// Without this gtest prints the parameter as a raw byte dump, which holds
+// heap and string-literal addresses, so every build registers the CTest
+// cases under different names.
+void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.name; }
 
 class CurveConsistency : public ::testing::TestWithParam<FamilyCase> {};
 

@@ -25,12 +25,15 @@
 #include "serve/admission.hpp"
 #include "serve/catalog.hpp"
 #include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "serve/server.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace streamcalc::serve {
 namespace {
+
+using util::Json;
+using util::json_parse;
 
 constexpr std::uint64_t kSeed = 0x50a0cafeULL;
 

@@ -1,8 +1,9 @@
 // Wire-protocol tests for the serve daemon: frame codec round-trips
 // under arbitrary chunking, hostile frames (oversized, truncated,
-// garbage), JSON parser round-trips and rejection, and the live server's
+// garbage, malformed or out-of-range JSON), and the live server's
 // reaction to each — a malformed payload must produce a clean
-// {"ok":false} reply, never a crash or a wedged connection.
+// {"ok":false} reply, never a crash or a wedged connection. The JSON
+// parser's own tests are in tests/util/json_test.cpp.
 //
 // All fuzz loops are seeded and replayable; failures print the (seed,
 // case) pair. Runs under the `property` CTest label (ubsan preset).
@@ -18,14 +19,17 @@
 #include "cli/spec.hpp"
 #include "serve/catalog.hpp"
 #include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace streamcalc::serve {
 namespace {
+
+using util::Json;
+using util::json_parse;
 
 constexpr std::uint64_t kSeed = 0x5eedf00dULL;
 
@@ -146,83 +150,6 @@ TEST(FrameCodec, EncodeRejectsOversizedPayloads) {
                util::PreconditionError);
 }
 
-// --- JSON ---------------------------------------------------------------
-
-TEST(ServeJson, ParsesScalarsAndContainers) {
-  EXPECT_TRUE(json_parse("null").value.is_null());
-  EXPECT_EQ(json_parse("true").value.as_bool(), true);
-  EXPECT_DOUBLE_EQ(json_parse("-12.5e2").value.as_number(), -1250.0);
-  EXPECT_EQ(json_parse("\"a\\nb\\u0041\"").value.as_string(), "a\nbA");
-  const Json arr = json_parse("[1, [2, 3], {\"k\": 4}]").value;
-  ASSERT_TRUE(arr.is_array());
-  EXPECT_EQ(arr.as_array().size(), 3u);
-  EXPECT_DOUBLE_EQ(arr.as_array()[2].find("k")->as_number(), 4.0);
-}
-
-TEST(ServeJson, RejectsMalformedDocuments) {
-  for (const char* bad :
-       {"", "{", "}", "[1,]", "{\"a\":}", "{\"a\" 1}", "nul", "truex",
-        "\"unterminated", "\"bad \\q escape\"", "01", "1e", "--1",
-        "{\"a\":1} trailing", "\"\\ud800\"", "[1 2]", "{1: 2}"}) {
-    const JsonParseResult r = json_parse(bad);
-    EXPECT_FALSE(r.ok()) << "accepted: " << bad;
-    EXPECT_FALSE(r.error.empty());
-  }
-}
-
-TEST(ServeJson, RejectsExcessiveNesting) {
-  std::string deep;
-  for (int i = 0; i < 100; ++i) deep += '[';
-  for (int i = 0; i < 100; ++i) deep += ']';
-  EXPECT_FALSE(json_parse(deep).ok());
-}
-
-Json random_json(util::Xoshiro256& rng, int depth) {
-  switch (depth <= 0 ? rng() % 4 : rng() % 6) {
-    case 0:
-      return Json();
-    case 1:
-      return Json(rng() % 2 == 0);
-    case 2: {
-      // Mix of integral and fractional magnitudes.
-      const double mag = static_cast<double>(rng() % (1u << 20));
-      return Json(rng() % 2 == 0 ? mag : mag / 1024.0);
-    }
-    case 3: {
-      std::string s(rng() % 12, '\0');
-      for (char& c : s) c = static_cast<char>(rng() % 256);
-      return Json(s);
-    }
-    case 4: {
-      Json::Array a(rng() % 4);
-      for (Json& v : a) v = random_json(rng, depth - 1);
-      return Json(std::move(a));
-    }
-    default: {
-      Json::Object o;
-      const std::uint64_t n = rng() % 4;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        o["k" + std::to_string(rng() % 8)] = random_json(rng, depth - 1);
-      }
-      return Json(std::move(o));
-    }
-  }
-}
-
-TEST(ServeJson, FuzzDumpParseRoundTrip) {
-  util::Xoshiro256 rng(kSeed ^ 0xa5a5);
-  for (int i = 0; i < 500; ++i) {
-    const Json value = random_json(rng, 4);
-    const std::string text = value.dump();
-    const JsonParseResult parsed = json_parse(text);
-    ASSERT_TRUE(parsed.ok())
-        << "case " << i << ": " << parsed.error << " in " << text;
-    EXPECT_TRUE(parsed.value == value) << "case " << i << ": " << text;
-    // Deterministic serialization: dump(parse(dump(v))) == dump(v).
-    EXPECT_EQ(parsed.value.dump(), text) << "case " << i;
-  }
-}
-
 // --- the live server ----------------------------------------------------
 
 class ServeProtocolTest : public ::testing::Test {
@@ -270,6 +197,22 @@ TEST_F(ServeProtocolTest, NonObjectAndUnknownOpsAreErrors) {
                    .value.bool_or("ok", true));
   EXPECT_FALSE(json_parse(client.request_raw("{\"noop\":1}"))
                    .value.bool_or("ok", true));
+}
+
+TEST_F(ServeProtocolTest, OutOfRangeNumberGetsErrorReplyAndConnectionLives) {
+  // 1e400 overflows a double; the parser rejects it at the token instead
+  // of admitting an infinite rate.
+  Client client = Client::connect_unix(path_);
+  const std::string request =
+      "{\"op\":\"admit\",\"tenant\":\"t\",\"scenario\":\"chain\","
+      "\"id\":\"f1\",\"rate\":1e400,\"burst\":65536,\"target\":0.5}";
+  const Json reply = json_parse(client.request_raw(request)).value;
+  EXPECT_FALSE(reply.bool_or("ok", true));
+  EXPECT_EQ(reply.string_or("error", ""),
+            "parse error at byte " + std::to_string(request.find("1e400")) +
+                ": number out of range");
+  EXPECT_TRUE(client.request(json_parse("{\"op\":\"ping\"}").value)
+                  .bool_or("ok", false));
 }
 
 TEST_F(ServeProtocolTest, OversizedFrameGetsErrorReplyThenClose) {

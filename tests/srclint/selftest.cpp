@@ -103,7 +103,7 @@ const std::map<std::string, std::vector<Fixture>>& fixtures() {
          "bool far(double x) {\n  return 1e-3 != x;\n}\n", 2,
          "bool far(double x) {\n  return std::abs(x - 1e-3) >= kTol;\n}\n"}}},
       {"SC905",
-       {{"bare marker", "src/serve/json.hpp",
+       {{"bare marker", "src/util/json.hpp",
          std::string("int x;  // ") + "NO" + "LINT" + "\n", 1,
          std::string("int x;  // ") + "NO" + "LINT" +
              "(some-check): json literal builder idiom\n"},

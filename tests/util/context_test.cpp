@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -68,6 +69,30 @@ TEST_F(ContextTest, ThreadsAcceptsSerialAlias) {
   EXPECT_EQ(Context::from_env().threads, 1u);
 }
 
+TEST_F(ContextTest, ThreadsZeroMeansHardwareConcurrency) {
+  ::setenv("STREAMCALC_THREADS", "0", 1);
+  const Context ctx = Context::from_env();
+  EXPECT_EQ(ctx.threads, 0u);
+  EXPECT_EQ(ctx.resolved_threads(),
+            std::max(1u, std::thread::hardware_concurrency()));
+}
+
+TEST_F(ContextTest, EnforceModesParseEverySpelling) {
+  const struct {
+    const char* value;
+    EnforceMode mode;
+  } spellings[] = {{"off", EnforceMode::kOff},
+                   {"warn", EnforceMode::kWarn},
+                   {"strict", EnforceMode::kStrict}};
+  for (const auto& [value, mode] : spellings) {
+    ::setenv("STREAMCALC_LINT", value, 1);
+    ::setenv("STREAMCALC_CERTIFY", value, 1);
+    const Context ctx = Context::from_env();
+    EXPECT_EQ(ctx.lint, mode) << value;
+    EXPECT_EQ(ctx.certify, mode) << value;
+  }
+}
+
 TEST_F(ContextTest, ObsAcceptsBooleanSpellings) {
   for (const char* on : {"on", "1", "true"}) {
     ::setenv("STREAMCALC_OBS", on, 1);
@@ -84,9 +109,12 @@ TEST_F(ContextTest, RejectsMalformedValuesNamingTheVariable) {
     const char* var;
     const char* value;
   } bad[] = {
-      {"STREAMCALC_THREADS", "many"},   {"STREAMCALC_THREADS", "99999"},
-      {"STREAMCALC_CURVE_CACHE", "-1"}, {"STREAMCALC_FUZZ_CASES", "0"},
-      {"STREAMCALC_LINT", "maybe"},     {"STREAMCALC_CERTIFY", "yes"},
+      {"STREAMCALC_THREADS", "many"},      {"STREAMCALC_THREADS", "99999"},
+      {"STREAMCALC_THREADS", "fast"},      {"STREAMCALC_THREADS", "-1"},
+      {"STREAMCALC_THREADS", "2 threads"}, {"STREAMCALC_THREADS", "serial "},
+      {"STREAMCALC_CURVE_CACHE", "-1"},    {"STREAMCALC_FUZZ_CASES", "0"},
+      {"STREAMCALC_LINT", "maybe"},        {"STREAMCALC_LINT", "pedantic"},
+      {"STREAMCALC_CERTIFY", "yes"},       {"STREAMCALC_CERTIFY", "paranoid"},
       {"STREAMCALC_OBS", "sometimes"},
   };
   for (const auto& [var, value] : bad) {

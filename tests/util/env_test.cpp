@@ -8,7 +8,6 @@
 #include <string>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace streamcalc::util {
 namespace {
@@ -83,35 +82,6 @@ TEST(EnvTest, EnforcesRange) {
 TEST(EnvTest, RejectsOverflow) {
   ScopedEnv env(kVar, "99999999999999999999999999");
   EXPECT_THROW(env_uint(kVar), PreconditionError);
-}
-
-TEST(EnvTest, ThreadCountAcceptsSerialAndNumbers) {
-  {
-    ScopedEnv env("STREAMCALC_THREADS", "serial");
-    EXPECT_EQ(configured_thread_count(), 1u);
-  }
-  {
-    ScopedEnv env("STREAMCALC_THREADS", "3");
-    EXPECT_EQ(configured_thread_count(), 3u);
-  }
-  {
-    // 0 = hardware concurrency (>= 1).
-    ScopedEnv env("STREAMCALC_THREADS", "0");
-    EXPECT_GE(configured_thread_count(), 1u);
-  }
-}
-
-TEST(EnvTest, ThreadCountRejectsGarbage) {
-  for (const char* bad : {"fast", "-1", "2 threads", "serial "}) {
-    ScopedEnv env("STREAMCALC_THREADS", bad);
-    try {
-      configured_thread_count();
-      FAIL() << "accepted STREAMCALC_THREADS='" << bad << "'";
-    } catch (const PreconditionError& e) {
-      EXPECT_NE(std::string(e.what()).find("STREAMCALC_THREADS"),
-                std::string::npos);
-    }
-  }
 }
 
 }  // namespace

@@ -17,24 +17,27 @@
 //     --require <substring>       fail unless at least one compared
 //                                 benchmark matches (repeatable)
 //
-// The parser handles exactly the subset of JSON our benchmark_json.hpp
-// writer emits; it is not a general JSON library (no new dependencies).
+// Exit codes: 0 no regression, 1 a regression or a --require that was not
+// compared, 2 bad input. Bad input is an unreadable file, a file that is
+// not a JSON array of row objects with a string "name" (reported with the
+// parser's byte offset), or a compared time row whose value is not a
+// finite number: a benchmark that measured nothing must not pass.
 #include <algorithm>
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace {
 
-struct Entry {
-  std::string name;
-  double nanos = 0.0;
-};
+using streamcalc::util::Json;
 
 // Returns the ns-per-unit factor, or 0 for non-time rows (the bench dumps
 // also carry obs metric rows with unit "count"), which are skipped.
@@ -46,72 +49,41 @@ double unit_to_nanos(const std::string& unit) {
   return 0.0;
 }
 
-// Pulls the string value of `"key": "..."` or the number of `"key": <num>`
-// from a single object's text. Returns false when the key is absent.
-bool find_string(const std::string& obj, const std::string& key,
-                 std::string* out) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t k = obj.find(needle);
-  if (k == std::string::npos) return false;
-  const std::size_t open = obj.find('"', obj.find(':', k));
-  if (open == std::string::npos) return false;
-  const std::size_t close = obj.find('"', open + 1);
-  if (close == std::string::npos) return false;
-  *out = obj.substr(open + 1, close - open - 1);
-  return true;
+[[noreturn]] void bad_input(const char* path, const std::string& what) {
+  std::fprintf(stderr, "bench_compare: %s: %s\n", path, what.c_str());
+  std::exit(2);
 }
 
-bool find_number(const std::string& obj, const std::string& key,
-                 double* out) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t k = obj.find(needle);
-  if (k == std::string::npos) return false;
-  std::size_t p = obj.find(':', k);
-  if (p == std::string::npos) return false;
-  ++p;
-  while (p < obj.size() && std::isspace(static_cast<unsigned char>(obj[p]))) {
-    ++p;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(obj.c_str() + p, &end);
-  if (end == obj.c_str() + p) return false;
-  *out = v;
-  return true;
-}
-
+// Loads the time rows of a bench JSON dump, keyed by name and normalized
+// to nanoseconds. A time row whose value is missing or not a number is
+// kept as NaN, so comparing it is an error rather than a silent pass.
 std::map<std::string, double> load(const char* path) {
   std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_compare: cannot open %s\n", path);
-    std::exit(2);
-  }
+  if (!in) bad_input(path, "cannot open");
   std::stringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-
+  const streamcalc::util::JsonParseResult parsed =
+      streamcalc::util::json_parse(buf.str());
+  if (!parsed.ok()) {
+    bad_input(path, "parse error at byte " + std::to_string(parsed.offset) +
+                        ": " + parsed.error);
+  }
+  if (!parsed.value.is_array()) {
+    bad_input(path, "expected an array of {name, value, unit} rows");
+  }
   std::map<std::string, double> out;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t open = text.find('{', pos);
-    if (open == std::string::npos) break;
-    const std::size_t close = text.find('}', open);
-    if (close == std::string::npos) break;
-    const std::string obj = text.substr(open, close - open + 1);
-    pos = close + 1;
-
-    std::string name;
-    std::string unit;
-    double value = 0.0;
-    if (!find_string(obj, "name", &name)) continue;
-    if (!find_number(obj, "value", &value)) continue;
-    if (!find_string(obj, "unit", &unit)) unit = "ns";
-    const double factor = unit_to_nanos(unit);
-    if (factor > 0.0) out[name] = value * factor;
+  for (const Json& row : parsed.value.as_array()) {
+    const Json* name = row.find("name");
+    if (name == nullptr || !name->is_string()) {
+      bad_input(path, "every row must be an object with a string \"name\"");
+    }
+    const double factor = unit_to_nanos(row.string_or("unit", "ns"));
+    if (factor == 0.0) continue;
+    out[name->as_string()] =
+        factor * row.number_or("value",
+                               std::numeric_limits<double>::quiet_NaN());
   }
-  if (out.empty()) {
-    std::fprintf(stderr, "bench_compare: no benchmark entries in %s\n", path);
-    std::exit(2);
-  }
+  if (out.empty()) bad_input(path, "no benchmark entries");
   return out;
 }
 
@@ -162,6 +134,7 @@ int main(int argc, char** argv) {
 
   int compared = 0;
   int regressions = 0;
+  int invalid = 0;
   std::vector<std::string> satisfied_requirements;
   for (const auto& [name, cur_ns] : current) {
     if (!filters.empty() && !matches_any(name, filters)) continue;
@@ -169,6 +142,14 @@ int main(int argc, char** argv) {
     if (it == baseline.end()) {
       std::printf("  NEW  %-44s %.3f ns (no baseline)\n", name.c_str(),
                   cur_ns);
+      continue;
+    }
+    if (!std::isfinite(cur_ns) || !std::isfinite(it->second)) {
+      std::fprintf(stderr,
+                   "bench_compare: '%s' has no finite time value in %s\n",
+                   name.c_str(),
+                   std::isfinite(cur_ns) ? baseline_path : current_path);
+      ++invalid;
       continue;
     }
     ++compared;
@@ -181,6 +162,7 @@ int main(int argc, char** argv) {
                 ratio);
   }
 
+  if (invalid > 0) return 2;
   for (const std::string& req : required) {
     if (!matches_any(req, satisfied_requirements) &&
         std::none_of(satisfied_requirements.begin(),
