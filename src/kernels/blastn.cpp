@@ -1,20 +1,239 @@
 #include "kernels/blastn.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace streamcalc::kernels {
 
+namespace {
+
+/// Largest sequence whose base positions fit SeedMatch's 32-bit fields.
+constexpr std::uint64_t kMaxBases = std::numeric_limits<std::uint32_t>::max();
+
+/// Low bit of every 2-bit base field of a 64-bit word.
+constexpr std::uint64_t kFieldLowBits = 0x5555555555555555ULL;
+
+/// Little-endian load of 8 bytes.
+std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t w = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&w, p, sizeof w);
+  } else {
+    for (int i = 0; i < 8; ++i) w |= std::uint64_t{p[i]} << (8 * i);
+  }
+  return w;
+}
+
+/// The byte-aligned 8-mer key held by packed bytes p[0] and p[1]; compilers
+/// read it with one 16-bit load.
+std::uint16_t load_kmer(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] | p[1] << 8);
+}
+
+/// Bases pos .. pos + 31 of a packed sequence, base pos + j in bits 2j and
+/// 2j + 1. Bases past the end of `packed` read as A (0); callers only use
+/// the steps inside their limits.
+std::uint64_t bases32(std::span<const std::uint8_t> packed,
+                      std::uint64_t pos) {
+  const std::uint64_t byte = pos / 4;
+  const unsigned shift = 2 * static_cast<unsigned>(pos % 4);
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  if (byte + 9 <= packed.size()) {
+    lo = load64(packed.data() + byte);
+    hi = packed[byte + 8];
+  } else {
+    // The buffer's tail: copy what is there into zeroed bytes.
+    std::uint8_t tail[9] = {};
+    if (byte < packed.size()) {
+      std::memcpy(tail, packed.data() + byte,
+                  static_cast<std::size_t>(packed.size() - byte));
+    }
+    lo = load64(tail);
+    hi = tail[8];
+  }
+  return shift == 0 ? lo : (lo >> shift) | (hi << (64 - shift));
+}
+
+/// Bases end - 32 .. end - 1, base end - 32 + j in field j; positions
+/// below 0 read as A.
+std::uint64_t bases32_before(std::span<const std::uint8_t> packed,
+                             std::uint64_t end) {
+  if (end >= 32) return bases32(packed, end - 32);
+  if (end == 0) return 0;
+  return bases32(packed, 0) << (2 * (32 - end));
+}
+
+/// Reverses the order of the 32 two-bit fields of a word.
+std::uint64_t reverse_fields(std::uint64_t w) {
+  w = ((w >> 2) & 0x3333333333333333ULL) | ((w & 0x3333333333333333ULL) << 2);
+  w = ((w >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((w & 0x0F0F0F0F0F0F0F0FULL) << 4);
+  w = ((w >> 8) & 0x00FF00FF00FF00FFULL) | ((w & 0x00FF00FF00FF00FFULL) << 8);
+  w = ((w >> 16) & 0x0000FFFF0000FFFFULL) |
+      ((w & 0x0000FFFF0000FFFFULL) << 16);
+  return (w >> 32) | (w << 32);
+}
+
+/// Bit 2j set iff field j of `a` and `b` differ.
+std::uint64_t mismatch_bits(std::uint64_t a, std::uint64_t b) {
+  const std::uint64_t x = a ^ b;
+  return (x | (x >> 1)) & kFieldLowBits;
+}
+
+/// Index of the first mismatch in a mask from mismatch_bits; 32 if none.
+int first_mismatch(std::uint64_t mismatches) {
+  return std::countr_zero(mismatches) / 2;
+}
+
+/// One direction of an extension from a seed. Step s (from 0) compares
+/// database base db + s with query base query + s going right, and
+/// db - 1 - s with query - 1 - s going left; `limit` steps stay inside
+/// both sequences.
+struct Direction {
+  std::span<const std::uint8_t> db_packed;
+  std::span<const std::uint8_t> query_packed;
+  std::uint64_t db;
+  std::uint64_t query;
+  std::uint64_t limit;
+  bool right;
+
+  /// Mismatches of steps s .. s + 31: bit 2j set iff step s + j differs.
+  std::uint64_t mismatches(std::uint64_t s) const {
+    if (right) {
+      return mismatch_bits(bases32(db_packed, db + s),
+                           bases32(query_packed, query + s));
+    }
+    return reverse_fields(
+        mismatch_bits(bases32_before(db_packed, db - s),
+                      bases32_before(query_packed, query - s)));
+  }
+};
+
+Direction left_of(const SeedMatch& m, std::span<const std::uint8_t> db,
+                  std::span<const std::uint8_t> query) {
+  return Direction{db, query, m.db_pos, m.query_pos,
+                   std::min(m.db_pos, m.query_pos), false};
+}
+
+Direction right_of(const SeedMatch& m, std::span<const std::uint8_t> db,
+                   std::uint64_t db_bases, std::span<const std::uint8_t> query,
+                   std::uint64_t query_bases) {
+  const std::uint64_t dp = std::uint64_t{m.db_pos} + 8;
+  const std::uint64_t qp = std::uint64_t{m.query_pos} + 8;
+  return Direction{db, query, dp, qp,
+                   std::min(db_bases - dp, query_bases - qp), true};
+}
+
+/// Best X-drop extension score in one direction over at most
+/// params.window steps (the seed itself is not re-scored), with the step
+/// count that reaches it in `*best_steps`. Exactly the per-base loop
+///
+///   for i in 1..window: score += match ? reward : penalty;
+///                       best = max(best, score) (recording i on a rise);
+///                       stop once best - score >= x_drop
+///
+/// evaluated one run of equal steps at a time: the matches up to the next
+/// mismatch, then the mismatch.
+int extend_direction(const Direction& dir, const UngappedParams& params,
+                     int* best_steps) {
+  const int limit = static_cast<int>(std::min<std::uint64_t>(
+      dir.limit, static_cast<std::uint64_t>(std::max(params.window, 0))));
+  int score = 0;
+  int best = 0;
+  int steps = 0;
+  *best_steps = 0;
+  // Applies `k` steps that each add `delta`; false once the cutoff fires.
+  const auto run = [&](int delta, int k) {
+    if (delta > 0) {
+      // A rising score only narrows the gap to the best, so the cutoff can
+      // fire on the run's first step alone.
+      score += delta;
+      ++steps;
+      if (score > best) {
+        best = score;
+        *best_steps = steps;
+      }
+      if (best - score >= params.x_drop) return false;
+      score = static_cast<int>(score + std::int64_t{delta} * (k - 1));
+      steps += k - 1;
+      if (score > best) {
+        best = score;
+        *best_steps = steps;
+      }
+      return true;
+    }
+    // A flat or falling score leaves the best alone and widens the gap by
+    // -delta per step: the cutoff fires on step j = ceil(need / -delta).
+    const std::int64_t need = std::int64_t{params.x_drop} - (best - score);
+    const std::int64_t drop = -std::int64_t{delta};
+    if (need <= drop || (drop > 0 && (need + drop - 1) / drop <= k)) {
+      return false;
+    }
+    score = static_cast<int>(score + std::int64_t{delta} * k);
+    steps += k;
+    return true;
+  };
+  for (int done = 0; done < limit; done += 32) {
+    const int len = std::min(32, limit - done);
+    std::uint64_t mismatches =
+        dir.mismatches(static_cast<std::uint64_t>(done));
+    int pos = 0;
+    while (pos < len) {
+      const int next = std::min(len, first_mismatch(mismatches));
+      if (next > pos && !run(params.match_reward, next - pos)) return best;
+      if (next == len) break;
+      if (!run(params.mismatch_penalty, 1)) return best;
+      mismatches &= mismatches - 1;
+      pos = next + 1;
+    }
+  }
+  return best;
+}
+
+/// Exact-match steps in one direction, at most `max_steps` (<= 32).
+int matching_steps(const Direction& dir, int max_steps) {
+  const int cap = static_cast<int>(std::min<std::uint64_t>(
+      dir.limit, static_cast<std::uint64_t>(max_steps)));
+  return std::min(cap, first_mismatch(dir.mismatches(0)));
+}
+
+/// The declared database must fit its packed buffer and 32-bit positions.
+void require_database(std::span<const std::uint8_t> db_packed,
+                      std::uint64_t db_bases, const char* stage) {
+  if (db_bases > kMaxBases) {
+    throw util::PreconditionError(
+        std::string(stage) + ": " + std::to_string(db_bases) +
+        " database bases do not fit 32-bit seed positions");
+  }
+  if (db_bases > 4 * static_cast<std::uint64_t>(db_packed.size())) {
+    throw util::PreconditionError(
+        std::string(stage) + ": " + std::to_string(db_bases) +
+        " database bases declared, but the packed database holds " +
+        std::to_string(4 * static_cast<std::uint64_t>(db_packed.size())));
+  }
+}
+
+/// A match's 8-mer must lie inside the database and the query.
+void require_match(const SeedMatch& m, std::uint64_t db_bases,
+                   std::uint64_t query_bases, const char* message) {
+  util::require(std::uint64_t{m.db_pos} + 8 <= db_bases &&
+                    std::uint64_t{m.query_pos} + 8 <= query_bases,
+                message);
+}
+
+}  // namespace
+
 std::uint16_t QueryIndex::kmer_at(std::span<const std::uint8_t> packed,
                                   std::uint64_t pos) {
-  std::uint16_t k = 0;
-  for (int i = 0; i < 8; ++i) {
-    k = static_cast<std::uint16_t>(
-        k | (base_at(packed, pos + static_cast<std::uint64_t>(i))
-             << (2 * i)));
-  }
-  return k;
+  util::require(pos <= 4 * static_cast<std::uint64_t>(packed.size()) &&
+                    4 * static_cast<std::uint64_t>(packed.size()) - pos >= 8,
+                "QueryIndex::kmer_at: 8-mer runs past the packed data");
+  return static_cast<std::uint16_t>(bases32(packed, pos));
 }
 
 QueryIndex::QueryIndex(std::span<const std::uint8_t> query_packed,
@@ -23,23 +242,44 @@ QueryIndex::QueryIndex(std::span<const std::uint8_t> query_packed,
   util::require(bases >= 8, "QueryIndex requires a query of >= 8 bases");
   util::require(bases <= query_packed.size() * 4,
                 "QueryIndex: packed query shorter than the declared bases");
-  for (std::uint64_t q = 0; q + 8 <= bases; ++q) {
-    auto& bucket = table_[kmer_at(packed_, q)];
-    if (bucket.empty()) ++distinct_;
-    bucket.push_back(static_cast<std::uint32_t>(q));
+  util::require(bases <= kMaxBases,
+                "QueryIndex: query positions do not fit 32 bits");
+  // Counting sort of the query's 8-mers: count each key into the slot
+  // after it, prefix-sum the counts into bucket starts, then place every
+  // position at its bucket's cursor. Placing advances offsets_[k] to the
+  // start of bucket k + 1, so the table ends shifted down by one slot.
+  const std::uint64_t kmers = bases - 7;
+  offsets_.assign(kKmers + 1, 0);
+  for (std::uint64_t q = 0; q < kmers; ++q) {
+    ++offsets_[kmer_at(packed_, q) + 1U];
   }
+  for (std::size_t k = 0; k < kKmers; ++k) {
+    if (offsets_[k + 1] != 0) {
+      present_[k / 64] |= std::uint64_t{1} << (k % 64);
+      ++distinct_;
+    }
+    offsets_[k + 1] += offsets_[k];
+  }
+  positions_.resize(kmers);
+  for (std::uint64_t q = 0; q < kmers; ++q) {
+    positions_[offsets_[kmer_at(packed_, q)]++] =
+        static_cast<std::uint32_t>(q);
+  }
+  std::copy_backward(offsets_.begin(), offsets_.end() - 2,
+                     offsets_.end() - 1);
+  offsets_[0] = 0;
 }
 
 std::vector<std::uint32_t> seed_match(std::span<const std::uint8_t> db_packed,
                                       std::uint64_t db_bases,
                                       const QueryIndex& index) {
+  require_database(db_packed, db_bases, "seed_match");
   std::vector<std::uint32_t> hits;
   if (db_bases < 8) return hits;
   // Byte-aligned 8-mers: two consecutive packed bytes form the key.
+  const std::uint8_t* const bytes = db_packed.data();
   for (std::uint64_t p = 0; p + 8 <= db_bases; p += 4) {
-    const std::uint16_t kmer = static_cast<std::uint16_t>(
-        db_packed[p / 4] | (db_packed[p / 4 + 1] << 8));
-    if (index.contains(kmer)) {
+    if (index.contains(load_kmer(bytes + p / 4))) {
       hits.push_back(static_cast<std::uint32_t>(p));
     }
   }
@@ -52,9 +292,10 @@ std::vector<SeedMatch> seed_enumerate(
   std::vector<SeedMatch> matches;
   matches.reserve(db_positions.size());
   for (std::uint32_t p : db_positions) {
-    const std::uint16_t kmer = static_cast<std::uint16_t>(
-        db_packed[p / 4] | (db_packed[p / 4 + 1] << 8));
-    for (std::uint32_t q : index.positions(kmer)) {
+    util::require(p % 4 == 0 && p / 4 + 2 <= db_packed.size(),
+                  "seed_enumerate: position is not a byte-aligned 8-mer "
+                  "inside the packed database");
+    for (std::uint32_t q : index.positions(load_kmer(&db_packed[p / 4]))) {
       matches.push_back(SeedMatch{p, q});
     }
   }
@@ -66,91 +307,43 @@ std::vector<SeedMatch> small_extension(std::span<const SeedMatch> matches,
                                        std::uint64_t db_bases,
                                        const QueryIndex& index,
                                        int min_length) {
+  require_database(db_packed, db_bases, "small_extension");
   std::vector<SeedMatch> kept;
   const auto query = index.query_packed();
   const std::uint64_t query_bases = index.query_bases();
   for (const SeedMatch& m : matches) {
-    int length = 8;
-    // Extend left by up to 3 exactly matching bases.
-    for (int i = 1; i <= 3; ++i) {
-      if (m.db_pos < static_cast<std::uint32_t>(i) ||
-          m.query_pos < static_cast<std::uint32_t>(i)) {
-        break;
-      }
-      if (base_at(db_packed, m.db_pos - static_cast<std::uint32_t>(i)) !=
-          base_at(query, m.query_pos - static_cast<std::uint32_t>(i))) {
-        break;
-      }
-      ++length;
-    }
-    // Extend right by up to 3.
-    for (int i = 0; i < 3; ++i) {
-      const std::uint64_t dp = m.db_pos + 8 + static_cast<std::uint64_t>(i);
-      const std::uint64_t qp =
-          m.query_pos + 8 + static_cast<std::uint64_t>(i);
-      if (dp >= db_bases || qp >= query_bases) break;
-      if (base_at(db_packed, dp) != base_at(query, qp)) break;
-      ++length;
-    }
+    require_match(m, db_bases, query_bases,
+                  "small_extension: seed match outside the database or "
+                  "query");
+    // Extend left and right by up to 3 exactly matching bases.
+    const int length =
+        8 + matching_steps(left_of(m, db_packed, query), 3) +
+        matching_steps(right_of(m, db_packed, db_bases, query, query_bases),
+                       3);
     if (length >= min_length) kept.push_back(m);
   }
   return kept;
 }
 
-namespace {
-
-/// Best X-drop extension score in one direction. `step` is +1 (right) or
-/// -1 (left); the seed itself is not re-scored.
-int extend_direction(std::span<const std::uint8_t> db,
-                     std::uint64_t db_bases,
-                     std::span<const std::uint8_t> query,
-                     std::uint64_t query_bases, const SeedMatch& m, int step,
-                     const UngappedParams& params, int* best_steps) {
-  int score = 0;
-  int best = 0;
-  *best_steps = 0;
-  for (int i = 1; i <= params.window; ++i) {
-    const std::int64_t dp =
-        static_cast<std::int64_t>(m.db_pos) +
-        (step > 0 ? 7 + i : -i);
-    const std::int64_t qp =
-        static_cast<std::int64_t>(m.query_pos) +
-        (step > 0 ? 7 + i : -i);
-    if (dp < 0 || qp < 0 || dp >= static_cast<std::int64_t>(db_bases) ||
-        qp >= static_cast<std::int64_t>(query_bases)) {
-      break;
-    }
-    score += (base_at(db, static_cast<std::uint64_t>(dp)) ==
-              base_at(query, static_cast<std::uint64_t>(qp)))
-                 ? params.match_reward
-                 : params.mismatch_penalty;
-    if (score > best) {
-      best = score;
-      *best_steps = i;
-    }
-    if (best - score >= params.x_drop) break;  // X-drop cutoff
-  }
-  return best;
-}
-
-}  // namespace
-
 std::vector<Alignment> ungapped_extension(
     std::span<const SeedMatch> matches,
     std::span<const std::uint8_t> db_packed, std::uint64_t db_bases,
     const QueryIndex& index, const UngappedParams& params) {
+  require_database(db_packed, db_bases, "ungapped_extension");
   std::vector<Alignment> alignments;
   const auto query = index.query_packed();
   const std::uint64_t query_bases = index.query_bases();
   for (const SeedMatch& m : matches) {
+    require_match(m, db_bases, query_bases,
+                  "ungapped_extension: seed match outside the database or "
+                  "query");
     int left_steps = 0;
     int right_steps = 0;
-    const int left = extend_direction(db_packed, db_bases, query,
-                                      query_bases, m, -1, params,
-                                      &left_steps);
-    const int right = extend_direction(db_packed, db_bases, query,
-                                       query_bases, m, +1, params,
-                                       &right_steps);
+    const int left =
+        extend_direction(left_of(m, db_packed, query), params, &left_steps);
+    const int right = extend_direction(
+        right_of(m, db_packed, db_bases, query, query_bases), params,
+        &right_steps);
     const int seed_score = 8 * params.match_reward;
     const int total = seed_score + left + right;
     if (total >= params.threshold) {

@@ -8,6 +8,12 @@
 // The database is 2-bit packed (kernels/fa2bit.hpp); seed matching scans
 // byte-aligned 8-mers (one lookup per packed byte pair), exactly the
 // "each byte-aligned 8-mer of the database" formulation of the paper.
+// The extension stages compare 32 bases per 64-bit XOR of database and
+// query words and walk the X-drop score from one mismatch to the next.
+//
+// Every stage checks its inputs (util::PreconditionError): the declared
+// database length must fit the packed buffer and 32-bit positions, and
+// caller-supplied positions and matches must lie inside the sequences.
 #pragma once
 
 #include <array>
@@ -35,24 +41,30 @@ struct Alignment {
   SeedMatch seed;
   int score;
   std::uint32_t length;  ///< total aligned length including the seed
+  friend bool operator==(const Alignment&, const Alignment&) = default;
 };
 
 /// Hash table of all 8-mers of the query sequence (2-bit packed). An 8-mer
 /// is 16 bits, so the "hash" is a direct 65536-entry table (collision-free),
-/// as a GPU implementation would hold in shared/DRAM memory.
+/// as a GPU implementation would hold in shared/DRAM memory. It is held
+/// flat: an 8 KiB presence bitmap answers contains() from L1, and an
+/// offsets + positions table (a counting sort of the query's 8-mers)
+/// answers positions().
 class QueryIndex {
  public:
-  /// Builds from a packed query of `bases` bases. Requires bases >= 8.
+  /// Builds from a packed query of `bases` bases. Requires
+  /// 8 <= bases <= 4 * query_packed.size() and bases < 2^32.
   QueryIndex(std::span<const std::uint8_t> query_packed,
              std::uint64_t bases);
 
   /// True if the 8-mer occurs anywhere in the query.
   bool contains(std::uint16_t kmer) const {
-    return !table_[kmer].empty();
+    return (present_[kmer / 64] >> (kmer % 64)) & 1U;
   }
-  /// All query positions at which the 8-mer occurs.
-  const std::vector<std::uint32_t>& positions(std::uint16_t kmer) const {
-    return table_[kmer];
+  /// All query positions at which the 8-mer occurs, in increasing order.
+  std::span<const std::uint32_t> positions(std::uint16_t kmer) const {
+    return std::span<const std::uint32_t>(positions_)
+        .subspan(offsets_[kmer], offsets_[kmer + 1U] - offsets_[kmer]);
   }
 
   std::uint64_t query_bases() const { return bases_; }
@@ -61,14 +73,20 @@ class QueryIndex {
   std::size_t distinct_kmers() const { return distinct_; }
 
   /// Packs 8 consecutive bases starting at `pos` into a 16-bit k-mer key.
+  /// Requires pos + 8 <= 4 * packed.size().
   static std::uint16_t kmer_at(std::span<const std::uint8_t> packed,
                                std::uint64_t pos);
 
  private:
+  static constexpr std::size_t kKmers = 65536;
+
   std::vector<std::uint8_t> packed_;
   std::uint64_t bases_;
   std::size_t distinct_ = 0;
-  std::array<std::vector<std::uint32_t>, 65536> table_;
+  std::array<std::uint64_t, kKmers / 64> present_{};  ///< one bit per 8-mer
+  /// The positions of 8-mer k are positions_[offsets_[k], offsets_[k + 1]).
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> positions_;
 };
 
 /// Stage: seed matching. Scans every byte-aligned 8-mer of the database
@@ -81,14 +99,16 @@ std::vector<std::uint32_t> seed_match(std::span<const std::uint8_t> db_packed,
 
 /// Stage: seed enumeration. Expands each passing database position into
 /// one (p, q) match per query occurrence of its 8-mer (on average 1-2 per
-/// position for non-repetitive queries).
+/// position for non-repetitive queries). Every position must be a
+/// byte-aligned 8-mer inside `db_packed`, as seed_match returns them.
 std::vector<SeedMatch> seed_enumerate(
     std::span<const std::uint32_t> db_positions,
     std::span<const std::uint8_t> db_packed, const QueryIndex& index);
 
 /// Stage: small extension. Tries to extend each match left and right by up
 /// to 3 bases (exact matches only); keeps matches reaching a total length
-/// of at least `min_length` (11 in the paper).
+/// of at least `min_length` (11 in the paper). Every match's 8-mer must lie
+/// inside the database and the query (also for ungapped_extension).
 std::vector<SeedMatch> small_extension(std::span<const SeedMatch> matches,
                                        std::span<const std::uint8_t> db_packed,
                                        std::uint64_t db_bases,

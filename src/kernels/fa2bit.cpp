@@ -1,54 +1,127 @@
 #include "kernels/fa2bit.hpp"
 
+#include <array>
+#include <cstring>
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace streamcalc::kernels {
 
-std::uint8_t base_code(char c) {
-  switch (c) {
-    case 'A':
-    case 'a':
-      return 0;
-    case 'C':
-    case 'c':
-      return 1;
-    case 'G':
-    case 'g':
-      return 2;
-    case 'T':
-    case 't':
-      return 3;
-    default:
-      return 0xFF;
+namespace {
+
+// Character classes: a base code 0-3, or one of the special classes below.
+// Every special class has bit 2 set, so OR-ing classes and testing that
+// bit tells whether all of them are plain bases.
+constexpr std::uint8_t kAmbiguous = 4;  ///< counted, packed as A
+constexpr std::uint8_t kSkip = 5;       ///< whitespace between bases
+constexpr std::uint8_t kHeader = 6;     ///< '>' opens a header line
+constexpr std::uint8_t kSpecialBit = 4;
+
+constexpr std::array<std::uint8_t, 256> kClass = [] {
+  std::array<std::uint8_t, 256> t{};
+  t.fill(kAmbiguous);
+  constexpr char kBases[] = "ACGT";
+  for (std::uint8_t code = 0; code < 4; ++code) {
+    const auto upper = static_cast<unsigned char>(kBases[code]);
+    t[upper] = code;
+    t[upper + ('a' - 'A')] = code;
   }
+  for (const char c : {'\n', '\r', ' ', '\t'}) {
+    t[static_cast<unsigned char>(c)] = kSkip;
+  }
+  t[static_cast<unsigned char>('>')] = kHeader;
+  return t;
+}();
+
+// Two characters at a time: the pair's base codes (first in the low bits),
+// or kSpecialPair when either character is not a plain base. Indexed by
+// the first character plus 256 times the second. Real sequence text
+// touches a few cache lines of its 64 KiB, which are built from kClass on
+// first use rather than at compile time.
+constexpr std::uint8_t kSpecialPair = 0x10;
+
+struct PairTable {
+  std::array<std::uint8_t, 65536> code{};
+
+  PairTable() {
+    for (std::size_t i = 0; i < code.size(); ++i) {
+      const std::uint8_t first = kClass[i & 0xFF];
+      const std::uint8_t second = kClass[i >> 8];
+      code[i] = (first | second) & kSpecialBit
+                    ? kSpecialPair
+                    : static_cast<std::uint8_t>(first | second << 2);
+    }
+  }
+
+  unsigned at(const char* p) const {
+    return code[static_cast<unsigned char>(p[0]) |
+                static_cast<std::size_t>(static_cast<unsigned char>(p[1]))
+                    << 8];
+  }
+};
+
+const PairTable& pair_table() {
+  static const PairTable table;
+  return table;
 }
 
+}  // namespace
+
 void Fa2Bit::feed(std::string_view chunk) {
-  for (char c : chunk) {
+  const char* p = chunk.data();
+  const char* const end = p + chunk.size();
+  // Each output byte consumes four input characters: size the buffer for
+  // the most bytes this chunk can complete, and trim it on the way out.
+  std::size_t out = packed_.size();
+  packed_.resize(out + (static_cast<std::size_t>(pending_count_) +
+                        chunk.size()) / 4);
+  std::uint8_t* const dst = packed_.data();
+  const PairTable& pairs = pair_table();
+
+  while (p != end) {
     if (in_header_) {
-      if (c == '\n') in_header_ = false;
+      const void* newline =
+          std::memchr(p, '\n', static_cast<std::size_t>(end - p));
+      if (newline == nullptr) break;
+      p = static_cast<const char*>(newline) + 1;
+      in_header_ = false;
       continue;
     }
-    if (c == '>') {
+    // Fast path: on a byte boundary, four plain bases (two table pairs)
+    // make one byte.
+    if (pending_count_ == 0) {
+      const std::size_t out_before = out;
+      while (end - p >= 4) {
+        const unsigned low = pairs.at(p);
+        const unsigned high = pairs.at(p + 2);
+        if ((low | high) & kSpecialPair) break;
+        dst[out++] = static_cast<std::uint8_t>(low | high << 4);
+        p += 4;
+      }
+      bases_ += 4 * (out - out_before);
+      if (p == end) break;
+    }
+    std::uint8_t code = kClass[static_cast<unsigned char>(*p++)];
+    if (code == kHeader) {
       in_header_ = true;
       continue;
     }
-    if (c == '\n' || c == '\r' || c == ' ' || c == '\t') continue;
-
-    std::uint8_t code = base_code(c);
-    if (code == 0xFF) {
+    if (code == kSkip) continue;
+    if (code == kAmbiguous) {
       ++ambiguous_;
       code = 0;  // mask ambiguous bases to A
     }
     pending_ = static_cast<std::uint8_t>(
         pending_ | (code << (2 * pending_count_)));
     if (++pending_count_ == 4) {
-      packed_.push_back(pending_);
+      dst[out++] = pending_;
       pending_ = 0;
       pending_count_ = 0;
     }
     ++bases_;
   }
+  packed_.resize(out);
 }
 
 void Fa2Bit::finish() {
@@ -72,7 +145,7 @@ std::vector<std::uint8_t> fa2bit(std::string_view fasta) {
   Fa2Bit conv;
   conv.feed(fasta);
   conv.finish();
-  return conv.packed();
+  return std::move(conv).packed();
 }
 
 std::vector<char> unpack_2bit(std::span<const std::uint8_t> packed,

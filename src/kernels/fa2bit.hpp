@@ -9,18 +9,19 @@
 //
 // The converter is a streaming kernel: feed arbitrary chunks, collect
 // packed output, so its throughput can be measured in isolation
-// (kernels/measure.hpp) exactly as the paper measures its stages.
+// (kernels/measure.hpp) exactly as the paper measures its stages. It
+// classifies characters through a 256-entry table, packs four plain bases
+// into one byte with two lookups in a character-pair table derived from
+// it, and skips header lines with memchr.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace streamcalc::kernels {
-
-/// 2-bit encoding of one base; 0xFF for non-base characters.
-std::uint8_t base_code(char c);
 
 /// Streaming FASTA -> 2-bit converter. Not thread-safe.
 class Fa2Bit {
@@ -33,7 +34,9 @@ class Fa2Bit {
   void finish();
 
   /// Packed output so far (4 bases per byte, LSB-first).
-  const std::vector<std::uint8_t>& packed() const { return packed_; }
+  const std::vector<std::uint8_t>& packed() const& { return packed_; }
+  /// Moves the packed output out of an expiring converter.
+  std::vector<std::uint8_t> packed() && { return std::move(packed_); }
   /// Number of bases encoded (may exceed 4 * packed().size() before
   /// finish() pads the tail byte).
   std::uint64_t bases() const { return bases_; }

@@ -248,5 +248,81 @@ TEST(SeedEnumerateStage, DifferentialAgainstNaiveScan) {
   EXPECT_EQ(matches, expected);
 }
 
+// Hostile inputs get a PreconditionError, never an out-of-bounds read.
+
+TEST(StagePreconditions, SeedMatchRejectsBasesPastThePackedBuffer) {
+  const auto packed = pack(std::string(64, 'A'));
+  const QueryIndex index(pack("ACGTACGTAC"), 10);
+  EXPECT_NO_THROW(seed_match(packed, 4 * packed.size(), index));
+  EXPECT_THROW(seed_match(packed, 4 * packed.size() + 1, index),
+               util::PreconditionError);
+  EXPECT_THROW(seed_match(packed, 4 * packed.size() + 4, index),
+               util::PreconditionError);
+  EXPECT_THROW(seed_match({}, 8, index), util::PreconditionError);
+}
+
+TEST(StagePreconditions, RejectPositionsBeyond32Bits) {
+  // The length check comes first, so no 1 GiB buffer is needed.
+  const auto packed = pack(std::string(64, 'A'));
+  const QueryIndex index(pack("ACGTACGTAC"), 10);
+  const std::uint64_t huge = std::uint64_t{1} << 32;
+  const std::vector<SeedMatch> none;
+  EXPECT_THROW(seed_match(packed, huge, index), util::PreconditionError);
+  EXPECT_THROW(small_extension(none, packed, huge, index),
+               util::PreconditionError);
+  EXPECT_THROW(ungapped_extension(none, packed, huge, index),
+               util::PreconditionError);
+  EXPECT_THROW(blastn_pipeline(packed, huge, index), util::PreconditionError);
+  EXPECT_THROW(QueryIndex(packed, huge), util::PreconditionError);
+}
+
+TEST(StagePreconditions, SeedEnumerateRejectsForeignPositions) {
+  const std::string db(64, 'A');
+  const auto packed = pack(db);
+  const QueryIndex index(pack("AAAAAAAAAA"), 10);
+  const std::vector<std::uint32_t> last{56};
+  EXPECT_EQ(seed_enumerate(last, packed, index).size(), 3u);
+  const std::vector<std::uint32_t> past{60};       // 8-mer runs off the end
+  const std::vector<std::uint32_t> far{1u << 30};  // far outside
+  const std::vector<std::uint32_t> unaligned{5};   // not byte-aligned
+  EXPECT_THROW(seed_enumerate(past, packed, index), util::PreconditionError);
+  EXPECT_THROW(seed_enumerate(far, packed, index), util::PreconditionError);
+  EXPECT_THROW(seed_enumerate(unaligned, packed, index),
+               util::PreconditionError);
+}
+
+TEST(StagePreconditions, ExtensionsRejectBadLengthsAndMatches) {
+  const std::string db(64, 'A');
+  const auto packed = pack(db);
+  const QueryIndex index(pack(std::string(20, 'A')), 20);
+  const std::vector<SeedMatch> ok{{56, 12}};
+  EXPECT_EQ(small_extension(ok, packed, db.size(), index).size(), 1u);
+  EXPECT_EQ(ungapped_extension(ok, packed, db.size(), index).size(), 1u);
+  const std::vector<SeedMatch> none;
+  EXPECT_THROW(small_extension(none, packed, db.size() + 1, index),
+               util::PreconditionError);
+  EXPECT_THROW(ungapped_extension(none, packed, db.size() + 1, index),
+               util::PreconditionError);
+  // Seeds whose 8-mer leaves the database or the query.
+  for (const SeedMatch bad : {SeedMatch{57, 0}, SeedMatch{1u << 31, 0},
+                              SeedMatch{0, 13}, SeedMatch{0, 1u << 31}}) {
+    const std::vector<SeedMatch> m{bad};
+    EXPECT_THROW(small_extension(m, packed, db.size(), index),
+                 util::PreconditionError);
+    EXPECT_THROW(ungapped_extension(m, packed, db.size(), index),
+                 util::PreconditionError);
+  }
+}
+
+TEST(StagePreconditions, PipelineAndKmerAtRejectOverruns) {
+  const auto packed = pack(std::string(64, 'C'));
+  const QueryIndex index(pack("ACGTACGTAC"), 10);
+  EXPECT_THROW(blastn_pipeline(packed, 4 * packed.size() + 4, index),
+               util::PreconditionError);
+  EXPECT_THROW(QueryIndex::kmer_at(packed, 4 * packed.size() - 7),
+               util::PreconditionError);
+  EXPECT_EQ(QueryIndex::kmer_at(packed, 4 * packed.size() - 8), 0x5555);
+}
+
 }  // namespace
 }  // namespace streamcalc::kernels
