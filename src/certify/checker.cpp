@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "certify/exact.hpp"
@@ -48,17 +49,16 @@ void add_error(LintReport& report, const char* code,
 }
 
 /// Exact re-validation of the Segment representation contract
-/// (minplus/curve.hpp): a checker must not trust that a mutated curve
-/// still honors the invariants the double validator enforced.
-void check_structure(const minplus::Curve& curve, const std::string& which,
+/// (minplus/curve.hpp) on the converted curve: a checker must not trust
+/// that a mutated curve still honors the invariants the double validator
+/// enforced.
+void check_structure(const ExactCurve& exact, const std::string& which,
                      const std::string& location, LintReport& report) {
-  const auto& segs = curve.segments();
-  if (segs.empty()) {
+  const auto& e = exact.segments();
+  if (e.empty()) {
     add_error(report, "NC602", location, which + " curve has no segments");
     return;
   }
-  const ExactCurve exact = ExactCurve::from(curve);
-  const auto& e = exact.segments();
   if (!e.front().x.is_zero()) {
     add_error(report, "NC602", location,
               which + " curve does not start at t = 0");
@@ -180,17 +180,18 @@ void check_bound(const BoundCertificate& cert, const ExactCurve& f,
   }
 }
 
-/// Derivation side conditions for a concatenated service curve.
-void check_derivation(const BoundCertificate& cert, LintReport& report) {
+/// Derivation side conditions for a concatenated service curve, given the
+/// converted end-to-end `service` curve.
+void check_derivation(const BoundCertificate& cert,
+                      const ExactCurve& service, LintReport& report) {
   if (cert.components.empty()) return;
-  const ExactCurve service = ExactCurve::from(cert.service);
 
   std::vector<ExactCurve> comps;
   comps.reserve(cert.components.size());
   for (std::size_t i = 0; i < cert.components.size(); ++i) {
     const std::string which = "component " + std::to_string(i) + " service";
-    check_structure(cert.components[i], which, cert.context, report);
-    const ExactCurve c = ExactCurve::from(cert.components[i]);
+    ExactCurve c = ExactCurve::from(cert.components[i]);
+    check_structure(c, which, cert.context, report);
     // value_right(0) covers both a positive value at 0 and an upward jump
     // immediately after it — either way the stage would emit output in
     // (0, eps) with no input yet.
@@ -199,7 +200,7 @@ void check_derivation(const BoundCertificate& cert, LintReport& report) {
                 which + " is non-causal (positive at t = 0+): a service "
                         "guarantee cannot deliver output before input");
     }
-    comps.push_back(c);
+    comps.push_back(std::move(c));
   }
   if (!report.clean()) return;
 
@@ -293,14 +294,15 @@ void check_kernel_agreement(const BoundCertificate& cert,
 
 LintReport check_certificate(const BoundCertificate& cert) {
   LintReport report;
-  check_structure(cert.arrival, "arrival", cert.context, report);
-  check_structure(cert.service, "service", cert.context, report);
-  if (!report.clean()) return report;
-
+  // Each curve is converted to exact rationals once per certificate.
   const ExactCurve f = ExactCurve::from(cert.arrival);
   const ExactCurve g = ExactCurve::from(cert.service);
+  check_structure(f, "arrival", cert.context, report);
+  check_structure(g, "service", cert.context, report);
+  if (!report.clean()) return report;
+
   check_bound(cert, f, g, report);
-  check_derivation(cert, report);
+  check_derivation(cert, g, report);
   check_kernel_agreement(cert, report);
   return report;
 }

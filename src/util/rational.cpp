@@ -1,8 +1,11 @@
 #include "util/rational.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -16,58 +19,120 @@ BigInt::BigInt(std::int64_t v) {
   std::uint64_t mag =
       negative_ ? ~static_cast<std::uint64_t>(v) + 1 : static_cast<std::uint64_t>(v);
   while (mag != 0) {
-    limbs_.push_back(static_cast<std::uint32_t>(mag & 0xffffffffu));
+    inline_[size_++] = static_cast<std::uint32_t>(mag & 0xffffffffu);
     mag >>= 32;
   }
-  if (limbs_.empty()) negative_ = false;
+}
+
+BigInt::BigInt(const BigInt& o) { *this = o; }
+
+BigInt::BigInt(BigInt&& o) noexcept { take(o); }
+
+BigInt& BigInt::operator=(const BigInt& o) {
+  if (this != &o) {
+    reset_size(o.size_);
+    std::copy_n(o.limbs(), o.size_, limbs());
+    negative_ = o.negative_;
+  }
+  return *this;
+}
+
+BigInt& BigInt::operator=(BigInt&& o) noexcept {
+  if (this != &o) {
+    free_heap();
+    take(o);
+  }
+  return *this;
+}
+
+void BigInt::take(BigInt& o) noexcept {
+  size_ = o.size_;
+  capacity_ = o.capacity_;
+  negative_ = o.negative_;
+  if (o.on_heap()) {
+    heap_ = o.heap_;
+  } else {
+    std::copy_n(o.inline_, o.size_, inline_);
+  }
+  o.size_ = 0;
+  o.capacity_ = kInlineLimbs;
+  o.negative_ = false;
+}
+
+BigInt::~BigInt() { free_heap(); }
+
+void BigInt::free_heap() {
+  if (on_heap()) {
+    delete[] heap_;
+    capacity_ = kInlineLimbs;
+  }
+}
+
+void BigInt::reset_size(std::size_t n) {
+  if (n > capacity_) {
+    free_heap();
+    size_ = 0;  // keep the object valid if the allocation throws
+    SC_ASSERT(n <= std::numeric_limits<std::uint32_t>::max());
+    heap_ = new std::uint32_t[n];
+    capacity_ = static_cast<std::uint32_t>(n);
+  }
+  size_ = static_cast<std::uint32_t>(n);
 }
 
 void BigInt::trim() {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
-  if (limbs_.empty()) negative_ = false;
+  const std::uint32_t* l = limbs();
+  while (size_ > 0 && l[size_ - 1] == 0) --size_;
+  if (size_ == 0) negative_ = false;
 }
 
 int BigInt::compare_magnitude(const BigInt& a, const BigInt& b) {
-  if (a.limbs_.size() != b.limbs_.size()) {
-    return a.limbs_.size() < b.limbs_.size() ? -1 : 1;
-  }
-  for (std::size_t i = a.limbs_.size(); i-- > 0;) {
-    if (a.limbs_[i] != b.limbs_[i]) return a.limbs_[i] < b.limbs_[i] ? -1 : 1;
+  if (a.size_ != b.size_) return a.size_ < b.size_ ? -1 : 1;
+  const std::uint32_t* x = a.limbs();
+  const std::uint32_t* y = b.limbs();
+  for (std::size_t i = a.size_; i-- > 0;) {
+    if (x[i] != y[i]) return x[i] < y[i] ? -1 : 1;
   }
   return 0;
 }
 
 BigInt BigInt::add_magnitude(const BigInt& a, const BigInt& b) {
   BigInt out;
-  const std::size_t n = std::max(a.limbs_.size(), b.limbs_.size());
-  out.limbs_.reserve(n + 1);
+  const std::size_t n = std::max(a.size_, b.size_);
+  out.reset_size(n + 1);
+  const std::uint32_t* x = a.limbs();
+  const std::uint32_t* y = b.limbs();
+  std::uint32_t* o = out.limbs();
   std::uint64_t carry = 0;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t sum = carry;
-    if (i < a.limbs_.size()) sum += a.limbs_[i];
-    if (i < b.limbs_.size()) sum += b.limbs_[i];
-    out.limbs_.push_back(static_cast<std::uint32_t>(sum & 0xffffffffu));
+    if (i < a.size_) sum += x[i];
+    if (i < b.size_) sum += y[i];
+    o[i] = static_cast<std::uint32_t>(sum & 0xffffffffu);
     carry = sum >> 32;
   }
-  if (carry != 0) out.limbs_.push_back(static_cast<std::uint32_t>(carry));
+  o[n] = static_cast<std::uint32_t>(carry);
+  out.trim();
   return out;
 }
 
 BigInt BigInt::sub_magnitude(const BigInt& a, const BigInt& b) {
   SC_ASSERT(compare_magnitude(a, b) >= 0);
   BigInt out;
-  out.limbs_.reserve(a.limbs_.size());
+  out.reset_size(a.size_);
+  const std::uint32_t* x = a.limbs();
+  const std::uint32_t* y = b.limbs();
+  std::uint32_t* o = out.limbs();
   std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(a.limbs_[i]) - borrow;
-    if (i < b.limbs_.size()) diff -= static_cast<std::int64_t>(b.limbs_[i]);
+  for (std::size_t i = 0; i < a.size_; ++i) {
+    std::int64_t diff = static_cast<std::int64_t>(x[i]) - borrow;
+    if (i < b.size_) diff -= static_cast<std::int64_t>(y[i]);
     if (diff < 0) {
       diff += static_cast<std::int64_t>(1) << 32;
       borrow = 1;
     } else {
       borrow = 0;
     }
-    out.limbs_.push_back(static_cast<std::uint32_t>(diff));
+    o[i] = static_cast<std::uint32_t>(diff);
   }
   out.trim();
   return out;
@@ -79,39 +144,49 @@ BigInt BigInt::operator-() const {
   return out;
 }
 
-BigInt BigInt::operator+(const BigInt& o) const {
-  if (negative_ == o.negative_) {
-    BigInt out = add_magnitude(*this, o);
-    out.negative_ = negative_;
-    out.trim();
+BigInt BigInt::add_signed(const BigInt& a, const BigInt& b,
+                          bool b_negative) {
+  if (a.negative_ == b_negative) {
+    BigInt out = add_magnitude(a, b);
+    // Equal signs: b_negative implies a < 0, so the sum is nonzero.
+    out.negative_ = b_negative;
     return out;
   }
-  const int cmp = compare_magnitude(*this, o);
+  const int cmp = compare_magnitude(a, b);
   if (cmp == 0) return BigInt{};
-  BigInt out = cmp > 0 ? sub_magnitude(*this, o) : sub_magnitude(o, *this);
-  out.negative_ = cmp > 0 ? negative_ : o.negative_;
-  out.trim();
+  BigInt out = cmp > 0 ? sub_magnitude(a, b) : sub_magnitude(b, a);
+  out.negative_ = cmp > 0 ? a.negative_ : b_negative;
   return out;
 }
 
-BigInt BigInt::operator-(const BigInt& o) const { return *this + (-o); }
+BigInt BigInt::operator+(const BigInt& o) const {
+  return add_signed(*this, o, o.negative_);
+}
+
+BigInt BigInt::operator-(const BigInt& o) const {
+  return add_signed(*this, o, !o.negative_);
+}
 
 BigInt BigInt::operator*(const BigInt& o) const {
   if (is_zero() || o.is_zero()) return BigInt{};
   BigInt out;
-  out.limbs_.assign(limbs_.size() + o.limbs_.size(), 0);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
+  out.reset_size(static_cast<std::size_t>(size_) + o.size_);
+  const std::uint32_t* x = limbs();
+  const std::uint32_t* y = o.limbs();
+  std::uint32_t* r = out.limbs();
+  std::fill_n(r, out.size_, 0u);
+  for (std::size_t i = 0; i < size_; ++i) {
     std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < o.limbs_.size(); ++j) {
-      std::uint64_t cur = static_cast<std::uint64_t>(limbs_[i]) * o.limbs_[j] +
-                          out.limbs_[i + j] + carry;
-      out.limbs_[i + j] = static_cast<std::uint32_t>(cur & 0xffffffffu);
+    for (std::size_t j = 0; j < o.size_; ++j) {
+      std::uint64_t cur = static_cast<std::uint64_t>(x[i]) * y[j] +
+                          r[i + j] + carry;
+      r[i + j] = static_cast<std::uint32_t>(cur & 0xffffffffu);
       carry = cur >> 32;
     }
-    std::size_t k = i + o.limbs_.size();
+    std::size_t k = i + o.size_;
     while (carry != 0) {
-      const std::uint64_t cur = out.limbs_[k] + carry;
-      out.limbs_[k] = static_cast<std::uint32_t>(cur & 0xffffffffu);
+      const std::uint64_t cur = r[k] + carry;
+      r[k] = static_cast<std::uint32_t>(cur & 0xffffffffu);
       carry = cur >> 32;
       ++k;
     }
@@ -124,18 +199,51 @@ BigInt BigInt::operator*(const BigInt& o) const {
 BigInt BigInt::shifted_left(unsigned bits) const {
   if (is_zero() || bits == 0) return *this;
   BigInt out;
-  const unsigned whole = bits / 32;
+  const std::size_t whole = bits / 32;
   const unsigned rem = bits % 32;
-  out.limbs_.assign(whole, 0);
+  out.reset_size(whole + size_ + 1);
+  const std::uint32_t* x = limbs();
+  std::uint32_t* r = out.limbs();
+  std::fill_n(r, whole, 0u);
   std::uint32_t carry = 0;
-  for (const std::uint32_t limb : limbs_) {
-    const std::uint64_t cur = (static_cast<std::uint64_t>(limb) << rem) | carry;
-    out.limbs_.push_back(static_cast<std::uint32_t>(cur & 0xffffffffu));
+  for (std::size_t i = 0; i < size_; ++i) {
+    const std::uint64_t cur =
+        (static_cast<std::uint64_t>(x[i]) << rem) | carry;
+    r[whole + i] = static_cast<std::uint32_t>(cur & 0xffffffffu);
     carry = static_cast<std::uint32_t>(cur >> 32);
   }
-  if (carry != 0) out.limbs_.push_back(carry);
+  r[whole + size_] = carry;
   out.negative_ = negative_;
+  out.trim();
   return out;
+}
+
+void BigInt::shift_right(unsigned bits) {
+  if (is_zero() || bits == 0) return;
+  const std::size_t whole = bits / 32;
+  const unsigned rem = bits % 32;
+  if (whole >= size_) {
+    size_ = 0;
+    negative_ = false;
+    return;
+  }
+  std::uint32_t* l = limbs();
+  const std::size_t n = size_ - whole;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t cur = l[i + whole];
+    if (i + 1 < n) cur |= static_cast<std::uint64_t>(l[i + whole + 1]) << 32;
+    l[i] = static_cast<std::uint32_t>(cur >> rem);
+  }
+  size_ = static_cast<std::uint32_t>(n);
+  trim();
+}
+
+unsigned BigInt::trailing_zeros() const {
+  SC_ASSERT(!is_zero());
+  const std::uint32_t* l = limbs();
+  unsigned i = 0;
+  while (l[i] == 0) ++i;
+  return i * 32 + static_cast<unsigned>(std::countr_zero(l[i]));
 }
 
 int BigInt::compare(const BigInt& o) const {
@@ -144,31 +252,28 @@ int BigInt::compare(const BigInt& o) const {
   return negative_ ? -mag : mag;
 }
 
-bool BigInt::is_even() const {
-  return limbs_.empty() || (limbs_[0] & 1u) == 0;
-}
-
-void BigInt::halve() {
-  std::uint32_t carry = 0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    const std::uint32_t next_carry = limbs_[i] & 1u;
-    limbs_[i] = (limbs_[i] >> 1) | (carry << 31);
-    carry = next_carry;
+double BigInt::frexp(std::int64_t* exp) const {
+  if (is_zero()) {
+    *exp = 0;
+    return 0.0;
   }
-  trim();
-}
-
-double BigInt::to_double() const {
-  double out = 0.0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    out = out * 4294967296.0 + static_cast<double>(limbs_[i]);
-  }
-  return negative_ ? -out : out;
+  const std::uint32_t* l = limbs();
+  const std::size_t n = size_;
+  const auto lead = static_cast<unsigned>(std::countl_zero(l[n - 1]));
+  // The top three limbs as a 96-bit window; shift its leading one to bit
+  // 95 and keep bits 95..32.
+  const std::uint64_t hi = l[n - 1];
+  const std::uint64_t mid = n >= 2 ? l[n - 2] : 0;
+  const std::uint64_t lo = n >= 3 ? l[n - 3] : 0;
+  const std::uint64_t top =
+      (((hi << 32) | mid) << lead) | ((lo << lead) >> 32);
+  *exp = static_cast<std::int64_t>(n * 32 - lead);
+  return std::ldexp(static_cast<double>(top), -64);
 }
 
 std::string BigInt::to_string() const {
   if (is_zero()) return "0";
-  std::vector<std::uint32_t> work(limbs_);
+  std::vector<std::uint32_t> work(limbs(), limbs() + size_);
   std::string digits;
   while (!work.empty()) {
     // Divide the magnitude by 1e9, collecting the remainder.
@@ -207,15 +312,16 @@ void Rational::normalize() {
     den_ = 1;
     return;
   }
-  // Reduce by the common power of two only. Checker values start as dyadic
-  // rationals (exact doubles, denominator a power of two), where this is a
-  // full reduction; the few general rationals produced by pseudo-inverse
-  // divisions live through expressions of small bounded depth, so skipping
-  // the full gcd never lets the limb counts grow meaningfully.
-  while (num_.is_even() && den_.is_even()) {
-    num_.halve();
-    den_.halve();
-  }
+  // Reduce by the common power of two only, in one shift. Checker values
+  // start as dyadic rationals (exact doubles, denominator a power of two),
+  // where this is a full reduction; the few general rationals produced by
+  // pseudo-inverse divisions live through expressions of small bounded
+  // depth, so skipping the full gcd never lets the limb counts grow
+  // meaningfully.
+  const unsigned shift =
+      std::min(num_.trailing_zeros(), den_.trailing_zeros());
+  num_.shift_right(shift);
+  den_.shift_right(shift);
 }
 
 Rational Rational::from_double(double v) {
@@ -262,6 +368,13 @@ Rational Rational::operator/(const Rational& o) const {
 }
 
 int Rational::compare(const Rational& o) const {
+  // Most checker comparisons are settled by the signs (many are against
+  // zero) or share a denominator; only the rest need the two products.
+  const int sign = num_.is_zero() ? 0 : (num_.is_negative() ? -1 : 1);
+  const int o_sign = o.num_.is_zero() ? 0 : (o.num_.is_negative() ? -1 : 1);
+  if (sign != o_sign) return sign < o_sign ? -1 : 1;
+  if (sign == 0) return 0;
+  if (den_ == o.den_) return num_.compare(o.num_);
   // Denominators are positive, so cross-multiplication preserves order.
   return (num_ * o.den_).compare(o.num_ * den_);
 }
@@ -275,23 +388,31 @@ Rational Rational::max(const Rational& a, const Rational& b) {
 }
 
 double Rational::approx() const {
-  // Good enough as a seed for round_up_double and for messages; the
-  // magnitudes involved (mantissas times small products) stay well inside
-  // double range for certificate workloads.
-  return num_.to_double() / den_.to_double();
+  if (num_.is_zero()) return 0.0;
+  std::int64_t num_exp = 0;
+  std::int64_t den_exp = 0;
+  const double num_mant = num_.frexp(&num_exp);
+  const double den_mant = den_.frexp(&den_exp);
+  // Beyond +-4096 the quotient is 0 or inf whatever the mantissas are.
+  const std::int64_t exp =
+      std::clamp<std::int64_t>(num_exp - den_exp, -4096, 4096);
+  const double mag = std::ldexp(num_mant / den_mant, static_cast<int>(exp));
+  return num_.is_negative() ? -mag : mag;
 }
 
 double Rational::round_up_double() const {
-  double d = approx();
-  if (!std::isfinite(d)) return d;
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   // Correct the nearest-guess onto the smallest double >= *this. The seed
   // is within a few ulps, so both loops terminate almost immediately.
+  const double d0 = approx();
+  double d = std::isinf(d0) ? std::copysign(kMax, d0) : d0;
   while (Rational::from_double(d) < *this) {
-    d = std::nextafter(d, std::numeric_limits<double>::infinity());
+    if (d == kMax) return kInf;
+    d = std::nextafter(d, kInf);
   }
   while (true) {
-    const double lower =
-        std::nextafter(d, -std::numeric_limits<double>::infinity());
+    const double lower = std::nextafter(d, -kInf);
     if (!std::isfinite(lower) || Rational::from_double(lower) < *this) break;
     d = lower;
   }

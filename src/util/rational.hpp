@@ -11,27 +11,46 @@
 // segment slopes, which is where general rationals become necessary.
 //
 // The implementation is deliberately minimal: sign-magnitude big integers
-// over 32-bit limbs with schoolbook multiplication. Checker expressions are
-// a handful of operations deep over 53-bit mantissas, so performance is a
-// non-issue; simplicity and obvious correctness are the point (this class
-// is part of the verification trust base, see DESIGN.md §9).
+// over 32-bit limbs with schoolbook multiplication, and one number path.
+// Simplicity and obvious correctness are the point (this class is part of
+// the verification trust base, see DESIGN.md §9), but certification is
+// also the largest layer of an analyze run, so the storage is sized to the
+// values the checker actually makes. Over the arithmetic results (sums,
+// differences, products, shifts) of certifying examples/specs/*.scspec
+// and the blast_base fixture, the limb counts are 1: 11%, 2: 35%,
+// 3: 23%, 4: 22%, 5: 7%, 6: 1.9%, 7-8: 0.2%, and more than 8 only 0.13%
+// (the 34- and 36-limb subnormal probes of round_up_double). A BigInt
+// therefore keeps up to eight limbs (256 bits) inside the object and
+// moves to the heap only beyond that, so almost no checker temporary
+// allocates. More than half of the values need over 64 bits, which is
+// why there is no separate machine-word path.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace streamcalc::util {
 
-/// Arbitrary-precision signed integer (sign + 32-bit little-endian limbs).
-/// Supports exactly the operations the rational layer needs.
+/// Arbitrary-precision signed integer (sign + 32-bit little-endian limbs,
+/// the first kInlineLimbs of them stored inline). Supports exactly the
+/// operations the rational layer needs.
 class BigInt {
  public:
+  /// Magnitudes up to this many limbs (256 bits) need no allocation.
+  static constexpr std::size_t kInlineLimbs = 8;
+
   BigInt() = default;
   BigInt(std::int64_t v);  // NOLINT(google-explicit-constructor): numeric
                            // literals in checker expressions read naturally.
+  BigInt(const BigInt& o);
+  /// Moves leave `o` zero, so a moved-from BigInt is usable as is.
+  BigInt(BigInt&& o) noexcept;
+  BigInt& operator=(const BigInt& o);
+  BigInt& operator=(BigInt&& o) noexcept;
+  ~BigInt();
 
-  bool is_zero() const { return limbs_.empty(); }
+  bool is_zero() const { return size_ == 0; }
   bool is_negative() const { return negative_; }
 
   BigInt operator-() const;
@@ -41,6 +60,11 @@ class BigInt {
 
   /// Shift the magnitude left by `bits` (multiply by 2^bits).
   BigInt shifted_left(unsigned bits) const;
+  /// In-place magnitude shift right by `bits` (divide by 2^bits, toward
+  /// zero).
+  void shift_right(unsigned bits);
+  /// Number of trailing zero bits of the magnitude. Requires !is_zero().
+  unsigned trailing_zeros() const;
 
   /// Three-way comparison: -1, 0, +1.
   int compare(const BigInt& o) const;
@@ -48,28 +72,42 @@ class BigInt {
   bool operator<(const BigInt& o) const { return compare(o) < 0; }
   bool operator<=(const BigInt& o) const { return compare(o) <= 0; }
 
-  /// True when the magnitude is divisible by two (zero counts as even).
-  bool is_even() const;
-  /// In-place magnitude shift right by one bit (divide by 2, toward zero).
-  void halve();
-
-  /// Closest double (round to nearest); may overflow to +-inf for huge
-  /// magnitudes. Used only for diagnostics and final rounding, never for
-  /// exact decisions.
-  double to_double() const;
+  /// The magnitude as m * 2^exp, with m in [0.5, 1] rounded from its top
+  /// 64 bits: std::frexp without the overflow of the double range. Zero
+  /// gives m = 0. Used only for approximations, never for exact decisions.
+  double frexp(std::int64_t* exp) const;
 
   /// Decimal rendering for failure messages.
   std::string to_string() const;
 
  private:
+  bool on_heap() const { return capacity_ > kInlineLimbs; }
+  std::uint32_t* limbs() { return on_heap() ? heap_ : inline_; }
+  const std::uint32_t* limbs() const { return on_heap() ? heap_ : inline_; }
+  /// Discards the magnitude and makes room for `n` limbs; size_ becomes n
+  /// and the limb values are unspecified.
+  void reset_size(std::size_t n);
+  void free_heap();
+  /// Moves o's magnitude and sign here and leaves o zero. Requires this
+  /// to own no heap buffer.
+  void take(BigInt& o) noexcept;
   static int compare_magnitude(const BigInt& a, const BigInt& b);
+  /// a + b with b's sign taken as `b_negative` (so a - b needs no copy).
+  static BigInt add_signed(const BigInt& a, const BigInt& b, bool b_negative);
   static BigInt add_magnitude(const BigInt& a, const BigInt& b);
   /// Requires |a| >= |b|.
   static BigInt sub_magnitude(const BigInt& a, const BigInt& b);
   void trim();
 
+  std::uint32_t size_ = 0;  ///< limbs in use; no leading zero limbs
+  std::uint32_t capacity_ = kInlineLimbs;
   bool negative_ = false;
-  std::vector<std::uint32_t> limbs_;  ///< little-endian, no leading zeros
+  // Only the first size_ limbs are ever read, so inline_ is not zeroed
+  // on construction, a cost every arithmetic temporary would pay.
+  union {
+    std::uint32_t inline_[kInlineLimbs];  ///< when capacity_ == kInlineLimbs
+    std::uint32_t* heap_;                 ///< when capacity_ > kInlineLimbs
+  };
 };
 
 /// An exact rational number num/den, den > 0, reduced by the common power
@@ -110,14 +148,16 @@ class Rational {
   static Rational min(const Rational& a, const Rational& b);
   static Rational max(const Rational& a, const Rational& b);
 
-  /// Nearest double (two correctly-rounded conversions and one division;
-  /// approximate). For display and as the starting point of round_up.
+  /// A double within a few ulps of the value, for any magnitude of
+  /// numerator and denominator (the quotient of their top 64 bits, scaled
+  /// by the difference of their bit lengths). For display and as the
+  /// starting point of round_up_double.
   double approx() const;
 
   /// The smallest double d with Rational::from_double(d) >= *this — i.e.
-  /// the exact value rounded toward +infinity onto the double grid. This
-  /// is how a certified bound is reported: the emitted double never
-  /// undercuts the exact supremum it certifies.
+  /// the exact value rounded toward +infinity onto the double grid; +inf
+  /// above the largest double. This is how a certified bound is reported:
+  /// the emitted double never undercuts the exact supremum it certifies.
   double round_up_double() const;
 
   std::string to_string() const;

@@ -109,6 +109,59 @@ TEST(Rational, RoundUpDoubleIsSmallestDominating) {
   EXPECT_LT(Rational::from_double(down).compare(third), 0);
 }
 
+/// round_up_double(r) must be `expected`, and `expected` the smallest
+/// double that dominates r.
+void expect_round_up(const Rational& r, double expected) {
+  const double got = r.round_up_double();
+  EXPECT_EQ(got, expected) << r.to_string();
+  if (std::isinf(expected)) return;
+  EXPECT_GE(Rational::from_double(expected), r);
+  const double below =
+      std::nextafter(expected, -std::numeric_limits<double>::infinity());
+  if (std::isfinite(below)) {
+    EXPECT_LT(Rational::from_double(below), r);
+  }
+}
+
+TEST(Rational, RoundUpDoubleAtTinyMagnitudes) {
+  // Below about 5e-293 the denominator of the exact value passes 2^1024.
+  // approx() once divided two to_double() results there, got 0 (or NaN),
+  // and round_up_double then climbed one subnormal ulp at a time.
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  for (const double v : {1e-295, 1e-300, 1e-310, kDenormMin,
+                         12345 * kDenormMin,
+                         std::numeric_limits<double>::min()}) {
+    expect_round_up(Rational::from_double(v), v);
+    expect_round_up(Rational::from_double(-v), -v);
+  }
+  // odd * 2^-1075 is halfway between two subnormals: it rounds up.
+  expect_round_up(Rational::from_double(12345 * kDenormMin) / Rational(2),
+                  6173 * kDenormMin);
+  // Non-dyadic values in the subnormal range and just above it.
+  expect_round_up(Rational::from_double(kDenormMin) / Rational(3), kDenormMin);
+  expect_round_up(
+      Rational::from_double(1e-310) * Rational(BigInt(7), BigInt(5)),
+      0x0.019c590047570p-1022);
+  expect_round_up(Rational::from_double(1e-300) / Rational(3),
+                  0x1.c92d503f699ccp-999);
+}
+
+TEST(Rational, RoundUpDoubleNearDoubleMax) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Rational max = Rational::from_double(kMax);
+  expect_round_up(max, kMax);
+  expect_round_up(max * Rational(BigInt(2), BigInt(3)),
+                  0x1.5555555555555p+1023);
+  expect_round_up(max / Rational(3), 0x1.5555555555555p+1022);
+  // Above the largest double (by less than half its ulp, and by far) the
+  // smallest dominating double is +inf; below -DBL_MAX it is -DBL_MAX.
+  const Rational above = max + Rational::from_double(0x1.0p960);
+  expect_round_up(above, kInf);
+  expect_round_up(max * Rational(BigInt(3), BigInt(2)), kInf);
+  expect_round_up(-above, -kMax);
+}
+
 TEST(Rational, ExactnessUnderMixedExpressions) {
   // (a + b) * c - a * c - b * c == 0 exactly, for doubles where the same
   // expression in double arithmetic typically is not zero.
