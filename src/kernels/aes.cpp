@@ -2,7 +2,13 @@
 
 #include <cstddef>
 
+#include "kernels/aes_impl.hpp"
 #include "util/error.hpp"
+
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#include <wmmintrin.h>
+#endif
 
 namespace streamcalc::kernels {
 
@@ -184,6 +190,106 @@ std::uint32_t inv_mix_column(std::uint32_t w) {
          kTd[2][kSbox[(w >> 8) & 0xff]] ^ kTd[3][kSbox[w & 0xff]];
 }
 
+// The output buffer of a CBC pass; CBC moves whole blocks only.
+std::vector<std::uint8_t> whole_blocks_out(std::span<const std::uint8_t> data,
+                                           const char* message) {
+  util::require(data.size() % 16 == 0, message);
+  return std::vector<std::uint8_t>(data.size());
+}
+
+#if defined(__x86_64__)
+struct NiRoundKeys {
+  __m128i k[15];
+};
+
+// An aesenc/aesdec round key is the round's 16 key bytes in FIPS-197
+// order; the schedules hold them as big-endian words, so swap each word.
+NiRoundKeys ni_round_keys(const std::array<std::uint32_t, 60>& words,
+                          int rounds) {
+  NiRoundKeys keys{};
+  for (int r = 0; r <= rounds; ++r) {
+    const std::uint32_t* w = words.data() + 4 * r;
+    keys.k[r] = _mm_set_epi32(
+        static_cast<int>(__builtin_bswap32(w[3])),
+        static_cast<int>(__builtin_bswap32(w[2])),
+        static_cast<int>(__builtin_bswap32(w[1])),
+        static_cast<int>(__builtin_bswap32(w[0])));
+  }
+  return keys;
+}
+
+__m128i load_block(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+void store_block(__m128i b, std::uint8_t* p) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), b);
+}
+
+// CBC encrypt is serial: each block's input is the previous ciphertext.
+__attribute__((target("aes"))) void ni_cbc_encrypt(
+    const NiRoundKeys& keys, int rounds, std::span<const std::uint8_t> data,
+    const AesBlock& iv, std::uint8_t* out) {
+  const __m128i* k = keys.k;
+  __m128i chain = load_block(iv.data());
+  for (std::size_t off = 0; off < data.size(); off += 16) {
+    __m128i b = _mm_xor_si128(_mm_xor_si128(load_block(data.data() + off),
+                                            chain),
+                              k[0]);
+    for (int r = 1; r < rounds; ++r) {
+      b = _mm_aesenc_si128(b, k[r]);
+    }
+    chain = _mm_aesenclast_si128(b, k[rounds]);
+    store_block(chain, out + off);
+  }
+}
+
+// CBC decrypt has no dependency between blocks, so kLanes blocks go
+// through each round together to hide the aesdec latency; the tail of
+// fewer than kLanes blocks goes one at a time.
+__attribute__((target("aes"))) void ni_cbc_decrypt(
+    const NiRoundKeys& keys, int rounds, std::span<const std::uint8_t> data,
+    const AesBlock& iv, std::uint8_t* out) {
+  constexpr std::size_t kLanes = 8;
+  const __m128i* k = keys.k;
+  const std::uint8_t* in = data.data();
+  const std::size_t n = data.size();
+  const auto last = static_cast<std::size_t>(rounds);
+  __m128i prev = load_block(iv.data());
+  std::size_t off = 0;
+  for (; n - off >= 16 * kLanes; off += 16 * kLanes) {
+    __m128i c[kLanes];
+    __m128i b[kLanes];
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      c[i] = load_block(in + off + 16 * i);
+      b[i] = _mm_xor_si128(c[i], k[0]);
+    }
+    for (std::size_t r = 1; r < last; ++r) {
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        b[i] = _mm_aesdec_si128(b[i], k[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      b[i] = _mm_aesdeclast_si128(b[i], k[last]);
+      store_block(_mm_xor_si128(b[i], i == 0 ? prev : c[i - 1]),
+                  out + off + 16 * i);
+    }
+    prev = c[kLanes - 1];
+  }
+  for (; off < n; off += 16) {
+    const __m128i c = load_block(in + off);
+    __m128i b = _mm_xor_si128(c, k[0]);
+    for (std::size_t r = 1; r < last; ++r) b = _mm_aesdec_si128(b, k[r]);
+    b = _mm_aesdeclast_si128(b, k[last]);
+    store_block(_mm_xor_si128(b, prev), out + off);
+    prev = c;
+  }
+}
+#endif
+
 }  // namespace
 
 Aes::Aes(std::span<const std::uint8_t> key) {
@@ -236,31 +342,83 @@ AesBlock Aes::decrypt_block(const AesBlock& in) const {
 
 std::vector<std::uint8_t> Aes::cbc_encrypt(std::span<const std::uint8_t> data,
                                            const AesBlock& iv) const {
-  util::require(data.size() % 16 == 0,
-                "cbc_encrypt requires a multiple of 16 bytes");
-  std::vector<std::uint8_t> out(data.size());
+  return uses_aesni() ? AesCbc::encrypt_aesni(*this, data, iv)
+                      : AesCbc::encrypt_portable(*this, data, iv);
+}
+
+std::vector<std::uint8_t> Aes::cbc_decrypt(std::span<const std::uint8_t> data,
+                                           const AesBlock& iv) const {
+  return uses_aesni() ? AesCbc::decrypt_aesni(*this, data, iv)
+                      : AesCbc::decrypt_portable(*this, data, iv);
+}
+
+bool Aes::uses_aesni() {
+#if defined(__x86_64__)
+  static const bool has_aes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") != 0;
+  }();
+  return has_aes;
+#else
+  return false;
+#endif
+}
+
+std::vector<std::uint8_t> AesCbc::encrypt_portable(
+    const Aes& aes, std::span<const std::uint8_t> data, const AesBlock& iv) {
+  std::vector<std::uint8_t> out = whole_blocks_out(
+      data, "cbc_encrypt requires a multiple of 16 bytes");
   State chain = load(iv.data());
   for (std::size_t off = 0; off < data.size(); off += 16) {
     State s = load(data.data() + off);
     for (std::size_t c = 0; c < 4; ++c) s[c] ^= chain[c];
-    chain = encrypt_state(s, enc_keys_.data(), rounds_);
+    chain = encrypt_state(s, aes.enc_keys_.data(), aes.rounds_);
     store(chain, out.data() + off);
   }
   return out;
 }
 
-std::vector<std::uint8_t> Aes::cbc_decrypt(std::span<const std::uint8_t> data,
-                                           const AesBlock& iv) const {
-  util::require(data.size() % 16 == 0,
-                "cbc_decrypt requires a multiple of 16 bytes");
-  std::vector<std::uint8_t> out(data.size());
+std::vector<std::uint8_t> AesCbc::decrypt_portable(
+    const Aes& aes, std::span<const std::uint8_t> data, const AesBlock& iv) {
+  std::vector<std::uint8_t> out = whole_blocks_out(
+      data, "cbc_decrypt requires a multiple of 16 bytes");
   for (std::size_t off = 0; off < data.size(); off += 16) {
-    State s = decrypt_state(load(data.data() + off), dec_keys_.data(),
-                            rounds_);
+    State s = decrypt_state(load(data.data() + off), aes.dec_keys_.data(),
+                            aes.rounds_);
     const State prev = load(off == 0 ? iv.data() : data.data() + off - 16);
     for (std::size_t c = 0; c < 4; ++c) s[c] ^= prev[c];
     store(s, out.data() + off);
   }
+  return out;
+}
+
+std::vector<std::uint8_t> AesCbc::encrypt_aesni(
+    const Aes& aes, std::span<const std::uint8_t> data, const AesBlock& iv) {
+  std::vector<std::uint8_t> out = whole_blocks_out(
+      data, "cbc_encrypt requires a multiple of 16 bytes");
+  util::require(Aes::uses_aesni(), "cbc_encrypt: this CPU has no AES-NI");
+#if defined(__x86_64__)
+  ni_cbc_encrypt(ni_round_keys(aes.enc_keys_, aes.rounds_), aes.rounds_,
+                 data, iv, out.data());
+#else
+  (void)aes;
+  (void)iv;
+#endif
+  return out;
+}
+
+std::vector<std::uint8_t> AesCbc::decrypt_aesni(
+    const Aes& aes, std::span<const std::uint8_t> data, const AesBlock& iv) {
+  std::vector<std::uint8_t> out = whole_blocks_out(
+      data, "cbc_decrypt requires a multiple of 16 bytes");
+  util::require(Aes::uses_aesni(), "cbc_decrypt: this CPU has no AES-NI");
+#if defined(__x86_64__)
+  ni_cbc_decrypt(ni_round_keys(aes.dec_keys_, aes.rounds_), aes.rounds_,
+                 data, iv, out.data());
+#else
+  (void)aes;
+  (void)iv;
+#endif
   return out;
 }
 

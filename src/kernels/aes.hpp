@@ -9,10 +9,20 @@
 // the same as an encrypt round. Validated against the FIPS-197 and NIST
 // SP 800-38A known-answer vectors in the test suite.
 //
+// CBC mode has two backends over the same key schedule. On x86-64 CPUs
+// with the AES instructions (checked once at run time) it runs on AES-NI:
+// encrypt is one aesenc chain per block, since each CBC block depends on
+// the previous ciphertext; decrypt has no such dependency and takes 8
+// blocks through each round together. Elsewhere it runs the table rounds.
+// Both produce the same bytes; the tests check each against the other and
+// against the known-answer vectors.
+//
 // This is a functional kernel for throughput measurement and round-trip
-// testing, not a hardened cryptographic library. It is not constant-time:
-// the table lookups index memory by key- and data-dependent bytes, so the
-// cache timing of a block leaks information about the key.
+// testing, not a hardened cryptographic library. The AES-NI path does no
+// table lookups indexed by key or data bytes. The table path, and the
+// single-block encrypt_block/decrypt_block, are not constant-time: their
+// lookups index memory by key- and data-dependent bytes, so the cache
+// timing of a block leaks information about the key.
 #pragma once
 
 #include <array>
@@ -24,6 +34,8 @@ namespace streamcalc::kernels {
 
 /// AES block/key containers.
 using AesBlock = std::array<std::uint8_t, 16>;
+
+struct AesCbc;
 
 /// Key-expanded AES context for 128- or 256-bit keys.
 class Aes {
@@ -46,12 +58,18 @@ class Aes {
   std::vector<std::uint8_t> cbc_decrypt(std::span<const std::uint8_t> data,
                                         const AesBlock& iv) const;
 
+  /// True when cbc_encrypt/cbc_decrypt run on the CPU's AES instructions,
+  /// false when they run the portable table rounds.
+  static bool uses_aesni();
+
  private:
+  friend struct AesCbc;  // the CBC backends (aes_impl.hpp)
   int rounds_;
-  /// Encryption round keys as column words, 4 per round (AES-256: 60).
+  /// Encryption round keys as big-endian column words, 4 per round
+  /// (AES-256: 60). Byte-swapped, each round's 4 words are the aesenc key.
   std::array<std::uint32_t, 60> enc_keys_{};
   /// Equivalent inverse cipher schedule: enc_keys_ in reverse round order,
-  /// InvMixColumns applied to the middle rounds.
+  /// InvMixColumns applied to the middle rounds, i.e. the aesdec keys.
   std::array<std::uint32_t, 60> dec_keys_{};
 };
 

@@ -1,5 +1,7 @@
 #include "kernels/lz4lite.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -11,9 +13,19 @@ namespace {
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kWindow = 65535;  // max 2-byte offset
 constexpr int kHashBits = 14;
+// The decoder's wild copies move whole 16-byte words, so they touch up to
+// this many bytes past the end of a literal run or match; its output
+// buffer has this much slack.
+constexpr std::size_t kWildSlack = 16;
 
 std::uint32_t load32(const std::uint8_t* p) {
   std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t v;
   std::memcpy(&v, p, sizeof v);
   return v;
 }
@@ -22,76 +34,48 @@ std::uint32_t hash4(std::uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-void emit_length(std::vector<std::uint8_t>& out, std::size_t len) {
-  while (len >= 255) {
-    out.push_back(255);
-    len -= 255;
+/// Number of equal leading bytes (in memory order) of two 8-byte loads
+/// whose XOR is `diff` != 0.
+std::size_t equal_prefix_bytes(std::uint64_t diff) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return static_cast<std::size_t>(std::countr_zero(diff)) / 8;
+  } else {
+    return static_cast<std::size_t>(std::countl_zero(diff)) / 8;
   }
-  out.push_back(static_cast<std::uint8_t>(len));
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> lz4lite_compress(std::span<const std::uint8_t> in) {
-  std::vector<std::uint8_t> out;
-  out.reserve(in.size() / 2 + 16);
-  std::vector<std::uint32_t> table(std::size_t{1} << kHashBits, 0xFFFFFFFFu);
-
-  std::size_t pos = 0;
-  std::size_t literal_start = 0;
-  // Stop the match search a little before the end so 4-byte loads stay in
-  // bounds; the tail is emitted as literals.
-  const std::size_t match_limit = in.size() > 12 ? in.size() - 12 : 0;
-
-  auto emit_sequence = [&](std::size_t literals, std::size_t match_len,
-                           std::size_t offset) {
-    const std::uint8_t lit_nibble =
-        literals >= 15 ? 15 : static_cast<std::uint8_t>(literals);
-    const bool has_match = match_len >= kMinMatch;
-    const std::size_t mcode = has_match ? match_len - kMinMatch : 0;
-    const std::uint8_t match_nibble =
-        has_match ? (mcode >= 15 ? 15 : static_cast<std::uint8_t>(mcode))
-                  : 0;
-    out.push_back(static_cast<std::uint8_t>((lit_nibble << 4) | match_nibble));
-    if (lit_nibble == 15) emit_length(out, literals - 15);
-    out.insert(out.end(), in.begin() + static_cast<std::ptrdiff_t>(literal_start),
-               in.begin() + static_cast<std::ptrdiff_t>(literal_start + literals));
-    if (has_match) {
-      out.push_back(static_cast<std::uint8_t>(offset & 0xFF));
-      out.push_back(static_cast<std::uint8_t>((offset >> 8) & 0xFF));
-      if (match_nibble == 15) emit_length(out, mcode - 15);
+/// Length of the common prefix of the bytes at `a` and at `b`, where `b`
+/// may run up to `end` and `a` precedes `b`; 8 bytes per compare.
+std::size_t common_prefix(const std::uint8_t* a, const std::uint8_t* b,
+                          const std::uint8_t* end) {
+  const std::uint8_t* const start = b;
+  while (end - b >= 8) {
+    const std::uint64_t diff = load64(a) ^ load64(b);
+    if (diff != 0) {
+      return static_cast<std::size_t>(b - start) + equal_prefix_bytes(diff);
     }
-  };
-
-  while (pos < match_limit) {
-    const std::uint32_t v = load32(in.data() + pos);
-    const std::uint32_t h = hash4(v);
-    const std::uint32_t cand = table[h];
-    table[h] = static_cast<std::uint32_t>(pos);
-    if (cand != 0xFFFFFFFFu && pos - cand <= kWindow &&
-        load32(in.data() + cand) == v) {
-      // Extend the match as far as the data allows.
-      std::size_t len = kMinMatch;
-      while (pos + len < in.size() && in[cand + len] == in[pos + len]) {
-        ++len;
-      }
-      emit_sequence(pos - literal_start, len, pos - cand);
-      pos += len;
-      literal_start = pos;
-    } else {
-      ++pos;
-    }
+    a += 8;
+    b += 8;
   }
-  // Final literals-only sequence (always present, even if empty).
-  emit_sequence(in.size() - literal_start, 0, 0);
-  return out;
+  while (b < end && *a == *b) {
+    ++a;
+    ++b;
+  }
+  return static_cast<std::size_t>(b - start);
 }
 
-std::vector<std::uint8_t> lz4lite_decompress(
-    std::span<const std::uint8_t> in) {
-  std::vector<std::uint8_t> out;
-  out.reserve(in.size() * 2);
+std::uint8_t* emit_length(std::uint8_t* op, std::size_t len) {
+  for (; len >= 255; len -= 255) *op++ = 255;
+  *op++ = static_cast<std::uint8_t>(len);
+  return op;
+}
+
+/// Walks the sequences of `in` with every check the decoder relies on
+/// (throwing PreconditionError on the first violation) and returns the
+/// decompressed size.
+std::size_t decoded_size(std::span<const std::uint8_t> in) {
   std::size_t pos = 0;
+  std::size_t size = 0;
   const auto need = [&](std::size_t n) {
     util::require(pos + n <= in.size(), "lz4lite: truncated stream");
   };
@@ -113,9 +97,8 @@ std::vector<std::uint8_t> lz4lite_decompress(
     const std::uint8_t token = in[pos++];
     const std::size_t literals = read_length(token >> 4);
     need(literals);
-    out.insert(out.end(), in.begin() + static_cast<std::ptrdiff_t>(pos),
-               in.begin() + static_cast<std::ptrdiff_t>(pos + literals));
     pos += literals;
+    size += literals;
     if (pos == in.size()) break;  // final sequence: literals only
 
     need(2);
@@ -123,22 +106,159 @@ std::vector<std::uint8_t> lz4lite_decompress(
         static_cast<std::size_t>(in[pos]) |
         (static_cast<std::size_t>(in[pos + 1]) << 8);
     pos += 2;
-    util::require(offset >= 1 && offset <= out.size(),
+    util::require(offset >= 1 && offset <= size,
                   "lz4lite: match offset out of range");
-    const std::size_t match_len = read_length(token & 0x0F) + kMinMatch;
-    const std::size_t end = out.size();
-    const std::size_t src = end - offset;
-    if (offset >= match_len) {
-      out.resize(end + match_len);
-      std::memcpy(out.data() + end, out.data() + src, match_len);
-    } else {
-      // Overlapping copies are valid (and common for runs): each byte may
-      // read one written earlier in the same match, so copy bytewise.
-      for (std::size_t i = 0; i < match_len; ++i) {
-        out.push_back(out[src + i]);
-      }
+    size += read_length(token & 0x0F) + kMinMatch;
+  }
+  return size;
+}
+
+/// Copies `len` bytes in whole `Word`-byte steps, at least one: up to
+/// Word bytes past both ranges are read and written. Each step reads only
+/// bytes written before it when dst - src >= Word.
+template <std::size_t Word>
+void wild_copy(std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
+  std::size_t i = 0;
+  do {
+    std::memcpy(dst + i, src + i, Word);
+    i += Word;
+  } while (i < len);
+}
+
+/// Appends a match of `len` bytes starting `offset` bytes back from `op`.
+void copy_match(std::uint8_t* op, std::size_t offset, std::size_t len) {
+  const std::uint8_t* const src = op - offset;
+  if (offset >= 16) {
+    wild_copy<16>(op, src, len);
+  } else if (offset >= 8) {
+    wild_copy<8>(op, src, len);
+  } else {
+    // Pattern doubling: [src, op + done) repeats with period `offset`, and
+    // `done` stays a whole number of periods, so each copy from src is
+    // exact and its source ends where its destination begins.
+    std::size_t done = 0;
+    while (done < len) {
+      const std::size_t step = std::min(offset + done, len - done);
+      std::memcpy(op + done, src, step);
+      done += step;
     }
   }
+}
+
+/// Decodes a stream that decoded_size() accepted into `out`, which holds
+/// its decoded size plus kWildSlack bytes.
+void decode(std::span<const std::uint8_t> in, std::uint8_t* out) {
+  const std::uint8_t* ip = in.data();
+  const std::uint8_t* const end = ip + in.size();
+  std::uint8_t* op = out;
+  const auto read_length = [&](std::size_t base) {
+    std::size_t len = base;
+    if (base == 15) {
+      std::uint8_t b;
+      do {
+        b = *ip++;
+        len += b;
+      } while (b == 255);
+    }
+    return len;
+  };
+
+  while (ip < end) {
+    const std::uint8_t token = *ip++;
+    const std::size_t literals = read_length(token >> 4);
+    // A wild copy may read past the literals, not past the stream.
+    if (static_cast<std::size_t>(end - ip) >= literals + kWildSlack) {
+      wild_copy<16>(op, ip, literals);
+    } else {
+      std::memcpy(op, ip, literals);
+    }
+    ip += literals;
+    op += literals;
+    if (ip == end) break;
+
+    const std::size_t offset = static_cast<std::size_t>(ip[0]) |
+                               (static_cast<std::size_t>(ip[1]) << 8);
+    ip += 2;
+    const std::size_t match_len = read_length(token & 0x0F) + kMinMatch;
+    copy_match(op, offset, match_len);
+    op += match_len;
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> lz4lite_compress(std::span<const std::uint8_t> in) {
+  const std::size_t n = in.size();
+  const std::uint8_t* const src = in.data();
+  // Worst case: all literals, one length byte per 255 of them, the token.
+  std::vector<std::uint8_t> out(n + n / 255 + 16);
+  std::uint8_t* op = out.data();
+  std::uint8_t* const out_end = op + out.size();
+  std::vector<std::uint32_t> table(std::size_t{1} << kHashBits, 0xFFFFFFFFu);
+
+  std::size_t pos = 0;
+  std::size_t literal_start = 0;
+  // Stop the match search a little before the end so 4-byte loads stay in
+  // bounds; the tail is emitted as literals.
+  const std::size_t match_limit = n > 12 ? n - 12 : 0;
+
+  auto emit_sequence = [&](std::size_t literals, std::size_t match_len,
+                           std::size_t offset) {
+    const std::uint8_t lit_nibble =
+        literals >= 15 ? 15 : static_cast<std::uint8_t>(literals);
+    const bool has_match = match_len >= kMinMatch;
+    const std::size_t mcode = has_match ? match_len - kMinMatch : 0;
+    const std::uint8_t match_nibble =
+        has_match ? (mcode >= 15 ? 15 : static_cast<std::uint8_t>(mcode))
+                  : 0;
+    *op++ = static_cast<std::uint8_t>((lit_nibble << 4) | match_nibble);
+    if (lit_nibble == 15) op = emit_length(op, literals - 15);
+    // Short runs (the common case) copy one whole word when both buffers
+    // have room for it.
+    if (literals <= 16 && n - literal_start >= 16 &&
+        static_cast<std::size_t>(out_end - op) >= 16) {
+      std::memcpy(op, src + literal_start, 16);
+    } else if (literals != 0) {
+      std::memcpy(op, src + literal_start, literals);
+    }
+    op += literals;
+    if (has_match) {
+      *op++ = static_cast<std::uint8_t>(offset & 0xFF);
+      *op++ = static_cast<std::uint8_t>((offset >> 8) & 0xFF);
+      if (match_nibble == 15) op = emit_length(op, mcode - 15);
+    }
+  };
+
+  while (pos < match_limit) {
+    const std::uint32_t v = load32(src + pos);
+    const std::uint32_t h = hash4(v);
+    const std::uint32_t cand = table[h];
+    table[h] = static_cast<std::uint32_t>(pos);
+    if (cand != 0xFFFFFFFFu && pos - cand <= kWindow &&
+        load32(src + cand) == v) {
+      // Extend the match as far as the data allows.
+      const std::size_t len =
+          kMinMatch + common_prefix(src + cand + kMinMatch,
+                                    src + pos + kMinMatch, src + n);
+      emit_sequence(pos - literal_start, len, pos - cand);
+      pos += len;
+      literal_start = pos;
+    } else {
+      ++pos;
+    }
+  }
+  // Final literals-only sequence (always present, even if empty).
+  emit_sequence(n - literal_start, 0, 0);
+  out.resize(static_cast<std::size_t>(op - out.data()));
+  return out;
+}
+
+std::vector<std::uint8_t> lz4lite_decompress(
+    std::span<const std::uint8_t> in) {
+  const std::size_t size = decoded_size(in);
+  std::vector<std::uint8_t> out(size + kWildSlack);
+  decode(in, out.data());
+  out.resize(size);
   return out;
 }
 

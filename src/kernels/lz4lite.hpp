@@ -12,6 +12,14 @@
 // Like the Vitis kernel, data is compressed in chunks: each chunk is
 // self-contained, so chunking reduces cross-chunk redundancy — the effect
 // the paper notes when discussing observed compression ratios.
+//
+// The compressor is greedy with one hash probe per position and extends
+// matches 8 bytes per compare; it writes into a buffer sized once to the
+// worst case. The decoder first walks the whole stream to validate it and
+// to learn the output size, then decodes into a buffer of that size (plus
+// 16 bytes of slack) with whole-word copies. Neither affects the format:
+// the compressed bytes are those of the byte-serial algorithm they
+// replaced, which the fuzz suite keeps as its reference.
 #pragma once
 
 #include <cstddef>

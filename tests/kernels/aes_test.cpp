@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "kernels/aes_impl.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -28,6 +29,23 @@ AesBlock block_from_hex(const std::string& hex) {
   return b;
 }
 
+// Checks a CBC known answer in both directions through the dispatched
+// entry points and through each backend directly: the portable one always,
+// the AES-NI one where the CPU has it.
+void expect_cbc_known_answer(const Aes& aes,
+                             const std::vector<std::uint8_t>& pt,
+                             const AesBlock& iv,
+                             const std::vector<std::uint8_t>& ct) {
+  EXPECT_EQ(aes.cbc_encrypt(pt, iv), ct);
+  EXPECT_EQ(aes.cbc_decrypt(ct, iv), pt);
+  EXPECT_EQ(AesCbc::encrypt_portable(aes, pt, iv), ct);
+  EXPECT_EQ(AesCbc::decrypt_portable(aes, ct, iv), pt);
+  if (Aes::uses_aesni()) {
+    EXPECT_EQ(AesCbc::encrypt_aesni(aes, pt, iv), ct);
+    EXPECT_EQ(AesCbc::decrypt_aesni(aes, ct, iv), pt);
+  }
+}
+
 // FIPS-197 Appendix C.1: AES-128 known-answer test.
 TEST(Aes, Fips197Aes128KnownAnswer) {
   const auto key = from_hex("000102030405060708090a0b0c0d0e0f");
@@ -38,6 +56,9 @@ TEST(Aes, Fips197Aes128KnownAnswer) {
       block_from_hex("69c4e0d86a7b0430d8cdb78070b4c55a");
   EXPECT_EQ(aes.encrypt_block(pt), expected);
   EXPECT_EQ(aes.decrypt_block(expected), pt);
+  // One block under a zero IV is the bare block cipher.
+  expect_cbc_known_answer(aes, {pt.begin(), pt.end()}, AesBlock{},
+                          {expected.begin(), expected.end()});
 }
 
 // FIPS-197 Appendix C.3: AES-256 known-answer test.
@@ -51,6 +72,9 @@ TEST(Aes, Fips197Aes256KnownAnswer) {
       block_from_hex("8ea2b7ca516745bfeafc49904b496089");
   EXPECT_EQ(aes.encrypt_block(pt), expected);
   EXPECT_EQ(aes.decrypt_block(expected), pt);
+  // One block under a zero IV is the bare block cipher.
+  expect_cbc_known_answer(aes, {pt.begin(), pt.end()}, AesBlock{},
+                          {expected.begin(), expected.end()});
 }
 
 // NIST SP 800-38A F.2.1/F.2.2 (AES-128-CBC) and F.2.5/F.2.6 (AES-256-CBC):
@@ -70,9 +94,7 @@ TEST(Aes, Sp80038aCbcKnownAnswer) {
       "5086cb9b507219ee95db113a917678b2"
       "73bed6b8e3c1743b7116e69e22229516"
       "3ff1caa1681fac09120eca307586e1a7");
-  const Aes aes(key);
-  EXPECT_EQ(aes.cbc_encrypt(pt, kSp80038aIv), expected);
-  EXPECT_EQ(aes.cbc_decrypt(expected, kSp80038aIv), pt);
+  expect_cbc_known_answer(Aes(key), pt, kSp80038aIv, expected);
 }
 
 TEST(Aes, Sp80038aCbc256KnownAnswer) {
@@ -85,9 +107,7 @@ TEST(Aes, Sp80038aCbc256KnownAnswer) {
       "9cfc4e967edb808d679f777bc6702c7d"
       "39f23369a9d9bacfa530e26304231461"
       "b2eb05e2c39be9fcda6c19078c6a9d1b");
-  const Aes aes(key);
-  EXPECT_EQ(aes.cbc_encrypt(pt, kSp80038aIv), expected);
-  EXPECT_EQ(aes.cbc_decrypt(expected, kSp80038aIv), pt);
+  expect_cbc_known_answer(Aes(key), pt, kSp80038aIv, expected);
 }
 
 // Byte-serial FIPS-197 reference cipher (S-box, ShiftRows, MixColumns and
@@ -306,6 +326,22 @@ TEST(Aes, RejectsBadKeyAndLength) {
                util::PreconditionError);
   EXPECT_THROW(aes.cbc_decrypt(ragged, AesBlock{}),
                util::PreconditionError);
+  EXPECT_THROW(AesCbc::encrypt_portable(aes, ragged, AesBlock{}),
+               util::PreconditionError);
+  EXPECT_THROW(AesCbc::decrypt_portable(aes, ragged, AesBlock{}),
+               util::PreconditionError);
+  EXPECT_THROW(AesCbc::encrypt_aesni(aes, ragged, AesBlock{}),
+               util::PreconditionError);
+  EXPECT_THROW(AesCbc::decrypt_aesni(aes, ragged, AesBlock{}),
+               util::PreconditionError);
+  if (!Aes::uses_aesni()) {
+    // Without AES-NI the NI backend refuses instead of faulting.
+    const std::vector<std::uint8_t> block(16, 0);
+    EXPECT_THROW(AesCbc::encrypt_aesni(aes, block, AesBlock{}),
+                 util::PreconditionError);
+    EXPECT_THROW(AesCbc::decrypt_aesni(aes, block, AesBlock{}),
+                 util::PreconditionError);
+  }
 }
 
 }  // namespace
