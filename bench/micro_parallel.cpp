@@ -1,16 +1,16 @@
-// Microbenchmarks of the parallel execution layer: thread-pool dispatch
-// overhead, parallel vs forced-serial general convolution, and the curve-op
-// cache hit path.
+// Microbenchmarks of the execution layer: thread-pool dispatch overhead,
+// general convolution and deconvolution on the branch-envelope path, and
+// the curve-op cache hit path.
 //
-// The parallel/serial pairs measure the same deterministic algorithm (the
-// tiled branch build plus the pairwise envelope reduction); the only
-// difference is whether tiles run on the global pool or inline, so the
-// quotient is the pool speedup. The global pool's size follows
-// STREAMCALC_THREADS (hardware concurrency by default) — on a single-core
-// host the pair is expected to tie, and the headline win there comes from
-// the shape dispatch instead: operands a specialized kernel recognizes
-// (see BM_ConvolveShortcutStaircase below) never enter the branch-envelope
-// path the pool would have to parallelize.
+// The min-plus and max-plus curve algebra runs serially. A thread fan-out
+// of the branch envelope only pays on synthetic operands like these
+// (64-512 pieces); the BLAST and BITW curves are a handful of pieces, so
+// no real analysis builds an envelope that large. The pool itself serves
+// serve's request batches and the replication runner, which
+// BM_PoolDispatch measures. The headline contrast is the shape dispatch:
+// operands a specialized kernel recognizes (see
+// BM_ConvolveShortcutStaircase below) never enter the branch-envelope path
+// at all.
 //
 // Supports `--json <path>` (see benchmark_json.hpp); the checked-in
 // BENCH_micro_parallel.json is the perf baseline.
@@ -99,25 +99,11 @@ BENCHMARK(BM_InlineDispatch)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_ConvolveGeneralSerial(benchmark::State& state) {
   const auto [a, b] = general_pair(static_cast<int>(state.range(0)));
-  ThreadPool::set_force_serial(true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(streamcalc::minplus::convolve(a, b));
   }
-  ThreadPool::set_force_serial(false);
 }
 BENCHMARK(BM_ConvolveGeneralSerial)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ConvolveGeneralParallel(benchmark::State& state) {
-  const auto [a, b] = general_pair(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(streamcalc::minplus::convolve(a, b));
-  }
-}
-BENCHMARK(BM_ConvolveGeneralParallel)
     ->Arg(64)
     ->Arg(256)
     ->Arg(512)
@@ -127,34 +113,19 @@ void BM_DeconvolveSerial(benchmark::State& state) {
   const Curve a = concave_curve(static_cast<int>(state.range(0)), 8);
   const Curve b = streamcalc::minplus::add(
       convex_curve(static_cast<int>(state.range(0)), 9), Curve::rate(80.0));
-  ThreadPool::set_force_serial(true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(streamcalc::minplus::deconvolve(a, b));
   }
-  ThreadPool::set_force_serial(false);
 }
 BENCHMARK(BM_DeconvolveSerial)
     ->Arg(64)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-void BM_DeconvolveParallel(benchmark::State& state) {
-  const Curve a = concave_curve(static_cast<int>(state.range(0)), 8);
-  const Curve b = streamcalc::minplus::add(
-      convex_curve(static_cast<int>(state.range(0)), 9), Curve::rate(80.0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(streamcalc::minplus::deconvolve(a, b));
-  }
-}
-BENCHMARK(BM_DeconvolveParallel)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-/// The shape-dispatch contrast for the serial/parallel pairs above: a
+/// The shape-dispatch contrast for the general-path rows above: a
 /// packetizer staircase against a rate-latency service routes to the
-/// staircase shortcut kernel — linear-time, no pool involvement — at sizes
-/// where the general path needs tiling to stay tolerable.
+/// staircase shortcut kernel, which is linear-time, at sizes where the
+/// general branch envelope is quadratic.
 void BM_ConvolveShortcutStaircase(benchmark::State& state) {
   const Curve a =
       Curve::staircase(64.0, 1.0, 0.5, static_cast<int>(state.range(0)));

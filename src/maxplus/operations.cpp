@@ -56,19 +56,10 @@ double sup_at_impl(const Curve& f, const Curve& g, double t) {
 }
 
 /// Replaces point values of an envelope with the exact evaluator's values
-/// (see the min-plus twin in minplus/operations.cpp). Exact evaluations
-/// are per-breakpoint independent and fan out to the pool on large
-/// envelopes; the clamp chain stays serial.
+/// (see the min-plus twin in minplus/operations.cpp).
 template <typename AtFn>
 Curve repair_point_values(const Curve& env, const AtFn& at) {
   std::vector<Segment> segs = env.segments();
-  std::vector<double> exact(segs.size());
-  minplus::detail::maybe_parallel_for(
-      segs.size(), minplus::detail::kParallelGridThreshold,
-      minplus::detail::kParallelGridGrain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) exact[i] = at(segs[i].x);
-      });
   for (std::size_t i = 0; i < segs.size(); ++i) {
     Segment& s = segs[i];
     double lo = 0.0;
@@ -84,7 +75,7 @@ Curve repair_point_values(const Curve& env, const AtFn& at) {
       s.value_after = lo;
       continue;
     }
-    s.value_at = std::min(std::max(exact[i], lo), s.value_after);
+    s.value_at = std::min(std::max(at(s.x), lo), s.value_after);
   }
   return Curve(std::move(segs));
 }
@@ -104,58 +95,32 @@ Curve convolve(const Curve& f, const Curve& g) {
   // c + g(t - T) for t >= T (and 0 before, a safe under-estimate for a
   // supremum of non-negative curves). maximum() finds branch crossings
   // exactly; isolated point values are repaired afterwards.
-  std::vector<Curve> branches;
-  const auto add_branches = [&branches](const Curve& anchor,
-                                        const Curve& shape) {
-    for (const Segment& s : anchor.segments()) {
-      // The largest legitimate contribution at/after the anchor dominates.
-      const double c = s.value_after;
-      if (c == kInf) {
-        // Everything from this anchor on is +inf.
-        std::vector<Segment> segs;
-        if (s.x > 0.0) segs.push_back(Segment{0.0, 0.0, 0.0, 0.0});
-        segs.push_back(Segment{s.x, s.value_at == kInf ? kInf : 0.0, kInf,
-                               0.0});
-        // A jump to +inf needs value_at >= previous limit; keep it simple
-        // and conservative: 0 at the point unless truly infinite there.
-        branches.push_back(Curve(std::move(segs)));
-        continue;
-      }
-      Curve branch = shape;
-      if (c > 0.0) branch = branch.plus_step(c);
-      // plus_step leaves the origin value; lift it too so the constant is
-      // applied uniformly (the repair pass fixes isolated points anyway).
-      branches.push_back(branch.shift_right(s.x));
+  const std::size_t nf = f.segments().size();
+  const auto branch = [&](std::size_t i) {
+    // Branches 0..nf-1 anchor at f's breakpoints and carry g; the rest
+    // anchor at g's breakpoints and carry f.
+    const Segment& s = i < nf ? f.segments()[i] : g.segments()[i - nf];
+    const Curve& shape = i < nf ? g : f;
+    // The largest legitimate contribution at/after the anchor dominates.
+    const double c = s.value_after;
+    if (c == kInf) {
+      // Everything from this anchor on is +inf.
+      std::vector<Segment> segs;
+      if (s.x > 0.0) segs.push_back(Segment{0.0, 0.0, 0.0, 0.0});
+      segs.push_back(
+          Segment{s.x, s.value_at == kInf ? kInf : 0.0, kInf, 0.0});
+      // A jump to +inf needs value_at >= previous limit; keep it simple
+      // and conservative: 0 at the point unless truly infinite there.
+      return Curve(std::move(segs));
     }
+    Curve shifted = shape;
+    if (c > 0.0) shifted = shifted.plus_step(c);
+    // plus_step leaves the origin value; lift it too so the constant is
+    // applied uniformly (the repair pass fixes isolated points anyway).
+    return shifted.shift_right(s.x);
   };
-  add_branches(f, g);
-  add_branches(g, f);
-  // Tiled deterministic reduction, mirroring the min-plus general kernel:
-  // fixed-size tiles fold locally (one pool task per tile), then the
-  // per-tile envelopes fold through the pairwise reduction. Tile bounds
-  // and tree shape depend only on the branch count, so parallel and serial
-  // runs produce bit-identical envelopes.
-  constexpr std::size_t kTile = 64;
-  const std::size_t n_tiles = (branches.size() + kTile - 1) / kTile;
-  std::vector<Curve> tile_env(n_tiles);
-  minplus::detail::maybe_parallel_for(
-      n_tiles, 2, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t ti = lo; ti < hi; ++ti) {
-          const std::size_t b0 = ti * kTile;
-          const std::size_t b1 = std::min(branches.size(), b0 + kTile);
-          std::vector<Curve> tile(
-              std::make_move_iterator(branches.begin() +
-                                      static_cast<std::ptrdiff_t>(b0)),
-              std::make_move_iterator(branches.begin() +
-                                      static_cast<std::ptrdiff_t>(b1)));
-          tile_env[ti] = minplus::detail::reduce_envelope(
-              std::move(tile), [](const Curve& a, const Curve& b) {
-                return minplus::detail::merge_maximum(a, b);
-              });
-        }
-      });
-  const Curve env = minplus::detail::reduce_envelope(
-      std::move(tile_env), [](const Curve& a, const Curve& b) {
+  const Curve env = minplus::detail::fold_envelope(
+      nf + g.segments().size(), branch, [](const Curve& a, const Curve& b) {
         return minplus::detail::merge_maximum(a, b);
       });
   return repair_point_values(env,
@@ -230,28 +195,17 @@ Curve deconvolve(const Curve& f, const Curve& g) {
   std::vector<double> grid = minplus::detail::canonical_candidates(ts);
   for (int round = 0; round < 40; ++round) {
     // Each interval's chord test needs the evaluator at both endpoints and
-    // the midpoint; evaluate all points of the round concurrently (each
-    // slot independent), then assemble the refined grid serially so the
-    // result is independent of thread count.
+    // the midpoint.
     const std::size_t n = grid.size();
     std::vector<double> vals(n);
-    std::vector<double> mid_vals(n - 1);
-    minplus::detail::maybe_parallel_for(
-        n, minplus::detail::kParallelGridThreshold,
-        minplus::detail::kParallelGridGrain,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            vals[i] = at(grid[i]);
-            if (i + 1 < n) mid_vals[i] = at(0.5 * (grid[i] + grid[i + 1]));
-          }
-        });
+    for (std::size_t i = 0; i < n; ++i) vals[i] = at(grid[i]);
     std::vector<double> refined;
     bool changed = false;
     for (std::size_t i = 0; i + 1 < n; ++i) {
       refined.push_back(grid[i]);
       const double mid = 0.5 * (grid[i] + grid[i + 1]);
       // Linear between neighbours? Compare the evaluator with the chord.
-      const double vm = mid_vals[i];
+      const double vm = at(mid);
       const double chord = 0.5 * (vals[i] + vals[i + 1]);
       if (std::isfinite(vm) && std::isfinite(chord) &&
           std::fabs(vm - chord) > 1e-9 * (1.0 + std::fabs(vm))) {

@@ -11,63 +11,49 @@
 
 #include "minplus/curve.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace streamcalc::minplus::detail {
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Size thresholds above which the exact kernels fan work out to the global
-// thread pool. Work partitioning depends only on the input (never on the
-// thread count or scheduling), so crossing a threshold changes *where* a
-// chunk runs but not *what* it computes: parallel results are bit-identical
-// to serial-mode results.
-inline constexpr std::size_t kParallelGridThreshold = 192;
-inline constexpr std::size_t kParallelGridGrain = 64;
-inline constexpr std::size_t kParallelBranchThreshold = 64;
-inline constexpr std::size_t kParallelBranchGrain = 16;
-inline constexpr std::size_t kParallelMergeSegments = 512;
-
-/// Runs fn(lo, hi) over [0, n), on the global pool when n >= threshold and
-/// inline otherwise. Chunking is identical either way.
-template <typename Fn>
-void maybe_parallel_for(std::size_t n, std::size_t threshold,
-                        std::size_t grain, const Fn& fn) {
-  if (n >= threshold) {
-    util::ThreadPool::global().parallel_for(
-        0, n, grain, [&fn](std::size_t lo, std::size_t hi) { fn(lo, hi); });
-  } else {
-    fn(0, n);
-  }
-}
-
 /// Deterministic balanced pairwise reduction of a branch envelope: level k
 /// merges neighbours (2i, 2i+1), carrying an odd tail element through. The
-/// tree shape depends only on curves.size(), so the result is independent
-/// of thread count; levels whose total segment count is large are merged in
-/// parallel (each pair writes its own slot).
+/// tree shape depends only on level.size().
 template <typename Merge>
 Curve reduce_envelope(std::vector<Curve> level, const Merge& merge) {
   SC_ASSERT(!level.empty());
   while (level.size() > 1) {
-    const std::size_t pairs = level.size() / 2;
-    std::vector<Curve> next(pairs + level.size() % 2);
-    std::size_t total_segments = 0;
-    for (const Curve& c : level) total_segments += c.segments().size();
-    const auto merge_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        next[i] = merge(level[2 * i], level[2 * i + 1]);
-      }
-    };
-    if (pairs >= 2 && total_segments >= kParallelMergeSegments) {
-      util::ThreadPool::global().parallel_for(0, pairs, 1, merge_range);
-    } else {
-      merge_range(0, pairs);
+    std::vector<Curve> next;
+    next.reserve(level.size() / 2 + level.size() % 2);
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      next.push_back(merge(level[i], level[i + 1]));
     }
-    if (level.size() % 2 != 0) next.back() = std::move(level.back());
+    if (level.size() % 2 != 0) next.push_back(std::move(level.back()));
     level = std::move(next);
   }
   return std::move(level.front());
+}
+
+/// Envelope of the n branch curves branch(0), ..., branch(n - 1) under
+/// `merge` (pointwise minimum or maximum). Branches are built and folded
+/// one 64-branch tile at a time, so at most one tile of branch curves is
+/// live; the tile envelopes then fold through the same pairwise reduction.
+/// Tiles start at multiples of 64, so the merge tree is exactly the one a
+/// flat reduce_envelope over all n branches would build.
+template <typename BranchFn, typename Merge>
+Curve fold_envelope(std::size_t n, const BranchFn& branch,
+                    const Merge& merge) {
+  constexpr std::size_t kTile = 64;
+  std::vector<Curve> tile_env;
+  tile_env.reserve((n + kTile - 1) / kTile);
+  for (std::size_t b0 = 0; b0 < n; b0 += kTile) {
+    const std::size_t b1 = std::min(n, b0 + kTile);
+    std::vector<Curve> tile;
+    tile.reserve(b1 - b0);
+    for (std::size_t i = b0; i < b1; ++i) tile.push_back(branch(i));
+    tile_env.push_back(reduce_envelope(std::move(tile), merge));
+  }
+  return reduce_envelope(std::move(tile_env), merge);
 }
 
 /// Tolerant tail-slope divergence test shared by deconvolution and the
@@ -138,108 +124,99 @@ Curve build_from_evaluators(const std::vector<double>& candidates,
                             const std::vector<double>* slope_set = nullptr) {
   const std::size_t n = candidates.size();
   // Phase 1 — per-candidate evaluation: value, right limit, and the slope
-  // recovered from a midpoint probe. Every slot depends only on the
-  // candidate grid and the evaluators, so large grids fan out to the pool.
+  // recovered from a midpoint probe.
   std::vector<double> v_at(n), v_after(n), v_slope(n);
-  maybe_parallel_for(
-      n, kParallelGridThreshold, kParallelGridGrain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const double x = candidates[i];
-          const double value_at = at(x);
-          double value_after = std::max(right(x), value_at);
-          double slope = 0.0;
-          if (value_after != kInf) {
-            double probe_x1, probe_x2;
-            if (i + 1 < n) {
-              const double span = candidates[i + 1] - x;
-              probe_x1 = x + 0.5 * span;
-              probe_x2 = x + 0.75 * span;
-            } else {
-              const double span = std::max(1.0, x);
-              probe_x1 = x + span;
-              probe_x2 = x + 2.0 * span;
-            }
-            const double p1 = at(probe_x1);
-            if (p1 == kInf) {
-              // The function reaches +inf between this candidate and the
-              // probe. Candidates cover every breakpoint, so the only way
-              // to get here is an inf transition within the dedup
-              // tolerance of x (two constructed breakpoints one ulp
-              // apart, collapsed onto x by canonical_candidates).
-              // Canonicalize the sliver away: jump to +inf at x itself.
-              v_at[i] = value_at;
-              v_after[i] = kInf;
-              v_slope[i] = 0.0;
-              continue;
-            }
-            const double p2 = at(probe_x2);
-            double rise = p1 - value_after;
-            double run = probe_x1 - x;
-            if (p2 != kInf) {
-              // Two probes per piece: if the candidate-to-probe chord and
-              // the probe-to-probe chord disagree, a kink sits between x
-              // and the first probe — a real crossing that fell inside the
-              // candidate dedup tolerance of x and was collapsed into it.
-              // A single probe would then fabricate an averaged slope
-              // whose downstream crossing searches land at absurd
-              // abscissae. Take the post-kink slope from the probe pair
-              // and fold the kink into x by lifting the right limit to
-              // the probe line's back-extrapolation.
-              const double s01 = rise / run;
-              const double s12 = (p2 - p1) / (probe_x2 - probe_x1);
-              const double kink_noise =
-                  64.0 * std::numeric_limits<double>::epsilon() *
-                      (std::fabs(p1) + std::fabs(p2) +
-                       std::fabs(value_after)) /
-                      (probe_x2 - probe_x1) +
-                  1e-9 * std::max(std::fabs(s01), std::fabs(s12));
-              if (std::fabs(s12 - s01) > kink_noise) {
-                const double post = std::max(0.0, s12);
-                const double extrap = p1 - post * (probe_x1 - x);
-                value_after =
-                    std::max(value_after, std::min(extrap, p1));
-                rise = p1 - value_after;
-                // Recompute over the probe pair: better conditioned than
-                // dividing the adjusted rise by the half span.
-                slope = post;
-              }
-            }
-            if (value_after != kInf && slope == 0.0) {
-              slope = std::max(0.0, rise / run);
-            }
-            // A probe within rounding distance of value_after is a flat
-            // piece: dividing the ulp-level residue by the span would
-            // fabricate a tiny nonzero slope, and downstream crossing
-            // searches against a genuinely flat curve would then place a
-            // kink at an absurd abscissa (~|value| / noise) where the
-            // noise has accumulated into a real divergence.
-            const double noise = 64.0 *
-                                 std::numeric_limits<double>::epsilon() *
-                                 (std::fabs(p1) + std::fabs(value_after)) /
-                                 run;
-            if (slope <= noise) {
-              slope = 0.0;
-            } else if (slope_set != nullptr) {
-              double best = slope;
-              double best_d = kInf;
-              for (const double cand : *slope_set) {
-                const double d = std::fabs(slope - cand);
-                if (d <= noise + 1e-12 * std::fabs(cand) && d < best_d) {
-                  best = cand;
-                  best_d = d;
-                }
-              }
-              slope = best;
-            }
-          }
-          v_at[i] = value_at;
-          v_after[i] = value_after;
-          v_slope[i] = slope;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = candidates[i];
+    const double value_at = at(x);
+    double value_after = std::max(right(x), value_at);
+    double slope = 0.0;
+    if (value_after != kInf) {
+      double probe_x1, probe_x2;
+      if (i + 1 < n) {
+        const double span = candidates[i + 1] - x;
+        probe_x1 = x + 0.5 * span;
+        probe_x2 = x + 0.75 * span;
+      } else {
+        const double span = std::max(1.0, x);
+        probe_x1 = x + span;
+        probe_x2 = x + 2.0 * span;
+      }
+      const double p1 = at(probe_x1);
+      if (p1 == kInf) {
+        // The function reaches +inf between this candidate and the
+        // probe. Candidates cover every breakpoint, so the only way
+        // to get here is an inf transition within the dedup
+        // tolerance of x (two constructed breakpoints one ulp
+        // apart, collapsed onto x by canonical_candidates).
+        // Canonicalize the sliver away: jump to +inf at x itself.
+        v_at[i] = value_at;
+        v_after[i] = kInf;
+        v_slope[i] = 0.0;
+        continue;
+      }
+      const double p2 = at(probe_x2);
+      double rise = p1 - value_after;
+      double run = probe_x1 - x;
+      if (p2 != kInf) {
+        // Two probes per piece: if the candidate-to-probe chord and
+        // the probe-to-probe chord disagree, a kink sits between x
+        // and the first probe — a real crossing that fell inside the
+        // candidate dedup tolerance of x and was collapsed into it.
+        // A single probe would then fabricate an averaged slope
+        // whose downstream crossing searches land at absurd
+        // abscissae. Take the post-kink slope from the probe pair
+        // and fold the kink into x by lifting the right limit to
+        // the probe line's back-extrapolation.
+        const double s01 = rise / run;
+        const double s12 = (p2 - p1) / (probe_x2 - probe_x1);
+        const double kink_noise =
+            64.0 * std::numeric_limits<double>::epsilon() *
+                (std::fabs(p1) + std::fabs(p2) + std::fabs(value_after)) /
+                (probe_x2 - probe_x1) +
+            1e-9 * std::max(std::fabs(s01), std::fabs(s12));
+        if (std::fabs(s12 - s01) > kink_noise) {
+          const double post = std::max(0.0, s12);
+          const double extrap = p1 - post * (probe_x1 - x);
+          value_after = std::max(value_after, std::min(extrap, p1));
+          rise = p1 - value_after;
+          // Recompute over the probe pair: better conditioned than
+          // dividing the adjusted rise by the half span.
+          slope = post;
         }
-      });
-  // Phase 2 — serial assembly with the monotonicity guard, which chains
-  // each breakpoint to its predecessor and therefore stays sequential.
+      }
+      if (value_after != kInf && slope == 0.0) {
+        slope = std::max(0.0, rise / run);
+      }
+      // A probe within rounding distance of value_after is a flat
+      // piece: dividing the ulp-level residue by the span would
+      // fabricate a tiny nonzero slope, and downstream crossing
+      // searches against a genuinely flat curve would then place a
+      // kink at an absurd abscissa (~|value| / noise) where the
+      // noise has accumulated into a real divergence.
+      const double noise = 64.0 * std::numeric_limits<double>::epsilon() *
+                           (std::fabs(p1) + std::fabs(value_after)) / run;
+      if (slope <= noise) {
+        slope = 0.0;
+      } else if (slope_set != nullptr) {
+        double best = slope;
+        double best_d = kInf;
+        for (const double cand : *slope_set) {
+          const double d = std::fabs(slope - cand);
+          if (d <= noise + 1e-12 * std::fabs(cand) && d < best_d) {
+            best = cand;
+            best_d = d;
+          }
+        }
+        slope = best;
+      }
+    }
+    v_at[i] = value_at;
+    v_after[i] = value_after;
+    v_slope[i] = slope;
+  }
+  // Phase 2 — assembly with the monotonicity guard, which chains each
+  // breakpoint to its predecessor.
   std::vector<Segment> segs;
   segs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

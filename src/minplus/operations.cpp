@@ -191,29 +191,21 @@ Curve conv_branch(const Curve& g, double T, double c) {
 /// (clamped into [left limit, right limit] so rounding noise cannot break
 /// monotonicity). The envelope construction is exact on open intervals and
 /// at right limits, but at isolated breakpoints the true value can differ
-/// from the branch minimum/maximum; this repairs those points. The exact
-/// evaluations are independent per breakpoint and fan out to the pool on
-/// large envelopes (each writes its own slot; the clamp chain stays
-/// serial).
+/// from the branch minimum/maximum; this repairs those points.
 template <typename AtFn>
 Curve repair_point_values(const Curve& env, const AtFn& at) {
   std::vector<Segment> segs = env.segments();
-  std::vector<double> exact(segs.size());
-  detail::maybe_parallel_for(
-      segs.size(), detail::kParallelGridThreshold, detail::kParallelGridGrain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) exact[i] = at(segs[i].x);
-      });
   for (std::size_t i = 0; i < segs.size(); ++i) {
     Segment& s = segs[i];
+    const double exact = at(s.x);
     double lo = 0.0;
     if (i > 0) {
       const Segment& p = segs[i - 1];
       lo = p.value_after == kInf ? kInf
                                  : p.value_after + p.slope * (s.x - p.x);
     }
-    if (i > 0 && lo != kInf && exact[i] < lo &&
-        exact[i] >= segs[i - 1].value_after) {
+    if (i > 0 && lo != kInf && exact < lo &&
+        exact >= segs[i - 1].value_after) {
       // The previous piece overextends past this breakpoint's exact
       // value: its abscissa rounded beyond the true crossing, so the
       // stored slope's extrapolation overshoots. Rechord the previous
@@ -221,8 +213,8 @@ Curve repair_point_values(const Curve& env, const AtFn& at) {
       // value up to the stale extrapolation (which would bake the
       // overshoot into the entire tail).
       Segment& p = segs[i - 1];
-      p.slope = (exact[i] - p.value_after) / (s.x - p.x);
-      lo = exact[i];
+      p.slope = (exact - p.value_after) / (s.x - p.x);
+      lo = exact;
     }
     if (lo != kInf && s.value_after < lo - 1e-9 * (1.0 + lo)) {
       // Degenerate envelope piece: the previous segment's extrapolation
@@ -235,7 +227,7 @@ Curve repair_point_values(const Curve& env, const AtFn& at) {
       s.value_after = lo;
       continue;
     }
-    s.value_at = std::min(std::max(exact[i], lo), s.value_after);
+    s.value_at = std::min(std::max(exact, lo), s.value_after);
   }
   return Curve(std::move(segs));
 }
@@ -519,37 +511,14 @@ void add_conv_anchors(std::vector<ConvBranchDesc>& descs, const Curve& anchor,
 
 /// Builds every branch, folds them to their pointwise-minimum envelope,
 /// and repairs isolated point values against the exact (f, g) evaluator.
-///
-/// Parallel structure: branches are processed in fixed-size tiles; each
-/// tile builds its branches and folds them locally in one pool task (good
-/// locality, one live tile of curves per worker instead of the whole
-/// branch set), then the per-tile envelopes fold through the deterministic
-/// pairwise reduction. Tile boundaries depend only on the branch count, so
-/// the merge tree — and therefore the result, bit for bit — is identical
-/// whatever the thread count.
 Curve conv_envelope(const std::vector<ConvBranchDesc>& descs, const Curve& f,
                     const Curve& g) {
-  constexpr std::size_t kTile = 64;
-  const std::size_t n_tiles = (descs.size() + kTile - 1) / kTile;
-  std::vector<Curve> tile_env(n_tiles);
-  detail::maybe_parallel_for(
-      n_tiles, 2, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t ti = lo; ti < hi; ++ti) {
-          const std::size_t b0 = ti * kTile;
-          const std::size_t b1 = std::min(descs.size(), b0 + kTile);
-          std::vector<Curve> branches(b1 - b0);
-          for (std::size_t i = b0; i < b1; ++i) {
-            branches[i - b0] =
-                conv_branch(*descs[i].shape, descs[i].T, descs[i].c);
-          }
-          tile_env[ti] = detail::reduce_envelope(
-              std::move(branches), [](const Curve& a, const Curve& b) {
-                return detail::merge_minimum(a, b);
-              });
-        }
-      });
-  const Curve env = detail::reduce_envelope(
-      std::move(tile_env), [](const Curve& a, const Curve& b) {
+  const Curve env = detail::fold_envelope(
+      descs.size(),
+      [&](std::size_t i) {
+        return conv_branch(*descs[i].shape, descs[i].T, descs[i].c);
+      },
+      [](const Curve& a, const Curve& b) {
         return detail::merge_minimum(a, b);
       });
   return repair_point_values(env,
@@ -881,11 +850,6 @@ Curve deconvolve_general(const Curve& f, const Curve& g) {
   // or where t + s sits at a breakpoint of f. Each anchoring is a whole
   // curve in t; the deconvolution is their pointwise maximum, with
   // isolated point values repaired afterwards.
-  //
-  // Same tiled parallel structure as conv_envelope(): each tile builds and
-  // locally folds its branches in one pool task, tile boundaries depend
-  // only on the branch count, and the cross-tile fold is the deterministic
-  // pairwise reduction — bit-identical results whatever the thread count.
   struct BranchDesc {
     double s;     ///< g-anchor abscissa (shift), or f-anchor abscissa
     double c;     ///< constant contribution
@@ -905,32 +869,15 @@ Curve deconvolve_general(const Curve& f, const Curve& g) {
   for (const Segment& sf : f.segments()) {
     descs.push_back(BranchDesc{sf.x, f.value_right(sf.x), /*from_f=*/true});
   }
-  constexpr std::size_t kTile = 64;
-  const std::size_t n = descs.size() + 1;  // slot 0 is the zero floor
-  const std::size_t n_tiles = (n + kTile - 1) / kTile;
-  std::vector<Curve> tile_env(n_tiles);
-  maybe_parallel_for(n_tiles, 2, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t ti = lo; ti < hi; ++ti) {
-      const std::size_t b0 = ti * kTile;
-      const std::size_t b1 = std::min(n, b0 + kTile);
-      std::vector<Curve> branches(b1 - b0);
-      for (std::size_t i = b0; i < b1; ++i) {
-        if (i == 0) {
-          branches[0] = Curve::zero();  // the deconvolution clamps at 0
-          continue;
-        }
+  // Branch 0 is the zero floor: the deconvolution clamps at 0.
+  const Curve env = fold_envelope(
+      descs.size() + 1,
+      [&](std::size_t i) {
+        if (i == 0) return Curve::zero();
         const BranchDesc& d = descs[i - 1];
-        branches[i - b0] = d.from_f
-                               ? deconv_reflected_branch(g, d.s, d.c)
-                               : f.shift_left(d.s).minus_clamped(d.c);
-      }
-      tile_env[ti] = reduce_envelope(
-          std::move(branches),
-          [](const Curve& a, const Curve& b) { return merge_maximum(a, b); });
-    }
-  });
-  const Curve env = reduce_envelope(
-      std::move(tile_env),
+        return d.from_f ? deconv_reflected_branch(g, d.s, d.c)
+                        : f.shift_left(d.s).minus_clamped(d.c);
+      },
       [](const Curve& a, const Curve& b) { return merge_maximum(a, b); });
   return repair_point_values(env, [&](double t) {
     return deconv_at_impl(f, g, t, /*right_limit=*/false);

@@ -6,9 +6,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -211,16 +213,29 @@ void Server::accept_loop() {
       return;
     }
     connections_.fetch_add(1);
-    util::MutexLock lock(conn_mutex_);
-    const std::size_t slot = conns_.size();
-    conns_.push_back(std::make_unique<Connection>());
-    conns_[slot]->fd = fd;
-    conns_[slot]->reader =
-        std::thread([this, slot, fd] { serve_connection(slot, fd); });
+    std::vector<std::unique_ptr<Connection>> finished;
+    {
+      util::MutexLock lock(conn_mutex_);
+      // Reap the connections whose readers are done; a reader touches its
+      // Connection only under this mutex and never after marking it
+      // finished, so moving it out here is safe.
+      const auto done = std::partition(
+          conns_.begin(), conns_.end(),
+          [](const std::unique_ptr<Connection>& c) { return !c->finished; });
+      finished.assign(std::make_move_iterator(done),
+                      std::make_move_iterator(conns_.end()));
+      conns_.erase(done, conns_.end());
+      conns_.push_back(std::make_unique<Connection>());
+      Connection* conn = conns_.back().get();
+      conn->fd = fd;
+      conn->reader =
+          std::thread([this, conn, fd] { serve_connection(conn, fd); });
+    }
+    for (const auto& conn : finished) conn->reader.join();
   }
 }
 
-void Server::serve_connection(std::size_t slot, int fd) {
+void Server::serve_connection(Connection* conn, int fd) {
   FrameDecoder decoder(config_.max_frame);
   char buf[4096];
   bool open = true;
@@ -272,12 +287,11 @@ void Server::serve_connection(std::size_t slot, int fd) {
     protocol_errors_.fetch_add(1);
     SC_OBS_COUNT("serve.request.truncated", 1);
   }
+  // The Connection outlives this thread: the accept loop drops it only
+  // after seeing `finished`, and stop() joins before destroying it.
   util::MutexLock lock(conn_mutex_);
-  // stop() may have swapped conns_ out already; then it owns the join and
-  // we only close the fd.
-  if (slot < conns_.size() && conns_[slot]->fd == fd) {
-    conns_[slot]->fd = -1;
-  }
+  conn->fd = -1;
+  conn->finished = true;
   ::close(fd);
 }
 
@@ -287,8 +301,9 @@ bool Server::process_batch(int fd, const std::vector<std::string>& payloads) {
                  static_cast<double>(payloads.size()));
   std::vector<std::string> replies(payloads.size());
   std::vector<char> shutdowns(payloads.size(), 0);
-  // Same pool the curve kernels use; a single-frame batch (or serial
-  // mode) runs inline on this reader thread.
+  // The process-wide pool (serve and the replication runner are its only
+  // users; the curve algebra is serial). A single-frame batch, or serial
+  // mode, runs inline on this reader thread.
   util::ThreadPool::global().parallel_for(
       0, payloads.size(), 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {

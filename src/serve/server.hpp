@@ -15,14 +15,17 @@
 // oversized frame gets an error reply and the connection is closed (the
 // length prefix can no longer be trusted).
 //
-// Threading. One accept thread plus one reader thread per connection.
-// Each batch of frames that arrives together is dispatched through
-// util::ThreadPool::global().parallel_for, so concurrent requests share
-// the pool the curve kernels already use (and run inline in serial mode);
-// replies are written back in frame order. Admission state lives in
-// AdmissionEngine (per-tenant locking), the scenario catalog behind
-// epoch/snapshot swaps (catalog.hpp) — a `reload` builds the whole new
-// snapshot before publishing, never stopping admission.
+// Threading. One accept thread plus one reader thread per connection. A
+// reader marks its connection finished when the peer goes away, and the
+// accept loop joins and drops finished connections before it registers
+// the next one, so closed connections do not pile up until stop(). Each
+// batch of frames that arrives together is dispatched through
+// util::ThreadPool::global().parallel_for (inline in serial mode); replies
+// are written back in frame order. The curve algebra itself is serial, so
+// the pool is serve's and the replication runner's alone. Admission state
+// lives in AdmissionEngine (per-tenant locking), the scenario catalog
+// behind epoch/snapshot swaps (catalog.hpp) — a `reload` builds the whole
+// new snapshot before publishing, never stopping admission.
 #pragma once
 
 #include <atomic>
@@ -94,11 +97,12 @@ class Server {
  private:
   struct Connection {
     int fd = -1;  ///< -1 once the reader closed it (guarded by conn mutex)
+    bool finished = false;  ///< reader is done (guarded by conn mutex)
     std::thread reader;
   };
 
   void accept_loop();
-  void serve_connection(std::size_t slot, int fd);
+  void serve_connection(Connection* conn, int fd);
   /// Handles one batch of frame payloads and writes the framed replies in
   /// order. Returns false when the peer went away mid-write.
   bool process_batch(int fd, const std::vector<std::string>& payloads);

@@ -6,7 +6,7 @@
 // observability (trace/metrics/stats) settings. Programs build it once —
 // from the environment via Context::from_env(), then CLI flags override
 // individual fields — install it with Context::install(), and pass it
-// explicitly to the subsystem entry points (ThreadPool, CurveOpCache,
+// explicitly to the subsystem entry points (CurveOpCache,
 // ReplicationRunner, diagnostics::preflight, certify::postflight).
 //
 // Library code that has no Context parameter reads Context::active():
@@ -81,8 +81,8 @@ struct Context {
   /// (always >= 1).
   unsigned resolved_threads() const;
 
-  /// Worker count for a ThreadPool honouring this context: 0 (serial,
-  /// everything inline) when resolved_threads() <= 1.
+  /// Worker count for a ThreadPool sized from this context (the global
+  /// pool): 0 (serial, everything inline) when resolved_threads() <= 1.
   unsigned pool_workers() const;
 };
 

@@ -1,22 +1,19 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 #include "obs/obs.hpp"
+#include "util/context.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::util {
 
 namespace {
 
-std::atomic<bool> g_force_serial{false};
 thread_local bool t_on_worker = false;
 
 }  // namespace
-
-ThreadPool::ThreadPool(const Context& ctx) : ThreadPool(ctx.pool_workers()) {}
 
 ThreadPool::ThreadPool(unsigned threads) {
   workers_.reserve(threads);
@@ -95,7 +92,7 @@ void ThreadPool::parallel_for(
   // inline therefore executes the exact same chunks in index order, which
   // is what makes serial mode the bit-identical reference for parallel
   // runs (callers write per-chunk results to per-index slots).
-  if (chunks < 2 || serial() || force_serial() || on_worker_thread()) {
+  if (chunks < 2 || serial() || on_worker_thread()) {
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t lo = begin + c * grain;
       SC_OBS_SPAN("pool", "chunk");
@@ -170,10 +167,6 @@ ThreadPool& ThreadPool::global() {
   static ThreadPool pool(Context::active().pool_workers());
   return pool;
 }
-
-void ThreadPool::set_force_serial(bool on) { g_force_serial.store(on); }
-
-bool ThreadPool::force_serial() { return g_force_serial.load(); }
 
 bool ThreadPool::on_worker_thread() { return t_on_worker; }
 

@@ -7,13 +7,15 @@
 //      on scheduling. Each chunk writes to its own output slot; the caller
 //      merges slots in index order. Any algorithm written this way produces
 //      bit-identical results with 1 thread, N threads, or in serial mode.
-//   2. *Safety under nesting.* Library code (min-plus kernels) and user code
-//      (replication runners) may both use the pool; a parallel_for issued
-//      from inside a pool worker runs inline on that worker instead of
-//      deadlocking on the queue.
+//   2. *Safety under nesting.* Serve's request batches and the replication
+//      runner both use the pool, and a task may itself call parallel_for;
+//      a parallel_for issued from inside a pool worker runs inline on that
+//      worker instead of deadlocking on the queue. The min-plus and
+//      max-plus curve algebra does not use the pool: real operands stay a
+//      few pieces, far below the size where a fan-out would pay for itself.
 //   3. *Small surface.* A fixed set of std::jthread workers, a mutex-guarded
 //      task queue, parallel_for + submit. No work stealing, no futures-heavy
-//      API — the kernels need fork/join over index ranges, nothing more.
+//      API — the callers need fork/join over index ranges, nothing more.
 //
 // All shared state is guarded by an annotated util::Mutex and checked by
 // Clang's thread-safety analysis (-Werror=thread-safety in CI); see
@@ -22,10 +24,8 @@
 // The global() instance is lazily initialized from the STREAMCALC_THREADS
 // environment variable: unset or "0" = hardware concurrency, "1" or
 // "serial" = serial mode (no workers; everything runs inline — useful for
-// reproducibility debugging and as the reference side of determinism
-// tests). Any other non-numeric value is rejected with an error (see
-// util/env.hpp). set_force_serial() lets tests flip the same global pool
-// between parallel and inline execution at runtime.
+// reproducibility debugging). Any other non-numeric value is rejected with
+// an error (see util/env.hpp).
 #pragma once
 
 #include <cstddef>
@@ -34,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/context.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -46,9 +45,6 @@ class ThreadPool {
   /// all work runs inline on the calling thread).
   explicit ThreadPool(unsigned threads);
 
-  /// A pool honouring `ctx.threads` (the preferred constructor: pass the
-  /// Context you built at startup instead of re-reading the environment).
-  explicit ThreadPool(const Context& ctx);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -66,9 +62,9 @@ class ThreadPool {
   /// every chunk completes; the first exception thrown by any chunk is
   /// rethrown on the caller (remaining chunks still run to completion).
   ///
-  /// Runs entirely inline when: the pool is serial, force-serial is set,
-  /// the range has fewer than 2 chunks, or the caller is itself a pool
-  /// worker (nested parallelism runs inline rather than deadlocking).
+  /// Runs entirely inline when: the pool is serial, the range has fewer
+  /// than 2 chunks, or the caller is itself a pool worker (nested
+  /// parallelism runs inline rather than deadlocking).
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& fn)
       SC_EXCLUDES(mutex_);
@@ -84,11 +80,6 @@ class ThreadPool {
   /// active Context (Context::install() one early, or the size falls back
   /// to the STREAMCALC_THREADS environment variable; see file comment).
   static ThreadPool& global();
-
-  /// When true, parallel_for on every pool runs inline on the caller.
-  /// Intended for tests and reproducibility debugging; thread-safe.
-  static void set_force_serial(bool on);
-  static bool force_serial();
 
   /// True while the current thread is executing inside a pool worker.
   static bool on_worker_thread();

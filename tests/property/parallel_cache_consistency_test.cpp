@@ -1,87 +1,25 @@
-// Bit-identity contracts of the execution machinery, fuzzed over generated
-// curves: the parallel min-plus/max-plus kernels must produce *exactly*
-// the curves the serial path produces (same segments, same bit patterns),
-// and the memoization cache must serve exactly what the underlying
-// operator computes. These are equality contracts, not approximations —
-// any drift would break the replication runner's byte-identical summaries.
+// Bit-identity contract of the memoization cache, fuzzed over generated
+// curves: the cache must serve exactly what the underlying operator
+// computes (same segments, same bit patterns). This is an equality
+// contract, not an approximation — any drift would break the replication
+// runner's byte-identical summaries.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "maxplus/operations.hpp"
 #include "minplus/cache.hpp"
 #include "minplus/operations.hpp"
 #include "testing/property.hpp"
-#include "util/thread_pool.hpp"
 
 namespace streamcalc::testing {
 namespace {
 
 using minplus::Curve;
 
-// Give the lazily-created global pool workers even on single-core hosts
-// (it is sized from STREAMCALC_THREADS at first use).
-const bool g_env_pinned = [] {
-  setenv("STREAMCALC_THREADS", "4", /*overwrite=*/1);
-  return true;
-}();
-
 void expect_holds(FuzzSpec spec, const PropertyFn& property) {
   const auto failure = fuzz(spec, property);
   EXPECT_FALSE(failure.has_value()) << failure->report();
-}
-
-/// Evaluates op twice — forced serial, then through the pool — and reports
-/// any segment-level difference.
-template <typename OpFn>
-std::string serial_matches_parallel(const OpFn& op, const char* what) {
-  util::ThreadPool::set_force_serial(true);
-  const Curve serial = op();
-  util::ThreadPool::set_force_serial(false);
-  const Curve parallel = op();
-  if (!(serial == parallel)) {
-    return std::string(what) +
-           ": parallel result differs from serial bit-for-bit";
-  }
-  return "";
-}
-
-TEST(ParallelConsistencyFuzz, MinPlusOperatorsMatchSerialExactly) {
-  ASSERT_TRUE(g_env_pinned);
-  ASSERT_FALSE(util::ThreadPool::global().serial());
-  FuzzSpec spec{{CurveKind::kAny, CurveKind::kAny}, {}, 0xc001};
-  spec.gen.max_segments = 12;  // larger operands actually engage the pool
-  expect_holds(spec, [](const std::vector<Curve>& c) {
-    std::string err = serial_matches_parallel(
-        [&] { return convolve(c[0], c[1]); }, "convolve");
-    if (err.empty()) {
-      err = serial_matches_parallel(
-          [&] { return deconvolve(c[0], c[1]); }, "deconvolve");
-    }
-    if (err.empty()) {
-      err = serial_matches_parallel(
-          [&] { return minimum(c[0], c[1]); }, "minimum");
-    }
-    return err;
-  });
-}
-
-TEST(ParallelConsistencyFuzz, MaxPlusOperatorsMatchSerialExactly) {
-  ASSERT_TRUE(g_env_pinned);
-  FuzzSpec spec{{CurveKind::kFinite, CurveKind::kFinite}, {}, 0xc002};
-  spec.gen.max_segments = 12;
-  expect_holds(spec, [](const std::vector<Curve>& c) {
-    std::string err = serial_matches_parallel(
-        [&] { return maxplus::convolve(c[0], c[1]); }, "max-plus convolve");
-    if (err.empty()) {
-      err = serial_matches_parallel(
-          [&] { return maxplus::deconvolve(c[0], c[1]); },
-          "max-plus deconvolve");
-    }
-    return err;
-  });
 }
 
 TEST(CacheConsistencyFuzz, CachedResultsAreBitIdenticalToUncached) {

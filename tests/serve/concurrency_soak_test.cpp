@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -335,6 +336,56 @@ TEST(ConcurrencySoak, DaemonUnderConcurrentClientsMatchesSerialReplay) {
   }
   replay_and_compare(all, final_state);
 
+  server.stop();
+}
+
+/// The "Threads:" field of /proc/self/status.
+long live_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stol(line.substr(8));
+  }
+  return -1;
+}
+
+/// Number of mappings in /proc/self/maps (one per line).
+long live_mappings() {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  long count = 0;
+  while (std::getline(maps, line)) ++count;
+  return count;
+}
+
+TEST(ConcurrencySoak, ConnectionChurnKeepsThreadsAndMappingsFlat) {
+  // Every connection gets a reader thread. Finished readers must be
+  // joined as the daemon runs, not only at stop(): an exited but unjoined
+  // thread keeps its stack mapped, so each closed connection would cost
+  // mappings until the process could not create threads at all.
+  ServerConfig config;
+  config.socket_path = ::testing::TempDir() + "/serve_churn_" +
+                       std::to_string(::getpid()) + ".sock";
+  Server server(config,
+                std::make_shared<Catalog>(make_snapshot(1, soak_specs())));
+  server.start();
+  const Json ping = json_parse("{\"op\":\"ping\"}").value;
+  const auto cycle = [&] {
+    Client client = Client::connect_unix(config.socket_path);
+    EXPECT_TRUE(client.request(ping).bool_or("ok", false));
+    client.close();
+  };
+  // Warm up first: the first request creates the global pool's workers.
+  for (int i = 0; i < 32; ++i) cycle();
+  const long threads_before = live_threads();
+  const long mappings_before = live_mappings();
+  ASSERT_GT(threads_before, 0);
+  constexpr int kCycles = 5000;
+  for (int i = 0; i < kCycles; ++i) cycle();
+  // A reader is reaped at the accept after it finishes, so one or two may
+  // still be alive (or exiting) here; their stacks account for the slack.
+  EXPECT_LE(live_threads(), threads_before + 3);
+  EXPECT_LE(live_mappings(), mappings_before + 32);
   server.stop();
 }
 

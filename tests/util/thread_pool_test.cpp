@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 namespace streamcalc::util {
@@ -75,18 +74,6 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
     }
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ForceSerialRunsOnCallingThread) {
-  ThreadPool pool(2);
-  ThreadPool::set_force_serial(true);
-  const auto caller = std::this_thread::get_id();
-  bool all_on_caller = true;
-  pool.parallel_for(0, 32, 1, [&](std::size_t, std::size_t) {
-    if (std::this_thread::get_id() != caller) all_on_caller = false;
-  });
-  ThreadPool::set_force_serial(false);
-  EXPECT_TRUE(all_on_caller);
 }
 
 TEST(ThreadPool, SubmitAndWaitIdle) {
