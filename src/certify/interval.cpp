@@ -15,22 +15,6 @@ using diagnostics::Diagnostic;
 using diagnostics::Severity;
 using netcalc::DagEdge;
 using netcalc::NodeSpec;
-using netcalc::RateBasis;
-
-// Same basis selection as diagnostics::lint_* and the model builders; the
-// degenerate-box agreement property depends on evaluating the identical
-// expression.
-double pick_rate(const NodeSpec& node, RateBasis basis) {
-  switch (basis) {
-    case RateBasis::kMin:
-      return node.rate_min().in_bytes_per_sec();
-    case RateBasis::kAvg:
-      return node.rate_avg().in_bytes_per_sec();
-    case RateBasis::kMax:
-      return node.rate_max().in_bytes_per_sec();
-  }
-  return node.rate_min().in_bytes_per_sec();
-}
 
 void validate_interval(const Interval& iv, const char* what,
                        bool positive_lo) {
@@ -124,7 +108,9 @@ IntervalCertificate certify_stability(const std::vector<NodeSpec>& nodes,
   double sus_hi = box.source_rate.hi;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (i > 0) vol_worst *= nodes[i - 1].volume.max;
-    const double base = pick_rate(nodes[i], policy.service_basis);
+    const double base =
+        netcalc::basis_rate(nodes[i], policy.service_basis)
+            .in_bytes_per_sec();
     const NodeBox nb = node_box(box, i);
     const double rn_lo = base * nb.service_scale.lo / vol_worst;
     const double rn_hi = base * nb.service_scale.hi / vol_worst;
@@ -171,7 +157,9 @@ IntervalCertificate certify_stability_dag(const netcalc::DagSpec& dag,
     }
     if (vol_in[i] <= 0.0) continue;
     vol_out[i] = vol_in[i] * dag.nodes[i].volume.max;
-    const double base = pick_rate(dag.nodes[i], policy.service_basis);
+    const double base =
+        netcalc::basis_rate(dag.nodes[i], policy.service_basis)
+            .in_bytes_per_sec();
     const NodeBox nb = node_box(box, i);
     const double rn_lo = base * nb.service_scale.lo / vol_in[i];
     const double rn_hi = base * nb.service_scale.hi / vol_in[i];

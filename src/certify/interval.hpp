@@ -7,7 +7,7 @@
 // arrival rates through the chain or DAG using exactly the recurrence
 // diagnostics::lint_pipeline / lint_dag evaluates pointwise:
 //
-//   rate_norm = pick_rate(node) * scale / vol;  rho = sustained / rate_norm
+//   rate_norm = basis_rate(node) * scale / vol;  rho = sustained / rate_norm
 //   sustained' = min(sustained, rate_norm)
 //
 // Because each parameter enters a given node's utilization monotonically

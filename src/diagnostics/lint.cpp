@@ -39,18 +39,6 @@ constexpr double kTinyRate = 1024.0;                          // 1 KiB/s
 constexpr double kHugeRate = 1024.0 * 1024.0 * 1024.0 * 1024.0;  // 1 TiB/s
 constexpr double kHugeTimeSeconds = 100.0;
 
-double pick_rate(const NodeSpec& node, RateBasis basis) {
-  switch (basis) {
-    case RateBasis::kMin:
-      return node.rate_min().in_bytes_per_sec();
-    case RateBasis::kAvg:
-      return node.rate_avg().in_bytes_per_sec();
-    case RateBasis::kMax:
-      return node.rate_max().in_bytes_per_sec();
-  }
-  return node.rate_min().in_bytes_per_sec();
-}
-
 const char* basis_name(RateBasis basis) {
   switch (basis) {
     case RateBasis::kMin:
@@ -225,7 +213,9 @@ LintReport lint_pipeline(const std::vector<NodeSpec>& nodes,
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (i > 0) vol_worst *= nodes[i - 1].volume.max;
     const double rate_norm =
-        pick_rate(nodes[i], policy.service_basis) / vol_worst;
+        netcalc::basis_rate(nodes[i], policy.service_basis)
+            .in_bytes_per_sec() /
+        vol_worst;
     lint_load(nodes[i], sustained, rate_norm, finite_job, report);
     sustained = std::min(sustained, rate_norm);
   }
@@ -335,9 +325,7 @@ LintReport lint_dag(const DagSpec& dag, const SourceSpec& source,
 
   // Cycles (NC303) and unfed nodes (NC304) via Kahn's algorithm — the
   // builder's topological_order, but reporting *which* nodes are stuck
-  // instead of throwing a blanket error. An unfed node (no entry, no
-  // incoming edge) passes the builder's validation yet crashes its volume
-  // propagation, so it is an error here.
+  // instead of throwing at the first one as DagSpec::validate() does.
   std::vector<std::size_t> indegree(n, 0);
   std::vector<bool> entry_fed(n, false);
   for (const DagEdge& e : dag.edges) ++indegree[e.to];
@@ -399,7 +387,9 @@ LintReport lint_dag(const DagSpec& dag, const SourceSpec& source,
     if (vol_in[i] <= 0.0) continue;  // unreachable; NC304 already fired
     vol_out[i] = vol_in[i] * dag.nodes[i].volume.max;
     const double rate_norm =
-        pick_rate(dag.nodes[i], policy.service_basis) / vol_in[i];
+        netcalc::basis_rate(dag.nodes[i], policy.service_basis)
+            .in_bytes_per_sec() /
+        vol_in[i];
     lint_load(dag.nodes[i], thru_in[i], rate_norm, finite_job, report);
     if (fan_in[i] >= 2 && thru_in[i] >= rate_norm) {
       report.add({"NC305", Severity::kWarning, dag.nodes[i].name,

@@ -20,18 +20,6 @@ using minplus::Curve;
 using util::DataRate;
 using util::DataSize;
 using util::Duration;
-
-double pick_rate_basis(const NodeSpec& node, RateBasis basis) {
-  switch (basis) {
-    case RateBasis::kMin:
-      return node.rate_min().in_bytes_per_sec();
-    case RateBasis::kAvg:
-      return node.rate_avg().in_bytes_per_sec();
-    case RateBasis::kMax:
-      return node.rate_max().in_bytes_per_sec();
-  }
-  return node.rate_min().in_bytes_per_sec();
-}
 }  // namespace
 
 void DagSpec::validate() const {
@@ -60,19 +48,25 @@ void DagSpec::validate() const {
   }
   util::require(entry_sum <= 1.0 + 1e-9,
                 "DagSpec entry fractions exceed 1");
-  // Acyclicity and reachability via the topological sort.
   const auto order = topological_order();
-  util::require(order.size() == nodes.size(),
-                "DagSpec is cyclic or has nodes unreachable from the "
-                "entries");
+  util::require(order.size() == nodes.size(), "DagSpec is cyclic");
+  // Reachability: in topological order every producer is settled before
+  // its consumers, so one pass marks every node the entries feed.
+  std::vector<bool> fed(nodes.size(), false);
+  for (const DagEdge& e : entries) fed[e.to] = true;
+  for (std::size_t i : order) {
+    util::require(fed[i], "DagSpec node '" + nodes[i].name +
+                              "' is unreachable from the entries");
+    for (const DagEdge& e : edges) {
+      if (e.from == i) fed[e.to] = true;
+    }
+  }
 }
 
 std::vector<std::size_t> DagSpec::topological_order() const {
   std::vector<std::size_t> indegree(nodes.size(), 0);
   for (const DagEdge& e : edges) ++indegree[e.to];
   std::queue<std::size_t> ready;
-  std::vector<bool> entry_fed(nodes.size(), false);
-  for (const DagEdge& e : entries) entry_fed[e.to] = true;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (indegree[i] == 0) ready.push(i);
   }
@@ -119,18 +113,19 @@ DagModel::DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy)
 
 void DagModel::build() {
   const std::size_t n = dag_.nodes.size();
+  order_ = dag_.topological_order();
   arrival_.resize(n);
   service_.resize(n);
   max_service_.resize(n);
   output_.resize(n);
+  edge_curve_.resize(dag_.edges.size());
   vol_in_.assign(n, 0.0);
 
   // Worst-case volume factors: entry edges carry `fraction` of the source
   // volume; graph edges carry fraction x the producer's output volume.
   std::vector<double> vol_out(n, 0.0);
-  const auto order = dag_.topological_order();
   for (const DagEdge& e : dag_.entries) vol_in_[e.to] += e.fraction;
-  for (std::size_t i : order) {
+  for (std::size_t i : order_) {
     for (const DagEdge& e : dag_.edges) {
       if (e.to == i) {
         vol_in_[i] += e.fraction * vol_out[e.from];
@@ -139,107 +134,102 @@ void DagModel::build() {
     vol_out[i] = vol_in_[i] * dag_.nodes[i].volume.max;
   }
 
-  // Base source envelope (packetized, optionally capped).
-  Curve alpha = Curve::affine(source_.rate, source_.burst);
-  if (source_.job_volume.is_finite()) {
-    alpha = minplus::minimum(
-        alpha, Curve::constant(source_.job_volume.in_bytes()));
-  }
-  alpha = packetize_arrival(alpha, source_.packet);
-
-  // Per-edge envelopes: proportional splitters with block granularity.
-  std::vector<Curve> edge_curve(dag_.edges.size());
-  std::vector<Curve> entry_curve(dag_.entries.size());
+  // Per-entry envelopes: proportional splitters with block granularity.
+  const Curve alpha = source_arrival(source_);
+  entry_curve_.resize(dag_.entries.size());
   for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
-    entry_curve[k] = alpha.scale_value(dag_.entries[k].fraction);
+    entry_curve_[k] = alpha.scale_value(dag_.entries[k].fraction);
     if (dag_.entries[k].fraction < 1.0) {
       // Splitter granularity: a sub-flow can be ahead of its long-run
       // share by up to one source packet.
-      entry_curve[k] =
-          entry_curve[k].plus_step(source_.packet.in_bytes());
+      entry_curve_[k] =
+          entry_curve_[k].plus_step(source_.packet.in_bytes());
     }
   }
 
-  for (std::size_t i : order) {
-    const NodeSpec& node = dag_.nodes[i];
-    // Merge incoming envelopes.
-    Curve merged = Curve::zero();
-    for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
-      if (dag_.entries[k].to == i) {
-        merged = minplus::add(merged, entry_curve[k]);
-      }
-    }
-    for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
-      if (dag_.edges[k].to == i) {
-        merged = minplus::add(merged, edge_curve[k]);
-      }
-    }
-    arrival_[i] = std::move(merged);
+  std::vector<bool> changed(n, false);
+  for (std::size_t i : order_) build_node(i, changed);
+}
 
-    // Normalized service curves.
-    const double vol = vol_in_[i];
-    SC_ASSERT(vol > 0.0);
-    const double rate_lo = pick_rate_basis(node, policy_.service_basis) / vol;
-    const double rate_hi =
-        pick_rate_basis(node, policy_.max_service_basis) / vol;
-    // Collection wait only when the node's block exceeds the granularity
-    // of what reaches it (the chain model's b_n > b*_{n-1} condition).
-    double incoming_block = std::numeric_limits<double>::infinity();
-    for (const DagEdge& e : dag_.entries) {
-      if (e.to == i) {
-        incoming_block =
-            std::min(incoming_block, source_.packet.in_bytes());
-      }
+void DagModel::build_node(std::size_t i, std::vector<bool>& changed) {
+  const NodeSpec& node = dag_.nodes[i];
+  // Merge incoming envelopes: entries first, then edges, both in
+  // declaration order.
+  Curve merged = Curve::zero();
+  for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
+    if (dag_.entries[k].to == i) {
+      merged = minplus::add(merged, entry_curve_[k]);
     }
-    for (const DagEdge& e : dag_.edges) {
-      if (e.to == i) {
-        const NodeSpec& prev = dag_.nodes[e.from];
-        // Effective emitted packet: filters emit less than block_out.
-        incoming_block = std::min(
-            incoming_block,
-            std::min(prev.block_out.in_bytes(),
-                     prev.block_in.in_bytes() * prev.volume.min));
-      }
+  }
+  for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
+    if (dag_.edges[k].to == i) {
+      merged = minplus::add(merged, edge_curve_[k]);
     }
-    Duration latency = node.latency();
-    if (node.aggregates && node.block_in.in_bytes() > incoming_block) {
-      const double sustained = arrival_[i].tail_slope();
-      if (sustained > 0.0 && std::isfinite(sustained)) {
-        // One upstream packet of slack for arrival-phase misalignment.
-        latency += Duration::seconds(
-            (node.block_in.in_bytes() +
-             (std::isfinite(incoming_block) ? incoming_block : 0.0)) /
-            vol / sustained);
-      }
-    }
-    service_[i] = Curve::rate_latency(rate_lo, latency.in_seconds());
-    const double out_block_norm =
-        node.block_out.in_bytes() / (vol * node.volume.max);
-    if (policy_.packetize) {
-      service_[i] = packetize_service(service_[i],
-                                      DataSize::bytes(out_block_norm));
-    }
-    max_service_[i] =
-        policy_.max_service_latency
-            ? Curve::rate_latency(rate_hi, latency.in_seconds())
-            : Curve::rate(rate_hi);
+  }
+  arrival_[i] = std::move(merged);
 
-    output_[i] = output_bound(arrival_[i], service_[i], max_service_[i]);
+  // Normalized service curves.
+  const double vol = vol_in_[i];
+  SC_ASSERT(vol > 0.0);
+  const double rate_lo =
+      basis_rate(node, policy_.service_basis).in_bytes_per_sec() / vol;
+  const double rate_hi =
+      basis_rate(node, policy_.max_service_basis).in_bytes_per_sec() / vol;
+  // Collection wait only when the node's block exceeds the granularity
+  // of what reaches it (the chain model's b_n > b*_{n-1} condition).
+  double incoming_block = std::numeric_limits<double>::infinity();
+  for (const DagEdge& e : dag_.entries) {
+    if (e.to == i) {
+      incoming_block = std::min(incoming_block, source_.packet.in_bytes());
+    }
+  }
+  for (const DagEdge& e : dag_.edges) {
+    if (e.to == i) {
+      const NodeSpec& prev = dag_.nodes[e.from];
+      // Effective emitted packet: filters emit less than block_out.
+      incoming_block = std::min(
+          incoming_block, std::min(prev.block_out.in_bytes(),
+                                   prev.block_in.in_bytes() * prev.volume.min));
+    }
+  }
+  Duration latency = node.latency();
+  if (node.aggregates && node.block_in.in_bytes() > incoming_block) {
+    const double sustained = arrival_[i].tail_slope();
+    if (sustained > 0.0 && std::isfinite(sustained)) {
+      // One upstream packet of slack for arrival-phase misalignment.
+      latency += Duration::seconds(
+          (node.block_in.in_bytes() +
+           (std::isfinite(incoming_block) ? incoming_block : 0.0)) /
+          vol / sustained);
+    }
+  }
+  service_[i] = Curve::rate_latency(rate_lo, latency.in_seconds());
+  const double out_block_norm =
+      node.block_out.in_bytes() / (vol * node.volume.max);
+  if (policy_.packetize) {
+    service_[i] =
+        packetize_service(service_[i], DataSize::bytes(out_block_norm));
+  }
+  max_service_[i] = policy_.max_service_latency
+                        ? Curve::rate_latency(rate_hi, latency.in_seconds())
+                        : Curve::rate(rate_hi);
 
-    // Outgoing edge envelopes.
-    for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
-      if (dag_.edges[k].from == i) {
-        edge_curve[k] = output_[i].scale_value(dag_.edges[k].fraction);
-        if (dag_.edges[k].fraction < 1.0) {
-          edge_curve[k] = edge_curve[k].plus_step(out_block_norm);
-        }
+  output_[i] = output_bound(arrival_[i], service_[i], max_service_[i]);
+
+  // Outgoing edge envelopes; the change report stops an incremental
+  // refresh at successors whose inputs came out unchanged.
+  for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
+    if (dag_.edges[k].from == i) {
+      Curve env = output_[i].scale_value(dag_.edges[k].fraction);
+      if (dag_.edges[k].fraction < 1.0) {
+        env = env.plus_step(out_block_norm);
+      }
+      if (!(edge_curve_[k] == env)) {
+        edge_curve_[k] = std::move(env);
+        changed[dag_.edges[k].to] = true;
       }
     }
   }
-
-  // Stash per-edge/entry envelopes for the path analysis.
-  edge_curve_ = std::move(edge_curve);
-  entry_curve_ = std::move(entry_curve);
 }
 
 const Curve& DagModel::node_arrival(std::size_t i) const {

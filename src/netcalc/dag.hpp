@@ -44,8 +44,9 @@ struct DagSpec {
   std::vector<DagEdge> edges;
   std::vector<DagEdge> entries;  ///< `from` ignored; `to` = entry node
 
-  /// Validates shape: indices in range, acyclic, fractions in (0, 1] with
-  /// per-node outgoing sums <= 1 (+eps). Throws PreconditionError.
+  /// Validates shape: indices in range, acyclic, every node reachable from
+  /// an entry, fractions in (0, 1] with per-node outgoing sums <= 1
+  /// (+eps). Throws PreconditionError.
   void validate() const;
 
   /// Node indices in a topological order (entries first).
@@ -115,13 +116,24 @@ class DagModel {
   BacklogReport backlog_bound(double epsilon) const;
 
  private:
+  // IncrementalDag is this model plus a dirty set: it rewrites
+  // entry_curve_ and re-runs build_node() on the nodes a change reaches.
+  friend class IncrementalDag;
+
   void build();
+  /// One step of the topological walk for node i: merges its incoming
+  /// envelopes, builds its normalized service and max-service curves and
+  /// output bound, and rewrites its outgoing edge envelopes. Sets
+  /// `changed[j]` for every successor j whose incoming edge envelope
+  /// changed.
+  void build_node(std::size_t i, std::vector<bool>& changed);
   util::Duration delay_bound_for(std::size_t i) const;
   util::DataSize backlog_bound_for(std::size_t i) const;
 
   DagSpec dag_;
   SourceSpec source_;
   ModelPolicy policy_;
+  std::vector<std::size_t> order_;           ///< topological order
   std::vector<minplus::Curve> arrival_;      ///< per node
   std::vector<minplus::Curve> service_;      ///< per node (normalized)
   std::vector<minplus::Curve> max_service_;  ///< per node

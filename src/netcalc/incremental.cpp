@@ -1,204 +1,40 @@
 #include "netcalc/incremental.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
-#include "minplus/cache.hpp"
-#include "minplus/deviation.hpp"
-#include "minplus/operations.hpp"
-#include "netcalc/bounds.hpp"
-#include "netcalc/packetizer.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::netcalc {
 
-namespace {
-using minplus::Curve;
-using util::DataRate;
-using util::DataSize;
-using util::Duration;
-
-// Same basis selection as dag.cpp (kept in lockstep; the incremental and
-// from-scratch analyses must produce identical doubles).
-double pick_rate_basis(const NodeSpec& node, RateBasis basis) {
-  switch (basis) {
-    case RateBasis::kMin:
-      return node.rate_min().in_bytes_per_sec();
-    case RateBasis::kAvg:
-      return node.rate_avg().in_bytes_per_sec();
-    case RateBasis::kMax:
-      return node.rate_max().in_bytes_per_sec();
-  }
-  return node.rate_min().in_bytes_per_sec();
-}
-
-Curve source_envelope(const SourceSpec& source) {
-  Curve alpha = Curve::affine(source.rate, source.burst);
-  if (source.job_volume.is_finite()) {
-    alpha = minplus::minimum(alpha,
-                             Curve::constant(source.job_volume.in_bytes()));
-  }
-  return packetize_arrival(alpha, source.packet);
-}
-
-}  // namespace
-
 IncrementalDag::IncrementalDag(DagSpec dag, SourceSpec source,
                                ModelPolicy policy)
-    : dag_(std::move(dag)), source_(source), policy_(policy) {
-  dag_.validate();
-  util::require(source_.rate > DataRate::bytes_per_sec(0),
-                "IncrementalDag requires a positive source rate");
-  const std::size_t n = dag_.nodes.size();
-  order_ = dag_.topological_order();
-  arrival_.resize(n);
-  service_.resize(n);
-  max_service_.resize(n);
-  output_.resize(n);
-  edge_curve_.resize(dag_.edges.size());
-  dirty_.assign(n, true);
-  vol_in_.assign(n, 0.0);
-
-  // Worst-case volume factors — identical to DagModel::build().
-  std::vector<double> vol_out(n, 0.0);
-  for (const DagEdge& e : dag_.entries) vol_in_[e.to] += e.fraction;
-  for (std::size_t i : order_) {
-    for (const DagEdge& e : dag_.edges) {
-      if (e.to == i) vol_in_[i] += e.fraction * vol_out[e.from];
-    }
-    vol_out[i] = vol_in_[i] * dag_.nodes[i].volume.max;
-  }
-
-  // Seed entry envelopes the way DagModel builds them from the source.
-  const Curve alpha = source_envelope(source_);
-  entry_env_.resize(dag_.entries.size());
-  for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
-    Curve env = alpha.scale_value(dag_.entries[k].fraction);
-    if (dag_.entries[k].fraction < 1.0) {
-      env = env.plus_step(source_.packet.in_bytes());
-    }
-    entry_env_[k] = std::move(env);
-  }
-  refresh();
-}
+    : model_(std::move(dag), source, policy),
+      dirty_(model_.dag().nodes.size(), false),
+      recompute_count_(model_.dag().nodes.size()) {}
 
 std::size_t IncrementalDag::entry_node(std::size_t k) const {
-  util::require(k < dag_.entries.size(), "entry index out of range");
-  return dag_.entries[k].to;
+  util::require(k < model_.dag().entries.size(), "entry index out of range");
+  return model_.dag().entries[k].to;
 }
 
 const minplus::Curve& IncrementalDag::entry_envelope(std::size_t k) const {
-  util::require(k < entry_env_.size(), "entry index out of range");
-  return entry_env_[k];
+  util::require(k < model_.entry_curve_.size(), "entry index out of range");
+  return model_.entry_curve_[k];
 }
 
 void IncrementalDag::set_entry_envelope(std::size_t k,
                                         minplus::Curve envelope) {
-  util::require(k < entry_env_.size(), "entry index out of range");
-  if (entry_env_[k] == envelope) return;
-  entry_env_[k] = std::move(envelope);
-  dirty_[dag_.entries[k].to] = true;
-}
-
-std::vector<std::size_t> IncrementalDag::downstream_of_entry(
-    std::size_t k) const {
-  util::require(k < dag_.entries.size(), "entry index out of range");
-  std::vector<bool> reach(dag_.nodes.size(), false);
-  reach[dag_.entries[k].to] = true;
-  // One pass in topological order closes reachability over a DAG.
-  for (std::size_t i : order_) {
-    if (!reach[i]) continue;
-    for (const DagEdge& e : dag_.edges) {
-      if (e.from == i) reach[e.to] = true;
-    }
-  }
-  std::vector<std::size_t> out;
-  for (std::size_t i : order_) {
-    if (reach[i]) out.push_back(i);
-  }
-  return out;
-}
-
-void IncrementalDag::recompute_node(std::size_t i) {
-  const NodeSpec& node = dag_.nodes[i];
-  // Merge incoming envelopes — same operator order as DagModel::build()
-  // (entries first, then edges, both in declaration order).
-  Curve merged = Curve::zero();
-  for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
-    if (dag_.entries[k].to == i) {
-      merged = minplus::add(merged, entry_env_[k]);
-    }
-  }
-  for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
-    if (dag_.edges[k].to == i) {
-      merged = minplus::add(merged, edge_curve_[k]);
-    }
-  }
-  arrival_[i] = std::move(merged);
-
-  const double vol = vol_in_[i];
-  const double rate_lo = pick_rate_basis(node, policy_.service_basis) / vol;
-  const double rate_hi =
-      pick_rate_basis(node, policy_.max_service_basis) / vol;
-  double incoming_block = std::numeric_limits<double>::infinity();
-  for (const DagEdge& e : dag_.entries) {
-    if (e.to == i) {
-      incoming_block = std::min(incoming_block, source_.packet.in_bytes());
-    }
-  }
-  for (const DagEdge& e : dag_.edges) {
-    if (e.to == i) {
-      const NodeSpec& prev = dag_.nodes[e.from];
-      incoming_block = std::min(
-          incoming_block,
-          std::min(prev.block_out.in_bytes(),
-                   prev.block_in.in_bytes() * prev.volume.min));
-    }
-  }
-  Duration latency = node.latency();
-  if (node.aggregates && node.block_in.in_bytes() > incoming_block) {
-    const double sustained = arrival_[i].tail_slope();
-    if (sustained > 0.0 && std::isfinite(sustained)) {
-      latency += Duration::seconds(
-          (node.block_in.in_bytes() +
-           (std::isfinite(incoming_block) ? incoming_block : 0.0)) /
-          vol / sustained);
-    }
-  }
-  service_[i] = Curve::rate_latency(rate_lo, latency.in_seconds());
-  const double out_block_norm =
-      node.block_out.in_bytes() / (vol * node.volume.max);
-  if (policy_.packetize) {
-    service_[i] =
-        packetize_service(service_[i], DataSize::bytes(out_block_norm));
-  }
-  max_service_[i] = policy_.max_service_latency
-                        ? Curve::rate_latency(rate_hi, latency.in_seconds())
-                        : Curve::rate(rate_hi);
-
-  output_[i] = output_bound(arrival_[i], service_[i], max_service_[i]);
-
-  for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
-    if (dag_.edges[k].from == i) {
-      Curve env = output_[i].scale_value(dag_.edges[k].fraction);
-      if (dag_.edges[k].fraction < 1.0) {
-        env = env.plus_step(out_block_norm);
-      }
-      // The downstream wave stops at unchanged edge envelopes.
-      if (!(edge_curve_[k] == env)) {
-        edge_curve_[k] = std::move(env);
-        dirty_[dag_.edges[k].to] = true;
-      }
-    }
-  }
+  util::require(k < model_.entry_curve_.size(), "entry index out of range");
+  if (model_.entry_curve_[k] == envelope) return;
+  model_.entry_curve_[k] = std::move(envelope);
+  dirty_[model_.dag().entries[k].to] = true;
 }
 
 std::size_t IncrementalDag::refresh() {
   std::size_t recomputed = 0;
-  for (std::size_t i : order_) {
+  for (std::size_t i : model_.order_) {
     if (!dirty_[i]) continue;
-    recompute_node(i);
+    model_.build_node(i, dirty_);
     dirty_[i] = false;
     ++recomputed;
   }
@@ -206,126 +42,50 @@ std::size_t IncrementalDag::refresh() {
   return recomputed;
 }
 
-void IncrementalDag::full_recompute() {
-  // A full pass must not inherit stale edge envelopes produced by a
-  // previous refresh wave that stopped early: recompute everything.
-  std::fill(dirty_.begin(), dirty_.end(), true);
+const DagModel& IncrementalDag::model() {
   refresh();
-}
-
-const minplus::Curve& IncrementalDag::node_arrival(std::size_t i) {
-  util::require(i < arrival_.size(), "node index out of range");
-  refresh();
-  return arrival_[i];
-}
-
-const minplus::Curve& IncrementalDag::node_service(std::size_t i) {
-  util::require(i < service_.size(), "node index out of range");
-  refresh();
-  return service_[i];
+  return model_;
 }
 
 util::Duration IncrementalDag::node_delay(std::size_t i) {
-  util::require(i < arrival_.size(), "node index out of range");
+  util::require(i < model_.arrival_.size(), "node index out of range");
   refresh();
-  return netcalc::delay_bound(arrival_[i], service_[i]).value;
+  return model_.delay_bound_for(i);
 }
 
 util::DataSize IncrementalDag::node_backlog(std::size_t i) {
-  util::require(i < arrival_.size(), "node index out of range");
+  util::require(i < model_.arrival_.size(), "node index out of range");
   refresh();
-  return netcalc::backlog_bound(arrival_[i], service_[i]).value;
+  return model_.backlog_bound_for(i);
 }
 
 std::vector<DagPathAnalysis> IncrementalDag::per_path_analysis() {
   refresh();
-  // Residual concatenation identical to DagModel::per_path_analysis(),
-  // reading this object's (incrementally maintained) envelopes.
-  std::vector<DagPathAnalysis> result;
-  for (const auto& path : dag_.paths()) {
-    DagPathAnalysis pa;
-    pa.nodes = path;
-
-    Curve flow = Curve::zero();
-    for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
-      if (dag_.entries[k].to == path.front()) {
-        flow = minplus::add(flow, entry_env_[k]);
-      }
-    }
-
-    Curve path_service = Curve::delta(0.0);
-    bool valid = true;
-    for (std::size_t hop = 0; hop < path.size(); ++hop) {
-      const std::size_t i = path[hop];
-      Curve cross = Curve::zero();
-      for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
-        if (dag_.entries[k].to == i && hop != 0) {
-          cross = minplus::add(cross, entry_env_[k]);
-        }
-      }
-      for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
-        const DagEdge& e = dag_.edges[k];
-        if (e.to != i) continue;
-        if (hop > 0 && e.from == path[hop - 1]) continue;
-        cross = minplus::add(cross, edge_curve_[k]);
-      }
-      Curve residual = service_[i];
-      if (!cross.is_zero()) {
-        try {
-          residual = minplus::subtract_clamped(service_[i], cross);
-        } catch (const util::PreconditionError&) {
-          valid = false;
-          break;
-        }
-      }
-      pa.hop_residuals.push_back(residual);
-      path_service = minplus::cached_convolve(path_service, residual);
-    }
-    pa.residual_valid = valid;
-    pa.delay = valid ? util::Duration::seconds(minplus::horizontal_deviation(
-                           flow, path_service))
-                     : util::Duration::infinite();
-    if (valid) {
-      pa.flow = std::move(flow);
-      pa.path_service = std::move(path_service);
-    } else {
-      pa.hop_residuals.clear();
-    }
-    result.push_back(std::move(pa));
-  }
-  return result;
+  return model_.per_path_analysis();
 }
 
 util::Duration IncrementalDag::delay_bound() {
-  Duration worst = Duration::seconds(0);
+  refresh();
+  return model_.delay_bound().value;
+}
+
+std::vector<util::Duration> IncrementalDag::delay_bounds_by_head() {
+  std::vector<util::Duration> worst(model_.dag().nodes.size(),
+                                    util::Duration::seconds(0));
   for (const DagPathAnalysis& p : per_path_analysis()) {
-    worst = std::max(worst, p.delay);
+    worst[p.nodes.front()] = std::max(worst[p.nodes.front()], p.delay);
   }
   return worst;
 }
 
 util::Duration IncrementalDag::delay_bound_from(std::size_t head) {
-  Duration worst = Duration::seconds(0);
-  for (const DagPathAnalysis& p : per_path_analysis()) {
-    if (!p.nodes.empty() && p.nodes.front() == head) {
-      worst = std::max(worst, p.delay);
-    }
-  }
-  return worst;
+  util::require(head < model_.dag().nodes.size(), "node index out of range");
+  return delay_bounds_by_head()[head];
 }
 
 util::DataSize IncrementalDag::backlog_bound() {
   refresh();
-  double total = 0.0;
-  for (std::size_t i = 0; i < dag_.nodes.size(); ++i) {
-    const double x =
-        netcalc::backlog_bound(arrival_[i], service_[i]).value.in_bytes();
-    if (x == std::numeric_limits<double>::infinity()) {
-      return DataSize::infinite();
-    }
-    total += x;
-  }
-  return DataSize::bytes(total);
+  return model_.backlog_bound().value;
 }
 
 }  // namespace streamcalc::netcalc

@@ -1,31 +1,30 @@
 // Incremental DAG re-analysis: recompute only the bounds downstream of a
 // changed flow.
 //
-// DagModel computes every per-node curve from scratch at construction,
-// which is the right shape for one-shot CLI analysis but wrong for a
-// long-running admission-control service (src/serve): admitting or
-// releasing one tenant flow changes the arrival envelope at *one* entry,
-// yet a full rebuild re-derives every node — including whole subgraphs the
-// change can never reach.
+// DagModel computes every per-node curve at construction, which is the
+// right shape for one-shot CLI analysis but wrong for a long-running
+// admission-control service (src/serve): admitting or releasing one tenant
+// flow changes the arrival envelope at *one* entry, yet a full rebuild
+// re-derives every node — including whole subgraphs the change can never
+// reach.
 //
-// IncrementalDag keeps the DagModel state mutable behind a dirty-set:
+// IncrementalDag is a DagModel plus a dirty set. The dirty-set contract:
 //
 //   * each entry edge carries an independent, caller-settable arrival
-//     envelope (the constructor seeds them exactly as DagModel does from
-//     the SourceSpec, so a freshly built IncrementalDag reproduces
-//     DagModel bit for bit — tests/netcalc pins this);
-//   * set_entry_envelope(k, env) marks the entry's target node dirty;
-//   * refresh() walks the topological order recomputing only dirty nodes,
-//     and propagates dirtiness to a successor only when the producer's
-//     *output* envelope actually changed — a node whose service absorbs
-//     the perturbation stops the wave;
-//   * per-node and per-path bounds read the (now clean) cached curves.
+//     envelope, seeded from the SourceSpec exactly as DagModel seeds it;
+//   * set_entry_envelope(k, env) marks the entry's target node dirty; a
+//     segment-identical envelope marks nothing;
+//   * refresh() walks the topological order running DagModel's per-node
+//     step on dirty nodes only, and a node dirties a successor only when
+//     the edge envelope it feeds that successor actually changed — a node
+//     whose service absorbs the perturbation stops the wave;
+//   * every result accessor refreshes first, then reads DagModel's own
+//     per-node, per-path and backlog code.
 //
-// The arithmetic of the per-node step is kept deliberately identical to
-// DagModel::build() — same operators in the same order on the same curves
-// — so an incremental refresh() and a from-scratch rebuild produce
-// identical doubles. The serve admission oracle
-// (tests/serve/admission_oracle_test.cpp) relies on this equality.
+// Because the curves come from the same per-node step over the same
+// inputs, a refreshed IncrementalDag and a DagModel built for the same
+// envelopes hold identical doubles (tests/netcalc/dag_engine_pin_test.cpp
+// and the serve admission oracle pin this).
 #pragma once
 
 #include <cstddef>
@@ -42,18 +41,17 @@ namespace streamcalc::netcalc {
 /// Mutable, incrementally recomputed DAG analysis.
 class IncrementalDag {
  public:
-  /// Seeds every entry envelope from `source` exactly as DagModel does
-  /// (fraction-scaled, splitter-stepped source arrival curve). Validates
-  /// the spec; throws PreconditionError on shape errors.
+  /// Builds the DagModel of `dag` fed by `source` (so every entry envelope
+  /// starts as the fraction-scaled, splitter-stepped source arrival
+  /// curve). Validates the spec; throws PreconditionError on shape errors.
   IncrementalDag(DagSpec dag, SourceSpec source, ModelPolicy policy = {});
 
-  const DagSpec& dag() const { return dag_; }
-  std::size_t entry_count() const { return dag_.entries.size(); }
+  const DagSpec& dag() const { return model_.dag(); }
   /// Node index entry `k` feeds.
   std::size_t entry_node(std::size_t k) const;
 
-  /// Replaces entry k's arrival envelope and marks the downstream cone
-  /// dirty. A segment-identical envelope is a no-op (no recompute).
+  /// Replaces entry k's arrival envelope and marks its target node dirty.
+  /// A segment-identical envelope is a no-op (no recompute).
   void set_entry_envelope(std::size_t k, minplus::Curve envelope);
   const minplus::Curve& entry_envelope(std::size_t k) const;
 
@@ -63,48 +61,31 @@ class IncrementalDag {
   /// the recompute count.
   std::size_t refresh();
 
-  /// Marks every node dirty and refreshes — the from-scratch reference
-  /// the differential tests compare an incremental history against.
-  void full_recompute();
-
-  /// Total nodes recomputed over this object's lifetime (monotone; the
-  /// incrementality tests assert it stays well under nodes x updates).
+  /// Total nodes computed over this object's lifetime, construction
+  /// included (monotone; the incrementality tests assert it stays well
+  /// under nodes x updates).
   std::uint64_t recompute_count() const { return recompute_count_; }
 
   // --- results (refresh implicitly) --------------------------------------
-  const minplus::Curve& node_arrival(std::size_t i);
-  const minplus::Curve& node_service(std::size_t i);
+  /// The refreshed model: per-node curves and every DagModel bound.
+  const DagModel& model();
   util::Duration node_delay(std::size_t i);
   util::DataSize node_backlog(std::size_t i);
 
-  /// Per-path delay bounds (residual concatenation, as DagModel) over all
+  /// Per-path delay bounds (residual concatenation) over all
   /// source-to-sink paths, and their maximum.
   std::vector<DagPathAnalysis> per_path_analysis();
   util::Duration delay_bound();
-  /// Max path delay over paths whose head node is `head` — the bound a
-  /// flow entering at `head` experiences.
+  /// Per node: the max path delay over the paths whose head is that node
+  /// (zero where no path starts) — the bound a flow entering there sees.
+  std::vector<util::Duration> delay_bounds_by_head();
+  /// delay_bounds_by_head()[head].
   util::Duration delay_bound_from(std::size_t head);
   /// Sum of per-node backlog bounds.
   util::DataSize backlog_bound();
 
-  /// Node indices reachable from entry k's target (inclusive) — the cone a
-  /// change to that entry can affect.
-  std::vector<std::size_t> downstream_of_entry(std::size_t k) const;
-
  private:
-  void recompute_node(std::size_t i);
-
-  DagSpec dag_;
-  SourceSpec source_;
-  ModelPolicy policy_;
-  std::vector<std::size_t> order_;           ///< topological order
-  std::vector<double> vol_in_;               ///< worst-case input volume
-  std::vector<minplus::Curve> entry_env_;    ///< per entry (caller-owned)
-  std::vector<minplus::Curve> arrival_;      ///< per node
-  std::vector<minplus::Curve> service_;      ///< per node
-  std::vector<minplus::Curve> max_service_;  ///< per node
-  std::vector<minplus::Curve> output_;       ///< per node
-  std::vector<minplus::Curve> edge_curve_;   ///< per edge envelope
+  DagModel model_;
   std::vector<bool> dirty_;
   std::uint64_t recompute_count_ = 0;
 };

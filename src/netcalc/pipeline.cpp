@@ -17,10 +17,6 @@ using util::DataSize;
 using util::Duration;
 }  // namespace
 
-namespace {
-
-/// Arrival curve of the source: a leaky bucket, optionally capped at the
-/// finite job volume, then packetized.
 Curve source_arrival(const SourceSpec& source) {
   Curve alpha = Curve::affine(source.rate, source.burst);
   if (source.job_volume.is_finite()) {
@@ -31,19 +27,17 @@ Curve source_arrival(const SourceSpec& source) {
   return packetize_arrival(alpha, source.packet);
 }
 
-double pick_rate(const NodeSpec& node, RateBasis basis) {
+DataRate basis_rate(const NodeSpec& node, RateBasis basis) {
   switch (basis) {
     case RateBasis::kMin:
-      return node.rate_min().in_bytes_per_sec();
+      return node.rate_min();
     case RateBasis::kAvg:
-      return node.rate_avg().in_bytes_per_sec();
+      return node.rate_avg();
     case RateBasis::kMax:
-      return node.rate_max().in_bytes_per_sec();
+      return node.rate_max();
   }
-  return node.rate_min().in_bytes_per_sec();
+  return node.rate_min();
 }
-
-}  // namespace
 
 PipelineModel::PipelineModel(std::vector<NodeSpec> nodes, SourceSpec source,
                              ModelPolicy policy)
@@ -123,9 +117,11 @@ void PipelineModel::build() {
     // node's output packetizer degrades the service curve by one output
     // block ([beta - l_max]^+) and leaves the maximum service curve alone.
     const double rate_lo =
-        pick_rate(node, policy_.service_basis) / vol_worst_[i];
+        basis_rate(node, policy_.service_basis).in_bytes_per_sec() /
+        vol_worst_[i];
     const double rate_hi =
-        pick_rate(node, policy_.max_service_basis) / vol_best_[i];
+        basis_rate(node, policy_.max_service_basis).in_bytes_per_sec() /
+        vol_best_[i];
     node_service_[i] =
         Curve::rate_latency(rate_lo, latency_eff.in_seconds());
     if (policy_.packetize) {

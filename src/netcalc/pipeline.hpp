@@ -56,6 +56,16 @@ struct SourceSpec {
 /// (Table 2's primary columns), so the basis is configurable.
 enum class RateBasis { kMin, kAvg, kMax };
 
+/// The measured rate of `node` that `basis` selects (bytes of the node's
+/// own input). Every model builder, lint pass and interval certificate
+/// reads node rates through this one mapping.
+util::DataRate basis_rate(const NodeSpec& node, RateBasis basis);
+
+/// Arrival curve of `source`: a leaky bucket, capped at the job volume
+/// when that is finite, then packetized. PipelineModel and DagModel both
+/// start from it.
+minplus::Curve source_arrival(const SourceSpec& source);
+
 /// Modeling choices that select how NodeSpec measurements become curves.
 struct ModelPolicy {
   RateBasis service_basis = RateBasis::kMin;      ///< beta: guarantee

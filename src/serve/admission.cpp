@@ -155,12 +155,13 @@ Decision evaluate_dag(netcalc::IncrementalDag& dag, const cli::Spec& spec,
                : AdmissionEngine::aggregate_arrival(per_entry[k],
                                                     spec.source));
   }
+  // One path analysis per decision, shared by every flow.
+  const std::vector<Duration> delay_from = dag.delay_bounds_by_head();
   d.ok = true;
   d.admitted = true;
   Duration worst = Duration::seconds(0.0);
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    const Duration delay =
-        dag.delay_bound_from(dag.entry_node(flow_entry[i]));
+    const Duration delay = delay_from[dag.entry_node(flow_entry[i])];
     worst = std::max(worst, delay);
     if (!(delay <= flows[i].second.delay_target)) {
       d.admitted = false;

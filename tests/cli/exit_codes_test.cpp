@@ -22,6 +22,8 @@
 #include "serve/run.hpp"
 #include "serve/server.hpp"
 #include "srclint/runner.hpp"
+#include "util/context.hpp"
+#include "util/error.hpp"
 
 namespace streamcalc::cli {
 namespace {
@@ -282,6 +284,40 @@ TEST(StochExitCodes, OutOfRangeEpsilonExitsOne) {
 TEST(StochExitCodes, DagSpecExitsOne) {
   // The stoch report is chain-only (matching serve's epsilon contract).
   EXPECT_EQ(run_stoch(stoch_options(example_spec("fork_join.scspec"))), 1);
+}
+
+TEST(AnalyzeExitCodes, UnfedDagNodeFailsValidationInEveryLintMode) {
+  // fork_join.scspec plus a node that no entry and no edge feeds. The spec
+  // is rejected as a precondition error naming the node (exit 1) instead
+  // of reaching the model's volume propagation.
+  std::ifstream in(example_spec("fork_join.scspec"));
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::string text = buf.str();
+  const std::string topology = "[topology]\n";
+  ASSERT_NE(text.find(topology), std::string::npos);
+  text.replace(text.find(topology), topology.size(),
+               "[node orphan]\nblock_in = 64 KiB\nrate_min = 90 MiB/s\n"
+               "rate_avg = 100 MiB/s\nrate_max = 115 MiB/s\n\n" +
+                   topology + "edge = orphan mux 1.0\n");
+  const std::string path = write_temp("unfed_dag", text);
+  for (const util::EnforceMode mode :
+       {util::EnforceMode::kWarn, util::EnforceMode::kOff}) {
+    Options analyze = stoch_options(path);
+    analyze.command = "analyze";
+    analyze.json = true;
+    analyze.ctx.lint = mode;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_analyze(analyze), 1);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("'orphan' is unreachable"), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("internal invariant"), std::string::npos) << err;
+  }
+  // The serve catalog rejects the spec at (re)load, not at a later admit.
+  EXPECT_THROW(serve::make_snapshot(1, {{"unfed", parse_spec(text)}}),
+               util::PreconditionError);
+  std::remove(path.c_str());
 }
 
 TEST(StochExitCodes, UnreadableAndUnparseableExitOne) {

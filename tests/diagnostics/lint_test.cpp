@@ -235,8 +235,8 @@ TEST(LintDagTest, CycleIsNC303) {
 }
 
 TEST(LintDagTest, UnfedNodeIsNC304) {
-  // 'orphan' passes DagSpec::validate() yet would crash the builder's
-  // volume propagation — the exact crash NC304 exists to prevent.
+  // 'orphan' receives no flow; DagSpec::validate() rejects it too, and
+  // lint reports it as a located finding.
   DagSpec dag;
   dag.nodes = {stage("a", 200), stage("orphan", 200)};
   dag.entries = {{0, 0, 1.0}};

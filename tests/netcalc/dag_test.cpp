@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "netcalc/incremental.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::netcalc {
@@ -76,6 +78,30 @@ TEST(DagSpec, RejectsBadGraphs) {
   d = chain_dag();
   d.edges[0].fraction = 0.0;
   EXPECT_THROW(d.validate(), util::PreconditionError);
+}
+
+/// fork_join_dag() plus an 'orphan' node with no entry and no incoming
+/// edge, feeding the join.
+DagSpec orphaned_dag() {
+  DagSpec d = fork_join_dag();
+  d.nodes.push_back(stage("orphan", 100, 110, 120));
+  d.edges.push_back({4, 3, 1.0});
+  return d;
+}
+
+TEST(DagSpec, RejectsNodesUnreachableFromTheEntries) {
+  try {
+    orphaned_dag().validate();
+    FAIL() << "an unfed node passed validate()";
+  } catch (const util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("'orphan'"), std::string::npos)
+        << e.what();
+  }
+  // Every model over the spec rejects it before any curve work.
+  EXPECT_THROW(DagModel(orphaned_dag(), source(100)),
+               util::PreconditionError);
+  EXPECT_THROW(IncrementalDag(orphaned_dag(), source(100)),
+               util::PreconditionError);
 }
 
 TEST(DagSpec, TopologicalOrder) {
