@@ -90,45 +90,45 @@ util::Duration NodeSpec::effective_time_avg() const {
                                                : (time_min + time_max) / 2.0;
 }
 
+// The messages format every offending value, so they are built only on
+// failure: validate() runs on every model, lint and simulation call.
 void NodeSpec::validate() const {
+  const auto fail = [](const std::string& message) {
+    throw util::PreconditionError(message);
+  };
+  const auto num = [](double v) { return util::format_significant(v, 17); };
   util::require(!name.empty(), "node name must not be empty");
-  util::require(block_in > util::DataSize::bytes(0) && block_in.is_finite(),
-                "node '" + name + "': block_in must be positive and finite "
-                "(block_in=" +
-                    util::format_significant(block_in.in_bytes(), 17) + " B)");
-  util::require(block_out > util::DataSize::bytes(0) && block_out.is_finite(),
-                "node '" + name + "': block_out must be positive and finite "
-                "(block_out=" +
-                    util::format_significant(block_out.in_bytes(), 17) + " B)");
-  util::require(
-      time_min > util::Duration::seconds(0) && time_min.is_finite(),
-      "node '" + name + "': time_min must be positive and finite (time_min=" +
-          util::format_significant(time_min.in_seconds(), 17) + " s)");
-  util::require(time_max >= time_min && time_max.is_finite(),
-                "node '" + name + "': time_max must be >= time_min (time_min=" +
-                    util::format_significant(time_min.in_seconds(), 17) +
-                    " s, time_max=" +
-                    util::format_significant(time_max.in_seconds(), 17) +
-                    " s)");
-  if (time_avg > util::Duration::seconds(0)) {
-    util::require(time_avg >= time_min && time_avg <= time_max,
-                  "node '" + name +
-                      "': time_avg must lie within [time_min, time_max] "
-                      "(time_avg=" +
-                      util::format_significant(time_avg.in_seconds(), 17) +
-                      " s, time_min=" +
-                      util::format_significant(time_min.in_seconds(), 17) +
-                      " s, time_max=" +
-                      util::format_significant(time_max.in_seconds(), 17) +
-                      " s)");
+  if (!(block_in > util::DataSize::bytes(0) && block_in.is_finite())) {
+    fail("node '" + name + "': block_in must be positive and finite "
+         "(block_in=" + num(block_in.in_bytes()) + " B)");
   }
-  util::require(volume.min > 0.0 && volume.min <= volume.avg &&
-                    volume.avg <= volume.max,
-                "node '" + name + "': volume ratios must satisfy "
-                "0 < min <= avg <= max (min=" +
-                    util::format_significant(volume.min, 17) + ", avg=" +
-                    util::format_significant(volume.avg, 17) + ", max=" +
-                    util::format_significant(volume.max, 17) + ")");
+  if (!(block_out > util::DataSize::bytes(0) && block_out.is_finite())) {
+    fail("node '" + name + "': block_out must be positive and finite "
+         "(block_out=" + num(block_out.in_bytes()) + " B)");
+  }
+  if (!(time_min > util::Duration::seconds(0) && time_min.is_finite())) {
+    fail("node '" + name + "': time_min must be positive and finite "
+         "(time_min=" + num(time_min.in_seconds()) + " s)");
+  }
+  if (!(time_max >= time_min && time_max.is_finite())) {
+    fail("node '" + name + "': time_max must be >= time_min (time_min=" +
+         num(time_min.in_seconds()) + " s, time_max=" +
+         num(time_max.in_seconds()) + " s)");
+  }
+  if (time_avg > util::Duration::seconds(0) &&
+      !(time_avg >= time_min && time_avg <= time_max)) {
+    fail("node '" + name +
+         "': time_avg must lie within [time_min, time_max] (time_avg=" +
+         num(time_avg.in_seconds()) + " s, time_min=" +
+         num(time_min.in_seconds()) + " s, time_max=" +
+         num(time_max.in_seconds()) + " s)");
+  }
+  if (!(volume.min > 0.0 && volume.min <= volume.avg &&
+        volume.avg <= volume.max)) {
+    fail("node '" + name + "': volume ratios must satisfy "
+         "0 < min <= avg <= max (min=" + num(volume.min) + ", avg=" +
+         num(volume.avg) + ", max=" + num(volume.max) + ")");
+  }
 }
 
 }  // namespace streamcalc::netcalc

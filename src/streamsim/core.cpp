@@ -1,0 +1,224 @@
+#include "streamsim/detail/core.hpp"
+
+#include "util/error.hpp"
+
+namespace streamcalc::streamsim::detail {
+
+namespace {
+
+using netcalc::NodeSpec;
+using netcalc::SourceSpec;
+using util::DataRate;
+using util::DataSize;
+using util::Duration;
+
+/// Checks shared by both entry points, made before either engine runs.
+void validate_run(const SourceSpec& source, const SimConfig& config,
+                  const char* who) {
+  if (!(config.horizon > Duration::seconds(0) && config.horizon.is_finite())) {
+    throw util::PreconditionError(std::string(who) +
+                                  " requires a positive finite horizon");
+  }
+  if (!(source.rate > DataRate::bytes_per_sec(0))) {
+    throw util::PreconditionError(std::string(who) +
+                                  " requires a positive source rate");
+  }
+  const double h = config.horizon.in_seconds();
+  const double w = config.warmup.in_seconds();
+  util::require(w >= 0.0 && w < h, "warmup must lie within the horizon");
+}
+
+}  // namespace
+
+Network chain_network(const std::vector<NodeSpec>& nodes,
+                      const SourceSpec& source, const SimConfig& config) {
+  util::require(!nodes.empty(), "simulate requires at least one node");
+  validate_run(source, config, "simulate");
+  if (config.onoff_users > 0) {
+    util::require(config.onoff_peak > DataRate::bytes_per_sec(0),
+                  "on/off sources require a positive peak rate");
+    util::require(config.onoff_mean_on > Duration::seconds(0) &&
+                      config.onoff_mean_off > Duration::seconds(0),
+                  "on/off sources require positive mean sojourns");
+  }
+  for (const NodeSpec& n : nodes) n.validate();
+  const auto& profile = config.rate_profile;
+  if (!profile.empty()) {
+    util::require(profile.front().first == 0.0,
+                  "rate_profile must start at time 0");
+    for (std::size_t i = 0; i < profile.size(); ++i) {
+      util::require(profile[i].second >= 0.0,
+                    "rate_profile rates must be non-negative");
+      util::require(i == 0 || profile[i].first > profile[i - 1].first,
+                    "rate_profile times must be strictly increasing");
+    }
+  }
+
+  Network net;
+  net.nodes = &nodes;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    net.outputs.push_back({Destination{i + 1, 1.0}});  // i + 1 == n: sink
+    net.order.push_back(i);
+  }
+  net.entries = {Destination{0, 1.0}};
+  return net;
+}
+
+Network dag_network(const netcalc::DagSpec& dag, const SourceSpec& source,
+                    const SimConfig& config) {
+  dag.validate();
+  validate_run(source, config, "simulate_dag");
+  util::require(config.onoff_users == 0,
+                "on/off sources apply to chain simulations only");
+  util::require(config.rate_profile.empty(),
+                "rate profiles apply to chain simulations only");
+
+  Network net;
+  net.nodes = &dag.nodes;
+  const std::size_t n = dag.nodes.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<Destination> dests;
+    double covered = 0.0;
+    for (const netcalc::DagEdge& e : dag.edges) {
+      if (e.from == i) {
+        dests.push_back({e.to, e.fraction});
+        covered += e.fraction;
+      }
+    }
+    if (dests.empty()) {
+      dests.push_back({n, 1.0});  // sink
+    } else if (covered < 1.0 - 1e-9) {
+      dests.push_back({kDropped, 1.0 - covered});
+    }
+    net.outputs.push_back(std::move(dests));
+  }
+  double covered = 0.0;
+  for (const netcalc::DagEdge& e : dag.entries) {
+    net.entries.push_back({e.to, e.fraction});
+    covered += e.fraction;
+  }
+  if (covered < 1.0 - 1e-9) {
+    net.entries.push_back({kDropped, 1.0 - covered});
+  }
+  net.order = dag.topological_order();
+  return net;
+}
+
+SourceSchedule::SourceSchedule(const Network& net, const SourceSpec& source,
+                               const SimConfig& config)
+    : packet_bytes_(source.packet > DataSize::bytes(0)
+                        ? source.packet.in_bytes()
+                        : (*net.nodes)[net.first_entry()].block_in.in_bytes()),
+      constant_rate_(source.rate.in_bytes_per_sec()),
+      poisson_(config.poisson_arrivals && !config.deterministic),
+      profile_(&config.rate_profile) {
+  // Initial burst: the arrival curve's instantaneous component.
+  double burst_left = source.burst.in_bytes();
+  while (burst_left >= packet_bytes_) {
+    burst_left -= packet_bytes_;
+    ++burst_packets_;
+  }
+}
+
+double SourceSchedule::rate_at(double t) const {
+  if (profile_->empty()) return constant_rate_;
+  double rate = profile_->front().second;
+  for (const auto& [start, r] : *profile_) {
+    if (start <= t) rate = r;
+  }
+  return rate;
+}
+
+double SourceSchedule::next_change(double t) const {
+  for (const auto& [start, r] : *profile_) {
+    if (start > t) return start;
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+RangeSampler::RangeSampler(double lo, double mid, double hi)
+    : lo_(lo),
+      mid_(mid),
+      fixed_(hi == lo),
+      low_span_(mid - lo),
+      high_span_(hi - mid) {
+  if (fixed_) return;
+  util::require(lo <= mid && mid <= hi,
+                "sample_in_range requires lo <= mid <= hi");
+  p_low_ = (hi - mid) / (hi - lo);
+}
+
+JobStep::JobStep(const NodeSpec& node, const SimConfig& config,
+                 util::Xoshiro256 rng)
+    : rng_(rng),
+      block_in_(node.block_in.in_bytes()),
+      block_out_(node.block_out.in_bytes()),
+      t_avg_(node.effective_time_avg().in_seconds()),
+      threshold_(node.aggregates ? block_in_ : 0.0),
+      aggregates_(node.aggregates),
+      restores_volume_(node.restores_volume),
+      exec_draw_(config.deterministic ? Draw::kFixed
+                 : config.service_distribution == TimeDistribution::kExponential
+                     ? Draw::kExponential
+                     : Draw::kRange),
+      exec_(node.time_min.in_seconds(), t_avg_, node.time_max.in_seconds()),
+      ratio_draw_(Draw::kFixed),
+      ratio_(node.volume.min, node.volume.avg, node.volume.max),
+      fixed_ratio_(node.volume.avg) {
+  switch (config.volume_mode) {
+    case VolumeMode::kWorstCase:
+      fixed_ratio_ = node.volume.max;
+      break;
+    case VolumeMode::kBestCase:
+      fixed_ratio_ = node.volume.min;
+      break;
+    case VolumeMode::kAverage:
+      break;
+    case VolumeMode::kSampled:
+    default:
+      if (!config.deterministic) ratio_draw_ = Draw::kRange;
+      break;
+  }
+}
+
+std::vector<JobStep> job_steps(const Network& net, const SimConfig& config,
+                               util::Xoshiro256& root) {
+  std::vector<JobStep> steps;
+  steps.reserve(net.nodes->size());
+  for (std::size_t i = 0; i < net.nodes->size(); ++i) {
+    steps.emplace_back((*net.nodes)[i], config, root.split(i + 1));
+  }
+  return steps;
+}
+
+Recorder::Recorder(const SimConfig& config)
+    : horizon_(config.horizon.in_seconds()),
+      warmup_(config.warmup.in_seconds()),
+      output_trace_(config.max_trace_samples),
+      backlog_trace_(config.max_trace_samples),
+      delay_trace_(config.max_trace_samples) {}
+
+SimResult Recorder::result(const Network& net, const std::vector<double>& busy,
+                           const std::vector<std::uint64_t>& jobs) {
+  SimResult r;
+  r.throughput =
+      DataRate::bytes_per_sec(measured_input_bytes_ / (horizon_ - warmup_));
+  if (delays_.count() > 0) {
+    r.min_delay = Duration::seconds(delays_.minimum());
+    r.max_delay = Duration::seconds(delays_.maximum());
+    r.mean_delay = Duration::seconds(delays_.mean());
+  }
+  r.max_backlog = DataSize::bytes(std::max(0.0, max_backlog_));
+  r.packets_delivered = packets_delivered_;
+  r.output_trace = output_trace_.take();
+  r.backlog_trace = backlog_trace_.take();
+  r.delay_trace = delay_trace_.take();
+  r.node_stats.reserve(busy.size());
+  for (std::size_t i = 0; i < busy.size(); ++i) {
+    r.node_stats.push_back(
+        NodeStats{(*net.nodes)[i].name, busy[i] / horizon_, jobs[i]});
+  }
+  return r;
+}
+
+}  // namespace streamcalc::streamsim::detail

@@ -1,0 +1,359 @@
+// Internals shared by the two streamsim engines: the coroutine DES
+// (des_engine.cpp) and the max-plus recurrence (recurrence.cpp).
+//
+// Both engines walk the same Network, run every job through the same
+// JobStep and feed the same Recorder. The recurrence calls the Recorder in
+// the order the DES would, so the two produce bit-identical SimResults.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
+#include "des/monitor.hpp"
+#include "netcalc/dag.hpp"
+#include "netcalc/node.hpp"
+#include "netcalc/pipeline.hpp"
+#include "streamsim/pipeline_sim.hpp"
+#include "util/rng.hpp"
+
+namespace streamcalc::streamsim::detail {
+
+/// A unit of data in flight. `raw_bytes` is its size at the current hop;
+/// `input_bytes` its input-normalized equivalent (conserved through volume
+/// changes so throughput and backlog stay comparable to the NC curves);
+/// `created_at` the simulated time its earliest constituent entered the
+/// pipeline.
+struct Packet {
+  double raw_bytes;
+  double input_bytes;
+  double created_at;
+};
+
+/// Thinning recorder for (time, value) traces: once full, every other
+/// sample is dropped. A cap of 0 records nothing; a cap of 1 keeps the
+/// first sample.
+class Trace {
+ public:
+  explicit Trace(std::size_t max_samples) : max_samples_(max_samples) {}
+
+  void record(double t, double v) {
+    if (samples_.size() >= max_samples_) [[unlikely]] thin();
+    if (samples_.size() < max_samples_) samples_.emplace_back(t, v);
+  }
+
+  /// Room for `n` records without regrowth.
+  void reserve(std::size_t n) { samples_.reserve(std::min(n, max_samples_)); }
+
+  std::vector<std::pair<double, double>> take() { return std::move(samples_); }
+
+ private:
+  void thin() {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < samples_.size(); i += 2) {
+      samples_[kept++] = samples_[i];
+    }
+    samples_.resize(kept);
+  }
+
+  std::size_t max_samples_;
+  std::vector<std::pair<double, double>> samples_;
+};
+
+/// Where a node's (or the source's) packets go: a queue index, the sink
+/// (index nodes.size()) or kDropped, with a long-run share `weight`.
+struct Destination {
+  std::size_t queue;
+  double weight;
+};
+inline constexpr std::size_t kDropped = SIZE_MAX;
+
+/// Deterministic weighted round-robin over a set of destinations: each
+/// send picks the destination with the largest deficit (weight * total -
+/// sent), so long-run shares converge to the weights exactly.
+class WeightedRouter {
+ public:
+  explicit WeightedRouter(std::vector<Destination> dests)
+      : dests_(std::move(dests)),
+        sent_(dests_.size(), 0.0),
+        sole_(dests_.size() == 1 && dests_.front().weight == 1.0) {}
+
+  /// Destination queue for the next packet (kDropped if it leaves).
+  std::size_t route() {
+    // A sole destination of weight 1 is always a deficit of 1 ahead.
+    if (sole_) return dests_.front().queue;
+    total_ += 1.0;
+    std::size_t best = 0;
+    double best_deficit = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < dests_.size(); ++i) {
+      const double deficit = dests_[i].weight * total_ - sent_[i];
+      if (deficit > best_deficit) {
+        best_deficit = deficit;
+        best = i;
+      }
+    }
+    if (best_deficit <= 0.0) return kDropped;  // only the remainder is due
+    sent_[best] += 1.0;
+    return dests_[best].queue;
+  }
+
+ private:
+  std::vector<Destination> dests_;
+  std::vector<double> sent_;
+  bool sole_;
+  double total_ = 0.0;  ///< packets routed; exact below 2^53
+};
+
+/// The topology both engines walk; queue nodes->size() is the sink. A
+/// chain is the one-path DAG 0 -> 1 -> ... -> sink.
+struct Network {
+  const std::vector<netcalc::NodeSpec>* nodes = nullptr;
+  std::vector<std::vector<Destination>> outputs;  ///< per node
+  std::vector<Destination> entries;               ///< source routing
+  std::vector<std::size_t> order;                 ///< topological order
+
+  /// Node that sizes the source's packets when the source sets none.
+  std::size_t first_entry() const { return entries.front().queue; }
+};
+
+/// Validates the chain inputs and builds its network.
+Network chain_network(const std::vector<netcalc::NodeSpec>& nodes,
+                      const netcalc::SourceSpec& source,
+                      const SimConfig& config);
+/// Validates the DAG inputs and builds its network.
+Network dag_network(const netcalc::DagSpec& dag,
+                    const netcalc::SourceSpec& source,
+                    const SimConfig& config);
+
+/// The source's packet size and rate schedule: a burst of whole packets at
+/// time 0, then one packet per gap at the rate in effect (the constant
+/// SourceSpec rate, or SimConfig::rate_profile).
+class SourceSchedule {
+ public:
+  SourceSchedule(const Network& net, const netcalc::SourceSpec& source,
+                 const SimConfig& config);
+
+  double packet_bytes() const { return packet_bytes_; }
+  std::size_t burst_packets() const { return burst_packets_; }
+  /// Rate (bytes/s) in effect at time t.
+  double rate_at(double t) const;
+  /// First rate change strictly after t; +inf if none.
+  double next_change(double t) const;
+  /// Gap before the next packet at `rate` (> 0): the mean gap, or an
+  /// exponential draw from the root stream for Poisson arrivals.
+  double gap(double rate, util::Xoshiro256& root) const {
+    const double mean_gap = packet_bytes_ / rate;
+    return poisson_ ? root.exponential(mean_gap) : mean_gap;
+  }
+
+ private:
+  double packet_bytes_;
+  std::size_t burst_packets_ = 0;
+  double constant_rate_;
+  bool poisson_;
+  const std::vector<std::pair<double, double>>* profile_;
+};
+
+/// One job of a node: its size, its oldest constituent's creation time and
+/// its execution time.
+struct Job {
+  double raw;
+  double input;
+  double created;
+  double exec;
+};
+
+/// A finished job's output: `count` identical packets.
+struct JobOutput {
+  std::size_t count;
+  Packet packet;
+};
+
+/// The sampler behind sample_in_range(): a two-piece uniform mixture over
+/// [lo, mid] and [mid, hi] with mean exactly `mid`, its weight and spans
+/// computed once so a node's per-job draws skip the division.
+class RangeSampler {
+ public:
+  RangeSampler(double lo, double mid, double hi);
+
+  double draw(util::Xoshiro256& rng) const {
+    if (fixed_) return mid_;
+    if (rng.uniform01() < p_low_) return lo_ + low_span_ * rng.uniform01();
+    return mid_ + high_span_ * rng.uniform01();
+  }
+
+ private:
+  double lo_;
+  double mid_;
+  bool fixed_;
+  double p_low_ = 0.0;
+  double low_span_;
+  double high_span_;
+};
+
+/// One node's job step, shared by both engines. Delivered packets collect
+/// as pending bytes until they make a job (a full block when the node
+/// aggregates, else any data); start() forms the job and draws its
+/// execution time, finish() draws its output volume and splits it into
+/// block_out-sized packets. Draws come from the node's own stream, in job
+/// order.
+class JobStep {
+ public:
+  JobStep(const netcalc::NodeSpec& node, const SimConfig& config,
+          util::Xoshiro256 rng);
+
+  bool needs_input() const {
+    return pending_raw_ < threshold_ || pending_raw_ <= 0.0;
+  }
+
+  void add(const Packet& p) {
+    pending_raw_ += p.raw_bytes;
+    pending_input_ += p.input_bytes;
+    pending_created_ = std::min(pending_created_, p.created_at);
+    last_created_ = p.created_at;
+  }
+
+  /// Forms the next job. The node consumes exactly block_in per job when
+  /// it aggregates; surplus bytes (block misalignment with upstream packet
+  /// sizes) stay pending for the next job. The execution time is random in
+  /// [min, max] with mean exactly time_avg, scaled for jobs that differ
+  /// from the nominal block (links serving variable packets).
+  Job start() {
+    Job job;
+    job.created = pending_created_;
+    if (aggregates_ && pending_raw_ > block_in_) {
+      job.raw = block_in_;
+      job.input = pending_input_ * (block_in_ / pending_raw_);
+      pending_raw_ -= job.raw;
+      pending_input_ -= job.input;
+      // The surplus came from the most recent packet.
+      pending_created_ = last_created_;
+    } else {
+      job.raw = pending_raw_;
+      job.input = pending_input_;
+      pending_raw_ = 0.0;
+      pending_input_ = 0.0;
+      pending_created_ = std::numeric_limits<double>::infinity();
+    }
+    double nominal;
+    switch (exec_draw_) {
+      case Draw::kFixed:
+        nominal = t_avg_;
+        break;
+      case Draw::kExponential:
+        nominal = rng_.exponential(t_avg_);
+        break;
+      case Draw::kRange:
+      default:
+        nominal = exec_.draw(rng_);
+        break;
+    }
+    // A full block scales by exactly 1.
+    job.exec = job.raw == block_in_ ? nominal : nominal * (job.raw / block_in_);
+    return job;
+  }
+
+  /// Output of a finished job: total volume after the node's volume ratio,
+  /// split into block_out-sized packets. A restoring stage (decompressor)
+  /// emits the data's original volume so compression stays correlated end
+  /// to end.
+  JobOutput finish(const Job& job) {
+    double total_out;
+    if (restores_volume_) {
+      total_out = job.input;
+    } else {
+      const double ratio =
+          ratio_draw_ == Draw::kRange ? ratio_.draw(rng_) : fixed_ratio_;
+      total_out = job.raw * ratio;
+    }
+    // max(1, floor(y)) packets; y >= 0.5, so truncation is the floor.
+    const double y = total_out / block_out_ + 0.5;
+    if (!(y >= 2.0)) return {1, Packet{total_out, job.input, job.created}};
+    const auto n_packets = static_cast<std::size_t>(y);
+    const double n = static_cast<double>(n_packets);
+    return {n_packets, Packet{total_out / n, job.input / n, job.created}};
+  }
+
+ private:
+  enum class Draw { kFixed, kExponential, kRange };
+
+  util::Xoshiro256 rng_;
+  double block_in_;
+  double block_out_;
+  double t_avg_;
+  double threshold_;
+  bool aggregates_;
+  bool restores_volume_;
+  Draw exec_draw_;
+  RangeSampler exec_;
+  Draw ratio_draw_;
+  RangeSampler ratio_;
+  double fixed_ratio_;
+  // Bytes delivered but not yet dispatched.
+  double pending_raw_ = 0.0;
+  double pending_input_ = 0.0;
+  double pending_created_ = std::numeric_limits<double>::infinity();
+  double last_created_ = 0.0;
+};
+
+/// Per-node job steps, each on its own stream split off `root`. The root
+/// stream continues with the source's draws.
+std::vector<JobStep> job_steps(const Network& net, const SimConfig& config,
+                               util::Xoshiro256& root);
+
+/// Whole-run statistics, fed one event at a time in DES event order:
+/// source emits into the system, split drops out of it, and sink
+/// deliveries.
+class Recorder {
+ public:
+  explicit Recorder(const SimConfig& config);
+
+  /// Sizes the traces for a run with this many deliveries and backlog
+  /// changes (emits, drops and deliveries).
+  void reserve(std::size_t deliveries, std::size_t backlog_events) {
+    output_trace_.reserve(deliveries);
+    delay_trace_.reserve(deliveries);
+    backlog_trace_.reserve(backlog_events);
+  }
+
+  void emit(double t, double bytes) { adjust_backlog(t, bytes); }
+  void drop(double t, double input_bytes) { adjust_backlog(t, -input_bytes); }
+  void deliver(double t, const Packet& p) {
+    delivered_input_bytes_ += p.input_bytes;
+    ++packets_delivered_;
+    if (t >= warmup_) {
+      measured_input_bytes_ += p.input_bytes;
+      delays_.add(t - p.created_at);
+    }
+    delay_trace_.record(t, t - p.created_at);
+    adjust_backlog(t, -p.input_bytes);
+    output_trace_.record(t, delivered_input_bytes_);
+  }
+
+  /// The result, with per-node busy time and job counts.
+  SimResult result(const Network& net, const std::vector<double>& busy,
+                   const std::vector<std::uint64_t>& jobs);
+
+ private:
+  void adjust_backlog(double t, double delta) {
+    backlog_ += delta;
+    if (t >= warmup_) max_backlog_ = std::max(max_backlog_, backlog_);
+    backlog_trace_.record(t, backlog_);
+  }
+
+  double horizon_;
+  double warmup_;
+  double backlog_ = 0.0;
+  double max_backlog_ = 0.0;
+  double delivered_input_bytes_ = 0.0;
+  double measured_input_bytes_ = 0.0;
+  std::uint64_t packets_delivered_ = 0;
+  des::Tally delays_;
+  Trace output_trace_;
+  Trace backlog_trace_;
+  Trace delay_trace_;
+};
+
+}  // namespace streamcalc::streamsim::detail

@@ -1,756 +1,54 @@
 #include "streamsim/pipeline_sim.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <memory>
-
-#include "des/monitor.hpp"
-#include "des/simulation.hpp"
-#include "des/store.hpp"
-#include "util/error.hpp"
+#include "obs/obs.hpp"
+#include "streamsim/detail/core.hpp"
+#include "streamsim/detail/engines.hpp"
 
 namespace streamcalc::streamsim {
 
-namespace {
-
-using netcalc::NodeSpec;
-using netcalc::SourceSpec;
-using util::DataRate;
-using util::DataSize;
-using util::Duration;
-using util::Xoshiro256;
-
-/// A unit of data in flight. `raw_bytes` is its size at the current hop;
-/// `input_bytes` its input-normalized equivalent (conserved through volume
-/// changes so throughput and backlog stay comparable to the NC curves);
-/// `created_at` the simulated time its earliest constituent entered the
-/// pipeline.
-struct Packet {
-  double raw_bytes;
-  double input_bytes;
-  double created_at;
-};
-
-/// Thinning recorder for (time, value) traces.
-class Trace {
- public:
-  explicit Trace(std::size_t max_samples) : max_samples_(max_samples) {}
-
-  void record(double t, double v) {
-    if (samples_.size() >= max_samples_) thin();
-    if (samples_.size() < max_samples_ || stride_counter_++ % stride_ == 0) {
-      samples_.emplace_back(t, v);
-    }
-  }
-
-  std::vector<std::pair<double, double>> take() { return std::move(samples_); }
-
- private:
-  void thin() {
-    // Keep every other sample; double the accepted stride.
-    std::vector<std::pair<double, double>> kept;
-    kept.reserve(samples_.size() / 2 + 1);
-    for (std::size_t i = 0; i < samples_.size(); i += 2) {
-      kept.push_back(samples_[i]);
-    }
-    samples_ = std::move(kept);
-    stride_ *= 2;
-  }
-
-  std::size_t max_samples_;
-  std::uint64_t stride_ = 1;
-  std::uint64_t stride_counter_ = 0;
-  std::vector<std::pair<double, double>> samples_;
-};
-
-/// The running simulation: owns the DES kernel, queues, and statistics.
-class Runner {
- public:
-  Runner(const std::vector<NodeSpec>& nodes, const SourceSpec& source,
-         const SimConfig& config)
-      : nodes_(nodes),
-        source_(source),
-        config_(config),
-        rng_(config.seed),
-        output_trace_(config.max_trace_samples),
-        backlog_trace_(config.max_trace_samples),
-        delay_trace_(config.max_trace_samples) {
-    util::require(!nodes_.empty(), "simulate requires at least one node");
-    util::require(config_.horizon > Duration::seconds(0) &&
-                      config_.horizon.is_finite(),
-                  "simulate requires a positive finite horizon");
-    util::require(source_.rate > DataRate::bytes_per_sec(0),
-                  "simulate requires a positive source rate");
-    if (config_.onoff_users > 0) {
-      util::require(config_.onoff_peak > DataRate::bytes_per_sec(0),
-                    "on/off sources require a positive peak rate");
-      util::require(config_.onoff_mean_on > Duration::seconds(0) &&
-                        config_.onoff_mean_off > Duration::seconds(0),
-                    "on/off sources require positive mean sojourns");
-    }
-    for (const NodeSpec& n : nodes_) n.validate();
-    if (!config_.rate_profile.empty()) {
-      util::require(config_.rate_profile.front().first == 0.0,
-                    "rate_profile must start at time 0");
-      for (std::size_t i = 0; i < config_.rate_profile.size(); ++i) {
-        util::require(config_.rate_profile[i].second >= 0.0,
-                      "rate_profile rates must be non-negative");
-        util::require(i == 0 || config_.rate_profile[i].first >
-                                    config_.rate_profile[i - 1].first,
-                      "rate_profile times must be strictly increasing");
-      }
-    }
-
-    queues_.reserve(nodes_.size() + 1);
-    for (std::size_t i = 0; i <= nodes_.size(); ++i) {
-      queues_.push_back(std::make_unique<des::Store<Packet>>(
-          sim_, config_.queue_capacity));
-    }
-    node_rngs_.reserve(nodes_.size());
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      node_rngs_.push_back(rng_.split(i + 1));
-    }
-    busy_.assign(nodes_.size(), 0.0);
-    jobs_.assign(nodes_.size(), 0);
-    queue_bytes_.assign(nodes_.size() + 1, 0.0);
-    max_queue_bytes_.assign(nodes_.size() + 1, 0.0);
-  }
-
-  SimResult run() {
-    if (config_.onoff_users > 0) {
-      for (std::size_t u = 0; u < config_.onoff_users; ++u) {
-        sim_.spawn(onoff_source_process(u));
-      }
-    } else {
-      sim_.spawn(source_process());
-    }
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      sim_.spawn(node_process(i));
-    }
-    sim_.spawn(sink_process());
-    sim_.run_until(config_.horizon.in_seconds());
-
-    SimResult r;
-    const double h = config_.horizon.in_seconds();
-    const double w = config_.warmup.in_seconds();
-    util::require(w >= 0.0 && w < h, "warmup must lie within the horizon");
-    r.throughput =
-        DataRate::bytes_per_sec(measured_input_bytes_ / (h - w));
-    if (delays_.count() > 0) {
-      r.min_delay = Duration::seconds(delays_.minimum());
-      r.max_delay = Duration::seconds(delays_.maximum());
-      r.mean_delay = Duration::seconds(delays_.mean());
-    }
-    r.max_backlog = DataSize::bytes(std::max(0.0, max_backlog_));
-    r.packets_delivered = packets_delivered_;
-    r.output_trace = output_trace_.take();
-    r.backlog_trace = backlog_trace_.take();
-    r.delay_trace = delay_trace_.take();
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      NodeStats s;
-      s.name = nodes_[i].name;
-      s.utilization = busy_[i] / h;
-      s.max_queue = DataSize::bytes(max_queue_bytes_[i]);
-      s.jobs = jobs_[i];
-      r.node_stats.push_back(std::move(s));
-    }
-    return r;
-  }
-
- private:
-  bool past_warmup() const {
-    return sim_.now() >= config_.warmup.in_seconds();
-  }
-
-  void adjust_backlog(double delta) {
-    backlog_ += delta;
-    if (past_warmup()) max_backlog_ = std::max(max_backlog_, backlog_);
-    backlog_trace_.record(sim_.now(), backlog_);
-  }
-
-  void adjust_queue(std::size_t i, double delta_input_bytes) {
-    queue_bytes_[i] += delta_input_bytes;
-    max_queue_bytes_[i] = std::max(max_queue_bytes_[i], queue_bytes_[i]);
-  }
-
-  /// Profile rate in effect at time t (falls back to the constant rate).
-  double source_rate_at(double t) const {
-    if (config_.rate_profile.empty()) {
-      return source_.rate.in_bytes_per_sec();
-    }
-    double rate = config_.rate_profile.front().second;
-    for (const auto& [start, r] : config_.rate_profile) {
-      if (start <= t) rate = r;
-    }
-    return rate;
-  }
-
-  /// First profile change strictly after t; +inf if none.
-  double next_rate_change(double t) const {
-    for (const auto& [start, r] : config_.rate_profile) {
-      if (start > t) return start;
-    }
-    return std::numeric_limits<double>::infinity();
-  }
-
-  des::Process source_process() {
-    const double packet_bytes =
-        source_.packet > DataSize::bytes(0)
-            ? source_.packet.in_bytes()
-            : nodes_.front().block_in.in_bytes();
-    // Initial burst: the arrival curve's instantaneous component.
-    double burst_left = source_.burst.in_bytes();
-    while (burst_left >= packet_bytes) {
-      burst_left -= packet_bytes;
-      co_await emit_source_packet(packet_bytes);
-    }
-    for (;;) {
-      const double rate = source_rate_at(sim_.now());
-      if (rate <= 0.0) {
-        // Idle phase: sleep through to the next profile change.
-        const double next = next_rate_change(sim_.now());
-        if (!std::isfinite(next)) co_return;  // silent forever
-        co_await sim_.timeout(next - sim_.now());
-        continue;
-      }
-      const double mean_gap = packet_bytes / rate;
-      co_await sim_.timeout(config_.poisson_arrivals && !config_.deterministic
-                                ? rng_.exponential(mean_gap)
-                                : mean_gap);
-      co_await emit_source_packet(packet_bytes);
-    }
-  }
-
-  des::Store<Packet>::PutAwaiter emit_source_packet(double bytes) {
-    adjust_backlog(bytes);
-    adjust_queue(0, bytes);
-    return queues_.front()->put(Packet{bytes, bytes, sim_.now()});
-  }
-
-  /// One on/off user: exponential silences and on-periods; while on, a
-  /// whole packet is released after each accumulation window of `packet`
-  /// bytes at the peak rate, and the partial window at the on->off switch
-  /// is discarded (the fluid envelope in stochcalc dominates this source).
-  /// User RNG streams are split off a 1000+ base so they never collide
-  /// with the per-node streams (split(i + 1)).
-  des::Process onoff_source_process(std::size_t user) {
-    Xoshiro256 rng = rng_.split(1000 + user);
-    const double packet_bytes =
-        source_.packet > DataSize::bytes(0)
-            ? source_.packet.in_bytes()
-            : nodes_.front().block_in.in_bytes();
-    const double window =
-        packet_bytes / config_.onoff_peak.in_bytes_per_sec();
-    const double mean_on = config_.onoff_mean_on.in_seconds();
-    const double mean_off = config_.onoff_mean_off.in_seconds();
-    for (;;) {
-      co_await sim_.timeout(rng.exponential(mean_off));
-      double on_left = rng.exponential(mean_on);
-      while (on_left >= window) {
-        co_await sim_.timeout(window);
-        on_left -= window;
-        co_await emit_source_packet(packet_bytes);
-      }
-      // Partial accumulation window: sojourn ends mid-packet, bytes lost.
-      co_await sim_.timeout(on_left);
-    }
-  }
-
-  des::Process node_process(std::size_t i) {
-    const NodeSpec& node = nodes_[i];
-    Xoshiro256& rng = node_rngs_[i];
-    const double block_in = node.block_in.in_bytes();
-    const double block_out = node.block_out.in_bytes();
-    const double t_min = node.time_min.in_seconds();
-    const double t_avg = node.effective_time_avg().in_seconds();
-    const double t_max = node.time_max.in_seconds();
-    const double threshold = node.aggregates ? block_in : 0.0;
-
-    // Bytes delivered but not yet dispatched (block misalignment between
-    // upstream packet sizes and this node's collection block).
-    double pending_raw = 0.0;
-    double pending_input = 0.0;
-    double pending_created = std::numeric_limits<double>::infinity();
-    double last_created = 0.0;
-    for (;;) {
-      // Collect a job: at least one packet, and a full block when the
-      // node aggregates before dispatch.
-      // The node consumes exactly block_in per job when it aggregates;
-      // surplus bytes (block misalignment with upstream packet sizes) stay
-      // pending for the next job.
-      while (pending_raw < threshold || pending_raw <= 0.0) {
-        Packet p = co_await queues_[i]->get();
-        adjust_queue(i, -p.input_bytes);
-        pending_raw += p.raw_bytes;
-        pending_input += p.input_bytes;
-        pending_created = std::min(pending_created, p.created_at);
-        last_created = p.created_at;
-      }
-      double job_raw;
-      double job_input;
-      const double created = pending_created;
-      if (node.aggregates && pending_raw > block_in) {
-        job_raw = block_in;
-        job_input = pending_input * (block_in / pending_raw);
-        pending_raw -= job_raw;
-        pending_input -= job_input;
-        // The surplus came from the most recent packet.
-        pending_created = last_created;
-      } else {
-        job_raw = pending_raw;
-        job_input = pending_input;
-        pending_raw = 0.0;
-        pending_input = 0.0;
-        pending_created = std::numeric_limits<double>::infinity();
-      }
-
-      // Execute: random in [min, max] with mean exactly time_avg, scaled
-      // for jobs that differ from the nominal block (links serving
-      // variable packets).
-      double nominal;
-      if (config_.deterministic) {
-        nominal = t_avg;
-      } else if (config_.service_distribution ==
-                 TimeDistribution::kExponential) {
-        nominal = rng.exponential(t_avg);
-      } else {
-        nominal = sample_in_range(rng, t_min, t_avg, t_max);
-      }
-      const double exec = nominal * (job_raw / block_in);
-      co_await sim_.timeout(exec);
-      busy_[i] += exec;
-      ++jobs_[i];
-
-      // Emit: total output volume after the node's volume ratio, split into
-      // block_out-sized packets. A restoring stage (decompressor) emits the
-      // data's original volume so compression stays correlated end to end.
-      double total_out;
-      if (node.restores_volume) {
-        total_out = job_input;
-      } else {
-        double ratio;
-        switch (config_.volume_mode) {
-          case VolumeMode::kWorstCase:
-            ratio = node.volume.max;
-            break;
-          case VolumeMode::kBestCase:
-            ratio = node.volume.min;
-            break;
-          case VolumeMode::kAverage:
-            ratio = node.volume.avg;
-            break;
-          case VolumeMode::kSampled:
-          default:
-            ratio = config_.deterministic
-                        ? node.volume.avg
-                        : sample_volume_ratio(rng, node.volume);
-            break;
-        }
-        total_out = job_raw * ratio;
-      }
-      const auto n_packets = static_cast<std::size_t>(
-          std::max(1.0, std::floor(total_out / block_out + 0.5)));
-      const double out_raw = total_out / static_cast<double>(n_packets);
-      const double out_input = job_input / static_cast<double>(n_packets);
-      for (std::size_t k = 0; k < n_packets; ++k) {
-        adjust_queue(i + 1, out_input);
-        co_await queues_[i + 1]->put(Packet{out_raw, out_input, created});
-      }
-    }
-  }
-
-  des::Process sink_process() {
-    for (;;) {
-      Packet p = co_await queues_.back()->get();
-      adjust_queue(nodes_.size(), -p.input_bytes);
-      delivered_input_bytes_ += p.input_bytes;
-      ++packets_delivered_;
-      if (past_warmup()) {
-        measured_input_bytes_ += p.input_bytes;
-        delays_.add(sim_.now() - p.created_at);
-      }
-      delay_trace_.record(sim_.now(), sim_.now() - p.created_at);
-      adjust_backlog(-p.input_bytes);
-      output_trace_.record(sim_.now(), delivered_input_bytes_);
-    }
-  }
-
-  const std::vector<NodeSpec>& nodes_;
-  const SourceSpec& source_;
-  const SimConfig& config_;
-
-  des::Simulation sim_;
-  Xoshiro256 rng_;
-  std::vector<std::unique_ptr<des::Store<Packet>>> queues_;
-  std::vector<Xoshiro256> node_rngs_;
-
-  std::vector<double> busy_;
-  std::vector<std::uint64_t> jobs_;
-  std::vector<double> queue_bytes_;
-  std::vector<double> max_queue_bytes_;
-  double backlog_ = 0.0;
-  double max_backlog_ = 0.0;
-  double delivered_input_bytes_ = 0.0;
-  double measured_input_bytes_ = 0.0;
-  std::uint64_t packets_delivered_ = 0;
-  des::Tally delays_;
-  Trace output_trace_;
-  Trace backlog_trace_;
-  Trace delay_trace_;
-};
-
-/// Deterministic weighted round-robin over a set of destinations: each
-/// send picks the destination with the largest deficit (weight * total -
-/// sent), so long-run shares converge to the weights exactly.
-class WeightedRouter {
- public:
-  struct Destination {
-    std::size_t queue;   ///< target queue index; kDropped = leaves system
-    double weight;
-  };
-  static constexpr std::size_t kDropped = SIZE_MAX;
-
-  explicit WeightedRouter(std::vector<Destination> dests)
-      : dests_(std::move(dests)), sent_(dests_.size(), 0.0) {}
-
-  bool empty() const { return dests_.empty(); }
-
-  /// Destination queue for the next packet (kDropped if it leaves).
-  std::size_t route() {
-    ++total_;
-    std::size_t best = 0;
-    double best_deficit = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < dests_.size(); ++i) {
-      const double deficit =
-          dests_[i].weight * static_cast<double>(total_) - sent_[i];
-      if (deficit > best_deficit) {
-        best_deficit = deficit;
-        best = i;
-      }
-    }
-    if (best_deficit <= 0.0) return kDropped;  // only the remainder is due
-    sent_[best] += 1.0;
-    return dests_[best].queue;
-  }
-
- private:
-  std::vector<Destination> dests_;
-  std::vector<double> sent_;
-  std::uint64_t total_ = 0;
-};
-
-/// DAG variant of Runner: per-node input queues, weighted-round-robin
-/// splitters on every node's output, and a shared sink for nodes without
-/// outgoing edges.
-class DagRunner {
- public:
-  DagRunner(const netcalc::DagSpec& dag, const SourceSpec& source,
-            const SimConfig& config)
-      : dag_(dag),
-        source_(source),
-        config_(config),
-        rng_(config.seed),
-        output_trace_(config.max_trace_samples),
-        backlog_trace_(config.max_trace_samples),
-        delay_trace_(config.max_trace_samples) {
-    dag_.validate();
-    util::require(config_.horizon > Duration::seconds(0) &&
-                      config_.horizon.is_finite(),
-                  "simulate_dag requires a positive finite horizon");
-    util::require(source_.rate > DataRate::bytes_per_sec(0),
-                  "simulate_dag requires a positive source rate");
-    util::require(config_.onoff_users == 0,
-                  "on/off sources apply to chain simulations only");
-
-    const std::size_t n = dag_.nodes.size();
-    for (std::size_t i = 0; i <= n; ++i) {  // index n = sink
-      queues_.push_back(std::make_unique<des::Store<Packet>>(
-          sim_, config_.queue_capacity));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      node_rngs_.push_back(rng_.split(i + 1));
-      std::vector<WeightedRouter::Destination> dests;
-      double covered = 0.0;
-      for (const netcalc::DagEdge& e : dag_.edges) {
-        if (e.from == i) {
-          dests.push_back({e.to, e.fraction});
-          covered += e.fraction;
-        }
-      }
-      if (dests.empty()) {
-        dests.push_back({n, 1.0});  // sink
-      } else if (covered < 1.0 - 1e-9) {
-        dests.push_back({WeightedRouter::kDropped, 1.0 - covered});
-      }
-      routers_.emplace_back(std::move(dests));
-    }
-    {
-      std::vector<WeightedRouter::Destination> dests;
-      double covered = 0.0;
-      for (const netcalc::DagEdge& e : dag_.entries) {
-        dests.push_back({e.to, e.fraction});
-        covered += e.fraction;
-      }
-      if (covered < 1.0 - 1e-9) {
-        dests.push_back({WeightedRouter::kDropped, 1.0 - covered});
-      }
-      source_router_ = std::make_unique<WeightedRouter>(std::move(dests));
-    }
-    busy_.assign(n, 0.0);
-    jobs_.assign(n, 0);
-    queue_bytes_.assign(n + 1, 0.0);
-    max_queue_bytes_.assign(n + 1, 0.0);
-  }
-
-  SimResult run() {
-    sim_.spawn(source_process());
-    for (std::size_t i = 0; i < dag_.nodes.size(); ++i) {
-      sim_.spawn(node_process(i));
-    }
-    sim_.spawn(sink_process());
-    sim_.run_until(config_.horizon.in_seconds());
-
-    SimResult r;
-    const double h = config_.horizon.in_seconds();
-    const double w = config_.warmup.in_seconds();
-    util::require(w >= 0.0 && w < h, "warmup must lie within the horizon");
-    r.throughput = DataRate::bytes_per_sec(measured_input_bytes_ / (h - w));
-    if (delays_.count() > 0) {
-      r.min_delay = Duration::seconds(delays_.minimum());
-      r.max_delay = Duration::seconds(delays_.maximum());
-      r.mean_delay = Duration::seconds(delays_.mean());
-    }
-    r.max_backlog = DataSize::bytes(std::max(0.0, max_backlog_));
-    r.packets_delivered = packets_delivered_;
-    r.output_trace = output_trace_.take();
-    r.backlog_trace = backlog_trace_.take();
-    r.delay_trace = delay_trace_.take();
-    for (std::size_t i = 0; i < dag_.nodes.size(); ++i) {
-      NodeStats s;
-      s.name = dag_.nodes[i].name;
-      s.utilization = busy_[i] / h;
-      s.max_queue = DataSize::bytes(max_queue_bytes_[i]);
-      s.jobs = jobs_[i];
-      r.node_stats.push_back(std::move(s));
-    }
-    return r;
-  }
-
- private:
-  bool past_warmup() const {
-    return sim_.now() >= config_.warmup.in_seconds();
-  }
-
-  void adjust_backlog(double delta) {
-    backlog_ += delta;
-    if (past_warmup()) max_backlog_ = std::max(max_backlog_, backlog_);
-    backlog_trace_.record(sim_.now(), backlog_);
-  }
-
-  void adjust_queue(std::size_t i, double delta) {
-    queue_bytes_[i] += delta;
-    max_queue_bytes_[i] = std::max(max_queue_bytes_[i], queue_bytes_[i]);
-  }
-
-  des::Process source_process() {
-    const double packet_bytes =
-        source_.packet > DataSize::bytes(0)
-            ? source_.packet.in_bytes()
-            : dag_.nodes[dag_.entries.front().to].block_in.in_bytes();
-    const double period = packet_bytes / source_.rate.in_bytes_per_sec();
-    double burst_left = source_.burst.in_bytes();
-    while (burst_left >= packet_bytes) {
-      burst_left -= packet_bytes;
-      co_await route_source_packet(packet_bytes);
-    }
-    for (;;) {
-      co_await sim_.timeout(config_.poisson_arrivals && !config_.deterministic
-                                ? rng_.exponential(period)
-                                : period);
-      co_await route_source_packet(packet_bytes);
-    }
-  }
-
-  des::Process node_process(std::size_t i) {
-    const netcalc::NodeSpec& node = dag_.nodes[i];
-    Xoshiro256& rng = node_rngs_[i];
-    const double block_in = node.block_in.in_bytes();
-    const double block_out = node.block_out.in_bytes();
-    const double t_min = node.time_min.in_seconds();
-    const double t_avg = node.effective_time_avg().in_seconds();
-    const double t_max = node.time_max.in_seconds();
-    const double threshold = node.aggregates ? block_in : 0.0;
-
-    // Bytes delivered but not yet dispatched (block misalignment between
-    // upstream packet sizes and this node's collection block).
-    double pending_raw = 0.0;
-    double pending_input = 0.0;
-    double pending_created = std::numeric_limits<double>::infinity();
-    double last_created = 0.0;
-    for (;;) {
-      // The node consumes exactly block_in per job when it aggregates;
-      // surplus bytes (block misalignment with upstream packet sizes) stay
-      // pending for the next job.
-      while (pending_raw < threshold || pending_raw <= 0.0) {
-        Packet p = co_await queues_[i]->get();
-        adjust_queue(i, -p.input_bytes);
-        pending_raw += p.raw_bytes;
-        pending_input += p.input_bytes;
-        pending_created = std::min(pending_created, p.created_at);
-        last_created = p.created_at;
-      }
-      double job_raw;
-      double job_input;
-      const double created = pending_created;
-      if (node.aggregates && pending_raw > block_in) {
-        job_raw = block_in;
-        job_input = pending_input * (block_in / pending_raw);
-        pending_raw -= job_raw;
-        pending_input -= job_input;
-        // The surplus came from the most recent packet.
-        pending_created = last_created;
-      } else {
-        job_raw = pending_raw;
-        job_input = pending_input;
-        pending_raw = 0.0;
-        pending_input = 0.0;
-        pending_created = std::numeric_limits<double>::infinity();
-      }
-
-      double nominal;
-      if (config_.deterministic) {
-        nominal = t_avg;
-      } else if (config_.service_distribution ==
-                 TimeDistribution::kExponential) {
-        nominal = rng.exponential(t_avg);
-      } else {
-        nominal = sample_in_range(rng, t_min, t_avg, t_max);
-      }
-      const double exec = nominal * (job_raw / block_in);
-      co_await sim_.timeout(exec);
-      busy_[i] += exec;
-      ++jobs_[i];
-
-      double total_out;
-      if (node.restores_volume) {
-        total_out = job_input;
-      } else {
-        double ratio;
-        switch (config_.volume_mode) {
-          case VolumeMode::kWorstCase:
-            ratio = node.volume.max;
-            break;
-          case VolumeMode::kBestCase:
-            ratio = node.volume.min;
-            break;
-          case VolumeMode::kAverage:
-            ratio = node.volume.avg;
-            break;
-          case VolumeMode::kSampled:
-          default:
-            ratio = config_.deterministic
-                        ? node.volume.avg
-                        : sample_volume_ratio(rng, node.volume);
-            break;
-        }
-        total_out = job_raw * ratio;
-      }
-      const auto n_packets = static_cast<std::size_t>(
-          std::max(1.0, std::floor(total_out / block_out + 0.5)));
-      const double out_raw = total_out / static_cast<double>(n_packets);
-      const double out_input = job_input / static_cast<double>(n_packets);
-      for (std::size_t k = 0; k < n_packets; ++k) {
-        const std::size_t dest = routers_[i].route();
-        if (dest == WeightedRouter::kDropped) {
-          adjust_backlog(-out_input);  // leaves the modeled system
-          continue;
-        }
-        adjust_queue(dest, out_input);
-        co_await queues_[dest]->put(Packet{out_raw, out_input, created});
-      }
-    }
-  }
-
-  des::Store<Packet>::PutAwaiter route_source_packet(double bytes) {
-    const std::size_t dest = source_router_->route();
-    if (dest == WeightedRouter::kDropped) {
-      // Unmodeled share: never enters the system; hand it to a dummy
-      // always-accepting path by re-routing to the sink without counting.
-      return queues_.back()->put(Packet{0.0, 0.0, sim_.now()});
-    }
-    adjust_backlog(bytes);
-    adjust_queue(dest, bytes);
-    return queues_[dest]->put(Packet{bytes, bytes, sim_.now()});
-  }
-
-  des::Process sink_process() {
-    for (;;) {
-      Packet p = co_await queues_.back()->get();
-      if (p.input_bytes <= 0.0) continue;  // unmodeled-share placeholder
-      adjust_queue(dag_.nodes.size(), -p.input_bytes);
-      delivered_input_bytes_ += p.input_bytes;
-      ++packets_delivered_;
-      if (past_warmup()) {
-        measured_input_bytes_ += p.input_bytes;
-        delays_.add(sim_.now() - p.created_at);
-      }
-      delay_trace_.record(sim_.now(), sim_.now() - p.created_at);
-      adjust_backlog(-p.input_bytes);
-      output_trace_.record(sim_.now(), delivered_input_bytes_);
-    }
-  }
-
-  const netcalc::DagSpec& dag_;
-  const SourceSpec& source_;
-  const SimConfig& config_;
-
-  des::Simulation sim_;
-  Xoshiro256 rng_;
-  std::vector<std::unique_ptr<des::Store<Packet>>> queues_;
-  std::vector<Xoshiro256> node_rngs_;
-  std::vector<WeightedRouter> routers_;
-  std::unique_ptr<WeightedRouter> source_router_;
-
-  std::vector<double> busy_;
-  std::vector<std::uint64_t> jobs_;
-  std::vector<double> queue_bytes_;
-  std::vector<double> max_queue_bytes_;
-  double backlog_ = 0.0;
-  double max_backlog_ = 0.0;
-  double delivered_input_bytes_ = 0.0;
-  double measured_input_bytes_ = 0.0;
-  std::uint64_t packets_delivered_ = 0;
-  des::Tally delays_;
-  Trace output_trace_;
-  Trace backlog_trace_;
-  Trace delay_trace_;
-};
-
-}  // namespace
-
-double sample_in_range(Xoshiro256& rng, double lo, double mid, double hi) {
-  if (hi == lo) return mid;
-  // Two-piece uniform mixture whose mean is exactly `mid`.
-  const double p_low = (hi - mid) / (hi - lo);
-  if (rng.uniform01() < p_low) return rng.uniform(lo, mid);
-  return rng.uniform(mid, hi);
+double sample_in_range(util::Xoshiro256& rng, double lo, double mid,
+                       double hi) {
+  return detail::RangeSampler(lo, mid, hi).draw(rng);
 }
 
-double sample_volume_ratio(Xoshiro256& rng, const netcalc::VolumeRatio& v) {
+double sample_volume_ratio(util::Xoshiro256& rng,
+                           const netcalc::VolumeRatio& v) {
   return sample_in_range(rng, v.min, v.avg, v.max);
 }
 
-SimResult simulate(const std::vector<NodeSpec>& nodes,
-                   const SourceSpec& source, const SimConfig& config) {
-  Runner runner(nodes, source, config);
-  return runner.run();
+namespace {
+
+/// The recurrence where it applies and answers, else the DES.
+template <typename Recurrence, typename Des>
+SimResult pick_engine(const SimConfig& config, Recurrence recurrence,
+                      Des des) {
+  if (detail::recurrence_applies(config)) {
+    if (std::optional<SimResult> r = recurrence()) {
+      SC_OBS_COUNT("streamsim.recurrence.runs", 1);
+      return std::move(*r);
+    }
+    SC_OBS_COUNT("streamsim.recurrence.fallbacks", 1);
+  }
+  return des();
 }
 
-SimResult simulate_dag(const netcalc::DagSpec& dag, const SourceSpec& source,
+}  // namespace
+
+SimResult simulate(const std::vector<netcalc::NodeSpec>& nodes,
+                   const netcalc::SourceSpec& source, const SimConfig& config) {
+  return pick_engine(
+      config,
+      [&] { return detail::simulate_recurrence(nodes, source, config); },
+      [&] { return detail::simulate_des(nodes, source, config); });
+}
+
+SimResult simulate_dag(const netcalc::DagSpec& dag,
+                       const netcalc::SourceSpec& source,
                        const SimConfig& config) {
-  DagRunner runner(dag, source, config);
-  return runner.run();
+  return pick_engine(
+      config,
+      [&] { return detail::simulate_dag_recurrence(dag, source, config); },
+      [&] { return detail::simulate_dag_des(dag, source, config); });
 }
 
 }  // namespace streamcalc::streamsim

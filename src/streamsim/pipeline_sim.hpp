@@ -13,6 +13,22 @@
 // the network-calculus curves: cumulative output trace (the stairstep of
 // Figs. 4 and 10), end-to-end packet delays (shortest/longest observed),
 // and total data resident in the system (max backlog).
+//
+// Two engines compute the same SimResult. With unlimited queues and no
+// on/off users (the paper's base configuration) a node never blocks its
+// upstream, so a per-packet max-plus (Lindley) recurrence walks the nodes
+// in topological order: a job starts at max(arrival of the packet that
+// completes it, previous finish) and finishes at start + exec, with
+// draws from the same per-node streams as the DES. Its statistics are
+// merged in DES event order; where a source emit and a sink delivery fall
+// at one instant the emit comes first. Any other same-instant meeting of
+// two event streams (two producers into a join or the sink, a split drop
+// beside another event) has a DES order the recurrence does not track, so
+// it reruns the simulation on the coroutine DES. The DES (src/des) stays
+// the reference, and the engine for bounded queues and on/off sources.
+// streamsim/detail/engines.hpp exposes both engines for tests; the obs
+// counters streamsim.recurrence.runs and streamsim.recurrence.fallbacks
+// record which one answered.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +81,8 @@ struct SimConfig {
   /// mean rate) instead of a deterministic period — pairs with
   /// kExponential service for M/M/1 validation runs.
   bool poisson_arrivals = false;
-  /// Cap on recorded trace samples (traces are thinned beyond this).
+  /// Cap on recorded trace samples (traces are thinned beyond this; 0
+  /// records none).
   std::size_t max_trace_samples = 4096;
   /// Markov-modulated on/off source population (chain simulate() only):
   /// when `onoff_users` > 0 the constant-rate source is replaced by that
@@ -79,9 +96,10 @@ struct SimConfig {
   util::DataRate onoff_peak;
   util::Duration onoff_mean_on;
   util::Duration onoff_mean_off;
-  /// Optional piecewise-constant source-rate profile: (start_seconds,
-  /// bytes/s), each rate holding until the next entry (the last holds to
-  /// the horizon). Empty = the constant SourceSpec rate. Pair with
+  /// Optional piecewise-constant source-rate profile (chain simulate()
+  /// only): (start_seconds, bytes/s), each rate holding until the next
+  /// entry (the last holds to the horizon). Empty = the constant
+  /// SourceSpec rate. Pair with
   /// netcalc::cumulative_from_rate_profile() +
   /// netcalc::minimal_arrival_curve() to model the same workload.
   std::vector<std::pair<double, double>> rate_profile;
@@ -93,7 +111,6 @@ struct SimConfig {
 struct NodeStats {
   std::string name;
   double utilization = 0.0;       ///< busy time / horizon
-  util::DataSize max_queue;       ///< max input-normalized bytes queued
   std::uint64_t jobs = 0;         ///< jobs executed
 };
 
@@ -117,9 +134,10 @@ struct SimResult {
   std::vector<NodeStats> node_stats;
 };
 
-/// Runs the discrete-event simulation of `nodes` fed by `source`.
+/// Simulates `nodes` fed by `source` (recurrence or DES, see above).
 /// Deterministic for a fixed config (seeded RNG, deterministic event
-/// ordering).
+/// ordering). Throws PreconditionError on an invalid config, including a
+/// warmup outside [0, horizon), before any simulation runs.
 SimResult simulate(const std::vector<netcalc::NodeSpec>& nodes,
                    const netcalc::SourceSpec& source, const SimConfig& config);
 
@@ -128,6 +146,7 @@ SimResult simulate(const std::vector<netcalc::NodeSpec>& nodes,
 /// round-robin matching the edge fractions; fraction mass not covered by
 /// edges leaves the modeled system. Packets reaching nodes without
 /// outgoing edges are delivered to the sink. Statistics as in simulate().
+/// Rate profiles and on/off users apply to chains only and are rejected.
 SimResult simulate_dag(const netcalc::DagSpec& dag,
                        const netcalc::SourceSpec& source,
                        const SimConfig& config);

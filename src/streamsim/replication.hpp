@@ -1,14 +1,15 @@
 // Multi-replication simulation runner.
 //
-// A single DES run gives one sample of the stochastic pipeline's behaviour;
-// the paper's simulated delay *ranges* and backlog maxima are properties of
-// the sampling distribution. ReplicationRunner runs N independently-seeded
-// replications of the pipeline simulator and condenses them into mean /
-// spread / 95% confidence-interval summaries per metric.
+// A single simulation run gives one sample of the stochastic pipeline's
+// behaviour; the paper's simulated delay *ranges* and backlog maxima are
+// properties of the sampling distribution. ReplicationRunner runs N
+// independently-seeded replications of the pipeline simulator and
+// condenses them into mean / spread / 95% confidence-interval summaries
+// per metric.
 //
 // Concurrency & determinism contract:
-//   * Replications are independent: each runs its own des::Simulation on
-//     one thread (the DES kernel itself stays single-threaded and
+//   * Replications are independent: each runs its own simulate() call on
+//     one thread (both streamsim engines stay single-threaded and
 //     deterministic per replication).
 //   * Seeds derive from the base seed by a fixed splitmix64 stream, so the
 //     seed set depends only on (base_seed, replications).

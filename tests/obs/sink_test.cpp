@@ -107,8 +107,10 @@ TEST_F(SinkTest, ReplicationRunnerNotifiesOneSpanPerReplication) {
   EXPECT_EQ(summary.replications, 3);
   EXPECT_EQ(sink_.span_count("sim/replication"), 3u);
   EXPECT_EQ(sink_.metric_total("sim.replications"), 3.0);
-  // Each replication drives the DES event loop at least once.
-  EXPECT_GE(sink_.metric_total("des.batches"), 3.0);
+  // Each replication runs one simulation; with unlimited queues that is
+  // the max-plus recurrence rather than the DES event loop.
+  EXPECT_EQ(sink_.metric_total("streamsim.recurrence.runs"), 3.0);
+  EXPECT_EQ(sink_.metric_total("des.batches"), 0.0);
 }
 
 TEST_F(SinkTest, RemovedSinkSeesNothingFurther)  {

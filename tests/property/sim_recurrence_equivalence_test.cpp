@@ -1,0 +1,572 @@
+// Equivalence of the two streamsim engines. Wherever the max-plus
+// recurrence answers, its SimResult must equal the coroutine DES's bit for
+// bit: throughput, delays, max backlog, delivered count, all three traces
+// and every node's jobs and utilization. Cases are the example specs over
+// 200 seeds each, and seeded random chains and DAGs (aggregation, block
+// misalignment, every volume mode, restoring stages, lossy splits, bursts,
+// rate profiles, Poisson arrivals with exponential service, deterministic
+// mode). Constructed same-instant cases pin the tie rules: a source emit
+// precedes a sink delivery, the horizon is inclusive, and twin producers
+// into a join or the sink make simulate_dag() fall back to the DES and
+// still return the DES result.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "cli/spec.hpp"
+#include "obs/obs.hpp"
+#include "streamsim/detail/engines.hpp"
+#include "streamsim/pipeline_sim.hpp"
+#include "util/rng.hpp"
+#include "util/units.hpp"
+
+namespace streamcalc::streamsim {
+namespace {
+
+using netcalc::DagEdge;
+using netcalc::DagSpec;
+using netcalc::NodeKind;
+using netcalc::NodeSpec;
+using netcalc::SourceSpec;
+using util::DataRate;
+using util::DataSize;
+using util::Duration;
+using util::Xoshiro256;
+
+constexpr int kSeeds = 200;
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+::testing::AssertionResult same_trace(
+    const char* what, const std::vector<std::pair<double, double>>& a,
+    const std::vector<std::pair<double, double>>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << what << " sizes " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i].first, b[i].first) ||
+        !same_bits(a[i].second, b[i].second)) {
+      return ::testing::AssertionFailure()
+             << what << "[" << i << "] (" << a[i].first << ", "
+             << a[i].second << ") vs (" << b[i].first << ", " << b[i].second
+             << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every SimResult field, compared bit for bit.
+::testing::AssertionResult identical(const SimResult& a, const SimResult& b) {
+  const std::pair<const char*, std::pair<double, double>> scalars[] = {
+      {"throughput",
+       {a.throughput.in_bytes_per_sec(), b.throughput.in_bytes_per_sec()}},
+      {"min_delay", {a.min_delay.in_seconds(), b.min_delay.in_seconds()}},
+      {"max_delay", {a.max_delay.in_seconds(), b.max_delay.in_seconds()}},
+      {"mean_delay", {a.mean_delay.in_seconds(), b.mean_delay.in_seconds()}},
+      {"max_backlog", {a.max_backlog.in_bytes(), b.max_backlog.in_bytes()}},
+  };
+  for (const auto& [name, v] : scalars) {
+    if (!same_bits(v.first, v.second)) {
+      return ::testing::AssertionFailure()
+             << name << " " << v.first << " vs " << v.second;
+    }
+  }
+  if (a.packets_delivered != b.packets_delivered) {
+    return ::testing::AssertionFailure()
+           << "packets_delivered " << a.packets_delivered << " vs "
+           << b.packets_delivered;
+  }
+  for (const auto& r : {same_trace("output_trace", a.output_trace,
+                                   b.output_trace),
+                        same_trace("backlog_trace", a.backlog_trace,
+                                   b.backlog_trace),
+                        same_trace("delay_trace", a.delay_trace,
+                                   b.delay_trace)}) {
+    if (!r) return r;
+  }
+  if (a.node_stats.size() != b.node_stats.size()) {
+    return ::testing::AssertionFailure() << "node_stats sizes differ";
+  }
+  for (std::size_t i = 0; i < a.node_stats.size(); ++i) {
+    const NodeStats& x = a.node_stats[i];
+    const NodeStats& y = b.node_stats[i];
+    if (x.name != y.name || x.jobs != y.jobs ||
+        !same_bits(x.utilization, y.utilization)) {
+      return ::testing::AssertionFailure()
+             << "node " << i << " (" << x.name << "): jobs " << x.jobs
+             << " vs " << y.jobs << ", utilization " << x.utilization
+             << " vs " << y.utilization;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Tally of one case family: how often the recurrence answered.
+struct Coverage {
+  int cases = 0;
+  int answered = 0;
+
+  ~Coverage() {
+    ::testing::Test::RecordProperty("cases", cases);
+    ::testing::Test::RecordProperty("answered", answered);
+  }
+};
+
+/// Runs both chain engines on one case; the recurrence's answer, if any,
+/// must match the DES.
+void check_chain(const std::vector<NodeSpec>& nodes, const SourceSpec& source,
+                 const SimConfig& config, const std::string& label,
+                 Coverage& cov) {
+  const std::optional<SimResult> rec =
+      detail::simulate_recurrence(nodes, source, config);
+  ++cov.cases;
+  if (!rec) return;
+  ++cov.answered;
+  EXPECT_TRUE(identical(*rec, detail::simulate_des(nodes, source, config)))
+      << label;
+}
+
+void check_dag(const DagSpec& dag, const SourceSpec& source,
+               const SimConfig& config, const std::string& label,
+               Coverage& cov) {
+  const std::optional<SimResult> rec =
+      detail::simulate_dag_recurrence(dag, source, config);
+  ++cov.cases;
+  if (!rec) return;
+  ++cov.answered;
+  EXPECT_TRUE(identical(*rec, detail::simulate_dag_des(dag, source, config)))
+      << label;
+}
+
+// --- Example specs ------------------------------------------------------
+
+cli::Spec load_spec(const std::string& name) {
+  std::ifstream in(std::string(SC_SPEC_DIR) + "/" + name + ".scspec");
+  std::stringstream text;
+  text << in.rdbuf();
+  return cli::parse_spec(text.str());
+}
+
+/// The spec's analysis configuration with unlimited queues; seeds past the
+/// first vary the volume mode, and every tenth runs deterministic.
+SimConfig spec_config(const cli::Spec& spec, int k) {
+  SimConfig c;
+  c.horizon = spec.analysis.horizon;
+  c.warmup = spec.analysis.horizon / 5.0;
+  c.seed = spec.analysis.seed + static_cast<std::uint64_t>(k);
+  c.volume_mode = static_cast<VolumeMode>(k % 4);
+  c.deterministic = k % 10 == 9;
+  return c;
+}
+
+class ExampleSpecs : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ExampleSpecs, RecurrenceMatchesDesOnEverySeed) {
+  const cli::Spec spec = load_spec(GetParam());
+  Coverage cov;
+  for (int k = 0; k < kSeeds; ++k) {
+    const SimConfig c = spec_config(spec, k);
+    const std::string label =
+        std::string(GetParam()) + " seed " + std::to_string(c.seed);
+    if (spec.is_dag()) {
+      check_dag(spec.dag(), spec.source, c, label, cov);
+    } else {
+      check_chain(spec.nodes, spec.source, c, label, cov);
+    }
+  }
+  // Continuous draws never tie; only deterministic seeds may fall back.
+  EXPECT_GE(cov.answered, kSeeds * 9 / 10) << cov.cases << " cases";
+}
+
+INSTANTIATE_TEST_SUITE_P(Specs, ExampleSpecs,
+                         ::testing::Values("quickstart", "fork_join", "bitw",
+                                           "onoff_users"));
+
+// --- Random topologies --------------------------------------------------
+
+/// Which random case family to draw.
+enum class Family {
+  kSampled,        ///< uniform-mixture service, every volume mode
+  kRateProfile,    ///< chain source with idle and busy profile phases
+  kPoisson,        ///< Poisson arrivals, exponential service
+  kDeterministic,  ///< mean times and volumes
+};
+
+double pick(Xoshiro256& rng, std::initializer_list<double> values) {
+  const auto i = static_cast<std::size_t>(
+      rng.uniform01() * static_cast<double>(values.size()));
+  return values.begin()[i];
+}
+
+/// A stage serving `offered` bytes/s of its own input at 0.6-1.6x load.
+NodeSpec random_node(Xoshiro256& rng, const std::string& name,
+                     double offered) {
+  const DataSize block = DataSize::kib(pick(rng, {4, 8, 12, 16, 64}));
+  const double avg = offered / rng.uniform(0.6, 1.6);
+  NodeSpec n = NodeSpec::from_rates(
+      name, NodeKind::kCompute, block,
+      DataRate::bytes_per_sec(avg * rng.uniform(0.6, 0.95)),
+      DataRate::bytes_per_sec(avg),
+      DataRate::bytes_per_sec(avg * rng.uniform(1.05, 1.5)));
+  if (rng.uniform01() < 0.4) {
+    n.block_out = DataSize::kib(pick(rng, {2, 5, 8, 16, 32}));
+  }
+  n.aggregates = rng.uniform01() < 0.6;
+  if (rng.uniform01() < 0.4) {
+    const double lo = rng.uniform(0.3, 1.0);
+    const double mid = rng.uniform(lo, 1.4);
+    n.volume = {lo, mid, rng.uniform(mid, 2.0)};
+  }
+  n.restores_volume = rng.uniform01() < 0.15;
+  return n;
+}
+
+/// A source and configuration delivering ~150-400 packets.
+struct Run {
+  SourceSpec source;
+  SimConfig config;
+};
+
+Run random_run(Xoshiro256& rng, Family family, double first_block) {
+  Run r;
+  const double rate = DataRate::mib_per_sec(rng.uniform(10.0, 100.0))
+                          .in_bytes_per_sec();
+  r.source.rate = DataRate::bytes_per_sec(rate);
+  const double packet = pick(rng, {0, 4, 16, 64}) * 1024.0;
+  r.source.packet = DataSize::bytes(packet);
+  const double sized = packet > 0.0 ? packet : first_block;
+  r.source.burst = DataSize::bytes(sized * pick(rng, {0, 0, 1, 2.5, 6}));
+  const double h = rng.uniform(150.0, 400.0) * sized / rate;
+  r.config.horizon = Duration::seconds(h);
+  r.config.warmup = Duration::seconds(h * rng.uniform(0.0, 0.3));
+  r.config.seed = rng();
+  r.config.volume_mode = static_cast<VolumeMode>(rng() % 4);
+  r.config.max_trace_samples =
+      static_cast<std::size_t>(pick(rng, {4096, 4096, 64, 7, 2, 1, 0}));
+  switch (family) {
+    case Family::kSampled:
+      break;
+    case Family::kRateProfile: {
+      double t = 0.0;
+      r.config.rate_profile.push_back({0.0, rate * rng.uniform(0.5, 1.5)});
+      for (int k = 0; k < 3; ++k) {
+        t += h * rng.uniform(0.1, 0.3);
+        const double phase =
+            rng.uniform01() < 0.4 ? 0.0 : rng.uniform(0.3, 2.0);
+        r.config.rate_profile.push_back({t, rate * phase});
+      }
+      break;
+    }
+    case Family::kPoisson:
+      r.config.poisson_arrivals = true;
+      r.config.service_distribution = TimeDistribution::kExponential;
+      break;
+    case Family::kDeterministic:
+      r.config.deterministic = true;
+      break;
+  }
+  return r;
+}
+
+/// Mean bytes per second a node emits when offered `offered`.
+double passed_on(const NodeSpec& n, double offered) {
+  return n.restores_volume ? offered : offered * n.volume.avg;
+}
+
+void random_chains(Family family, const char* name) {
+  Coverage cov;
+  for (int k = 0; k < kSeeds; ++k) {
+    Xoshiro256 rng(0xC4A1 + 7919 * static_cast<std::uint64_t>(k) +
+                   static_cast<std::uint64_t>(family));
+    Run run = random_run(rng, family, 0.0);
+    std::vector<NodeSpec> nodes;
+    const auto hops = static_cast<int>(rng.uniform(1.0, 5.99));
+    double offered = run.source.rate.in_bytes_per_sec();
+    for (int i = 0; i < hops; ++i) {
+      nodes.push_back(random_node(rng, "n" + std::to_string(i), offered));
+      offered = passed_on(nodes.back(), offered);
+    }
+    if (run.source.packet.in_bytes() <= 0.0) {
+      // The first node sizes the source's packets; rescale the horizon.
+      const double sized = nodes.front().block_in.in_bytes();
+      const double packets = rng.uniform(150.0, 400.0);
+      const double h = packets * sized / run.source.rate.in_bytes_per_sec();
+      run.config.horizon = Duration::seconds(h);
+      run.config.warmup = Duration::seconds(h * 0.2);
+      if (!run.config.rate_profile.empty()) {
+        for (std::size_t p = 1; p < run.config.rate_profile.size(); ++p) {
+          run.config.rate_profile[p].first = h * 0.2 * static_cast<double>(p);
+        }
+      }
+    }
+    check_chain(nodes, run.source, run.config,
+                std::string(name) + " case " + std::to_string(k), cov);
+  }
+  const int floor = family == Family::kDeterministic ? kSeeds / 2
+                                                     : kSeeds * 19 / 20;
+  EXPECT_GE(cov.answered, floor) << cov.cases << " cases";
+}
+
+TEST(RandomChains, Sampled) { random_chains(Family::kSampled, "sampled"); }
+TEST(RandomChains, RateProfile) {
+  random_chains(Family::kRateProfile, "rate profile");
+}
+TEST(RandomChains, PoissonExponential) {
+  random_chains(Family::kPoisson, "poisson");
+}
+TEST(RandomChains, Deterministic) {
+  random_chains(Family::kDeterministic, "deterministic");
+}
+
+/// A random DAG over 2-6 nodes: every node after the first hangs off one or
+/// two earlier nodes, some splits leak a share out of the system, and some
+/// sources feed a second entry that is also a join.
+DagSpec random_dag(Xoshiro256& rng, double rate) {
+  DagSpec d;
+  const auto n = static_cast<std::size_t>(rng.uniform(2.0, 6.99));
+  std::vector<std::vector<std::size_t>> children(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto p = static_cast<std::size_t>(rng.uniform01() *
+                                            static_cast<double>(i));
+    children[p].push_back(i);
+    if (i >= 2 && rng.uniform01() < 0.3) {
+      const auto q = static_cast<std::size_t>(rng.uniform01() *
+                                              static_cast<double>(i));
+      if (q != p) children[q].push_back(i);
+    }
+  }
+  d.entries.push_back({0, 0, 1.0});
+  const double entry_roll = rng.uniform01();
+  if (entry_roll < 0.15) {
+    d.entries[0].fraction = 0.7;  // 30% never enters
+  } else if (entry_roll < 0.3 && n > 2) {
+    d.entries[0].fraction = 0.6;
+    d.entries.push_back({0, n - 1, 0.4});
+  }
+  // Offered rates in topological (index) order.
+  std::vector<double> offered(n, 0.0);
+  for (const DagEdge& e : d.entries) offered[e.to] += rate * e.fraction;
+  for (std::size_t i = 0; i < n; ++i) {
+    d.nodes.push_back(random_node(rng, "d" + std::to_string(i), offered[i]));
+    const double out = passed_on(d.nodes.back(), offered[i]);
+    const std::size_t k = children[i].size();
+    if (k == 0) continue;
+    const double total = rng.uniform01() < 0.3 ? rng.uniform(0.5, 0.95) : 1.0;
+    std::vector<double> w(k);
+    double sum = 0.0;
+    for (double& x : w) sum += (x = rng.uniform(0.2, 1.0));
+    for (std::size_t c = 0; c < k; ++c) {
+      const double f = total * w[c] / sum;
+      d.edges.push_back({i, children[i][c], f});
+      offered[children[i][c]] += out * f;
+    }
+  }
+  return d;
+}
+
+void random_dags(Family family, const char* name) {
+  Coverage cov;
+  for (int k = 0; k < kSeeds; ++k) {
+    Xoshiro256 rng(0xDA6 + 104729 * static_cast<std::uint64_t>(k) +
+                   static_cast<std::uint64_t>(family));
+    Run run = random_run(rng, family, 0.0);
+    run.config.rate_profile.clear();  // chain-only
+    const DagSpec dag = random_dag(rng, run.source.rate.in_bytes_per_sec());
+    if (run.source.packet.in_bytes() <= 0.0) {
+      const double sized =
+          dag.nodes[dag.entries.front().to].block_in.in_bytes();
+      const double h = rng.uniform(150.0, 400.0) * sized /
+                       run.source.rate.in_bytes_per_sec();
+      run.config.horizon = Duration::seconds(h);
+      run.config.warmup = Duration::seconds(h * 0.2);
+    }
+    check_dag(dag, run.source, run.config,
+              std::string(name) + " case " + std::to_string(k), cov);
+  }
+  const int floor = family == Family::kDeterministic ? kSeeds / 4
+                                                     : kSeeds * 19 / 20;
+  EXPECT_GE(cov.answered, floor) << cov.cases << " cases";
+}
+
+TEST(RandomDags, Sampled) { random_dags(Family::kSampled, "sampled"); }
+TEST(RandomDags, PoissonExponential) {
+  random_dags(Family::kPoisson, "poisson");
+}
+TEST(RandomDags, Deterministic) {
+  random_dags(Family::kDeterministic, "deterministic");
+}
+
+// --- Engine selection ---------------------------------------------------
+
+// --- Same-instant events -------------------------------------------------
+
+/// A deterministic chain on dyadic times: the source emits every 2^-10 s
+/// and the single stage takes exactly as long, so every delivery lands on
+/// the instant of the next emit, and the last one on the horizon itself.
+/// A 64 KiB stage taking exactly `exec` seconds per job.
+NodeSpec dyadic_stage(const char* name, double exec = 0x1p-10) {
+  return NodeSpec::compute(name, DataSize::kib(64), DataSize::kib(64),
+                           Duration::seconds(exec), Duration::seconds(exec));
+}
+
+SourceSpec dyadic_source() {
+  SourceSpec src;
+  src.rate = DataRate::bytes_per_sec(0x1p16 * 0x1p10);
+  src.packet = DataSize::kib(64);
+  return src;
+}
+
+SimConfig dyadic_config() {
+  SimConfig c;
+  c.horizon = Duration::seconds(0.25);
+  c.deterministic = true;
+  return c;
+}
+
+TEST(SameInstant, EmitPrecedesDeliveryAndTheHorizonIsInclusive) {
+  const std::vector<NodeSpec> nodes{dyadic_stage("stage")};
+  const SourceSpec src = dyadic_source();
+  const SimConfig c = dyadic_config();
+  const std::optional<SimResult> rec =
+      detail::simulate_recurrence(nodes, src, c);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_TRUE(identical(*rec, detail::simulate_des(nodes, src, c)));
+  std::size_t shared_instants = 0;
+  for (std::size_t i = 1; i < rec->backlog_trace.size(); ++i) {
+    if (rec->backlog_trace[i].first == rec->backlog_trace[i - 1].first) {
+      ++shared_instants;
+    }
+  }
+  EXPECT_GT(shared_instants, 200u);
+  ASSERT_FALSE(rec->output_trace.empty());
+  EXPECT_EQ(rec->output_trace.back().first, 0.25);
+}
+
+/// The fork emits each job as two half-block packets at one instant, one
+/// per branch; two identical deterministic branches then deliver into the
+/// join at the same instants, so the recurrence cannot order its queue.
+DagSpec tied_join() {
+  const NodeSpec stage = NodeSpec::from_rates(
+      "stage", NodeKind::kCompute, DataSize::kib(64),
+      DataRate::mib_per_sec(200), DataRate::mib_per_sec(220),
+      DataRate::mib_per_sec(240));
+  DagSpec d;
+  d.nodes = {stage, stage, stage, stage};
+  d.nodes[0].name = "fork";
+  d.nodes[0].block_out = DataSize::kib(32);
+  d.nodes[1].name = "left";
+  d.nodes[2].name = "right";
+  d.nodes[3].name = "join";
+  d.edges = {{0, 1, 0.5}, {0, 2, 0.5}, {1, 3, 1.0}, {2, 3, 1.0}};
+  d.entries = {{0, 0, 1.0}};
+  return d;
+}
+
+/// tied_join() without the join: the twin branches deliver into the sink
+/// at the same instants.
+DagSpec tied_sink() {
+  DagSpec d = tied_join();
+  d.nodes.pop_back();
+  d.edges.resize(2);
+  return d;
+}
+
+/// The head keeps half its output and drops the rest at the instants of
+/// later emits, an order the recurrence does not track. The tail's
+/// deliveries fall between emits.
+TEST(SameInstant, DropBesideAnEmitFallsBackToTheDes) {
+  DagSpec dag;
+  dag.nodes = {dyadic_stage("head"), dyadic_stage("tail", 0x1p-11)};
+  dag.edges = {{0, 1, 0.5}};
+  dag.entries = {{0, 0, 1.0}};
+  const SourceSpec src = dyadic_source();
+  const SimConfig c = dyadic_config();
+  EXPECT_FALSE(detail::simulate_dag_recurrence(dag, src, c).has_value());
+  const SimResult r = simulate_dag(dag, src, c);
+  EXPECT_GT(r.packets_delivered, 0u);
+  EXPECT_TRUE(identical(r, detail::simulate_dag_des(dag, src, c)));
+}
+
+TEST(SameInstant, TwinSinkDeliveriesFallBackToTheDes) {
+  SourceSpec src;
+  src.rate = DataRate::mib_per_sec(100);
+  src.packet = DataSize::kib(64);
+  SimConfig c;
+  c.horizon = Duration::seconds(0.2);
+  c.deterministic = true;
+  const DagSpec dag = tied_sink();
+  EXPECT_FALSE(detail::simulate_dag_recurrence(dag, src, c).has_value());
+  const SimResult r = simulate_dag(dag, src, c);
+  EXPECT_GT(r.packets_delivered, 0u);
+  EXPECT_TRUE(identical(r, detail::simulate_dag_des(dag, src, c)));
+}
+
+double counter(const char* name) {
+  return static_cast<double>(
+      obs::Registry::global().counter(name).value());
+}
+
+class EngineSelection : public ::testing::Test {
+ protected:
+  void SetUp() override {
+#if !SC_OBS_ENABLED
+    GTEST_SKIP() << "instrumentation compiled out (STREAMCALC_OBS=OFF)";
+#endif
+    obs::set_enabled(true);
+  }
+};
+
+TEST_F(EngineSelection, QuickstartTakesTheRecurrence) {
+  const cli::Spec spec = load_spec("quickstart");
+  SimConfig c = spec_config(spec, 0);
+  const double runs = counter("streamsim.recurrence.runs");
+  const double fallbacks = counter("streamsim.recurrence.fallbacks");
+  const double events = counter("des.events");
+  const SimResult r = simulate(spec.nodes, spec.source, c);
+  EXPECT_EQ(counter("streamsim.recurrence.runs"), runs + 1.0);
+  EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks);
+  EXPECT_EQ(counter("des.events"), events);
+  EXPECT_TRUE(identical(r, detail::simulate_des(spec.nodes, spec.source, c)));
+}
+
+TEST_F(EngineSelection, FiniteQueuesStayOnTheDes) {
+  const cli::Spec spec = load_spec("bitw");
+  SimConfig c = spec_config(spec, 0);
+  c.queue_capacity = spec.analysis.queue_capacity;
+  ASSERT_FALSE(detail::recurrence_applies(c));
+  const double runs = counter("streamsim.recurrence.runs");
+  const double events = counter("des.events");
+  (void)simulate(spec.nodes, spec.source, c);
+  EXPECT_EQ(counter("streamsim.recurrence.runs"), runs);
+  EXPECT_GT(counter("des.events"), events);
+}
+
+TEST_F(EngineSelection, JoinTieFallsBackToTheDes) {
+  const DagSpec dag = tied_join();
+  SourceSpec src;
+  src.rate = DataRate::mib_per_sec(100);
+  src.packet = DataSize::kib(64);
+  SimConfig c;
+  c.horizon = Duration::seconds(0.2);
+  c.deterministic = true;
+  ASSERT_FALSE(detail::simulate_dag_recurrence(dag, src, c).has_value());
+  const double runs = counter("streamsim.recurrence.runs");
+  const double fallbacks = counter("streamsim.recurrence.fallbacks");
+  const SimResult r = simulate_dag(dag, src, c);
+  EXPECT_EQ(counter("streamsim.recurrence.runs"), runs);
+  EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks + 1.0);
+  EXPECT_GT(r.packets_delivered, 0u);
+  EXPECT_TRUE(identical(r, detail::simulate_dag_des(dag, src, c)));
+}
+
+}  // namespace
+}  // namespace streamcalc::streamsim

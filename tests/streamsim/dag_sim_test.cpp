@@ -117,5 +117,22 @@ TEST(DagSim, RejectsBadInput) {
                util::PreconditionError);
 }
 
+TEST(DagSim, RejectsChainOnlySourceModels) {
+  // Rate profiles and on/off users drive chain sources only; a DAG must
+  // not silently fall back to the constant rate.
+  auto profiled = config(1.0);
+  profiled.rate_profile = {{0.0, 1e6}, {0.5, 0.0}};
+  EXPECT_THROW(simulate_dag(fork_join(), source(50), profiled),
+               util::PreconditionError);
+  auto onoff = config(1.0);
+  onoff.onoff_users = 2;
+  EXPECT_THROW(simulate_dag(fork_join(), source(50), onoff),
+               util::PreconditionError);
+  auto late = config(1.0);
+  late.warmup = Duration::seconds(1.0);
+  EXPECT_THROW(simulate_dag(fork_join(), source(50), late),
+               util::PreconditionError);
+}
+
 }  // namespace
 }  // namespace streamcalc::streamsim

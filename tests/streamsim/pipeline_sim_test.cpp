@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "streamsim/detail/engines.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::streamsim {
@@ -208,6 +209,56 @@ TEST(PipelineSim, RejectsBadConfig) {
   c2.warmup = Duration::seconds(2.0);  // beyond horizon
   EXPECT_THROW(simulate({stage("s", 1, 2, 3)}, source(50), c2),
                util::PreconditionError);
+  // The warmup is checked before either engine runs, whichever is picked.
+  const std::vector<NodeSpec> nodes{stage("s", 80, 100, 120)};
+  for (const double warmup : {-0.1, 1.0, 2.0}) {
+    SimConfig c3 = config(1.0);
+    c3.warmup = Duration::seconds(warmup);
+    EXPECT_THROW(detail::simulate_des(nodes, source(50), c3),
+                 util::PreconditionError)
+        << warmup;
+    EXPECT_THROW(detail::simulate_recurrence(nodes, source(50), c3),
+                 util::PreconditionError)
+        << warmup;
+    c3.queue_capacity = 4;
+    EXPECT_THROW(simulate(nodes, source(50), c3), util::PreconditionError)
+        << warmup;
+  }
+}
+
+TEST(PipelineSim, TraceCapsOfZeroAndOneStayBounded) {
+  // ~1600 deliveries: far more records than a cap of 0 or 1 holds, on the
+  // recurrence (unlimited queues) and on the DES (bounded queues).
+  const std::vector<NodeSpec> nodes{stage("a", 200, 220, 240),
+                                    stage("b", 150, 160, 170)};
+  for (const std::size_t queue : {SimConfig::kUnlimitedQueue,
+                                  std::size_t{8}}) {
+    auto full = config(1.0);
+    full.queue_capacity = queue;
+    const SimResult reference = simulate(nodes, source(100), full);
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{1}}) {
+      auto c = full;
+      c.max_trace_samples = cap;
+      const SimResult r = simulate(nodes, source(100), c);
+      EXPECT_LE(r.output_trace.size(), cap);
+      EXPECT_LE(r.backlog_trace.size(), cap);
+      EXPECT_LE(r.delay_trace.size(), cap);
+      EXPECT_EQ(r.packets_delivered, reference.packets_delivered);
+      EXPECT_EQ(r.max_delay.in_seconds(), reference.max_delay.in_seconds());
+      if (cap == 1) {
+        ASSERT_EQ(r.output_trace.size(), 1u);
+        EXPECT_EQ(r.output_trace.front(), reference.output_trace.front());
+      }
+    }
+  }
+  // Both engines directly, on the same chain.
+  auto c = config(1.0);
+  c.max_trace_samples = 0;
+  const auto rec = detail::simulate_recurrence(nodes, source(100), c);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_TRUE(rec->backlog_trace.empty());
+  EXPECT_TRUE(
+      detail::simulate_des(nodes, source(100), c).backlog_trace.empty());
 }
 
 
