@@ -82,6 +82,14 @@ struct DagPathAnalysis {
   std::vector<minplus::Curve> hop_residuals;  ///< per-hop residual curves
 };
 
+/// The end-to-end delay folds behind DagModel::delay_bound() and
+/// delay_bound(epsilon), for callers that already hold the path rows: the
+/// worst path's sure bound, and the worst path's Chernoff bound at
+/// `epsilon` in (0, 1), clamped per path by its sure bound.
+DelayReport worst_path_delay(const std::vector<DagPathAnalysis>& paths);
+DelayReport worst_path_delay(const std::vector<DagPathAnalysis>& paths,
+                             double epsilon);
+
 /// Network-calculus model of a DAG pipeline.
 class DagModel {
  public:

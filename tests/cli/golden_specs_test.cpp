@@ -27,7 +27,7 @@ std::string read_file(const std::string& name) {
 TEST(GoldenSpecs, QuickstartParsesAndReports) {
   const Spec spec = parse_spec(read_file("quickstart.scspec"));
   EXPECT_EQ(spec.nodes.size(), 3u);
-  const std::string out = run_report(spec);
+  const std::string out = run_report(spec, util::Context{});
   EXPECT_NE(out.find("bottleneck: transform"), std::string::npos);
   EXPECT_NE(out.find("within bounds: delay yes, backlog yes"),
             std::string::npos);
@@ -46,7 +46,7 @@ TEST(GoldenSpecs, BitwReproducesHeadlineNumbers) {
 TEST(GoldenSpecs, ForkJoinDagParsesAndReports) {
   const Spec spec = parse_spec(read_file("fork_join.scspec"));
   ASSERT_TRUE(spec.is_dag());
-  const std::string out = run_report(spec);
+  const std::string out = run_report(spec, util::Context{});
   EXPECT_NE(out.find("ingest -> video -> mux"), std::string::npos);
   EXPECT_NE(out.find("within bounds: delay yes, backlog yes"),
             std::string::npos);

@@ -30,7 +30,8 @@ seed = 5
 )";
 
 TEST(Report, ContainsAllSections) {
-  const std::string out = run_report(parse_spec(kSpecText));
+  const std::string out =
+      run_report(parse_spec(kSpecText), util::Context{});
   EXPECT_NE(out.find("regime:   underloaded"), std::string::npos);
   EXPECT_NE(out.find("bottleneck: slow"), std::string::npos);
   EXPECT_NE(out.find("delay    d <="), std::string::npos);
@@ -47,7 +48,7 @@ TEST(Report, ContainsAllSections) {
 TEST(Report, SkipsSimulationWhenDisabled) {
   Spec spec = parse_spec(kSpecText);
   spec.analysis.simulate = false;
-  const std::string out = run_report(spec);
+  const std::string out = run_report(spec, util::Context{});
   EXPECT_EQ(out.find("simulation"), std::string::npos);
 }
 
@@ -55,7 +56,7 @@ TEST(Report, OverloadedPipelineReported) {
   Spec spec = parse_spec(kSpecText);
   spec.source.rate = util::DataRate::mib_per_sec(500);
   spec.analysis.simulate = false;
-  const std::string out = run_report(spec);
+  const std::string out = run_report(spec, util::Context{});
   EXPECT_NE(out.find("regime:   overloaded"), std::string::npos);
   EXPECT_NE(out.find("delay    d <= inf"), std::string::npos);
 }
