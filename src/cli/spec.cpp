@@ -450,6 +450,11 @@ Spec parse_spec_impl(std::string_view text, bool validate) {
                   "spec: [source] rate must be positive");
     const StochSourceSpec& ss = spec.stoch_source;
     util::require(ss.users >= 1.0, "spec: [source] users must be >= 1");
+    // The DAG stochastic bounds use the rate/burst leaky bucket only, so
+    // a stochastic source model on a DAG would be silently ignored.
+    util::require(!spec.is_dag() || (ss.model.empty() && ss.users == 1.0),
+                  "spec: [source] model and users apply to chain specs "
+                  "only, not to a [topology] DAG");
     if (ss.model == "onoff") {
       util::require(ss.peak > DataRate::bytes_per_sec(0),
                     "spec: onoff source needs a positive peak rate");

@@ -275,6 +275,33 @@ edge = b a 1.0
                util::PreconditionError);
 }
 
+TEST(ParseSpec, TopologyRejectsStochasticSourceKeys) {
+  // DAG stochastic bounds ignore [source] model/users, so a DAG spec that
+  // declares them is an error rather than a silently different analysis.
+  const std::string dag_tail = R"(
+[node a]
+block_in = 1 KiB
+time_min = 1 us
+time_max = 2 us
+[topology]
+entry = a 1.0
+)";
+  const std::string source = "[source]\nrate = 10 MiB/s\npacket = 1 KiB\n";
+  EXPECT_NO_THROW(parse_spec(source + dag_tail));
+  for (const std::string extra :
+       {"model = onoff\npeak = 1 MiB/s\nmean_on = 1 ms\nmean_off = 1 ms\n",
+        "model = leaky\n", "users = 20\n"}) {
+    try {
+      parse_spec(source + extra + dag_tail);
+      ADD_FAILURE() << "accepted a DAG spec with " << extra;
+    } catch (const util::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("chain specs only"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ParseSpec, FuzzNeverCrashes) {
   // Random garbage must throw PreconditionError (or parse), never crash.
   util::Xoshiro256 rng(4242);
