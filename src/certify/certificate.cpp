@@ -36,8 +36,7 @@ BoundCertificate make_certificate(BoundKind kind, std::string context,
                                   const minplus::Curve& arrival,
                                   const minplus::Curve& service,
                                   double kernel_value,
-                                  std::vector<minplus::Curve> components,
-                                  std::vector<DerivationStep> steps) {
+                                  std::vector<minplus::Curve> components) {
   BoundCertificate cert;
   cert.kind = kind;
   cert.context = std::move(context);
@@ -45,7 +44,6 @@ BoundCertificate make_certificate(BoundKind kind, std::string context,
   cert.arrival = arrival;
   cert.service = service;
   cert.components = std::move(components);
-  cert.steps = std::move(steps);
 
   const ExactCurve f = ExactCurve::from(arrival);
   const ExactCurve g = ExactCurve::from(service);

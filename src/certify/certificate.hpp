@@ -5,8 +5,7 @@
 // arrival and service curves the bound was computed from, the claimed
 // bound itself, a witness time at which the deviation is attained, and —
 // when the service curve was assembled by concatenation — the component
-// service curves it was derived from, with a human-readable derivation
-// trace.
+// service curves it was derived from.
 //
 // The claimed bound is *emitted* by this layer, not copied from the double
 // kernel: make_certificate computes the exact definitional deviation on
@@ -31,13 +30,6 @@ enum class BoundKind {
 
 const char* to_string(BoundKind k);
 
-/// One step of the service-curve derivation trace, e.g.
-/// {"node-service", "lz4: rate_latency(rate=..., latency=...)"}.
-struct DerivationStep {
-  std::string rule;
-  std::string detail;
-};
-
 /// A self-contained, independently checkable claim about one bound.
 struct BoundCertificate {
   BoundKind kind = BoundKind::kDelay;
@@ -61,7 +53,6 @@ struct BoundCertificate {
   /// conditions (domination, tail slope, latency accumulation) against
   /// these.
   std::vector<minplus::Curve> components;
-  std::vector<DerivationStep> steps;
 
   /// One-line summary for logs and failure messages.
   std::string describe() const;
@@ -75,7 +66,6 @@ BoundCertificate make_certificate(BoundKind kind, std::string context,
                                   const minplus::Curve& arrival,
                                   const minplus::Curve& service,
                                   double kernel_value,
-                                  std::vector<minplus::Curve> components = {},
-                                  std::vector<DerivationStep> steps = {});
+                                  std::vector<minplus::Curve> components = {});
 
 }  // namespace streamcalc::certify
