@@ -7,7 +7,8 @@
 //   burst = 256 KiB
 //   packet = 64 KiB
 //   # job = 25 MiB              # optional finite job volume
-//   # --- optional stochastic source (stoch subcommand, analyze --epsilon)
+//   # --- optional stochastic source (stoch subcommand, analyze --epsilon;
+//   # --- chains only: a [topology] DAG rejects model and users)
 //   # model = onoff             # onoff | poisson | leaky
 //   # users = 50                # aggregated i.i.d. users (default 1)
 //   # peak = 4 MiB/s            # onoff: per-user on-state rate
