@@ -37,6 +37,17 @@ BoundCertificate make_certificate(BoundKind kind, std::string context,
                                   const minplus::Curve& service,
                                   double kernel_value,
                                   std::vector<minplus::Curve> components) {
+  ExactCurveTable exact;
+  return make_certificate(exact, kind, std::move(context), arrival, service,
+                          kernel_value, std::move(components));
+}
+
+BoundCertificate make_certificate(ExactCurveTable& exact, BoundKind kind,
+                                  std::string context,
+                                  const minplus::Curve& arrival,
+                                  const minplus::Curve& service,
+                                  double kernel_value,
+                                  std::vector<minplus::Curve> components) {
   BoundCertificate cert;
   cert.kind = kind;
   cert.context = std::move(context);
@@ -45,20 +56,20 @@ BoundCertificate make_certificate(BoundKind kind, std::string context,
   cert.service = service;
   cert.components = std::move(components);
 
-  const ExactCurve f = ExactCurve::from(arrival);
-  const ExactCurve g = ExactCurve::from(service);
-  const ExactBound exact = kind == BoundKind::kDelay
-                               ? exact_horizontal_deviation(f, g)
-                               : exact_vertical_deviation(f, g);
-  if (exact.infinite) {
+  const ExactCurve& f = exact.get(arrival);
+  const ExactCurve& g = exact.get(service);
+  const ExactBound dev = kind == BoundKind::kDelay
+                             ? exact_horizontal_deviation(f, g)
+                             : exact_vertical_deviation(f, g);
+  if (dev.infinite) {
     cert.claimed = std::numeric_limits<double>::infinity();
   } else {
-    cert.claimed = exact.value.round_up_double();
+    cert.claimed = dev.value.round_up_double();
     cert.has_witness = true;
     // Witness abscissae are sums/inverses of dyadic breakpoints; rounding
     // up keeps the stored double deterministic. The checker re-evaluates
     // the deviation at this (exactly converted) time.
-    cert.witness_time = exact.witness.round_up_double();
+    cert.witness_time = dev.witness.round_up_double();
   }
   return cert;
 }

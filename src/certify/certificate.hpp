@@ -58,11 +58,21 @@ struct BoundCertificate {
   std::string describe() const;
 };
 
+class ExactCurveTable;
+
 /// Emits a certificate for the bound of `arrival` against `service`:
 /// computes the exact definitional deviation, rounds it up onto the double
 /// grid, and records the witness. `kernel_value` is the double kernel's
 /// result for the same bound, recorded for cross-checking only.
 BoundCertificate make_certificate(BoundKind kind, std::string context,
+                                  const minplus::Curve& arrival,
+                                  const minplus::Curve& service,
+                                  double kernel_value,
+                                  std::vector<minplus::Curve> components = {});
+/// The same, reading the curves' exact forms from `exact` (certify/exact.hpp),
+/// so certificates of one call that share a curve convert it once.
+BoundCertificate make_certificate(ExactCurveTable& exact, BoundKind kind,
+                                  std::string context,
                                   const minplus::Curve& arrival,
                                   const minplus::Curve& service,
                                   double kernel_value,

@@ -26,16 +26,20 @@ Rational rel_tol(double scale) {
   return Rational::from_double(1e-9 * (1.0 + std::fabs(scale)));
 }
 
-/// a <= b + rel_tol(b), with +inf as absorbing top.
+/// a <= b + rel_tol(b), with +inf as absorbing top. The tolerance is
+/// built only when the exact comparison fails; the verdict is the same.
 bool leq_tol(const ExtRat& a, const ExtRat& b) {
   if (b.is_inf()) return true;
   if (a.is_inf()) return false;
+  if (a.finite() <= b.finite()) return true;
   return a.finite() <= b.finite() + rel_tol(b.approx());
 }
 
-/// |a - b| <= rel_tol(b), with inf == inf.
+/// |a - b| <= rel_tol(b), with inf == inf. Equal values skip building the
+/// tolerance.
 bool eq_tol(const ExtRat& a, const ExtRat& b) {
   if (a.is_inf() || b.is_inf()) return a.is_inf() && b.is_inf();
+  if (a.finite() == b.finite()) return true;
   const Rational d = a.finite() - b.finite();
   const Rational t = rel_tol(b.approx());
   return (d.is_negative() ? -d : d) <= t;
@@ -48,48 +52,63 @@ void add_error(LintReport& report, const char* code,
                         std::move(hint)});
 }
 
+/// Names a certificate curve in diagnostics: "arrival", "service" or
+/// "component <i> service". The string is built only for a diagnostic.
+struct CurveName {
+  const char* fixed = nullptr;  ///< the name; null for a component
+  std::size_t component = 0;    ///< the component index when fixed is null
+  std::string str() const {
+    return fixed != nullptr
+               ? std::string(fixed)
+               : "component " + std::to_string(component) + " service";
+  }
+};
+
 /// Exact re-validation of the Segment representation contract
 /// (minplus/curve.hpp) on the converted curve: a checker must not trust
 /// that a mutated curve still honors the invariants the double validator
 /// enforced.
-void check_structure(const ExactCurve& exact, const std::string& which,
+void check_structure(const ExactCurve& exact, const CurveName& which,
                      const std::string& location, LintReport& report) {
   const auto& e = exact.segments();
   if (e.empty()) {
-    add_error(report, "NC602", location, which + " curve has no segments");
+    add_error(report, "NC602", location,
+              which.str() + " curve has no segments");
     return;
   }
   if (!e.front().x.is_zero()) {
     add_error(report, "NC602", location,
-              which + " curve does not start at t = 0");
+              which.str() + " curve does not start at t = 0");
   }
   bool reached_inf = false;
   for (std::size_t i = 0; i < e.size(); ++i) {
     if (i > 0 && !(e[i - 1].x < e[i].x)) {
       add_error(report, "NC602", location,
-                which + " curve breakpoints are not strictly increasing");
+                which.str() +
+                    " curve breakpoints are not strictly increasing");
       return;
     }
     if (e[i].slope.is_negative() || !(e[i].value_at <= e[i].value_after)) {
       add_error(report, "NC602", location,
-                which + " curve decreases within a segment (not wide-sense "
-                        "increasing)");
+                which.str() +
+                    " curve decreases within a segment (not wide-sense "
+                    "increasing)");
       return;
     }
     if (i > 0) {
       // Cross-breakpoint monotonicity, with the validator's 1e-9 slack:
       // the left limit must not exceed the value at the breakpoint.
-      const ExtRat left = exact.value_left(e[i].x);
+      const ExtRat left = exact.limits(e[i].x).left;
       if (!leq_tol(left, e[i].value_at)) {
         add_error(report, "NC602", location,
-                  which + " curve jumps downward at t = " +
+                  which.str() + " curve jumps downward at t = " +
                       e[i].x.to_string());
         return;
       }
     }
     if (reached_inf && !e[i].value_at.is_inf()) {
       add_error(report, "NC602", location,
-                which + " curve returns from +inf to a finite value");
+                which.str() + " curve returns from +inf to a finite value");
       return;
     }
     reached_inf = reached_inf || e[i].value_after.is_inf();
@@ -183,24 +202,26 @@ void check_bound(const BoundCertificate& cert, const ExactCurve& f,
 /// Derivation side conditions for a concatenated service curve, given the
 /// converted end-to-end `service` curve.
 void check_derivation(const BoundCertificate& cert,
-                      const ExactCurve& service, LintReport& report) {
+                      const ExactCurve& service, ExactCurveTable& exact,
+                      LintReport& report) {
   if (cert.components.empty()) return;
 
-  std::vector<ExactCurve> comps;
+  std::vector<const ExactCurve*> comps;
   comps.reserve(cert.components.size());
   for (std::size_t i = 0; i < cert.components.size(); ++i) {
-    const std::string which = "component " + std::to_string(i) + " service";
-    ExactCurve c = ExactCurve::from(cert.components[i]);
+    const CurveName which{nullptr, i};
+    const ExactCurve& c = exact.get(cert.components[i]);
     check_structure(c, which, cert.context, report);
     // value_right(0) covers both a positive value at 0 and an upward jump
     // immediately after it — either way the stage would emit output in
     // (0, eps) with no input yet.
     if (c.value_right(Rational(0)) > ExtRat(Rational(0))) {
       add_error(report, "NC602", cert.context,
-                which + " is non-causal (positive at t = 0+): a service "
-                        "guarantee cannot deliver output before input");
+                which.str() +
+                    " is non-causal (positive at t = 0+): a service "
+                    "guarantee cannot deliver output before input");
     }
-    comps.push_back(std::move(c));
+    comps.push_back(&c);
   }
   if (!report.clean()) return;
 
@@ -208,7 +229,7 @@ void check_derivation(const BoundCertificate& cert,
   // beta_e2e <= beta_i pointwise, checked at every breakpoint of either
   // curve (value, right and left limits) plus a probe past both tails.
   for (std::size_t i = 0; i < comps.size(); ++i) {
-    const ExactCurve& c = comps[i];
+    const ExactCurve& c = *comps[i];
     std::vector<Rational> ts;
     for (const ExactSegment& s : service.segments()) ts.push_back(s.x);
     for (const ExactSegment& s : c.segments()) ts.push_back(s.x);
@@ -218,9 +239,11 @@ void check_derivation(const BoundCertificate& cert,
     bool ok = leq_tol(service.tail_slope(), c.tail_slope());
     for (const Rational& t : ts) {
       if (!ok) break;
-      ok = leq_tol(service.value(t), c.value(t)) &&
-           leq_tol(service.value_right(t), c.value_right(t)) &&
-           (t.is_zero() || leq_tol(service.value_left(t), c.value_left(t)));
+      const ExactCurve::Limits e2e = service.limits(t);
+      const ExactCurve::Limits stage = c.limits(t);
+      ok = leq_tol(e2e.value, stage.value) &&
+           leq_tol(e2e.right, stage.right) &&
+           (t.is_zero() || leq_tol(e2e.left, stage.left));
     }
     if (!ok) {
       add_error(report, "NC602", cert.context,
@@ -233,8 +256,8 @@ void check_derivation(const BoundCertificate& cert,
   // (2) The concatenated long-term rate is the bottleneck's: tail slope of
   // the end-to-end curve equals the minimum component tail slope.
   ExtRat min_tail = ExtRat::infinity();
-  for (const ExactCurve& c : comps) {
-    if (c.tail_slope() < min_tail) min_tail = c.tail_slope();
+  for (const ExactCurve* c : comps) {
+    if (c->tail_slope() < min_tail) min_tail = c->tail_slope();
   }
   if (!eq_tol(service.tail_slope(), min_tail)) {
     add_error(report, "NC602", cert.context,
@@ -247,8 +270,8 @@ void check_derivation(const BoundCertificate& cert,
   // before the sum of the component latencies ("pay bursts only once"
   // shortens bursts, never latencies).
   ExtRat latency_sum{Rational(0)};
-  for (const ExactCurve& c : comps) {
-    const ExtRat start = c.upper_inverse(ExtRat(Rational(0)));
+  for (const ExactCurve* c : comps) {
+    const ExtRat start = c->upper_inverse(ExtRat(Rational(0)));
     if (start.is_inf() || latency_sum.is_inf()) {
       latency_sum = ExtRat::infinity();
     } else {
@@ -290,27 +313,39 @@ void check_kernel_agreement(const BoundCertificate& cert,
   }
 }
 
-}  // namespace
-
-LintReport check_certificate(const BoundCertificate& cert) {
+/// Every check on one certificate; only the curve conversions come from
+/// (and go to) the call's table.
+LintReport check_one(const BoundCertificate& cert, ExactCurveTable& exact) {
   LintReport report;
-  // Each curve is converted to exact rationals once per certificate.
-  const ExactCurve f = ExactCurve::from(cert.arrival);
-  const ExactCurve g = ExactCurve::from(cert.service);
-  check_structure(f, "arrival", cert.context, report);
-  check_structure(g, "service", cert.context, report);
+  const ExactCurve& f = exact.get(cert.arrival);
+  const ExactCurve& g = exact.get(cert.service);
+  check_structure(f, CurveName{"arrival"}, cert.context, report);
+  check_structure(g, CurveName{"service"}, cert.context, report);
   if (!report.clean()) return report;
 
   check_bound(cert, f, g, report);
-  check_derivation(cert, g, report);
+  check_derivation(cert, g, exact, report);
   check_kernel_agreement(cert, report);
   return report;
 }
 
+}  // namespace
+
+LintReport check_certificate(const BoundCertificate& cert) {
+  ExactCurveTable exact;
+  return check_one(cert, exact);
+}
+
 LintReport check_certificates(const std::vector<BoundCertificate>& certs) {
+  ExactCurveTable exact;
+  return check_certificates(certs, exact);
+}
+
+LintReport check_certificates(const std::vector<BoundCertificate>& certs,
+                              ExactCurveTable& exact) {
   LintReport report;
   for (const BoundCertificate& cert : certs) {
-    report.merge(check_certificate(cert));
+    report.merge(check_one(cert, exact));
   }
   return report;
 }

@@ -27,6 +27,7 @@
 #pragma once
 
 #include "certify/certificate.hpp"
+#include "certify/exact.hpp"
 #include "diagnostics/diagnostic.hpp"
 
 namespace streamcalc::certify {
@@ -35,8 +36,14 @@ namespace streamcalc::certify {
 /// certificate is accepted.
 diagnostics::LintReport check_certificate(const BoundCertificate& cert);
 
-/// Convenience: checks every certificate and merges the reports.
+/// Checks every certificate and merges the reports. Every check runs on
+/// every certificate; a curve several certificates share is converted to
+/// exact form once per call.
 diagnostics::LintReport check_certificates(
     const std::vector<BoundCertificate>& certs);
+/// The same, with the exact forms read from and added to `exact`, so an
+/// emit-then-check call converts each curve once (certify_pipeline).
+diagnostics::LintReport check_certificates(
+    const std::vector<BoundCertificate>& certs, ExactCurveTable& exact);
 
 }  // namespace streamcalc::certify

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,21 @@ class ExactCurve {
   /// lim_{s -> t-} f(s) for t > 0; value(0) at 0.
   ExtRat value_left(const util::Rational& t) const;
 
+  /// f at t and both one-sided limits, as limits() returns them.
+  struct Limits {
+    ExtRat value;  ///< value(t)
+    ExtRat right;  ///< value_right(t)
+    ExtRat left;   ///< value_left(t)
+    /// segment_index(t): the segment whose slope holds just right of t.
+    std::size_t segment = 0;
+  };
+  /// value(t), value_right(t) and value_left(t) after one segment lookup,
+  /// equal to the three calls in value and in representation. Inside a
+  /// segment the three are one number, computed once; at a breakpoint the
+  /// value and the right limit are the stored ones, and only the left
+  /// limit takes arithmetic.
+  Limits limits(const util::Rational& t) const;
+
   /// Lower pseudo-inverse: inf{ t >= 0 : f(t) >= y } (ExtRat::infinity()
   /// when f never reaches y). For y = +inf this is inf_start().
   ExtRat lower_inverse(const ExtRat& y) const;
@@ -113,13 +129,32 @@ class ExactCurve {
   ExtRat inf_start() const;
   bool finite_everywhere() const { return !segs_.back().value_after.is_inf(); }
 
-  /// Slope immediately to the right of t (the containing segment's slope).
-  const util::Rational& right_slope(const util::Rational& t) const;
-
  private:
+  /// Index of the last segment starting at or before t. value() and
+  /// value_right() look it up per call; limits() finds it together with
+  /// value_left()'s segment in one scan, for callers that need several of
+  /// the three at the same t.
   std::size_t segment_index(const util::Rational& t) const;
 
   std::vector<ExactSegment> segs_;
+};
+
+/// The exact forms of the curves one certify call works on. Each distinct
+/// curve is converted on first use; a curve met again (the delay and the
+/// backlog certificate of one pair, the checker after the emitter) is
+/// looked up by equality instead. References stay valid while the table
+/// lives, and a table lives for one call.
+class ExactCurveTable {
+ public:
+  /// ExactCurve::from(c), converted at most once per table.
+  const ExactCurve& get(const minplus::Curve& c);
+
+ private:
+  struct Entry {
+    std::vector<minplus::Segment> segments;
+    ExactCurve exact;
+  };
+  std::deque<Entry> entries_;  ///< a deque keeps references stable
 };
 
 /// Result of an exact deviation computation. When `infinite`, the bound
