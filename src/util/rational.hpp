@@ -13,9 +13,10 @@
 // The implementation is deliberately minimal: sign-magnitude big integers
 // over 32-bit limbs with schoolbook multiplication, and one number path.
 // Simplicity and obvious correctness are the point (this class is part of
-// the verification trust base, see DESIGN.md §9), but certification is
-// also the largest layer of an analyze run, so the storage is sized to the
-// values the checker actually makes. Over the arithmetic results (sums,
+// the verification trust base, see DESIGN.md §9), but this arithmetic is
+// also the largest layer of the certify path (analyze runs certification
+// only as an opt-in post-flight), so the storage is sized to the values
+// the checker actually makes. Over the arithmetic results (sums,
 // differences, products, shifts) of certifying examples/specs/*.scspec
 // and the blast_base fixture, the limb counts are 1: 11%, 2: 35%,
 // 3: 23%, 4: 22%, 5: 7%, 6: 1.9%, 7-8: 0.2%, and more than 8 only 0.13%
