@@ -106,19 +106,6 @@ void BM_ConvolveAffineConvex(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvolveAffineConvex)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_ConvolveStaircase(benchmark::State& state) {
-  // Packetizer staircase against a rate-latency service curve: the
-  // staircase kernel anchors branches at the risers and prunes dominated
-  // ones instead of building the full branch envelope.
-  const int n = static_cast<int>(state.range(0));
-  const Curve a = Curve::staircase(64.0, 1.0, 0.5, n);
-  const Curve b = Curve::rate_latency(80.0, 2.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(streamcalc::minplus::convolve(a, b));
-  }
-}
-BENCHMARK(BM_ConvolveStaircase)->Arg(16)->Arg(64)->Arg(256);
-
 void BM_DeconvolveStaircase(benchmark::State& state) {
   // Output-bound shape for a packetized flow: staircase arrival against a
   // rate-latency service (the general deconvolution path on staircase
@@ -206,17 +193,6 @@ void BM_PseudoInverseCurve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PseudoInverseCurve)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_StaircaseInverse(benchmark::State& state) {
-  // Piecewise-constant operand: the lower inverse swaps runs and rises in
-  // one O(n) pass instead of probing evaluators per level.
-  const int n = static_cast<int>(state.range(0));
-  const Curve a = Curve::staircase(64.0, 1.0, 0.5, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(streamcalc::minplus::lower_inverse_curve(a));
-  }
-}
-BENCHMARK(BM_StaircaseInverse)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace
 

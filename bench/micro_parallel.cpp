@@ -7,10 +7,7 @@
 // (64-512 pieces); the BLAST and BITW curves are a handful of pieces, so
 // no real analysis builds an envelope that large. The pool itself serves
 // serve's request batches and the replication runner, which
-// BM_PoolDispatch measures. The headline contrast is the shape dispatch:
-// operands a specialized kernel recognizes (see
-// BM_ConvolveShortcutStaircase below) never enter the branch-envelope path
-// at all.
+// BM_PoolDispatch measures.
 //
 // Supports `--json <path>` (see benchmark_json.hpp); the checked-in
 // BENCH_micro_parallel.json is the perf baseline.
@@ -121,20 +118,6 @@ BENCHMARK(BM_DeconvolveSerial)
     ->Arg(64)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
-
-/// The shape-dispatch contrast for the general-path rows above: a
-/// packetizer staircase against a rate-latency service routes to the
-/// staircase shortcut kernel, which is linear-time, at sizes where the
-/// general branch envelope is quadratic.
-void BM_ConvolveShortcutStaircase(benchmark::State& state) {
-  const Curve a =
-      Curve::staircase(64.0, 1.0, 0.5, static_cast<int>(state.range(0)));
-  const Curve b = Curve::rate_latency(80.0, 2.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(streamcalc::minplus::convolve(a, b));
-  }
-}
-BENCHMARK(BM_ConvolveShortcutStaircase)->Arg(64)->Arg(256)->Arg(512);
 
 /// Curve-op cache hit path: hash both operands, probe, splice the LRU.
 void BM_CacheHitConvolve(benchmark::State& state) {

@@ -103,9 +103,6 @@ Curve CurveOpCache::get_or_compute(
         case ShapeClass::kConcave:
           SC_OBS_COUNT("cache.hits.shape.concave", 1);
           break;
-        case ShapeClass::kStaircase:
-          SC_OBS_COUNT("cache.hits.shape.staircase", 1);
-          break;
         case ShapeClass::kGeneral:
           SC_OBS_COUNT("cache.hits.shape.general", 1);
           break;

@@ -59,8 +59,6 @@ const char* shape_class_name(ShapeClass c) {
       return "convex";
     case ShapeClass::kConcave:
       return "concave";
-    case ShapeClass::kStaircase:
-      return "staircase";
     case ShapeClass::kGeneral:
       break;
   }
@@ -402,74 +400,11 @@ bool segs_concave_from_origin(const std::vector<Segment>& segs) {
 }  // namespace
 
 void Curve::compute_shape() {
-  shape_ = ShapeInfo{};
   shape_.convex = segs_convex(segs_);
   shape_.concave_from_origin = segs_concave_from_origin(segs_);
-
-  // Piecewise-constant transient + affine tail: the gate for the staircase
-  // convolution kernel. Flatness must be *exact* — the kernel's branch
-  // pruning argument relies on f being constant between risers.
-  const std::size_t n = segs_.size();
-  if (n >= 2) {
-    bool pc = true;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      if (segs_[i].slope != 0.0 || segs_[i].value_after == kInf) {
-        pc = false;
-        break;
-      }
-    }
-    shape_.piecewise_constant = pc;
-  }
-  if (!shape_.piecewise_constant) return;
-
-  // Uniform staircase (UPP transient+period form): optional leading flat
-  // piece, then equally spaced risers of equal height, then the
-  // average-rate tail — the pattern Curve::staircase() produces. Spacing
-  // and heights are compared with the classification tolerance because
-  // riser abscissae synthesized by latency + k*period round per-step.
-  std::size_t first = 0;
-  if (n >= 3 && segs_[0].value_at == segs_[0].value_after &&
-      segs_[0].value_at == 0.0 && segs_[1].value_at == 0.0) {
-    first = 1;
-  }
-  const std::size_t tail = n - 1;
-  if (tail <= first) return;
-  const Segment& r0 = segs_[first];
-  const double height = r0.value_after - r0.value_at;
-  if (!(height > 0.0) || r0.value_at != 0.0) return;
-  double period = 0.0;
-  if (tail - first >= 2) {
-    period = segs_[first + 1].x - r0.x;
-  } else {
-    // A single materialized riser: infer the period from the tail slope.
-    const double m = segs_[tail].slope;
-    if (!(m > 0.0)) return;
-    period = height / m;
-  }
-  if (!(period > 0.0)) return;
-  for (std::size_t i = first; i < tail; ++i) {
-    const Segment& s = segs_[i];
-    const std::size_t k = i - first;
-    if (!nearly_equal(s.x, r0.x + static_cast<double>(k) * period)) return;
-    if (!nearly_equal(s.value_at, static_cast<double>(k) * height)) return;
-    if (!nearly_equal(s.value_after - s.value_at, height)) return;
-  }
-  const Segment& t = segs_[tail];
-  if (t.value_after == kInf) return;
-  if (!nearly_equal(t.x, r0.x + static_cast<double>(tail - first) * period)) {
-    return;
-  }
-  if (!nearly_equal(t.slope, height / period)) return;
-  if (!nearly_equal(t.value_at, t.value_after)) return;
-  shape_.uniform_staircase = true;
-  shape_.height = height;
-  shape_.period = period;
-  shape_.latency = r0.x;
-  shape_.steps = static_cast<int>(tail - first);
 }
 
 ShapeClass Curve::shape_class() const {
-  if (shape_.piecewise_constant) return ShapeClass::kStaircase;
   if (shape_.concave_from_origin) return ShapeClass::kConcave;
   if (shape_.convex) return ShapeClass::kConvex;
   return ShapeClass::kGeneral;

@@ -43,34 +43,17 @@ struct Segment {
 /// Coarse structural class of a curve, derived from its cached ShapeInfo.
 /// This is the "shape lattice" the operation dispatcher keys on
 /// (DESIGN.md §11); kGeneral means no specialized kernel applies.
-enum class ShapeClass { kGeneral, kConvex, kConcave, kStaircase };
+enum class ShapeClass { kGeneral, kConvex, kConcave };
 
-/// Stable lowercase name for a ShapeClass ("convex", "staircase", ...),
-/// used in obs counter names and diagnostics.
+/// Stable lowercase name for a ShapeClass ("convex", "concave",
+/// "general"), used in obs counter names and diagnostics.
 const char* shape_class_name(ShapeClass c);
 
 /// Structural classification of a curve, computed once at construction and
-/// cached. The flags gate the specialized min-plus kernels; the staircase
-/// fields are the UPP-style transient+period description (Nancy, arXiv
-/// 2205.11449): a uniform staircase is fully described by (latency, period,
-/// height, steps) plus the average-rate tail.
+/// cached. The flags gate the specialized min-plus kernels.
 struct ShapeInfo {
-  bool convex = false;                ///< see Curve::is_convex()
-  bool concave_from_origin = false;   ///< see Curve::is_concave_from_origin()
-  /// Every piece before the final (tail) segment is exactly flat
-  /// (slope == 0.0) with finite values: a piecewise-constant transient
-  /// followed by one affine (possibly +inf) tail. This is the eligibility
-  /// gate for the staircase convolution kernel — it does NOT require
-  /// uniform risers.
-  bool piecewise_constant = false;
-  /// The transient is a uniform staircase: equal `height` jumps every
-  /// `period` starting at `latency`, `steps` risers, then the average-rate
-  /// tail (the exact pattern Curve::staircase() produces).
-  bool uniform_staircase = false;
-  double height = 0.0;   ///< riser height (uniform_staircase only)
-  double period = 0.0;   ///< riser spacing (uniform_staircase only)
-  double latency = 0.0;  ///< abscissa of the first riser (uniform_staircase)
-  int steps = 0;         ///< number of materialized risers (uniform_staircase)
+  bool convex = false;               ///< see Curve::is_convex()
+  bool concave_from_origin = false;  ///< see Curve::is_concave_from_origin()
 };
 
 /// A piecewise-linear, wide-sense-increasing curve on [0, inf).
@@ -175,7 +158,7 @@ class Curve {
   const ShapeInfo& shape() const { return shape_; }
 
   /// Coarsest shape-lattice class this curve belongs to, for dispatch
-  /// accounting: staircase beats convex/concave beats general.
+  /// accounting: concave beats convex beats general.
   ShapeClass shape_class() const;
 
   /// True if f(t) == 0 for all t.

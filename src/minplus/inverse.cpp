@@ -5,44 +5,6 @@
 namespace streamcalc::minplus {
 
 Curve lower_inverse_curve(const Curve& f) {
-  const std::vector<Segment>& fs = f.segments();
-  if (f.shape().piecewise_constant) {
-    // Staircase fast path: the lower inverse of a piecewise-constant
-    // transient + affine tail is itself a staircase with runs and rises
-    // swapped — each riser (level w_{i-1} -> w_i at abscissa x_i) maps to
-    // a flat inverse piece at value x_i over the level interval
-    // (w_{i-1}, w_i], and the affine tail of slope m inverts to slope 1/m.
-    // Direct O(n) construction, no evaluator probes.
-    std::vector<Segment> out;
-    out.reserve(fs.size() + 1);
-    out.push_back(Segment{0.0, 0.0, 0.0, 0.0});
-    for (std::size_t i = 1; i < fs.size(); ++i) {
-      const double level = fs[i - 1].value_after;  // left limit at fs[i].x
-      if (level <= out.back().x) {
-        // This riser starts at the previous breakpoint's level (origin
-        // plateau at level 0, or a point-only jump): levels just above it
-        // are first reached at fs[i].x.
-        out.back().value_after = fs[i].x;
-        continue;
-      }
-      out.push_back(Segment{level, fs[i - 1].x, fs[i].x, 0.0});
-    }
-    const Segment& tail = fs.back();
-    if (tail.value_after != detail::kInf) {
-      // Levels above the tail's start value: reached on the affine tail
-      // (slope 1/m), or never (flat finite tail -> +inf).
-      const double w_top = tail.value_after;
-      const double after = tail.slope > 0.0 ? tail.x : detail::kInf;
-      const double slope = tail.slope > 0.0 ? 1.0 / tail.slope : 0.0;
-      if (w_top > out.back().x) {
-        out.push_back(Segment{w_top, tail.x, after, slope});
-      } else {
-        out.back().value_after = after;
-        out.back().slope = slope;
-      }
-    }
-    return Curve(std::move(out));
-  }
   // Breakpoints of the inverse sit at f's value levels (value_at and
   // value_after of every segment); between adjacent levels the inverse is
   // linear (slope 1/m) or constant (across f's jumps).

@@ -509,30 +509,6 @@ void add_conv_anchors(std::vector<ConvBranchDesc>& descs, const Curve& anchor,
   }
 }
 
-/// Builds every branch, folds them to their pointwise-minimum envelope,
-/// and repairs isolated point values against the exact (f, g) evaluator.
-Curve conv_envelope(const std::vector<ConvBranchDesc>& descs, const Curve& f,
-                    const Curve& g) {
-  const Curve env = detail::fold_envelope(
-      descs.size(),
-      [&](std::size_t i) {
-        return conv_branch(*descs[i].shape, descs[i].T, descs[i].c);
-      },
-      [](const Curve& a, const Curve& b) {
-        return detail::merge_minimum(a, b);
-      });
-  return repair_point_values(env,
-                             [&](double t) { return conv_at_impl(f, g, t); });
-}
-
-/// Constant other(0): convolving with the zero curve takes the whole
-/// budget at s = t, so (0 (x) g)(t) = g(0) for every t.
-Curve convolve_zero(const Curve& other) {
-  const double c = other.value(0.0);
-  if (c == kInf) return Curve({Segment{0.0, kInf, kInf, 0.0}});
-  return Curve({Segment{0.0, c, c, 0.0}});
-}
-
 /// Single-segment f = {0, a0, b0, m} against convex finite g:
 ///
 ///   (f (x) g)(t) = min(a0 + g(t), b0 + (rate_m (x) g)(t))
@@ -548,37 +524,6 @@ Curve convolve_affine_convex(const Curve& f, const Curve& g) {
   const Curve ramp = convolve_convex(Curve::rate(s.slope), g);
   return detail::merge_minimum(plus_const(g, s.value_at),
                                plus_const(ramp, s.value_after));
-}
-
-/// Staircase kernel: f has a piecewise-constant transient (exactly flat
-/// pieces) and one affine tail. The general construction would anchor a
-/// full K-piece copy of f at each of g's m breakpoints — O(K·m) segments
-/// of branch curves that the envelope then grinds down. But a branch
-/// G_j(t) = g(y_j) + f(t - y_j) evaluated where t - y_j lands in a *flat*
-/// piece (x_k, x_{k+1}) of f is dominated by the f-anchored branch at
-/// x_{k+1} with the left-limit constant w_k (= f's value on that piece):
-/// w_k + g(t - x_{k+1}) <= g(y_j) + w_k because t - x_{k+1} < y_j and g is
-/// increasing. Only the affine tail of f can genuinely win from a
-/// g-anchored branch, so those branches carry a 2-piece "tail shape"
-/// (plateau at f(x_T), then f's tail) instead of all of f: the branch set
-/// shrinks from O(K·m + K·m) to O(K·m + m) segments. Isolated point
-/// values (where the plateau over-estimates) are repaired against the
-/// exact evaluator as usual.
-Curve convolve_staircase(const Curve& f, const Curve& g) {
-  const Segment& tail = f.segments().back();
-  std::vector<Segment> tail_segs;
-  tail_segs.push_back(Segment{0.0, tail.value_at, tail.value_at, 0.0});
-  tail_segs.push_back(tail);
-  const Curve f_tail(std::move(tail_segs));
-  std::vector<ConvBranchDesc> descs;
-  add_conv_anchors(descs, f, g);
-  add_conv_anchors(descs, g, f_tail);
-  return conv_envelope(descs, f, g);
-}
-
-/// True when the staircase kernel applies with `c` as the stair side.
-bool staircase_eligible(const Curve& c) {
-  return c.shape().piecewise_constant && c.segments().size() >= 4;
 }
 
 }  // namespace
@@ -682,9 +627,6 @@ Curve convolve(const Curve& f, const Curve& g) {
         }
         return f.shift_right(pure_delay_latency(g));
       }
-      case detail::ConvKernel::kZero:
-        SC_OBS_COUNT("minplus.convolve.kernel.zero", 1);
-        return convolve_zero(f.is_zero() ? g : f);
       case detail::ConvKernel::kConvex:
         SC_OBS_COUNT("minplus.convolve.kernel.convex", 1);
         return convolve_convex(f, g);
@@ -698,15 +640,6 @@ Curve convolve(const Curve& f, const Curve& g) {
           return convolve_affine_convex(f, g);
         }
         return convolve_affine_convex(g, f);
-      case detail::ConvKernel::kStaircase: {
-        SC_OBS_COUNT("minplus.convolve.kernel.staircase", 1);
-        // Prune the side with more flat pieces; either qualifies.
-        const bool f_side =
-            staircase_eligible(f) &&
-            (!staircase_eligible(g) ||
-             f.segments().size() >= g.segments().size());
-        return f_side ? convolve_staircase(f, g) : convolve_staircase(g, f);
-      }
       case detail::ConvKernel::kGeneral:
         break;
     }
@@ -728,21 +661,13 @@ Curve deconvolve(const Curve& f, const Curve& g) {
   SC_OBS_COUNT("minplus.deconvolve.calls", 1);
   SC_OBS_OBSERVE("minplus.deconvolve.operand_pieces",
                  f.segments().size() + g.segments().size());
-  const detail::DeconvKernel kernel = detail::classify_deconvolve(f, g);
   Curve out = [&]() -> Curve {
-    switch (kernel) {
-      case detail::DeconvKernel::kDivergent:
-        SC_OBS_COUNT("minplus.deconvolve.kernel.divergent", 1);
-        // The supremum diverges for every t: the deconvolution is +inf
-        // everywhere (the flow cannot be bounded by any arrival curve).
-        return Curve({Segment{0.0, kInf, kInf, 0.0}});
-      case detail::DeconvKernel::kDelay:
-        SC_OBS_COUNT("minplus.deconvolve.kernel.delay", 1);
-        // g = delta_T contributes 0 on [0, T] and -inf after: the supremum
-        // sits at s = T, so (f (/) delta_T)(t) = f(t + T).
-        return f.shift_left(pure_delay_latency(g));
-      case detail::DeconvKernel::kGeneral:
-        break;
+    if (detail::classify_deconvolve(f, g) ==
+        detail::DeconvKernel::kDivergent) {
+      SC_OBS_COUNT("minplus.deconvolve.kernel.divergent", 1);
+      // The supremum diverges for every t: the deconvolution is +inf
+      // everywhere (the flow cannot be bounded by any arrival curve).
+      return Curve({Segment{0.0, kInf, kInf, 0.0}});
     }
     SC_OBS_COUNT("minplus.deconvolve.kernel.general", 1);
     return detail::deconvolve_general(f, g);
@@ -772,16 +697,12 @@ const char* kernel_name(ConvKernel k) {
   switch (k) {
     case ConvKernel::kDelay:
       return "delay";
-    case ConvKernel::kZero:
-      return "zero";
     case ConvKernel::kConvex:
       return "convex";
     case ConvKernel::kConcave:
       return "concave";
     case ConvKernel::kAffineConvex:
       return "affine_convex";
-    case ConvKernel::kStaircase:
-      return "staircase";
     case ConvKernel::kGeneral:
       break;
   }
@@ -792,8 +713,6 @@ const char* kernel_name(DeconvKernel k) {
   switch (k) {
     case DeconvKernel::kDivergent:
       return "divergent";
-    case DeconvKernel::kDelay:
-      return "delay";
     case DeconvKernel::kGeneral:
       break;
   }
@@ -806,7 +725,6 @@ ConvKernel classify_convolve(const Curve& f, const Curve& g) {
   } else if (const double tg = pure_delay_latency(g); tg >= 0.0) {
     if (f.value(0.0) == 0.0) return ConvKernel::kDelay;
   }
-  if (f.is_zero() || g.is_zero()) return ConvKernel::kZero;
   if (f.is_finite() && g.is_finite() && f.is_convex() && g.is_convex()) {
     return ConvKernel::kConvex;
   }
@@ -819,15 +737,11 @@ ConvKernel classify_convolve(const Curve& f, const Curve& g) {
        f.is_finite())) {
     return ConvKernel::kAffineConvex;
   }
-  if (staircase_eligible(f) || staircase_eligible(g)) {
-    return ConvKernel::kStaircase;
-  }
   return ConvKernel::kGeneral;
 }
 
 DeconvKernel classify_deconvolve(const Curve& f, const Curve& g) {
   if (tail_diverges(f, g)) return DeconvKernel::kDivergent;
-  if (pure_delay_latency(g) >= 0.0) return DeconvKernel::kDelay;
   return DeconvKernel::kGeneral;
 }
 
@@ -841,7 +755,14 @@ Curve convolve_general(const Curve& f, const Curve& g) {
   std::vector<ConvBranchDesc> descs;
   add_conv_anchors(descs, f, g);
   add_conv_anchors(descs, g, f);
-  return conv_envelope(descs, f, g);
+  const Curve env = fold_envelope(
+      descs.size(),
+      [&](std::size_t i) {
+        return conv_branch(*descs[i].shape, descs[i].T, descs[i].c);
+      },
+      [](const Curve& a, const Curve& b) { return merge_minimum(a, b); });
+  return repair_point_values(env,
+                             [&](double t) { return conv_at_impl(f, g, t); });
 }
 
 Curve deconvolve_general(const Curve& f, const Curve& g) {

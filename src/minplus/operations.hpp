@@ -75,18 +75,15 @@ namespace detail {
 /// Which kernel convolve() routes a given operand pair to.
 enum class ConvKernel {
   kDelay,         ///< one operand is delta_T: shift the other
-  kZero,          ///< one operand is the zero curve: constant other(0)
   kConvex,        ///< convex (x) convex: slope-sorted merge, O(n log n)
   kConcave,       ///< concave (x) concave from origin: pointwise minimum
   kAffineConvex,  ///< single-segment (x) convex: min of two closed forms
-  kStaircase,     ///< piecewise-constant transient: pruned branch envelope
   kGeneral,       ///< no structure applies: full branch envelope
 };
 
 /// Which kernel deconvolve() routes a given operand pair to.
 enum class DeconvKernel {
   kDivergent,  ///< tail of f outgrows g: +inf everywhere
-  kDelay,      ///< g is delta_T: f shifted left by T
   kGeneral,    ///< full reflected-branch envelope
 };
 

@@ -337,24 +337,18 @@ TEST(CurveShape, AffineIsBothConvexAndConcave) {
   const Curve a = Curve::rate(4.0);
   EXPECT_TRUE(a.shape().convex);
   EXPECT_TRUE(a.shape().concave_from_origin);
-  EXPECT_FALSE(a.shape().piecewise_constant);
 }
 
 TEST(CurveShape, RateLatencyIsConvexAndDegenerateStaircase) {
   // The latency plateau is a single flat pre-tail piece, so rate-latency
-  // sits at the staircase corner of the lattice too; shape_class()
-  // reports kStaircase (piecewise_constant wins), while the convolve
-  // classifier still prefers the convex kernel for convex x convex pairs.
+  // is also the degenerate one-step staircase; its slopes only rise, so it
+  // classifies as convex.
   const Curve b = Curve::rate_latency(5.0, 2.0);
   EXPECT_TRUE(b.shape().convex);
   EXPECT_FALSE(b.shape().concave_from_origin);
-  EXPECT_TRUE(b.shape().piecewise_constant);
-  EXPECT_EQ(b.shape_class(), ShapeClass::kStaircase);
-  // A strictly-sloped two-piece convex curve has no flat transient and
-  // classifies as plain convex.
+  EXPECT_EQ(b.shape_class(), ShapeClass::kConvex);
   const Curve c = maximum(Curve::rate(1.0), Curve::rate_latency(5.0, 2.0));
   EXPECT_TRUE(c.shape().convex);
-  EXPECT_FALSE(c.shape().piecewise_constant);
   EXPECT_EQ(c.shape_class(), ShapeClass::kConvex);
 }
 
@@ -365,45 +359,8 @@ TEST(CurveShape, TokenBucketMinIsConcave) {
   EXPECT_EQ(a.shape_class(), ShapeClass::kConcave);
 }
 
-TEST(CurveShape, UniformStaircaseRecoversConstructorParameters) {
-  const Curve s = Curve::staircase(64.0, 0.5, 1.25, 7);
-  const ShapeInfo& info = s.shape();
-  EXPECT_TRUE(info.piecewise_constant);
-  ASSERT_TRUE(info.uniform_staircase);
-  EXPECT_DOUBLE_EQ(info.height, 64.0);
-  EXPECT_DOUBLE_EQ(info.period, 0.5);
-  EXPECT_DOUBLE_EQ(info.latency, 1.25);
-  EXPECT_EQ(info.steps, 7);
-  EXPECT_EQ(s.shape_class(), ShapeClass::kStaircase);
-}
-
-TEST(CurveShape, NonUniformStaircaseIsPiecewiseConstantOnly) {
-  const Curve s({Segment{0.0, 0.0, 0.0, 0.0}, Segment{1.0, 3.0, 3.0, 0.0},
-                 Segment{1.5, 10.0, 10.0, 0.0},
-                 Segment{5.0, 20.0, 20.0, 4.0}});
-  EXPECT_TRUE(s.shape().piecewise_constant);
-  EXPECT_FALSE(s.shape().uniform_staircase);
-  EXPECT_EQ(s.shape_class(), ShapeClass::kStaircase);
-}
-
-TEST(CurveShape, SlopedTransientIsNotPiecewiseConstant) {
-  const Curve s({Segment{0.0, 0.0, 0.0, 1.0}, Segment{1.0, 1.0, 4.0, 0.0},
-                 Segment{2.0, 4.0, 4.0, 2.0}});
-  EXPECT_FALSE(s.shape().piecewise_constant);
-}
-
-TEST(CurveShape, ShapeSurvivesPacketization) {
-  // plus_step lifts the whole curve by a burst: a staircase stays a
-  // staircase (this is what keeps the packetizer output on the staircase
-  // kernel through the pipeline).
-  const Curve s = Curve::staircase(64.0, 1.0, 0.5, 6).plus_step(32.0);
-  EXPECT_TRUE(s.shape().piecewise_constant);
-  EXPECT_EQ(s.shape_class(), ShapeClass::kStaircase);
-}
-
 TEST(CurveShape, GeneralMixedShapeClassifiesAsGeneral) {
-  // Concave body with a step: neither convex, concave-from-origin, nor
-  // piecewise-constant.
+  // Concave body with a step: neither convex nor concave-from-origin.
   const Curve a =
       minimum(Curve::affine(2.0, 9.0), Curve::affine(6.0, 1.0)).plus_step(2.0);
   const Curve m = maximum(a, Curve::rate_latency(8.0, 1.0));
@@ -414,7 +371,6 @@ TEST(CurveShape, ShapeClassNamesAreStable) {
   EXPECT_STREQ(shape_class_name(ShapeClass::kGeneral), "general");
   EXPECT_STREQ(shape_class_name(ShapeClass::kConvex), "convex");
   EXPECT_STREQ(shape_class_name(ShapeClass::kConcave), "concave");
-  EXPECT_STREQ(shape_class_name(ShapeClass::kStaircase), "staircase");
 }
 
 }  // namespace

@@ -125,13 +125,11 @@ TEST(InverseCurve, DualityPropertyOnRandomCurves) {
   }
 }
 
-// --- Staircase fast path of lower_inverse_curve --------------------------
-// Piecewise-constant curves take a direct runs/rises swap instead of the
-// evaluator-probe builder; the result must still agree with the pointwise
-// lower_inverse() contract at every level.
+// --- Staircases through lower_inverse_curve --------------------------------
+// Runs and rises swap under inversion; the curve must agree with the
+// pointwise lower_inverse() contract at every level.
 
 void expect_inverse_matches_pointwise(const Curve& f) {
-  ASSERT_TRUE(f.shape().piecewise_constant);
   const Curve inv = lower_inverse_curve(f);
   std::vector<double> levels{0.0};
   for (const Segment& s : f.segments()) {
@@ -168,7 +166,6 @@ TEST(StaircaseInverse, NonUniformRisers) {
 TEST(StaircaseInverse, FlatFiniteTailInvertsToInfinity) {
   // Levels above the plateau are never reached: the inverse jumps to +inf.
   const Curve f({Segment{0.0, 0.0, 0.0, 0.0}, Segment{2.0, 5.0, 5.0, 0.0}});
-  ASSERT_TRUE(f.shape().piecewise_constant);
   const Curve inv = lower_inverse_curve(f);
   EXPECT_EQ(inv.value(5.0), 2.0);
   EXPECT_EQ(inv.value_right(5.0), kInf);
@@ -179,7 +176,6 @@ TEST(StaircaseInverse, FlatFiniteTailInvertsToInfinity) {
 TEST(StaircaseInverse, JumpAtOriginCollapsesZeroLevels) {
   // Riser at x=0 (burst): levels in (0, h] are reached immediately after 0.
   const Curve f({Segment{0.0, 0.0, 4.0, 0.0}, Segment{1.0, 8.0, 8.0, 2.0}});
-  ASSERT_TRUE(f.shape().piecewise_constant);
   expect_inverse_matches_pointwise(f);
 }
 

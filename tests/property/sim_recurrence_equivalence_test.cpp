@@ -292,7 +292,11 @@ void random_chains(Family family, const char* name) {
     const auto hops = static_cast<int>(rng.uniform(1.0, 5.99));
     double offered = run.source.rate.in_bytes_per_sec();
     for (int i = 0; i < hops; ++i) {
-      nodes.push_back(random_node(rng, "n" + std::to_string(i), offered));
+      // Appended rather than "n" + std::to_string(i): GCC 12 at -O3 raises
+      // a false -Werror=restrict on that operator+ overload.
+      std::string node_name = "n";
+      node_name += std::to_string(i);
+      nodes.push_back(random_node(rng, node_name, offered));
       offered = passed_on(nodes.back(), offered);
     }
     if (run.source.packet.in_bytes() <= 0.0) {

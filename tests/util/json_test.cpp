@@ -134,7 +134,11 @@ Json random_json(util::Xoshiro256& rng, int depth) {
       Json::Object o;
       const std::uint64_t n = rng() % 4;
       for (std::uint64_t i = 0; i < n; ++i) {
-        o["k" + std::to_string(rng() % 8)] = random_json(rng, depth - 1);
+        // Appended rather than "k" + std::to_string(...): GCC 12 at -O3
+        // raises a false -Werror=restrict on that operator+ overload.
+        std::string key = "k";
+        key += std::to_string(rng() % 8);
+        o[key] = random_json(rng, depth - 1);
       }
       return Json(std::move(o));
     }
