@@ -15,7 +15,7 @@
 
 namespace {
 
-int run() {
+int run(const streamcalc::util::Context& ctx) {
   using namespace streamcalc;
   namespace bitw = apps::bitw;
 
@@ -24,12 +24,13 @@ int run() {
 
   const auto nodes = bitw::nodes();
   diagnostics::preflight_pipeline("bitw_delay_backlog", nodes,
-                                  bitw::delay_study_source(), bitw::policy());
+                                  bitw::delay_study_source(), bitw::policy(),
+                                  ctx);
   const netcalc::PipelineModel model(nodes, bitw::delay_study_source(),
                                      bitw::policy());
   // Post-flight certification (STREAMCALC_CERTIFY=warn|strict): re-verify
   // every bound this bench reports with the exact-rational checker.
-  certify::postflight_pipeline("bitw_delay_backlog", model);
+  certify::postflight_pipeline("bitw_delay_backlog", model, ctx);
   const auto sim = streamsim::simulate(nodes, bitw::delay_study_source(),
                                        bitw::sim_config());
   const bitw::PaperNumbers p = bitw::paper();
@@ -113,11 +114,14 @@ int run() {
 
 }  // namespace
 
-// Surface configuration errors (strict lint, bad STREAMCALC_* settings)
-// as a one-line message and exit code 1 rather than std::terminate.
+// The run's configuration is the environment, parsed once here. Surface
+// configuration errors (strict lint, bad STREAMCALC_* settings) as a
+// one-line message and exit code 1 rather than std::terminate.
 int main() {
   try {
-    return run();
+    const auto ctx = streamcalc::util::Context::from_env();
+    streamcalc::util::Context::install(ctx);
+    return run(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

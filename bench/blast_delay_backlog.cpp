@@ -22,7 +22,7 @@
 
 namespace {
 
-int run() {
+int run(const streamcalc::util::Context& ctx) {
   using namespace streamcalc;
   namespace blast = apps::blast;
 
@@ -35,12 +35,12 @@ int run() {
   // streaming study while the finite-job model below stays quiet about
   // asymptotics it never uses.
   diagnostics::preflight_pipeline("blast_delay_backlog", nodes,
-                                  blast::job_source(), blast::policy());
+                                  blast::job_source(), blast::policy(), ctx);
   const netcalc::PipelineModel job_model(nodes, blast::job_source(),
                                          blast::policy());
   // Post-flight certification (STREAMCALC_CERTIFY=warn|strict): re-verify
   // every bound this bench reports with the exact-rational checker.
-  certify::postflight_pipeline("blast_delay_backlog", job_model);
+  certify::postflight_pipeline("blast_delay_backlog", job_model, ctx);
   const auto sim = streamsim::simulate(nodes, blast::streaming_source(),
                                        blast::sim_config());
   const blast::PaperNumbers p = blast::paper();
@@ -142,11 +142,14 @@ int run() {
 
 }  // namespace
 
-// Surface configuration errors (strict lint, bad STREAMCALC_* settings)
-// as a one-line message and exit code 1 rather than std::terminate.
+// The run's configuration is the environment, parsed once here. Surface
+// configuration errors (strict lint, bad STREAMCALC_* settings) as a
+// one-line message and exit code 1 rather than std::terminate.
 int main() {
   try {
-    return run();
+    const auto ctx = streamcalc::util::Context::from_env();
+    streamcalc::util::Context::install(ctx);
+    return run(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -16,7 +16,7 @@
 
 namespace {
 
-int run() {
+int run(const streamcalc::util::Context& ctx) {
   using namespace streamcalc;
   namespace blast = apps::blast;
 
@@ -32,9 +32,9 @@ int run() {
     netcalc::SourceSpec src = blast::streaming_source();
     src.rate = util::DataRate::mib_per_sec(offered);
     diagnostics::preflight_pipeline("capacity_planning", nodes, src,
-                                    blast::policy());
+                                    blast::policy(), ctx);
     const netcalc::PipelineModel m(nodes, src, blast::policy());
-    certify::postflight_pipeline("capacity_planning", m);
+    certify::postflight_pipeline("capacity_planning", m, ctx);
 
     auto cfg = blast::sim_config();
     cfg.horizon = util::Duration::seconds(0.8);
@@ -62,11 +62,14 @@ int run() {
 
 }  // namespace
 
-// Surface configuration errors (strict lint, bad STREAMCALC_* settings)
-// as a one-line message and exit code 1 rather than std::terminate.
+// The run's configuration is the environment, parsed once here. Surface
+// configuration errors (strict lint, bad STREAMCALC_* settings) as a
+// one-line message and exit code 1 rather than std::terminate.
 int main() {
   try {
-    return run();
+    const auto ctx = streamcalc::util::Context::from_env();
+    streamcalc::util::Context::install(ctx);
+    return run(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -21,7 +21,7 @@
 
 namespace {
 
-int run() {
+int run(const streamcalc::util::Context& ctx) {
   using namespace streamcalc;
   using namespace util::literals;
   using netcalc::DagSpec;
@@ -60,11 +60,11 @@ int run() {
   src.packet = 64_KiB;
 
   std::printf("== Fork-join media pipeline (DAG model) ==\n\n");
-  diagnostics::preflight_dag("fork_join_analytics", dag, src);
+  diagnostics::preflight_dag("fork_join_analytics", dag, src, {}, ctx);
   const netcalc::DagModel model(dag, src);
   // Optional post-flight: STREAMCALC_CERTIFY=warn|strict re-verifies every
   // per-node and per-path bound with the exact-rational checker.
-  certify::postflight_dag("fork_join_analytics", model);
+  certify::postflight_dag("fork_join_analytics", model, ctx);
 
   util::Table t({"node", "regime", "arrival", "service", "delay", "backlog",
                  "buffer"},
@@ -118,11 +118,14 @@ int run() {
 
 }  // namespace
 
-// Surface configuration errors (strict lint, bad STREAMCALC_* settings)
-// as a one-line message and exit code 1 rather than std::terminate.
+// The run's configuration is the environment, parsed once here. Surface
+// configuration errors (strict lint, bad STREAMCALC_* settings) as a
+// one-line message and exit code 1 rather than std::terminate.
 int main() {
   try {
-    return run();
+    const auto ctx = streamcalc::util::Context::from_env();
+    streamcalc::util::Context::install(ctx);
+    return run(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

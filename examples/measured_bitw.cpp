@@ -29,7 +29,7 @@
 
 namespace {
 
-int run() {
+int run(const streamcalc::util::Context& ctx) {
   using namespace streamcalc;
   using namespace util::literals;
   namespace k = kernels;
@@ -171,9 +171,9 @@ int run() {
   source.packet = 64_KiB;
 
   // --- Three models, one spec -------------------------------------------
-  diagnostics::preflight_pipeline("measured_bitw", pipeline, source);
+  diagnostics::preflight_pipeline("measured_bitw", pipeline, source, {}, ctx);
   const netcalc::PipelineModel model(pipeline, source);
-  certify::postflight_pipeline("measured_bitw", model);
+  certify::postflight_pipeline("measured_bitw", model, ctx);
   const auto tb = model.throughput_bounds(util::Duration::millis(100));
   const auto q = queueing::analyze(pipeline, source);
   streamsim::SimConfig cfg;
@@ -214,11 +214,14 @@ int run() {
 
 }  // namespace
 
-// Surface configuration errors (strict lint, bad STREAMCALC_* settings)
-// as a one-line message and exit code 1 rather than std::terminate.
+// The run's configuration is the environment, parsed once here. Surface
+// configuration errors (strict lint, bad STREAMCALC_* settings) as a
+// one-line message and exit code 1 rather than std::terminate.
 int main() {
   try {
-    return run();
+    const auto ctx = streamcalc::util::Context::from_env();
+    streamcalc::util::Context::install(ctx);
+    return run(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -26,7 +26,7 @@
 
 namespace {
 
-int run() {
+int run(const streamcalc::util::Context& ctx) {
   using namespace streamcalc;
   using namespace util::literals;
   namespace k = kernels;
@@ -139,9 +139,9 @@ int run() {
   src.burst = util::DataSize::bytes(0);
   src.packet = m_fa2bit.block;
 
-  diagnostics::preflight_pipeline("measured_blast", pipeline, src);
+  diagnostics::preflight_pipeline("measured_blast", pipeline, src, {}, ctx);
   const netcalc::PipelineModel model(pipeline, src);
-  certify::postflight_pipeline("measured_blast", model);
+  certify::postflight_pipeline("measured_blast", model, ctx);
   const auto tb = model.throughput_bounds(util::Duration::millis(500));
   const auto q = queueing::analyze(pipeline, src);
   streamsim::SimConfig cfg;
@@ -179,11 +179,14 @@ int run() {
 
 }  // namespace
 
-// Surface configuration errors (strict lint, bad STREAMCALC_* settings)
-// as a one-line message and exit code 1 rather than std::terminate.
+// The run's configuration is the environment, parsed once here. Surface
+// configuration errors (strict lint, bad STREAMCALC_* settings) as a
+// one-line message and exit code 1 rather than std::terminate.
 int main() {
   try {
-    return run();
+    const auto ctx = streamcalc::util::Context::from_env();
+    streamcalc::util::Context::install(ctx);
+    return run(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

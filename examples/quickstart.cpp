@@ -10,7 +10,7 @@
 
 namespace {
 
-int run() {
+int run(const streamcalc::util::Context& ctx) {
   using namespace streamcalc;
   using namespace util::literals;
   using netcalc::NodeKind;
@@ -40,11 +40,11 @@ int run() {
   // 3. Pre-flight lint (nclint), then build the model and read off
   //    the bounds. In the default warn mode findings go to stderr;
   //    STREAMCALC_LINT=strict turns them into hard errors.
-  diagnostics::preflight_pipeline("quickstart", pipeline, source);
+  diagnostics::preflight_pipeline("quickstart", pipeline, source, {}, ctx);
   const netcalc::PipelineModel model(pipeline, source);
   // Optional post-flight: STREAMCALC_CERTIFY=warn|strict re-verifies every
   // bound below with the independent exact-rational checker.
-  certify::postflight_pipeline("quickstart", model);
+  certify::postflight_pipeline("quickstart", model, ctx);
   std::printf("regime:        %s\n", to_string(model.load_regime()));
   std::printf("delay bound:   %s\n",
               util::format_duration(model.delay_bound().value).c_str());
@@ -75,11 +75,14 @@ int run() {
 
 }  // namespace
 
-// Surface configuration errors (strict lint, bad STREAMCALC_* settings)
-// as a one-line message and exit code 1 rather than std::terminate.
+// The run's configuration is the environment, parsed once here. Surface
+// configuration errors (strict lint, bad STREAMCALC_* settings) as a
+// one-line message and exit code 1 rather than std::terminate.
 int main() {
   try {
-    return run();
+    const auto ctx = streamcalc::util::Context::from_env();
+    streamcalc::util::Context::install(ctx);
+    return run(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -15,7 +15,7 @@
 
 namespace {
 
-int run() {
+int run(const streamcalc::util::Context& ctx) {
   using namespace streamcalc;
   using namespace util::literals;
   using netcalc::NodeKind;
@@ -69,9 +69,10 @@ int run() {
   std::printf("== Sensor aggregation with compression offload ==\n\n");
   // The lint pre-flight flags the worst-case overload below (NC101) —
   // exactly the situation this example studies.
-  diagnostics::preflight_pipeline("sensor_compression", pipeline, sensors);
+  diagnostics::preflight_pipeline("sensor_compression", pipeline, sensors, {},
+                                  ctx);
   const netcalc::PipelineModel model(pipeline, sensors);
-  certify::postflight_pipeline("sensor_compression", model);
+  certify::postflight_pipeline("sensor_compression", model, ctx);
   // The WAN carries compressed bytes: worst case (1.5x) it must move 40/1.5
   // = 26.7 MiB/s > 25 — overloaded! Best case (6x) only 6.7 MiB/s.
   std::printf("worst-case compression (1.5x): regime %s — the uplink "
@@ -121,11 +122,14 @@ int run() {
 
 }  // namespace
 
-// Surface configuration errors (strict lint, bad STREAMCALC_* settings)
-// as a one-line message and exit code 1 rather than std::terminate.
+// The run's configuration is the environment, parsed once here. Surface
+// configuration errors (strict lint, bad STREAMCALC_* settings) as a
+// one-line message and exit code 1 rather than std::terminate.
 int main() {
   try {
-    return run();
+    const auto ctx = streamcalc::util::Context::from_env();
+    streamcalc::util::Context::install(ctx);
+    return run(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

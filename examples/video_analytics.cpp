@@ -18,7 +18,7 @@
 
 namespace {
 
-int run() {
+int run(const streamcalc::util::Context& ctx) {
   using namespace streamcalc;
   using namespace util::literals;
   using netcalc::NodeKind;
@@ -63,9 +63,10 @@ int run() {
                                     util::DataRate::gib_per_sec(1), 64_KiB,
                                     100_us));
 
-  diagnostics::preflight_pipeline("video_analytics", pipeline, cameras);
+  diagnostics::preflight_pipeline("video_analytics", pipeline, cameras, {},
+                                  ctx);
   const netcalc::PipelineModel model(pipeline, cameras);
-  certify::postflight_pipeline("video_analytics", model);
+  certify::postflight_pipeline("video_analytics", model, ctx);
 
   std::printf("== Video analytics deployment study ==\n\n");
   std::printf("1) Sustainability: regime = %s (offered %s, guaranteed "
@@ -111,11 +112,14 @@ int run() {
 
 }  // namespace
 
-// Surface configuration errors (strict lint, bad STREAMCALC_* settings)
-// as a one-line message and exit code 1 rather than std::terminate.
+// The run's configuration is the environment, parsed once here. Surface
+// configuration errors (strict lint, bad STREAMCALC_* settings) as a
+// one-line message and exit code 1 rather than std::terminate.
 int main() {
   try {
-    return run();
+    const auto ctx = streamcalc::util::Context::from_env();
+    streamcalc::util::Context::install(ctx);
+    return run(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,6 +1,5 @@
 #include "certify/postflight.hpp"
 
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -8,7 +7,6 @@
 #include "certify/exact.hpp"
 #include "obs/obs.hpp"
 #include "util/context.hpp"
-#include "util/error.hpp"
 
 namespace streamcalc::certify {
 
@@ -80,18 +78,6 @@ std::vector<BoundCertificate> emit_dag(const netcalc::DagModel& model,
 
 }  // namespace
 
-CertifyMode certify_mode(const util::Context& ctx) {
-  switch (ctx.certify) {
-    case util::EnforceMode::kOff:
-      return CertifyMode::kOff;
-    case util::EnforceMode::kWarn:
-      return CertifyMode::kWarn;
-    case util::EnforceMode::kStrict:
-      return CertifyMode::kStrict;
-  }
-  return CertifyMode::kOff;
-}
-
 std::vector<BoundCertificate> emit_pipeline_certificates(
     const netcalc::PipelineModel& model) {
   ExactCurveTable exact;
@@ -123,47 +109,22 @@ LintReport certify_dag(const netcalc::DagModel& model) {
 }
 
 void postflight(const std::string& context, const LintReport& report,
-                CertifyMode mode) {
-  if (mode == CertifyMode::kOff) return;
-  const std::string rendered = report.render(context);
-  if (!rendered.empty()) std::cerr << rendered;
-  if (mode == CertifyMode::kStrict && !report.clean()) {
-    throw util::PreconditionError(
-        context + ": bound certification failed with " +
-        std::to_string(report.count(diagnostics::Severity::kError)) +
-        " error(s) and " +
-        std::to_string(report.count(diagnostics::Severity::kWarning)) +
-        " warning(s) (STREAMCALC_CERTIFY=strict)");
-  }
-}
-
-void postflight(const std::string& context, const LintReport& report) {
-  postflight(context, report, certify_mode(util::Context::active()));
+                util::EnforceMode mode) {
+  diagnostics::enforce(context, report, mode, "bound certification failed",
+                       "STREAMCALC_CERTIFY");
 }
 
 void postflight_pipeline(const std::string& context,
                          const netcalc::PipelineModel& model,
                          const util::Context& ctx) {
-  const CertifyMode mode = certify_mode(ctx);
-  if (mode == CertifyMode::kOff) return;
-  postflight(context, certify_pipeline(model), mode);
-}
-
-void postflight_pipeline(const std::string& context,
-                         const netcalc::PipelineModel& model) {
-  postflight_pipeline(context, model, util::Context::active());
+  if (ctx.certify == util::EnforceMode::kOff) return;
+  postflight(context, certify_pipeline(model), ctx.certify);
 }
 
 void postflight_dag(const std::string& context, const netcalc::DagModel& model,
                     const util::Context& ctx) {
-  const CertifyMode mode = certify_mode(ctx);
-  if (mode == CertifyMode::kOff) return;
-  postflight(context, certify_dag(model), mode);
-}
-
-void postflight_dag(const std::string& context,
-                    const netcalc::DagModel& model) {
-  postflight_dag(context, model, util::Context::active());
+  if (ctx.certify == util::EnforceMode::kOff) return;
+  postflight(context, certify_dag(model), ctx.certify);
 }
 
 }  // namespace streamcalc::certify

@@ -4,8 +4,9 @@
 // Pre-flight linting checks the *inputs* of an analysis before any curve
 // algebra runs; post-flight certification checks its *outputs* after: it
 // emits a proof-carrying certificate for every bound the model produced
-// and hands each to the independent exact-rational checker. The knob is
-// STREAMCALC_CERTIFY:
+// and hands each to the independent exact-rational checker. The mode is
+// the Context's `certify` field (STREAMCALC_CERTIFY), applied by
+// diagnostics::enforce:
 //
 //   off     (default) — skip entirely; no exact arithmetic runs;
 //   warn              — print NC6xx findings to stderr, continue;
@@ -32,15 +33,6 @@
 
 namespace streamcalc::certify {
 
-enum class CertifyMode {
-  kOff,    ///< skip certification entirely
-  kWarn,   ///< print findings to stderr, continue
-  kStrict  ///< print findings and throw when a bound fails to certify
-};
-
-/// Maps a Context's certify policy onto the local mode enum.
-CertifyMode certify_mode(const util::Context& ctx);
-
 /// Emits certificates for every bound a PipelineModel reports: end-to-end
 /// delay and backlog (with the per-node service curves as concatenation
 /// provenance) plus per-node delay and backlog along the propagated
@@ -59,27 +51,19 @@ std::vector<BoundCertificate> emit_dag_certificates(
 diagnostics::LintReport certify_pipeline(const netcalc::PipelineModel& model);
 diagnostics::LintReport certify_dag(const netcalc::DagModel& model);
 
-/// Applies the mode policy to a finished report: renders findings to
-/// stderr (prefixed with `context`) unless off, and throws
-/// PreconditionError in strict mode when the report is not clean. The
-/// two-argument overload resolves the mode from Context::active().
+/// Applies the certify mode to a finished report (see
+/// diagnostics::enforce): findings go to stderr unless off; strict throws
+/// when a bound failed to certify.
 void postflight(const std::string& context,
-                const diagnostics::LintReport& report, CertifyMode mode);
-void postflight(const std::string& context,
-                const diagnostics::LintReport& report);
+                const diagnostics::LintReport& report, util::EnforceMode mode);
 
-/// Convenience drivers: no-ops (and no exact arithmetic) when the mode is
-/// off. The Context overloads are preferred; the two-argument forms
-/// resolve the mode from Context::active().
+/// Certify + postflight in one call, in the mode `ctx.certify`; no-ops
+/// (and no exact arithmetic) when it is off.
 void postflight_pipeline(const std::string& context,
                          const netcalc::PipelineModel& model,
                          const util::Context& ctx);
-void postflight_pipeline(const std::string& context,
-                         const netcalc::PipelineModel& model);
 void postflight_dag(const std::string& context,
                     const netcalc::DagModel& model,
                     const util::Context& ctx);
-void postflight_dag(const std::string& context,
-                    const netcalc::DagModel& model);
 
 }  // namespace streamcalc::certify

@@ -545,8 +545,7 @@ int print_report(const Options& opts, const Report& report) {
   if (!read_spec_text(path, text)) return 1;
   try {
     const Spec spec = parse_spec(text);
-    diagnostics::preflight(path, lint_spec(spec),
-                           diagnostics::lint_mode(opts.ctx));
+    diagnostics::preflight(path, lint_spec(spec), opts.ctx.lint);
     std::fputs(report(spec).c_str(), stdout);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

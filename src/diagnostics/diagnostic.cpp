@@ -1,7 +1,10 @@
 #include "diagnostics/diagnostic.hpp"
 
 #include <algorithm>
+#include <iostream>
 #include <sstream>
+
+#include "util/error.hpp"
 
 namespace streamcalc::diagnostics {
 
@@ -111,6 +114,21 @@ std::string LintReport::render(const std::string& context) const {
     }
   }
   return os.str();
+}
+
+void enforce(const std::string& context, const LintReport& report,
+             util::EnforceMode mode, const std::string& failure,
+             const std::string& knob) {
+  if (mode == util::EnforceMode::kOff) return;
+  const std::string rendered = report.render(context);
+  if (!rendered.empty()) std::cerr << rendered;
+  if (mode == util::EnforceMode::kStrict && !report.clean()) {
+    throw util::PreconditionError(
+        context + ": " + failure + " with " +
+        std::to_string(report.count(Severity::kError)) + " error(s) and " +
+        std::to_string(report.count(Severity::kWarning)) + " warning(s) (" +
+        knob + "=strict)");
+  }
 }
 
 }  // namespace streamcalc::diagnostics

@@ -21,10 +21,16 @@
 // "Clean" means no findings at kWarning or above; kInfo findings alone
 // leave a model clean (they are heuristics, and valid models — including
 // every generator-produced scenario — must lint clean).
+//
+// enforce() is the one place a gate applies its util::EnforceMode to a
+// report: the lint pre-flight (diagnostics/lint.hpp) and the certify
+// post-flight (certify/postflight.hpp) both end in it.
 #pragma once
 
 #include <string>
 #include <vector>
+
+#include "util/context.hpp"
 
 namespace streamcalc::diagnostics {
 
@@ -78,5 +84,13 @@ class LintReport {
  private:
   std::vector<Diagnostic> diags_;
 };
+
+/// Applies a gate's mode to a finished report. Off does nothing; warn and
+/// strict render the findings to stderr (prefixed with `context`); strict
+/// then throws PreconditionError "<context>: <failure> with N error(s) and
+/// M warning(s) (<knob>=strict)" when the report is not clean.
+void enforce(const std::string& context, const LintReport& report,
+             util::EnforceMode mode, const std::string& failure,
+             const std::string& knob);
 
 }  // namespace streamcalc::diagnostics

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
 #include <limits>
 
 #include "obs/obs.hpp"
-#include "util/context.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/units.hpp"
@@ -433,60 +431,22 @@ LintReport lint_flow(const minplus::Curve& arrival,
   return report;
 }
 
-LintMode lint_mode(const util::Context& ctx) {
-  switch (ctx.lint) {
-    case util::EnforceMode::kOff:
-      return LintMode::kOff;
-    case util::EnforceMode::kWarn:
-      return LintMode::kWarn;
-    case util::EnforceMode::kStrict:
-      return LintMode::kStrict;
-  }
-  return LintMode::kWarn;
-}
-
 void preflight(const std::string& context, const LintReport& report,
-               LintMode mode) {
-  if (mode == LintMode::kOff) return;
-  const std::string rendered = report.render(context);
-  if (!rendered.empty()) std::cerr << rendered;
-  if (mode == LintMode::kStrict && !report.clean()) {
-    throw util::PreconditionError(
-        context + ": model failed lint with " +
-        std::to_string(report.count(Severity::kError)) + " error(s) and " +
-        std::to_string(report.count(Severity::kWarning)) +
-        " warning(s) (STREAMCALC_LINT=strict)");
-  }
-}
-
-void preflight(const std::string& context, const LintReport& report) {
-  preflight(context, report, lint_mode(util::Context::active()));
+               util::EnforceMode mode) {
+  enforce(context, report, mode, "model failed lint", "STREAMCALC_LINT");
 }
 
 void preflight_pipeline(const std::string& context,
                         const std::vector<NodeSpec>& nodes,
                         const SourceSpec& source, const ModelPolicy& policy,
                         const util::Context& ctx) {
-  preflight(context, lint_pipeline(nodes, source, policy), lint_mode(ctx));
-}
-
-void preflight_pipeline(const std::string& context,
-                        const std::vector<NodeSpec>& nodes,
-                        const SourceSpec& source,
-                        const ModelPolicy& policy) {
-  preflight_pipeline(context, nodes, source, policy,
-                     util::Context::active());
+  preflight(context, lint_pipeline(nodes, source, policy), ctx.lint);
 }
 
 void preflight_dag(const std::string& context, const DagSpec& dag,
                    const SourceSpec& source, const ModelPolicy& policy,
                    const util::Context& ctx) {
-  preflight(context, lint_dag(dag, source, policy), lint_mode(ctx));
-}
-
-void preflight_dag(const std::string& context, const DagSpec& dag,
-                   const SourceSpec& source, const ModelPolicy& policy) {
-  preflight_dag(context, dag, source, policy, util::Context::active());
+  preflight(context, lint_dag(dag, source, policy), ctx.lint);
 }
 
 }  // namespace streamcalc::diagnostics

@@ -25,8 +25,9 @@
 //
 // Entry points mirror the two model shapes (chain, DAG) plus a curve-level
 // check for callers supplying custom arrival envelopes. preflight() wires
-// a report into a driver: print findings in warn mode (the default), throw
-// in strict mode (STREAMCALC_LINT=strict), do nothing when off.
+// a report into a driver in the Context's lint mode: print findings in
+// warn mode (the default), throw in strict mode (STREAMCALC_LINT=strict),
+// do nothing when off.
 #pragma once
 
 #include <string>
@@ -60,40 +61,21 @@ LintReport lint_flow(const minplus::Curve& arrival,
 
 // --- Pre-flight wiring ----------------------------------------------------
 
-enum class LintMode {
-  kOff,    ///< skip linting entirely
-  kWarn,   ///< print findings to stderr, continue (default)
-  kStrict  ///< print findings and throw when the model is not clean
-};
-
-/// Maps a Context's lint policy onto the local mode enum.
-LintMode lint_mode(const util::Context& ctx);
-
-/// Applies the mode policy to a finished report: renders findings to
-/// stderr (prefixed with `context`) unless off, and throws
-/// PreconditionError in strict mode when the report is not clean. The
-/// two-argument overload resolves the mode from Context::active().
+/// Applies the lint mode to a finished report (see diagnostics::enforce):
+/// findings go to stderr unless off; strict throws when the report is not
+/// clean.
 void preflight(const std::string& context, const LintReport& report,
-               LintMode mode);
-void preflight(const std::string& context, const LintReport& report);
+               util::EnforceMode mode);
 
-/// Convenience: lint + preflight in one call. The Context overloads are
-/// preferred; the shorter forms resolve the mode from Context::active().
+/// Lint + preflight in one call, in the mode `ctx.lint`.
 void preflight_pipeline(const std::string& context,
                         const std::vector<netcalc::NodeSpec>& nodes,
                         const netcalc::SourceSpec& source,
                         const netcalc::ModelPolicy& policy,
                         const util::Context& ctx);
-void preflight_pipeline(const std::string& context,
-                        const std::vector<netcalc::NodeSpec>& nodes,
-                        const netcalc::SourceSpec& source,
-                        const netcalc::ModelPolicy& policy = {});
 void preflight_dag(const std::string& context, const netcalc::DagSpec& dag,
                    const netcalc::SourceSpec& source,
                    const netcalc::ModelPolicy& policy,
                    const util::Context& ctx);
-void preflight_dag(const std::string& context, const netcalc::DagSpec& dag,
-                   const netcalc::SourceSpec& source,
-                   const netcalc::ModelPolicy& policy = {});
 
 }  // namespace streamcalc::diagnostics

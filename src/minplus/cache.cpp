@@ -64,9 +64,6 @@ struct CurveOpCache::Impl {
 CurveOpCache::CurveOpCache(std::size_t capacity)
     : impl_(std::make_unique<Impl>(capacity)) {}
 
-CurveOpCache::CurveOpCache(const util::Context& ctx)
-    : CurveOpCache(ctx.curve_cache) {}
-
 CurveOpCache::~CurveOpCache() = default;
 
 Curve CurveOpCache::get_or_compute(
@@ -153,9 +150,7 @@ void CurveOpCache::clear() {
 }
 
 CurveOpCache& CurveOpCache::global() {
-  // Strict parse via Context: a typoed STREAMCALC_CURVE_CACHE must not
-  // silently fall back to the default capacity (see util/env.hpp).
-  static CurveOpCache cache(util::Context::active().curve_cache);
+  static CurveOpCache cache(kGlobalCacheEntries);
   return cache;
 }
 
@@ -169,18 +164,6 @@ Curve cached_deconvolve(const Curve& f, const Curve& g) {
   return CurveOpCache::global().get_or_compute(
       CacheOp::kDeconvolve, f, g,
       [](const Curve& a, const Curve& b) { return deconvolve(a, b); });
-}
-
-Curve cached_minimum(const Curve& f, const Curve& g) {
-  return CurveOpCache::global().get_or_compute(
-      CacheOp::kMinimum, f, g,
-      [](const Curve& a, const Curve& b) { return minimum(a, b); });
-}
-
-Curve cached_maximum(const Curve& f, const Curve& g) {
-  return CurveOpCache::global().get_or_compute(
-      CacheOp::kMaximum, f, g,
-      [](const Curve& a, const Curve& b) { return maximum(a, b); });
 }
 
 }  // namespace streamcalc::minplus

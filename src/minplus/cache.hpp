@@ -14,16 +14,15 @@
 // workers concurrently; the first inserted entry wins), with hit/miss
 // counters for observability.
 //
-// The global() instance's capacity comes from the STREAMCALC_CURVE_CACHE
-// environment variable (entries; default 4096; 0 disables caching).
+// The global() instance holds kGlobalCacheEntries results.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 
 #include "minplus/curve.hpp"
-#include "util/context.hpp"
 
 namespace streamcalc::minplus {
 
@@ -42,10 +41,6 @@ class CurveOpCache {
   /// A cache holding at most `capacity` results (0 = caching disabled;
   /// every call computes).
   explicit CurveOpCache(std::size_t capacity);
-
-  /// A cache sized from `ctx.curve_cache` (the preferred constructor:
-  /// pass the Context you built at startup).
-  explicit CurveOpCache(const util::Context& ctx);
   ~CurveOpCache();
 
   CurveOpCache(const CurveOpCache&) = delete;
@@ -69,9 +64,10 @@ class CurveOpCache {
   /// Drops all entries (counters are kept).
   void clear();
 
-  /// Process-wide cache, lazily created; capacity from the active
-  /// Context (STREAMCALC_CURVE_CACHE when none is installed; default
-  /// 4096 entries).
+  /// Capacity of global().
+  static constexpr std::size_t kGlobalCacheEntries = 4096;
+
+  /// Process-wide cache, lazily created with kGlobalCacheEntries.
   static CurveOpCache& global();
 
  private:
@@ -89,7 +85,5 @@ std::uint64_t structural_hash(const Curve& c);
 
 Curve cached_convolve(const Curve& f, const Curve& g);
 Curve cached_deconvolve(const Curve& f, const Curve& g);
-Curve cached_minimum(const Curve& f, const Curve& g);
-Curve cached_maximum(const Curve& f, const Curve& g);
 
 }  // namespace streamcalc::minplus

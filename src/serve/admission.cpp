@@ -290,8 +290,7 @@ Decision AdmissionEngine::admit(const std::string& tenant_name,
   // Per-query strict certification: requested explicitly or inherited
   // from the daemon's Context (STREAMCALC_CERTIFY=strict).
   const bool strict =
-      certify_strict ||
-      certify::certify_mode(ctx_) == certify::CertifyMode::kStrict;
+      certify_strict || ctx_.certify == util::EnforceMode::kStrict;
 
   Decision result;
   if (scenario->is_dag) {

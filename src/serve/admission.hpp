@@ -93,8 +93,7 @@ struct TenantSnapshot {
 
 class AdmissionEngine {
  public:
-  explicit AdmissionEngine(std::shared_ptr<Catalog> catalog,
-                           util::Context ctx = util::Context::active());
+  AdmissionEngine(std::shared_ptr<Catalog> catalog, util::Context ctx);
 
   /// Admission check + commit. `certify_strict` additionally runs the
   /// proof-carrying certification post-flight on the bound (chain

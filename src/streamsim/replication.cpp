@@ -56,16 +56,6 @@ ReplicationRunner::ReplicationRunner(ReplicationConfig config)
                 "ReplicationRunner requires replications >= 1");
 }
 
-ReplicationRunner::ReplicationRunner(ReplicationConfig config,
-                                     const util::Context& ctx)
-    : ReplicationRunner([&] {
-        // An explicit Context pins the concurrency: a config that would
-        // defer to the process-global pool (threads == 0) gets the
-        // context's resolved thread count instead.
-        if (config.threads == 0) config.threads = ctx.resolved_threads();
-        return config;
-      }()) {}
-
 template <typename RunOne>
 ReplicationSummary ReplicationRunner::run_impl(const RunOne& run_one) const {
   const auto n = static_cast<std::size_t>(config_.replications);

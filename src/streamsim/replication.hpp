@@ -33,7 +33,6 @@
 #include "netcalc/dag.hpp"
 #include "netcalc/node.hpp"
 #include "streamsim/pipeline_sim.hpp"
-#include "util/context.hpp"
 #include "util/units.hpp"
 
 namespace streamcalc::streamsim {
@@ -84,12 +83,6 @@ struct ReplicationSummary {
 class ReplicationRunner {
  public:
   explicit ReplicationRunner(ReplicationConfig config);
-
-  /// Context-aware constructor (preferred): a config deferring to the
-  /// process-global pool (threads == 0) is pinned to `ctx`'s resolved
-  /// thread count instead, so the runner's concurrency is fully
-  /// determined by the Context passed in.
-  ReplicationRunner(ReplicationConfig config, const util::Context& ctx);
 
   /// Runs the chain simulator `config.replications` times; `base` supplies
   /// everything but the seed.

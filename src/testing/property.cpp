@@ -28,12 +28,11 @@ std::string eval_property(const PropertyFn& property,
 }  // namespace
 
 int base_cases() {
-  // Resolved through the process Context: an installed Context's fuzz
-  // budget wins; otherwise Context::from_env() strict-parses
-  // STREAMCALC_FUZZ_CASES (a garbled budget must not silently revert to
-  // 500 cases). The range cap (<= 1e8, well below INT_MAX) keeps the
-  // scaled_cases multiplication from overflowing.
-  return util::Context::active().fuzz_cases;
+  // Parsed per call so a suite's budget tracks STREAMCALC_FUZZ_CASES;
+  // from_env() strict-parses it (a garbled budget must not silently
+  // revert to 500 cases). The range cap (<= 1e8, well below INT_MAX)
+  // keeps the scaled_cases multiplication from overflowing.
+  return util::Context::from_env().fuzz_cases;
 }
 
 int scaled_cases(int default_cases) {

@@ -46,9 +46,10 @@ EnforceMode parse_mode_env(const std::string& name, EnforceMode fallback) {
                           "\"warn\", or \"strict\"");
 }
 
-// The installed-context slot, under the annotated util::Mutex so the
-// thread-safety analysis covers every access (a raw std::mutex here was
-// invisible to -Werror=thread-safety — srclint SC901). The slot is a
+// The installed-context slot (filled by install() or the first active()
+// call), under the annotated util::Mutex so the thread-safety analysis
+// covers every access (a raw std::mutex here was invisible to
+// -Werror=thread-safety — srclint SC901). The slot is a
 // heap-allocated pointer rather than a std::optional so it can be
 // constant-initialized: a plain pointer has no static-destruction order
 // hazard against late readers.
@@ -72,8 +73,6 @@ const char* to_string(EnforceMode m) {
 Context Context::from_env() {
   Context ctx;
   ctx.threads = parse_threads_env();
-  const auto cache = env_uint("STREAMCALC_CURVE_CACHE", 1u << 24);
-  if (cache) ctx.curve_cache = static_cast<std::size_t>(*cache);
   const auto fuzz = env_uint_in("STREAMCALC_FUZZ_CASES", 1, 100000000);
   if (fuzz) ctx.fuzz_cases = static_cast<int>(*fuzz);
   ctx.lint = parse_mode_env("STREAMCALC_LINT", EnforceMode::kWarn);
@@ -84,11 +83,9 @@ Context Context::from_env() {
 }
 
 Context Context::active() {
-  {
-    const MutexLock lock(g_installed_mutex);
-    if (g_installed != nullptr) return *g_installed;
-  }
-  return from_env();
+  const MutexLock lock(g_installed_mutex);
+  if (g_installed == nullptr) g_installed = new Context(from_env());
+  return *g_installed;
 }
 
 void Context::install(const Context& ctx) {
@@ -101,12 +98,6 @@ void Context::install(const Context& ctx) {
     }
   }
   obs::set_enabled(ctx.obs);
-}
-
-void Context::uninstall() {
-  const MutexLock lock(g_installed_mutex);
-  delete g_installed;
-  g_installed = nullptr;
 }
 
 unsigned Context::resolved_threads() const {

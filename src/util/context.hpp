@@ -1,21 +1,19 @@
 // streamcalc::Context — the unified runtime-configuration facade.
 //
 // One struct owns every knob that used to be a scattered STREAMCALC_* env
-// read inside five different libraries: thread count, curve-op cache
-// capacity, fuzz budget, lint/certify enforcement modes, and the
-// observability (trace/metrics/stats) settings. Programs build it once —
-// from the environment via Context::from_env(), then CLI flags override
-// individual fields — install it with Context::install(), and pass it
-// explicitly to the subsystem entry points (CurveOpCache,
-// ReplicationRunner, diagnostics::preflight, certify::postflight).
+// read inside five different libraries: thread count, fuzz budget,
+// lint/certify enforcement modes, and the observability
+// (trace/metrics/stats) settings. Each entry point builds it once — from
+// the environment via Context::from_env(), then CLI flags override
+// individual fields — installs it with Context::install(), and passes it
+// explicitly to the subsystem entry points (diagnostics::preflight_*,
+// certify::postflight_*, serve::AdmissionEngine).
 //
-// Library code that has no Context parameter reads Context::active():
-//   * after install(), the installed context (one source of truth);
-//   * before install(), a context built fresh from the environment on
-//     each call — so test fixtures that setenv/unsetenv keep working.
+// The one library singleton with no Context parameter, the global thread
+// pool, reads Context::active(): the installed context, else one
+// from_env() result parsed on the first call and kept for the process.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -33,11 +31,6 @@ struct Context {
   /// Worker threads: 0 = hardware concurrency, 1 = serial (everything
   /// inline), N = that many. Mirrors STREAMCALC_THREADS ("serial" == 1).
   unsigned threads = 0;
-
-  // --- caching -----------------------------------------------------------
-  /// CurveOpCache capacity in entries (0 disables memoization). Mirrors
-  /// STREAMCALC_CURVE_CACHE.
-  std::size_t curve_cache = 4096;
 
   // --- verification ------------------------------------------------------
   /// Per-property fuzz budget (STREAMCALC_FUZZ_CASES).
@@ -63,19 +56,15 @@ struct Context {
   /// forms) on any malformed value.
   static Context from_env();
 
-  /// The process-wide context: the installed one, else built fresh from
-  /// the environment (see file comment).
+  /// The process-wide context: the installed one, else the environment
+  /// as parsed by the first call (see file comment).
   static Context active();
 
   /// Installs `ctx` as the process-wide context and applies its obs
   /// switch to the instrumentation runtime. Call once, early (before the
-  /// first use of the global thread pool / curve cache, which size
-  /// themselves from the active context at first use).
+  /// first use of the global thread pool, which sizes itself from the
+  /// active context at first use).
   static void install(const Context& ctx);
-
-  /// Removes an installed context (tests); active() reverts to tracking
-  /// the environment.
-  static void uninstall();
 
   /// `threads` with the hardware-concurrency substitution applied
   /// (always >= 1).

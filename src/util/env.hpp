@@ -1,7 +1,7 @@
 // Strict environment-variable parsing.
 //
-// The tuning knobs (STREAMCALC_THREADS, STREAMCALC_CURVE_CACHE,
-// STREAMCALC_FUZZ_CASES, STREAMCALC_LINT) used to fall back to defaults on
+// The tuning knobs (STREAMCALC_THREADS, STREAMCALC_FUZZ_CASES,
+// STREAMCALC_LINT) used to fall back to defaults on
 // garbage input — `STREAMCALC_THREADS=fast` silently meant "hardware
 // concurrency", which is exactly the wrong behavior for a reproducibility
 // knob. These helpers reject malformed values with an error that names the

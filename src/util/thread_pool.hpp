@@ -21,8 +21,9 @@
 // Clang's thread-safety analysis (-Werror=thread-safety in CI); see
 // util/thread_annotations.hpp and DESIGN.md §8.
 //
-// The global() instance is lazily initialized from the STREAMCALC_THREADS
-// environment variable: unset or "0" = hardware concurrency, "1" or
+// The global() instance is lazily sized from Context::active().threads,
+// i.e. STREAMCALC_THREADS unless a Context was installed first: unset or
+// "0" = hardware concurrency, "1" or
 // "serial" = serial mode (no workers; everything runs inline — useful for
 // reproducibility debugging). Any other non-numeric value is rejected with
 // an error (see util/env.hpp).
@@ -76,9 +77,9 @@ class ThreadPool {
   /// Blocks until the queue is empty and all workers are idle.
   void wait_idle() SC_EXCLUDES(mutex_);
 
-  /// Process-wide pool, lazily created on first use and sized from the
-  /// active Context (Context::install() one early, or the size falls back
-  /// to the STREAMCALC_THREADS environment variable; see file comment).
+  /// Process-wide pool, lazily created on first use and sized from
+  /// Context::active() (install() a Context before the first use; see
+  /// file comment).
   static ThreadPool& global();
 
   /// True while the current thread is executing inside a pool worker.

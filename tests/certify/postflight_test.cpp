@@ -1,45 +1,24 @@
-// Unit tests for the post-flight certification wiring: STREAMCALC_CERTIFY
-// mode parsing, certificate emission coverage over pipeline/DAG models,
-// and strict-mode escalation.
+// Unit tests for the post-flight certification wiring: certificate
+// emission coverage over pipeline models, and how the lint and certify
+// gates apply their enforcement mode.
 #include "certify/postflight.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
 
 #include "apps/bitw.hpp"
 #include "certify/checker.hpp"
+#include "diagnostics/lint.hpp"
 #include "netcalc/pipeline.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::certify {
 namespace {
 
-class CertifyEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override { unsetenv("STREAMCALC_CERTIFY"); }
-};
+using diagnostics::LintReport;
 
-TEST_F(CertifyEnvTest, DefaultsToOff) {
-  unsetenv("STREAMCALC_CERTIFY");
-  EXPECT_EQ(certify_mode(util::Context::from_env()), CertifyMode::kOff);
-}
-
-TEST_F(CertifyEnvTest, ParsesAllModes) {
-  setenv("STREAMCALC_CERTIFY", "off", 1);
-  EXPECT_EQ(certify_mode(util::Context::from_env()), CertifyMode::kOff);
-  setenv("STREAMCALC_CERTIFY", "warn", 1);
-  EXPECT_EQ(certify_mode(util::Context::from_env()), CertifyMode::kWarn);
-  setenv("STREAMCALC_CERTIFY", "strict", 1);
-  EXPECT_EQ(certify_mode(util::Context::from_env()), CertifyMode::kStrict);
-}
-
-TEST_F(CertifyEnvTest, RejectsUnknownMode) {
-  setenv("STREAMCALC_CERTIFY", "paranoid", 1);
-  EXPECT_THROW(certify_mode(util::Context::from_env()), util::Error);
-}
-
-TEST_F(CertifyEnvTest, EmitsOneDelayAndOneBacklogCertificatePerScope) {
+TEST(CertifyEnvTest, EmitsOneDelayAndOneBacklogCertificatePerScope) {
   const netcalc::PipelineModel model(apps::bitw::nodes(),
                                      apps::bitw::delay_study_source(),
                                      apps::bitw::policy());
@@ -56,27 +35,65 @@ TEST_F(CertifyEnvTest, EmitsOneDelayAndOneBacklogCertificatePerScope) {
   EXPECT_TRUE(report.clean()) << report.render("bitw");
 }
 
-TEST_F(CertifyEnvTest, StrictModeThrowsOnDefectiveReport) {
-  const netcalc::PipelineModel model(apps::bitw::nodes(),
-                                     apps::bitw::delay_study_source(),
-                                     apps::bitw::policy());
-  auto certs = emit_pipeline_certificates(model);
-  certs.front().has_witness = false;  // plant a defect
-  const auto report = check_certificates(certs);
-  setenv("STREAMCALC_CERTIFY", "strict", 1);
-  EXPECT_THROW(postflight("test", report), util::Error);
-  setenv("STREAMCALC_CERTIFY", "warn", 1);
-  EXPECT_NO_THROW(postflight("test", report));
-  setenv("STREAMCALC_CERTIFY", "off", 1);
-  EXPECT_NO_THROW(postflight("test", report));
+// Both gates end in diagnostics::enforce, so each mode must act on a lint
+// report exactly as it acts on a certify report; the strict messages are
+// the ones drivers and scripts already match, byte for byte.
+TEST(EnforceGates, LintAndCertifyApplyEachModeAlike) {
+  using diagnostics::Severity;
+  using util::EnforceMode;
+  LintReport defective;
+  defective.add({"NC101", Severity::kWarning, "node 'aes'",
+                 "unstable node", "lower the source rate"});
+  defective.add({"NC601", Severity::kError, "e2e", "bound fails", ""});
+  LintReport clean;
+  clean.add({"NC401", Severity::kInfo, "node 'aes'", "odd block size", ""});
+
+  const struct {
+    const char* gate;
+    void (*apply)(const std::string&, const LintReport&, EnforceMode);
+    const char* strict_error;
+  } gates[] = {
+      {"lint", diagnostics::preflight,
+       "t: model failed lint with 1 error(s) and 1 warning(s) "
+       "(STREAMCALC_LINT=strict)"},
+      {"certify", postflight,
+       "t: bound certification failed with 1 error(s) and 1 warning(s) "
+       "(STREAMCALC_CERTIFY=strict)"},
+  };
+  for (const auto& [gate, apply, strict_error] : gates) {
+    SCOPED_TRACE(gate);
+    ::testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(apply("t", defective, EnforceMode::kOff));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+    ::testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(apply("t", defective, EnforceMode::kWarn));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              defective.render("t"));
+
+    ::testing::internal::CaptureStderr();
+    try {
+      apply("t", defective, EnforceMode::kStrict);
+      ADD_FAILURE() << "strict mode accepted a defective report";
+    } catch (const util::PreconditionError& e) {
+      EXPECT_EQ(std::string(e.what()), strict_error);
+    }
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              defective.render("t"));
+
+    ::testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(apply("t", clean, EnforceMode::kStrict));
+    (void)::testing::internal::GetCapturedStderr();
+  }
 }
 
-TEST_F(CertifyEnvTest, PostflightPipelinePassesOnSoundModel) {
+TEST(CertifyEnvTest, PostflightPipelinePassesOnSoundModel) {
   const netcalc::PipelineModel model(apps::bitw::nodes(),
                                      apps::bitw::delay_study_source(),
                                      apps::bitw::policy());
-  setenv("STREAMCALC_CERTIFY", "strict", 1);
-  EXPECT_NO_THROW(postflight_pipeline("bitw", model));
+  util::Context ctx;
+  ctx.certify = util::EnforceMode::kStrict;
+  EXPECT_NO_THROW(postflight_pipeline("bitw", model, ctx));
 }
 
 }  // namespace

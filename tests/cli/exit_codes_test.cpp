@@ -307,7 +307,7 @@ TEST(StochExitCodes, DagSpecExitsOne) {
   EXPECT_EQ(run_stoch(stoch_options(example_spec("fork_join.scspec"))), 1);
 }
 
-TEST(AnalyzeExitCodes, UnfedDagNodeFailsValidationInEveryLintMode) {
+TEST(AnalyzeExitCodes, UnfedDagNodeFailsValidationInEveryLintSetting) {
   // fork_join.scspec plus a node that no entry and no edge feeds. The spec
   // is rejected as a precondition error naming the node (exit 1) instead
   // of reaching the model's volume propagation.

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "diagnostics/diagnostic.hpp"
@@ -13,7 +11,7 @@
 #include "netcalc/dag.hpp"
 #include "netcalc/node.hpp"
 #include "netcalc/pipeline.hpp"
-#include "util/env.hpp"
+#include "util/context.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -351,79 +349,34 @@ TEST(LintReportTest, CountsAndMerge) {
   EXPECT_FALSE(a.has_errors());
 }
 
-// --- STREAMCALC_LINT wiring -----------------------------------------------
+// --- Pre-flight wiring ----------------------------------------------------
 
-/// Scoped environment override (mirrors tests/util/env_test.cpp).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    previous_ = util::env_raw(name);
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (previous_) {
-      ::setenv(name_.c_str(), previous_->c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::optional<std::string> previous_;
-};
-
-// The lint policy a Context reads from STREAMCALC_LINT, mapped onto
-// LintMode.
-TEST(LintModeTest, DefaultsToWarn) {
-  ScopedEnv env("STREAMCALC_LINT", nullptr);
-  EXPECT_EQ(lint_mode(util::Context::from_env()), LintMode::kWarn);
-}
-
-TEST(LintModeTest, ParsesAllModes) {
-  ScopedEnv warn("STREAMCALC_LINT", "warn");
-  EXPECT_EQ(lint_mode(util::Context::from_env()), LintMode::kWarn);
-  ScopedEnv strict("STREAMCALC_LINT", "strict");
-  EXPECT_EQ(lint_mode(util::Context::from_env()), LintMode::kStrict);
-  ScopedEnv off("STREAMCALC_LINT", "off");
-  EXPECT_EQ(lint_mode(util::Context::from_env()), LintMode::kOff);
-}
-
-TEST(LintModeTest, RejectsGarbageNamingTheVariable) {
-  ScopedEnv env("STREAMCALC_LINT", "pedantic");
-  try {
-    lint_mode(util::Context::from_env());
-    FAIL() << "accepted STREAMCALC_LINT=pedantic";
-  } catch (const util::PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("STREAMCALC_LINT"),
-              std::string::npos);
-  }
+util::Context lint_context(util::EnforceMode mode) {
+  util::Context ctx;
+  ctx.lint = mode;
+  return ctx;
 }
 
 TEST(PreflightTest, WarnModeDoesNotThrowOnDirtyModel) {
-  ScopedEnv env("STREAMCALC_LINT", "warn");
-  EXPECT_NO_THROW(
-      preflight_pipeline("t", {stage("slow", 100)}, source_at(200)));
+  const util::Context warn = lint_context(util::EnforceMode::kWarn);
+  EXPECT_NO_THROW(preflight_pipeline("t", {stage("slow", 100)},
+                                     source_at(200), {}, warn));
 }
 
 TEST(PreflightTest, StrictModeThrowsOnDirtyModel) {
-  ScopedEnv env("STREAMCALC_LINT", "strict");
-  EXPECT_THROW(
-      preflight_pipeline("t", {stage("slow", 100)}, source_at(200)),
-      util::PreconditionError);
+  const util::Context strict = lint_context(util::EnforceMode::kStrict);
+  EXPECT_THROW(preflight_pipeline("t", {stage("slow", 100)}, source_at(200),
+                                  {}, strict),
+               util::PreconditionError);
   // A clean model sails through even in strict mode.
-  EXPECT_NO_THROW(
-      preflight_pipeline("t", {stage("fast", 100)}, source_at(50)));
+  EXPECT_NO_THROW(preflight_pipeline("t", {stage("fast", 100)},
+                                     source_at(50), {}, strict));
 }
 
 TEST(PreflightTest, OffModeSkipsEverything) {
-  ScopedEnv env("STREAMCALC_LINT", "off");
-  EXPECT_NO_THROW(
-      preflight_pipeline("t", {stage("slow", 100)}, source_at(200)));
+  const util::Context off = lint_context(util::EnforceMode::kOff);
+  EXPECT_NO_THROW(preflight_pipeline("t", {stage("slow", 100)},
+                                     source_at(200), {}, off));
 }
 
 }  // namespace

@@ -165,8 +165,6 @@ TEST(CurveOpCache, CachedWrappersMatchDirectOperators) {
   const Curve g = Curve::rate_latency(60.0, 0.25);
   EXPECT_EQ(cached_convolve(f, g), convolve(f, g));
   EXPECT_EQ(cached_deconvolve(f, g), deconvolve(f, g));
-  EXPECT_EQ(cached_minimum(f, g), minimum(f, g));
-  EXPECT_EQ(cached_maximum(f, g), maximum(f, g));
   // Served from the global cache on repeat, still the same result.
   EXPECT_EQ(cached_convolve(f, g), convolve(f, g));
 }

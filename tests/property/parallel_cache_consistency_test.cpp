@@ -81,12 +81,6 @@ TEST(CacheConsistencyFuzz, GlobalCachedWrappersMatchDirectOperators) {
           deconvolve(c[0], c[1]))) {
       return std::string("cached_deconvolve != deconvolve");
     }
-    if (!(minplus::cached_minimum(c[0], c[1]) == minimum(c[0], c[1]))) {
-      return std::string("cached_minimum != minimum");
-    }
-    if (!(minplus::cached_maximum(c[0], c[1]) == maximum(c[0], c[1]))) {
-      return std::string("cached_maximum != maximum");
-    }
     return std::string();
   });
 }

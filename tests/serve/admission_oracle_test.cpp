@@ -79,7 +79,7 @@ TEST(AdmissionOracle, ChainDecisionsMatchFromScratchAnalysisExactly) {
     const std::string name = "gen" + std::to_string(s);
     auto catalog = std::make_shared<Catalog>(
         make_snapshot(1, {{name, chain_spec(scenario)}}));
-    AdmissionEngine engine(catalog);
+    AdmissionEngine engine(catalog, util::Context{});
     const ScenarioModel* model = catalog->snapshot()->find(name);
     ASSERT_NE(model, nullptr);
 
@@ -219,7 +219,7 @@ TEST(AdmissionOracle, DagAdmitsMatchFreshIncrementalOracle) {
   const cli::Spec spec = cli::parse_spec(kDagSpecText);
   auto catalog =
       std::make_shared<Catalog>(make_snapshot(1, {{"forkjoin", spec}}));
-  AdmissionEngine engine(catalog);
+  AdmissionEngine engine(catalog, util::Context{});
   util::Xoshiro256 rng(kSeed ^ 0xbeef);
 
   std::map<std::string, FlowSpec> shadow;

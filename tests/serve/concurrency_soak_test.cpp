@@ -103,7 +103,7 @@ void replay_and_compare(
     const std::vector<AppliedOp>& ops,
     const std::map<std::string, TenantSnapshot>& final_state) {
   auto catalog = std::make_shared<Catalog>(make_snapshot(1, soak_specs()));
-  AdmissionEngine replay(catalog);
+  AdmissionEngine replay(catalog, util::Context{});
 
   std::map<std::string, std::vector<AppliedOp>> per_tenant;
   for (const AppliedOp& op : ops) per_tenant[op.tenant].push_back(op);
@@ -157,7 +157,7 @@ void replay_and_compare(
 
 TEST(ConcurrencySoak, EngineUnderContentionMatchesSerialReplay) {
   auto catalog = std::make_shared<Catalog>(make_snapshot(1, soak_specs()));
-  AdmissionEngine engine(catalog);
+  AdmissionEngine engine(catalog, util::Context{});
 
   constexpr int kThreads = 6;
   constexpr int kOpsPerThread = 60;

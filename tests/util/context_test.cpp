@@ -1,7 +1,8 @@
 // Context facade contract: from_env() parses every STREAMCALC_* knob (or
 // rejects it with an error naming the variable), install()/active() give
-// one process-wide source of truth, and the thread-count helpers resolve
-// hardware concurrency the way ThreadPool expects.
+// one process-wide source of truth parsed at most once, and the
+// thread-count helpers resolve hardware concurrency the way ThreadPool
+// expects.
 //
 // These tests setenv/unsetenv, so they live in their own binary (see
 // CMakeLists.txt) and restore the environment in the fixture.
@@ -20,18 +21,16 @@ namespace streamcalc::util {
 namespace {
 
 const char* const kVars[] = {
-    "STREAMCALC_THREADS", "STREAMCALC_CURVE_CACHE", "STREAMCALC_FUZZ_CASES",
-    "STREAMCALC_LINT",    "STREAMCALC_CERTIFY",     "STREAMCALC_OBS",
+    "STREAMCALC_THREADS", "STREAMCALC_FUZZ_CASES", "STREAMCALC_LINT",
+    "STREAMCALC_CERTIFY", "STREAMCALC_OBS",
 };
 
 class ContextTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    Context::uninstall();
     for (const char* v : kVars) ::unsetenv(v);
   }
   void TearDown() override {
-    Context::uninstall();
     for (const char* v : kVars) ::unsetenv(v);
   }
 };
@@ -39,7 +38,6 @@ class ContextTest : public ::testing::Test {
 TEST_F(ContextTest, DefaultsMatchDocumentedKnobs) {
   const Context ctx = Context::from_env();
   EXPECT_EQ(ctx.threads, 0u);
-  EXPECT_EQ(ctx.curve_cache, 4096u);
   EXPECT_EQ(ctx.fuzz_cases, 500);
   EXPECT_EQ(ctx.lint, EnforceMode::kWarn);
   EXPECT_EQ(ctx.certify, EnforceMode::kOff);
@@ -50,14 +48,12 @@ TEST_F(ContextTest, DefaultsMatchDocumentedKnobs) {
 
 TEST_F(ContextTest, ParsesEveryVariable) {
   ::setenv("STREAMCALC_THREADS", "3", 1);
-  ::setenv("STREAMCALC_CURVE_CACHE", "128", 1);
   ::setenv("STREAMCALC_FUZZ_CASES", "42", 1);
   ::setenv("STREAMCALC_LINT", "strict", 1);
   ::setenv("STREAMCALC_CERTIFY", "warn", 1);
   ::setenv("STREAMCALC_OBS", "off", 1);
   const Context ctx = Context::from_env();
   EXPECT_EQ(ctx.threads, 3u);
-  EXPECT_EQ(ctx.curve_cache, 128u);
   EXPECT_EQ(ctx.fuzz_cases, 42);
   EXPECT_EQ(ctx.lint, EnforceMode::kStrict);
   EXPECT_EQ(ctx.certify, EnforceMode::kWarn);
@@ -112,9 +108,9 @@ TEST_F(ContextTest, RejectsMalformedValuesNamingTheVariable) {
       {"STREAMCALC_THREADS", "many"},      {"STREAMCALC_THREADS", "99999"},
       {"STREAMCALC_THREADS", "fast"},      {"STREAMCALC_THREADS", "-1"},
       {"STREAMCALC_THREADS", "2 threads"}, {"STREAMCALC_THREADS", "serial "},
-      {"STREAMCALC_CURVE_CACHE", "-1"},    {"STREAMCALC_FUZZ_CASES", "0"},
-      {"STREAMCALC_LINT", "maybe"},        {"STREAMCALC_LINT", "pedantic"},
-      {"STREAMCALC_CERTIFY", "yes"},       {"STREAMCALC_CERTIFY", "paranoid"},
+      {"STREAMCALC_FUZZ_CASES", "0"},      {"STREAMCALC_LINT", "maybe"},
+      {"STREAMCALC_LINT", "pedantic"},     {"STREAMCALC_CERTIFY", "yes"},
+      {"STREAMCALC_CERTIFY", "paranoid"},  {"STREAMCALC_CERTIFY", "bogus"},
       {"STREAMCALC_OBS", "sometimes"},
   };
   for (const auto& [var, value] : bad) {
@@ -130,20 +126,24 @@ TEST_F(ContextTest, RejectsMalformedValuesNamingTheVariable) {
   }
 }
 
-TEST_F(ContextTest, ActiveTracksEnvironmentUntilInstall) {
+// The only test in this binary that touches the process-wide context, so
+// its first active() call is the process's first.
+TEST_F(ContextTest, ActiveParsesEnvironmentOnceUntilInstall) {
   ::setenv("STREAMCALC_THREADS", "2", 1);
-  EXPECT_EQ(Context::active().threads, 2u);
+  ::setenv("STREAMCALC_CERTIFY", "strict", 1);
+  EXPECT_EQ(Context::active().threads, 2u);  // first call parses the env
+  EXPECT_EQ(Context::active().certify, EnforceMode::kStrict);
+
   ::setenv("STREAMCALC_THREADS", "3", 1);
-  EXPECT_EQ(Context::active().threads, 3u);  // re-read per call
+  ::setenv("STREAMCALC_CERTIFY", "bogus", 1);  // not re-parsed: no throw
+  EXPECT_EQ(Context::active().threads, 2u);
+  EXPECT_EQ(Context::active().certify, EnforceMode::kStrict);
 
   Context pinned;
   pinned.threads = 7;
   Context::install(pinned);
-  ::setenv("STREAMCALC_THREADS", "4", 1);
-  EXPECT_EQ(Context::active().threads, 7u);  // installed wins over env
-
-  Context::uninstall();
-  EXPECT_EQ(Context::active().threads, 4u);  // back to tracking env
+  EXPECT_EQ(Context::active().threads, 7u);  // installed wins
+  EXPECT_EQ(Context::active().certify, EnforceMode::kOff);
 }
 
 TEST_F(ContextTest, ResolvedThreadsSubstitutesHardwareConcurrency) {
