@@ -1,6 +1,5 @@
-// Microbenchmarks of the execution layer: thread-pool dispatch overhead,
-// general convolution and deconvolution on the branch-envelope path, and
-// the curve-op cache hit path.
+// Microbenchmarks of the execution layer: thread-pool dispatch overhead
+// and general convolution and deconvolution on the branch-envelope path.
 //
 // The min-plus and max-plus curve algebra runs serially. A thread fan-out
 // of the branch envelope only pays on synthetic operands like these
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "benchmark_json.hpp"
-#include "minplus/cache.hpp"
 #include "minplus/curve.hpp"
 #include "minplus/operations.hpp"
 #include "util/rng.hpp"
@@ -118,32 +116,6 @@ BENCHMARK(BM_DeconvolveSerial)
     ->Arg(64)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
-
-/// Curve-op cache hit path: hash both operands, probe, splice the LRU.
-void BM_CacheHitConvolve(benchmark::State& state) {
-  const auto [a, b] = general_pair(static_cast<int>(state.range(0)));
-  streamcalc::minplus::CurveOpCache cache(64);
-  const auto compute = [](const Curve& f, const Curve& g) {
-    return streamcalc::minplus::convolve(f, g);
-  };
-  // Warm the entry so every timed probe hits.
-  cache.get_or_compute(streamcalc::minplus::CacheOp::kConvolve, a, b,
-                       compute);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.get_or_compute(
-        streamcalc::minplus::CacheOp::kConvolve, a, b, compute));
-  }
-}
-BENCHMARK(BM_CacheHitConvolve)->Arg(8)->Arg(64)->Arg(256);
-
-/// The operation the cache hit short-circuits, at the same sizes.
-void BM_CacheMissConvolve(benchmark::State& state) {
-  const auto [a, b] = general_pair(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(streamcalc::minplus::convolve(a, b));
-  }
-}
-BENCHMARK(BM_CacheMissConvolve)->Arg(8)->Arg(64)->Arg(256);
 
 }  // namespace
 

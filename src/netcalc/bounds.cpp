@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 
-#include "minplus/cache.hpp"
 #include "minplus/deviation.hpp"
 #include "minplus/operations.hpp"
 #include "obs/obs.hpp"
@@ -178,13 +177,9 @@ BacklogReport backlog_bound(const stochcalc::Arrival& arrival,
 minplus::Curve output_bound(const minplus::Curve& alpha,
                             const minplus::Curve& beta,
                             const std::optional<minplus::Curve>& gamma) {
-  // Cached operators: parameter sweeps and per-node analyses re-derive the
-  // same output bound from identical operands, and the shape-aware cache
-  // key (canonical segments, commutative for convolve) makes those repeats
-  // hits instead of fresh envelope builds.
   const minplus::Curve constrained =
-      gamma ? minplus::cached_convolve(alpha, *gamma) : alpha;
-  return minplus::cached_deconvolve(constrained, beta);
+      gamma ? minplus::convolve(alpha, *gamma) : alpha;
+  return minplus::deconvolve(constrained, beta);
 }
 
 util::DataRate guaranteed_rate(const minplus::Curve& beta,

@@ -7,7 +7,6 @@
 #include <queue>
 
 #include "minplus/deviation.hpp"
-#include "minplus/cache.hpp"
 #include "minplus/operations.hpp"
 #include "netcalc/bounds.hpp"
 #include "netcalc/packetizer.hpp"
@@ -312,7 +311,7 @@ std::vector<DagPathAnalysis> DagModel::per_path_analysis() const {
         }
       }
       pa.hop_residuals.push_back(residual);
-      path_service = minplus::cached_convolve(path_service, residual);
+      path_service = minplus::convolve(path_service, residual);
     }
     pa.residual_valid = valid;
     pa.delay = valid ? util::Duration::seconds(minplus::horizontal_deviation(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "minplus/cache.hpp"
 #include "minplus/operations.hpp"
 #include "netcalc/packetizer.hpp"
 #include "util/error.hpp"
@@ -144,12 +143,11 @@ void PipelineModel::build() {
   service_ = node_service_[0];
   max_service_ = node_max_service_[0];
   for (std::size_t i = 1; i < n; ++i) {
-    service_ = minplus::cached_convolve(service_, node_service_[i]);
-    max_service_ =
-        minplus::cached_convolve(max_service_, node_max_service_[i]);
+    service_ = minplus::convolve(service_, node_service_[i]);
+    max_service_ = minplus::convolve(max_service_, node_max_service_[i]);
   }
   output_ = output_bound(arrival_, service_, max_service_);
-  guaranteed_ = minplus::cached_convolve(arrival_, service_);
+  guaranteed_ = minplus::convolve(arrival_, service_);
 }
 
 DelayReport PipelineModel::delay_bound() const {

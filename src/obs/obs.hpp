@@ -3,8 +3,8 @@
 // The paper's analysis hinges on knowing where time and capacity go across
 // heterogeneous pipeline stages; this subsystem gives the reproduction the
 // same visibility into its *own* hot paths — which curve operations
-// dominate, how well the operation cache memoizes, how the thread pool and
-// the event loop spend their time (DESIGN.md §10).
+// dominate, which kernels they dispatch to, how the thread pool and the
+// event loop spend their time (DESIGN.md §10).
 //
 // Three layers, smallest first:
 //
@@ -31,9 +31,9 @@
 //      steady_clock stamps and one short critical section on completion.
 //
 // Instrumented subsystems: min-plus/max-plus convolve/deconvolve/closure,
-// CurveOpCache hits/misses, ThreadPool::parallel_for chunking and queue
-// depth, the DES event loop, ReplicationRunner replications, and the
-// nclint/certify pre/post-flight passes.
+// ThreadPool::parallel_for chunking and queue depth, the DES event loop,
+// ReplicationRunner replications, and the nclint/certify pre/post-flight
+// passes.
 #pragma once
 
 #if defined(STREAMCALC_OBS_DISABLED)

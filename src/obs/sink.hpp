@@ -1,7 +1,7 @@
 // Profiling hooks: a Sink observes every completed span and every metric
 // update, so tests and benches can assert on instrumentation ("parallel
-// convolve issued N subtasks", "cache hit ratio > X on repeated
-// analysis") without scraping trace files.
+// convolve issued N subtasks", "one convolve call per hop") without
+// scraping trace files.
 //
 // One sink may be installed at a time (an atomic pointer; install nullptr
 // to remove). The caller owns the sink and must uninstall it before

@@ -29,7 +29,6 @@
 
 // Curve algebra.
 #include "maxplus/operations.hpp"
-#include "minplus/cache.hpp"
 #include "minplus/curve.hpp"
 #include "minplus/deviation.hpp"
 #include "minplus/inverse.hpp"

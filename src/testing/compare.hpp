@@ -2,7 +2,7 @@
 // assertions.
 //
 // Exact segment equality (Curve::operator==) is the right notion for
-// bit-identity contracts (parallel == serial, cached == uncached), but
+// bit-identity contracts (parallel == serial, traced == untraced), but
 // algebraic-law checks compare results of *different* computation orders —
 // e.g. conv(conv(f,g),h) against conv(f,conv(g,h)) — whose breakpoints
 // carry different rounding noise. These helpers compare curves by value at

@@ -2,9 +2,9 @@
 // real spec. A kernel that only synthetic operands reach is code without a
 // measurement behind it (DESIGN.md §11), so this runs `streamcalc analyze`
 // and `streamcalc certify` in process on every example spec and every
-// diagnostics fixture, with a fresh curve cache, and requires a non-zero
-// `minplus.{convolve,deconvolve}.kernel.<name>` counter for each value of
-// ConvKernel and DeconvKernel.
+// diagnostics fixture and requires a non-zero
+// `minplus.{convolve,deconvolve}.kernel.<name>` counter for each value
+// of ConvKernel and DeconvKernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "cli/certify.hpp"
 #include "cli/options.hpp"
 #include "cli/report.hpp"
-#include "minplus/cache.hpp"
 #include "minplus/operations.hpp"
 #include "obs/obs.hpp"
 #include "obs/runtime.hpp"
@@ -52,7 +51,6 @@ TEST(KernelCensus, EveryKernelIsReachedByARealSpec) {
   obs::set_enabled(true);
   obs::CollectingSink sink;
   obs::Sink* previous = obs::set_sink(&sink);
-  minplus::CurveOpCache::global().clear();
 
   const std::vector<std::string> specs = real_specs();
   ASSERT_FALSE(specs.empty());

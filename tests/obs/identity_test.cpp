@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "minplus/cache.hpp"
 #include "netcalc/node.hpp"
 #include "netcalc/pipeline.hpp"
 #include "obs/obs.hpp"
@@ -29,11 +28,6 @@ struct Bounds {
 };
 
 Bounds analyze_once() {
-  // Cold-start the curve-op cache so every run performs the min-plus work
-  // itself: the netcalc composition layer goes through the cached_*
-  // wrappers, and a warm global cache would serve the second run without
-  // a single convolve call (or span) to compare against.
-  minplus::CurveOpCache::global().clear();
   std::vector<NodeSpec> nodes;
   nodes.push_back(NodeSpec::from_rates(
       "decode", NodeKind::kCompute, DataSize::kib(64),

@@ -1,13 +1,12 @@
 // Profiling-hook contract: an installed Sink observes the spans and
 // metric updates fired by the instrumented subsystems — min-plus
-// operators, the curve-op cache, the thread pool, and the replication
-// runner — so tests can assert on instrumentation directly.
+// operators, the thread pool, and the replication runner — so tests can
+// assert on instrumentation directly.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
-#include "minplus/cache.hpp"
 #include "minplus/curve.hpp"
 #include "minplus/operations.hpp"
 #include "obs/obs.hpp"
@@ -17,9 +16,7 @@
 namespace streamcalc {
 namespace {
 
-using minplus::CacheOp;
 using minplus::Curve;
-using minplus::CurveOpCache;
 
 /// Installs a CollectingSink for the test body and restores whatever was
 /// installed before (normally nothing).
@@ -52,25 +49,6 @@ TEST_F(SinkTest, DeconvolveAndClosureNotifyTheirCounters) {
   (void)minplus::deconvolve(arrival, service);
   EXPECT_EQ(sink_.span_count("minplus/deconvolve"), 1u);
   EXPECT_EQ(sink_.metric_total("minplus.deconvolve.calls"), 1.0);
-}
-
-TEST_F(SinkTest, CacheReportsMissThenHit) {
-  CurveOpCache cache(16);
-  const Curve a = Curve::affine(10.0, 5.0);
-  const Curve b = Curve::rate_latency(8.0, 2.0);
-  const auto compute = [](const Curve& f, const Curve& g) {
-    return minplus::convolve(f, g);
-  };
-  (void)cache.get_or_compute(CacheOp::kConvolve, a, b, compute);
-  EXPECT_EQ(sink_.metric_total("cache.misses"), 1.0);
-  EXPECT_EQ(sink_.metric_total("cache.hits"), 0.0);
-  (void)cache.get_or_compute(CacheOp::kConvolve, a, b, compute);
-  EXPECT_EQ(sink_.metric_total("cache.misses"), 1.0);
-  EXPECT_EQ(sink_.metric_total("cache.hits"), 1.0);
-  // The cache's own stats agree with what the sink observed.
-  const CurveOpCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST_F(SinkTest, ParallelForNotifiesCallAndChunkCounters) {

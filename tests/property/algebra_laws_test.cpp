@@ -7,7 +7,7 @@
 // compared with the tolerant probe comparison in testing/compare.hpp:
 // the breakpoints of conv(conv(f,g),h) and conv(f,conv(g,h)) carry
 // different rounding noise, so exact segment equality is the wrong notion
-// (that contract is covered by parallel_cache_consistency_test.cpp).
+// (the bit patterns are pinned in minplus/envelope_pin_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
