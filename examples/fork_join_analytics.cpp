@@ -11,6 +11,7 @@
 // per-node bounds, per-path delay bounds with residual service at the
 // shared muxer, and the DAG simulator cross-checks them.
 #include <cstdio>
+#include <vector>
 
 #include "netcalc/dag.hpp"
 #include "streamsim/pipeline_sim.hpp"
@@ -64,7 +65,9 @@ int run(const streamcalc::util::Context& ctx) {
   const netcalc::DagModel model(dag, src);
   // Optional post-flight: STREAMCALC_CERTIFY=warn|strict re-verifies every
   // per-node and per-path bound with the exact-rational checker.
-  certify::postflight_dag("fork_join_analytics", model, ctx);
+  const std::vector<netcalc::DagPathAnalysis> paths =
+      model.per_path_analysis();
+  certify::postflight_dag("fork_join_analytics", model, paths, ctx);
 
   util::Table t({"node", "regime", "arrival", "service", "delay", "backlog",
                  "buffer"},
@@ -81,7 +84,7 @@ int run(const streamcalc::util::Context& ctx) {
   std::fputs(t.render().c_str(), stdout);
 
   std::printf("\npath delay bounds (residual service at the shared mux):\n");
-  for (const auto& p : model.per_path_analysis()) {
+  for (const auto& p : paths) {
     std::printf("  ");
     for (std::size_t i : p.nodes) {
       std::printf("%s%s", dag.nodes[i].name.c_str(),

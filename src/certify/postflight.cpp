@@ -54,8 +54,10 @@ std::vector<BoundCertificate> emit_pipeline(
   return certs;
 }
 
-std::vector<BoundCertificate> emit_dag(const netcalc::DagModel& model,
-                                       ExactCurveTable& exact) {
+std::vector<BoundCertificate> emit_dag(
+    const netcalc::DagModel& model,
+    const std::vector<netcalc::DagPathAnalysis>& paths,
+    ExactCurveTable& exact) {
   std::vector<BoundCertificate> certs;
   const auto per_node = model.per_node_analysis();
   for (std::size_t i = 0; i < per_node.size(); ++i) {
@@ -67,7 +69,7 @@ std::vector<BoundCertificate> emit_dag(const netcalc::DagModel& model,
         exact, BoundKind::kBacklog, context, model.node_arrival(i),
         model.node_service(i), per_node[i].backlog.in_bytes()));
   }
-  for (const netcalc::DagPathAnalysis& pa : model.per_path_analysis()) {
+  for (const netcalc::DagPathAnalysis& pa : paths) {
     if (!pa.residual_valid) continue;  // nclint reports NC305 for these
     certs.push_back(make_certificate(
         exact, BoundKind::kDelay, path_context(model, pa.nodes), pa.flow,
@@ -87,7 +89,7 @@ std::vector<BoundCertificate> emit_pipeline_certificates(
 std::vector<BoundCertificate> emit_dag_certificates(
     const netcalc::DagModel& model) {
   ExactCurveTable exact;
-  return emit_dag(model, exact);
+  return emit_dag(model, model.per_path_analysis(), exact);
 }
 
 // Emit and check share one conversion table: each distinct curve becomes
@@ -100,10 +102,11 @@ LintReport certify_pipeline(const netcalc::PipelineModel& model) {
   return check_certificates(certs, exact);
 }
 
-LintReport certify_dag(const netcalc::DagModel& model) {
+LintReport certify_dag(const netcalc::DagModel& model,
+                       const std::vector<netcalc::DagPathAnalysis>& paths) {
   SC_OBS_SPAN("certify", "postflight");
   ExactCurveTable exact;
-  const auto certs = emit_dag(model, exact);
+  const auto certs = emit_dag(model, paths, exact);
   SC_OBS_COUNT("certify.certificates", certs.size());
   return check_certificates(certs, exact);
 }
@@ -122,9 +125,10 @@ void postflight_pipeline(const std::string& context,
 }
 
 void postflight_dag(const std::string& context, const netcalc::DagModel& model,
+                    const std::vector<netcalc::DagPathAnalysis>& paths,
                     const util::Context& ctx) {
   if (ctx.certify == util::EnforceMode::kOff) return;
-  postflight(context, certify_dag(model), ctx.certify);
+  postflight(context, certify_dag(model, paths), ctx.certify);
 }
 
 }  // namespace streamcalc::certify

@@ -15,7 +15,7 @@
 //
 // Default-off is deliberate: certification re-evaluates every bound on
 // arbitrary-precision rationals. In perfbench's analyze workload (4-core
-// Xeon VM) one certify_spec pass costs about 1.4x the whole analyze path
+// Xeon VM) one certify_spec pass costs about 1.3x the whole analyze path
 // of the same spec (parse, lint, model, bounds, DES, report), so turning
 // it on more than doubles an analysis — the right default for benches and
 // examples is to opt in (CI's certify job and the mutation/property
@@ -47,9 +47,12 @@ std::vector<BoundCertificate> emit_pipeline_certificates(
 std::vector<BoundCertificate> emit_dag_certificates(
     const netcalc::DagModel& model);
 
-/// Emit + check in one call.
+/// Emit + check in one call. `paths` are the rows of
+/// model.per_path_analysis(), which callers usually hold already.
 diagnostics::LintReport certify_pipeline(const netcalc::PipelineModel& model);
-diagnostics::LintReport certify_dag(const netcalc::DagModel& model);
+diagnostics::LintReport certify_dag(
+    const netcalc::DagModel& model,
+    const std::vector<netcalc::DagPathAnalysis>& paths);
 
 /// Applies the certify mode to a finished report (see
 /// diagnostics::enforce): findings go to stderr unless off; strict throws
@@ -64,6 +67,7 @@ void postflight_pipeline(const std::string& context,
                          const util::Context& ctx);
 void postflight_dag(const std::string& context,
                     const netcalc::DagModel& model,
+                    const std::vector<netcalc::DagPathAnalysis>& paths,
                     const util::Context& ctx);
 
 }  // namespace streamcalc::certify

@@ -35,7 +35,7 @@ diagnostics::LintReport certify_spec(const Spec& spec) {
   if (lint.has_errors()) return lint;
   if (spec.is_dag()) {
     const netcalc::DagModel model(spec.dag(), spec.source, spec.policy);
-    return certify::certify_dag(model);
+    return certify::certify_dag(model, model.per_path_analysis());
   }
   const netcalc::PipelineModel model(spec.nodes, spec.source, spec.policy);
   return certify::certify_pipeline(model);

@@ -160,7 +160,6 @@ Analysis compute_dag(const Spec& spec, const util::Context& ctx,
     SC_OBS_SPAN("cli", "model");
     return netcalc::DagModel(spec.dag(), spec.source, spec.policy);
   }();
-  certify::postflight_dag("analyze", model, ctx);
   const netcalc::DagSpec& dag = model.dag();
 
   Analysis a;
@@ -179,6 +178,7 @@ Analysis compute_dag(const Spec& spec, const util::Context& ctx,
     a.delay = netcalc::worst_path_delay(a.paths);
     a.backlog = model.backlog_bound();
   }
+  certify::postflight_dag("analyze", model, a.paths, ctx);
   if (epsilon >= 0.0) {
     SC_OBS_SPAN("cli", "stochastic");
     a.stochastic = {netcalc::worst_path_delay(a.paths, epsilon),

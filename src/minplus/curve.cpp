@@ -53,18 +53,6 @@ bool nearly_equal(double a, double b) {
 
 }  // namespace
 
-const char* shape_class_name(ShapeClass c) {
-  switch (c) {
-    case ShapeClass::kConvex:
-      return "convex";
-    case ShapeClass::kConcave:
-      return "concave";
-    case ShapeClass::kGeneral:
-      break;
-  }
-  return "general";
-}
-
 Curve::Curve() : segs_{Segment{0.0, 0.0, 0.0, 0.0}} { compute_shape(); }
 
 Curve::Curve(std::vector<Segment> segments) : segs_(std::move(segments)) {
@@ -402,12 +390,6 @@ bool segs_concave_from_origin(const std::vector<Segment>& segs) {
 void Curve::compute_shape() {
   shape_.convex = segs_convex(segs_);
   shape_.concave_from_origin = segs_concave_from_origin(segs_);
-}
-
-ShapeClass Curve::shape_class() const {
-  if (shape_.concave_from_origin) return ShapeClass::kConcave;
-  if (shape_.convex) return ShapeClass::kConvex;
-  return ShapeClass::kGeneral;
 }
 
 bool Curve::is_zero() const {

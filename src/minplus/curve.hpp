@@ -40,15 +40,6 @@ struct Segment {
   friend bool operator==(const Segment&, const Segment&) = default;
 };
 
-/// Coarse structural class of a curve, derived from its cached ShapeInfo.
-/// This is the "shape lattice" the operation dispatcher keys on
-/// (DESIGN.md §11); kGeneral means no specialized kernel applies.
-enum class ShapeClass { kGeneral, kConvex, kConcave };
-
-/// Stable lowercase name for a ShapeClass ("convex", "concave",
-/// "general"), used in obs counter names and diagnostics.
-const char* shape_class_name(ShapeClass c);
-
 /// Structural classification of a curve, computed once at construction and
 /// cached. The flags gate the specialized min-plus kernels.
 struct ShapeInfo {
@@ -156,10 +147,6 @@ class Curve {
 
   /// Cached structural classification (computed once at construction).
   const ShapeInfo& shape() const { return shape_; }
-
-  /// Coarsest shape-lattice class this curve belongs to, for dispatch
-  /// accounting: concave beats convex beats general.
-  ShapeClass shape_class() const;
 
   /// True if f(t) == 0 for all t.
   bool is_zero() const;

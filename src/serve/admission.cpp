@@ -292,11 +292,22 @@ Decision AdmissionEngine::admit(const std::string& tenant_name,
   const bool strict =
       certify_strict || ctx_.certify == util::EnforceMode::kStrict;
 
+  // Proof-carrying mode: re-derive and certify every bound of the
+  // candidate model with the independent exact-rational checker. A failed
+  // certification is an evaluation error, not a rejection — the double
+  // bound cannot be trusted either way.
   Decision result;
+  bool certified = true;
   if (scenario->is_dag) {
     std::map<std::string, FlowSpec> candidate = tenant->flows;
     candidate.emplace(flow_id, flow);
     result = dag_decision(*tenant, *scenario, snapshot->epoch(), candidate);
+    if (result.ok && strict) {
+      // The tenant's incremental DAG now holds the candidate flow set.
+      const netcalc::DagModel& model = tenant->dag->model();
+      certified =
+          certify::certify_dag(model, model.per_path_analysis()).clean();
+    }
   } else {
     std::vector<FlowSpec> candidate;
     candidate.reserve(tenant->flows.size() + 1);
@@ -305,22 +316,19 @@ Decision AdmissionEngine::admit(const std::string& tenant_name,
     result = chain_decision(*scenario, candidate, flow.epsilon);
     if (flow.epsilon > 0.0) SC_OBS_COUNT("serve.admit.stochastic", 1);
     if (result.ok && strict) {
-      // Proof-carrying mode: re-derive and certify every bound of the
-      // candidate model with the independent exact-rational checker. A
-      // failed certification is an evaluation error, not a rejection —
-      // the double bound cannot be trusted either way.
       const netcalc::PipelineModel model =
           netcalc::PipelineModel::with_arrival(
               scenario->spec.nodes, scenario->spec.source,
               scenario->spec.policy,
               aggregate_arrival(candidate, scenario->spec.source));
-      const diagnostics::LintReport report =
-          certify::certify_pipeline(model);
-      if (!report.clean()) {
-        result = Decision{};
-        result.error = "bound failed strict certification";
-      }
+      certified = certify::certify_pipeline(model).clean();
     }
+  }
+  // An evaluated DAG candidate has touched the tenant's envelopes.
+  const bool evaluated = result.ok;
+  if (!certified) {
+    result = Decision{};
+    result.error = "bound failed strict certification";
   }
   result.epoch = snapshot->epoch();
   if (result.ok && result.admitted) {
@@ -329,10 +337,10 @@ Decision AdmissionEngine::admit(const std::string& tenant_name,
     tenant->flows.emplace(flow_id, flow);
     ++tenant->seq;
     result.changed = true;
-  } else if (scenario->is_dag && result.ok) {
-    // Restore the committed flow set's envelopes after a rejected
-    // candidate evaluation (cheap: only the candidate's entry cone was
-    // touched, and only it is recomputed back).
+  } else if (scenario->is_dag && evaluated) {
+    // Restore the committed flow set's envelopes after a rejected or
+    // uncertified candidate evaluation (cheap: only the candidate's entry
+    // cone was touched, and only it is recomputed back).
     (void)dag_decision(*tenant, *scenario, snapshot->epoch(),
                        tenant->flows);
   }

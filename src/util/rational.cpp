@@ -246,6 +246,12 @@ unsigned BigInt::trailing_zeros() const {
   return i * 32 + static_cast<unsigned>(std::countr_zero(l[i]));
 }
 
+unsigned BigInt::bit_length() const {
+  if (is_zero()) return 0;
+  return size_ * 32 -
+         static_cast<unsigned>(std::countl_zero(limbs()[size_ - 1]));
+}
+
 int BigInt::compare(const BigInt& o) const {
   if (negative_ != o.negative_) return negative_ ? -1 : 1;
   const int mag = compare_magnitude(*this, o);
@@ -310,6 +316,7 @@ void Rational::normalize() {
   }
   if (num_.is_zero()) {
     den_ = 1;
+    den_log2_ = 0;
     return;
   }
   // Reduce by the common power of two only, in one shift. Checker values
@@ -318,10 +325,23 @@ void Rational::normalize() {
   // pseudo-inverse divisions live through expressions of small bounded
   // depth, so skipping the full gcd never lets the limb counts grow
   // meaningfully.
-  const unsigned shift =
-      std::min(num_.trailing_zeros(), den_.trailing_zeros());
+  const unsigned den_zeros = den_.trailing_zeros();
+  const unsigned shift = std::min(num_.trailing_zeros(), den_zeros);
   num_.shift_right(shift);
   den_.shift_right(shift);
+  // A power of two is the one magnitude whose lowest set bit is its top.
+  den_log2_ = den_zeros - shift + 1 == den_.bit_length()
+                  ? static_cast<int>(den_zeros - shift)
+                  : -1;
+}
+
+BigInt Rational::times_den(const BigInt& x) const {
+  return den_log2_ >= 0 ? x.shifted_left(static_cast<unsigned>(den_log2_))
+                        : x * den_;
+}
+
+BigInt Rational::den_product(const Rational& o) const {
+  return den_log2_ >= 0 ? times_den(o.den_) : o.times_den(den_);
 }
 
 Rational Rational::from_double(double v) {
@@ -350,21 +370,39 @@ Rational Rational::operator-() const {
   return out;
 }
 
+Rational Rational::add(const Rational& o, bool subtract) const {
+  const auto combine = [subtract](const BigInt& x, const BigInt& y) {
+    return subtract ? x - y : x + y;
+  };
+  if (den_log2_ >= 0 && o.den_log2_ >= 0) {
+    // Both dyadic: scale the numerator with the smaller exponent up to the
+    // larger one, whose denominator is the common one.
+    if (den_log2_ >= o.den_log2_) {
+      const auto gap = static_cast<unsigned>(den_log2_ - o.den_log2_);
+      return Rational(combine(num_, o.num_.shifted_left(gap)), den_);
+    }
+    const auto gap = static_cast<unsigned>(o.den_log2_ - den_log2_);
+    return Rational(combine(num_.shifted_left(gap), o.num_), o.den_);
+  }
+  return Rational(combine(o.times_den(num_), times_den(o.num_)),
+                  den_product(o));
+}
+
 Rational Rational::operator+(const Rational& o) const {
-  return Rational(num_ * o.den_ + o.num_ * den_, den_ * o.den_);
+  return add(o, false);
 }
 
 Rational Rational::operator-(const Rational& o) const {
-  return Rational(num_ * o.den_ - o.num_ * den_, den_ * o.den_);
+  return add(o, true);
 }
 
 Rational Rational::operator*(const Rational& o) const {
-  return Rational(num_ * o.num_, den_ * o.den_);
+  return Rational(num_ * o.num_, den_product(o));
 }
 
 Rational Rational::operator/(const Rational& o) const {
   util::require(!o.is_zero(), "Rational division by zero");
-  return Rational(num_ * o.den_, den_ * o.num_);
+  return Rational(o.times_den(num_), times_den(o.num_));
 }
 
 int Rational::compare(const Rational& o) const {
@@ -375,8 +413,24 @@ int Rational::compare(const Rational& o) const {
   if (sign != o_sign) return sign < o_sign ? -1 : 1;
   if (sign == 0) return 0;
   if (den_ == o.den_) return num_.compare(o.num_);
+  // With L = len(num) - len(den), the magnitude lies strictly between
+  // 2^(L-1) and 2^(L+1), so an L two or more apart orders the magnitudes.
+  const auto length_gap =
+      (static_cast<std::int64_t>(num_.bit_length()) - den_.bit_length()) -
+      (static_cast<std::int64_t>(o.num_.bit_length()) - o.den_.bit_length());
+  if (length_gap >= 2) return sign;
+  if (length_gap <= -2) return -sign;
+  if (den_log2_ >= 0 && o.den_log2_ >= 0) {
+    // Both dyadic: bring the smaller exponent up to the larger one.
+    if (den_log2_ >= o.den_log2_) {
+      const auto gap = static_cast<unsigned>(den_log2_ - o.den_log2_);
+      return num_.compare(o.num_.shifted_left(gap));
+    }
+    const auto gap = static_cast<unsigned>(o.den_log2_ - den_log2_);
+    return num_.shifted_left(gap).compare(o.num_);
+  }
   // Denominators are positive, so cross-multiplication preserves order.
-  return (num_ * o.den_).compare(o.num_ * den_);
+  return o.times_den(num_).compare(times_den(o.num_));
 }
 
 Rational Rational::min(const Rational& a, const Rational& b) {

@@ -346,17 +346,14 @@ TEST(CurveShape, RateLatencyIsConvexAndDegenerateStaircase) {
   const Curve b = Curve::rate_latency(5.0, 2.0);
   EXPECT_TRUE(b.shape().convex);
   EXPECT_FALSE(b.shape().concave_from_origin);
-  EXPECT_EQ(b.shape_class(), ShapeClass::kConvex);
   const Curve c = maximum(Curve::rate(1.0), Curve::rate_latency(5.0, 2.0));
   EXPECT_TRUE(c.shape().convex);
-  EXPECT_EQ(c.shape_class(), ShapeClass::kConvex);
 }
 
 TEST(CurveShape, TokenBucketMinIsConcave) {
   const Curve a = minimum(Curve::affine(2.0, 9.0), Curve::affine(6.0, 1.0));
   EXPECT_TRUE(a.shape().concave_from_origin);
   EXPECT_FALSE(a.shape().convex);
-  EXPECT_EQ(a.shape_class(), ShapeClass::kConcave);
 }
 
 TEST(CurveShape, GeneralMixedShapeClassifiesAsGeneral) {
@@ -364,13 +361,8 @@ TEST(CurveShape, GeneralMixedShapeClassifiesAsGeneral) {
   const Curve a =
       minimum(Curve::affine(2.0, 9.0), Curve::affine(6.0, 1.0)).plus_step(2.0);
   const Curve m = maximum(a, Curve::rate_latency(8.0, 1.0));
-  EXPECT_EQ(m.shape_class(), ShapeClass::kGeneral);
-}
-
-TEST(CurveShape, ShapeClassNamesAreStable) {
-  EXPECT_STREQ(shape_class_name(ShapeClass::kGeneral), "general");
-  EXPECT_STREQ(shape_class_name(ShapeClass::kConvex), "convex");
-  EXPECT_STREQ(shape_class_name(ShapeClass::kConcave), "concave");
+  EXPECT_FALSE(m.shape().convex);
+  EXPECT_FALSE(m.shape().concave_from_origin);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // under arbitrary chunking, hostile frames (oversized, truncated,
 // garbage, malformed or out-of-range JSON), and the live server's
 // reaction to each — a malformed payload must produce a clean
-// {"ok":false} reply, never a crash or a wedged connection. The JSON
-// parser's own tests are in tests/util/json_test.cpp.
+// {"ok":false} reply, never a crash or a wedged connection — plus the
+// "certify" admit flag on chain and DAG scenarios. The JSON parser's own
+// tests are in tests/util/json_test.cpp.
 //
 // All fuzz loops are seeded and replayable; failures print the (seed,
 // case) pair. Runs under the `property` CTest label (ubsan preset).
@@ -13,10 +14,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cli/spec.hpp"
+#include "obs/obs.hpp"
 #include "serve/catalog.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -155,12 +158,28 @@ TEST(FrameCodec, EncodeRejectsOversizedPayloads) {
 class ServeProtocolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const std::string spec_text =
-        "[source]\nrate = 100 MiB/s\nburst = 64 KiB\npacket = 64 KiB\n"
+    const std::string source =
+        "[source]\nrate = 100 MiB/s\nburst = 64 KiB\npacket = 64 KiB\n";
+    const std::string chain_text =
+        source +
         "[node stage]\nblock_in = 64 KiB\nrate_min = 200 MiB/s\n"
         "rate_avg = 220 MiB/s\nrate_max = 240 MiB/s\n";
-    auto snapshot = make_snapshot(
-        1, {{"chain", cli::parse_spec(spec_text)}});
+    const std::string dag_text =
+        source +
+        "[node ingest]\nblock_in = 64 KiB\nrate_min = 500 MiB/s\n"
+        "rate_avg = 550 MiB/s\nrate_max = 600 MiB/s\n"
+        "[node video]\nblock_in = 64 KiB\nrate_min = 90 MiB/s\n"
+        "rate_avg = 100 MiB/s\nrate_max = 115 MiB/s\n"
+        "[node audio]\nblock_in = 64 KiB\nrate_min = 150 MiB/s\n"
+        "rate_avg = 165 MiB/s\nrate_max = 180 MiB/s\n"
+        "[node mux]\nblock_in = 64 KiB\nrate_min = 250 MiB/s\n"
+        "rate_avg = 270 MiB/s\nrate_max = 290 MiB/s\n"
+        "[topology]\nentry = ingest 1.0\nedge = ingest video 0.6\n"
+        "edge = ingest audio 0.4\nedge = video mux 1.0\n"
+        "edge = audio mux 1.0\n";
+    auto snapshot =
+        make_snapshot(1, {{"chain", cli::parse_spec(chain_text)},
+                          {"dag", cli::parse_spec(dag_text)}});
     ServerConfig config;
     config.socket_path = ::testing::TempDir() + "/serve_protocol_" +
                          std::to_string(::getpid()) + ".sock";
@@ -298,6 +317,67 @@ TEST_F(ServeProtocolTest, EpsilonAdmitRoundTripsThroughTheWire) {
                  "\"epsilon\":1.5}")
           .value);
   EXPECT_FALSE(bad.bool_or("ok", true));
+}
+
+/// Certificates the exact checker has been handed in this process so far,
+/// or nullopt when instrumentation is compiled out or switched off.
+std::optional<std::uint64_t> certificates_checked() {
+#if SC_OBS_ENABLED
+  if (obs::enabled()) {
+    return obs::Registry::global().counter("certify.certificates").value();
+  }
+#endif
+  return std::nullopt;
+}
+
+Json admit_request(const std::string& tenant, const std::string& scenario,
+                   const std::string& id, bool certify) {
+  Json::Object obj;
+  obj.emplace("op", Json("admit"));
+  obj.emplace("tenant", Json(tenant));
+  obj.emplace("scenario", Json(scenario));
+  obj.emplace("id", Json(id));
+  obj.emplace("rate", Json(1048576.0));
+  obj.emplace("burst", Json(65536.0));
+  obj.emplace("target", Json(0.5));
+  if (certify) obj.emplace("certify", Json(true));
+  return Json(std::move(obj));
+}
+
+/// Admits two flows on `scenario` with "certify": true and the same two on
+/// another tenant without it: the replies agree, and the certified ones
+/// ran the exact checker.
+void expect_certified_admits(const std::string& path,
+                             const std::string& scenario) {
+  Client client = Client::connect_unix(path);
+  for (const char* id : {"f1", "f2"}) {
+    SCOPED_TRACE(scenario + " " + id);
+    const Json plain =
+        client.request(admit_request("plain", scenario, id, false));
+    const std::optional<std::uint64_t> before = certificates_checked();
+    const Json certified =
+        client.request(admit_request("certified", scenario, id, true));
+    const std::optional<std::uint64_t> after = certificates_checked();
+    ASSERT_TRUE(plain.bool_or("ok", false));
+    ASSERT_TRUE(certified.bool_or("ok", false))
+        << certified.string_or("error", "");
+    EXPECT_TRUE(certified.bool_or("admitted", false));
+    EXPECT_EQ(certified.bool_or("admitted", false),
+              plain.bool_or("admitted", true));
+    EXPECT_EQ(certified.number_or("delay_bound", -1.0),
+              plain.number_or("delay_bound", -2.0));
+    if (before && after) {
+      EXPECT_GT(*after, *before);
+    }
+  }
+}
+
+TEST_F(ServeProtocolTest, CertifiedChainAdmitRoundTripsThroughTheWire) {
+  expect_certified_admits(path_, "chain");
+}
+
+TEST_F(ServeProtocolTest, CertifiedDagAdmitRoundTripsThroughTheWire) {
+  expect_certified_admits(path_, "dag");
 }
 
 TEST_F(ServeProtocolTest, TruncatedFrameDoesNotHarmTheServer) {

@@ -6,6 +6,9 @@
 // that code against an independent reference: __int128 arithmetic where
 // the operands fit, a bit-serial normalize over plain limb vectors, field
 // identities, and known decimal renderings at the inline/heap edge.
+// Rational's operators shift where a denominator is a power of two; the
+// zero-tolerance case checks them against the plain cross-multiplying
+// formulas built from BigInt products alone.
 // Budgets scale with STREAMCALC_FUZZ_CASES.
 #include <gtest/gtest.h>
 
@@ -440,6 +443,174 @@ TEST(RationalProperty, NormalizeMatchesBitSerialReference) {
     EXPECT_EQ(r.num(), from_limbs(ref_num, negative));
     EXPECT_EQ(r.den(), from_limbs(ref_den, false));
     EXPECT_FALSE(r.den().is_negative());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The power-of-two path against products, with zero tolerance
+
+/// Little-endian limbs of |v|, parsed from its decimal rendering with limb
+/// arithmetic only (no BigInt shift or product).
+std::vector<std::uint32_t> limbs_of(const BigInt& v) {
+  std::vector<std::uint32_t> limbs;
+  for (const char c : v.to_string()) {
+    if (c == '-') continue;
+    std::uint64_t carry = static_cast<std::uint64_t>(c - '0');
+    for (auto& limb : limbs) {
+      const std::uint64_t cur = std::uint64_t{limb} * 10 + carry;
+      limb = static_cast<std::uint32_t>(cur & 0xffffffffu);
+      carry = cur >> 32;
+    }
+    if (carry != 0) limbs.push_back(static_cast<std::uint32_t>(carry));
+  }
+  return limbs;
+}
+
+/// The value num/den in Rational's representation, computed without
+/// Rational: sign onto the numerator, then the bit-serial normalize.
+struct Reduced {
+  bool negative = false;
+  std::vector<std::uint32_t> num;
+  std::vector<std::uint32_t> den;
+};
+
+Reduced reference_reduce(const BigInt& num, const BigInt& den) {
+  Reduced out{num.is_negative() != den.is_negative(), limbs_of(num),
+              limbs_of(den)};
+  reference_normalize(out.num, out.den);
+  if (out.num.empty()) out.negative = false;
+  return out;
+}
+
+void expect_matches(const Rational& got, const Reduced& want) {
+  EXPECT_EQ(got.is_negative(), want.negative);
+  EXPECT_EQ(limbs_of(got.num()), want.num);
+  EXPECT_EQ(limbs_of(got.den()), want.den);
+  EXPECT_FALSE(got.den().is_negative());
+}
+
+/// 2^e as limbs, so operands get exact power-of-two denominators.
+BigInt pow2(unsigned e) {
+  std::vector<std::uint32_t> limbs(e / 32 + 1, 0);
+  limbs.back() = std::uint32_t{1} << (e % 32);
+  return from_limbs(limbs, false);
+}
+
+/// A numerator of 0..9 limbs (across the 8-limb inline edge) with
+/// trailing zero bits now and then, so reductions cross limb boundaries.
+BigInt random_numerator(Xoshiro256& rng) {
+  if (rng() % 16 == 0) return BigInt(0);
+  BigInt n = from_limbs(random_limbs(rng, 1 + rng() % 9), rng() % 2 == 0);
+  if (rng() % 3 == 0) n = n * pow2(static_cast<unsigned>(rng() % 40));
+  return n;
+}
+
+/// A denominator with at least two set bits (so not a power of two),
+/// sometimes even.
+BigInt general_denominator(Xoshiro256& rng) {
+  std::vector<std::uint32_t> limbs = random_limbs(rng, 1 + rng() % 4);
+  limbs[0] |= 1u;
+  if (limbs.size() == 1 && (limbs[0] & (limbs[0] - 1)) == 0) limbs[0] |= 2u;
+  BigInt d = from_limbs(limbs, false);
+  if (rng() % 3 == 0) d = d * pow2(static_cast<unsigned>(rng() % 40));
+  return d;
+}
+
+/// Every operator on (a, b) against the product formulas, and the
+/// results fed on through one more operator each, so a result whose
+/// cached exponent disagreed with its denominator would show.
+void check_against_products(const Rational& a, const Rational& b,
+                            const Rational& c) {
+  SCOPED_TRACE(a.to_string() + " op " + b.to_string() + " then " +
+               c.to_string());
+  const BigInt& an = a.num();
+  const BigInt& ad = a.den();
+  const BigInt& bn = b.num();
+  const BigInt& bd = b.den();
+  const Rational results[] = {a + b, a - b, a * b,
+                              b.is_zero() ? a : a / b};
+  expect_matches(results[0], reference_reduce(an * bd + bn * ad, ad * bd));
+  expect_matches(results[1], reference_reduce(an * bd - bn * ad, ad * bd));
+  expect_matches(results[2], reference_reduce(an * bn, ad * bd));
+  if (!b.is_zero()) {
+    expect_matches(results[3], reference_reduce(an * bd, ad * bn));
+  }
+  EXPECT_EQ(a.compare(b), sign((an * bd).compare(bn * ad)));
+  EXPECT_EQ(b.compare(a), sign((bn * ad).compare(an * bd)));
+  for (const Rational& r : results) {
+    const BigInt& rn = r.num();
+    const BigInt& rd = r.den();
+    const BigInt& cn = c.num();
+    const BigInt& cd = c.den();
+    expect_matches(r + c, reference_reduce(rn * cd + cn * rd, rd * cd));
+    expect_matches(c - r, reference_reduce(cn * rd - rn * cd, cd * rd));
+    expect_matches(r * c, reference_reduce(rn * cn, rd * cd));
+    EXPECT_EQ(r.compare(c), sign((rn * cd).compare(cn * rd)));
+  }
+}
+
+TEST(RationalProperty, PowerOfTwoPathMatchesProductsExactly) {
+  Xoshiro256 rng(0x5eed0007);
+  // Exponent gaps at and around the limb size, and denominator 1.
+  constexpr unsigned kGaps[] = {0, 31, 32, 33, 64};
+  const int cases = scaled_cases(400);
+  for (int i = 0; i < cases; ++i) {
+    const auto base = static_cast<unsigned>(rng() % 260);
+    const unsigned gap = kGaps[rng() % std::size(kGaps)];
+    const unsigned ea = rng() % 8 == 0 ? 0 : base;
+    const unsigned eb = rng() % 2 == 0 ? ea + gap : (ea >= gap ? ea - gap : 0);
+    const Rational dyadic_a(random_numerator(rng), pow2(ea));
+    const Rational dyadic_b(random_numerator(rng), pow2(eb));
+    const Rational general_a(random_numerator(rng), general_denominator(rng));
+    const Rational general_b(random_numerator(rng), general_denominator(rng));
+    const Rational& c = rng() % 2 == 0 ? dyadic_b : general_b;
+    check_against_products(dyadic_a, dyadic_b, c);
+    check_against_products(dyadic_a, general_b, c);
+    check_against_products(general_a, dyadic_b, c);
+    check_against_products(general_a, general_b, c);
+    // Results that cancel to zero, and zero operands.
+    check_against_products(dyadic_a, dyadic_a, dyadic_b);
+    check_against_products(dyadic_a, -dyadic_a, general_b);
+    check_against_products(general_a, general_a, dyadic_b);
+    check_against_products(Rational(0), dyadic_b, dyadic_a);
+  }
+}
+
+TEST(RationalProperty, CompareLengthPreCheckEdges) {
+  // Operand pairs whose len(num) - len(den) differ by -3..3, at the
+  // bottom and top of each length's magnitude range: a numerator scaled
+  // by 2^-2..2^2 and nudged by one, over the same or a nudged denominator.
+  Xoshiro256 rng(0x5eed0008);
+  const int cases = scaled_cases(300);
+  for (int i = 0; i < cases; ++i) {
+    const bool dyadic = rng() % 2 == 0;
+    const BigInt den = dyadic ? pow2(static_cast<unsigned>(rng() % 100))
+                              : general_denominator(rng);
+    const std::vector<std::uint32_t> top =
+        random_limbs(rng, 1 + rng() % 9);
+    // The numerator's magnitude is 2^k, 2^k - 1, or random.
+    BigInt num = from_limbs(top, false);
+    const unsigned k = static_cast<unsigned>(rng() % 200) + 4;
+    if (rng() % 3 == 0) num = pow2(k);
+    if (rng() % 3 == 0) num = pow2(k) - BigInt(1);
+    const Rational a(num, den);
+    for (int scale = -2; scale <= 2; ++scale) {
+      for (int nudge = -1; nudge <= 1; ++nudge) {
+        BigInt bn = num;
+        if (scale > 0) bn = bn * pow2(static_cast<unsigned>(scale));
+        if (scale < 0) bn.shift_right(static_cast<unsigned>(-scale));
+        bn = bn + BigInt(nudge);
+        const BigInt bd = rng() % 4 == 0 ? den + BigInt(1) : den;
+        if (bn.is_zero()) continue;
+        const Rational b(bn, bd);
+        SCOPED_TRACE(a.to_string() + " vs " + b.to_string());
+        EXPECT_EQ(a.compare(b), sign((a.num() * b.den()).compare(
+                                    b.num() * a.den())));
+        EXPECT_EQ((-a).compare(-b), sign((b.num() * a.den()).compare(
+                                        a.num() * b.den())));
+        EXPECT_EQ(b.compare(a), -a.compare(b));
+      }
+    }
   }
 }
 
