@@ -13,7 +13,6 @@
 #include "minplus/deviation.hpp"
 #include "minplus/inverse.hpp"
 #include "minplus/operations.hpp"
-#include "maxplus/operations.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -173,17 +172,6 @@ void BM_BacklogBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BacklogBound)->Arg(4)->Arg(16)->Arg(64);
-
-
-void BM_MaxPlusConvolve(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const Curve a = concave_curve(n, 14);
-  const Curve b = convex_curve(n, 15);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(streamcalc::maxplus::convolve(a, b));
-  }
-}
-BENCHMARK(BM_MaxPlusConvolve)->Arg(2)->Arg(8)->Arg(24);
 
 void BM_PseudoInverseCurve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,7 +1,7 @@
 // Microbenchmarks of the execution layer: thread-pool dispatch overhead
 // and general convolution and deconvolution on the branch-envelope path.
 //
-// The min-plus and max-plus curve algebra runs serially. A thread fan-out
+// The min-plus curve algebra runs serially. A thread fan-out
 // of the branch envelope only pays on synthetic operands like these
 // (64-512 pieces); the BLAST and BITW curves are a handful of pieces, so
 // no real analysis builds an envelope that large. The pool itself serves

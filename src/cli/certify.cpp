@@ -124,8 +124,4 @@ int run_certify(const std::vector<std::string>& paths, const Options& opts) {
   return code;
 }
 
-int run_certify(const std::vector<std::string>& paths) {
-  return run_certify(paths, Options{});
-}
-
 }  // namespace streamcalc::cli

@@ -32,6 +32,5 @@ diagnostics::LintReport certify_spec(const Spec& spec);
 /// precedence); 2 = every file was readable but at least one bound failed
 /// certification (or the model had lint errors blocking the build).
 int run_certify(const std::vector<std::string>& paths, const Options& opts);
-int run_certify(const std::vector<std::string>& paths);
 
 }  // namespace streamcalc::cli

@@ -96,8 +96,4 @@ int run_lint(const std::vector<std::string>& paths, const Options& opts) {
   return code;
 }
 
-int run_lint(const std::vector<std::string>& paths) {
-  return run_lint(paths, Options{});
-}
-
 }  // namespace streamcalc::cli

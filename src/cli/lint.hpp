@@ -35,6 +35,5 @@ std::string findings_json(const diagnostics::LintReport& report);
 /// to analyze); 2 = every file was readable but at least one warning or
 /// error was found.
 int run_lint(const std::vector<std::string>& paths, const Options& opts);
-int run_lint(const std::vector<std::string>& paths);
 
 }  // namespace streamcalc::cli

@@ -262,11 +262,4 @@ std::vector<std::uint8_t> lz4lite_decompress(
   return out;
 }
 
-double lz4lite_ratio(std::span<const std::uint8_t> in) {
-  util::require(!in.empty(), "lz4lite_ratio requires non-empty input");
-  const auto compressed = lz4lite_compress(in);
-  return static_cast<double>(in.size()) /
-         static_cast<double>(compressed.size());
-}
-
 }  // namespace streamcalc::kernels

@@ -38,7 +38,4 @@ std::vector<std::uint8_t> lz4lite_compress(std::span<const std::uint8_t> in);
 std::vector<std::uint8_t> lz4lite_decompress(
     std::span<const std::uint8_t> in);
 
-/// Convenience: original size / compressed size for one chunk.
-double lz4lite_ratio(std::span<const std::uint8_t> in);
-
 }  // namespace streamcalc::kernels

@@ -676,21 +676,6 @@ Curve deconvolve(const Curve& f, const Curve& g) {
   return out;
 }
 
-Curve subadditive_closure(const Curve& f, int max_terms) {
-  SC_OBS_SPAN("minplus", "closure");
-  SC_OBS_COUNT("minplus.closure.calls", 1);
-  util::require(max_terms >= 1, "subadditive_closure requires max_terms >= 1");
-  Curve closure = minimum(Curve::delta(0.0), f);
-  Curve power = f;
-  for (int i = 1; i < max_terms; ++i) {
-    power = convolve(power, f);
-    Curve next = minimum(closure, power);
-    if (next == closure) return closure;
-    closure = std::move(next);
-  }
-  return closure;
-}
-
 namespace detail {
 
 const char* kernel_name(ConvKernel k) {

@@ -58,12 +58,6 @@ double convolve_at(const Curve& f, const Curve& g, double t);
 /// result curve. May return +inf.
 double deconvolve_at(const Curve& f, const Curve& g, double t);
 
-/// Sub-additive closure f* = min(delta_0, f, f(x)f, f(x)f(x)f, ...).
-/// Iterates until a fixpoint or `max_terms` self-convolutions; for the
-/// curve families used in this library the fixpoint is reached in one or
-/// two iterations. Requires max_terms >= 1.
-Curve subadditive_closure(const Curve& f, int max_terms = 16);
-
 namespace detail {
 
 // Shape-dispatch introspection (DESIGN.md §11). convolve()/deconvolve()

@@ -18,9 +18,4 @@ minplus::Curve packetize_service(const minplus::Curve& beta,
   return beta.minus_clamped(l_max.in_bytes());
 }
 
-minplus::Curve packetize_max_service(const minplus::Curve& gamma,
-                                     util::DataSize /*l_max*/) {
-  return gamma;
-}
-
 }  // namespace streamcalc::netcalc

@@ -23,9 +23,4 @@ minplus::Curve packetize_arrival(const minplus::Curve& alpha,
 minplus::Curve packetize_service(const minplus::Curve& beta,
                                  util::DataSize l_max);
 
-/// Packetized maximum service curve: unchanged (identity, kept for symmetry
-/// so call sites document the rule).
-minplus::Curve packetize_max_service(const minplus::Curve& gamma,
-                                     util::DataSize l_max);
-
 }  // namespace streamcalc::netcalc

@@ -12,8 +12,7 @@
 //     log-scale histograms, exported as one JSON block (`--stats`, bench
 //     `--json` emitters).
 //   * trace.hpp   — RAII `Span` + a bounded thread-safe ring buffer of
-//     completed spans, exported as chrome://tracing JSON (`--trace <file>`)
-//     or a human text summary.
+//     completed spans, exported as chrome://tracing JSON (`--trace <file>`).
 //   * sink.hpp    — test hook: a registered Sink observes every completed
 //     span and metric update, so tests and benches can assert on
 //     instrumentation ("parallel convolve issued N subtasks").
@@ -30,7 +29,7 @@
 //   4. Tracing on (--trace/--stats, Tracer::start()): spans take two
 //      steady_clock stamps and one short critical section on completion.
 //
-// Instrumented subsystems: min-plus/max-plus convolve/deconvolve/closure,
+// Instrumented subsystems: min-plus convolve/deconvolve,
 // ThreadPool::parallel_for chunking and queue depth, the DES event loop,
 // ReplicationRunner replications, and the nclint/certify pre/post-flight
 // passes.

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <map>
 #include <sstream>
-#include <utility>
 
 #include "obs/runtime.hpp"
 #include "obs/sink.hpp"
@@ -110,49 +107,6 @@ std::string Tracer::chrome_trace_json() const {
        << ", \"args\": {\"depth\": " << s.depth << "}}";
   }
   os << "\n], \"displayTimeUnit\": \"ms\"}\n";
-  return os.str();
-}
-
-std::string Tracer::summary() const {
-  struct Agg {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-    std::uint64_t max_ns = 0;
-  };
-  std::map<std::string, Agg> by_name;
-  for (const SpanRecord& s : snapshot()) {
-    Agg& a = by_name[std::string(s.category) + "/" + s.name];
-    ++a.count;
-    a.total_ns += s.duration_ns();
-    a.max_ns = std::max(a.max_ns, s.duration_ns());
-  }
-  std::vector<std::pair<std::string, Agg>> rows(by_name.begin(),
-                                                by_name.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second.total_ns > b.second.total_ns;
-  });
-  std::ostringstream os;
-  os << "span summary (by total time):\n";
-  char buf[256];
-  std::snprintf(buf, sizeof buf, "  %-32s %10s %12s %12s %12s\n", "span",
-                "count", "total ms", "mean us", "max us");
-  os << buf;
-  for (const auto& [name, a] : rows) {
-    const double count = static_cast<double>(a.count);
-    std::snprintf(buf, sizeof buf,
-                  "  %-32s %10llu %12.3f %12.3f %12.3f\n", name.c_str(),
-                  static_cast<unsigned long long>(a.count),
-                  static_cast<double>(a.total_ns) / 1e6,
-                  static_cast<double>(a.total_ns) / 1e3 / count,
-                  static_cast<double>(a.max_ns) / 1e3);
-    os << buf;
-  }
-  if (const std::uint64_t d = dropped(); d > 0) {
-    std::snprintf(buf, sizeof buf,
-                  "  (%llu older span(s) dropped: ring buffer full)\n",
-                  static_cast<unsigned long long>(d));
-    os << buf;
-  }
   return os.str();
 }
 

@@ -1,5 +1,5 @@
 // Span tracer: RAII spans, a bounded thread-safe ring buffer of completed
-// spans, chrome://tracing JSON export, and a human text summary.
+// spans and chrome://tracing JSON export.
 //
 // A Span brackets one unit of work (one convolution, one parallel_for, one
 // replication). Construction checks two relaxed atomics — the master
@@ -70,10 +70,6 @@ class Tracer {
   /// chrome://tracing "trace event" JSON (complete events, microsecond
   /// timestamps): load the file via chrome://tracing or https://ui.perfetto.dev.
   std::string chrome_trace_json() const;
-
-  /// Human summary: per (category, name) call count, total / mean / max
-  /// duration, sorted by total time descending.
-  std::string summary() const;
 
   /// Appends one record (called by ~Span; public for tests).
   void record(const SpanRecord& r);

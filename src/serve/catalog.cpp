@@ -24,13 +24,6 @@ const ScenarioModel* CatalogSnapshot::find(const std::string& name) const {
   return it == scenarios_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> CatalogSnapshot::names() const {
-  std::vector<std::string> out;
-  out.reserve(scenarios_.size());
-  for (const auto& [name, model] : scenarios_) out.push_back(name);
-  return out;
-}
-
 std::shared_ptr<const CatalogSnapshot> make_snapshot(
     std::uint64_t epoch,
     const std::vector<std::pair<std::string, cli::Spec>>& specs) {

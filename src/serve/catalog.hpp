@@ -54,7 +54,6 @@ class CatalogSnapshot {
   std::uint64_t epoch() const { return epoch_; }
   /// nullptr when no scenario has that name.
   const ScenarioModel* find(const std::string& name) const;
-  std::vector<std::string> names() const;
   std::size_t size() const { return scenarios_.size(); }
 
  private:

@@ -4,7 +4,7 @@
 // the directories of src/:
 //
 //     # lower layers first; `/` groups directories of the same stratum
-//     util / srclint < obs < minplus / maxplus
+//     util / srclint < obs < minplus / des
 //     minplus < netcalc
 //
 // Semantics: `a < b` means a is strictly below b, so files under src/b/

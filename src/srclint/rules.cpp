@@ -183,16 +183,15 @@ void rule_sc903(const FileContext& f) {
 
 // --- SC904: equality with an inexact floating literal -----------------------
 //
-// The exact min-plus/max-plus kernels compare doubles with == by design —
-// against values that are exactly representable (0.0, 0.5, kInf), where
-// the comparison is well-defined. Equality against a literal like 0.1
-// that has no exact binary representation can never hold the way it
-// reads, so it is flagged unconditionally in the numeric kernels and the
-// certification layer.
+// The exact min-plus kernels compare doubles with == by design — against
+// values that are exactly representable (0.0, 0.5, kInf), where the
+// comparison is well-defined. Equality against a literal like 0.1 that has
+// no exact binary representation can never hold the way it reads, so it is
+// flagged unconditionally in the numeric kernels and the certification
+// layer.
 void rule_sc904(const FileContext& f) {
   if (!has_segment(f.segs, "src")) return;
-  if (!has_segment(f.segs, "minplus") && !has_segment(f.segs, "maxplus") &&
-      !has_segment(f.segs, "certify")) {
+  if (!has_segment(f.segs, "minplus") && !has_segment(f.segs, "certify")) {
     return;
   }
   for (std::size_t i = 0; i < f.code.size(); ++i) {
@@ -366,8 +365,8 @@ void rule_sc907(const FileContext& f) {
 // travels with the value — the seconds-vs-microseconds and bits-vs-bytes
 // slips the paper's tables invite are then type errors. A bare `double
 // arrival_rate` in a public header reopens that hole. The dimensionless
-// min-plus/max-plus kernels are out of scope: curves deliberately carry no
-// unit, and the netcalc layer is where units attach.
+// min-plus kernels are out of scope: curves deliberately carry no unit,
+// and the netcalc layer is where units attach.
 constexpr std::string_view kUnitSegments[] = {
     "backlog", "bandwidth", "burst", "delay", "latency", "rate", "throughput",
 };

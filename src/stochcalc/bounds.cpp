@@ -226,17 +226,6 @@ StochasticBound backlog_bound(const Arrival& arrival, const Service& service,
   return bound;
 }
 
-double output_sigma(const Arrival& arrival, const Service& service,
-                    double theta) {
-  util::require(theta > 0.0, "output_sigma requires theta > 0");
-  const double rate = service.rate().in_bytes_per_sec();
-  const double rho = arrival.rho(theta);
-  util::require(rho < rate,
-                "output_sigma requires rho(theta) < the service rate");
-  return arrival.sigma(theta) + rho * service.latency().in_seconds() +
-         slack_bytes(rho, rate, theta);
-}
-
 std::vector<ScalingPoint> aggregation_scaling(const Arrival& per_user,
                                               const Service& base,
                                               double epsilon,

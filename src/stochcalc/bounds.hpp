@@ -52,12 +52,6 @@ StochasticBound delay_bound(const Arrival& arrival, const Service& service,
 StochasticBound backlog_bound(const Arrival& arrival, const Service& service,
                               double epsilon);
 
-/// Burstiness constant of the departure flow at a fixed theta: the output
-/// is (output_sigma, rho(theta))-bounded after the server. Requires
-/// rho(theta) < R.
-double output_sigma(const Arrival& arrival, const Service& service,
-                    double theta);
-
 /// One row of an aggregation-of-N-flows scaling study.
 struct ScalingPoint {
   double n = 1.0;          ///< number of i.i.d. users

@@ -36,10 +36,6 @@ Service Service::from_curve(const minplus::Curve& beta) {
                  util::Duration::seconds(latency));
 }
 
-Service Service::concatenate(const Service& o) const {
-  return Service(std::min(rate_, o.rate_), latency_ + o.latency_);
-}
-
 Service Service::scaled(double n) const {
   util::require(n > 0.0 && std::isfinite(n),
                 "Service::scaled requires a positive finite factor");

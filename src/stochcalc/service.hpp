@@ -29,9 +29,6 @@ class Service {
   /// finite tail slope.
   static Service from_curve(const minplus::Curve& beta);
 
-  /// Convolution with a downstream server (exact for rate-latency).
-  Service concatenate(const Service& o) const;
-
   /// Scaled server (rate * n, same latency) — the service side of the
   /// aggregation-of-N-flows scaling laws.
   Service scaled(double n) const;

@@ -2,12 +2,12 @@
 //
 //   #include "streamcalc.hpp"
 //
-// pulls in the curve algebra (min-plus / max-plus), the network-calculus
-// models (chain pipeline + DAG), the discrete-event cross-check simulator
-// with its replication runner, the nclint / certify verification layers,
-// the observability layer (spans, metrics, sinks), and the util
-// foundations (Context, units, formatting). Applications that only need a
-// slice — e.g. just the curve algebra — can keep including the individual
+// pulls in the min-plus curve algebra, the network-calculus models (chain
+// pipeline + DAG), the discrete-event cross-check simulator with its
+// replication runner, the nclint / certify verification layers, the
+// observability layer (spans, metrics, sinks), and the util foundations
+// (Context, units, formatting). Applications that only need a slice —
+// e.g. just the curve algebra — can keep including the individual
 // headers; this header is for examples, tools, and downstream consumers
 // that want the whole surface without tracking the internal layout.
 //
@@ -28,7 +28,6 @@
 #include "obs/obs.hpp"
 
 // Curve algebra.
-#include "maxplus/operations.hpp"
 #include "minplus/curve.hpp"
 #include "minplus/deviation.hpp"
 #include "minplus/inverse.hpp"

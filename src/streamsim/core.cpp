@@ -1,6 +1,9 @@
 #include "streamsim/detail/core.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace streamcalc::streamsim::detail {
 
@@ -11,6 +14,12 @@ using netcalc::SourceSpec;
 using util::DataRate;
 using util::DataSize;
 using util::Duration;
+
+/// Most source packets one run may emit. Each packet stays in memory until
+/// the run ends, so a horizon and rate past this (a 1e30 GiB/s typo in a
+/// spec) are refused up front instead of exhausting memory. The paper
+/// programs emit at most ~10k packets per run and the tests ~60k.
+constexpr double kMaxSourcePackets = 1e7;
 
 /// Checks shared by both entry points, made before either engine runs.
 void validate_run(const SourceSpec& source, const SimConfig& config,
@@ -112,12 +121,33 @@ SourceSchedule::SourceSchedule(const Network& net, const SourceSpec& source,
       constant_rate_(source.rate.in_bytes_per_sec()),
       poisson_(config.poisson_arrivals && !config.deterministic),
       profile_(&config.rate_profile) {
+  const double peak =
+      config.onoff_users > 0
+          ? static_cast<double>(config.onoff_users) *
+                config.onoff_peak.in_bytes_per_sec()
+          : peak_rate();
+  const double packets =
+      (source.burst.in_bytes() + config.horizon.in_seconds() * peak) /
+      packet_bytes_;
+  util::require(packets <= kMaxSourcePackets,
+                "simulation would emit " + util::format_significant(packets) +
+                    " source packets, more than the " +
+                    util::format_significant(kMaxSourcePackets) +
+                    " one run holds: shorten the horizon or lower the "
+                    "source rate");
   // Initial burst: the arrival curve's instantaneous component.
   double burst_left = source.burst.in_bytes();
   while (burst_left >= packet_bytes_) {
     burst_left -= packet_bytes_;
     ++burst_packets_;
   }
+}
+
+double SourceSchedule::peak_rate() const {
+  if (profile_->empty()) return constant_rate_;
+  double peak = 0.0;
+  for (const auto& [start, r] : *profile_) peak = std::max(peak, r);
+  return peak;
 }
 
 double SourceSchedule::rate_at(double t) const {

@@ -139,6 +139,8 @@ class SourceSchedule {
   std::size_t burst_packets() const { return burst_packets_; }
   /// Rate (bytes/s) in effect at time t.
   double rate_at(double t) const;
+  /// Highest rate (bytes/s) the schedule ever takes.
+  double peak_rate() const;
   /// First rate change strictly after t; +inf if none.
   double next_change(double t) const;
   /// Gap before the next packet at `rate` (> 0): the mean gap, or an

@@ -95,7 +95,7 @@ class Recurrence {
         recorder_(config) {
     // Streams start sized for every source packet, up to 64Ki entries.
     const double packets =
-        horizon_ * peak_rate(source, config) / schedule_.packet_bytes();
+        horizon_ * schedule_.peak_rate() / schedule_.packet_bytes();
     expected_packets_ = std::min<std::size_t>(
         schedule_.burst_packets() + 1 +
             static_cast<std::size_t>(std::min(packets, 65536.0)),
@@ -125,15 +125,6 @@ class Recurrence {
     double free_at = 0.0;
     bool done = false;  ///< a job ran past the horizon
   };
-
-  static double peak_rate(const SourceSpec& source, const SimConfig& config) {
-    if (config.rate_profile.empty()) return source.rate.in_bytes_per_sec();
-    double peak = 0.0;
-    for (const auto& [start, r] : config.rate_profile) {
-      peak = std::max(peak, r);
-    }
-    return peak;
-  }
 
   std::size_t add_target(Target::Kind kind, std::size_t index) {
     targets_.push_back({kind, index});

@@ -56,8 +56,9 @@ ReplicationRunner::ReplicationRunner(ReplicationConfig config)
                 "ReplicationRunner requires replications >= 1");
 }
 
-template <typename RunOne>
-ReplicationSummary ReplicationRunner::run_impl(const RunOne& run_one) const {
+ReplicationSummary ReplicationRunner::run(
+    const std::vector<netcalc::NodeSpec>& nodes,
+    const netcalc::SourceSpec& source, const SimConfig& base) const {
   const auto n = static_cast<std::size_t>(config_.replications);
 
   // Fixed seed stream: replication i always gets the i-th splitmix output,
@@ -70,7 +71,9 @@ ReplicationSummary ReplicationRunner::run_impl(const RunOne& run_one) const {
   const auto run_range = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       SC_OBS_SPAN("sim", "replication");
-      results[i] = run_one(seeds[i]);
+      SimConfig cfg = base;
+      cfg.seed = seeds[i];
+      results[i] = simulate(nodes, source, cfg);
       SC_OBS_COUNT("sim.replications", 1);
     }
   };
@@ -107,48 +110,21 @@ ReplicationSummary ReplicationRunner::run_impl(const RunOne& run_one) const {
   summary.max_backlog_bytes = summarize(backlog);
   summary.packets_delivered = summarize(packets);
 
-  // Per-node utilization summaries, when every replication simulated the
-  // same node sequence (always true for the chain runner).
-  const std::size_t node_count = results.front().node_stats.size();
-  bool uniform = true;
-  for (const SimResult& r : results) {
-    if (r.node_stats.size() != node_count) uniform = false;
-  }
-  if (uniform) {
-    std::vector<double> util(n);
-    for (std::size_t j = 0; j < node_count; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        util[i] = results[i].node_stats[j].utilization;
-      }
-      summary.node_utilization.push_back(summarize(util));
-      summary.node_names.push_back(results.front().node_stats[j].name);
+  // Per-node utilization summaries: every replication simulates the same
+  // node sequence.
+  std::vector<double> busy(n);
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      busy[i] = results[i].node_stats[j].utilization;
     }
+    summary.node_utilization.push_back(summarize(busy));
+    summary.node_names.push_back(results.front().node_stats[j].name);
   }
   summary.worst_delay = util::Duration::seconds(summary.max_delay_seconds.max);
   summary.worst_backlog =
       util::DataSize::bytes(summary.max_backlog_bytes.max);
   summary.results = std::move(results);
   return summary;
-}
-
-ReplicationSummary ReplicationRunner::run(
-    const std::vector<netcalc::NodeSpec>& nodes,
-    const netcalc::SourceSpec& source, const SimConfig& base) const {
-  return run_impl([&](std::uint64_t seed) {
-    SimConfig cfg = base;
-    cfg.seed = seed;
-    return simulate(nodes, source, cfg);
-  });
-}
-
-ReplicationSummary ReplicationRunner::run_dag(const netcalc::DagSpec& dag,
-                                              const netcalc::SourceSpec& source,
-                                              const SimConfig& base) const {
-  return run_impl([&](std::uint64_t seed) {
-    SimConfig cfg = base;
-    cfg.seed = seed;
-    return simulate_dag(dag, source, cfg);
-  });
 }
 
 }  // namespace streamcalc::streamsim

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "netcalc/dag.hpp"
 #include "netcalc/node.hpp"
 #include "streamsim/pipeline_sim.hpp"
 #include "util/units.hpp"
@@ -68,8 +67,7 @@ struct ReplicationSummary {
   SummaryStat max_delay_seconds;
   SummaryStat max_backlog_bytes;
   SummaryStat packets_delivered;
-  /// Per-node busy-fraction summaries, in pipeline order (empty for DAG
-  /// runs whose replications disagree on node count).
+  /// Per-node busy-fraction summaries, in pipeline order.
   std::vector<SummaryStat> node_utilization;
   std::vector<std::string> node_names;  ///< parallel to node_utilization
   /// Extremes across all replications, for bracketing against NC bounds
@@ -90,17 +88,9 @@ class ReplicationRunner {
                          const netcalc::SourceSpec& source,
                          const SimConfig& base) const;
 
-  /// DAG variant.
-  ReplicationSummary run_dag(const netcalc::DagSpec& dag,
-                             const netcalc::SourceSpec& source,
-                             const SimConfig& base) const;
-
   const ReplicationConfig& config() const { return config_; }
 
  private:
-  template <typename RunOne>
-  ReplicationSummary run_impl(const RunOne& run_one) const;
-
   ReplicationConfig config_;
 };
 

@@ -10,9 +10,9 @@
 //   2. *Safety under nesting.* Serve's request batches and the replication
 //      runner both use the pool, and a task may itself call parallel_for;
 //      a parallel_for issued from inside a pool worker runs inline on that
-//      worker instead of deadlocking on the queue. The min-plus and
-//      max-plus curve algebra does not use the pool: real operands stay a
-//      few pieces, far below the size where a fan-out would pay for itself.
+//      worker instead of deadlocking on the queue. The min-plus curve
+//      algebra does not use the pool: real operands stay a few pieces, far
+//      below the size where a fan-out would pay for itself.
 //   3. *Small surface.* A fixed set of std::jthread workers, a mutex-guarded
 //      task queue, parallel_for + submit. No work stealing, no futures-heavy
 //      API — the callers need fork/join over index ranges, nothing more.

@@ -47,59 +47,61 @@ std::string write_temp(const std::string& name, const std::string& text) {
 
 TEST(LintExitCodes, CleanSpecsExitZero) {
   EXPECT_EQ(run_lint({example_spec("quickstart.scspec"),
-                      example_spec("bitw.scspec")}),
+                      example_spec("bitw.scspec")}, Options{}),
             0);
 }
 
 TEST(LintExitCodes, DefectsExitTwo) {
-  EXPECT_EQ(run_lint({fixture_spec("blast_unstable.scspec")}), 2);
+  EXPECT_EQ(run_lint({fixture_spec("blast_unstable.scspec")}, Options{}), 2);
   // Mixing clean and defective files still reports defects.
   EXPECT_EQ(run_lint({example_spec("quickstart.scspec"),
-                      fixture_spec("bitw_noncausal.scspec")}),
+                      fixture_spec("bitw_noncausal.scspec")}, Options{}),
             2);
 }
 
 TEST(LintExitCodes, UnreadableFileExitsOne) {
-  EXPECT_EQ(run_lint({"/nonexistent/no_such.scspec"}), 1);
+  EXPECT_EQ(run_lint({"/nonexistent/no_such.scspec"}, Options{}), 1);
 }
 
 TEST(LintExitCodes, UnparseableSpecExitsOne) {
   const std::string bogus = write_temp("bogus", "this is not a spec\n");
-  EXPECT_EQ(run_lint({bogus}), 1);
+  EXPECT_EQ(run_lint({bogus}, Options{}), 1);
   std::remove(bogus.c_str());
 }
 
 TEST(LintExitCodes, ParseFailureTakesPrecedenceOverDefects) {
   EXPECT_EQ(run_lint({fixture_spec("blast_unstable.scspec"),
-                      "/nonexistent/no_such.scspec"}),
+                      "/nonexistent/no_such.scspec"}, Options{}),
             1);
 }
 
 TEST(CertifyExitCodes, CleanSpecsCertifyWithExitZero) {
   EXPECT_EQ(run_certify({example_spec("quickstart.scspec"),
                          example_spec("bitw.scspec"),
-                         example_spec("fork_join.scspec")}),
+                         example_spec("fork_join.scspec")}, Options{}),
             0);
 }
 
 TEST(CertifyExitCodes, OverloadedButSoundSpecCertifiesItsInfiniteBounds) {
   // Instability is a property of the model, not a certification defect:
   // the divergent bounds are re-established definitionally.
-  EXPECT_EQ(run_certify({fixture_spec("blast_unstable.scspec")}), 0);
+  EXPECT_EQ(run_certify({fixture_spec("blast_unstable.scspec")}, Options{}),
+            0);
 }
 
 TEST(CertifyExitCodes, LintErrorsBlockCertificationWithExitTwo) {
-  EXPECT_EQ(run_certify({fixture_spec("blast_noncausal.scspec")}), 2);
+  EXPECT_EQ(run_certify({fixture_spec("blast_noncausal.scspec")}, Options{}),
+            2);
 }
 
 TEST(CertifyExitCodes, UnreadableAndUnparseableExitOne) {
-  EXPECT_EQ(run_certify({"/nonexistent/no_such.scspec"}), 1);
+  EXPECT_EQ(run_certify({"/nonexistent/no_such.scspec"}, Options{}), 1);
   const std::string bogus = write_temp("certify_bogus", "[nope\n");
-  EXPECT_EQ(run_certify({bogus}), 1);
+  EXPECT_EQ(run_certify({bogus}, Options{}), 1);
   std::remove(bogus.c_str());
   // Parse failures take precedence over defects here too.
   EXPECT_EQ(run_certify({fixture_spec("blast_noncausal.scspec"),
-                         "/nonexistent/no_such.scspec"}),
+                         "/nonexistent/no_such.scspec"}, Options{}),
             1);
 }
 

@@ -2,11 +2,80 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "cli/certify.hpp"
+#include "cli/lint.hpp"
+#include "cli/options.hpp"
+#include "cli/report.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace streamcalc::cli {
 namespace {
+
+/// The example specs and the diagnostics fixtures, each split into lines.
+std::vector<std::vector<std::string>> real_spec_lines() {
+  std::vector<std::string> paths;
+  for (const char* dir : {SC_SPEC_DIR, SC_LINT_SPEC_DIR}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".scspec") {
+        paths.push_back(entry.path().string());
+      }
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::vector<std::string>> specs;
+  for (const std::string& path : paths) {
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    specs.push_back(std::move(lines));
+  }
+  return specs;
+}
+
+/// One seeded mutant of a real spec: half the time a `key = value` line
+/// gets an edge-case value, otherwise a line is dropped, duplicated or
+/// truncated.
+std::string mutate(std::vector<std::string> lines, util::Xoshiro256& rng) {
+  static const char* const kValues[] = {
+      "0", "-1", "1e308", "nan", "inf", "0 s", "1e30 GiB/s", ""};
+  std::vector<std::size_t> keyed;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find(" = ") != std::string::npos) keyed.push_back(i);
+  }
+  const std::size_t i = rng() % lines.size();
+  switch (rng() % 6) {
+    case 0:
+    case 1:
+    case 2: {
+      std::string& line = lines[keyed[rng() % keyed.size()]];
+      line = line.substr(0, line.find(" = ") + 3) +
+             kValues[rng() % std::size(kValues)];
+      break;
+    }
+    case 3:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(i));
+      break;
+    case 4: {
+      const std::string copy = lines[i];
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), copy);
+      break;
+    }
+    default:
+      lines[i].resize(rng() % (lines[i].size() + 1));
+      break;
+  }
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
 
 TEST(ParseQuantities, Sizes) {
   EXPECT_DOUBLE_EQ(parse_size("100 B").in_bytes(), 100.0);
@@ -319,7 +388,40 @@ TEST(ParseSpec, FuzzNeverCrashes) {
       // expected for malformed input
     }
   }
-  SUCCEED();
+
+  // Seeded mutants of the real specs. One that parses goes through the
+  // analyze, certify, stoch and lint drivers, which must each return their
+  // exit code: the CLI has no top-level catch, so an escaping exception
+  // would be a crash.
+  const std::vector<std::vector<std::string>> specs = real_spec_lines();
+  ASSERT_EQ(specs.size(), 9u);
+  Options opts;
+  opts.paths = {::testing::TempDir() + "/spec_fuzz_mutant.scspec"};
+  for (int iter = 0; iter < 600; ++iter) {
+    const std::string text = mutate(specs[rng() % specs.size()], rng);
+    try {
+      (void)parse_spec(text);
+    } catch (const util::PreconditionError&) {
+      continue;
+    }
+    std::ofstream(opts.paths.front()) << text;
+    int analyze = -1, certify = -1, stoch = -1, lint = -1;
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    EXPECT_NO_THROW({
+      analyze = run_analyze(opts);
+      certify = run_certify(opts.paths, opts);
+      stoch = run_stoch(opts);
+      lint = run_lint(opts.paths, opts);
+    }) << "mutant " << iter << ":\n" << text;
+    const std::string out = ::testing::internal::GetCapturedStdout() +
+                            ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(analyze == 0 || analyze == 1) << iter << ": " << out;
+    EXPECT_TRUE(certify >= 0 && certify <= 2) << iter << ": " << out;
+    EXPECT_TRUE(stoch == 0 || stoch == 1) << iter << ": " << out;
+    EXPECT_TRUE(lint >= 0 && lint <= 2) << iter << ": " << out;
+  }
+  std::filesystem::remove(opts.paths.front());
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Exact-bits pins for branch envelopes that span several 64-branch tiles.
-// The general convolution, the general deconvolution and the max-plus
-// convolution build one branch curve per operand breakpoint and fold them
-// tile by tile (detail::fold_envelope); max-plus deconvolution refines a
-// grid of several hundred points. These operands, from the micro_parallel
-// generators, cross two or more tiles, end on a partial tile and exceed
-// 192 grid points. Each result is pinned by a hash of its segments' bit
-// patterns, so any change to the fold order, the repair pass or the grid
-// refinement shows up as a changed hash, not as a tolerance drift.
+// The general convolution and the general deconvolution build one branch
+// curve per operand breakpoint and fold them tile by tile
+// (detail::fold_envelope). These operands, from the micro_parallel
+// generators, cross two or more tiles and end on a partial tile. Each
+// result is pinned by a hash of its segments' bit patterns, so any change
+// to the fold order or the repair pass shows up as a changed hash, not as
+// a tolerance drift.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "maxplus/operations.hpp"
 #include "minplus/operations.hpp"
 #include "util/rng.hpp"
 
@@ -114,20 +112,6 @@ TEST(EnvelopePin, PointwiseMinimumMatchesRecordedBits) {
   const Curve a = concave_curve(300, 10);
   const Curve b = convex_curve(300, 11);
   expect_pinned(minimum(a, b), 0x73aa7a15b30aa574ULL, "minimum n=300");
-}
-
-TEST(EnvelopePin, MaxPlusConvolveMatchesRecordedBits) {
-  const Curve a = concave_curve(40, 12);
-  const Curve b = convex_curve(40, 13);
-  expect_pinned(maxplus::convolve(a, b), 0xffbfcf60b6469023ULL,
-                "max-plus convolve n=40");
-}
-
-TEST(EnvelopePin, MaxPlusDeconvolveMatchesRecordedBits) {
-  const Curve a = add(convex_curve(24, 14), Curve::rate(90.0));
-  const Curve b = concave_curve(24, 15);
-  expect_pinned(maxplus::deconvolve(a, b), 0x55ac246190727b9dULL,
-                "max-plus deconvolve n=24");
 }
 
 }  // namespace

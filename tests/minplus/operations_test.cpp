@@ -259,31 +259,6 @@ TEST(SubtractClamped, ResidualIsAValidServiceCurve) {
             vertical_deviation(flow, beta));
 }
 
-// --- Sub-additive closure ----------------------------------------------------
-
-TEST(SubadditiveClosure, AffineIsAlreadySubadditiveAboveZero) {
-  // Closure of a leaky bucket pins f(0)=0 and otherwise keeps the curve.
-  const Curve f = Curve::affine(2.0, 3.0);
-  const Curve star = subadditive_closure(f);
-  EXPECT_EQ(star.value(0.0), 0.0);
-  for (double t : {0.5, 1.0, 4.0}) {
-    EXPECT_NEAR(star.value(t), f.value(t), 1e-9);
-  }
-}
-
-TEST(SubadditiveClosure, RateLatencyClosureIsBelowCurve) {
-  // beta* <= beta and beta* is subadditive: spot-check subadditivity.
-  const Curve f = Curve::rate_latency(4.0, 1.0);
-  const Curve star = subadditive_closure(f);
-  for (double t = 0.0; t <= 6.0; t += 0.25) {
-    EXPECT_LE(star.value(t), f.value(t) + 1e-9);
-    for (double s = 0.0; s <= t; s += 0.25) {
-      EXPECT_LE(star.value(t), star.value(s) + star.value(t - s) + 1e-6)
-          << "s=" << s << " t=" << t;
-    }
-  }
-}
-
 // --- Property tests against brute force on random curves ---------------------
 
 class RandomCurveProperty : public ::testing::TestWithParam<int> {};

@@ -40,11 +40,6 @@ TEST(Packetizer, ServiceEffectiveLatencyGrowsByLmaxOverRate) {
   EXPECT_EQ(packed, Curve::rate_latency(rate, latency + l / rate));
 }
 
-TEST(Packetizer, MaxServiceUnchanged) {
-  const Curve gamma = Curve::rate(500.0);
-  EXPECT_EQ(packetize_max_service(gamma, util::DataSize::bytes(64)), gamma);
-}
-
 TEST(Packetizer, RejectsNegativeOrInfiniteLmax) {
   const Curve c = Curve::rate(1.0);
   EXPECT_THROW(packetize_arrival(c, util::DataSize::bytes(-1)),

@@ -144,15 +144,5 @@ TEST_F(TraceTest, ChromeTraceJsonCarriesEveryField) {
   EXPECT_NE(json.find("\"dur\""), std::string::npos);
 }
 
-TEST_F(TraceTest, SummaryAggregatesByCategoryAndName) {
-  Tracer::global().start();
-  { const Span span("minplus", "convolve"); }
-  { const Span span("minplus", "convolve"); }
-  { const Span span("pool", "chunk"); }
-  const std::string summary = Tracer::global().summary();
-  EXPECT_NE(summary.find("minplus/convolve"), std::string::npos);
-  EXPECT_NE(summary.find("pool/chunk"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace streamcalc::obs

@@ -1,4 +1,4 @@
-// Algebraic laws of the (min, +) and (max, +) dioids, checked by seeded
+// Algebraic laws of the (min, +) dioid, checked by seeded
 // fuzzing over random piecewise-linear curves (including pathological
 // near-degenerate shapes). Each law is a PropertyFn returning "" when it
 // holds; a falsified law is shrunk and reported with its replay seed.
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "maxplus/operations.hpp"
 #include "minplus/deviation.hpp"
 #include "minplus/operations.hpp"
 #include "testing/compare.hpp"
@@ -66,18 +65,6 @@ double conditioning_atol(const Curve& a, const Curve& b) {
     if (std::isfinite(tail)) m = std::max(m, std::fabs(tail));
   }
   return kAtol + 64.0 * std::numeric_limits<double>::epsilon() * m;
-}
-
-/// True when the truncated Kleene iteration reached its fixpoint: if one
-/// more term changes nothing, isotonicity of (x) keeps every later power
-/// above the closure, so the truncated result is the exact closure. The
-/// closure laws only hold at the fixpoint — a step curve whose powers keep
-/// marching right never converges in finitely many terms, and its
-/// truncation is not subadditive.
-bool closure_converged(const Curve& f) {
-  return !first_gap(subadditive_closure(f), subadditive_closure(f, 17),
-                    1e-12, 1e-12)
-              .has_value();
 }
 
 void expect_holds(FuzzSpec spec, const PropertyFn& property) {
@@ -193,79 +180,6 @@ TEST(MinPlusLaws, DeconvolveIsIsotoneInNumerator) {
         return check_leq(deconvolve(minimum(c[0], c[1]), c[2]),
                          deconvolve(c[0], c[2]),
                          "deconvolution not isotone in f");
-      });
-}
-
-TEST(MinPlusLaws, ClosureIsIdempotentAndDominated) {
-  FuzzSpec s = spec({CurveKind::kAny}, 0xa00a);
-  s.gen.max_segments = 4;  // closure self-convolves; keep operands small
-  s.cases = scaled_cases(150);  // ~4 Kleene closures per case
-  expect_holds(s, [](const std::vector<Curve>& c) {
-    const Curve star = subadditive_closure(c[0]);
-    std::string err = check_leq(star, c[0], "f* > f");
-    if (!err.empty()) return err;
-    // Idempotence holds only at the Kleene fixpoint; a truncated,
-    // non-converged closure is a sound upper approximation but not
-    // idempotent.
-    if (!closure_converged(c[0])) return std::string();
-    return check_equal(subadditive_closure(star), star, "(f*)* != f*");
-  });
-}
-
-TEST(MinPlusLaws, ClosureIsSubadditive) {
-  FuzzSpec s = spec({CurveKind::kAny}, 0xa00b);
-  s.gen.max_segments = 4;
-  s.cases = scaled_cases(150);  // ~3 Kleene closures per case
-  expect_holds(s, [](const std::vector<Curve>& c) {
-    // Subadditivity holds only at the Kleene fixpoint (see
-    // closure_converged).
-    if (!closure_converged(c[0])) return std::string();
-    const Curve star = subadditive_closure(c[0]);
-    // f*(t + u) <= f*(t) + f*(u) at a deterministic grid of probe pairs.
-    const std::vector<double> pts = probe_times(star, star);
-    const std::size_t n = std::min<std::size_t>(pts.size(), 10);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i; j < n; ++j) {
-        const double lhs = star.value(pts[i] + pts[j]);
-        const double rhs = star.value(pts[i]) + star.value(pts[j]);
-        if (lhs > rhs + kAtol + kRtol * (1.0 + std::abs(rhs))) {
-          return "closure not subadditive at t=" +
-                 util::format_significant(pts[i], 17) + ", u=" +
-                 util::format_significant(pts[j], 17) + ": f*(t+u)=" +
-                 util::format_significant(lhs, 17) + " > f*(t)+f*(u)=" +
-                 util::format_significant(rhs, 17);
-        }
-      }
-    }
-    return std::string();
-  });
-}
-
-TEST(MaxPlusLaws, ConvolveCommutesAndAssociates) {
-  expect_holds(
-      spec({CurveKind::kFinite, CurveKind::kFinite, CurveKind::kFinite},
-           0xa00c),
-      [](const std::vector<Curve>& c) {
-        std::string err = check_equal(maxplus::convolve(c[0], c[1]),
-                                      maxplus::convolve(c[1], c[0]),
-                                      "max-plus f(x)g != g(x)f");
-        if (!err.empty()) return err;
-        return check_equal(
-            maxplus::convolve(maxplus::convolve(c[0], c[1]), c[2]),
-            maxplus::convolve(c[0], maxplus::convolve(c[1], c[2])),
-            "max-plus convolution not associative");
-      });
-}
-
-TEST(MaxPlusLaws, ConvolveIsIsotone) {
-  expect_holds(
-      spec({CurveKind::kFinite, CurveKind::kFinite, CurveKind::kFinite},
-           0xa00d),
-      [](const std::vector<Curve>& c) {
-        // f <= max(f, f'), so the images must stay ordered.
-        return check_leq(maxplus::convolve(c[0], c[2]),
-                         maxplus::convolve(maximum(c[0], c[1]), c[2]),
-                         "max-plus convolution not isotone");
       });
 }
 

@@ -180,20 +180,47 @@ class ServeProtocolTest : public ::testing::Test {
     auto snapshot =
         make_snapshot(1, {{"chain", cli::parse_spec(chain_text)},
                           {"dag", cli::parse_spec(dag_text)}});
+    catalog_ = std::make_shared<Catalog>(snapshot);
     ServerConfig config;
     config.socket_path = ::testing::TempDir() + "/serve_protocol_" +
                          std::to_string(::getpid()) + ".sock";
-    server_ = std::make_unique<Server>(
-        config, std::make_shared<Catalog>(snapshot));
+    server_ = std::make_unique<Server>(config, catalog_);
     server_->start();
     path_ = config.socket_path;
   }
 
   void TearDown() override { server_->stop(); }
 
+  std::shared_ptr<Catalog> catalog_;
   std::unique_ptr<Server> server_;
   std::string path_;
 };
+
+TEST_F(ServeProtocolTest, TcpPortZeroRoundTrip) {
+  // Port 0 asks the kernel for a free port; bound_port() reports it. The
+  // TCP transport must answer byte for byte like the unix socket.
+  ServerConfig config;
+  config.port = 0;
+  Server tcp_server(config, catalog_);
+  tcp_server.start();
+  ASSERT_GT(tcp_server.bound_port(), 0);
+  EXPECT_EQ(tcp_server.endpoint(),
+            "tcp:127.0.0.1:" + std::to_string(tcp_server.bound_port()));
+
+  Client tcp = Client::connect_tcp(tcp_server.bound_port());
+  Client unix_client = Client::connect_unix(path_);
+  const std::string ping = "{\"op\":\"ping\"}";
+  const std::string admit =
+      "{\"op\":\"admit\",\"tenant\":\"t\",\"scenario\":\"chain\","
+      "\"id\":\"f1\",\"rate\":1048576,\"burst\":65536,\"target\":0.5}";
+  for (const std::string& request : {ping, admit}) {
+    const std::string over_tcp = tcp.request_raw(request);
+    EXPECT_EQ(over_tcp, unix_client.request_raw(request)) << request;
+    EXPECT_TRUE(json_parse(over_tcp).value.bool_or("ok", false)) << over_tcp;
+  }
+  tcp.close();
+  tcp_server.stop();
+}
 
 TEST_F(ServeProtocolTest, GarbageJsonGetsCleanErrorReplyAndConnectionLives) {
   Client client = Client::connect_unix(path_);

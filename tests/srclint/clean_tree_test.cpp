@@ -1,8 +1,8 @@
 // The enforcement test: the repository's own sources scan clean with the
 // shipped baseline and the shipped layer declaration. This is the same
-// gate CI runs via `tools/srclint src tools bench tests`, executed
-// in-process so a violation fails the ordinary test suite on every
-// developer machine, not just in CI.
+// gate CI runs via `tools/srclint src tools bench tests examples`,
+// executed in-process so a violation fails the ordinary test suite on
+// every developer machine, not just in CI.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -22,7 +22,8 @@ std::string repo(const std::string& rel) {
 
 RunOptions tree_options() {
   RunOptions opts;
-  opts.paths = {repo("src"), repo("tools"), repo("bench"), repo("tests")};
+  opts.paths = {repo("src"), repo("tools"), repo("bench"), repo("tests"),
+                repo("examples")};
   opts.baseline_path = SC_SRCLINT_BASELINE;
   opts.layers_path = SC_SRCLINT_LAYERS;
   return opts;

@@ -173,8 +173,8 @@ TEST(SrclintSC903, NonProjectVariablesAreOutOfScope) {
 TEST(SrclintSC904, FlagsInexactLiteralEqualityInNumericKernels) {
   EXPECT_TRUE(flags("src/minplus/curve.cpp", R"cc(if (x == 0.1) return;)cc",
                     "SC904"));
-  EXPECT_TRUE(flags("src/maxplus/curve.cpp", R"cc(bool b = y != 1e-3;)cc",
-                    "SC904"));
+  EXPECT_TRUE(flags("src/minplus/operations.cpp",
+                    R"cc(bool b = y != 1e-3;)cc", "SC904"));
   EXPECT_TRUE(flags("src/certify/exact.cpp", R"cc(if (0.3 == z) return;)cc",
                     "SC904"));
 }

@@ -91,18 +91,6 @@ TEST(ChernoffBacklog, TracksDelayTimesRateStructure) {
             server().rate().in_bytes_per_sec() * d.value * (1.0 + 1e-9));
 }
 
-TEST(OutputSigma, GrowsWithServiceLatency) {
-  const Arrival a = onoff_users(4.0);
-  const double theta = 1e-6;
-  const Service fast = Service::rate_latency(DataRate::mib_per_sec(8),
-                                             Duration::millis(1));
-  const double s_fast = output_sigma(a, fast, theta);
-  const double s_slow = output_sigma(a, server(), theta);
-  EXPECT_GT(s_slow, s_fast);
-  EXPECT_THROW(output_sigma(onoff_users(40.0), server(), 1e-3),
-               util::PreconditionError);
-}
-
 TEST(AggregationScaling, ChernoffGainsGrowWithTheUserCount) {
   // One user on a server with little headroom: N users on the N-scaled
   // server see strictly increasing multiplexing gain while the worst-case

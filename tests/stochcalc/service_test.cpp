@@ -55,16 +55,6 @@ TEST(ServiceConstruction, FromCurveTakesTheTightestMinorant) {
   }
 }
 
-TEST(ServiceAlgebra, ConcatenationIsMinRateSumLatency) {
-  const Service a = Service::rate_latency(DataRate::mib_per_sec(8),
-                                          Duration::millis(2));
-  const Service b = Service::rate_latency(DataRate::mib_per_sec(5),
-                                          Duration::millis(7));
-  const Service c = a.concatenate(b);
-  EXPECT_DOUBLE_EQ(c.rate().in_mib_per_sec(), 5.0);
-  EXPECT_DOUBLE_EQ(c.latency().in_millis(), 9.0);
-}
-
 TEST(ServiceAlgebra, ScalingMultipliesTheRateOnly) {
   const Service s = Service::rate_latency(DataRate::mib_per_sec(2),
                                           Duration::millis(4));

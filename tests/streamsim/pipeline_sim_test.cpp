@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "streamsim/detail/engines.hpp"
 #include "util/error.hpp"
@@ -223,6 +224,25 @@ TEST(PipelineSim, RejectsBadConfig) {
     c3.queue_capacity = 4;
     EXPECT_THROW(simulate(nodes, source(50), c3), util::PreconditionError)
         << warmup;
+  }
+}
+
+TEST(PipelineSim, RefusesARunPastTheSourcePacketBudget) {
+  // 50 MiB/s in 64 KiB packets is 800 packets/s: 12,600 s is just over the
+  // 1e7 packets one run may emit. Both engines refuse it before running.
+  const std::vector<NodeSpec> nodes{stage("s", 80, 100, 120)};
+  const SimConfig c = config(12600.0);
+  EXPECT_THROW(detail::simulate_recurrence(nodes, source(50), c),
+               util::PreconditionError);
+  EXPECT_THROW(detail::simulate_des(nodes, source(50), c),
+               util::PreconditionError);
+  try {
+    (void)simulate(nodes, source(50), c);
+    ADD_FAILURE() << "ran past the packet budget";
+  } catch (const util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("source packets"),
+              std::string::npos)
+        << e.what();
   }
 }
 

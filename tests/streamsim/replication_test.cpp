@@ -121,22 +121,5 @@ TEST(ReplicationRunner, ExtremesBracketTheMeans) {
   EXPECT_GE(s.max_delay_seconds.min, s.min_delay_seconds.min);
 }
 
-TEST(ReplicationRunner, DagVariantRunsAndSummarizes) {
-  netcalc::DagSpec dag;
-  dag.nodes = {stage("a", 150, 160, 170), stage("b", 90, 100, 110)};
-  dag.edges = {{0, 1, 1.0}};
-  dag.entries = {{0, 0, 1.0}};
-  ReplicationConfig rc;
-  rc.replications = 3;
-  rc.base_seed = 7;
-  rc.threads = 1;
-  const ReplicationRunner runner(rc);
-  const ReplicationSummary s = runner.run_dag(dag, source(50),
-                                              base_config(0.25));
-  EXPECT_EQ(s.replications, 3);
-  EXPECT_EQ(s.results.size(), 3u);
-  EXPECT_GT(s.throughput_bytes_per_sec.mean, 0.0);
-}
-
 }  // namespace
 }  // namespace streamcalc::streamsim
