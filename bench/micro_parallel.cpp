@@ -1,12 +1,10 @@
-// Microbenchmarks of the execution layer: thread-pool dispatch overhead
-// and general convolution and deconvolution on the branch-envelope path.
+// Microbenchmarks of general convolution and deconvolution on the
+// branch-envelope path.
 //
 // The min-plus curve algebra runs serially. A thread fan-out
 // of the branch envelope only pays on synthetic operands like these
 // (64-512 pieces); the BLAST and BITW curves are a handful of pieces, so
-// no real analysis builds an envelope that large. The pool itself serves
-// serve's request batches and the replication runner, which
-// BM_PoolDispatch measures.
+// no real analysis builds an envelope that large.
 //
 // Supports `--json <path>` (see benchmark_json.hpp); the checked-in
 // BENCH_micro_parallel.json is the perf baseline.
@@ -19,13 +17,11 @@
 #include "minplus/curve.hpp"
 #include "minplus/operations.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
 using streamcalc::minplus::Curve;
 using streamcalc::minplus::Segment;
-using streamcalc::util::ThreadPool;
 
 /// Concave increasing piecewise-linear curve with n segments (same
 /// construction as micro_minplus.cpp).
@@ -61,36 +57,6 @@ Curve convex_curve(int n, std::uint64_t seed) {
 std::pair<Curve, Curve> general_pair(int n) {
   return {concave_curve(n, 6).plus_step(2.0), convex_curve(n, 7)};
 }
-
-/// Pool dispatch overhead: fork/join over `chunks` near-empty chunks.
-void BM_PoolDispatch(benchmark::State& state) {
-  ThreadPool& pool = ThreadPool::global();
-  const auto chunks = static_cast<std::size_t>(state.range(0));
-  std::vector<double> out(chunks, 0.0);
-  for (auto _ : state) {
-    pool.parallel_for(0, chunks, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        out[i] = static_cast<double>(i) * 0.5;
-      }
-    });
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_PoolDispatch)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
-
-/// The same loop run inline — the zero-overhead baseline for
-/// BM_PoolDispatch.
-void BM_InlineDispatch(benchmark::State& state) {
-  const auto chunks = static_cast<std::size_t>(state.range(0));
-  std::vector<double> out(chunks, 0.0);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < chunks; ++i) {
-      out[i] = static_cast<double>(i) * 0.5;
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_InlineDispatch)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_ConvolveGeneralSerial(benchmark::State& state) {
   const auto [a, b] = general_pair(static_cast<int>(state.range(0)));

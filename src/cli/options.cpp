@@ -10,26 +10,6 @@ namespace streamcalc::cli {
 
 namespace {
 
-constexpr unsigned kMaxThreads = 4096;
-
-/// Parses a --threads value with the same grammar as STREAMCALC_THREADS:
-/// a non-negative count (0 = hardware concurrency) or "serial".
-bool parse_threads_flag(const std::string& value, unsigned& out) {
-  if (value == "serial") {
-    out = 1;
-    return true;
-  }
-  if (value.empty()) return false;
-  unsigned long parsed = 0;
-  for (const char c : value) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
-    parsed = parsed * 10 + static_cast<unsigned long>(c - '0');
-    if (parsed > kMaxThreads) return false;
-  }
-  out = static_cast<unsigned>(parsed);
-  return true;
-}
-
 /// Parses a --port value: a decimal port number 0..65535 (0 asks the
 /// kernel to assign one — handy for tests).
 bool parse_port_flag(const std::string& value, int& out) {
@@ -94,19 +74,6 @@ ParseResult parse_args(int argc, const char* const* argv) {
         return result;
       }
       opts.ctx.trace_path = argv[++i];
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        result.error = "--threads requires a count argument";
-        return result;
-      }
-      unsigned threads = 0;
-      if (!parse_threads_flag(argv[++i], threads)) {
-        result.error = std::string("invalid --threads value '") + argv[i] +
-                       "': expected a count 0.." +
-                       std::to_string(kMaxThreads) + " or 'serial'";
-        return result;
-      }
-      opts.ctx.threads = threads;
     } else if (arg == "--socket") {
       if (i + 1 >= argc) {
         result.error = "--socket requires a path argument";
@@ -204,8 +171,6 @@ std::string help_text(const std::string& argv0) {
       "                        bounds (stoch default: 1e-6)\n"
       "\n"
       "flags (all subcommands):\n"
-      "  --threads <n|serial>  worker threads; 0 = hardware concurrency\n"
-      "                        (overrides STREAMCALC_THREADS)\n"
       "  --stats               append the metrics JSON block to stdout\n"
       "  --trace <file>        write a chrome://tracing JSON trace\n"
       "  --json                machine-readable output\n"

@@ -3,7 +3,6 @@
 // Every subcommand (analyze, lint, certify) accepts the same flags with
 // the same spelling and the same exit-code convention, parsed here once:
 //
-//   --threads <n|serial>   worker threads (0 = hardware concurrency)
 //   --stats                append the observability metrics JSON block
 //   --trace <file>         write a chrome://tracing JSON trace
 //   --json                 machine-readable output instead of text
@@ -20,10 +19,9 @@
 // --socket <path> (unix domain socket) or --port <n> (TCP on localhost,
 // 0 = kernel-assigned); its positional arguments are the catalog specs.
 //
-// Flags override the environment: parse_args() starts from
-// util::Context::from_env() and applies the flags on top, so
-// `STREAMCALC_THREADS=8 streamcalc analyze --threads 2 spec` runs with 2.
-// A usage problem (unknown flag, missing value, missing spec path) is a
+// parse_args() starts from util::Context::from_env() and sets the
+// Context fields the flags own (--stats, --trace) on top. A usage
+// problem (unknown flag, missing value, missing spec path) is a
 // ParseResult::error and exits 3; a malformed *environment variable*
 // throws PreconditionError and exits 1, matching the pre-existing
 // behaviour of the bare tool.

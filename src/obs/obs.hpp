@@ -3,8 +3,8 @@
 // The paper's analysis hinges on knowing where time and capacity go across
 // heterogeneous pipeline stages; this subsystem gives the reproduction the
 // same visibility into its *own* hot paths — which curve operations
-// dominate, which kernels they dispatch to, how the thread pool and the
-// event loop spend their time (DESIGN.md §10).
+// dominate, which kernels they dispatch to, how the event loop and the
+// daemon spend their time (DESIGN.md §10).
 //
 // Three layers, smallest first:
 //
@@ -29,10 +29,9 @@
 //   4. Tracing on (--trace/--stats, Tracer::start()): spans take two
 //      steady_clock stamps and one short critical section on completion.
 //
-// Instrumented subsystems: min-plus convolve/deconvolve,
-// ThreadPool::parallel_for chunking and queue depth, the DES event loop,
-// ReplicationRunner replications, and the nclint/certify pre/post-flight
-// passes.
+// Instrumented subsystems: min-plus convolve/deconvolve, the DES event
+// loop, ReplicationRunner replications, the serve request path, and the
+// nclint/certify pre/post-flight passes.
 #pragma once
 
 #if defined(STREAMCALC_OBS_DISABLED)

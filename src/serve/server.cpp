@@ -16,7 +16,6 @@
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace streamcalc::serve {
@@ -299,27 +298,17 @@ bool Server::process_batch(int fd, const std::vector<std::string>& payloads) {
   batches_.fetch_add(1);
   SC_OBS_OBSERVE("serve.request.batch_size",
                  static_cast<double>(payloads.size()));
-  std::vector<std::string> replies(payloads.size());
-  std::vector<char> shutdowns(payloads.size(), 0);
-  // The process-wide pool (serve and the replication runner are its only
-  // users; the curve algebra is serial). A single-frame batch, or serial
-  // mode, runs inline on this reader thread.
-  util::ThreadPool::global().parallel_for(
-      0, payloads.size(), 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          bool want_shutdown = false;
-          replies[i] = handle_request(payloads[i], want_shutdown);
-          shutdowns[i] = want_shutdown ? 1 : 0;
-        }
-      });
+  // Frames run in frame order on this reader thread: a pipelined client
+  // sees each request applied after the ones it sent before it. Other
+  // connections run concurrently on their own reader threads.
   std::string out;
-  for (const std::string& reply : replies) {
-    out += encode_frame(reply, config_.max_frame);
+  bool want_shutdown = false;
+  for (const std::string& payload : payloads) {
+    out += encode_frame(handle_request(payload, want_shutdown),
+                        config_.max_frame);
   }
   const bool sent = send_all(fd, out);
-  for (const char w : shutdowns) {
-    if (w != 0) request_stop();
-  }
+  if (want_shutdown) request_stop();
   return sent;
 }
 

@@ -19,13 +19,12 @@
 // reader marks its connection finished when the peer goes away, and the
 // accept loop joins and drops finished connections before it registers
 // the next one, so closed connections do not pile up until stop(). Each
-// batch of frames that arrives together is dispatched through
-// util::ThreadPool::global().parallel_for (inline in serial mode); replies
-// are written back in frame order. The curve algebra itself is serial, so
-// the pool is serve's and the replication runner's alone. Admission state
-// lives in AdmissionEngine (per-tenant locking), the scenario catalog
-// behind epoch/snapshot swaps (catalog.hpp) — a `reload` builds the whole
-// new snapshot before publishing, never stopping admission.
+// batch of frames that arrives together runs in frame order on its
+// reader thread, and the replies go back in one write; different
+// connections run concurrently. Admission state lives in AdmissionEngine
+// (per-tenant locking), the scenario catalog behind epoch/snapshot swaps
+// (catalog.hpp) — a `reload` builds the whole new snapshot before
+// publishing, never stopping admission.
 #pragma once
 
 #include <atomic>
@@ -52,7 +51,7 @@ struct ServerConfig {
   int port = -1;            ///< TCP port on 127.0.0.1 (0 = kernel-assigned)
   std::vector<std::string> spec_paths;  ///< catalog specs (reload re-reads)
   std::size_t max_frame = kDefaultMaxFramePayload;
-  util::Context ctx;  ///< run configuration (certify mode, obs, threads)
+  util::Context ctx;  ///< run configuration (certify mode, obs)
 };
 
 class Server {

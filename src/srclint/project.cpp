@@ -78,8 +78,6 @@ bool blocking_call(const CallSite& c) {
   if (c.member && (c.name == "join" || kClientRpc.count(c.name) != 0)) {
     return true;
   }
-  // CondVar::wait is deliberately absent: blocking on a condition variable
-  // with the lock is the one sanctioned blocking-under-lock shape.
   return false;
 }
 
@@ -485,9 +483,7 @@ std::vector<Finding> check_project(const ProjectModel& project,
           f.line = call.line;
           f.message = "blocking call " + display_call(call) + " while '" +
                       held_labels + "' is held";
-          f.hint =
-              "release the MutexLock before blocking; CondVar::wait(lock) "
-              "is the one sanctioned blocking-under-lock primitive";
+          f.hint = "release the MutexLock before blocking";
           out.push_back(std::move(f));
         }
         if (call.in_pool_task && pool_call(call)) {

@@ -116,8 +116,8 @@ void rule_sc901(const FileContext& f) {
         f.add("SC901", name.line,
               "raw std::" + name.text +
                   " is invisible to the thread-safety analysis",
-              "use the annotated util::Mutex / util::MutexLock / "
-              "util::CondVar from util/sync.hpp");
+              "use the annotated util::Mutex / util::MutexLock from "
+              "util/sync.hpp");
       }
     }
   }
@@ -147,7 +147,7 @@ void rule_sc902(const FileContext& f) {
 // util::env helpers — can drift from the facade's grammar, which is
 // exactly how obs/runtime.cpp's lenient STREAMCALC_OBS parse diverged
 // from Context::from_env(). obs/runtime.cpp itself stays allowlisted: it
-// sits *below* util in the link graph (the thread pool is instrumented),
+// sits *below* util in the link graph (Context::install calls into it),
 // so it cannot consume Context and instead shares util/env.hpp's
 // header-only strict parser; Context::install() overrides it as the
 // authoritative source once a context exists.
@@ -308,7 +308,7 @@ void rule_sc906(const FileContext& f) {
       if (t.text == "SC_GUARDED_BY" || t.text == "SC_PT_GUARDED_BY") {
         guarded = true;
       }
-      if (t.text == "Mutex" || t.text == "CondVar" || t.text == "atomic" ||
+      if (t.text == "Mutex" || t.text == "atomic" ||
           t.text == "atomic_flag" || t.text == "thread_local") {
         exempt = true;
       }
@@ -323,9 +323,10 @@ void rule_sc906(const FileContext& f) {
 
 // --- SC907: raw threads outside the registries -----------------------------
 //
-// Every thread in the system is either a ThreadPool worker or a
-// registered serve connection reader — that is what makes clean shutdown
-// and the concurrency test suites exhaustive. A free-floating or detached
+// Every thread in the system is either a util::parallel_for worker
+// (joined before the call returns) or a registered serve connection
+// reader — that is what makes clean shutdown and the concurrency test
+// suites exhaustive. A free-floating or detached
 // std::thread escapes both.
 void rule_sc907(const FileContext& f) {
   if (!has_segment(f.segs, "src") && !has_segment(f.segs, "tools")) return;
@@ -344,16 +345,16 @@ void rule_sc907(const FileContext& f) {
       if (qual != nullptr && is_punct(*qual, "::")) continue;
       f.add("SC907", f.code[i + 2].line,
             "raw std::" + f.code[i + 2].text +
-                " outside ThreadPool and the serve reader registry",
-            "run the work on util::ThreadPool, or register the thread "
-            "like serve::Server's connection readers");
+                " outside util::parallel_for and the serve reader registry",
+            "run the work through util::parallel_for, or register the "
+            "thread like serve::Server's connection readers");
     }
     if ((is_punct(f.code[i], ".") || is_punct(f.code[i], "->")) &&
         is_ident(f.code[i + 1], "detach") && is_punct(f.code[i + 2], "(")) {
       f.add("SC907", f.code[i + 1].line,
             "detached thread can outlive every shutdown path",
-            "keep the handle and join it, or hand the work to "
-            "util::ThreadPool");
+            "keep the handle and join it, or run the work through "
+            "util::parallel_for");
     }
   }
 }

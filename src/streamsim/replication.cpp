@@ -68,24 +68,13 @@ ReplicationSummary ReplicationRunner::run(
   for (std::uint64_t& seed : seeds) seed = sm.next();
 
   std::vector<SimResult> results(n);
-  const auto run_range = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      SC_OBS_SPAN("sim", "replication");
-      SimConfig cfg = base;
-      cfg.seed = seeds[i];
-      results[i] = simulate(nodes, source, cfg);
-      SC_OBS_COUNT("sim.replications", 1);
-    }
-  };
-  if (config_.threads == 0) {
-    util::ThreadPool::global().parallel_for(0, n, 1, run_range);
-  } else if (config_.threads == 1) {
-    run_range(0, n);
-  } else {
-    // Dedicated pool: threads - 1 workers + the calling thread.
-    util::ThreadPool pool(config_.threads - 1);
-    pool.parallel_for(0, n, 1, run_range);
-  }
+  util::parallel_for(n, config_.threads, [&](std::size_t i) {
+    SC_OBS_SPAN("sim", "replication");
+    SimConfig cfg = base;
+    cfg.seed = seeds[i];
+    results[i] = simulate(nodes, source, cfg);
+    SC_OBS_COUNT("sim.replications", 1);
+  });
 
   // Index-order merge: every accumulation below walks replications
   // 0, 1, ..., n-1, so the summary bytes cannot depend on thread count.

@@ -19,11 +19,10 @@
 //
 // The runner deliberately holds no mutex-guarded state of its own: the
 // only memory shared across threads is the slot vectors, which workers
-// touch at disjoint indices handed out by ThreadPool::parallel_for (whose
-// internal queue/claim state carries the Clang thread-safety annotations —
-// see util/thread_annotations.hpp and DESIGN.md §8). Keep it that way: any
-// future cross-replication accumulator must either stay slot-addressed or
-// be guarded by an annotated util::Mutex.
+// touch at disjoint indices handed out by util::parallel_for (one atomic
+// claim counter; see DESIGN.md §6). Keep it that way: any future
+// cross-replication accumulator must either stay slot-addressed or be
+// guarded by an annotated util::Mutex.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +41,8 @@ struct ReplicationConfig {
   /// Base seed; per-replication seeds are splitmix64(base_seed) outputs in
   /// index order (SimConfig::seed of the base config is ignored).
   std::uint64_t base_seed = 1;
-  /// Worker threads running replications: 0 = use the process-global pool;
-  /// N >= 1 = a dedicated pool with N-thread total concurrency (1 = run
-  /// everything on the calling thread).
+  /// Threads running replications: 0 = hardware concurrency, 1 = inline
+  /// on the caller, N = that many (the caller counts as one).
   unsigned threads = 0;
 };
 

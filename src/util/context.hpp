@@ -1,17 +1,14 @@
 // streamcalc::Context — the unified runtime-configuration facade.
 //
 // One struct owns every knob that used to be a scattered STREAMCALC_* env
-// read inside five different libraries: thread count, fuzz budget,
-// lint/certify enforcement modes, and the observability
-// (trace/metrics/stats) settings. Each entry point builds it once — from
-// the environment via Context::from_env(), then CLI flags override
-// individual fields — installs it with Context::install(), and passes it
-// explicitly to the subsystem entry points (diagnostics::preflight_*,
-// certify::postflight_*, serve::AdmissionEngine).
-//
-// The one library singleton with no Context parameter, the global thread
-// pool, reads Context::active(): the installed context, else one
-// from_env() result parsed on the first call and kept for the process.
+// read inside several libraries: fuzz budget, lint/certify enforcement
+// modes, and the observability (trace/metrics/stats) settings. Each entry
+// point builds it once — from the environment via Context::from_env(),
+// then CLI flags set the fields they own — applies its obs switch with
+// Context::install(), and passes it explicitly to the subsystem entry
+// points (diagnostics::preflight_*, certify::postflight_*,
+// serve::AdmissionEngine). No library reads a process-wide Context:
+// whatever needs a setting takes it as a parameter.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +24,6 @@ enum class EnforceMode : std::uint8_t { kOff, kWarn, kStrict };
 const char* to_string(EnforceMode m);
 
 struct Context {
-  // --- execution ---------------------------------------------------------
-  /// Worker threads: 0 = hardware concurrency, 1 = serial (everything
-  /// inline), N = that many. Mirrors STREAMCALC_THREADS ("serial" == 1).
-  unsigned threads = 0;
-
   // --- verification ------------------------------------------------------
   /// Per-property fuzz budget (STREAMCALC_FUZZ_CASES).
   int fuzz_cases = 500;
@@ -56,23 +48,9 @@ struct Context {
   /// forms) on any malformed value.
   static Context from_env();
 
-  /// The process-wide context: the installed one, else the environment
-  /// as parsed by the first call (see file comment).
-  static Context active();
-
-  /// Installs `ctx` as the process-wide context and applies its obs
-  /// switch to the instrumentation runtime. Call once, early (before the
-  /// first use of the global thread pool, which sizes itself from the
-  /// active context at first use).
+  /// Applies `ctx`'s obs switch to the instrumentation runtime. Call
+  /// once, early, before the first instrumented work.
   static void install(const Context& ctx);
-
-  /// `threads` with the hardware-concurrency substitution applied
-  /// (always >= 1).
-  unsigned resolved_threads() const;
-
-  /// Worker count for a ThreadPool sized from this context (the global
-  /// pool): 0 (serial, everything inline) when resolved_threads() <= 1.
-  unsigned pool_workers() const;
 };
 
 }  // namespace streamcalc::util

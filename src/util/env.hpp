@@ -1,16 +1,15 @@
 // Strict environment-variable parsing.
 //
-// The tuning knobs (STREAMCALC_THREADS, STREAMCALC_FUZZ_CASES,
-// STREAMCALC_LINT) used to fall back to defaults on
-// garbage input — `STREAMCALC_THREADS=fast` silently meant "hardware
-// concurrency", which is exactly the wrong behavior for a reproducibility
-// knob. These helpers reject malformed values with an error that names the
-// variable and the accepted forms, so a typo fails loudly at startup
-// instead of silently changing what the run measures.
+// The tuning knobs (STREAMCALC_FUZZ_CASES, STREAMCALC_LINT, ...) used to
+// fall back to defaults on garbage input — a typoed value silently meant
+// "the default", which is exactly the wrong behavior for a
+// reproducibility knob. These helpers reject malformed values with an
+// error that names the variable and the accepted forms, so a typo fails
+// loudly at startup instead of silently changing what the run measures.
 //
-// Header-only on purpose: obs sits *below* util in the link graph (the
-// thread pool is instrumented), and obs/runtime.cpp needs the same strict
-// STREAMCALC_OBS parse as Context::from_env(). Like util/sync.hpp, this
+// Header-only on purpose: obs sits *below* util in the link graph
+// (Context::install calls into obs), and obs/runtime.cpp needs the same
+// strict STREAMCALC_OBS parse as Context::from_env(). Like util/sync.hpp, this
 // header is usable by include path alone, with no dependency on sc_util.
 // It is also the one place the project may call ::getenv — srclint's
 // SC902/SC903 rules (DESIGN.md §13) enforce that every other environment

@@ -11,18 +11,8 @@
 //
 //   Mutex      — SC_CAPABILITY wrapper over std::mutex.
 //   MutexLock  — SC_SCOPED_CAPABILITY lock_guard equivalent.
-//   CondVar    — condition variable usable with Mutex. Built on
-//                std::condition_variable_any, whose wait() takes any
-//                BasicLockable; wait(Mutex&) is annotated SC_REQUIRES so
-//                waiting without the lock is a compile error.
-//
-// CondVar deliberately has no predicate overload: a predicate lambda would
-// read guarded state from a context the analysis cannot see into. Callers
-// write the standard `while (!pred()) cv.wait(mutex_);` loop inside a
-// method annotated SC_REQUIRES(mutex_), which the analysis checks fully.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.hpp"
@@ -39,10 +29,6 @@ class SC_CAPABILITY("mutex") Mutex {
   void lock() SC_ACQUIRE() { m_.lock(); }
   void unlock() SC_RELEASE() { m_.unlock(); }
   bool try_lock() SC_TRY_ACQUIRE(true) { return m_.try_lock(); }
-
-  /// The underlying std::mutex, for interop with std:: wait machinery.
-  /// Bypasses the analysis — keep uses confined to this header.
-  std::mutex& native() { return m_; }
 
  private:
   std::mutex m_;
@@ -61,30 +47,6 @@ class SC_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mutex_;
-};
-
-/// Condition variable for use with Mutex.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
-  /// Atomically releases `mutex`, blocks, and reacquires before returning.
-  /// Spurious wakeups are possible; call in a `while (!pred())` loop.
-  void wait(Mutex& mutex) SC_REQUIRES(mutex) SC_NO_THREAD_SAFETY_ANALYSIS {
-    // condition_variable_any::wait unlocks/relocks through the BasicLockable
-    // interface; the net effect is "held on entry, held on exit", which is
-    // exactly what SC_REQUIRES promises callers. The analysis cannot see
-    // through the std:: internals, hence the local opt-out.
-    cv_.wait(mutex);
-  }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace streamcalc::util

@@ -8,7 +8,7 @@
 //
 // The standard library's std::mutex is *not* a Clang "capability", so these
 // attributes are only useful on our own synchronization types — see
-// util/sync.hpp for the annotated Mutex / MutexLock / CondVar wrappers that
+// util/sync.hpp for the annotated Mutex / MutexLock wrappers that
 // every concurrent component in the library uses. Conventions are written
 // up in DESIGN.md §8.
 #pragma once

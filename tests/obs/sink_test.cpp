@@ -1,17 +1,13 @@
 // Profiling-hook contract: an installed Sink observes the spans and
 // metric updates fired by the instrumented subsystems — min-plus
-// operators, the thread pool, and the replication runner — so tests can
-// assert on instrumentation directly.
+// operators and the replication runner — so tests can assert on
+// instrumentation directly.
 #include <gtest/gtest.h>
-
-#include <cstddef>
-#include <vector>
 
 #include "minplus/curve.hpp"
 #include "minplus/operations.hpp"
 #include "obs/obs.hpp"
 #include "streamsim/replication.hpp"
-#include "util/thread_pool.hpp"
 
 namespace streamcalc {
 namespace {
@@ -49,21 +45,6 @@ TEST_F(SinkTest, DeconvolveAndClosureNotifyTheirCounters) {
   (void)minplus::deconvolve(arrival, service);
   EXPECT_EQ(sink_.span_count("minplus/deconvolve"), 1u);
   EXPECT_EQ(sink_.metric_total("minplus.deconvolve.calls"), 1.0);
-}
-
-TEST_F(SinkTest, ParallelForNotifiesCallAndChunkCounters) {
-  util::ThreadPool pool(2);
-  std::vector<int> data(64, 0);
-  pool.parallel_for(0, data.size(), 16,
-                    [&data](std::size_t lo, std::size_t hi) {
-                      for (std::size_t i = lo; i < hi; ++i) data[i] = 1;
-                    });
-  EXPECT_EQ(sink_.span_count("pool/parallel_for"), 1u);
-  EXPECT_EQ(sink_.metric_total("pool.parallel_for.calls"), 1.0);
-  // 64 elements at grain 16 = 4 chunks, each traced as a pool/chunk span.
-  EXPECT_EQ(sink_.metric_total("pool.chunks"), 4.0);
-  EXPECT_EQ(sink_.span_count("pool/chunk"), 4u);
-  for (const int v : data) EXPECT_EQ(v, 1);
 }
 
 TEST_F(SinkTest, ReplicationRunnerNotifiesOneSpanPerReplication) {

@@ -375,7 +375,8 @@ TEST(ConcurrencySoak, ConnectionChurnKeepsThreadsAndMappingsFlat) {
     EXPECT_TRUE(client.request(ping).bool_or("ok", false));
     client.close();
   };
-  // Warm up first: the first request creates the global pool's workers.
+  // Warm up first, so one-time allocations of the first requests are not
+  // counted.
   for (int i = 0; i < 32; ++i) cycle();
   const long threads_before = live_threads();
   const long mappings_before = live_mappings();

@@ -448,5 +448,42 @@ TEST_F(ServeProtocolTest, PipelinedFramesAnswerInOrder) {
   }
 }
 
+TEST_F(ServeProtocolTest, PipelinedAdmitReleaseRunInFrameOrder) {
+  // Every release follows its admit on the wire, so it must find the
+  // flow admitted: frames of one connection run in the order they were
+  // sent, however many arrive in one batch.
+  ServerConfig config;
+  config.socket_path = ::testing::TempDir() + "/serve_pipelined_" +
+                       std::to_string(::getpid()) + ".sock";
+  config.spec_paths = {std::string(SC_SPEC_DIR) + "/quickstart.scspec"};
+  Server server(config);
+  server.start();
+  Client client = Client::connect_unix(config.socket_path);
+  constexpr int kRounds = 50;
+  constexpr int kPairs = 10;
+  for (int round = 0; round < kRounds; ++round) {
+    std::string wire;
+    for (int k = 0; k < kPairs; ++k) {
+      std::string id = "\"f_";
+      id += std::to_string(k);
+      id += '"';
+      wire += encode_frame(
+          "{\"op\":\"admit\",\"tenant\":\"t\",\"scenario\":"
+          "\"quickstart\",\"id\":" +
+          id + ",\"rate\":1e6,\"burst\":16384,\"target\":0.5}");
+      wire += encode_frame(
+          "{\"op\":\"release\",\"tenant\":\"t\",\"id\":" + id + "}");
+    }
+    client.send_bytes(wire);
+    for (int frame = 0; frame < 2 * kPairs; ++frame) {
+      const Json reply = json_parse(client.recv_frame()).value;
+      EXPECT_TRUE(reply.bool_or("ok", false))
+          << "round " << round << " frame " << frame << ": "
+          << reply.dump();
+    }
+  }
+  server.stop();
+}
+
 }  // namespace
 }  // namespace streamcalc::serve

@@ -143,7 +143,7 @@ TEST(SrclintSC902, MentionWithoutACallDoesNotFire) {
 
 TEST(SrclintSC903, FlagsKnobReadsOutsideTheFacade) {
   const std::string source =
-      R"cc(const auto v = util::env_raw("STREAMCALC_THREADS");)cc";
+      R"cc(const auto v = util::env_raw("STREAMCALC_FUZZ_CASES");)cc";
   EXPECT_TRUE(flags("src/minplus/operations.cpp", source, "SC903"));
   EXPECT_TRUE(flags("bench/bench_compare.cpp", source, "SC903"));
   EXPECT_TRUE(flags("tools/streamcalc.cpp", source, "SC903"));
@@ -151,7 +151,7 @@ TEST(SrclintSC903, FlagsKnobReadsOutsideTheFacade) {
 
 TEST(SrclintSC903, TestsMayManipulateTheRawEnvironment) {
   const std::string source =
-      R"cc(const auto v = util::env_raw("STREAMCALC_THREADS");)cc";
+      R"cc(const auto v = util::env_raw("STREAMCALC_FUZZ_CASES");)cc";
   EXPECT_FALSE(flags("tests/util/env_test.cpp", source, "SC903"));
 }
 

@@ -90,11 +90,11 @@ const std::map<std::string, std::vector<Fixture>>& fixtures() {
          "const auto v = util::env_raw(\"HOME\");\n"}}},
       {"SC903",
        {{"scattered knob read", "src/streamsim/engine.cpp",
-         "const auto v =\n    util::env_uint(\"STREAMCALC_THREADS\");\n", 2,
-         "const unsigned v =\n    util::Context::active().threads;\n"},
+         "const auto v =\n    util::env_uint(\"STREAMCALC_FUZZ_CASES\");\n", 2,
+         "const int v =\n    ctx.fuzz_cases;\n"},
         {"bench knob read", "bench/bench_kernels.cpp",
          "const auto v = util::env_bool(\"STREAMCALC_OBS\");\n", 1,
-         "const bool v = util::Context::active().obs;\n"}}},
+         "const bool v = ctx.obs;\n"}}},
       {"SC904",
        {{"inexact equality", "src/minplus/operations.cpp",
          "bool near(double x) {\n  return x == 0.1;\n}\n", 2,

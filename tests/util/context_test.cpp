@@ -1,8 +1,5 @@
 // Context facade contract: from_env() parses every STREAMCALC_* knob (or
-// rejects it with an error naming the variable), install()/active() give
-// one process-wide source of truth parsed at most once, and the
-// thread-count helpers resolve hardware concurrency the way ThreadPool
-// expects.
+// rejects it with an error naming the variable).
 //
 // These tests setenv/unsetenv, so they live in their own binary (see
 // CMakeLists.txt) and restore the environment in the fixture.
@@ -10,10 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "util/error.hpp"
 
@@ -21,8 +16,10 @@ namespace streamcalc::util {
 namespace {
 
 const char* const kVars[] = {
-    "STREAMCALC_THREADS", "STREAMCALC_FUZZ_CASES", "STREAMCALC_LINT",
-    "STREAMCALC_CERTIFY", "STREAMCALC_OBS",
+    "STREAMCALC_FUZZ_CASES",
+    "STREAMCALC_LINT",
+    "STREAMCALC_CERTIFY",
+    "STREAMCALC_OBS",
 };
 
 class ContextTest : public ::testing::Test {
@@ -37,7 +34,6 @@ class ContextTest : public ::testing::Test {
 
 TEST_F(ContextTest, DefaultsMatchDocumentedKnobs) {
   const Context ctx = Context::from_env();
-  EXPECT_EQ(ctx.threads, 0u);
   EXPECT_EQ(ctx.fuzz_cases, 500);
   EXPECT_EQ(ctx.lint, EnforceMode::kWarn);
   EXPECT_EQ(ctx.certify, EnforceMode::kOff);
@@ -47,30 +43,15 @@ TEST_F(ContextTest, DefaultsMatchDocumentedKnobs) {
 }
 
 TEST_F(ContextTest, ParsesEveryVariable) {
-  ::setenv("STREAMCALC_THREADS", "3", 1);
   ::setenv("STREAMCALC_FUZZ_CASES", "42", 1);
   ::setenv("STREAMCALC_LINT", "strict", 1);
   ::setenv("STREAMCALC_CERTIFY", "warn", 1);
   ::setenv("STREAMCALC_OBS", "off", 1);
   const Context ctx = Context::from_env();
-  EXPECT_EQ(ctx.threads, 3u);
   EXPECT_EQ(ctx.fuzz_cases, 42);
   EXPECT_EQ(ctx.lint, EnforceMode::kStrict);
   EXPECT_EQ(ctx.certify, EnforceMode::kWarn);
   EXPECT_FALSE(ctx.obs);
-}
-
-TEST_F(ContextTest, ThreadsAcceptsSerialAlias) {
-  ::setenv("STREAMCALC_THREADS", "serial", 1);
-  EXPECT_EQ(Context::from_env().threads, 1u);
-}
-
-TEST_F(ContextTest, ThreadsZeroMeansHardwareConcurrency) {
-  ::setenv("STREAMCALC_THREADS", "0", 1);
-  const Context ctx = Context::from_env();
-  EXPECT_EQ(ctx.threads, 0u);
-  EXPECT_EQ(ctx.resolved_threads(),
-            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST_F(ContextTest, EnforceModesParseEverySpelling) {
@@ -105,9 +86,6 @@ TEST_F(ContextTest, RejectsMalformedValuesNamingTheVariable) {
     const char* var;
     const char* value;
   } bad[] = {
-      {"STREAMCALC_THREADS", "many"},      {"STREAMCALC_THREADS", "99999"},
-      {"STREAMCALC_THREADS", "fast"},      {"STREAMCALC_THREADS", "-1"},
-      {"STREAMCALC_THREADS", "2 threads"}, {"STREAMCALC_THREADS", "serial "},
       {"STREAMCALC_FUZZ_CASES", "0"},      {"STREAMCALC_LINT", "maybe"},
       {"STREAMCALC_LINT", "pedantic"},     {"STREAMCALC_CERTIFY", "yes"},
       {"STREAMCALC_CERTIFY", "paranoid"},  {"STREAMCALC_CERTIFY", "bogus"},
@@ -124,43 +102,6 @@ TEST_F(ContextTest, RejectsMalformedValuesNamingTheVariable) {
     }
     ::unsetenv(var);
   }
-}
-
-// The only test in this binary that touches the process-wide context, so
-// its first active() call is the process's first.
-TEST_F(ContextTest, ActiveParsesEnvironmentOnceUntilInstall) {
-  ::setenv("STREAMCALC_THREADS", "2", 1);
-  ::setenv("STREAMCALC_CERTIFY", "strict", 1);
-  EXPECT_EQ(Context::active().threads, 2u);  // first call parses the env
-  EXPECT_EQ(Context::active().certify, EnforceMode::kStrict);
-
-  ::setenv("STREAMCALC_THREADS", "3", 1);
-  ::setenv("STREAMCALC_CERTIFY", "bogus", 1);  // not re-parsed: no throw
-  EXPECT_EQ(Context::active().threads, 2u);
-  EXPECT_EQ(Context::active().certify, EnforceMode::kStrict);
-
-  Context pinned;
-  pinned.threads = 7;
-  Context::install(pinned);
-  EXPECT_EQ(Context::active().threads, 7u);  // installed wins
-  EXPECT_EQ(Context::active().certify, EnforceMode::kOff);
-}
-
-TEST_F(ContextTest, ResolvedThreadsSubstitutesHardwareConcurrency) {
-  Context ctx;
-  ctx.threads = 0;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  EXPECT_EQ(ctx.resolved_threads(), hw);
-  ctx.threads = 5;
-  EXPECT_EQ(ctx.resolved_threads(), 5u);
-}
-
-TEST_F(ContextTest, PoolWorkersIsZeroForSerialContexts) {
-  Context ctx;
-  ctx.threads = 1;
-  EXPECT_EQ(ctx.pool_workers(), 0u);  // serial: run inline, no workers
-  ctx.threads = 6;
-  EXPECT_EQ(ctx.pool_workers(), 6u);
 }
 
 TEST_F(ContextTest, EnforceModeToStringRoundTrips) {

@@ -2,97 +2,90 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace streamcalc::util {
 namespace {
 
-TEST(ThreadPool, SerialModeRunsInlineAndCoversRange) {
-  ThreadPool pool(0);
-  EXPECT_TRUE(pool.serial());
-  EXPECT_EQ(pool.size(), 0u);
-  std::vector<int> hits(100, 0);
-  pool.parallel_for(0, hits.size(), 7, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  });
-  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
-                          [](int h) { return h == 1; }));
-}
-
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, hits.size(), 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const unsigned threads : {0u, 1u, 2u, 3u, 8u}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                                std::size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(n);
+      parallel_for(n, threads, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "threads=" << threads << " n=" << n << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForHandlesNonZeroBeginAndTinyRanges) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(20);
-  pool.parallel_for(5, 17, 4, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), (i >= 5 && i < 17) ? 1 : 0) << "i=" << i;
+  // A sub-range [5, 17) is an n = 12 call whose body adds the offset; more
+  // threads than indices still touch each index once and nothing outside.
+  for (const unsigned threads : {2u, 4u, 32u}) {
+    std::vector<std::atomic<int>> hits(20);
+    parallel_for(17 - 5, threads,
+                 [&](std::size_t i) { hits[5 + i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), (i >= 5 && i < 17) ? 1 : 0)
+          << "threads=" << threads << " i=" << i;
+    }
   }
   // Empty range is a no-op, not an error.
-  pool.parallel_for(3, 3, 1, [](std::size_t, std::size_t) { FAIL(); });
+  for (const unsigned threads : {0u, 1u, 8u}) {
+    parallel_for(0, threads, [](std::size_t) { FAIL(); });
+  }
+}
+
+TEST(ThreadPool, SerialModeRunsInlineAndCoversRange) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> ran_on;
+  parallel_for(100, 1, [&](std::size_t i) {
+    order.push_back(i);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(order.size(), 100u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(ran_on[i], caller) << "i=" << i;
+  }
 }
 
 TEST(ThreadPool, ExceptionInChunkPropagatesToCaller) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(0, 64, 1,
-                        [](std::size_t lo, std::size_t) {
-                          if (lo == 13) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  // The pool survives and keeps working after the failed fork/join.
-  std::atomic<int> count{0};
-  pool.parallel_for(0, 64, 1, [&](std::size_t lo, std::size_t hi) {
-    count.fetch_add(static_cast<int>(hi - lo));
-  });
-  EXPECT_EQ(count.load(), 64);
+  // Index 13 throws on every run, whichever thread reaches 40 first, and
+  // no index is skipped because another one threw.
+  for (int run = 0; run < 20; ++run) {
+    std::vector<std::atomic<int>> hits(64);
+    try {
+      parallel_for(64, 4, [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        if (i == 13) throw std::runtime_error("thirteen");
+        if (i == 40) throw std::runtime_error("forty");
+      });
+      FAIL() << "no exception reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "thirteen") << "run " << run;
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "run " << run << " i=" << i;
+    }
+  }
 }
 
-TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(64 * 8);
-  pool.parallel_for(0, 64, 4, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      // A nested fork from a worker must run inline instead of queuing
-      // behind its own parent.
-      pool.parallel_for(0, 8, 2, [&](std::size_t jlo, std::size_t jhi) {
-        for (std::size_t j = jlo; j < jhi; ++j) hits[i * 8 + j].fetch_add(1);
-      });
-    }
+TEST(ThreadPool, NestedParallelForCompletesWithoutDeadlock) {
+  std::vector<std::atomic<int>> hits(16 * 8);
+  parallel_for(16, 3, [&](std::size_t i) {
+    parallel_for(8, 2, [&](std::size_t j) { hits[i * 8 + j].fetch_add(1); });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&] { ran.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(ThreadPool, GlobalPoolIsUsable) {
-  ThreadPool& pool = ThreadPool::global();
-  std::atomic<int> count{0};
-  pool.parallel_for(0, 128, 8, [&](std::size_t lo, std::size_t hi) {
-    count.fetch_add(static_cast<int>(hi - lo));
-  });
-  EXPECT_EQ(count.load(), 128);
 }
 
 }  // namespace

@@ -11,10 +11,10 @@
 //                                        # admission-control daemon
 //
 // Every subcommand takes the same flags (see src/cli/options.hpp):
-// --threads overrides STREAMCALC_THREADS, --stats appends the metrics
-// JSON block, --trace <file> writes a chrome://tracing timeline of the
-// run's spans (curve operations, lint/certify passes), --json
-// switches stdout to machine-readable output, --help prints the table.
+// --stats appends the metrics JSON block, --trace <file> writes a
+// chrome://tracing timeline of the run's spans (curve operations,
+// lint/certify passes), --json switches stdout to machine-readable
+// output, --help prints the table.
 //
 // `lint` runs the nclint passes (stability, causality, flow conservation,
 // unit coherence — see src/diagnostics/lint.hpp). `certify` re-verifies
@@ -92,9 +92,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // One Context governs the whole run: thread pool size, lint/certify
-  // modes, and the observability switches all resolve from the
-  // flags-over-env Options built above.
+  // One Context governs the whole run: lint/certify modes and the
+  // observability switches all resolve from the Options built above.
   streamcalc::util::Context::install(opts.ctx);
   if (!opts.ctx.trace_path.empty() || opts.ctx.stats) {
     streamcalc::obs::Tracer::global().start();
