@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "kernels/blastn.hpp"
+#include "kernels/cpu.hpp"
 #include "kernels/fa2bit.hpp"
 #include "kernels/measure.hpp"
 #include "kernels/testdata.hpp"
@@ -104,14 +105,19 @@ int run(const streamcalc::util::Context& ctx) {
       },
       match_chunks);
 
-  util::Table t({"Stage", "Average", "Minimum", "Maximum", "Volume out/in"},
-                {util::Align::kLeft, util::Align::kRight, util::Align::kRight,
-                 util::Align::kRight, util::Align::kRight});
+  // The measured fa_2bit and seed rates depend on which scan backend ran
+  // them; the extension stages have only the portable one.
+  const char* scan_backend = k::uses_avx2() ? "AVX2" : "portable";
+  util::Table t(
+      {"Stage", "Average", "Minimum", "Maximum", "Volume out/in", "Kernel"},
+      {util::Align::kLeft, util::Align::kRight, util::Align::kRight,
+       util::Align::kRight, util::Align::kRight, util::Align::kLeft});
   for (const auto* m : {&m_fa2bit, &m_seed, &m_extend}) {
     t.add_row({m->name, util::format_rate(m->rate_avg),
                util::format_rate(m->rate_min),
                util::format_rate(m->rate_max),
-               util::format_significant(m->volume_ratio_avg, 3)});
+               util::format_significant(m->volume_ratio_avg, 3),
+               m == &m_extend ? "portable" : scan_backend});
   }
   std::fputs(t.render().c_str(), stdout);
   std::printf("(fa_2bit packs 4:1 -> volume 0.25; seed matching is the "

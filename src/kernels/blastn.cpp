@@ -6,7 +6,13 @@
 #include <limits>
 #include <string>
 
+#include "kernels/cpu.hpp"
+#include "kernels/scan_impl.hpp"
 #include "util/error.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace streamcalc::kernels {
 
@@ -218,6 +224,53 @@ void require_database(std::span<const std::uint8_t> db_packed,
   }
 }
 
+/// Appends 4 * k for every key k in [first, keys) whose 8-mer (packed
+/// bytes k and k + 1) occurs in the query.
+void match_keys(const std::uint8_t* bytes, std::uint64_t first,
+                std::uint64_t keys, const QueryIndex& index,
+                std::vector<std::uint32_t>& hits) {
+  for (std::uint64_t k = first; k < keys; ++k) {
+    if (index.contains(load_kmer(bytes + k))) {
+      hits.push_back(static_cast<std::uint32_t>(4 * k));
+    }
+  }
+}
+
+#if defined(__x86_64__)
+/// match_keys over keys [0, keys) of a `size`-byte packed buffer, 8 keys
+/// per step: one 16-byte load holds the 9 bytes of keys k .. k + 7, and
+/// one gather fetches the 32-bit bitmap word of each. Stops before the
+/// first step that would run past the last key or the buffer, and returns
+/// the keys done; the caller finishes the rest with match_keys.
+__attribute__((target("avx2"))) std::uint64_t match_keys_avx2(
+    const std::uint8_t* bytes, std::uint64_t size, std::uint64_t keys,
+    const std::uint32_t* present, std::vector<std::uint32_t>& hits) {
+  const auto* words = reinterpret_cast<const int*>(present);
+  const __m256i low5 = _mm256_set1_epi32(31);
+  std::uint64_t k = 0;
+  for (; k + 8 <= keys && k + 16 <= size; k += 8) {
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + k));
+    // Key j is bytes j and j + 1, little-endian.
+    const __m256i key = _mm256_cvtepu16_epi32(
+        _mm_unpacklo_epi8(v, _mm_srli_si128(v, 1)));
+    const __m256i word =
+        _mm256_i32gather_epi32(words, _mm256_srli_epi32(key, 5), 4);
+    // Shift each key's bit into the sign bit: left by 31 - (key & 31).
+    const __m256i bit =
+        _mm256_sllv_epi32(word, _mm256_andnot_si256(key, low5));
+    auto found = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(bit)));
+    while (found != 0) {
+      hits.push_back(static_cast<std::uint32_t>(
+          4 * (k + static_cast<unsigned>(std::countr_zero(found)))));
+      found &= found - 1;
+    }
+  }
+  return k;
+}
+#endif
+
 /// A match's 8-mer must lie inside the database and the query.
 void require_match(const SeedMatch& m, std::uint64_t db_bases,
                    std::uint64_t query_bases, const char* message) {
@@ -255,7 +308,7 @@ QueryIndex::QueryIndex(std::span<const std::uint8_t> query_packed,
   }
   for (std::size_t k = 0; k < kKmers; ++k) {
     if (offsets_[k + 1] != 0) {
-      present_[k / 64] |= std::uint64_t{1} << (k % 64);
+      present_[k / 32] |= std::uint32_t{1} << (k % 32);
       ++distinct_;
     }
     offsets_[k + 1] += offsets_[k];
@@ -273,16 +326,38 @@ QueryIndex::QueryIndex(std::span<const std::uint8_t> query_packed,
 std::vector<std::uint32_t> seed_match(std::span<const std::uint8_t> db_packed,
                                       std::uint64_t db_bases,
                                       const QueryIndex& index) {
+  return uses_avx2() ? BlastScan::seed_match_avx2(db_packed, db_bases, index)
+                     : BlastScan::seed_match_portable(db_packed, db_bases,
+                                                      index);
+}
+
+// Byte-aligned 8-mers: key k is packed bytes k and k + 1, database
+// position 4k, for every k with 4k + 8 <= db_bases.
+std::vector<std::uint32_t> BlastScan::seed_match_portable(
+    std::span<const std::uint8_t> db_packed, std::uint64_t db_bases,
+    const QueryIndex& index) {
   require_database(db_packed, db_bases, "seed_match");
   std::vector<std::uint32_t> hits;
   if (db_bases < 8) return hits;
-  // Byte-aligned 8-mers: two consecutive packed bytes form the key.
-  const std::uint8_t* const bytes = db_packed.data();
-  for (std::uint64_t p = 0; p + 8 <= db_bases; p += 4) {
-    if (index.contains(load_kmer(bytes + p / 4))) {
-      hits.push_back(static_cast<std::uint32_t>(p));
-    }
-  }
+  match_keys(db_packed.data(), 0, (db_bases - 8) / 4 + 1, index, hits);
+  return hits;
+}
+
+std::vector<std::uint32_t> BlastScan::seed_match_avx2(
+    std::span<const std::uint8_t> db_packed, std::uint64_t db_bases,
+    const QueryIndex& index) {
+  require_database(db_packed, db_bases, "seed_match");
+  util::require(uses_avx2(), "seed_match: this CPU has no AVX2");
+  std::vector<std::uint32_t> hits;
+  if (db_bases < 8) return hits;
+  const std::uint64_t keys = (db_bases - 8) / 4 + 1;
+#if defined(__x86_64__)
+  const std::uint64_t done = match_keys_avx2(
+      db_packed.data(), db_packed.size(), keys, index.present_.data(), hits);
+#else
+  const std::uint64_t done = 0;
+#endif
+  match_keys(db_packed.data(), done, keys, index, hits);
   return hits;
 }
 

@@ -7,7 +7,10 @@
 //
 // The database is 2-bit packed (kernels/fa2bit.hpp); seed matching scans
 // byte-aligned 8-mers (one lookup per packed byte pair), exactly the
-// "each byte-aligned 8-mer of the database" formulation of the paper.
+// "each byte-aligned 8-mer of the database" formulation of the paper. On
+// CPUs with AVX2 (kernels/cpu.hpp) it tests 8 of them per step with one
+// gather from the query's presence bitmap, and the same hits come out in
+// the same order as from the portable loop.
 // The extension stages compare 32 bases per 64-bit XOR of database and
 // query words and walk the X-drop score from one mismatch to the next.
 //
@@ -47,9 +50,9 @@ struct Alignment {
 /// Hash table of all 8-mers of the query sequence (2-bit packed). An 8-mer
 /// is 16 bits, so the "hash" is a direct 65536-entry table (collision-free),
 /// as a GPU implementation would hold in shared/DRAM memory. It is held
-/// flat: an 8 KiB presence bitmap answers contains() from L1, and an
-/// offsets + positions table (a counting sort of the query's 8-mers)
-/// answers positions().
+/// flat: an 8 KiB presence bitmap answers contains() from L1 (and the
+/// 8-lane gathers of the AVX2 seed_match), and an offsets + positions
+/// table (a counting sort of the query's 8-mers) answers positions().
 class QueryIndex {
  public:
   /// Builds from a packed query of `bases` bases. Requires
@@ -59,7 +62,7 @@ class QueryIndex {
 
   /// True if the 8-mer occurs anywhere in the query.
   bool contains(std::uint16_t kmer) const {
-    return (present_[kmer / 64] >> (kmer % 64)) & 1U;
+    return (present_[kmer / 32] >> (kmer % 32)) & 1U;
   }
   /// All query positions at which the 8-mer occurs, in increasing order.
   std::span<const std::uint32_t> positions(std::uint16_t kmer) const {
@@ -78,12 +81,15 @@ class QueryIndex {
                                std::uint64_t pos);
 
  private:
+  friend struct BlastScan;  // the seed_match backends (scan_impl.hpp)
   static constexpr std::size_t kKmers = 65536;
 
   std::vector<std::uint8_t> packed_;
   std::uint64_t bases_;
   std::size_t distinct_ = 0;
-  std::array<std::uint64_t, kKmers / 64> present_{};  ///< one bit per 8-mer
+  /// One bit per 8-mer, in 32-bit words: the AVX2 seed_match gathers
+  /// them 8 at a time.
+  std::array<std::uint32_t, kKmers / 32> present_{};
   /// The positions of 8-mer k are positions_[offsets_[k], offsets_[k + 1]).
   std::vector<std::uint32_t> offsets_;
   std::vector<std::uint32_t> positions_;

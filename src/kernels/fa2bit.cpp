@@ -4,7 +4,13 @@
 #include <cstring>
 #include <utility>
 
+#include "kernels/cpu.hpp"
+#include "kernels/scan_impl.hpp"
 #include "util/error.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace streamcalc::kernels {
 
@@ -66,9 +72,71 @@ const PairTable& pair_table() {
   return table;
 }
 
+#if defined(__x86_64__)
+// Converts whole 32-character blocks of plain bases from the `n`
+// characters at `p`, 8 output bytes per block into `dst`, and stops at
+// the first block that holds any other byte. Returns the blocks converted.
+//
+// A character c is a plain base iff c & 0xDF (upper-cased; it never
+// equals 0xFF) equals the base letter with the same low nibble: A, C, T
+// and G have the distinct nibbles 1, 3, 4 and 7, and every other nibble
+// maps to 0xFF. The same nibble indexes the base codes, which two
+// multiply-adds weight by 1, 4, 16 and 64 within each group of four.
+__attribute__((target("avx2"))) std::size_t pack_plain_blocks_avx2(
+    const char* p, std::size_t n, std::uint8_t* dst) {
+  constexpr char kNone = static_cast<char>(0xFF);
+  const __m256i upper_mask = _mm256_set1_epi8(static_cast<char>(0xDF));
+  const __m256i nibble_mask = _mm256_set1_epi8(0x0F);
+  const __m256i letters = _mm256_setr_epi8(
+      kNone, 'A', kNone, 'C', 'T', kNone, kNone, 'G', kNone, kNone, kNone,
+      kNone, kNone, kNone, kNone, kNone, kNone, 'A', kNone, 'C', 'T', kNone,
+      kNone, 'G', kNone, kNone, kNone, kNone, kNone, kNone, kNone, kNone);
+  const __m256i codes = _mm256_setr_epi8(0, 0, 0, 1, 3, 0, 0, 2, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 0, 2,
+                                         0, 0, 0, 0, 0, 0, 0, 0);
+  const __m256i pair_weights = _mm256_set1_epi16(0x0401);    // bytes 1, 4
+  const __m256i quad_weights = _mm256_set1_epi32(0x00100001);  // 1, 16
+  // Byte 0 of each 32-bit group to the low 4 bytes of its lane, then the
+  // low dwords of both lanes next to each other.
+  const __m256i gather_bytes = _mm256_setr_epi8(
+      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 0, 4, 8,
+      12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+  const __m256i gather_lanes = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+  std::size_t blocks = 0;
+  for (; n - 32 * blocks >= 32; ++blocks) {
+    const __m256i text = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(p + 32 * blocks));
+    const __m256i upper = _mm256_and_si256(text, upper_mask);
+    const __m256i nibble = _mm256_and_si256(text, nibble_mask);
+    const __m256i plain =
+        _mm256_cmpeq_epi8(_mm256_shuffle_epi8(letters, nibble), upper);
+    if (_mm256_movemask_epi8(plain) != -1) break;
+    const __m256i pairs =
+        _mm256_maddubs_epi16(_mm256_shuffle_epi8(codes, nibble), pair_weights);
+    const __m256i quads = _mm256_madd_epi16(pairs, quad_weights);
+    const __m256i packed = _mm256_permutevar8x32_epi32(
+        _mm256_shuffle_epi8(quads, gather_bytes), gather_lanes);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + 8 * blocks),
+                     _mm256_castsi256_si128(packed));
+  }
+  return blocks;
+}
+#endif
+
 }  // namespace
 
-void Fa2Bit::feed(std::string_view chunk) {
+void Fa2Bit::feed(std::string_view chunk) { feed_with(chunk, uses_avx2()); }
+
+void BlastScan::feed_portable(Fa2Bit& conv, std::string_view chunk) {
+  conv.feed_with(chunk, false);
+}
+
+void BlastScan::feed_avx2(Fa2Bit& conv, std::string_view chunk) {
+  util::require(uses_avx2(), "Fa2Bit::feed: this CPU has no AVX2");
+  conv.feed_with(chunk, true);
+}
+
+void Fa2Bit::feed_with(std::string_view chunk, [[maybe_unused]] bool avx2) {
   const char* p = chunk.data();
   const char* const end = p + chunk.size();
   // Each output byte consumes four input characters: size the buffer for
@@ -89,9 +157,19 @@ void Fa2Bit::feed(std::string_view chunk) {
       continue;
     }
     // Fast path: on a byte boundary, four plain bases (two table pairs)
-    // make one byte.
+    // make one byte; with AVX2, 32 plain bases make 8 bytes first. The
+    // buffer holds a byte for every 4 characters left, so whole blocks
+    // always fit.
     if (pending_count_ == 0) {
       const std::size_t out_before = out;
+#if defined(__x86_64__)
+      if (avx2) {
+        const std::size_t blocks = pack_plain_blocks_avx2(
+            p, static_cast<std::size_t>(end - p), dst + out);
+        p += 32 * blocks;
+        out += 8 * blocks;
+      }
+#endif
       while (end - p >= 4) {
         const unsigned low = pairs.at(p);
         const unsigned high = pairs.at(p + 2);

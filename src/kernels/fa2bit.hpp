@@ -12,7 +12,12 @@
 // (kernels/measure.hpp) exactly as the paper measures its stages. It
 // classifies characters through a 256-entry table, packs four plain bases
 // into one byte with two lookups in a character-pair table derived from
-// it, and skips header lines with memchr.
+// it, and skips header lines with memchr. On CPUs with AVX2
+// (kernels/cpu.hpp) it first converts runs of plain bases 32 characters
+// per step: two nibble-indexed shuffles classify and code them, and two
+// multiply-adds pack the codes four to a byte. A 32-character block that
+// holds anything but ACGTacgt goes to the pair-table loop; the output is
+// byte-identical on either backend.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +52,10 @@ class Fa2Bit {
   void reset();
 
  private:
+  friend struct BlastScan;  // the two feed backends (scan_impl.hpp)
+  /// feed(), converting whole blocks of plain bases with AVX2 if `avx2`.
+  void feed_with(std::string_view chunk, bool avx2);
+
   std::vector<std::uint8_t> packed_;
   std::uint64_t bases_ = 0;
   std::uint64_t ambiguous_ = 0;

@@ -1,10 +1,11 @@
 // Differential fuzz suite for the BLAST stage kernels (label `property`).
 //
 // The library kernels work on whole bytes and 64-bit words: fa2bit packs
-// four bases per two table lookups, the extension stages XOR 32 bases at
-// once and walk the X-drop score from mismatch to mismatch. The references
-// below do the same work one character or one base at a time, and every
-// output must match them exactly. Budgets scale with
+// four bases per two table lookups (and, with AVX2, 32 per vector step),
+// the extension stages XOR 32 bases at once and walk the X-drop score from
+// mismatch to mismatch. The references below do the same work one
+// character or one base at a time, and every output must match them
+// exactly, on each fa2bit backend the CPU can run. Budgets scale with
 // STREAMCALC_FUZZ_CASES.
 #include <gtest/gtest.h>
 
@@ -17,7 +18,9 @@
 #include <vector>
 
 #include "kernels/blastn.hpp"
+#include "kernels/cpu.hpp"
 #include "kernels/fa2bit.hpp"
+#include "kernels/scan_impl.hpp"
 #include "kernels/testdata.hpp"
 #include "testing/property.hpp"
 #include "util/rng.hpp"
@@ -86,6 +89,42 @@ struct ReferenceFa2Bit {
   }
 };
 
+/// A Fa2Bit::feed backend: the pair-table loop, or the AVX2 blocks first.
+struct FeedBackend {
+  const char* name;
+  void (*feed)(Fa2Bit&, std::string_view);
+};
+
+/// The backends this CPU can run: both where it has AVX2.
+std::vector<FeedBackend> feed_backends() {
+  std::vector<FeedBackend> backends{{"portable", &BlastScan::feed_portable}};
+  if (uses_avx2()) backends.push_back({"avx2", &BlastScan::feed_avx2});
+  return backends;
+}
+
+/// Feeds `chunks` in order and finishes.
+Fa2Bit convert(const FeedBackend& backend,
+               const std::vector<std::string_view>& chunks) {
+  Fa2Bit conv;
+  for (const std::string_view chunk : chunks) backend.feed(conv, chunk);
+  conv.finish();
+  return conv;
+}
+
+/// The converter's visible state equals the reference's.
+::testing::AssertionResult same_state(const Fa2Bit& conv,
+                                      const ReferenceFa2Bit& ref) {
+  if (conv.packed() != ref.packed) {
+    return ::testing::AssertionFailure() << "packed bytes differ";
+  }
+  if (conv.bases() != ref.bases || conv.ambiguous() != ref.ambiguous) {
+    return ::testing::AssertionFailure()
+           << "bases " << conv.bases() << " vs " << ref.bases
+           << ", ambiguous " << conv.ambiguous() << " vs " << ref.ambiguous;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 std::uint64_t below(Xoshiro256& rng, std::uint64_t n) { return rng() % n; }
 
 /// One random FASTA character under a per-document noise level: mostly
@@ -108,10 +147,12 @@ char random_fasta_char(Xoshiro256& rng, double noise) {
 }
 
 /// A random FASTA document: header lines (arbitrary bytes up to the
-/// newline), sequence lines with LF or CRLF endings, and noise.
-std::string random_fasta(Xoshiro256& rng) {
+/// newline), sequence lines of up to `max_line` characters with LF or CRLF
+/// endings, and noise.
+std::string random_fasta(Xoshiro256& rng, std::size_t max_line = 90,
+                         std::size_t max_bases = 600) {
   const double noise = std::vector<double>{0.0, 0.01, 0.1, 0.5}[below(rng, 4)];
-  const std::size_t line = 1 + below(rng, 90);
+  const std::size_t line = 1 + below(rng, max_line);
   std::string text;
   const std::size_t records = 1 + below(rng, 4);
   for (std::size_t r = 0; r < records; ++r) {
@@ -123,7 +164,7 @@ std::string random_fasta(Xoshiro256& rng) {
       }
       text += below(rng, 2) == 0 ? "\n" : "\r\n";
     }
-    const std::size_t bases = below(rng, 600);
+    const std::size_t bases = below(rng, max_bases);
     for (std::size_t i = 0; i < bases; ++i) {
       text += random_fasta_char(rng, noise);
       if ((i + 1) % line == 0) text += below(rng, 2) == 0 ? "\n" : "\r\n";
@@ -133,29 +174,33 @@ std::string random_fasta(Xoshiro256& rng) {
   return text;
 }
 
-/// Feeds `text` in random-length chunks to both converters, comparing the
-/// visible state after every chunk and after finish().
+/// Feeds `text` in random-length chunks to the reference and to each
+/// backend, comparing the visible state after every chunk and after
+/// finish().
 void expect_same_conversion(Xoshiro256& rng, const std::string& text,
                             std::size_t max_chunk) {
-  Fa2Bit conv;
-  ReferenceFa2Bit ref;
-  std::size_t at = 0;
-  while (at < text.size()) {
+  std::vector<std::string_view> chunks;
+  for (std::size_t at = 0; at < text.size();) {
     const std::size_t n =
         std::min<std::size_t>(text.size() - at, 1 + below(rng, max_chunk));
-    const std::string_view chunk = std::string_view(text).substr(at, n);
-    conv.feed(chunk);
-    ref.feed(chunk);
-    ASSERT_EQ(conv.packed(), ref.packed) << "after byte " << at + n;
-    ASSERT_EQ(conv.bases(), ref.bases) << "after byte " << at + n;
-    ASSERT_EQ(conv.ambiguous(), ref.ambiguous) << "after byte " << at + n;
+    chunks.push_back(std::string_view(text).substr(at, n));
     at += n;
   }
-  conv.finish();
-  ref.finish();
-  EXPECT_EQ(conv.packed(), ref.packed);
-  EXPECT_EQ(conv.bases(), ref.bases);
-  EXPECT_EQ(conv.ambiguous(), ref.ambiguous);
+  for (const FeedBackend& backend : feed_backends()) {
+    SCOPED_TRACE(backend.name);
+    Fa2Bit conv;
+    ReferenceFa2Bit ref;
+    std::size_t at = 0;
+    for (const std::string_view chunk : chunks) {
+      backend.feed(conv, chunk);
+      ref.feed(chunk);
+      at += chunk.size();
+      ASSERT_TRUE(same_state(conv, ref)) << "after byte " << at;
+    }
+    conv.finish();
+    ref.finish();
+    EXPECT_TRUE(same_state(conv, ref));
+  }
 }
 
 TEST(Fa2BitFuzz, MatchesCharacterReferenceOnRandomFasta) {
@@ -176,6 +221,69 @@ TEST(Fa2BitFuzz, MatchesCharacterReferenceOnRandomFasta) {
   }
 }
 
+TEST(Fa2BitFuzz, LongLinesReachTheBulkLoop) {
+  // Sequence lines of up to 4 KiB, so clean documents hold plain runs of
+  // hundreds of bases: whole 32-character blocks for the AVX2 loop, cut
+  // by chunk edges at every phase.
+  Xoshiro256 rng(0x10B6);
+  const int cases = scaled_cases(150);
+  for (int c = 0; c < cases; ++c) {
+    const std::string text = random_fasta(rng, 4096, 12000);
+    SCOPED_TRACE("case " + std::to_string(c));
+    ReferenceFa2Bit ref;
+    ref.feed(text);
+    ref.finish();
+    ASSERT_EQ(fa2bit(text), ref.packed);
+    for (const FeedBackend& backend : feed_backends()) {
+      ASSERT_TRUE(same_state(convert(backend, {text}), ref)) << backend.name;
+    }
+    expect_same_conversion(rng, text, 100);
+    expect_same_conversion(rng, text, 3000);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Fa2BitFuzz, SpecialByteAtEveryOffsetOfAPlainRun) {
+  // One byte that is not an upper-case base, at each offset of a 256-base
+  // plain run: the block holding it must go to the pair-table loop (or,
+  // for a lower-case base, stay in the vector loop) with the same result.
+  // Each document is fed whole and split at every offset within 32
+  // characters of the planted byte, which covers every split inside the
+  // block that holds it.
+  static constexpr std::string_view kSpecials(
+      " \t\r\nNry-*>\x80\xC1\xDF\xFF\0acgt", 19);
+  Xoshiro256 rng(0x5BEC);
+  // A newline ends the header a planted '>' opens; more bases follow.
+  std::string document = random_dna(rng, 256);
+  document += '\n';
+  document += random_dna(rng, 70);
+  const auto backends = feed_backends();
+  for (const char special : kSpecials) {
+    for (std::size_t off = 0; off < 256; ++off) {
+      std::string text = document;
+      text[off] = special;
+      SCOPED_TRACE("byte " + std::to_string(static_cast<unsigned char>(
+                                 special)) +
+                   " at " + std::to_string(off));
+      ReferenceFa2Bit ref;
+      ref.feed(text);
+      ref.finish();
+      const std::string_view view(text);
+      const std::size_t from = off < 32 ? 0 : off - 32;
+      for (const FeedBackend& backend : backends) {
+        ASSERT_TRUE(same_state(convert(backend, {view}), ref))
+            << backend.name << ", whole";
+        for (std::size_t split = from; split <= off + 32; ++split) {
+          ASSERT_TRUE(same_state(
+              convert(backend, {view.substr(0, split), view.substr(split)}),
+              ref))
+              << backend.name << ", split " << split;
+        }
+      }
+    }
+  }
+}
+
 TEST(Fa2BitFuzz, EverySplitPointOfAShortDocument) {
   // Two-chunk splits at every offset, so the pending count and the header
   // state cross the chunk boundary in every combination.
@@ -185,29 +293,34 @@ TEST(Fa2BitFuzz, EverySplitPointOfAShortDocument) {
   ReferenceFa2Bit whole;
   whole.feed(text);
   whole.finish();
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    Fa2Bit conv;
-    conv.feed(std::string_view(text).substr(0, split));
-    conv.feed(std::string_view(text).substr(split));
-    conv.finish();
-    EXPECT_EQ(conv.packed(), whole.packed) << "split " << split;
-    EXPECT_EQ(conv.bases(), whole.bases) << "split " << split;
-    EXPECT_EQ(conv.ambiguous(), whole.ambiguous) << "split " << split;
+  const std::string_view view(text);
+  for (const FeedBackend& backend : feed_backends()) {
+    for (std::size_t split = 0; split <= text.size(); ++split) {
+      EXPECT_TRUE(same_state(
+          convert(backend, {view.substr(0, split), view.substr(split)}),
+          whole))
+          << backend.name << ", split " << split;
+    }
   }
 }
 
 TEST(Fa2BitFuzz, EveryByteValueClassifiesLikeTheReference) {
+  // Each byte value alone, as a whole 32-character block, and as the last
+  // character of a block of plain bases.
   for (int v = 0; v < 256; ++v) {
-    const std::string text(9, static_cast<char>(v));
-    ReferenceFa2Bit ref;
-    ref.feed(text);
-    ref.finish();
-    Fa2Bit conv;
-    conv.feed(text);
-    conv.finish();
-    EXPECT_EQ(conv.packed(), ref.packed) << "byte " << v;
-    EXPECT_EQ(conv.bases(), ref.bases) << "byte " << v;
-    EXPECT_EQ(conv.ambiguous(), ref.ambiguous) << "byte " << v;
+    const char c = static_cast<char>(v);
+    for (const std::string& text :
+         {std::string(9, c), std::string(64, c),
+          std::string(31, 'G') + c + std::string(32, 't')}) {
+      ReferenceFa2Bit ref;
+      ref.feed(text);
+      ref.finish();
+      for (const FeedBackend& backend : feed_backends()) {
+        EXPECT_TRUE(same_state(convert(backend, {text}), ref))
+            << backend.name << ", byte " << v << ", " << text.size()
+            << " characters";
+      }
+    }
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
+#include "kernels/cpu.hpp"
 #include "kernels/fa2bit.hpp"
+#include "kernels/scan_impl.hpp"
 #include "kernels/testdata.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -14,6 +17,34 @@ namespace {
 
 std::vector<std::uint8_t> pack(const std::string& bases) {
   return fa2bit(bases);
+}
+
+/// A seed_match backend: the portable loop, or the AVX2 gathers.
+struct SeedMatchBackend {
+  const char* name;
+  std::vector<std::uint32_t> (*run)(std::span<const std::uint8_t>,
+                                    std::uint64_t, const QueryIndex&);
+};
+
+/// The backends this CPU can run: both where it has AVX2.
+std::vector<SeedMatchBackend> seed_match_backends() {
+  std::vector<SeedMatchBackend> backends{
+      {"portable", &BlastScan::seed_match_portable}};
+  if (uses_avx2()) backends.push_back({"avx2", &BlastScan::seed_match_avx2});
+  return backends;
+}
+
+/// Character-level seed matching: every byte-aligned database position
+/// whose 8-mer occurs in the query text.
+std::vector<std::uint32_t> naive_seed_match(const std::string& db,
+                                            const std::string& query) {
+  std::vector<std::uint32_t> hits;
+  for (std::size_t p = 0; p + 8 <= db.size(); p += 4) {
+    if (query.find(db.substr(p, 8)) != std::string::npos) {
+      hits.push_back(static_cast<std::uint32_t>(p));
+    }
+  }
+  return hits;
 }
 
 TEST(QueryIndex, FindsAllKmers) {
@@ -199,8 +230,8 @@ TEST(PipelineStagesAreFilters, VolumeShrinksThroughStages) {
 
 
 TEST(SeedMatchStage, DifferentialAgainstNaiveScan) {
-  // Compare the packed-byte-pair implementation against a character-level
-  // reference over every byte-aligned position.
+  // Compare the packed-byte-pair implementation, on each backend, against
+  // a character-level reference over every byte-aligned position.
   util::Xoshiro256 rng(99);
   for (int iter = 0; iter < 5; ++iter) {
     const std::string query =
@@ -209,17 +240,57 @@ TEST(SeedMatchStage, DifferentialAgainstNaiveScan) {
     plant_homologies(db, query, rng, 3, 32, 0.0);
     const auto dbp = pack(db);
     const QueryIndex index(pack(query), query.size());
-
-    // Naive reference: for each byte-aligned db position, substring search
-    // of the 8-mer in the query text.
-    std::vector<std::uint32_t> expected;
-    for (std::size_t p = 0; p + 8 <= db.size(); p += 4) {
-      if (query.find(db.substr(p, 8)) != std::string::npos) {
-        expected.push_back(static_cast<std::uint32_t>(p));
-      }
-    }
+    const auto expected = naive_seed_match(db, query);
     EXPECT_EQ(seed_match(dbp, db.size(), index), expected)
         << "iter " << iter;
+    for (const auto& backend : seed_match_backends()) {
+      EXPECT_EQ(backend.run(dbp, db.size(), index), expected)
+          << backend.name << ", iter " << iter;
+    }
+  }
+}
+
+TEST(SeedMatchStage, BackendsMatchNaiveScanAtEveryLength) {
+  // Every database length from 8 to 1,100 bases: every residue of the
+  // AVX2 backend's 8-key step and the last 16-byte load that fits before
+  // the buffer ends. Query 8-mers sit at the first or the last key of two
+  // steps in three, and at the database's last key or (even lengths) at
+  // the first key past it. Each database is scanned in a buffer of exactly
+  // the bytes it packs to and in one that holds 64 more bases.
+  util::Xoshiro256 rng(100);
+  const std::string query = random_dna(rng, 64);
+  const QueryIndex index(pack(query), query.size());
+  const auto backends = seed_match_backends();
+  for (std::size_t len = 8; len <= 1100; ++len) {
+    std::string text = random_dna(rng, len + 64);
+    const std::size_t keys = (len - 8) / 4 + 1;
+    const auto plant = [&](std::size_t key) {
+      text.replace(4 * key, 8, query.substr(rng() % (query.size() - 7), 8));
+    };
+    for (std::size_t step = 0; 8 * step < keys; ++step) {
+      const std::size_t first = 8 * step;
+      const std::size_t last = std::min(first + 7, keys - 1);
+      if ((step + len) % 3 == 0) plant(first);
+      if ((step + len) % 3 == 1) plant(last);
+    }
+    const bool past_end = len % 2 == 0;
+    plant(past_end ? keys : keys - 1);
+    const std::string db = text.substr(0, len);
+    const auto expected = naive_seed_match(db, query);
+    if (!past_end) {
+      ASSERT_FALSE(expected.empty()) << len << " bases";
+    }
+    // Copies of exactly their size (fa2bit's buffer may have spare
+    // capacity), so the sanitizers see any read past the last byte.
+    for (const std::string& packed_text : {db, text}) {
+      const auto packed = pack(packed_text);
+      const std::vector<std::uint8_t> dbp(packed.begin(), packed.end());
+      for (const auto& backend : backends) {
+        ASSERT_EQ(backend.run(dbp, len, index), expected)
+            << backend.name << ", " << len << " bases in " << dbp.size()
+            << " bytes";
+      }
+    }
   }
 }
 
@@ -259,6 +330,13 @@ TEST(StagePreconditions, SeedMatchRejectsBasesPastThePackedBuffer) {
   EXPECT_THROW(seed_match(packed, 4 * packed.size() + 4, index),
                util::PreconditionError);
   EXPECT_THROW(seed_match({}, 8, index), util::PreconditionError);
+  for (const auto& backend : seed_match_backends()) {
+    EXPECT_THROW(backend.run(packed, 4 * packed.size() + 1, index),
+                 util::PreconditionError)
+        << backend.name;
+    EXPECT_THROW(backend.run({}, 8, index), util::PreconditionError)
+        << backend.name;
+  }
 }
 
 TEST(StagePreconditions, RejectPositionsBeyond32Bits) {
