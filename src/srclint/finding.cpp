@@ -15,9 +15,11 @@ struct CodeEntry {
 //   SC901-SC908  per-file lexical invariants (concurrency hygiene,
 //                configuration, numerics, suppression hygiene, units)
 //   SC910-SC913  whole-project graph analyses over the structural IR
-//                (lock order, blocking-under-lock, pool re-entrancy,
-//                layer DAG) — see DESIGN.md §14
-// SC909 is unallocated (kept free between the blocks). Titles are short
+//                (lock order, blocking-under-lock, layer DAG) — see
+//                DESIGN.md §14
+// SC909 is unallocated (kept free between the blocks). SC912 (thread-pool
+// re-entrancy) is retired: it guarded a shared pool that no longer
+// exists, and its number is never reused. Titles are short
 // noun phrases; the long-form rationale for each rule lives in DESIGN.md
 // §13-§14.
 constexpr CodeEntry kRegistry[] = {
@@ -31,7 +33,6 @@ constexpr CodeEntry kRegistry[] = {
     {"SC908", "bare double for a unit-bearing quantity in a public header"},
     {"SC910", "lock-acquisition-order cycle (potential deadlock)"},
     {"SC911", "blocking call while a MutexLock is held"},
-    {"SC912", "thread-pool re-entrancy from inside a pool task"},
     {"SC913", "include edge that violates the declared layer DAG"},
 };
 

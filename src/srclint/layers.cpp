@@ -149,7 +149,6 @@ Layers parse_layers(std::string_view text,
       continue;
     }
     layers.below[l][u] = true;
-    layers.edges.emplace_back(l, u);
   }
 
   // Transitive closure, then a cycle check: below must be a strict order.

@@ -32,8 +32,6 @@ struct Layers {
   std::map<std::string, std::size_t> stratum_of;
   /// below[a][b] (stratum indices): a is strictly below b (transitive).
   std::vector<std::vector<bool>> below;
-  /// Directly declared stratum constraints (lower, upper), for export.
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
 
   bool declared(std::string_view name) const {
     return stratum_of.count(std::string(name)) != 0;

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <utility>
 
+#include "srclint/scan.hpp"
+
 namespace streamcalc::srclint {
 
 namespace {
@@ -29,35 +31,16 @@ std::string basename_of(std::string_view path) {
                                                      : path.substr(slash + 1));
 }
 
-std::vector<std::string> split_path(std::string_view path) {
-  std::vector<std::string> segs;
-  std::string cur;
-  for (const char c : path) {
-    if (c == '/' || c == '\\') {
-      if (!cur.empty()) segs.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) segs.push_back(cur);
-  return segs;
-}
-
-bool has_segment(const std::vector<std::string>& segs, std::string_view s) {
-  return std::find(segs.begin(), segs.end(), s) != segs.end();
-}
-
 bool concurrency_scope(const std::string& path) {
-  const std::vector<std::string> segs = split_path(path);
+  const std::vector<std::string_view> segs = path_segments(path);
   return has_segment(segs, "src") || has_segment(segs, "tools");
 }
 
 /// First segment of a quoted include target with at least one directory
 /// component (`"util/sync.hpp"` -> `"util"`; `"streamcalc.hpp"` -> "").
 std::string include_dir_of(const std::string& target) {
-  const std::vector<std::string> segs = split_path(target);
-  return segs.size() >= 2 ? segs.front() : std::string();
+  const std::vector<std::string_view> segs = path_segments(target);
+  return segs.size() >= 2 ? std::string(segs.front()) : std::string();
 }
 
 bool blocking_call(const CallSite& c) {
@@ -68,22 +51,16 @@ bool blocking_call(const CallSite& c) {
       "accept", "connect", "poll", "read", "recv", "select", "send", "write"};
   static const std::set<std::string> kSleeps = {"nanosleep", "sleep_for",
                                                 "sleep_until", "usleep"};
-  static const std::set<std::string> kPool = {"parallel_for", "submit",
-                                              "wait_idle"};
   static const std::set<std::string> kClientRpc = {"recv_frame", "request",
                                                    "request_raw", "send_bytes"};
   if (c.global_colon && kGlobalPosix.count(c.name) != 0) return true;
   if (kSleeps.count(c.name) != 0) return true;
-  if (kPool.count(c.name) != 0) return true;
+  // util::parallel_for joins its workers before it returns.
+  if (c.name == "parallel_for") return true;
   if (c.member && (c.name == "join" || kClientRpc.count(c.name) != 0)) {
     return true;
   }
   return false;
-}
-
-bool pool_call(const CallSite& c) {
-  return c.name == "submit" || c.name == "parallel_for" ||
-         c.name == "wait_idle";
 }
 
 std::string display_call(const CallSite& c) {
@@ -390,15 +367,6 @@ LockGraph LockAnalysis::graph() const {
   return g;
 }
 
-std::string dot_escape(std::string_view s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string cycle_label(const LockCycle& c) {
   std::string s = c.chain.front().from_label;
   for (const LockEdge& e : c.chain) s += " -> " + e.to_label;
@@ -419,9 +387,11 @@ std::string cycle_sites(const LockCycle& c) {
 }  // namespace
 
 std::string layer_dir_of(const std::string& path) {
-  const std::vector<std::string> segs = split_path(path);
+  const std::vector<std::string_view> segs = path_segments(path);
   for (std::size_t i = segs.size(); i-- > 0;) {
-    if (segs[i] == "src" && i + 2 < segs.size()) return segs[i + 1];
+    if (segs[i] == "src" && i + 2 < segs.size()) {
+      return std::string(segs[i + 1]);
+    }
   }
   return {};
 }
@@ -467,38 +437,24 @@ std::vector<Finding> check_project(const ProjectModel& project,
     out.push_back(std::move(f));
   }
 
-  // SC911 blocking-under-lock and SC912 pool re-entrancy are per call site.
+  // SC911: a blocking call while a MutexLock is held.
   for (const FileModel* file : scoped) {
     for (const FunctionModel& fn : file->functions) {
       for (const CallSite& call : fn.calls) {
-        if (!call.held.empty() && blocking_call(call)) {
-          std::string held_labels;
-          for (const std::string& h : call.held) {
-            if (!held_labels.empty()) held_labels += ", ";
-            held_labels += analysis.resolve(h, fn, *file).label;
-          }
-          Finding f;
-          f.code = "SC911";
-          f.path = file->path;
-          f.line = call.line;
-          f.message = "blocking call " + display_call(call) + " while '" +
-                      held_labels + "' is held";
-          f.hint = "release the MutexLock before blocking";
-          out.push_back(std::move(f));
+        if (call.held.empty() || !blocking_call(call)) continue;
+        std::string held_labels;
+        for (const std::string& h : call.held) {
+          if (!held_labels.empty()) held_labels += ", ";
+          held_labels += analysis.resolve(h, fn, *file).label;
         }
-        if (call.in_pool_task && pool_call(call)) {
-          Finding f;
-          f.code = "SC912";
-          f.path = file->path;
-          f.line = call.line;
-          f.message = "'" + call.name +
-                      "' called from inside a pool task — re-entrant "
-                      "submission can deadlock a bounded pool";
-          f.hint =
-              "hoist the nested submission out of the task (one flat "
-              "parallel_for), or hand the work to the caller";
-          out.push_back(std::move(f));
-        }
+        Finding f;
+        f.code = "SC911";
+        f.path = file->path;
+        f.line = call.line;
+        f.message = "blocking call " + display_call(call) + " while '" +
+                    held_labels + "' is held";
+        f.hint = "release the MutexLock before blocking";
+        out.push_back(std::move(f));
       }
     }
   }
@@ -549,49 +505,24 @@ std::vector<Finding> check_project(const ProjectModel& project,
   return out;
 }
 
-std::string lock_order_report(const ProjectModel& project, bool dot) {
+std::string lock_order_report(const ProjectModel& project) {
   const LockGraph g = build_lock_graph(project);
   std::ostringstream os;
-  if (dot) {
-    std::set<std::pair<std::string, std::string>> hot;
-    for (const LockCycle& c : g.cycles) {
-      for (const LockEdge& e : c.chain) hot.emplace(e.from, e.to);
-    }
-    os << "digraph lock_order {\n"
-       << "  rankdir=LR;\n"
-       << "  node [shape=box, fontname=\"monospace\", fontsize=10];\n";
-    for (const LockNode& n : g.nodes) {
-      os << "  \"" << dot_escape(n.id) << "\" [label=\""
-         << dot_escape(n.label) << "\"];\n";
-    }
-    for (const LockEdge& e : g.edges) {
-      os << "  \"" << dot_escape(e.from) << "\" -> \"" << dot_escape(e.to)
-         << "\" [label=\"" << dot_escape(e.path + ":" + std::to_string(e.line))
-         << "\"";
-      if (hot.count(std::make_pair(e.from, e.to)) != 0) {
-        os << ", color=red, penwidth=2.0";
-      }
-      os << "];\n";
-    }
-    os << "}\n";
-  } else {
-    os << "lock-order graph: " << g.nodes.size() << " lock(s), "
-       << g.edges.size() << " edge(s), " << g.cycles.size() << " cycle(s)\n";
-    for (const LockEdge& e : g.edges) {
-      os << "  " << e.from_label << " -> " << e.to_label << "  (" << e.path
-         << ":" << e.line;
-      if (!e.via.empty()) os << ", " << e.via;
-      os << ")\n";
-    }
-    for (const LockCycle& c : g.cycles) {
-      os << "  cycle: " << cycle_label(c) << "\n";
-    }
+  os << "lock-order graph: " << g.nodes.size() << " lock(s), "
+     << g.edges.size() << " edge(s), " << g.cycles.size() << " cycle(s)\n";
+  for (const LockEdge& e : g.edges) {
+    os << "  " << e.from_label << " -> " << e.to_label << "  (" << e.path
+       << ":" << e.line;
+    if (!e.via.empty()) os << ", " << e.via;
+    os << ")\n";
+  }
+  for (const LockCycle& c : g.cycles) {
+    os << "  cycle: " << cycle_label(c) << "\n";
   }
   return os.str();
 }
 
-std::string layers_report(const ProjectModel& project, const Layers& layers,
-                          bool dot) {
+std::string layers_report(const ProjectModel& project, const Layers& layers) {
   // Observed directory-level include edges among declared layers, with the
   // first witnessing include of each.
   struct Observed {
@@ -637,46 +568,21 @@ std::string layers_report(const ProjectModel& project, const Layers& layers,
             });
 
   std::ostringstream os;
-  if (dot) {
-    os << "digraph layers {\n"
-       << "  rankdir=TB;\n"
-       << "  node [shape=box, fontname=\"monospace\", fontsize=10];\n";
-    for (const std::size_t i : strata) {
-      os << "  { rank=same;";
-      for (const std::string& name : members[i]) {
-        os << " \"" << dot_escape(name) << "\";";
-      }
-      os << " }\n";
+  os << "layer DAG: " << layers.names.size() << " layer(s) in "
+     << strata.size() << " stratum(s), low to high:\n";
+  for (const std::size_t i : strata) {
+    os << "  ";
+    for (std::size_t k = 0; k < members[i].size(); ++k) {
+      if (k > 0) os << " / ";
+      os << members[i][k];
     }
-    for (const auto& [key, obs] : observed) {
-      os << "  \"" << dot_escape(key.first) << "\" -> \""
-         << dot_escape(key.second) << "\"";
-      if (obs.ok) {
-        os << " [color=gray50]";
-      } else {
-        os << " [color=red, penwidth=2.0, label=\""
-           << dot_escape(obs.path + ":" + std::to_string(obs.line)) << "\"]";
-      }
-      os << ";\n";
-    }
-    os << "}\n";
-  } else {
-    os << "layer DAG: " << layers.names.size() << " layer(s) in "
-       << strata.size() << " stratum(s), low to high:\n";
-    for (const std::size_t i : strata) {
-      os << "  ";
-      for (std::size_t k = 0; k < members[i].size(); ++k) {
-        if (k > 0) os << " / ";
-        os << members[i][k];
-      }
-      os << "\n";
-    }
-    os << "observed include edges:\n";
-    for (const auto& [key, obs] : observed) {
-      os << "  " << key.first << " -> " << key.second << "  "
-         << (obs.ok ? "ok" : "VIOLATION") << " (" << obs.path << ":"
-         << obs.line << ")\n";
-    }
+    os << "\n";
+  }
+  os << "observed include edges:\n";
+  for (const auto& [key, obs] : observed) {
+    os << "  " << key.first << " -> " << key.second << "  "
+       << (obs.ok ? "ok" : "VIOLATION") << " (" << obs.path << ":"
+       << obs.line << ")\n";
   }
   return os.str();
 }

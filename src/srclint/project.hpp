@@ -1,9 +1,9 @@
 // Cross-file analyses over the structural IR (DESIGN.md §14): the global
 // lock-acquisition-order graph (SC910), blocking-while-locked (SC911),
-// pool re-entrancy (SC912), and the declared layer DAG (SC913), plus the
-// text/DOT emitters behind `srclint --graph`.
+// and the declared layer DAG (SC913), plus the text reports behind
+// `srclint --graph`.
 //
-// Scope. SC910/SC911/SC912 analyze files under src/ and tools/ — tests
+// Scope. SC910/SC911 analyze files under src/ and tools/ — tests
 // deliberately hold locks and park threads to exercise contention, and
 // flagging the test harness would teach people to ignore the gate. SC913
 // analyzes src/ only: the layer DAG is a property of the library, and
@@ -73,16 +73,15 @@ struct LockGraph {
 /// (fixpoint over the call graph).
 LockGraph build_lock_graph(const ProjectModel& project);
 
-/// Runs SC910–SC913. `layers` may be null (SC913 is skipped: the layer
-/// rule only exists relative to a declaration).
+/// Runs SC910, SC911 and SC913. `layers` may be null (SC913 is skipped:
+/// the layer rule only exists relative to a declaration).
 std::vector<Finding> check_project(const ProjectModel& project,
                                    const Layers* layers);
 
-/// `--graph lock-order` emitters.
-std::string lock_order_report(const ProjectModel& project, bool dot);
+/// The `--graph lock-order` report.
+std::string lock_order_report(const ProjectModel& project);
 
-/// `--graph layers` emitters (declared strata + observed include edges).
-std::string layers_report(const ProjectModel& project, const Layers& layers,
-                          bool dot);
+/// The `--graph layers` report (declared strata + observed include edges).
+std::string layers_report(const ProjectModel& project, const Layers& layers);
 
 }  // namespace streamcalc::srclint

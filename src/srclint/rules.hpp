@@ -1,5 +1,5 @@
 // The srclint rule set: lexical checks of the repository's cross-cutting
-// source invariants (SC901–SC907, DESIGN.md §13).
+// source invariants (SC901–SC908, DESIGN.md §13).
 //
 // Each rule is a pattern over the token stream plus a *scope* (which tree
 // roots it applies to) and an *allowlist* (the files that implement the
@@ -30,6 +30,16 @@ std::vector<Finding> check_source(const std::string& path,
 /// equality comparison against it can never be meant literally. Exposed
 /// for the SC904 unit tests.
 bool inexact_float_literal(std::string_view literal);
+
+/// A reviewed exemption: rule `code` does not apply to the file `path`
+/// (repo-relative), which implements the facility the rule protects.
+struct AllowlistEntry {
+  std::string_view code;
+  std::string_view path;
+};
+
+/// Every allowlist entry of the per-file rules, in code order.
+std::vector<AllowlistEntry> allowlist();
 
 /// Human-readable registry table for `--list-codes`.
 std::string list_codes_text();

@@ -112,18 +112,12 @@ ParseResult parse_srclint_args(const std::vector<std::string>& args) {
                        "' (expected 'lock-order' or 'layers')";
         return result;
       }
-    } else if (arg == "--dot") {
-      opts.dot = true;
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       result.error = "unknown option '" + arg + "'";
       return result;
     } else {
       opts.paths.push_back(arg);
     }
-  }
-  if (opts.dot && opts.graph.empty()) {
-    result.error = "--dot requires --graph";
-    return result;
   }
   if (!opts.help && !opts.list_codes && opts.paths.empty()) {
     result.error = "no input paths (expected files or directories to scan)";
@@ -137,8 +131,9 @@ std::string help_text(const std::string& argv0) {
      << "\n"
      << "Static analysis of the streamcalc sources themselves: the per-file\n"
      << "rules SC901-SC908 (DESIGN.md section 13) plus the whole-project\n"
-     << "concurrency and layering analyses SC910-SC913 (section 14) over\n"
-     << "the given files or directories (recursively, .cpp/.hpp).\n"
+     << "concurrency and layering analyses SC910, SC911 and SC913\n"
+     << "(section 14) over the given files or directories (recursively,\n"
+     << ".cpp/.hpp).\n"
      << "\n"
      << "options:\n"
      << "  --json             machine-readable report on stdout\n"
@@ -152,7 +147,6 @@ std::string help_text(const std::string& argv0) {
      << "                     acquisition-order graph, cycles marked) or\n"
      << "                     'layers' (declared strata plus observed\n"
      << "                     include edges); the baseline does not apply\n"
-     << "  --dot              emit Graphviz DOT from --graph\n"
      << "  --list-codes       print the rule registry and exit\n"
      << "  --help             this table\n"
      << "\n"
@@ -242,9 +236,9 @@ int run_srclint(const RunOptions& options, std::ostream& out,
     if (read_failure) return 1;
     const ProjectModel project = build_project_model(sources);
     if (options.graph == "lock-order") {
-      out << lock_order_report(project, options.dot);
+      out << lock_order_report(project);
     } else {
-      out << layers_report(project, layers, options.dot);
+      out << layers_report(project, layers);
     }
     return 0;
   }

@@ -29,7 +29,6 @@ struct RunOptions {
   /// Graph mode prints the requested graph instead of findings and exits
   /// 0/1 (the baseline does not apply to graphs).
   std::string graph;
-  bool dot = false;  // emit Graphviz DOT instead of text (graph mode only)
   bool json = false;
   bool list_codes = false;
   bool help = false;

@@ -1,5 +1,6 @@
 #include "srclint/scan.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
 
@@ -268,6 +269,23 @@ class Lexer {
 
 std::vector<Token> lex(std::string_view source) {
   return Lexer(source).run();
+}
+
+std::vector<std::string_view> path_segments(std::string_view path) {
+  std::vector<std::string_view> out;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= path.size(); ++i) {
+    if (i == path.size() || path[i] == '/' || path[i] == '\\') {
+      if (i > start) out.push_back(path.substr(start, i - start));
+      start = i + 1;
+    }
+  }
+  return out;
+}
+
+bool has_segment(const std::vector<std::string_view>& segs,
+                 std::string_view name) {
+  return std::find(segs.begin(), segs.end(), name) != segs.end();
 }
 
 }  // namespace streamcalc::srclint

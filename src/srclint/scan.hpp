@@ -47,4 +47,20 @@ struct Token {
 /// degrade gracefully on code that the real compiler would reject anyway).
 std::vector<Token> lex(std::string_view source);
 
+/// Token predicates shared by the per-file rules and the structural pass.
+inline bool is_ident(const Token& t, std::string_view text) {
+  return t.kind == TokenKind::kIdentifier && t.text == text;
+}
+
+inline bool is_punct(const Token& t, std::string_view text) {
+  return t.kind == TokenKind::kPunct && t.text == text;
+}
+
+/// The non-empty segments of `path` split at `/` and `\`, as views into
+/// `path`: rule scopes and layer directories match on whole segments.
+std::vector<std::string_view> path_segments(std::string_view path);
+
+bool has_segment(const std::vector<std::string_view>& segs,
+                 std::string_view name);
+
 }  // namespace streamcalc::srclint

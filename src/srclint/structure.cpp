@@ -34,14 +34,6 @@ bool macro_like(std::string_view s) {
   return has_alpha;
 }
 
-bool is_ident(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kIdentifier && t.text == text;
-}
-
-bool is_punct(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kPunct && t.text == text;
-}
-
 /// Parses `#include "target"` out of a directive token's text.
 bool parse_quoted_include(std::string_view directive, std::string* target) {
   std::size_t i = 0;
@@ -73,7 +65,6 @@ struct Walker {
     enum class Kind { kBlock, kClass, kFunction, kLambda };
     Kind kind = Kind::kBlock;
     std::string class_name;      // kClass only
-    bool pool_task = false;      // kLambda in submit/parallel_for args
     std::size_t lock_floor = 0;  // kLambda: locks below are suspended
     int fn_index = -1;           // kFunction only
   };
@@ -85,10 +76,7 @@ struct Walker {
   };
   std::vector<LiveLock> locks;
 
-  struct ParenFrame {
-    bool pool_args = false;  // argument list of submit(...)/parallel_for(...)
-  };
-  std::vector<ParenFrame> parens;
+  std::size_t paren_depth = 0;
 
   // A `class`/`struct` head seen; the next top-level `{` opens its body.
   bool pending_class = false;
@@ -104,7 +92,6 @@ struct Walker {
 
   // A lambda introducer seen; the `{` at this paren depth opens its body.
   bool pending_lambda = false;
-  bool pending_lambda_pool = false;
   std::size_t pending_lambda_depth = 0;
 
   int current_fn() const {
@@ -133,13 +120,6 @@ struct Walker {
       }
     }
     return {};
-  }
-
-  bool in_pool_task() const {
-    for (const Scope& s : scopes) {
-      if (s.kind == Scope::Kind::kLambda && s.pool_task) return true;
-    }
-    return false;
   }
 
   /// Locks visible at the current point: everything acquired since the
@@ -215,16 +195,15 @@ FileModel build_file_model(const std::string& path,
     // --- brace scopes ------------------------------------------------------
     if (is_punct(t, "{")) {
       Walker::Scope scope;
-      if (w.pending_lambda && w.parens.size() == w.pending_lambda_depth) {
+      if (w.pending_lambda && w.paren_depth == w.pending_lambda_depth) {
         scope.kind = Walker::Scope::Kind::kLambda;
-        scope.pool_task = w.pending_lambda_pool;
         scope.lock_floor = w.locks.size();
         w.pending_lambda = false;
-      } else if (w.pending_class && w.parens.empty()) {
+      } else if (w.pending_class && w.paren_depth == 0) {
         scope.kind = Walker::Scope::Kind::kClass;
         scope.class_name = w.pending_class_name;
         w.pending_class = false;
-      } else if (w.pending_fn && w.parens.empty()) {
+      } else if (w.pending_fn && w.paren_depth == 0) {
         scope.kind = Walker::Scope::Kind::kFunction;
         FunctionModel fm;
         fm.owner = !w.pending_fn_qual.empty() ? w.pending_fn_qual
@@ -250,20 +229,14 @@ FileModel build_file_model(const std::string& path,
       continue;
     }
     if (is_punct(t, "(")) {
-      bool pool = false;
-      if (i > 0 && code[i - 1].kind == TokenKind::kIdentifier &&
-          (code[i - 1].text == "submit" ||
-           code[i - 1].text == "parallel_for")) {
-        pool = true;
-      }
-      w.parens.push_back(Walker::ParenFrame{pool});
+      ++w.paren_depth;
       continue;
     }
     if (is_punct(t, ")")) {
-      if (!w.parens.empty()) w.parens.pop_back();
+      if (w.paren_depth > 0) --w.paren_depth;
       continue;
     }
-    if (is_punct(t, ";") && w.parens.empty()) {
+    if (is_punct(t, ";") && w.paren_depth == 0) {
       w.pending_fn = false;
       w.pending_class = false;
       w.pending_lambda = false;
@@ -271,7 +244,7 @@ FileModel build_file_model(const std::string& path,
     }
 
     // --- class heads -------------------------------------------------------
-    if ((is_ident(t, "class") || is_ident(t, "struct")) && w.parens.empty() &&
+    if ((is_ident(t, "class") || is_ident(t, "struct")) && w.paren_depth == 0 &&
         !(i > 0 && is_ident(code[i - 1], "enum"))) {
       w.pending_class = true;
       w.pending_class_base = false;
@@ -279,10 +252,10 @@ FileModel build_file_model(const std::string& path,
       continue;
     }
     if (w.pending_class) {
-      if (is_punct(t, ":") && w.parens.empty()) {
+      if (is_punct(t, ":") && w.paren_depth == 0) {
         w.pending_class_base = true;
       } else if (t.kind == TokenKind::kIdentifier && !w.pending_class_base &&
-                 w.parens.empty() && t.text != "final" &&
+                 w.paren_depth == 0 && t.text != "final" &&
                  t.text != "alignas") {
         w.pending_class_name = t.text;
       }
@@ -309,12 +282,7 @@ FileModel build_file_model(const std::string& path,
              is_ident(code[j + 1], "noexcept") ||
              is_punct(code[j + 1], "->"))) {
           w.pending_lambda = true;
-          w.pending_lambda_depth = w.parens.size();
-          bool pool = w.in_pool_task();
-          for (const Walker::ParenFrame& frame : w.parens) {
-            if (frame.pool_args) pool = true;
-          }
-          w.pending_lambda_pool = pool;
+          w.pending_lambda_depth = w.paren_depth;
         }
       }
       continue;
@@ -338,19 +306,12 @@ FileModel build_file_model(const std::string& path,
       continue;
     }
 
-    // --- SC_GUARDED_BY slots ----------------------------------------------
+    // --- SC_GUARDED_BY slots: skip the argument so its tokens are not
+    // taken for a call or a function-definition candidate.
     if ((t.text == "SC_GUARDED_BY" || t.text == "SC_PT_GUARDED_BY") &&
         i + 1 < code.size() && is_punct(code[i + 1], "(") && i > 0 &&
         code[i - 1].kind == TokenKind::kIdentifier) {
-      const std::size_t close = matching_close(code, i + 1);
-      GuardedMember g;
-      g.owner = w.innermost_class();
-      g.member = code[i - 1].text;
-      g.mutex_expr = join_expr(code, i + 2, close);
-      g.line = t.line;
-      w.model.guarded.push_back(std::move(g));
-      // Skip the argument so its tokens are not re-interpreted.
-      i = close;
+      i = matching_close(code, i + 1);
       continue;
     }
 
@@ -398,10 +359,9 @@ FileModel build_file_model(const std::string& path,
         call.global_colon = global_colon;
         call.line = t.line;
         call.held = w.held_locks();
-        call.in_pool_task = w.in_pool_task();
         FunctionModel* f = w.fn();
         if (f != nullptr) f->calls.push_back(std::move(call));
-      } else if (!member && w.parens.empty()) {
+      } else if (!member && w.paren_depth == 0) {
         // Possible function definition: arm (or keep) the candidate — but
         // only at zero paren depth, or `std::function<void()>` inside a
         // parameter list would overwrite the real name with `void`. A

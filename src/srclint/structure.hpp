@@ -6,12 +6,10 @@
 //
 //   * `#include "..."` references (the project include graph, SC913);
 //   * `util::Mutex` declarations with their owning class (the lock-class
-//     table SC910 canonicalizes against) and `SC_GUARDED_BY` slots;
+//     table SC910 canonicalizes against);
 //   * every `util::MutexLock` acquisition, the set of locks lexically
 //     live around it (nested-acquisition edges), and every call site with
-//     the lock set held at the call (SC910 interprocedural edges, SC911);
-//   * lambda bodies passed to `submit`/`parallel_for` argument lists —
-//     pool-task regions — so SC912 can flag pool re-entrancy.
+//     the lock set held at the call (SC910 interprocedural edges, SC911).
 //
 // Like the scanner, this is deliberately NOT a C++ parser: it is a
 // single forward pass over tokens with a scope stack. The recognizers are
@@ -54,14 +52,6 @@ struct MutexDecl {
   int line = 0;
 };
 
-/// A member annotated `SC_GUARDED_BY(mutex_expr)`.
-struct GuardedMember {
-  std::string owner;
-  std::string member;
-  std::string mutex_expr;
-  int line = 0;
-};
-
 /// One `util::MutexLock guard(expr)` acquisition inside a function body.
 struct LockAcquire {
   std::string expr;  // argument text, e.g. "mutex_" or "tenant->mutex"
@@ -83,7 +73,6 @@ struct CallSite {
   bool global_colon = false;  // spelled `::name(` (global qualification)
   int line = 0;
   std::vector<std::string> held;  // lock exprs live at the call
-  bool in_pool_task = false;      // inside a lambda in submit/parallel_for args
 };
 
 /// One function (or method, or TEST-macro body) definition.
@@ -101,7 +90,6 @@ struct FileModel {
   std::string path;
   std::vector<IncludeRef> includes;
   std::vector<MutexDecl> mutexes;
-  std::vector<GuardedMember> guarded;
   std::vector<FunctionModel> functions;
 };
 

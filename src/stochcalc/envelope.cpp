@@ -195,12 +195,4 @@ bool Arrival::deterministic() const {
   return true;
 }
 
-util::DataSize Arrival::total_burst() const {
-  double total = 0.0;
-  for (const Component& c : components_) {
-    if (c.kind == Component::Kind::kLeakyBucket) total += c.count * c.burst;
-  }
-  return util::DataSize::bytes(total);
-}
-
 }  // namespace streamcalc::stochcalc

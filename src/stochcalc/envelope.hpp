@@ -104,9 +104,6 @@ class Arrival {
   /// Chernoff bounds degrade exactly to the deterministic ones.
   bool deterministic() const;
 
-  /// Sum of bucket depths (exact sure burst when deterministic()).
-  util::DataSize total_burst() const;
-
   const std::vector<Component>& components() const { return components_; }
 
  private:

@@ -11,11 +11,6 @@ double sample_in_range(util::Xoshiro256& rng, double lo, double mid,
   return detail::RangeSampler(lo, mid, hi).draw(rng);
 }
 
-double sample_volume_ratio(util::Xoshiro256& rng,
-                           const netcalc::VolumeRatio& v) {
-  return sample_in_range(rng, v.min, v.avg, v.max);
-}
-
 namespace {
 
 /// The recurrence where it applies and answers, else the DES.

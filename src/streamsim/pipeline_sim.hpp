@@ -156,8 +156,4 @@ SimResult simulate_dag(const netcalc::DagSpec& dag,
 double sample_in_range(util::Xoshiro256& rng, double lo, double mid,
                        double hi);
 
-/// Samples a per-job volume ratio whose mean matches `v.avg` exactly.
-double sample_volume_ratio(util::Xoshiro256& rng,
-                           const netcalc::VolumeRatio& v);
-
 }  // namespace streamcalc::streamsim

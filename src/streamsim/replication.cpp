@@ -5,8 +5,8 @@
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace streamcalc::streamsim {
 

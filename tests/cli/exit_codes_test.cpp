@@ -499,11 +499,6 @@ TEST(SrclintExitCodes, GraphLockOrderReportsAndExitsZero) {
             0);
   EXPECT_NE(out.find("lock-order graph:"), std::string::npos) << out;
   EXPECT_NE(out.find("1 edge(s)"), std::string::npos) << out;
-  // DOT flavor of the same graph.
-  EXPECT_EQ(run_srclint_args(
-                {"--graph", "lock-order", "--dot", root + "/src"}, &out),
-            0);
-  EXPECT_NE(out.find("digraph lock_order"), std::string::npos) << out;
   std::filesystem::remove_all(root);
 }
 
@@ -518,12 +513,6 @@ TEST(SrclintExitCodes, GraphLayersReportsAndExitsZero) {
                 &out),
             0);
   EXPECT_NE(out.find("observed include edges"), std::string::npos) << out;
-  EXPECT_EQ(run_srclint_args(
-                {"--graph", "layers", "--dot", "--layers", layers,
-                 root + "/src"},
-                &out),
-            0);
-  EXPECT_NE(out.find("digraph layers"), std::string::npos) << out;
   std::filesystem::remove_all(root);
 }
 
@@ -533,8 +522,11 @@ TEST(SrclintExitCodes, GraphUsageErrorsExitThree) {
   EXPECT_EQ(run_srclint_args({"--graph", "callgraph", "src"}, nullptr, &err),
             3);
   EXPECT_NE(err.find("callgraph"), std::string::npos) << err;
-  // --dot is meaningless without --graph.
-  EXPECT_EQ(run_srclint_args({"--dot", "src"}, nullptr, &err), 3);
+  // --dot (the retired Graphviz export) is an unknown option.
+  EXPECT_EQ(run_srclint_args({"--graph", "lock-order", "--dot", "src"},
+                             nullptr, &err),
+            3);
+  EXPECT_NE(err.find("unknown option '--dot'"), std::string::npos) << err;
 }
 
 TEST(SrclintExitCodes, GraphLayersWithoutALayersFileExitsOne) {

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "srclint/baseline.hpp"
+#include "srclint/finding.hpp"
+#include "srclint/rules.hpp"
 #include "srclint/runner.hpp"
 
 namespace streamcalc::srclint {
@@ -100,6 +102,37 @@ TEST(SrclintCleanTree, ScansANontrivialShareOfTheTree) {
   ASSERT_NE(start, std::string::npos) << report;
   const int files = std::stoi(report.substr(start + 9, pos - start - 9));
   EXPECT_GE(files, 100) << report;
+}
+
+TEST(SrclintCleanTree, EveryAllowlistEntryStillSuppressesAFinding) {
+  // An allowlist entry whose file no longer trips the rule exempts
+  // nothing but would hide a future violation there. Scan each
+  // allowlisted file's real contents under a sibling path that no entry
+  // names: the rule must fire there, and must stay silent on the real
+  // path.
+  const std::vector<AllowlistEntry> entries = allowlist();
+  ASSERT_FALSE(entries.empty());
+  for (const AllowlistEntry& e : entries) {
+    const std::string path(e.path);
+    std::ifstream in(repo(path));
+    ASSERT_TRUE(in.good()) << e.code << ": allowlisted file " << path
+                           << " does not exist";
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::size_t slash = path.rfind('/');
+    const std::string sibling = path.substr(0, slash + 1) +
+                                "allowlist_probe_" + path.substr(slash + 1);
+    const auto fires = [&](const std::string& as) {
+      for (const Finding& f : check_source(as, text.str())) {
+        if (f.code == e.code) return true;
+      }
+      return false;
+    };
+    EXPECT_TRUE(fires(sibling))
+        << e.code << " does not fire on " << path
+        << ": the allowlist entry is stale, delete it";
+    EXPECT_FALSE(fires(path)) << e.code << " is not suppressed on " << path;
+  }
 }
 
 }  // namespace

@@ -167,26 +167,10 @@ TEST(SrclintLockGraph, DeterministicAcrossInputOrder) {
        "  util::MutexLock l1(g_b2);\n"
        "  util::MutexLock l2(g_c);\n"
        "}\n"}};
-  const std::string report1 = lock_order_report(project_of(files), false);
+  const std::string report1 = lock_order_report(project_of(files));
   std::swap(files[0], files[1]);
-  const std::string report2 = lock_order_report(project_of(files), false);
+  const std::string report2 = lock_order_report(project_of(files));
   EXPECT_EQ(report1, report2);
-}
-
-TEST(SrclintLockGraph, DotExportNamesCycleEdges) {
-  const ProjectModel p = project_of(
-      {{"src/x/a.cpp",
-        "void f() {\n"
-        "  util::MutexLock l1(g_a);\n"
-        "  util::MutexLock l2(g_b);\n"
-        "}\n"
-        "void g() {\n"
-        "  util::MutexLock l1(g_b);\n"
-        "  util::MutexLock l2(g_a);\n"
-        "}\n"}});
-  const std::string dot = lock_order_report(p, true);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("color=red"), std::string::npos) << dot;
 }
 
 TEST(SrclintProject, LayerDirOf) {

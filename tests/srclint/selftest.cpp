@@ -120,7 +120,7 @@ const std::map<std::string, std::vector<Fixture>>& fixtures() {
       {"SC907",
        {{"raw thread", "src/serve/notify.cpp",
          "void f() {\n  std::thread t(run);\n  t.join();\n}\n", 2,
-         "void f() {\n  pool.submit(run);\n}\n"},
+         "void f() {\n  util::parallel_for(n, 0, run);\n}\n"},
         {"detached thread", "tools/export_traces.cpp",
          "void f(std::vector<int>& v) {\n  worker.detach();\n}\n", 2,
          "void f(std::vector<int>& v) {\n  worker.join();\n}\n"}}},
@@ -174,17 +174,17 @@ const std::map<std::string, std::vector<Fixture>>& fixtures() {
           {"src/serve/grab.cpp",
            "void grab_m2() {\n  util::MutexLock l(g_m2);\n}\n"}}}}},
       {"SC911",
-       {{"pool submit under a live lock", "src/serve/push.cpp",
+       {{"parallel_for under a live lock", "src/serve/push.cpp",
          "void f() {\n"
          "  util::MutexLock l(m_);\n"
-         "  pool.submit(task);\n"
+         "  util::parallel_for(n, 0, task);\n"
          "}\n",
          3,
          "void f() {\n"
          "  {\n"
          "    util::MutexLock l(m_);\n"
          "  }\n"
-         "  pool.submit(task);\n"
+         "  util::parallel_for(n, 0, task);\n"
          "}\n"},
         {"socket write under a live lock", "src/serve/reply.cpp",
          "void f() {\n"
@@ -197,17 +197,6 @@ const std::map<std::string, std::vector<Fixture>>& fixtures() {
          "    util::MutexLock l(m_);\n"
          "  }\n"
          "  ::send(fd, buf, n, 0);\n"
-         "}\n"}}},
-      {"SC912",
-       {{"parallel_for inside a pool task", "src/util/pool_user.cpp",
-         "void f() {\n"
-         "  pool.submit([&] {\n"
-         "    pool.parallel_for(0, n, g);\n"
-         "  });\n"
-         "}\n",
-         3,
-         "void f() {\n"
-         "  pool.parallel_for(0, n, g);\n"
          "}\n"}}},
       {"SC913",
        {{"include reaching up the layer DAG", "src/obs/hook.cpp",

@@ -1,4 +1,4 @@
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 #include <gtest/gtest.h>
 

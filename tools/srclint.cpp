@@ -5,9 +5,9 @@
 //   srclint --baseline srclint.baseline src
 //   srclint --layers srclint.layers src    # explicit layer DAG (defaults
 //                                          # to ./srclint.layers)
-//   srclint --graph lock-order --dot src tools   # Graphviz lock graph
-//   srclint --graph layers --dot src       # strata + observed includes
-//   srclint --list-codes                   # the SC901-SC913 registry
+//   srclint --graph lock-order src tools   # locks, order edges, cycles
+//   srclint --graph layers src             # strata + observed includes
+//   srclint --list-codes                   # the SC9xx registry
 //
 // Enforces the project-invariant rules documented in DESIGN.md §13-§14.
 // Per-file (SC901-SC908): raw synchronization primitives outside
@@ -18,8 +18,8 @@
 // unit-bearing quantities in public headers. Cross-file (SC910-SC913),
 // over a structural IR of every input at once: lock-acquisition-order
 // cycles (with interprocedural edges), blocking calls under a held
-// MutexLock, thread-pool re-entrancy, and includes that climb the layer
-// DAG declared in srclint.layers. Exit codes are uniform with the other
+// MutexLock, and includes that climb the layer DAG declared in
+// srclint.layers. Exit codes are uniform with the other
 // drivers: 0 clean, 1 unreadable input, 2 findings, 3 usage error.
 #include <iostream>
 #include <string>
