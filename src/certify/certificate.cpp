@@ -56,11 +56,8 @@ BoundCertificate make_certificate(ExactCurveTable& exact, BoundKind kind,
   cert.service = service;
   cert.components = std::move(components);
 
-  const ExactCurve& f = exact.get(arrival);
-  const ExactCurve& g = exact.get(service);
-  const ExactBound dev = kind == BoundKind::kDelay
-                             ? exact_horizontal_deviation(f, g)
-                             : exact_vertical_deviation(f, g);
+  const ExactBound& dev =
+      exact.deviation(kind, exact.get(arrival), exact.get(service));
   if (dev.infinite) {
     cert.claimed = std::numeric_limits<double>::infinity();
   } else {

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,22 +117,19 @@ void check_structure(const ExactCurve& exact, const CurveName& which,
   }
 }
 
-ExactBound exact_deviation(const BoundCertificate& cert, const ExactCurve& f,
-                           const ExactCurve& g) {
-  return cert.kind == BoundKind::kDelay ? exact_horizontal_deviation(f, g)
-                                        : exact_vertical_deviation(f, g);
-}
-
 PointDev exact_dev_at(const BoundCertificate& cert, const ExactCurve& f,
                       const ExactCurve& g, const Rational& t) {
   return cert.kind == BoundKind::kDelay ? exact_horizontal_dev_at(f, g, t)
                                         : exact_vertical_dev_at(f, g, t);
 }
 
-/// The claimed-bound audit: domination, canonical rounding, witness.
+/// The claimed-bound audit: domination, canonical rounding, witness. The
+/// exact supremum comes from the table, so a check after the emitter reads
+/// the value the emitter computed; the audit itself always runs.
 void check_bound(const BoundCertificate& cert, const ExactCurve& f,
-                 const ExactCurve& g, LintReport& report) {
-  const ExactBound dev = exact_deviation(cert, f, g);
+                 const ExactCurve& g, ExactCurveTable& exact,
+                 LintReport& report) {
+  const ExactBound& dev = exact.deviation(cert.kind, f, g);
   const bool claim_inf = std::isinf(cert.claimed);
   if (claim_inf) {
     if (!dev.infinite) {
@@ -199,18 +198,35 @@ void check_bound(const BoundCertificate& cert, const ExactCurve& f,
   }
 }
 
+/// Concatenation derivations one check_certificates call found clean, each
+/// as the table's curves: the end-to-end service, then its components.
+/// The e2e delay and backlog certificates of a pipeline carry the same
+/// derivation; the second one is not checked again.
+using CleanDerivations = std::set<std::vector<const ExactCurve*>>;
+
 /// Derivation side conditions for a concatenated service curve, given the
-/// converted end-to-end `service` curve.
+/// converted end-to-end `service` curve. A derivation is remembered as
+/// clean only when every check below ran and reported nothing; the early
+/// return after a failed structure check (or a check_bound error already
+/// in `report`) leaves it to be checked again.
 void check_derivation(const BoundCertificate& cert,
                       const ExactCurve& service, ExactCurveTable& exact,
-                      LintReport& report) {
+                      CleanDerivations& clean, LintReport& report) {
   if (cert.components.empty()) return;
 
-  std::vector<const ExactCurve*> comps;
-  comps.reserve(cert.components.size());
-  for (std::size_t i = 0; i < cert.components.size(); ++i) {
+  std::vector<const ExactCurve*> key;
+  key.reserve(cert.components.size() + 1);
+  key.push_back(&service);
+  for (const minplus::Curve& c : cert.components) {
+    key.push_back(&exact.get(c));
+  }
+  if (clean.count(key) != 0) return;
+  const std::size_t findings = report.diagnostics().size();
+
+  const std::span<const ExactCurve* const> comps(key.begin() + 1, key.end());
+  for (std::size_t i = 0; i < comps.size(); ++i) {
     const CurveName which{nullptr, i};
-    const ExactCurve& c = exact.get(cert.components[i]);
+    const ExactCurve& c = *comps[i];
     check_structure(c, which, cert.context, report);
     // value_right(0) covers both a positive value at 0 and an upward jump
     // immediately after it — either way the stage would emit output in
@@ -221,7 +237,6 @@ void check_derivation(const BoundCertificate& cert,
                     " is non-causal (positive at t = 0+): a service "
                     "guarantee cannot deliver output before input");
     }
-    comps.push_back(&c);
   }
   if (!report.clean()) return;
 
@@ -286,6 +301,7 @@ void check_derivation(const BoundCertificate& cert,
                   ", before the accumulated component latency " +
                   latency_sum.to_string());
   }
+  if (report.diagnostics().size() == findings) clean.insert(std::move(key));
 }
 
 /// NC605: cross-check the double kernel's result against the certified
@@ -313,9 +329,11 @@ void check_kernel_agreement(const BoundCertificate& cert,
   }
 }
 
-/// Every check on one certificate; only the curve conversions come from
-/// (and go to) the call's table.
-LintReport check_one(const BoundCertificate& cert, ExactCurveTable& exact) {
+/// Every check on one certificate. The curve conversions and the exact
+/// suprema come from (and go to) the call's table; a derivation already in
+/// `clean` is not checked again.
+LintReport check_one(const BoundCertificate& cert, ExactCurveTable& exact,
+                     CleanDerivations& clean) {
   LintReport report;
   const ExactCurve& f = exact.get(cert.arrival);
   const ExactCurve& g = exact.get(cert.service);
@@ -323,8 +341,8 @@ LintReport check_one(const BoundCertificate& cert, ExactCurveTable& exact) {
   check_structure(g, CurveName{"service"}, cert.context, report);
   if (!report.clean()) return report;
 
-  check_bound(cert, f, g, report);
-  check_derivation(cert, g, exact, report);
+  check_bound(cert, f, g, exact, report);
+  check_derivation(cert, g, exact, clean, report);
   check_kernel_agreement(cert, report);
   return report;
 }
@@ -333,7 +351,8 @@ LintReport check_one(const BoundCertificate& cert, ExactCurveTable& exact) {
 
 LintReport check_certificate(const BoundCertificate& cert) {
   ExactCurveTable exact;
-  return check_one(cert, exact);
+  CleanDerivations clean;
+  return check_one(cert, exact, clean);
 }
 
 LintReport check_certificates(const std::vector<BoundCertificate>& certs) {
@@ -344,8 +363,9 @@ LintReport check_certificates(const std::vector<BoundCertificate>& certs) {
 LintReport check_certificates(const std::vector<BoundCertificate>& certs,
                               ExactCurveTable& exact) {
   LintReport report;
+  CleanDerivations clean;
   for (const BoundCertificate& cert : certs) {
-    report.merge(check_one(cert, exact));
+    report.merge(check_one(cert, exact, clean));
   }
   return report;
 }

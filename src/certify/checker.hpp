@@ -20,10 +20,14 @@
 // Independence: the checker evaluates curves and pseudo-inverses in exact
 // rational arithmetic (certify/exact.*) using only the definitions; it
 // never calls minplus::operations convolution/deconvolution or the double
-// deviation kernels. Derivation *side conditions* use the library's 1e-9
-// relative modeling tolerance (the same slack Curve::validate grants),
-// because component curves were assembled in double arithmetic; the bound
-// domination and canonical-rounding checks are exact with no tolerance.
+// deviation kernels. It need not be independent of the emitter, which runs
+// the same exact code: given the emitter's table, it reads each exact
+// supremum from there and audits the claim, its rounding and its witness
+// against it; from an empty table it computes every supremum itself.
+// Derivation *side conditions* use the library's 1e-9 relative modeling
+// tolerance (the same slack Curve::validate grants), because component
+// curves were assembled in double arithmetic; the bound domination and
+// canonical-rounding checks are exact with no tolerance.
 #pragma once
 
 #include "certify/certificate.hpp"
@@ -36,13 +40,15 @@ namespace streamcalc::certify {
 /// certificate is accepted.
 diagnostics::LintReport check_certificate(const BoundCertificate& cert);
 
-/// Checks every certificate and merges the reports. Every check runs on
-/// every certificate; a curve several certificates share is converted to
-/// exact form once per call.
+/// Checks every certificate and merges the reports. Every bound check runs
+/// on every certificate; a curve several certificates share is converted
+/// to exact form once per call, and a concatenation derivation that
+/// several certificates carry is checked until it has once come out clean.
 diagnostics::LintReport check_certificates(
     const std::vector<BoundCertificate>& certs);
-/// The same, with the exact forms read from and added to `exact`, so an
-/// emit-then-check call converts each curve once (certify_pipeline).
+/// The same, with the exact forms and suprema read from and added to
+/// `exact`, so an emit-then-check call converts each curve and computes
+/// each supremum once (certify_pipeline).
 diagnostics::LintReport check_certificates(
     const std::vector<BoundCertificate>& certs, ExactCurveTable& exact);
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::certify {
@@ -174,6 +175,22 @@ const ExactCurve& ExactCurveTable::get(const minplus::Curve& c) {
   }
   entries_.push_back(Entry{c.segments(), ExactCurve::from(c)});
   return entries_.back().exact;
+}
+
+const ExactBound& ExactCurveTable::deviation(BoundKind kind,
+                                             const ExactCurve& f,
+                                             const ExactCurve& g) {
+  const auto key = std::make_tuple(kind, &f, &g);
+  auto it = deviations_.find(key);
+  if (it == deviations_.end()) {
+    SC_OBS_COUNT("certify.exact_deviations", 1);
+    it = deviations_
+             .emplace(key, kind == BoundKind::kDelay
+                               ? exact_horizontal_deviation(f, g)
+                               : exact_vertical_deviation(f, g))
+             .first;
+  }
+  return it->second;
 }
 
 // --- Deviations ------------------------------------------------------------

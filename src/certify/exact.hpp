@@ -19,9 +19,12 @@
 
 #include <cstddef>
 #include <deque>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "certify/certificate.hpp"
 #include "minplus/curve.hpp"
 #include "util/rational.hpp"
 
@@ -139,24 +142,6 @@ class ExactCurve {
   std::vector<ExactSegment> segs_;
 };
 
-/// The exact forms of the curves one certify call works on. Each distinct
-/// curve is converted on first use; a curve met again (the delay and the
-/// backlog certificate of one pair, the checker after the emitter) is
-/// looked up by equality instead. References stay valid while the table
-/// lives, and a table lives for one call.
-class ExactCurveTable {
- public:
-  /// ExactCurve::from(c), converted at most once per table.
-  const ExactCurve& get(const minplus::Curve& c);
-
- private:
-  struct Entry {
-    std::vector<minplus::Segment> segments;
-    ExactCurve exact;
-  };
-  std::deque<Entry> entries_;  ///< a deque keeps references stable
-};
-
 /// Result of an exact deviation computation. When `infinite`, the bound
 /// definitionally diverges; otherwise `value` is the exact supremum
 /// (clamped below at 0) and `witness` is a time achieving it.
@@ -164,6 +149,44 @@ struct ExactBound {
   bool infinite = false;
   util::Rational value;
   util::Rational witness;
+};
+
+/// The exact forms of the curves one certify call works on, and the
+/// deviations computed between them. Each distinct curve is converted on
+/// first use; a curve met again (the delay and the backlog certificate of
+/// one pair, the checker after the emitter) is looked up by equality
+/// instead. Each deviation is computed on first use too, so an
+/// emit-then-check call enumerates every supremum once: the checker audits
+/// the claim, its rounding and its witness against the value the emitter
+/// computed. A standalone check starts from an empty table and recomputes
+/// everything. References stay valid while the table lives, and a table
+/// lives for one call.
+class ExactCurveTable {
+ public:
+  ExactCurveTable() = default;
+  /// Deviation keys are addresses of this table's curves.
+  ExactCurveTable(const ExactCurveTable&) = delete;
+  ExactCurveTable& operator=(const ExactCurveTable&) = delete;
+
+  /// ExactCurve::from(c), converted at most once per table.
+  const ExactCurve& get(const minplus::Curve& c);
+
+  /// The exact deviation of `kind` (horizontal for kDelay, vertical for
+  /// kBacklog) of f against g, computed at most once per table. f and g
+  /// must be curves get() returned from this table: a curve's address is
+  /// its identity, and equal curves share one entry.
+  const ExactBound& deviation(BoundKind kind, const ExactCurve& f,
+                              const ExactCurve& g);
+
+ private:
+  struct Entry {
+    std::vector<minplus::Segment> segments;
+    ExactCurve exact;
+  };
+  std::deque<Entry> entries_;  ///< a deque keeps references stable
+  std::map<std::tuple<BoundKind, const ExactCurve*, const ExactCurve*>,
+           ExactBound>
+      deviations_;
 };
 
 /// Pointwise deviation at one candidate time (used both to build the

@@ -92,8 +92,9 @@ std::vector<BoundCertificate> emit_dag_certificates(
   return emit_dag(model, model.per_path_analysis(), exact);
 }
 
-// Emit and check share one conversion table: each distinct curve becomes
-// exact once per call, and the checker still recomputes every bound.
+// Emit and check share one table: each distinct curve becomes exact once
+// per call, and each exact supremum is computed once, by the emitter; the
+// checker audits every claim and witness against it.
 LintReport certify_pipeline(const netcalc::PipelineModel& model) {
   SC_OBS_SPAN("certify", "postflight");
   ExactCurveTable exact;

@@ -15,9 +15,9 @@
 //
 // Default-off is deliberate: certification re-evaluates every bound on
 // arbitrary-precision rationals. In perfbench's analyze workload (4-core
-// Xeon VM) one certify_spec pass costs about 1.3x the whole analyze path
+// Xeon VM) one certify_spec pass costs about 0.9x the whole analyze path
 // of the same spec (parse, lint, model, bounds, DES, report), so turning
-// it on more than doubles an analysis — the right default for benches and
+// it on nearly doubles an analysis — the right default for benches and
 // examples is to opt in (CI's certify job and the mutation/property
 // suites run strict).
 #pragma once

@@ -13,15 +13,10 @@ namespace streamcalc::srclint {
 
 namespace {
 
-bool ident_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
-}
-
 /// `"tenant->mutex"` -> `"mutex"`; `"state.m"` -> `"m"`; `"mu()"` -> `""`.
 std::string trailing_ident(std::string_view expr) {
   std::size_t i = expr.size();
-  while (i > 0 && ident_char(expr[i - 1])) --i;
+  while (i > 0 && is_ident_char(expr[i - 1])) --i;
   return std::string(expr.substr(i));
 }
 

@@ -231,8 +231,7 @@ void rule_sc905(const FileContext& f) {
       // Part of a longer identifier-ish word (a prose mention such as
       // "NOLINTed", which this rule deliberately skips)? Real markers are
       // followed by '(', an all-caps variant keyword, or nothing.
-      if (o > 0 && (std::isalnum(static_cast<unsigned char>(text[o - 1])) ||
-                    text[o - 1] == '_')) {
+      if (o > 0 && is_ident_char(text[o - 1])) {
         continue;
       }
       if (search < text.size() &&

@@ -12,10 +12,6 @@ bool is_ident_start(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
 }
 
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
 bool is_digit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
 
 /// The multi-character punctuators we must not split: rules match `::`

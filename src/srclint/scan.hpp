@@ -17,6 +17,7 @@
 // to the header/flag configuration problems of AST-level tools.
 #pragma once
 
+#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +47,12 @@ struct Token {
 /// comment or literal simply extends to end of input (srclint findings must
 /// degrade gracefully on code that the real compiler would reject anyway).
 std::vector<Token> lex(std::string_view source);
+
+/// A character that may continue an identifier: a letter, digit or '_'.
+/// The lexer, the rules and the project passes all use this one test.
+inline bool is_ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
 
 /// Token predicates shared by the per-file rules and the structural pass.
 inline bool is_ident(const Token& t, std::string_view text) {

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "certify/certificate.hpp"
+#include "certify/exact.hpp"
 #include "minplus/curve.hpp"
 #include "minplus/deviation.hpp"
 
@@ -166,6 +167,89 @@ TEST(CheckerTest, CheckCertificatesMergesReports) {
   const auto r = check_certificates({golden_delay(), bad, golden_backlog()});
   EXPECT_FALSE(r.clean());
   EXPECT_TRUE(r.has_code("NC603"));
+}
+
+// The three hazards of an emit-then-check call, whose table already holds
+// the emitter's exact suprema and whose check_certificates call remembers
+// clean derivations: each must be caught as from an empty table.
+
+TEST(CheckerTest, SharedTableUlpNudgedClaimRejected) {
+  for (const BoundKind kind : {BoundKind::kDelay, BoundKind::kBacklog}) {
+    for (const bool up : {true, false}) {
+      ExactCurveTable table;
+      auto cert = make_certificate(
+          table, kind, "test", alpha(), beta(),
+          kind == BoundKind::kDelay
+              ? minplus::horizontal_deviation(alpha(), beta())
+              : minplus::vertical_deviation(alpha(), beta()));
+      cert.claimed = std::nextafter(cert.claimed, up ? kInf : -kInf);
+      const auto r = check_certificates({cert}, table);
+      EXPECT_TRUE(r.has_code(up ? "NC603" : "NC601"))
+          << to_string(kind) << (up ? " +1 ulp" : " -1 ulp") << "\n"
+          << r.render("ulp");
+    }
+  }
+}
+
+TEST(CheckerTest, SharedTableMovedWitnessRejected) {
+  ExactCurveTable table;
+  auto cert = make_certificate(table, BoundKind::kBacklog, "test", alpha(),
+                               beta(),
+                               minplus::vertical_deviation(alpha(), beta()));
+  cert.witness_time = 0.1;  // the vertical deviation peaks at t = 0.5
+  const auto r = check_certificates({cert}, table);
+  EXPECT_TRUE(r.has_code("NC603")) << r.render("moved-witness");
+}
+
+TEST(CheckerTest, SkippedDerivationIsCheckedAgainForTheNextCertificate) {
+  // Both certificates claim the e2e service rate_latency(150, 0.1) was
+  // concatenated from rate_latency(100, 0.2), which it exceeds. The first
+  // one's nudged claim fails check_bound (NC601), so its derivation checks
+  // are skipped; that must not mark the derivation clean for the second.
+  const Curve e2e = Curve::rate_latency(150.0, 0.1);
+  const Curve stage = Curve::rate_latency(100.0, 0.2);
+  ExactCurveTable table;
+  auto first = make_certificate(table, BoundKind::kDelay, "first", alpha(),
+                                e2e,
+                                minplus::horizontal_deviation(alpha(), e2e),
+                                {stage});
+  first.claimed = std::nextafter(first.claimed, -kInf);
+  const auto second = make_certificate(
+      table, BoundKind::kBacklog, "second", alpha(), e2e,
+      minplus::vertical_deviation(alpha(), e2e), {stage});
+  const auto shared = check_certificates({first, second}, table);
+  bool first_nc601 = false;
+  bool second_nc602 = false;
+  for (const auto& d : shared.diagnostics()) {
+    first_nc601 = first_nc601 || (d.code == "NC601" && d.location == "first");
+    second_nc602 =
+        second_nc602 || (d.code == "NC602" && d.location == "second");
+  }
+  EXPECT_TRUE(first_nc601) << shared.render("shared");
+  EXPECT_TRUE(second_nc602) << shared.render("shared");
+  EXPECT_EQ(shared.render("x"),
+            check_certificates({first, second}).render("x"));
+}
+
+TEST(CheckerTest, CleanDerivationIsRememberedWithItsComponents) {
+  // One e2e service, first with the components it was concatenated from
+  // (clean), then with a component it exceeds: the second is a different
+  // derivation and must still report NC602.
+  const Curve e2e = Curve::rate_latency(100.0, 0.25);
+  const auto genuine = make_certificate(
+      BoundKind::kDelay, "genuine", alpha(), e2e,
+      minplus::horizontal_deviation(alpha(), e2e),
+      {Curve::rate_latency(100.0, 0.1), Curve::rate_latency(200.0, 0.15)});
+  const auto exceeded = make_certificate(
+      BoundKind::kDelay, "exceeded", alpha(), e2e,
+      minplus::horizontal_deviation(alpha(), e2e),
+      {Curve::rate_latency(100.0, 0.1), Curve::rate_latency(50.0, 0.15)});
+  const auto r = check_certificates({genuine, exceeded});
+  ASSERT_FALSE(r.diagnostics().empty());
+  for (const auto& d : r.diagnostics()) {
+    EXPECT_EQ(d.code, "NC602") << r.render("components");
+    EXPECT_EQ(d.location, "exceeded") << r.render("components");
+  }
 }
 
 }  // namespace
