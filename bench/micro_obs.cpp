@@ -12,10 +12,6 @@
 //     BENCH_micro_obs.json pins it (acceptance: <= 2% with the runtime
 //     switched off, where each site degenerates to one atomic load).
 //
-// The compiled-out configuration (CMake -DSTREAMCALC_OBS=OFF) removes the
-// sites entirely; this bench still builds there and then measures pure
-// no-ops.
-//
 // Supports `--json <path>` to emit machine-readable name/value/unit rows
 // (see benchmark_json.hpp); BENCH_micro_obs.json is the checked-in
 // baseline.
@@ -53,8 +49,8 @@ Curve concave_curve(int n, std::uint64_t seed) {
 }
 
 void BM_SpanDormant(benchmark::State& state) {
-  // No tracer, no sink: the Span constructor bails after two relaxed
-  // atomic loads and the destructor after one member check.
+  // Tracer stopped: the out-of-line Span constructor bails after one
+  // relaxed atomic load and the destructor after one member check.
   obs::set_enabled(true);
   for (auto _ : state) {
     SC_OBS_SPAN("bench", "dormant");

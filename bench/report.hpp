@@ -50,11 +50,11 @@ class JsonReport {
   }
 
   /// Writes `[{"name": ..., "value": ..., "unit": ...}, ...]` to `path`.
-  /// When the observability layer is compiled in and runtime-enabled, the
-  /// registry's counters and gauges ride along as extra `obs.*` rows, so
-  /// every bench artifact carries the instrumentation of the run that
-  /// produced it. Returns false (after printing a warning) when the file
-  /// cannot be opened.
+  /// When the observability layer is runtime-enabled, the registry's
+  /// counters and gauges ride along as extra `obs.*` rows, so every bench
+  /// artifact carries the instrumentation of the run that produced it.
+  /// Returns false (after printing a warning) when the file cannot be
+  /// opened.
   bool write(const std::string& path) const {
     std::FILE* out = std::fopen(path.c_str(), "w");
     if (out == nullptr) {
@@ -63,7 +63,6 @@ class JsonReport {
       return false;
     }
     std::vector<Row> rows = rows_;
-#if SC_OBS_ENABLED
     if (obs::enabled()) {
       const obs::Registry& reg = obs::Registry::global();
       for (const auto& nv : reg.counter_values()) {
@@ -73,7 +72,6 @@ class JsonReport {
         rows.push_back(Row{"obs." + nv.name, nv.value, "value"});
       }
     }
-#endif
     std::fputs("[\n", out);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];

@@ -28,11 +28,6 @@ Histogram::Snapshot Histogram::snapshot() const {
   return data_;
 }
 
-void Histogram::reset() {
-  util::MutexLock lock(mutex_);
-  data_ = Snapshot{};
-}
-
 double Histogram::bucket_bound(std::size_t i) {
   return std::ldexp(1.0, static_cast<int>(i));  // 2^i: 1, 2, 4, ...
 }
@@ -170,13 +165,6 @@ std::vector<Registry::NamedValue> Registry::gauge_values() const {
     out.push_back({kv.first, kv.second->value()});
   }
   return out;
-}
-
-void Registry::reset() {
-  util::MutexLock lock(impl_->mutex);
-  for (const auto& kv : impl_->counters) kv.second->reset();
-  for (const auto& kv : impl_->gauges) kv.second->reset();
-  for (const auto& kv : impl_->histograms) kv.second->reset();
 }
 
 Registry& Registry::global() {

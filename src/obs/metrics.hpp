@@ -32,7 +32,6 @@ class Counter {
   std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -43,7 +42,6 @@ class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -70,7 +68,6 @@ class Histogram {
     std::uint64_t buckets[kBuckets + 1] = {};
   };
   Snapshot snapshot() const;
-  void reset();
 
   /// Upper bound of finite bucket `i` (1.0, 2.0, 4.0, ...).
   static double bucket_bound(std::size_t i);
@@ -120,9 +117,6 @@ class Registry {
   };
   std::vector<NamedValue> counter_values() const;
   std::vector<NamedValue> gauge_values() const;
-
-  /// Zeroes every registered instrument (references stay valid).
-  void reset();
 
   /// Process-wide registry used by the SC_OBS_* macros.
   static Registry& global();

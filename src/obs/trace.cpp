@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/runtime.hpp"
-#include "obs/sink.hpp"
 #include "util/json.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
@@ -18,9 +17,7 @@ namespace {
 thread_local std::uint32_t t_depth = 0;
 
 /// Cheap "does anyone want span records?" check shared by every Span
-/// constructor: true while the global tracer is started. (A sink alone
-/// also activates spans; that is checked separately because the sink
-/// pointer is its own atomic.)
+/// constructor: true while the global tracer is started.
 std::atomic<bool> g_tracing{false};
 
 }  // namespace
@@ -119,8 +116,8 @@ Tracer& Tracer::global() {
 
 Span::Span(const char* category, const char* name)
     : category_(category), name_(name) {
-  if (!g_tracing.load(std::memory_order_relaxed) && sink() == nullptr) {
-    return;  // dormant: two relaxed loads, nothing else
+  if (!g_tracing.load(std::memory_order_relaxed)) {
+    return;  // dormant: one relaxed load, nothing else
   }
   if (!enabled()) return;
   active_ = true;
@@ -141,7 +138,6 @@ Span::~Span() {
   if (g_tracing.load(std::memory_order_relaxed)) {
     Tracer::global().record(r);
   }
-  if (Sink* s = sink(); s != nullptr) s->on_span(r);
 }
 
 }  // namespace streamcalc::obs

@@ -2,13 +2,12 @@
 // spans and chrome://tracing JSON export.
 //
 // A Span brackets one unit of work (one convolution, one parallel_for, one
-// replication). Construction checks two relaxed atomics — the master
-// obs::enabled() switch and whether anyone (tracer ring or test sink)
-// wants span records — and does nothing else when the answer is no, so
-// dormant instrumentation stays off the profile. When active, the span
+// replication). Construction loads one relaxed atomic — whether the global
+// tracer is recording — and does nothing else when it is not, so dormant
+// instrumentation stays off the profile. A recording tracer is then
+// checked against the master obs::enabled() switch. When active, the span
 // stamps steady-clock times at entry/exit, tracks per-thread nesting
-// depth, and on completion appends a SpanRecord to the Tracer ring and/or
-// notifies the installed Sink.
+// depth, and on completion appends a SpanRecord to the Tracer ring.
 //
 // The ring buffer is fixed-capacity and keeps the *newest* records: when
 // full, the oldest record is overwritten and `dropped()` increments. That
@@ -92,8 +91,8 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// True when this span is actually recording (tracer active or sink
-  /// installed at construction time).
+  /// True when this span is actually recording (tracer active at
+  /// construction time).
   bool active() const { return active_; }
 
  private:

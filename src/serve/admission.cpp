@@ -345,9 +345,11 @@ Decision AdmissionEngine::admit(const std::string& tenant_name,
                        tenant->flows);
   }
   result.seq = tenant->seq;
-  SC_OBS_COUNT(result.admitted ? "serve.admit.accepted"
-                               : "serve.admit.rejected",
-               1);
+  if (result.admitted) {
+    SC_OBS_COUNT("serve.admit.accepted", 1);
+  } else {
+    SC_OBS_COUNT("serve.admit.rejected", 1);
+  }
   return result;
 }
 

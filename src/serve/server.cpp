@@ -255,7 +255,6 @@ void Server::serve_connection(Connection* conn, int fd) {
     if (!batch.empty() && !process_batch(fd, batch)) break;
     if (status == FrameDecoder::Status::kOversized) {
       protocol_errors_.fetch_add(1);
-      SC_OBS_COUNT("serve.request.protocol_error", 1);
       const std::string reply =
           error_reply("frame of " +
                       std::to_string(decoder.oversized_length()) +
@@ -267,7 +266,6 @@ void Server::serve_connection(Connection* conn, int fd) {
     }
     if (status == FrameDecoder::Status::kBadVersion) {
       protocol_errors_.fetch_add(1);
-      SC_OBS_COUNT("serve.request.protocol_error", 1);
       const std::string reply =
           error_reply("unsupported protocol version " +
                       std::to_string(
@@ -317,7 +315,6 @@ std::string Server::handle_request(const std::string& payload,
   SC_OBS_SPAN("serve", "request");
   const auto started = std::chrono::steady_clock::now();
   requests_total_.fetch_add(1);
-  SC_OBS_COUNT("serve.request.count", 1);
 
   Json reply;
   try {
@@ -364,14 +361,12 @@ std::string Server::handle_request(const std::string& payload,
   }
   if (!reply.bool_or("ok", false)) {
     request_errors_.fetch_add(1);
-    SC_OBS_COUNT("serve.request.error", 1);
   }
   const double us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - started)
           .count();
   latency_us_.observe(us);
-  SC_OBS_OBSERVE("serve.request.latency_us", us);
   return reply.dump();
 }
 
@@ -382,10 +377,8 @@ Json Server::handle_admit(const Json& req) {
       req.bool_or("certify", false));
   if (d.admitted) {
     admit_accepted_.fetch_add(1);
-    SC_OBS_COUNT("serve.admit.accepted.total", 1);
   } else {
     admit_rejected_.fetch_add(1);
-    SC_OBS_COUNT("serve.admit.rejected.total", 1);
   }
   Json::Object obj;
   put_decision(obj, d);

@@ -137,6 +137,8 @@ class Server {
   util::Mutex reload_mutex_;
 
   // --- stats (exposed by the `stats` verb) -------------------------------
+  // The server's own instruments, so `stats` answers with STREAMCALC_OBS=off;
+  // the obs registry carries no copy of them.
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> request_errors_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};

@@ -5,7 +5,7 @@
 // pulls in the min-plus curve algebra, the network-calculus models (chain
 // pipeline + DAG), the discrete-event cross-check simulator with its
 // replication runner, the nclint / certify verification layers, the
-// observability layer (spans, metrics, sinks), and the util foundations
+// observability layer (spans and metrics), and the util foundations
 // (Context, units, formatting). Applications that only need a slice —
 // e.g. just the curve algebra — can keep including the individual
 // headers; this header is for examples, tools, and downstream consumers
@@ -24,7 +24,7 @@
 #include "util/format.hpp"
 #include "util/units.hpp"
 
-// Observability: SC_OBS_* macros, Tracer/Span, metrics Registry, Sink.
+// Observability: SC_OBS_* macros, Tracer/Span, metrics Registry.
 #include "obs/obs.hpp"
 
 // Curve algebra.

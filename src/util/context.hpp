@@ -33,9 +33,8 @@ struct Context {
   EnforceMode certify = EnforceMode::kOff;
 
   // --- observability -----------------------------------------------------
-  /// Master runtime switch for spans/metrics (STREAMCALC_OBS; default on).
-  /// Instrumentation can additionally be compiled out entirely with the
-  /// STREAMCALC_OBS=OFF CMake option.
+  /// Master runtime switch for spans/metrics (STREAMCALC_OBS; default on),
+  /// the only way to turn instrumentation off.
   bool obs = true;
   /// Print the metrics-registry JSON block after the run (`--stats`).
   bool stats = false;

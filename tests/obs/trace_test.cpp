@@ -1,16 +1,35 @@
 // Span tracer contract: RAII spans record on scope exit with per-thread
 // nesting depth, the bounded ring keeps the newest records, and the
-// chrome://tracing export carries every field a viewer needs.
+// chrome://tracing export carries every field a viewer needs. The
+// instrumented subsystems (min-plus operators, the replication runner)
+// record one span per unit of work.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "minplus/curve.hpp"
+#include "minplus/operations.hpp"
 #include "obs/obs.hpp"
+#include "streamsim/replication.hpp"
 
 namespace streamcalc::obs {
 namespace {
+
+/// Completed spans in the global tracer named `category`/`name`.
+std::size_t span_count(const char* category, const char* name) {
+  std::size_t n = 0;
+  for (const SpanRecord& s : Tracer::global().snapshot()) {
+    if (std::strcmp(s.category, category) == 0 &&
+        std::strcmp(s.name, name) == 0) {
+      ++n;
+    }
+  }
+  return n;
+}
 
 /// Fresh tracer state per test; the global tracer is process-wide.
 class TraceTest : public ::testing::Test {
@@ -125,6 +144,18 @@ TEST_F(TraceTest, ClearDropsRecordsAndKeepsTracing) {
   EXPECT_EQ(tracer.snapshot().size(), 1u);
 }
 
+TEST_F(TraceTest, StoppedTracerRecordsNothingFurther) {
+  Tracer::global().start();
+  { const Span span("test", "before-stop"); }
+  Tracer::global().stop();
+  {
+    const Span span("test", "after-stop");
+    EXPECT_FALSE(span.active());
+  }
+  EXPECT_EQ(span_count("test", "before-stop"), 1u);
+  EXPECT_EQ(span_count("test", "after-stop"), 0u);
+}
+
 TEST_F(TraceTest, StartIsIgnoredWhileDisabled) {
   set_enabled(false);
   Tracer::global().start();
@@ -142,6 +173,42 @@ TEST_F(TraceTest, ChromeTraceJsonCarriesEveryField) {
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\""), std::string::npos);
+}
+
+TEST_F(TraceTest, ConvolveRecordsOneSpan) {
+  Tracer::global().start();
+  (void)minplus::convolve(minplus::Curve::affine(10.0, 5.0),
+                          minplus::Curve::rate_latency(8.0, 2.0));
+  EXPECT_EQ(span_count("minplus", "convolve"), 1u);
+  EXPECT_EQ(span_count("minplus", "deconvolve"), 0u);
+}
+
+TEST_F(TraceTest, DeconvolveRecordsOneSpan) {
+  Tracer::global().start();
+  (void)minplus::deconvolve(minplus::Curve::affine(4.0, 3.0),
+                            minplus::Curve::rate_latency(10.0, 1.0));
+  EXPECT_EQ(span_count("minplus", "deconvolve"), 1u);
+}
+
+TEST_F(TraceTest, ReplicationRunnerRecordsOneSpanPerReplication) {
+  netcalc::SourceSpec source;
+  source.rate = util::DataRate::mib_per_sec(60);
+  source.burst = util::DataSize::kib(64);
+  const netcalc::NodeSpec node = netcalc::NodeSpec::from_rates(
+      "stage", netcalc::NodeKind::kCompute, util::DataSize::kib(64),
+      util::DataRate::mib_per_sec(90), util::DataRate::mib_per_sec(100),
+      util::DataRate::mib_per_sec(110));
+  streamsim::SimConfig base;
+  base.horizon = util::Duration::seconds(0.05);
+  streamsim::ReplicationConfig rc;
+  rc.replications = 3;
+  rc.base_seed = 7;
+  rc.threads = 1;  // deterministic inline execution
+  Tracer::global().start();
+  const auto summary = streamsim::ReplicationRunner(rc).run({node}, source,
+                                                           base);
+  EXPECT_EQ(summary.replications, 3);
+  EXPECT_EQ(span_count("sim", "replication"), 3u);
 }
 
 }  // namespace

@@ -521,12 +521,7 @@ double counter(const char* name) {
 
 class EngineSelection : public ::testing::Test {
  protected:
-  void SetUp() override {
-#if !SC_OBS_ENABLED
-    GTEST_SKIP() << "instrumentation compiled out (STREAMCALC_OBS=OFF)";
-#endif
-    obs::set_enabled(true);
-  }
+  void SetUp() override { obs::set_enabled(true); }
 };
 
 TEST_F(EngineSelection, QuickstartTakesTheRecurrence) {

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -346,15 +345,9 @@ TEST_F(ServeProtocolTest, EpsilonAdmitRoundTripsThroughTheWire) {
   EXPECT_FALSE(bad.bool_or("ok", true));
 }
 
-/// Certificates the exact checker has been handed in this process so far,
-/// or nullopt when instrumentation is compiled out or switched off.
-std::optional<std::uint64_t> certificates_checked() {
-#if SC_OBS_ENABLED
-  if (obs::enabled()) {
-    return obs::Registry::global().counter("certify.certificates").value();
-  }
-#endif
-  return std::nullopt;
+/// Certificates the exact checker has been handed in this process so far.
+std::uint64_t certificates_checked() {
+  return obs::Registry::global().counter("certify.certificates").value();
 }
 
 Json admit_request(const std::string& tenant, const std::string& scenario,
@@ -376,15 +369,16 @@ Json admit_request(const std::string& tenant, const std::string& scenario,
 /// ran the exact checker.
 void expect_certified_admits(const std::string& path,
                              const std::string& scenario) {
+  obs::set_enabled(true);
   Client client = Client::connect_unix(path);
   for (const char* id : {"f1", "f2"}) {
     SCOPED_TRACE(scenario + " " + id);
     const Json plain =
         client.request(admit_request("plain", scenario, id, false));
-    const std::optional<std::uint64_t> before = certificates_checked();
+    const std::uint64_t before = certificates_checked();
     const Json certified =
         client.request(admit_request("certified", scenario, id, true));
-    const std::optional<std::uint64_t> after = certificates_checked();
+    const std::uint64_t after = certificates_checked();
     ASSERT_TRUE(plain.bool_or("ok", false));
     ASSERT_TRUE(certified.bool_or("ok", false))
         << certified.string_or("error", "");
@@ -393,9 +387,7 @@ void expect_certified_admits(const std::string& path,
               plain.bool_or("admitted", true));
     EXPECT_EQ(certified.number_or("delay_bound", -1.0),
               plain.number_or("delay_bound", -2.0));
-    if (before && after) {
-      EXPECT_GT(*after, *before);
-    }
+    EXPECT_GT(after, before);
   }
 }
 
@@ -405,6 +397,92 @@ TEST_F(ServeProtocolTest, CertifiedChainAdmitRoundTripsThroughTheWire) {
 
 TEST_F(ServeProtocolTest, CertifiedDagAdmitRoundTripsThroughTheWire) {
   expect_certified_admits(path_, "dag");
+}
+
+/// Counts one scripted session leaves behind: the fields of the `stats`
+/// reply and the registry's admit-outcome deltas.
+struct SessionCounts {
+  double requests, request_errors, batches, admit_accepted, admit_rejected,
+      latency_count;
+  std::uint64_t registry_accepted, registry_rejected;
+};
+
+std::uint64_t registry_counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+/// On a fresh server: an accepted admit, a rejected admit, a malformed-JSON
+/// frame, a ping and a pipelined batch of two frames, then `stats`.
+SessionCounts scripted_session(const std::shared_ptr<Catalog>& catalog,
+                               const std::string& tag) {
+  ServerConfig config;
+  config.socket_path = ::testing::TempDir() + "/serve_stats_" + tag + "_" +
+                       std::to_string(::getpid()) + ".sock";
+  Server server(config, catalog);
+  server.start();
+  const std::uint64_t accepted0 = registry_counter("serve.admit.accepted");
+  const std::uint64_t rejected0 = registry_counter("serve.admit.rejected");
+  Client client = Client::connect_unix(config.socket_path);
+  const std::string admit =
+      "{\"op\":\"admit\",\"tenant\":\"t\",\"scenario\":\"chain\","
+      "\"rate\":1048576,\"burst\":65536,";
+  const Json accepted = json_parse(client.request_raw(
+                                       admit + "\"id\":\"f1\",\"target\":0.5}"))
+                            .value;
+  EXPECT_TRUE(accepted.bool_or("admitted", false)) << accepted.dump();
+  const Json rejected = json_parse(client.request_raw(
+                                       admit + "\"id\":\"f2\",\"target\":1e-9}"))
+                            .value;
+  EXPECT_TRUE(rejected.bool_or("ok", false)) << rejected.dump();
+  EXPECT_FALSE(rejected.bool_or("admitted", true)) << rejected.dump();
+  EXPECT_FALSE(json_parse(client.request_raw("{\"op\":"))
+                   .value.bool_or("ok", true));
+  EXPECT_TRUE(client.request(json_parse("{\"op\":\"ping\"}").value)
+                  .bool_or("ok", false));
+  client.send_bytes(encode_frame("{\"op\":\"ping\"}") +
+                    encode_frame("{\"op\":\"query\",\"tenant\":\"t\"}"));
+  for (int frame = 0; frame < 2; ++frame) {
+    EXPECT_TRUE(json_parse(client.recv_frame()).value.bool_or("ok", false));
+  }
+  const Json stats = client.request(json_parse("{\"op\":\"stats\"}").value);
+  server.stop();
+  EXPECT_TRUE(stats.bool_or("ok", false)) << stats.dump();
+  const Json* latency = stats.find("latency_us");
+  return SessionCounts{
+      stats.number_or("requests", -1.0),
+      stats.number_or("request_errors", -1.0),
+      stats.number_or("batches", -1.0),
+      stats.number_or("admit_accepted", -1.0),
+      stats.number_or("admit_rejected", -1.0),
+      latency != nullptr ? latency->number_or("count", -1.0) : -1.0,
+      registry_counter("serve.admit.accepted") - accepted0,
+      registry_counter("serve.admit.rejected") - rejected0};
+}
+
+void expect_session_counts(const SessionCounts& c) {
+  // Six frames before `stats`, which counts itself as a request and a
+  // batch but not yet in the latency histogram.
+  EXPECT_EQ(c.requests, 7.0);
+  EXPECT_EQ(c.request_errors, 1.0);  // the malformed frame
+  EXPECT_EQ(c.batches, 6.0);         // the pipelined pair is one batch
+  EXPECT_EQ(c.admit_accepted, 1.0);
+  EXPECT_EQ(c.admit_rejected, 1.0);
+  EXPECT_EQ(c.latency_count, 6.0);
+}
+
+TEST_F(ServeProtocolTest, StatsVerbCountsTheSessionWithObsOnAndOff) {
+  obs::set_enabled(true);
+  const SessionCounts on = scripted_session(catalog_, "on");
+  expect_session_counts(on);
+  EXPECT_EQ(on.registry_accepted, 1u);
+  EXPECT_EQ(on.registry_rejected, 1u);
+
+  obs::set_enabled(false);
+  const SessionCounts off = scripted_session(catalog_, "off");
+  obs::set_enabled(true);
+  expect_session_counts(off);
+  EXPECT_EQ(off.registry_accepted, 0u);
+  EXPECT_EQ(off.registry_rejected, 0u);
 }
 
 TEST_F(ServeProtocolTest, TruncatedFrameDoesNotHarmTheServer) {
