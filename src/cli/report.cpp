@@ -112,6 +112,7 @@ SimulationCheck simulation_check(const Spec& spec, const Analysis& a,
   cfg.warmup = spec.analysis.horizon / 5.0;
   cfg.seed = spec.analysis.seed;
   cfg.queue_capacity = spec.analysis.queue_capacity;
+  cfg.max_trace_samples = 0;  // the reports read no trace
   streamsim::SimResult sim =
       dag != nullptr ? streamsim::simulate_dag(*dag, spec.source, cfg)
                      : streamsim::simulate(spec.nodes, spec.source, cfg);

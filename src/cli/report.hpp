@@ -33,7 +33,7 @@ struct StochasticBounds {
 /// The simulation cross-check against the sure bounds.
 struct SimulationCheck {
   std::uint64_t seed = 0;
-  streamsim::SimResult result;
+  streamsim::SimResult result;  ///< recorded without traces
   bool delay_within_bound = false;
   bool backlog_within_bound = false;
 };

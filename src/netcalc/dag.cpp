@@ -103,7 +103,23 @@ std::vector<std::vector<std::size_t>> DagSpec::paths() const {
 }
 
 DagModel::DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy)
-    : dag_(std::move(dag)), source_(source), policy_(policy) {
+    : DagModel(std::move(dag), source, policy, {}) {}
+
+DagModel DagModel::with_entry_arrivals(DagSpec dag, SourceSpec source,
+                                       ModelPolicy policy,
+                                       std::vector<Curve> entry_envelopes) {
+  util::require(entry_envelopes.size() == dag.entries.size(),
+                "DagModel::with_entry_arrivals requires one envelope per "
+                "entry");
+  return DagModel(std::move(dag), source, policy, std::move(entry_envelopes));
+}
+
+DagModel::DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy,
+                   std::vector<Curve> entry_envelopes)
+    : dag_(std::move(dag)),
+      source_(source),
+      policy_(policy),
+      entry_curve_(std::move(entry_envelopes)) {
   dag_.validate();
   util::require(source_.rate > DataRate::bytes_per_sec(0),
                 "DagModel requires a positive source rate");
@@ -112,7 +128,7 @@ DagModel::DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy)
 
 void DagModel::build() {
   const std::size_t n = dag_.nodes.size();
-  order_ = dag_.topological_order();
+  const std::vector<std::size_t> order = dag_.topological_order();
   arrival_.resize(n);
   service_.resize(n);
   max_service_.resize(n);
@@ -124,7 +140,7 @@ void DagModel::build() {
   // volume; graph edges carry fraction x the producer's output volume.
   std::vector<double> vol_out(n, 0.0);
   for (const DagEdge& e : dag_.entries) vol_in_[e.to] += e.fraction;
-  for (std::size_t i : order_) {
+  for (std::size_t i : order) {
     for (const DagEdge& e : dag_.edges) {
       if (e.to == i) {
         vol_in_[i] += e.fraction * vol_out[e.from];
@@ -133,24 +149,26 @@ void DagModel::build() {
     vol_out[i] = vol_in_[i] * dag_.nodes[i].volume.max;
   }
 
-  // Per-entry envelopes: proportional splitters with block granularity.
-  const Curve alpha = source_arrival(source_);
-  entry_curve_.resize(dag_.entries.size());
-  for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
-    entry_curve_[k] = alpha.scale_value(dag_.entries[k].fraction);
-    if (dag_.entries[k].fraction < 1.0) {
-      // Splitter granularity: a sub-flow can be ahead of its long-run
-      // share by up to one source packet.
-      entry_curve_[k] =
-          entry_curve_[k].plus_step(source_.packet.in_bytes());
+  // Per-entry envelopes, unless given: proportional splitters with block
+  // granularity.
+  if (entry_curve_.empty()) {
+    const Curve alpha = source_arrival(source_);
+    entry_curve_.resize(dag_.entries.size());
+    for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
+      entry_curve_[k] = alpha.scale_value(dag_.entries[k].fraction);
+      if (dag_.entries[k].fraction < 1.0) {
+        // Splitter granularity: a sub-flow can be ahead of its long-run
+        // share by up to one source packet.
+        entry_curve_[k] =
+            entry_curve_[k].plus_step(source_.packet.in_bytes());
+      }
     }
   }
 
-  std::vector<bool> changed(n, false);
-  for (std::size_t i : order_) build_node(i, changed);
+  for (std::size_t i : order) build_node(i);
 }
 
-void DagModel::build_node(std::size_t i, std::vector<bool>& changed) {
+void DagModel::build_node(std::size_t i) {
   const NodeSpec& node = dag_.nodes[i];
   // Merge incoming envelopes: entries first, then edges, both in
   // declaration order.
@@ -215,17 +233,12 @@ void DagModel::build_node(std::size_t i, std::vector<bool>& changed) {
 
   output_[i] = output_bound(arrival_[i], service_[i], max_service_[i]);
 
-  // Outgoing edge envelopes; the change report stops an incremental
-  // refresh at successors whose inputs came out unchanged.
+  // Outgoing edge envelopes.
   for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
     if (dag_.edges[k].from == i) {
-      Curve env = output_[i].scale_value(dag_.edges[k].fraction);
+      edge_curve_[k] = output_[i].scale_value(dag_.edges[k].fraction);
       if (dag_.edges[k].fraction < 1.0) {
-        env = env.plus_step(out_block_norm);
-      }
-      if (!(edge_curve_[k] == env)) {
-        edge_curve_[k] = std::move(env);
-        changed[dag_.edges[k].to] = true;
+        edge_curve_[k] = edge_curve_[k].plus_step(out_block_norm);
       }
     }
   }
@@ -334,6 +347,15 @@ DelayReport worst_path_delay(const std::vector<DagPathAnalysis>& paths) {
     worst = std::max(worst, p.delay);
   }
   return DelayReport::worst_case(worst);
+}
+
+std::vector<Duration> delay_bounds_by_head(
+    const std::vector<DagPathAnalysis>& paths, std::size_t node_count) {
+  std::vector<Duration> worst(node_count, Duration::seconds(0));
+  for (const DagPathAnalysis& p : paths) {
+    worst[p.nodes.front()] = std::max(worst[p.nodes.front()], p.delay);
+  }
+  return worst;
 }
 
 DelayReport DagModel::delay_bound() const {

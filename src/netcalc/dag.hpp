@@ -90,10 +90,26 @@ DelayReport worst_path_delay(const std::vector<DagPathAnalysis>& paths);
 DelayReport worst_path_delay(const std::vector<DagPathAnalysis>& paths,
                              double epsilon);
 
+/// Per node of a `node_count`-node DAG: the worst delay over the paths
+/// whose head is that node (zero where no path starts), i.e. the bound a
+/// flow entering there sees.
+std::vector<util::Duration> delay_bounds_by_head(
+    const std::vector<DagPathAnalysis>& paths, std::size_t node_count);
+
 /// Network-calculus model of a DAG pipeline.
 class DagModel {
  public:
   DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy = {});
+
+  /// Models `dag` with entry k fed by `entry_envelopes[k]` (bytes over
+  /// seconds) instead of the fraction-scaled, splitter-stepped source
+  /// arrival curve: the DAG twin of PipelineModel::with_arrival. `source`
+  /// still provides the packet granularity of collection waits. Requires
+  /// one envelope per entry.
+  static DagModel with_entry_arrivals(DagSpec dag, SourceSpec source,
+                                      ModelPolicy policy,
+                                      std::vector<minplus::Curve>
+                                          entry_envelopes);
 
   const DagSpec& dag() const { return dag_; }
 
@@ -124,24 +140,22 @@ class DagModel {
   BacklogReport backlog_bound(double epsilon) const;
 
  private:
-  // IncrementalDag is this model plus a dirty set: it rewrites
-  // entry_curve_ and re-runs build_node() on the nodes a change reaches.
-  friend class IncrementalDag;
+  /// Seeds the entry envelopes from `source` when `entry_envelopes` is
+  /// empty.
+  DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy,
+           std::vector<minplus::Curve> entry_envelopes);
 
   void build();
   /// One step of the topological walk for node i: merges its incoming
   /// envelopes, builds its normalized service and max-service curves and
-  /// output bound, and rewrites its outgoing edge envelopes. Sets
-  /// `changed[j]` for every successor j whose incoming edge envelope
-  /// changed.
-  void build_node(std::size_t i, std::vector<bool>& changed);
+  /// output bound, and writes its outgoing edge envelopes.
+  void build_node(std::size_t i);
   util::Duration delay_bound_for(std::size_t i) const;
   util::DataSize backlog_bound_for(std::size_t i) const;
 
   DagSpec dag_;
   SourceSpec source_;
   ModelPolicy policy_;
-  std::vector<std::size_t> order_;           ///< topological order
   std::vector<minplus::Curve> arrival_;      ///< per node
   std::vector<minplus::Curve> service_;      ///< per node (normalized)
   std::vector<minplus::Curve> max_service_;  ///< per node

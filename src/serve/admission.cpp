@@ -125,55 +125,63 @@ bool resolve_entry(const netcalc::DagSpec& dag, const std::string& name,
   return false;
 }
 
-/// Shared DAG evaluation: installs the flow set's per-entry envelopes
-/// (zero where no flow attaches — tenant traffic replaces the spec's
-/// nominal source) and checks every flow's target against the max path
-/// delay from its entry. Used identically by the engine's per-tenant
-/// incremental instance and by the from-scratch oracle, so the decisions
-/// are the same doubles.
-Decision evaluate_dag(netcalc::IncrementalDag& dag, const cli::Spec& spec,
-                      const std::vector<std::pair<std::string, FlowSpec>>&
-                          flows) {
+}  // namespace
+
+Decision AdmissionEngine::dag_decision(
+    const ScenarioModel& scenario,
+    const std::map<std::string, FlowSpec>& flows, bool* certified) {
   Decision d;
-  const netcalc::DagSpec& shape = dag.dag();
+  const netcalc::DagSpec& shape = scenario.dag;
   std::vector<std::vector<FlowSpec>> per_entry(shape.entries.size());
-  std::vector<std::size_t> flow_entry(flows.size(), 0);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
+  std::vector<std::size_t> flow_head;
+  flow_head.reserve(flows.size());
+  for (const auto& [id, f] : flows) {
     std::size_t k = 0;
-    if (!resolve_entry(shape, flows[i].second.entry, k)) {
-      d.error = "unknown entry node '" + flows[i].second.entry +
-                "' for flow '" + flows[i].first + "'";
+    if (!resolve_entry(shape, f.entry, k)) {
+      d.error = "unknown entry node '" + f.entry + "' for flow '" + id + "'";
       return d;
     }
-    flow_entry[i] = k;
-    per_entry[k].push_back(flows[i].second);
+    flow_head.push_back(shape.entries[k].to);
+    per_entry[k].push_back(f);
   }
-  for (std::size_t k = 0; k < shape.entries.size(); ++k) {
-    dag.set_entry_envelope(
-        k, per_entry[k].empty()
-               ? Curve::zero()
-               : AdmissionEngine::aggregate_arrival(per_entry[k],
-                                                    spec.source));
+  // Zero where no flow attaches: tenant traffic replaces the spec's
+  // nominal source.
+  std::vector<Curve> envelopes;
+  envelopes.reserve(per_entry.size());
+  for (const std::vector<FlowSpec>& entry_flows : per_entry) {
+    envelopes.push_back(
+        entry_flows.empty()
+            ? Curve::zero()
+            : aggregate_arrival(entry_flows, scenario.spec.source));
   }
-  // One path analysis per decision, shared by every flow.
-  const std::vector<Duration> delay_from = dag.delay_bounds_by_head();
+  const netcalc::DagModel model = netcalc::DagModel::with_entry_arrivals(
+      shape, scenario.spec.source, scenario.spec.policy,
+      std::move(envelopes));
+  // One path analysis per decision, shared by every flow and by the
+  // strict-mode certification.
+  const std::vector<netcalc::DagPathAnalysis> paths =
+      model.per_path_analysis();
+  const std::vector<Duration> delay_from =
+      netcalc::delay_bounds_by_head(paths, shape.nodes.size());
   d.ok = true;
   d.admitted = true;
   Duration worst = Duration::seconds(0.0);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const Duration delay = delay_from[dag.entry_node(flow_entry[i])];
+  std::size_t i = 0;
+  for (const auto& [id, f] : flows) {
+    const Duration delay = delay_from[flow_head[i++]];
     worst = std::max(worst, delay);
-    if (!(delay <= flows[i].second.delay_target)) {
+    if (!(delay <= f.delay_target)) {
       d.admitted = false;
-      d.reason = "delay bound from entry of flow '" + flows[i].first +
+      d.reason = "delay bound from entry of flow '" + id +
                  "' exceeds its target";
     }
   }
   d.delay_bound = worst;
+  if (certified != nullptr) {
+    *certified = certify::certify_dag(model, paths).clean();
+  }
   return d;
 }
-
-}  // namespace
 
 AdmissionEngine::AdmissionEngine(std::shared_ptr<Catalog> catalog,
                                  util::Context ctx)
@@ -194,23 +202,6 @@ std::shared_ptr<AdmissionEngine::Tenant> AdmissionEngine::tenant_for(
 std::size_t AdmissionEngine::tenant_count() const {
   util::MutexLock lock(mutex_);
   return tenants_.size();
-}
-
-Decision AdmissionEngine::dag_decision(
-    Tenant& tenant, const ScenarioModel& scenario, std::uint64_t epoch,
-    const std::map<std::string, FlowSpec>& flows) {
-  // Epoch moved (catalog reload): rebuild the incremental state against
-  // the new snapshot's spec; otherwise keep it — set_entry_envelope is a
-  // no-op for unchanged entries and dirties only the changed entry's
-  // downstream cone.
-  if (tenant.dag == nullptr || tenant.built_epoch != epoch) {
-    tenant.dag = std::make_unique<netcalc::IncrementalDag>(
-        scenario.spec.dag(), scenario.spec.source, scenario.spec.policy);
-    tenant.built_epoch = epoch;
-  }
-  std::vector<std::pair<std::string, FlowSpec>> flow_list(flows.begin(),
-                                                          flows.end());
-  return evaluate_dag(*tenant.dag, scenario.spec, flow_list);
 }
 
 Decision AdmissionEngine::admit(const std::string& tenant_name,
@@ -301,13 +292,7 @@ Decision AdmissionEngine::admit(const std::string& tenant_name,
   if (scenario->is_dag) {
     std::map<std::string, FlowSpec> candidate = tenant->flows;
     candidate.emplace(flow_id, flow);
-    result = dag_decision(*tenant, *scenario, snapshot->epoch(), candidate);
-    if (result.ok && strict) {
-      // The tenant's incremental DAG now holds the candidate flow set.
-      const netcalc::DagModel& model = tenant->dag->model();
-      certified =
-          certify::certify_dag(model, model.per_path_analysis()).clean();
-    }
+    result = dag_decision(*scenario, candidate, strict ? &certified : nullptr);
   } else {
     std::vector<FlowSpec> candidate;
     candidate.reserve(tenant->flows.size() + 1);
@@ -324,8 +309,6 @@ Decision AdmissionEngine::admit(const std::string& tenant_name,
       certified = certify::certify_pipeline(model).clean();
     }
   }
-  // An evaluated DAG candidate has touched the tenant's envelopes.
-  const bool evaluated = result.ok;
   if (!certified) {
     result = Decision{};
     result.error = "bound failed strict certification";
@@ -337,12 +320,6 @@ Decision AdmissionEngine::admit(const std::string& tenant_name,
     tenant->flows.emplace(flow_id, flow);
     ++tenant->seq;
     result.changed = true;
-  } else if (scenario->is_dag && evaluated) {
-    // Restore the committed flow set's envelopes after a rejected or
-    // uncertified candidate evaluation (cheap: only the candidate's entry
-    // cone was touched, and only it is recomputed back).
-    (void)dag_decision(*tenant, *scenario, snapshot->epoch(),
-                       tenant->flows);
   }
   result.seq = tenant->seq;
   if (result.admitted) {
@@ -374,14 +351,12 @@ Decision AdmissionEngine::release(const std::string& tenant_name,
   d.changed = true;
   d.seq = tenant->seq;
 
-  // Report the post-release bound (and, for DAGs, bring the incremental
-  // envelopes back in line with the committed set).
+  // Report the post-release bound.
   const ScenarioModel* scenario = snapshot->find(tenant->scenario);
   if (scenario != nullptr) {
     Decision current;
     if (scenario->is_dag) {
-      current = dag_decision(*tenant, *scenario, snapshot->epoch(),
-                             tenant->flows);
+      current = dag_decision(*scenario, tenant->flows);
     } else {
       std::vector<FlowSpec> flows;
       flows.reserve(tenant->flows.size());
@@ -425,8 +400,7 @@ Decision AdmissionEngine::query(const std::string& tenant_name,
   if (scenario != nullptr && !tenant->flows.empty()) {
     Decision current;
     if (scenario->is_dag) {
-      current = dag_decision(*tenant, *scenario, snapshot->epoch(),
-                             tenant->flows);
+      current = dag_decision(*scenario, tenant->flows);
     } else {
       std::vector<FlowSpec> flows;
       flows.reserve(tenant->flows.size());

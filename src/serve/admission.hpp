@@ -15,14 +15,15 @@
 // bounded by the aggregate's). For chain scenarios beta is the catalog's
 // cached end-to-end service curve, so the hot path is a single
 // horizontal-deviation evaluation; for DAG scenarios flows attach to a
-// named entry node and the per-tenant netcalc::IncrementalDag recomputes
-// only the cone downstream of that entry.
+// named entry node and each decision builds one netcalc::DagModel from
+// the flow set's per-entry envelopes (DagModel::with_entry_arrivals), so
+// a tenant holds only its flows.
 //
 // Every decision is EXACTLY what a from-scratch analysis of the same
-// tenant set produces (PipelineModel::with_arrival / a freshly built
-// IncrementalDag): same curves through the same kernels, hence the same
-// doubles. tests/serve/admission_oracle_test.cpp holds this differential
-// property over hundreds of generated scenarios.
+// tenant set produces (PipelineModel::with_arrival / a DagModel built for
+// the same envelopes): same curves through the same kernels, hence the
+// same doubles. tests/serve/admission_oracle_test.cpp holds this
+// differential property over hundreds of generated scenarios.
 //
 // Concurrency. The engine serializes operations per tenant (one Mutex per
 // tenant) while different tenants proceed in parallel; every applied state
@@ -38,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "netcalc/incremental.hpp"
 #include "netcalc/report.hpp"
 #include "serve/catalog.hpp"
 #include "util/context.hpp"
@@ -96,8 +96,9 @@ class AdmissionEngine {
   AdmissionEngine(std::shared_ptr<Catalog> catalog, util::Context ctx);
 
   /// Admission check + commit. `certify_strict` additionally runs the
-  /// proof-carrying certification post-flight on the bound (chain
-  /// scenarios; an uncertified bound turns the reply into an error).
+  /// proof-carrying certification post-flight on the candidate model
+  /// (chain and DAG scenarios; an uncertified bound turns the reply into
+  /// an error).
   Decision admit(const std::string& tenant, const std::string& scenario,
                  const std::string& flow_id, const FlowSpec& flow,
                  bool certify_strict = false);
@@ -137,10 +138,6 @@ class AdmissionEngine {
     /// carry the same value (0 = deterministic).
     double epsilon SC_GUARDED_BY(mutex) = 0.0;
     std::uint64_t seq SC_GUARDED_BY(mutex) = 0;
-    /// Epoch of the catalog snapshot `dag` (if any) was built against;
-    /// a newer snapshot forces a rebuild.
-    std::uint64_t built_epoch SC_GUARDED_BY(mutex) = 0;
-    std::unique_ptr<netcalc::IncrementalDag> dag SC_GUARDED_BY(mutex);
   };
 
   std::shared_ptr<Tenant> tenant_for(const std::string& name)
@@ -152,12 +149,13 @@ class AdmissionEngine {
                                  const std::vector<FlowSpec>& flows,
                                  double epsilon);
 
-  /// DAG decision via the tenant's IncrementalDag; `tenant` must be
-  /// locked. Rebuilds the incremental state when the epoch moved.
-  Decision dag_decision(Tenant& tenant, const ScenarioModel& scenario,
-                        std::uint64_t epoch,
-                        const std::map<std::string, FlowSpec>& flows)
-      SC_REQUIRES(tenant.mutex);
+  /// DAG decision from one DagModel built for `flows`, with one path
+  /// analysis. When `certified` is given, that model and those path rows
+  /// also go through the exact checker, and `*certified` reports whether
+  /// every bound certified.
+  static Decision dag_decision(const ScenarioModel& scenario,
+                               const std::map<std::string, FlowSpec>& flows,
+                               bool* certified = nullptr);
 
   std::shared_ptr<Catalog> catalog_;
   util::Context ctx_;

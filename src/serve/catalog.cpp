@@ -37,8 +37,8 @@ std::shared_ptr<const CatalogSnapshot> make_snapshot(
     try {
       if (m.is_dag) {
         // Validate shape now so a broken spec fails the (re)load, not a
-        // later admit; the per-tenant IncrementalDag is built on demand.
-        m.spec.dag().validate();
+        // later admit; each DAG decision builds its own DagModel.
+        m.dag = m.spec.dag();
       } else {
         m.chain_model = std::make_shared<const netcalc::PipelineModel>(
             m.spec.nodes, m.spec.source, m.spec.policy);

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cli/spec.hpp"
+#include "netcalc/dag.hpp"
 #include "netcalc/pipeline.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
@@ -43,6 +44,9 @@ struct ScenarioModel {
   /// source. Its service_curve() is the cached end-to-end beta; per-node
   /// curves feed the `query` verb.
   std::shared_ptr<const netcalc::PipelineModel> chain_model;
+  /// DAG scenarios only: the validated topology each decision's model is
+  /// built on.
+  netcalc::DagSpec dag;
 };
 
 /// Immutable set of scenarios plus the epoch it was published under.

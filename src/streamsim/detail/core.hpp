@@ -40,6 +40,7 @@ class Trace {
   explicit Trace(std::size_t max_samples) : max_samples_(max_samples) {}
 
   void record(double t, double v) {
+    if (max_samples_ == 0) return;
     if (samples_.size() >= max_samples_) [[unlikely]] thin();
     if (samples_.size() < max_samples_) samples_.emplace_back(t, v);
   }

@@ -5,6 +5,7 @@
 // Historically lint conflated 1 and 2; these tests pin the split.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -292,6 +293,99 @@ TEST(StochExitCodes, SpecStochasticBoundsNeverExceedTheSureBounds) {
     EXPECT_EQ(stoch->string_or(q + "_method", ""), "det_clamp") << q;
     EXPECT_LE(stoch->number_or(key, -1.0), sure->number_or(key, -2.0)) << q;
   }
+}
+
+/// quickstart.scspec's chain (without its simulation) under an explicit
+/// [source] model given by `model_lines`.
+std::string model_chain_spec(const std::string& model_lines) {
+  return "[source]\nrate = 100 MiB/s\nburst = 256 KiB\npacket = 64 KiB\n" +
+         model_lines +
+         "[node parse]\nblock_in = 64 KiB\nrate_min = 220 MiB/s\n"
+         "rate_avg = 250 MiB/s\nrate_max = 280 MiB/s\n"
+         "[node transform]\nblock_in = 64 KiB\nrate_min = 120 MiB/s\n"
+         "rate_avg = 140 MiB/s\nrate_max = 165 MiB/s\n"
+         "[node uplink]\nkind = network\nbandwidth = 1 GiB/s\n"
+         "packet = 64 KiB\npropagation = 50 us\n";
+}
+
+/// `finite` and at most `sure` for the delay and backlog of two JSON
+/// bound objects.
+void expect_within_sure(const util::Json& stoch, const util::Json& sure,
+                        const std::string& what) {
+  for (const char* key : {"delay_seconds", "backlog_bytes"}) {
+    const double s = stoch.number_or(key, -1.0);
+    EXPECT_TRUE(std::isfinite(s) && s > 0.0) << what << " " << key;
+    EXPECT_LE(s, sure.number_or(key, -2.0)) << what << " " << key;
+  }
+}
+
+/// Runs a chain under the explicit [source] model `model_lines` through
+/// `analyze --epsilon 1e-6` and `stoch` (both exit 0, both naming the
+/// source `label`) and checks the JSON reports of both: finite stochastic
+/// bounds no looser than the sure bounds.
+void expect_source_model_end_to_end(const std::string& name,
+                                    const std::string& model_lines,
+                                    const std::string& label) {
+  const std::string text = model_chain_spec(model_lines);
+  const std::string path = write_temp(name, text);
+  Options analyze = stoch_options(path, 1e-6);
+  analyze.command = "analyze";
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(run_analyze(analyze), 0);
+  const std::string analyze_out = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(analyze_out.find("(source " + label + "):"), std::string::npos)
+      << analyze_out;
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(run_stoch(stoch_options(path, 1e-6)), 0);
+  const std::string stoch_out = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(stoch_out.find("stages, source " + label + "\n"),
+            std::string::npos)
+      << stoch_out;
+  std::remove(path.c_str());
+
+  const Spec spec = parse_spec(text);
+  const util::JsonParseResult report =
+      util::json_parse(run_report_json(spec, util::Context{}, 1e-6));
+  ASSERT_TRUE(report.ok()) << report.error;
+  const util::Json* sure = report.value.find("bounds");
+  const util::Json* stoch = report.value.find("stochastic");
+  ASSERT_NE(sure, nullptr);
+  ASSERT_NE(stoch, nullptr);
+  expect_within_sure(*stoch, *sure, "analyze");
+
+  const util::JsonParseResult tier =
+      util::json_parse(run_stoch_report(spec, 1e-6, /*json=*/true));
+  ASSERT_TRUE(tier.ok()) << tier.error;
+  EXPECT_EQ(tier.value.string_or("source_model", ""), spec.stoch_source.model);
+  const util::Json* worst = tier.value.find("worst_case");
+  const util::Json* tier_stoch = tier.value.find("stochastic");
+  ASSERT_NE(worst, nullptr);
+  ASSERT_NE(tier_stoch, nullptr);
+  expect_within_sure(*tier_stoch, *worst, "stoch");
+}
+
+TEST(StochExitCodes, PoissonSourceModelRunsEndToEnd) {
+  // 800 packets/s of 64 KiB: a 50 MiB/s mean against the 120 MiB/s
+  // bottleneck.
+  expect_source_model_end_to_end("poisson", "model = poisson\nlambda = 800\n",
+                                 "poisson");
+}
+
+TEST(StochExitCodes, LeakySourceModelRunsEndToEnd) {
+  expect_source_model_end_to_end("leaky", "model = leaky\n", "leaky");
+}
+
+TEST(StochExitCodes, PoissonSourceWithZeroLambdaExitsOne) {
+  const std::string path = write_temp(
+      "poisson_zero", model_chain_spec("model = poisson\nlambda = 0\n"));
+  Options analyze = stoch_options(path, 1e-6);
+  analyze.command = "analyze";
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_analyze(analyze), 1);
+  EXPECT_EQ(run_stoch(stoch_options(path, 1e-6)), 1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("positive lambda"), std::string::npos) << err;
+  std::remove(path.c_str());
 }
 
 TEST(StochExitCodes, OutOfRangeEpsilonExitsOne) {

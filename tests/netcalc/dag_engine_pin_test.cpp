@@ -1,12 +1,13 @@
-// Pins the incremental DAG engine to the from-scratch DagModel, bit for bit.
+// Pins DagModel::with_entry_arrivals (the serve admission engine's DAG
+// path) to the source-seeded DagModel constructor, bit for bit.
 //
-// IncrementalDag (the serve admission engine's per-tenant state) must give
-// exactly the curves and bounds DagModel gives for the same entry
-// envelopes: per-node arrival and service curves, every path's flow,
-// concatenated service, hop residuals and delay, and the total backlog.
-// Curves are compared on the IEEE-754 bit patterns of their segments, so a
-// reordered fold or a different rounding fails here even when it would
-// compare equal as doubles.
+// Given the envelopes the constructor seeds from the source, the factory
+// must give exactly the curves and bounds the constructor gives: per-node
+// arrival and service curves, every path's flow, concatenated service, hop
+// residuals and delay, and the total backlog. Curves are compared on the
+// IEEE-754 bit patterns of their segments, so a reordered fold or a
+// different rounding fails here even when it would compare equal as
+// doubles.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,9 +18,8 @@
 
 #include "minplus/curve.hpp"
 #include "netcalc/dag.hpp"
-#include "netcalc/incremental.hpp"
-#include "netcalc/packetizer.hpp"
-#include "util/rng.hpp"
+#include "netcalc/pipeline.hpp"
+#include "util/error.hpp"
 
 namespace streamcalc::netcalc {
 namespace {
@@ -28,8 +28,6 @@ using minplus::Curve;
 using util::DataRate;
 using util::DataSize;
 using namespace util::literals;
-
-constexpr std::uint64_t kSeed = 0x5eed0da9ULL;
 
 NodeSpec stage(const char* name, DataSize block, double mibps_min,
                double mibps_avg, double mibps_max) {
@@ -123,17 +121,26 @@ std::string bit_diff(const Curve& a, const Curve& b) {
   return "";
 }
 
-/// `inc` against `ref` on every curve and bound both expose.
-void expect_same_engine(IncrementalDag& inc, const DagModel& ref,
-                        const std::string& what) {
+/// The envelope the DagModel constructor seeds entry `e` with: the
+/// source arrival curve scaled by the entry's fraction, plus one source
+/// packet of splitter granularity below a fraction of 1.
+Curve seeded_envelope(const DagEdge& e, const SourceSpec& src) {
+  Curve env = source_arrival(src).scale_value(e.fraction);
+  if (e.fraction < 1.0) env = env.plus_step(src.packet.in_bytes());
+  return env;
+}
+
+/// `got` against `ref` on every curve and bound both expose.
+void expect_same_model(const DagModel& got_model, const DagModel& ref,
+                       const std::string& what) {
   const std::size_t n = ref.dag().nodes.size();
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(bit_diff(inc.model().node_arrival(i), ref.node_arrival(i)), "")
+    EXPECT_EQ(bit_diff(got_model.node_arrival(i), ref.node_arrival(i)), "")
         << what << ": arrival of node " << i;
-    EXPECT_EQ(bit_diff(inc.model().node_service(i), ref.node_service(i)), "")
+    EXPECT_EQ(bit_diff(got_model.node_service(i), ref.node_service(i)), "")
         << what << ": service of node " << i;
   }
-  const auto got = inc.per_path_analysis();
+  const auto got = got_model.per_path_analysis();
   const auto want = ref.per_path_analysis();
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t p = 0; p < want.size(); ++p) {
@@ -156,7 +163,7 @@ void expect_same_engine(IncrementalDag& inc, const DagModel& ref,
     }
   }
   EXPECT_EQ(
-      std::bit_cast<std::uint64_t>(inc.backlog_bound().in_bytes()),
+      std::bit_cast<std::uint64_t>(got_model.backlog_bound().value.in_bytes()),
       std::bit_cast<std::uint64_t>(ref.backlog_bound().value.in_bytes()))
       << what << ": backlog";
 }
@@ -164,9 +171,14 @@ void expect_same_engine(IncrementalDag& inc, const DagModel& ref,
 void expect_fresh_matches(const DagSpec& dag, const SourceSpec& src,
                           const ModelPolicy& policy,
                           const std::string& what) {
-  IncrementalDag inc(dag, src, policy);
+  std::vector<Curve> envelopes;
+  for (const DagEdge& e : dag.entries) {
+    envelopes.push_back(seeded_envelope(e, src));
+  }
+  const DagModel got =
+      DagModel::with_entry_arrivals(dag, src, policy, std::move(envelopes));
   const DagModel ref(dag, src, policy);
-  expect_same_engine(inc, ref, what);
+  expect_same_model(got, ref, what);
 }
 
 TEST(DagEnginePin, ForkJoinSpec) {
@@ -192,75 +204,14 @@ TEST(DagEnginePin, AveragedUnpacketizedPolicy) {
                        averaged_policy(), "entry_with_edge/averaged");
 }
 
-TEST(DagEnginePin, EnvelopeHistoryReturnsToTheSeededCurves) {
+TEST(DagEnginePin, WithEntryArrivalsRequiresOneEnvelopePerEntry) {
   const DagSpec dag = multi_entry();
   const SourceSpec src = source(150, 256_KiB);
-  const ModelPolicy policy = averaged_policy();
-  IncrementalDag inc(dag, src, policy);
-  std::vector<Curve> seeded;
-  for (std::size_t k = 0; k < dag.entries.size(); ++k) {
-    seeded.push_back(inc.entry_envelope(k));
-  }
-
-  util::Xoshiro256 rng(kSeed);
-  for (int step = 0; step < 24; ++step) {
-    const std::size_t k = rng() % dag.entries.size();
-    const double rate =
-        src.rate.in_bytes_per_sec() * rng.uniform(0.05, 0.6);
-    const double burst = src.packet.in_bytes() *
-                         static_cast<double>(rng() % 16);
-    inc.set_entry_envelope(
-        k, packetize_arrival(Curve::affine(rate, burst), src.packet));
-
-    // A fresh instance carrying the same envelopes rebuilds every node.
-    IncrementalDag fresh(dag, src, policy);
-    for (std::size_t e = 0; e < dag.entries.size(); ++e) {
-      fresh.set_entry_envelope(e, inc.entry_envelope(e));
-    }
-    for (std::size_t i = 0; i < dag.nodes.size(); ++i) {
-      EXPECT_EQ(bit_diff(inc.model().node_arrival(i),
-                         fresh.model().node_arrival(i)),
-                "")
-          << "step " << step << ": arrival of node " << i;
-      EXPECT_EQ(bit_diff(inc.model().node_service(i),
-                         fresh.model().node_service(i)),
-                "")
-          << "step " << step << ": service of node " << i;
-    }
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(inc.delay_bound().in_seconds()),
-              std::bit_cast<std::uint64_t>(fresh.delay_bound().in_seconds()))
-        << "step " << step;
-  }
-
-  for (std::size_t k = 0; k < seeded.size(); ++k) {
-    inc.set_entry_envelope(k, seeded[k]);
-  }
-  expect_same_engine(inc, DagModel(dag, src, policy), "after history");
-}
-
-TEST(DagEnginePin, EntryUpdatesMatchAFromScratchModelAtEveryStep) {
-  // Each step moves every entry to the envelope a DagModel over a new
-  // source seeds, one entry at a time in a random order, refreshing
-  // between some of them; the result must be that model, bit for bit. A
-  // refresh that fails to carry a change downstream leaves a stale node.
-  const DagSpec dag = multi_entry();
-  const ModelPolicy policy = averaged_policy();
-  IncrementalDag inc(dag, source(150, 256_KiB), policy);
-  util::Xoshiro256 rng(kSeed ^ 0x51ULL);
-  for (int step = 0; step < 16; ++step) {
-    const SourceSpec src =
-        source(rng.uniform(20.0, 160.0),
-               DataSize::bytes(65536.0 * static_cast<double>(rng() % 8)));
-    const IncrementalDag target(dag, src, policy);
-    std::vector<std::size_t> order = {0, 1};
-    if (rng() % 2 == 0) std::swap(order[0], order[1]);
-    for (std::size_t k : order) {
-      inc.set_entry_envelope(k, target.entry_envelope(k));
-      if (rng() % 2 == 0) (void)inc.refresh();
-    }
-    expect_same_engine(inc, DagModel(dag, src, policy),
-                       "step " + std::to_string(step));
-  }
+  EXPECT_THROW(DagModel::with_entry_arrivals(dag, src, {}, {}),
+               util::PreconditionError);
+  EXPECT_THROW(DagModel::with_entry_arrivals(
+                   dag, src, {}, {seeded_envelope(dag.entries[0], src)}),
+               util::PreconditionError);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
-#include "netcalc/incremental.hpp"
+#include "minplus/curve.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::netcalc {
@@ -100,7 +101,10 @@ TEST(DagSpec, RejectsNodesUnreachableFromTheEntries) {
   // Every model over the spec rejects it before any curve work.
   EXPECT_THROW(DagModel(orphaned_dag(), source(100)),
                util::PreconditionError);
-  EXPECT_THROW(IncrementalDag(orphaned_dag(), source(100)),
+  const std::vector<minplus::Curve> envelopes(orphaned_dag().entries.size(),
+                                              minplus::Curve::zero());
+  EXPECT_THROW(DagModel::with_entry_arrivals(orphaned_dag(), source(100), {},
+                                             envelopes),
                util::PreconditionError);
 }
 

@@ -1,6 +1,6 @@
-// Differential admission oracle: every decision the engine makes from
-// its cached/incremental state must equal — to the exact double — a
-// from-scratch network-calculus analysis of the same tenant flow set.
+// Differential admission oracle: every decision the engine makes must
+// equal — to the exact double — a from-scratch network-calculus analysis
+// of the same tenant flow set.
 //
 // Chain scenarios: the engine evaluates (fresh aggregate alpha, catalog's
 // load-time beta); the oracle rebuilds the whole PipelineModel per
@@ -9,12 +9,11 @@
 // same kernels and must agree bit for bit — over 200 generated scenarios
 // and seeded admit/release histories.
 //
-// DAG scenarios: the engine keeps a per-tenant IncrementalDag (dirty-set
-// downstream recompute); the oracle is a freshly built IncrementalDag
-// with the same envelopes (itself pinned against DagModel at
-// construction). Equality again means identical doubles, plus the
-// incremental instance must actually recompute fewer nodes than
-// rebuild-everything would.
+// DAG scenarios: the engine builds a DagModel per decision from the
+// tenant's flows; the oracle builds its own DagModel with the same entry
+// envelopes (DagModel::with_entry_arrivals, itself pinned against the
+// source-seeded constructor in tests/netcalc/dag_engine_pin_test.cpp).
+// Equality again means identical doubles.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,8 +26,6 @@
 #include "cli/spec.hpp"
 #include "minplus/curve.hpp"
 #include "netcalc/dag.hpp"
-#include "netcalc/incremental.hpp"
-#include "netcalc/packetizer.hpp"
 #include "serve/admission.hpp"
 #include "serve/catalog.hpp"
 #include "testing/generator.hpp"
@@ -160,59 +157,18 @@ const char* kDagSpecText =
     "edge = video mux 1.0\n"
     "edge = audio mux 1.0\n";
 
-TEST(AdmissionOracle, FreshIncrementalDagMatchesDagModel) {
-  const cli::Spec spec = cli::parse_spec(kDagSpecText);
-  ASSERT_TRUE(spec.is_dag());
-  netcalc::IncrementalDag incremental(spec.dag(), spec.source, spec.policy);
-  netcalc::DagModel reference(spec.dag(), spec.source, spec.policy);
-  EXPECT_EQ(incremental.delay_bound().in_seconds(),
-            reference.delay_bound().value.in_seconds());
-  EXPECT_EQ(incremental.backlog_bound().in_bytes(),
-            reference.backlog_bound().value.in_bytes());
-  const auto per_node = reference.per_node_analysis();
-  ASSERT_EQ(per_node.size(), spec.dag().nodes.size());
-  for (std::size_t i = 0; i < spec.dag().nodes.size(); ++i) {
-    EXPECT_EQ(incremental.node_delay(i).in_seconds(),
-              per_node[i].delay.in_seconds())
-        << "node " << i;
-    EXPECT_EQ(incremental.node_backlog(i).in_bytes(),
-              per_node[i].backlog.in_bytes())
-        << "node " << i;
-  }
-}
-
-TEST(AdmissionOracle, IncrementalRefreshMatchesFullRecomputeExactly) {
-  const cli::Spec spec = cli::parse_spec(kDagSpecText);
-  netcalc::IncrementalDag incremental(spec.dag(), spec.source, spec.policy);
-  util::Xoshiro256 rng(kSeed ^ 0xdadadada);
-
-  for (int step = 0; step < 40; ++step) {
-    const double rate = spec.source.rate.in_bytes_per_sec() *
-                        (0.1 + 0.5 * static_cast<double>(rng() % 1000) /
-                                   1000.0);
-    const double burst =
-        static_cast<double>(spec.source.packet.in_bytes()) *
-        static_cast<double>(1 + rng() % 32);
-    incremental.set_entry_envelope(
-        0, netcalc::packetize_arrival(
-               minplus::Curve::affine(rate, burst), spec.source.packet));
-
-    // Reference: a brand-new instance with the same envelope.
-    netcalc::IncrementalDag fresh(spec.dag(), spec.source, spec.policy);
-    fresh.set_entry_envelope(0, incremental.entry_envelope(0));
-
-    EXPECT_EQ(incremental.delay_bound().in_seconds(),
-              fresh.delay_bound().in_seconds())
-        << "step " << step;
-    EXPECT_EQ(incremental.backlog_bound().in_bytes(),
-              fresh.backlog_bound().in_bytes())
-        << "step " << step;
-  }
-  // Sanity: the no-op update does not recompute anything.
-  const std::uint64_t before = incremental.recompute_count();
-  incremental.set_entry_envelope(0, incremental.entry_envelope(0));
-  EXPECT_EQ(incremental.refresh(), 0u);
-  EXPECT_EQ(incremental.recompute_count(), before);
+/// The from-scratch bound for `flows` entering the fork-join's one entry:
+/// the worst delay over the paths from that entry, in a DagModel fed by
+/// the flows' aggregate envelope.
+double oracle_dag_delay(const cli::Spec& spec,
+                        const std::vector<FlowSpec>& flows) {
+  const netcalc::DagSpec dag = spec.dag();
+  const netcalc::DagModel model = netcalc::DagModel::with_entry_arrivals(
+      dag, spec.source, spec.policy,
+      {AdmissionEngine::aggregate_arrival(flows, spec.source)});
+  return netcalc::delay_bounds_by_head(model.per_path_analysis(),
+                                       dag.nodes.size())[dag.entries[0].to]
+      .in_seconds();
 }
 
 TEST(AdmissionOracle, DagAdmitsMatchFreshIncrementalOracle) {
@@ -223,35 +179,43 @@ TEST(AdmissionOracle, DagAdmitsMatchFreshIncrementalOracle) {
   util::Xoshiro256 rng(kSeed ^ 0xbeef);
 
   std::map<std::string, FlowSpec> shadow;
+  const auto admitted_flows = [&] {
+    std::vector<FlowSpec> flows;
+    for (const auto& [fid, f] : shadow) flows.push_back(f);
+    return flows;
+  };
   int accepted = 0;
   int rejected = 0;
   for (int op = 0; op < 40; ++op) {
     if (!shadow.empty() && rng() % 4 == 0) {
       auto it = shadow.begin();
       std::advance(it, static_cast<long>(rng() % shadow.size()));
-      ASSERT_TRUE(engine.release("tenant", it->first).ok);
+      const Decision d = engine.release("tenant", it->first);
+      ASSERT_TRUE(d.ok) << d.error;
       shadow.erase(it);
+      // The post-release bound is the remaining set's (0 with no flows).
+      EXPECT_EQ(d.delay_bound.in_seconds(),
+                shadow.empty() ? 0.0 : oracle_dag_delay(spec, admitted_flows()))
+          << "release at op " << op;
       continue;
     }
     const std::string id = "f" + std::to_string(op);
     FlowSpec flow = random_flow(rng, spec.source);
     flow.entry = "ingest";
 
-    // Oracle: a brand-new IncrementalDag carrying the candidate set.
-    std::vector<FlowSpec> candidate;
-    for (const auto& [fid, f] : shadow) candidate.push_back(f);
+    // Oracle: a brand-new DagModel carrying the candidate set.
+    std::vector<FlowSpec> candidate = admitted_flows();
     candidate.push_back(flow);
-    netcalc::IncrementalDag oracle(spec.dag(), spec.source, spec.policy);
-    oracle.set_entry_envelope(
-        0, AdmissionEngine::aggregate_arrival(candidate, spec.source));
-    const double oracle_delay =
-        oracle.delay_bound_from(oracle.entry_node(0)).in_seconds();
+    const double oracle_delay = oracle_dag_delay(spec, candidate);
     bool oracle_admit = true;
     for (const FlowSpec& f : candidate) {
       if (!(oracle_delay <= f.delay_target.in_seconds())) oracle_admit = false;
     }
 
-    const Decision got = engine.admit("tenant", "forkjoin", id, flow);
+    // Every third admit also certifies the candidate model strictly; the
+    // decision must not change.
+    const Decision got =
+        engine.admit("tenant", "forkjoin", id, flow, op % 3 == 0);
     ASSERT_TRUE(got.ok) << got.error;
     EXPECT_EQ(got.admitted, oracle_admit) << "op " << op;
     EXPECT_EQ(got.delay_bound.in_seconds(), oracle_delay) << "op " << op;
@@ -264,29 +228,13 @@ TEST(AdmissionOracle, DagAdmitsMatchFreshIncrementalOracle) {
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
-}
 
-TEST(AdmissionOracle, IncrementalDagRecomputesOnlyTheDirtyCone) {
-  const cli::Spec spec = cli::parse_spec(kDagSpecText);
-  netcalc::IncrementalDag dag(spec.dag(), spec.source, spec.policy);
-  (void)dag.refresh();  // settle construction
-  const std::size_t nodes = spec.dag().nodes.size();
-
-  const std::uint64_t before = dag.recompute_count();
-  dag.set_entry_envelope(
-      0, netcalc::packetize_arrival(
-             minplus::Curve::affine(
-                 spec.source.rate.in_bytes_per_sec() * 0.25, 65536.0),
-             spec.source.packet));
-  (void)dag.refresh();
-  const std::uint64_t touched = dag.recompute_count() - before;
-  // The update can touch at most the entry's downstream cone — here the
-  // whole graph — but a second identical update must touch nothing.
-  EXPECT_LE(touched, nodes);
-  const std::uint64_t again = dag.recompute_count();
-  dag.set_entry_envelope(0, dag.entry_envelope(0));
-  (void)dag.refresh();
-  EXPECT_EQ(dag.recompute_count(), again);
+  // A query right after the history reports the committed set's bound.
+  TenantSnapshot snap;
+  ASSERT_TRUE(engine.query("tenant", snap).ok);
+  EXPECT_EQ(snap.flows.size(), shadow.size());
+  EXPECT_EQ(snap.delay_bound.in_seconds(),
+            shadow.empty() ? 0.0 : oracle_dag_delay(spec, admitted_flows()));
 }
 
 }  // namespace
