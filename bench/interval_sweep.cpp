@@ -76,7 +76,7 @@ CornerStats sweep_corners(const std::vector<NodeSpec>& nodes,
     const double rate =
         (mask & 1u) ? box.source_rate.hi : box.source_rate.lo;
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& s = box.nodes[i].service_scale;
+      const auto& s = box.service_scale[i];
       scales[i] = (mask & (1u << (i + 1))) ? s.hi : s.lo;
     }
     ++stats.total;
@@ -114,7 +114,7 @@ int run() {
       box.source_rate.hi =
           streamcalc::util::DataRate::mib_per_sec(grid_mib[g + 1])
               .in_bytes_per_sec();
-      for (auto& nb : box.nodes) nb.service_scale = band;
+      box.service_scale.assign(nodes.size(), band);
 
       const IntervalCertificate cert = streamcalc::certify::certify_stability(
           nodes, base, blast::policy(), box);

@@ -130,6 +130,7 @@ BENCHMARK(BM_ConvolveGeneral)
     ->Arg(2)
     ->Arg(8)
     ->Arg(24)
+    ->Arg(64)
     ->Arg(128)
     ->Arg(512)
     ->Unit(benchmark::kMillisecond);
@@ -147,6 +148,7 @@ BENCHMARK(BM_Deconvolve)
     ->Arg(2)
     ->Arg(8)
     ->Arg(24)
+    ->Arg(64)
     ->Arg(128)
     ->Arg(512)
     ->Unit(benchmark::kMillisecond);

@@ -1,22 +1,18 @@
 // Interval stability certification: abstract interpretation of the nclint
 // stability recurrence over boxes of spec parameters (DESIGN.md §9).
 //
-// A ParamBox describes uncertainty in the model inputs — the source
-// rate/burst and, per node, multiplicative scale intervals on the service
-// rate and latency. certify_stability() propagates *interval* sustained
-// arrival rates through the chain or DAG using exactly the recurrence
-// diagnostics::lint_pipeline / lint_dag evaluates pointwise:
-//
-//   rate_norm = basis_rate(node) * scale / vol;  rho = sustained / rate_norm
-//   sustained' = min(sustained, rate_norm)
-//
-// Because each parameter enters a given node's utilization monotonically
-// (source rate and upstream service scales push rho up, the node's own
-// service scale pushes it down), interval propagation here is *tight*: the
-// rho interval of every node is exactly its range over the box, so the
-// certificate is a proof, not an over-approximation. At a degenerate
-// (zero-width) box the verdict coincides with nclint's per-point NC101
-// decision — the property suite pins this agreement.
+// A ParamBox describes uncertainty in the model inputs: the source rate
+// and, per node, a multiplicative scale interval on the service rate.
+// certify_stability() runs the one load recurrence that lint runs at a
+// point (diagnostics/load.hpp) on the box's intervals, and reads
+// rho = sustained / rate_norm from its rows. Because each parameter enters
+// a given node's utilization monotonically (source rate and upstream
+// service scales push rho up, the node's own service scale pushes it
+// down), interval propagation here is *tight*: the rho interval of every
+// node is exactly its range over the box, so the certificate is a proof,
+// not an over-approximation. At a degenerate (zero-width) box the verdict
+// coincides with nclint's per-point NC101 decision: both read the same
+// rows.
 //
 // Verdicts:
 //   * stable everywhere  — rho_hi < 1 for all nodes: every model in the
@@ -27,10 +23,9 @@
 //     attains the violation, and whether the *entire* box is unstable
 //     (rho_lo >= 1) or only part of it.
 //
-// Burst and latency intervals are validated and carried in the box for
-// completeness; utilization — hence stability of these models — depends
-// only on rates, so they do not influence the verdict (they shift bound
-// magnitudes, not finiteness).
+// Utilization, hence stability of these models, depends only on rates:
+// bursts and latencies shift bound magnitudes, not finiteness, so the box
+// has no interval for them.
 #pragma once
 
 #include <cstddef>
@@ -38,35 +33,21 @@
 #include <vector>
 
 #include "diagnostics/diagnostic.hpp"
+#include "diagnostics/load.hpp"
 #include "netcalc/dag.hpp"
 #include "netcalc/node.hpp"
 #include "netcalc/pipeline.hpp"
 
 namespace streamcalc::certify {
 
-/// A closed interval [lo, hi]. Degenerate (lo == hi) is allowed.
-struct Interval {
-  double lo = 1.0;
-  double hi = 1.0;
+using diagnostics::Interval;
 
-  static Interval point(double v) { return {v, v}; }
-  bool degenerate() const { return lo == hi; }
-};
-
-/// Per-node parameter uncertainty: multiplicative scales applied to the
-/// basis-selected service rate and to the latency.
-struct NodeBox {
-  Interval service_scale{1.0, 1.0};
-  Interval latency_scale{1.0, 1.0};
-};
-
-/// The parameter box: absolute intervals for the source, scale intervals
-/// per node. `nodes` may be empty (all scales 1) or must match the model's
-/// node count.
+/// The parameter box: an absolute interval for the source rate, and a scale
+/// interval on each node's basis-selected service rate. `service_scale`
+/// may be empty (all scales 1) or must match the model's node count.
 struct ParamBox {
-  Interval source_rate;   ///< bytes/sec, absolute
-  Interval source_burst{0.0, 0.0};  ///< bytes, absolute
-  std::vector<NodeBox> nodes;
+  Interval source_rate;  ///< bytes/sec, absolute
+  std::vector<Interval> service_scale;
 
   /// A degenerate box at the spec's own parameters.
   static ParamBox at(const netcalc::SourceSpec& source,
@@ -101,9 +82,8 @@ IntervalCertificate certify_stability(
     const netcalc::SourceSpec& source, const netcalc::ModelPolicy& policy,
     const ParamBox& box);
 
-/// Certifies stability of a DAG over `box`, propagating interval arrivals
-/// along the topological order (splitter fractions scale both endpoints;
-/// joins sum the incoming intervals).
+/// Certifies stability of a DAG over `box` (splitter fractions scale both
+/// endpoints; joins sum the incoming intervals).
 IntervalCertificate certify_stability_dag(const netcalc::DagSpec& dag,
                                           const netcalc::SourceSpec& source,
                                           const netcalc::ModelPolicy& policy,

@@ -168,11 +168,7 @@ Analysis compute_dag(const Spec& spec, const util::Context& ctx,
   a.offered = spec.source.rate;
   {
     SC_OBS_SPAN("cli", "bounds");
-    for (const netcalc::DagNodeAnalysis& n : model.per_node_analysis()) {
-      a.per_node.push_back({n.name, n.load_regime, n.arrival_rate,
-                            n.service_rate, n.delay, n.backlog,
-                            n.buffer_bytes, {}});
-    }
+    a.per_node = model.per_node_analysis();
     // The sure and the stochastic delay both fold these rows, so the
     // residual concatenations run once.
     a.paths = model.per_path_analysis();

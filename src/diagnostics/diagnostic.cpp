@@ -32,7 +32,7 @@ struct CodeEntry {
 // block. Blocks (see DESIGN.md §8):
 //   NC0xx  structural validity (model cannot be built)
 //   NC1xx  stability / load regime
-//   NC2xx  curve shape (causality, tail slopes)
+//   NC2xx  curve shape (retired with its pass: NC201, NC202)
 //   NC3xx  DAG topology and flow conservation
 //   NC4xx  unit-coherence heuristics (always kInfo)
 //   NC5xx  modeling-policy sanity
@@ -43,8 +43,6 @@ constexpr CodeEntry kRegistry[] = {
     {"NC003", "invalid source specification"},
     {"NC101", "unstable node (rho >= 1)"},
     {"NC102", "near-critical node load"},
-    {"NC201", "non-causal arrival curve"},
-    {"NC202", "tail-slope incompatibility"},
     {"NC301", "flow conservation violated"},
     {"NC302", "flow mass leaves the modeled system"},
     {"NC303", "topology contains a cycle"},

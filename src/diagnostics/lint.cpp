@@ -1,9 +1,9 @@
 #include "diagnostics/lint.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "diagnostics/load.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -182,6 +182,30 @@ void lint_load(const NodeSpec& node, double sustained_norm, double rate_norm,
   }
 }
 
+/// NC101/NC102 per load row, in the rows' topological order. NC305 adds
+/// the path-level consequence at fan-in nodes: once cross-traffic can
+/// absorb the whole service rate, every per-path bound through the node is
+/// infinite (the residual [beta - alpha_cross]^+ vanishes). A chain's rows
+/// have fan-in 1.
+void lint_loads(const std::vector<NodeSpec>& nodes,
+                const std::vector<NodeLoad>& loads, const SourceSpec& source,
+                LintReport& report) {
+  const bool finite_job = source.job_volume.is_finite();
+  for (const NodeLoad& load : loads) {
+    const NodeSpec& node = nodes[load.node];
+    lint_load(node, load.arrival.hi, load.rate.lo, finite_job, report);
+    if (load.fan_in >= 2 && load.arrival.hi >= load.rate.lo) {
+      report.add({"NC305", Severity::kWarning, node.name,
+                  "combined cross-traffic at this fan-in absorbs the "
+                  "entire guaranteed rate: residual service for each "
+                  "joining path vanishes and per-path delay bounds are "
+                  "infinite",
+                  "reduce upstream load or serve the joining flows from "
+                  "separate resources"});
+    }
+  }
+}
+
 }  // namespace
 
 LintReport lint_pipeline(const std::vector<NodeSpec>& nodes,
@@ -202,21 +226,12 @@ LintReport lint_pipeline(const std::vector<NodeSpec>& nodes,
   lint_policy(policy, report);
   if (!structural_ok) return report;
 
-  // Stability: the same scalar recurrence PipelineModel::build uses —
-  // worst-case volume normalization, then the sustained rate reaching each
-  // node is the source rate clipped by every upstream guaranteed rate.
-  const bool finite_job = source.job_volume.is_finite();
-  double vol_worst = 1.0;
-  double sustained = source.rate.in_bytes_per_sec();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (i > 0) vol_worst *= nodes[i - 1].volume.max;
-    const double rate_norm =
-        netcalc::basis_rate(nodes[i], policy.service_basis)
-            .in_bytes_per_sec() /
-        vol_worst;
-    lint_load(nodes[i], sustained, rate_norm, finite_job, report);
-    sustained = std::min(sustained, rate_norm);
-  }
+  // Stability on the chain's one-path DAG.
+  lint_loads(nodes,
+             propagate_chain_load(
+                 nodes, policy.service_basis,
+                 Interval::point(source.rate.in_bytes_per_sec())),
+             source, report);
   return report;
 }
 
@@ -355,79 +370,12 @@ LintReport lint_dag(const DagSpec& dag, const SourceSpec& source,
   }
   if (!structural_ok) return report;
 
-  // Stability in topological order (NC101/NC102), mirroring DagModel's
-  // volume propagation: vol_in[i] is the worst-case bytes at node i's
-  // input per source byte; throughput propagates source-normalized, each
-  // node clipping its output at its own guaranteed rate. NC305 adds the
-  // path-level consequence at fan-in nodes: once cross-traffic can absorb
-  // the whole service rate, every per-path bound through the node is
-  // infinite (the residual [beta - alpha_cross]^+ vanishes).
-  const bool finite_job = source.job_volume.is_finite();
-  std::vector<double> vol_in(n, 0.0);
-  std::vector<double> vol_out(n, 0.0);
-  std::vector<double> thru_in(n, 0.0);
-  std::vector<double> thru_out(n, 0.0);
-  std::vector<std::size_t> fan_in(n, 0);
-  const double source_rate = source.rate.in_bytes_per_sec();
-  for (const DagEdge& e : dag.entries) {
-    vol_in[e.to] += e.fraction;
-    thru_in[e.to] += e.fraction * source_rate;
-    ++fan_in[e.to];
-  }
-  for (std::size_t i : order) {
-    for (const DagEdge& e : dag.edges) {
-      if (e.to == i) {
-        vol_in[i] += e.fraction * vol_out[e.from];
-        thru_in[i] += e.fraction * thru_out[e.from];
-        ++fan_in[i];
-      }
-    }
-    if (vol_in[i] <= 0.0) continue;  // unreachable; NC304 already fired
-    vol_out[i] = vol_in[i] * dag.nodes[i].volume.max;
-    const double rate_norm =
-        netcalc::basis_rate(dag.nodes[i], policy.service_basis)
-            .in_bytes_per_sec() /
-        vol_in[i];
-    lint_load(dag.nodes[i], thru_in[i], rate_norm, finite_job, report);
-    if (fan_in[i] >= 2 && thru_in[i] >= rate_norm) {
-      report.add({"NC305", Severity::kWarning, dag.nodes[i].name,
-                  "combined cross-traffic at this fan-in absorbs the "
-                  "entire guaranteed rate: residual service for each "
-                  "joining path vanishes and per-path delay bounds are "
-                  "infinite",
-                  "reduce upstream load or serve the joining flows from "
-                  "separate resources"});
-    }
-    thru_out[i] = std::min(thru_in[i], rate_norm);
-  }
-  return report;
-}
-
-LintReport lint_flow(const minplus::Curve& arrival,
-                     const minplus::Curve& service,
-                     const std::string& location) {
-  LintReport report;
-  if (arrival.value(0.0) > 0.0) {
-    report.add({"NC201", Severity::kWarning, location,
-                "arrival envelope is positive at t = 0 (alpha(0) = " +
-                    util::format_significant(arrival.value(0.0)) +
-                    "): cumulative arrivals must start at 0 (causality); "
-                    "bursts belong in the right limit alpha(0+)",
-                "use Curve::affine(rate, burst), which places the burst "
-                "at 0+"});
-  }
-  const double as = arrival.tail_slope();
-  const double bs = service.tail_slope();
-  if (as > bs + 1e-9 * (1.0 + std::fabs(bs))) {
-    report.add({"NC202", Severity::kWarning, location,
-                "arrival tail slope " +
-                    util::format_rate(DataRate::bytes_per_sec(as)) +
-                    " exceeds the service tail slope " +
-                    util::format_rate(DataRate::bytes_per_sec(bs)) +
-                    ": the deconvolution alpha (/) beta diverges, so "
-                    "output and backlog bounds do not converge",
-                "shape the arrival below the long-term service rate"});
-  }
+  // Stability in topological order.
+  lint_loads(dag.nodes,
+             propagate_load(dag.nodes, dag.entries, dag.edges, order,
+                            policy.service_basis,
+                            Interval::point(source.rate.in_bytes_per_sec())),
+             source, report);
   return report;
 }
 

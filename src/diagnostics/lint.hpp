@@ -10,11 +10,8 @@
 //     plus non-causal latency overrides a build would only reject deep
 //     inside Curve::rate_latency;
 //   * stability (NC1xx): the paper's rho < 1 condition, checked per node
-//     with the same scalar volume-normalization and upstream-clipping
-//     recurrence the model builder uses;
-//   * curve shape (NC2xx): causality of supplied arrival envelopes and the
-//     tail-slope compatibility that predicts whether deconvolution-based
-//     output bounds converge;
+//     with the volume-normalization and upstream-clipping recurrence of
+//     diagnostics/load.hpp, which the stability certificate shares;
 //   * topology (NC3xx): flow conservation at fan-out, cycles, nodes that
 //     receive no flow (which crash the DAG builder), vanishing residual
 //     service on shared paths;
@@ -23,18 +20,17 @@
 //   * policy sanity (NC5xx): rate-basis choices that make the "guarantee"
 //     unsound.
 //
-// Entry points mirror the two model shapes (chain, DAG) plus a curve-level
-// check for callers supplying custom arrival envelopes. preflight() wires
-// a report into a driver in the Context's lint mode: print findings in
-// warn mode (the default), throw in strict mode (STREAMCALC_LINT=strict),
-// do nothing when off.
+// Entry points mirror the two model shapes (chain, DAG); NC2xx is retired
+// (the curve-shape pass had no caller). preflight() wires a report into a
+// driver in the Context's lint mode: print findings in warn mode (the
+// default), throw in strict mode (STREAMCALC_LINT=strict), do nothing when
+// off.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "diagnostics/diagnostic.hpp"
-#include "minplus/curve.hpp"
 #include "netcalc/dag.hpp"
 #include "netcalc/node.hpp"
 #include "netcalc/pipeline.hpp"
@@ -51,13 +47,6 @@ LintReport lint_pipeline(const std::vector<netcalc::NodeSpec>& nodes,
 LintReport lint_dag(const netcalc::DagSpec& dag,
                     const netcalc::SourceSpec& source,
                     const netcalc::ModelPolicy& policy = {});
-
-/// Lints a caller-supplied arrival envelope against a service curve
-/// (PipelineModel::with_arrival users): causality at t = 0 and tail-slope
-/// compatibility of the deconvolution alpha (/) beta.
-LintReport lint_flow(const minplus::Curve& arrival,
-                     const minplus::Curve& service,
-                     const std::string& location = "flow");
 
 // --- Pre-flight wiring ----------------------------------------------------
 

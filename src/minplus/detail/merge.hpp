@@ -19,8 +19,8 @@
 //   * nearly-parallel lines (slope gap at noise level relative to the
 //     slopes) produce no crossing — the division would fabricate an absurd
 //     abscissa;
-//   * a crossing within rounding distance of an interval endpoint is
-//     folded into the endpoint (the post-crossing line rules the interval);
+//   * a crossing within rounding distance of the next grid point is
+//     dropped (the next grid point re-evaluates both lines);
 //   * emitted slopes are rechorded against the next breakpoint's exact
 //     value, so independent rounding of crossing abscissae cannot make a
 //     piece overextend past validation tolerances.
@@ -116,18 +116,18 @@ Curve merge_envelope(const Curve& A, const Curve& B) {
         // sign combination that makes the loser catch up, so any t ahead of
         // x is a genuine winner switch. Nearly-parallel lines have no
         // numerically meaningful crossing (the division fabricates an
-        // absurd abscissa); a crossing within rounding distance of x means
-        // the post-crossing line rules the whole interval.
+        // absurd abscissa). The values differ by more than noise here, so
+        // a crossing just past x is emitted too: folding it into x would
+        // pair the old winner's value with the new winner's slope, off by
+        // the whole gap d0 until the next grid point.
         if (!tie &&
             std::fabs(ds) > 1e-9 * (std::fabs(a.slope) + std::fabs(b.slope))) {
           const double t = x - d0 / ds;
           const double tol = 4e-12 * (1.0 + std::fabs(t));
-          if (t > x + tol && t < nx - tol) {
+          if (t > x && t < nx - tol) {
             cross_t = t;
             cross_slope = a_wins ? b.slope : a.slope;
             cross_base = a_wins ? b.after : a.after;
-          } else if (t > x && t <= x + tol) {
-            slope = a_wins ? b.slope : a.slope;
           }
         }
       }

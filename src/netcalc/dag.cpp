@@ -254,11 +254,11 @@ const Curve& DagModel::node_service(std::size_t i) const {
   return service_[i];
 }
 
-std::vector<DagNodeAnalysis> DagModel::per_node_analysis() const {
-  std::vector<DagNodeAnalysis> out;
+std::vector<NodeAnalysis> DagModel::per_node_analysis() const {
+  std::vector<NodeAnalysis> out;
   out.reserve(dag_.nodes.size());
   for (std::size_t i = 0; i < dag_.nodes.size(); ++i) {
-    DagNodeAnalysis a;
+    NodeAnalysis a;
     a.name = dag_.nodes[i].name;
     a.load_regime = regime(arrival_[i], service_[i]);
     a.arrival_rate = DataRate::bytes_per_sec(arrival_[i].tail_slope());

@@ -57,17 +57,6 @@ struct DagSpec {
   std::vector<std::vector<std::size_t>> paths() const;
 };
 
-/// Per-node results of the DAG analysis.
-struct DagNodeAnalysis {
-  std::string name;
-  Regime load_regime = Regime::kUnderloaded;
-  util::DataRate arrival_rate;      ///< summed sustained arrivals
-  util::DataRate service_rate;      ///< guaranteed rate (normalized)
-  util::Duration delay;             ///< per-node delay bound
-  util::DataSize backlog;           ///< per-node backlog bound (normalized)
-  util::DataSize buffer_bytes;      ///< recommended local buffer
-};
-
 /// Per-path results. The curves behind the delay bound are retained so the
 /// certification layer (src/certify) can re-derive the bound and audit the
 /// residual concatenation.
@@ -118,8 +107,9 @@ class DagModel {
   /// Service curve of node i (normalized to pipeline input).
   const minplus::Curve& node_service(std::size_t i) const;
 
-  /// Per-node bounds in topological order of `dag().nodes`.
-  std::vector<DagNodeAnalysis> per_node_analysis() const;
+  /// Per-node bounds, one row per `dag().nodes` entry in index order;
+  /// `aggregation_wait` stays zero.
+  std::vector<NodeAnalysis> per_node_analysis() const;
 
   /// Delay bound along every source-to-sink path (residual concatenation)
   /// and the end-to-end maximum (sure worst case).

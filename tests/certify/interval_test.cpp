@@ -93,7 +93,7 @@ TEST(IntervalTest, ServiceScaleIntervalWidensUtilization) {
   // A degenerate-rate box whose node "b" may run anywhere between 0.5x and
   // 1.2x of its basis service: the rho interval must cover both corners.
   ParamBox box = ParamBox::at(source_at(100.0), 2);
-  box.nodes[1].service_scale = {0.5, 1.2};
+  box.service_scale[1] = {0.5, 1.2};
   const auto cert =
       certify_stability(two_stage(), source_at(100.0), {}, box);
   ASSERT_EQ(cert.nodes.size(), 2u);
@@ -191,7 +191,7 @@ TEST(IntervalTest, RejectsMalformedBoxes) {
       util::Error);
 
   ParamBox negative = ParamBox::at(source_at(100.0), 2);
-  negative.nodes[0].service_scale = {-0.5, 1.0};
+  negative.service_scale[0] = {-0.5, 1.0};
   EXPECT_THROW(
       certify_stability(two_stage(), source_at(100.0), {}, negative),
       util::Error);

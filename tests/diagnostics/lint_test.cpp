@@ -7,7 +7,6 @@
 #include <string>
 
 #include "diagnostics/diagnostic.hpp"
-#include "minplus/curve.hpp"
 #include "netcalc/dag.hpp"
 #include "netcalc/node.hpp"
 #include "netcalc/pipeline.hpp"
@@ -129,33 +128,6 @@ TEST(LintPipelineTest, UpstreamClippingLimitsDownstreamLoad) {
       lint_pipeline({stage("a", 50), stage("b", 60)}, source_at(100));
   ASSERT_EQ(report.count(Severity::kWarning), 1u);
   EXPECT_EQ(report.diagnostics().front().location, "a");
-}
-
-// --- Curve-level passes ---------------------------------------------------
-
-TEST(LintFlowTest, ArrivalPositiveAtZeroIsNC201) {
-  // Every named constructor keeps f(0) = 0; a non-causal envelope needs a
-  // raw segment with value_at > 0 at the origin (e.g. a hand-ported trace).
-  const minplus::Curve noncausal(
-      {minplus::Segment{0.0, 5.0, 5.0, 10.0}});
-  const auto report = lint_flow(noncausal, minplus::Curve::rate(100.0));
-  EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.has_code("NC201"));
-}
-
-TEST(LintFlowTest, ArrivalTailAboveServiceTailIsNC202) {
-  const auto report = lint_flow(minplus::Curve::affine(200.0, 0.0),
-                                minplus::Curve::rate(100.0));
-  EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.has_code("NC202"));
-}
-
-TEST(LintFlowTest, AffineBurstBelowServiceRateIsClean) {
-  // affine() places the burst in the right limit at 0+, so it is causal.
-  const auto report = lint_flow(minplus::Curve::affine(50.0, 4096.0),
-                                minplus::Curve::rate_latency(100.0, 0.01));
-  EXPECT_TRUE(report.clean());
-  EXPECT_TRUE(report.diagnostics().empty());
 }
 
 // --- DAG passes -----------------------------------------------------------
@@ -310,12 +282,15 @@ TEST(LintPolicyTest, CeilingBelowGuaranteeIsNC502Info) {
 
 TEST(LintReportTest, RegistryTitlesEveryEmittedCode) {
   for (const char* code :
-       {"NC001", "NC002", "NC003", "NC101", "NC102", "NC201", "NC202",
-        "NC301", "NC302", "NC303", "NC304", "NC305", "NC401", "NC402",
-        "NC403", "NC501", "NC502"}) {
+       {"NC001", "NC002", "NC003", "NC101", "NC102", "NC301", "NC302",
+        "NC303", "NC304", "NC305", "NC401", "NC402", "NC403", "NC501",
+        "NC502"}) {
     EXPECT_NE(code_title(code), nullptr) << code;
   }
   EXPECT_EQ(code_title("NC999"), nullptr);
+  // Retired with the curve-shape pass; never reused.
+  EXPECT_EQ(code_title("NC201"), nullptr);
+  EXPECT_EQ(code_title("NC202"), nullptr);
 }
 
 TEST(LintReportTest, RendersCompilerStyleWithHints) {

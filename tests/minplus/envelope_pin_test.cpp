@@ -1,7 +1,7 @@
 // Exact-bits pins for branch envelopes that span several 64-branch tiles.
 // The general convolution and the general deconvolution build one branch
 // curve per operand breakpoint and fold them tile by tile
-// (detail::fold_envelope). These operands, from the micro_parallel
+// (detail::fold_envelope). These operands, from the micro_minplus
 // generators, cross two or more tiles and end on a partial tile. Each
 // result is pinned by a hash of its segments' bit patterns, so any change
 // to the fold order or the repair pass shows up as a changed hash, not as
@@ -21,7 +21,7 @@ namespace streamcalc::minplus {
 namespace {
 
 /// Concave increasing curve with n segments (same construction as
-/// bench/micro_parallel.cpp).
+/// bench/micro_minplus.cpp).
 Curve concave_curve(int n, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   std::vector<Segment> segs;

@@ -52,6 +52,30 @@ TEST(PointwiseOps, MaximumCrossing) {
   EXPECT_DOUBLE_EQ(m.value(10.0), 10.0);
 }
 
+// A steep line that crosses a step within a few picoseconds of a shared
+// breakpoint: the crossing must still hand the interval to the other line
+// at its own value, not keep the old winner's value with the new slope.
+// min(c, rate_latency) climbs from 0 to c within 1.8 ps of the latency.
+// The crossing abscissa rounds to ulp(0.0518) ~ 7e-18 s, which the 3.28e9
+// slope turns into ~2e-8 of value: far below the 0.00586 step.
+TEST(PointwiseOps, MinimumCrossingJustPastABreakpointKeepsTheStep) {
+  const Curve m =
+      minimum(Curve::constant(0.00586), Curve::rate_latency(3.28e9, 0.0518));
+  EXPECT_EQ(m.value(0.03), 0.0);
+  EXPECT_EQ(m.value(0.0518), 0.0);
+  EXPECT_NEAR(m.value(0.1), 0.00586, 5e-8);
+  EXPECT_NEAR(m.value(1000.0), 0.00586, 5e-8);
+}
+
+TEST(PointwiseOps, MaximumCrossingJustPastABreakpointDoesNotOvershoot) {
+  const Curve m =
+      maximum(Curve::constant(0.00586), Curve::rate_latency(3.28e9, 0.0518));
+  EXPECT_DOUBLE_EQ(m.value(0.03), 0.00586);
+  EXPECT_DOUBLE_EQ(m.value(0.0518), 0.00586);
+  // 3.28e9 * (0.1 - 0.0518), well inside the 0.00586 overshoot.
+  EXPECT_NEAR(m.value(0.1), 3.28e9 * (0.1 - 0.0518), 1e-4);
+}
+
 TEST(PointwiseOps, MinimumWithDelta) {
   // min(delta_1, affine) is affine-capped: 0 until... delta is 0 on [0,1],
   // so min equals 0 there? No: min(0, alpha(t)) = 0 on [0,1], alpha after.

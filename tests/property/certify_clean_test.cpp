@@ -8,9 +8,14 @@
 // stability certification must agree exactly with nclint's per-point NC101
 // verdict — for the generator's stable scenarios and for deliberately
 // overloaded variants of them.
+//
+// Third property: a chain and its one-path DAG lint and certify the same.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "certify/interval.hpp"
 #include "certify/postflight.hpp"
@@ -18,6 +23,7 @@
 #include "netcalc/pipeline.hpp"
 #include "testing/generator.hpp"
 #include "testing/property.hpp"
+#include "util/format.hpp"
 #include "util/units.hpp"
 
 namespace streamcalc::testing {
@@ -83,6 +89,69 @@ TEST(CertifyCleanProperty, DegenerateBoxAgreesWithLintVerdicts) {
       // everywhere, never "partially".
       EXPECT_NE(cert.stable_everywhere, cert.unstable_everywhere)
           << "scenario " << i << " x" << factor << ": " << s.describe();
+    }
+  }
+}
+
+/// The chain as a DAG: entry 1.0 into node 0, edge 1.0 from i to i + 1.
+netcalc::DagSpec one_path_dag(const std::vector<netcalc::NodeSpec>& nodes) {
+  netcalc::DagSpec dag;
+  dag.nodes = nodes;
+  dag.entries = {{0, 0, 1.0}};
+  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
+    dag.edges.push_back({i, i + 1, 1.0});
+  }
+  return dag;
+}
+
+TEST(CertifyCleanProperty, ChainAgreesWithItsOnePathDag) {
+  // A chain is its one-path DAG: lint must report the same findings, word
+  // for word, and the stability certificate the same rho intervals, bit
+  // for bit, whichever entry point takes it. At 4x the offered rate most
+  // scenarios overload, so the NC101 messages are compared too.
+  ScenarioGenConfig gen;
+  ScenarioGenerator scenarios(gen, 0x5e23);
+  const int n = scaled_cases(150);
+  for (int i = 0; i < n; ++i) {
+    const Scenario s = scenarios.next();
+    const netcalc::DagSpec dag = one_path_dag(s.nodes);
+    for (const double factor : {1.0, 4.0}) {
+      netcalc::SourceSpec src = s.source;
+      src.rate = util::DataRate::bytes_per_sec(
+          src.rate.in_bytes_per_sec() * factor);
+      std::string where = "scenario ";
+      where += std::to_string(i);
+      where += " x" + util::format_significant(factor) + ": " + s.describe();
+      const auto chain = diagnostics::lint_pipeline(s.nodes, src);
+      const auto graph = diagnostics::lint_dag(dag, src);
+      ASSERT_EQ(chain.diagnostics().size(), graph.diagnostics().size())
+          << where << "\n"
+          << chain.render("chain") << graph.render("dag");
+      for (std::size_t k = 0; k < chain.diagnostics().size(); ++k) {
+        const diagnostics::Diagnostic& a = chain.diagnostics()[k];
+        const diagnostics::Diagnostic& b = graph.diagnostics()[k];
+        EXPECT_EQ(a.code, b.code) << where;
+        EXPECT_EQ(a.severity, b.severity) << where;
+        EXPECT_EQ(a.location, b.location) << where;
+        EXPECT_EQ(a.message, b.message) << where;
+        EXPECT_EQ(a.hint, b.hint) << where;
+      }
+
+      const auto box = certify::ParamBox::at(src, s.nodes.size());
+      const auto cs = certify::certify_stability(s.nodes, src, {}, box);
+      const auto ds = certify::certify_stability_dag(dag, src, {}, box);
+      ASSERT_EQ(cs.nodes.size(), ds.nodes.size()) << where;
+      for (std::size_t k = 0; k < cs.nodes.size(); ++k) {
+        EXPECT_EQ(cs.nodes[k].name, ds.nodes[k].name) << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(cs.nodes[k].rho_lo),
+                  std::bit_cast<std::uint64_t>(ds.nodes[k].rho_lo))
+            << where << " node " << k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(cs.nodes[k].rho_hi),
+                  std::bit_cast<std::uint64_t>(ds.nodes[k].rho_hi))
+            << where << " node " << k;
+      }
+      EXPECT_EQ(cs.violating_face, ds.violating_face) << where;
+      EXPECT_EQ(cs.report.render("box"), ds.report.render("box")) << where;
     }
   }
 }
