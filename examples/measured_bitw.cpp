@@ -60,6 +60,19 @@ int run(const streamcalc::util::Context& ctx) {
     cipher_chunks.push_back(aes.cbc_encrypt(padded, iv));
   }
 
+  // Rates of a chain that corrupts data mean nothing: every chunk must
+  // survive compress -> encrypt -> decrypt -> decompress byte for byte.
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    auto plain = aes.cbc_decrypt(cipher_chunks[i], iv);
+    plain.resize(compressed_chunks[i].size());
+    if (k::lz4lite_decompress(plain) != chunks[i]) {
+      std::fprintf(stderr,
+                   "error: chunk %zu does not survive the BITW round trip\n",
+                   i);
+      return 1;
+    }
+  }
+
   // --- Isolated stage measurements --------------------------------------
   const auto m_compress = k::measure_stage(
       "compress",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 
 #include "util/error.hpp"
 
@@ -17,6 +18,9 @@ constexpr int kHashBits = 14;
 // this many bytes past the end of a literal run or match; its output
 // buffer has this much slack.
 constexpr std::size_t kWildSlack = 16;
+// The decoder's first output buffer, in bytes per input byte (telemetry
+// compresses 2.5-4.5x); it doubles when a sequence would not fit.
+constexpr std::size_t kGrowthStart = 4;
 
 std::uint32_t load32(const std::uint8_t* p) {
   std::uint32_t v;
@@ -28,6 +32,10 @@ std::uint64_t load64(const std::uint8_t* p) {
   std::uint64_t v;
   std::memcpy(&v, p, sizeof v);
   return v;
+}
+
+std::size_t read_offset(const std::uint8_t* p) {
+  return static_cast<std::size_t>(p[0]) | static_cast<std::size_t>(p[1]) << 8;
 }
 
 std::uint32_t hash4(std::uint32_t v) {
@@ -70,49 +78,6 @@ std::uint8_t* emit_length(std::uint8_t* op, std::size_t len) {
   return op;
 }
 
-/// Walks the sequences of `in` with every check the decoder relies on
-/// (throwing PreconditionError on the first violation) and returns the
-/// decompressed size.
-std::size_t decoded_size(std::span<const std::uint8_t> in) {
-  std::size_t pos = 0;
-  std::size_t size = 0;
-  const auto need = [&](std::size_t n) {
-    util::require(pos + n <= in.size(), "lz4lite: truncated stream");
-  };
-  const auto read_length = [&](std::size_t base) {
-    std::size_t len = base;
-    if (base == 15) {
-      std::uint8_t b;
-      do {
-        need(1);
-        b = in[pos++];
-        len += b;
-      } while (b == 255);
-    }
-    return len;
-  };
-
-  while (pos < in.size()) {
-    need(1);
-    const std::uint8_t token = in[pos++];
-    const std::size_t literals = read_length(token >> 4);
-    need(literals);
-    pos += literals;
-    size += literals;
-    if (pos == in.size()) break;  // final sequence: literals only
-
-    need(2);
-    const std::size_t offset =
-        static_cast<std::size_t>(in[pos]) |
-        (static_cast<std::size_t>(in[pos + 1]) << 8);
-    pos += 2;
-    util::require(offset >= 1 && offset <= size,
-                  "lz4lite: match offset out of range");
-    size += read_length(token & 0x0F) + kMinMatch;
-  }
-  return size;
-}
-
 /// Copies `len` bytes in whole `Word`-byte steps, at least one: up to
 /// Word bytes past both ranges are read and written. Each step reads only
 /// bytes written before it when dst - src >= Word.
@@ -145,55 +110,17 @@ void copy_match(std::uint8_t* op, std::size_t offset, std::size_t len) {
   }
 }
 
-/// Decodes a stream that decoded_size() accepted into `out`, which holds
-/// its decoded size plus kWildSlack bytes.
-void decode(std::span<const std::uint8_t> in, std::uint8_t* out) {
-  const std::uint8_t* ip = in.data();
-  const std::uint8_t* const end = ip + in.size();
-  std::uint8_t* op = out;
-  const auto read_length = [&](std::size_t base) {
-    std::size_t len = base;
-    if (base == 15) {
-      std::uint8_t b;
-      do {
-        b = *ip++;
-        len += b;
-      } while (b == 255);
-    }
-    return len;
-  };
-
-  while (ip < end) {
-    const std::uint8_t token = *ip++;
-    const std::size_t literals = read_length(token >> 4);
-    // A wild copy may read past the literals, not past the stream.
-    if (static_cast<std::size_t>(end - ip) >= literals + kWildSlack) {
-      wild_copy<16>(op, ip, literals);
-    } else {
-      std::memcpy(op, ip, literals);
-    }
-    ip += literals;
-    op += literals;
-    if (ip == end) break;
-
-    const std::size_t offset = static_cast<std::size_t>(ip[0]) |
-                               (static_cast<std::size_t>(ip[1]) << 8);
-    ip += 2;
-    const std::size_t match_len = read_length(token & 0x0F) + kMinMatch;
-    copy_match(op, offset, match_len);
-    op += match_len;
-  }
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> lz4lite_compress(std::span<const std::uint8_t> in) {
   const std::size_t n = in.size();
   const std::uint8_t* const src = in.data();
   // Worst case: all literals, one length byte per 255 of them, the token.
-  std::vector<std::uint8_t> out(n + n / 255 + 16);
-  std::uint8_t* op = out.data();
-  std::uint8_t* const out_end = op + out.size();
+  // Not zero-filled: the used prefix is copied out at the end.
+  const std::size_t cap = n + n / 255 + 16;
+  const auto out = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+  std::uint8_t* op = out.get();
+  std::uint8_t* const out_end = op + cap;
   std::vector<std::uint32_t> table(std::size_t{1} << kHashBits, 0xFFFFFFFFu);
 
   std::size_t pos = 0;
@@ -229,11 +156,14 @@ std::vector<std::uint8_t> lz4lite_compress(std::span<const std::uint8_t> in) {
     }
   };
 
+  // h is the hash of the 4 bytes at pos.
+  std::uint32_t h = pos < match_limit ? hash4(load32(src)) : 0;
   while (pos < match_limit) {
     const std::uint32_t v = load32(src + pos);
-    const std::uint32_t h = hash4(v);
     const std::uint32_t cand = table[h];
     table[h] = static_cast<std::uint32_t>(pos);
+    // The next position's hash does not wait for the candidate test.
+    const std::uint32_t next_h = hash4(load32(src + pos + 1));
     if (cand != 0xFFFFFFFFu && pos - cand <= kWindow &&
         load32(src + cand) == v) {
       // Extend the match as far as the data allows.
@@ -243,22 +173,103 @@ std::vector<std::uint8_t> lz4lite_compress(std::span<const std::uint8_t> in) {
       emit_sequence(pos - literal_start, len, pos - cand);
       pos += len;
       literal_start = pos;
+      if (pos < match_limit) h = hash4(load32(src + pos));
     } else {
       ++pos;
+      h = next_h;
     }
   }
   // Final literals-only sequence (always present, even if empty).
   emit_sequence(n - literal_start, 0, 0);
-  out.resize(static_cast<std::size_t>(op - out.data()));
-  return out;
+  return std::vector<std::uint8_t>(out.get(), op);
 }
 
 std::vector<std::uint8_t> lz4lite_decompress(
     std::span<const std::uint8_t> in) {
-  const std::size_t size = decoded_size(in);
-  std::vector<std::uint8_t> out(size + kWildSlack);
-  decode(in, out.data());
-  out.resize(size);
+  const std::uint8_t* ip = in.data();
+  const std::uint8_t* const end = ip + in.size();
+  // One pass: every check runs as its sequence is decoded, in stream
+  // order. The decoded size is unknown until the last sequence, so `out`
+  // grows by doubling; `limit` is its end less the wild-copy slack, and
+  // `op` never passes it. `base` and `limit` are locals because the byte
+  // stores below may alias the vector's own pointers.
+  std::vector<std::uint8_t> out(kGrowthStart * in.size() + kWildSlack);
+  std::uint8_t* base = out.data();
+  std::uint8_t* limit = base + out.size() - kWildSlack;
+  std::uint8_t* op = base;
+  // Makes room for `n` more bytes past `op`, plus the slack.
+  const auto reserve = [&](std::size_t n) {
+    if (static_cast<std::size_t>(limit - op) >= n) return;
+    const std::size_t size = static_cast<std::size_t>(op - base);
+    out.resize(std::max(2 * out.size(), size + n + kWildSlack));
+    base = out.data();
+    limit = base + out.size() - kWildSlack;
+    op = base + size;
+  };
+  const auto need = [&](std::size_t n) {
+    util::require(static_cast<std::size_t>(end - ip) >= n,
+                  "lz4lite: truncated stream");
+  };
+  const auto read_length = [&](std::size_t len) {
+    if (len == 15) {
+      std::uint8_t b;
+      do {
+        need(1);
+        b = *ip++;
+        len += b;
+      } while (b == 255);
+    }
+    return len;
+  };
+
+  while (ip < end) {
+    const std::uint8_t token = *ip++;
+    const std::size_t lit_code = token >> 4;
+    const std::size_t match_code = token & 0x0F;
+    // At most 14 literals with 16 stream bytes after them: one 16-byte
+    // copy, and the stream goes on with a match offset. The copies below
+    // write into the slack, and op advances less than the room checked.
+    if (lit_code < 15 && end - ip >= 16 &&
+        static_cast<std::size_t>(limit - op) >= 16) {
+      std::memcpy(op, ip, 16);
+      op += lit_code;
+      ip += lit_code;
+    } else {
+      const std::size_t literals = read_length(lit_code);
+      need(literals);
+      reserve(literals);
+      // A wild copy may read past the literals, not past the stream.
+      if (static_cast<std::size_t>(end - ip) >= literals + kWildSlack) {
+        wild_copy<16>(op, ip, literals);
+      } else {
+        std::memcpy(op, ip, literals);
+      }
+      ip += literals;
+      op += literals;
+      if (ip == end) break;  // final sequence: literals only
+      need(2);
+    }
+
+    const std::size_t offset = read_offset(ip);
+    ip += 2;
+    // A match of at most 18 bytes from at least 16 back: two 16-byte
+    // copies, the second reading only bytes the first wrote or older.
+    if (match_code < 15 && offset >= 16 &&
+        offset <= static_cast<std::size_t>(op - base) &&
+        static_cast<std::size_t>(limit - op) >= 32) {
+      std::memcpy(op, op - offset, 16);
+      std::memcpy(op + 16, op - offset + 16, 16);
+      op += match_code + kMinMatch;
+      continue;
+    }
+    util::require(offset >= 1 && offset <= static_cast<std::size_t>(op - base),
+                  "lz4lite: match offset out of range");
+    const std::size_t match_len = read_length(match_code) + kMinMatch;
+    reserve(match_len);
+    copy_match(op, offset, match_len);
+    op += match_len;
+  }
+  out.resize(static_cast<std::size_t>(op - base));
   return out;
 }
 

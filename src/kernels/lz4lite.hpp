@@ -13,13 +13,17 @@
 // self-contained, so chunking reduces cross-chunk redundancy — the effect
 // the paper notes when discussing observed compression ratios.
 //
-// The compressor is greedy with one hash probe per position and extends
+// The compressor is greedy with one hash probe per position, hashes the
+// next position before it tests the current candidate, and extends
 // matches 8 bytes per compare; it writes into a buffer sized once to the
-// worst case. The decoder first walks the whole stream to validate it and
-// to learn the output size, then decodes into a buffer of that size (plus
-// 16 bytes of slack) with whole-word copies. Neither affects the format:
-// the compressed bytes are those of the byte-serial algorithm they
-// replaced, which the fuzz suite keeps as its reference.
+// worst case. The decoder makes one pass: it checks each sequence as it
+// decodes it, into a buffer that starts at four times the input size and
+// doubles when a sequence would not fit with 16 bytes of slack. Short
+// sequences (at most 14 literals, a match of at most 18 bytes from at
+// least 16 back) take whole 16-byte copies. Neither affects the format:
+// the compressed bytes, the decoded bytes and the error messages are
+// those of the byte-serial algorithms they replaced, which the fuzz suite
+// keeps as its references.
 #pragma once
 
 #include <cstddef>

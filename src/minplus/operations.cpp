@@ -567,8 +567,9 @@ Curve subtract_clamped(const Curve& f, const Curve& g) {
   // Thm. 6.2.1's proviso) and silently raising it would be unsound.
   std::vector<Segment> segs;
   segs.reserve(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const double x = grid[i];
+  // Appends the piece that starts at x, with its slope taken from the
+  // secant to probe_x.
+  const auto push_piece = [&](double x, double probe_x) {
     const double at = diff(f.value(x), g.value(x));
     double after = diff(f.value_right(x), g.value_right(x));
     // A downward jump (cross-traffic burst) makes the residual invalid.
@@ -578,9 +579,6 @@ Curve subtract_clamped(const Curve& f, const Curve& g) {
     after = std::max(after, at);
     double slope = 0.0;
     if (after != kInf) {
-      const double probe_x = (i + 1 < grid.size())
-                                 ? 0.5 * (x + grid[i + 1])
-                                 : x + std::max(1.0, x);
       const double probe = diff(f.value(probe_x), g.value(probe_x));
       slope = (probe - after) / (probe_x - x);
       util::require(slope >= -1e-9 * (1.0 + std::fabs(probe)),
@@ -597,6 +595,33 @@ Curve subtract_clamped(const Curve& f, const Curve& g) {
                     "increasing and is not a valid residual service curve");
     }
     segs.push_back(Segment{x, at, after, slope});
+  };
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const double x = grid[i];
+    const double probe_x = (i + 1 < grid.size()) ? 0.5 * (x + grid[i + 1])
+                                                 : x + std::max(1.0, x);
+    // f - g is linear on (x, probe_x]. If it rises from below zero to
+    // above it there, the crossing fell within add_crossings' tolerance
+    // past x: the residual is 0 up to the crossing, and a secant from x
+    // would lie above it. Split the piece at the crossing, rounded up so
+    // the flat part never lies above [f - g]^+.
+    const double fr = f.value_right(x);
+    const double gr = g.value_right(x);
+    if (fr != kInf && gr != kInf && fr < gr) {
+      const double probe = f.value(probe_x) - g.value(probe_x);
+      if (probe > 0.0 && probe != kInf) {
+        const double gap = gr - fr;
+        const double cross = std::nextafter(
+            x + (probe_x - x) * gap / (gap + probe), kInf);
+        if (cross < probe_x) {
+          push_piece(x, cross);
+          segs.back().slope = 0.0;
+          push_piece(cross, probe_x);
+          continue;
+        }
+      }
+    }
+    push_piece(x, probe_x);
   }
   return Curve(std::move(segs));
 }

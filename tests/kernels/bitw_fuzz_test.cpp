@@ -1,13 +1,14 @@
 // Differential fuzz suite for the BITW stage kernels (label `property`).
 //
 // The library lz4lite compressor extends matches 8 bytes per compare and
-// writes into a buffer sized once; its decoder validates the whole stream,
-// then decodes with 16- and 8-byte wild copies and pattern doubling. The
-// references below are the byte-serial algorithms they replaced: the
-// compressed bytes must be identical, and the decoder must return the same
-// bytes or throw the same PreconditionError. CBC runs on AES-NI where the
-// CPU has it; it must agree with the portable table rounds. Budgets scale
-// with STREAMCALC_FUZZ_CASES.
+// writes into a buffer sized once; its decoder checks each sequence as it
+// decodes it, with 16- and 8-byte wild copies and pattern doubling, into a
+// buffer that doubles on demand. The references below are the byte-serial
+// algorithms they replaced: the compressed bytes must be identical, and
+// the decoder must return the same bytes or throw the same
+// PreconditionError. CBC runs on AES-NI where the CPU has it; it must
+// agree with the portable table rounds. Budgets scale with
+// STREAMCALC_FUZZ_CASES.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -142,6 +143,24 @@ Bytes reference_decompress(const Bytes& in) {
   return out;
 }
 
+/// Appends one sequence: `literals`, then a match of `match_len` bytes
+/// `offset` back (no match when match_len is 0: a final sequence).
+void append_sequence(Bytes& stream, const Bytes& literals, std::size_t offset,
+                     std::size_t match_len) {
+  const std::size_t mcode = match_len == 0 ? 0 : match_len - kMinMatch;
+  stream.push_back(static_cast<std::uint8_t>(
+      std::min<std::size_t>(literals.size(), 15) << 4 |
+      std::min<std::size_t>(mcode, 15)));
+  if (literals.size() >= 15) {
+    reference_emit_length(stream, literals.size() - 15);
+  }
+  stream.insert(stream.end(), literals.begin(), literals.end());
+  if (match_len == 0) return;
+  stream.push_back(static_cast<std::uint8_t>(offset & 0xFF));
+  stream.push_back(static_cast<std::uint8_t>(offset >> 8));
+  if (mcode >= 15) reference_emit_length(stream, mcode - 15);
+}
+
 /// The match offsets of a valid stream, in order.
 std::vector<std::size_t> match_offsets(const Bytes& stream) {
   std::vector<std::size_t> offsets;
@@ -195,6 +214,18 @@ void expect_same_decoding(const Bytes& stream) {
   ASSERT_EQ(got.out, want.out) << "stream of " << stream.size();
 }
 
+/// expect_same_decoding on `stream` and on each of its proper prefixes
+/// whose length is a multiple of `stride`.
+void expect_same_decoding_when_cut(const Bytes& stream,
+                                   std::size_t stride = 1) {
+  for (std::size_t n = 0; n < stream.size(); n += stride) {
+    expect_same_decoding(
+        Bytes(stream.begin(), stream.begin() + static_cast<std::ptrdiff_t>(n)));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  expect_same_decoding(stream);
+}
+
 // ---------------------------------------------------------------------------
 // Compressor
 
@@ -210,6 +241,10 @@ TEST(Lz4Fuzz, CompressMatchesReferenceOnTelemetry) {
   }
   for (const double redundancy : {0.0, 0.5, 1.0}) {
     expect_same_compression(telemetry_text(rng, 64 * 1024, redundancy));
+    // Around the 64 KiB window.
+    for (const std::size_t size : {65535u, 65536u, 65537u}) {
+      expect_same_compression(telemetry_text(rng, size, redundancy));
+    }
   }
 }
 
@@ -232,6 +267,22 @@ TEST(Lz4Fuzz, CompressMatchesReferenceOnRandomBytesAndRuns) {
     if (HasFatalFailure()) return;
   }
   expect_same_compression(Bytes(200 * 1024, 0x55));
+  for (const std::size_t size : {65535u, 65536u, 65537u}) {
+    expect_same_compression(random_bytes(rng, size));
+  }
+  // A planted repeat of 4-40 bytes whose match ends 0-24 bytes before the
+  // input end: the match extension's last compares run up to the end.
+  for (std::size_t len = 4; len <= 40; ++len) {
+    for (std::size_t gap = 0; gap <= 24; ++gap) {
+      SCOPED_TRACE("repeat of " + std::to_string(len) + ", gap " +
+                   std::to_string(gap));
+      Bytes data = random_bytes(rng, 64 + len + gap);
+      std::copy_n(data.begin() + 8, len,
+                  data.end() - static_cast<std::ptrdiff_t>(len + gap));
+      expect_same_compression(data);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(Lz4Fuzz, CompressMatchesReferenceOnEverySmallSize) {
@@ -294,6 +345,27 @@ TEST(Lz4Fuzz, DecoderMatchesReferenceOnValidAndDamagedStreams) {
     expect_same_decoding(random_bytes(rng, below(rng, 4097)));
     if (HasFatalFailure()) return;
   }
+
+  // Outputs that outgrow the decoder's first buffer, several times over
+  // for the ~250x single-byte run.
+  expect_same_decoding_when_cut(lz4lite_compress(Bytes(1 << 20, 'r')));
+  for (const double redundancy : {0.0, 0.5, 1.0}) {
+    const Bytes stream =
+        lz4lite_compress(telemetry_text(rng, 64 * 1024, redundancy));
+    expect_same_decoding_when_cut(
+        stream, stream.size() / static_cast<std::size_t>(scaled_cases(200)) + 1);
+  }
+  if (HasFatalFailure()) return;
+
+  // Hostile length bytes: 64 KiB of 0xFF is one literal length that never
+  // ends; after a one-literal sequence header they are one match length
+  // that never ends, or, terminated, one of about 16 MiB.
+  Bytes hostile(64 * 1024, 0xFF);
+  expect_same_decoding(hostile);
+  std::copy_n(Bytes{0x1F, 'a', 0x01, 0x00}.begin(), 4, hostile.begin());
+  expect_same_decoding(hostile);
+  hostile.back() = 0x00;
+  expect_same_decoding(hostile);
 }
 
 TEST(Lz4Fuzz, DecoderExpandsEveryOverlappingMatch) {
@@ -305,16 +377,8 @@ TEST(Lz4Fuzz, DecoderExpandsEveryOverlappingMatch) {
     for (std::size_t len = 4; len <= 300; ++len) {
       const Bytes literals = random_bytes(rng, offset);
       Bytes stream;
-      const std::size_t mcode = len - kMinMatch;
-      stream.push_back(static_cast<std::uint8_t>(
-          std::min<std::size_t>(offset, 15) << 4 |
-          std::min<std::size_t>(mcode, 15)));
-      if (offset >= 15) reference_emit_length(stream, offset - 15);
-      stream.insert(stream.end(), literals.begin(), literals.end());
-      stream.push_back(static_cast<std::uint8_t>(offset));
-      stream.push_back(0);
-      if (mcode >= 15) reference_emit_length(stream, mcode - 15);
-      stream.insert(stream.end(), {0x30, 'x', 'y', 'z'});
+      append_sequence(stream, literals, offset, len);
+      append_sequence(stream, {'x', 'y', 'z'}, 0, 0);
 
       Bytes want = literals;
       for (std::size_t i = 0; i < len; ++i) {
@@ -325,6 +389,28 @@ TEST(Lz4Fuzz, DecoderExpandsEveryOverlappingMatch) {
           << "offset " << offset << ", length " << len;
       ASSERT_EQ(reference_decompress(stream), want)
           << "offset " << offset << ", length " << len;
+    }
+  }
+
+  // Streams of sequences the decoder's short path may take (0-14
+  // literals, a match of 4-18 bytes at offset 1-32), ending in no final
+  // sequence or in one of 0-40 literals, and cut at every length: a short
+  // sequence sits at every distance from 0 to 40 bytes before the end.
+  const int streams = scaled_cases(10);
+  for (int c = 0; c < streams; ++c) {
+    for (std::size_t tail = 0; tail <= 41; ++tail) {
+      SCOPED_TRACE("stream " + std::to_string(c) + ", tail " +
+                   std::to_string(tail));
+      Bytes stream;
+      append_sequence(stream, random_bytes(rng, 32), 1 + below(rng, 32),
+                      4 + below(rng, 15));
+      for (int i = 0; i < 12; ++i) {
+        append_sequence(stream, random_bytes(rng, below(rng, 15)),
+                        1 + below(rng, 32), 4 + below(rng, 15));
+      }
+      if (tail > 0) append_sequence(stream, random_bytes(rng, tail - 1), 0, 0);
+      expect_same_decoding_when_cut(stream);
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -74,6 +75,23 @@ TEST(PointwiseOps, MaximumCrossingJustPastABreakpointDoesNotOvershoot) {
   EXPECT_DOUBLE_EQ(m.value(0.0518), 0.00586);
   // 3.28e9 * (0.1 - 0.0518), well inside the 0.00586 overshoot.
   EXPECT_NEAR(m.value(0.1), 3.28e9 * (0.1 - 0.0518), 1e-4);
+}
+
+// The residual [f - g]^+ of the same pair: f - g crosses zero 1.8 ps past
+// the latency, closer than add_crossings keeps a crossing. The residual
+// must stay 0 up to the crossing and never lie above max(0, f - g).
+TEST(PointwiseOps, SubtractClampedCrossingJustPastABreakpointStaysBelow) {
+  const Curve f = Curve::rate_latency(3.28e9, 0.0518);
+  const Curve g = Curve::constant(0.00586);
+  const Curve r = subtract_clamped(f, g);
+  EXPECT_EQ(r.value(0.0518), 0.0);
+  for (const double t : {0.0518 + 1e-12, 0.0518 + 1e-6, 0.06, 0.1, 0.5, 2.0,
+                         1000.0}) {
+    const double truth = 3.28e9 * (t - 0.0518) - 0.00586;
+    EXPECT_LE(r.value(t), std::max(0.0, truth) + 1e-13 * (1.0 + truth))
+        << "t = " << t;
+    EXPECT_GE(r.value(t), truth - 1e-6 * (1.0 + truth)) << "t = " << t;
+  }
 }
 
 TEST(PointwiseOps, MinimumWithDelta) {
