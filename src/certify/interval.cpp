@@ -38,12 +38,12 @@ void validate_box(const ParamBox& box, std::size_t node_count) {
 /// box that attains it. rho is monotone up in the sustained arrival and
 /// down in the own service scale, so its endpoints are box corners.
 IntervalCertificate certificate(const std::vector<NodeSpec>& nodes,
-                                const std::vector<diagnostics::NodeLoad>& rows,
+                                const std::vector<netcalc::NodeLoad>& rows,
                                 const netcalc::SourceSpec& source,
                                 const ParamBox& box) {
   IntervalCertificate cert;
   cert.stable_everywhere = true;
-  for (const diagnostics::NodeLoad& row : rows) {
+  for (const netcalc::NodeLoad& row : rows) {
     if (!(row.rate.lo > 0.0 && std::isfinite(row.rate.lo))) continue;
     const std::string& name = nodes[row.node].name;
     const double rho_lo = row.arrival.lo / row.rate.hi;
@@ -96,7 +96,7 @@ IntervalCertificate certify_stability(const std::vector<NodeSpec>& nodes,
                 "certify_stability requires at least one node");
   validate_box(box, nodes.size());
   return certificate(nodes,
-                     diagnostics::propagate_chain_load(
+                     netcalc::propagate_chain_load(
                          nodes, policy.service_basis, box.source_rate,
                          box.service_scale),
                      source, box);
@@ -109,10 +109,11 @@ IntervalCertificate certify_stability_dag(const netcalc::DagSpec& dag,
   dag.validate();
   validate_box(box, dag.nodes.size());
   return certificate(dag.nodes,
-                     diagnostics::propagate_load(
+                     netcalc::propagate_load(
                          dag.nodes, dag.entries, dag.edges,
                          dag.topological_order(), policy.service_basis,
-                         box.source_rate, box.service_scale),
+                         netcalc::entry_rates(dag.entries, box.source_rate),
+                         box.service_scale),
                      source, box);
 }
 

@@ -4,7 +4,7 @@
 // A ParamBox describes uncertainty in the model inputs: the source rate
 // and, per node, a multiplicative scale interval on the service rate.
 // certify_stability() runs the one load recurrence that lint runs at a
-// point (diagnostics/load.hpp) on the box's intervals, and reads
+// point (netcalc/load.hpp) on the box's intervals, and reads
 // rho = sustained / rate_norm from its rows. Because each parameter enters
 // a given node's utilization monotonically (source rate and upstream
 // service scales push rho up, the node's own service scale pushes it
@@ -33,14 +33,14 @@
 #include <vector>
 
 #include "diagnostics/diagnostic.hpp"
-#include "diagnostics/load.hpp"
 #include "netcalc/dag.hpp"
+#include "netcalc/load.hpp"
 #include "netcalc/node.hpp"
 #include "netcalc/pipeline.hpp"
 
 namespace streamcalc::certify {
 
-using diagnostics::Interval;
+using netcalc::Interval;
 
 /// The parameter box: an absolute interval for the source rate, and a scale
 /// interval on each node's basis-selected service rate. `service_scale`

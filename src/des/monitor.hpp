@@ -1,71 +1,15 @@
-// Statistics collectors for simulations: a step-function recorder for
-// time-weighted quantities (queue depths, system backlog) and a tally for
-// per-sample quantities (latencies). These produce the observations the
-// paper compares against the network-calculus bounds (max backlog, longest
-// and shortest delay).
+// Statistics collector for simulations: a tally for per-sample quantities
+// (latencies). It produces the observations the paper compares against the
+// network-calculus bounds (longest and shortest delay).
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
-#include <utility>
-#include <vector>
 
 #include "util/error.hpp"
 
 namespace streamcalc::des {
-
-/// Records a piecewise-constant signal over simulated time (sample-and-hold
-/// between record() calls).
-class TimeWeighted {
- public:
-  /// Sets the signal's value from time `t` onward. Times must be
-  /// non-decreasing.
-  void record(double t, double value) {
-    util::require(samples_.empty() || t >= samples_.back().first,
-                  "TimeWeighted::record times must be non-decreasing");
-    samples_.emplace_back(t, value);
-  }
-
-  bool empty() const { return samples_.empty(); }
-
-  double maximum() const {
-    double best = -std::numeric_limits<double>::infinity();
-    for (const auto& [t, v] : samples_) best = std::max(best, v);
-    return best;
-  }
-
-  double minimum() const {
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& [t, v] : samples_) best = std::min(best, v);
-    return best;
-  }
-
-  /// Time average of the held signal over [start, end], where `start` is
-  /// the first recorded time. Requires at least one sample and end >= start.
-  double time_average(double end) const {
-    util::require(!samples_.empty(), "TimeWeighted::time_average on empty");
-    const double start = samples_.front().first;
-    util::require(end >= start, "time_average end before first sample");
-    if (end == start) return samples_.front().second;
-    double integral = 0.0;
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-      const double t0 = samples_[i].first;
-      if (t0 >= end) break;
-      const double t1 =
-          (i + 1 < samples_.size()) ? std::min(samples_[i + 1].first, end)
-                                    : end;
-      integral += samples_[i].second * (t1 - t0);
-    }
-    return integral / (end - start);
-  }
-
-  const std::vector<std::pair<double, double>>& samples() const {
-    return samples_;
-  }
-
- private:
-  std::vector<std::pair<double, double>> samples_;
-};
 
 /// Accumulates independent observations (e.g. per-job end-to-end delays).
 class Tally {
@@ -73,7 +17,6 @@ class Tally {
   void add(double v) {
     ++count_;
     sum_ += v;
-    sum_sq_ += v * v;
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
   }
@@ -91,17 +34,10 @@ class Tally {
     util::require(count_ > 0, "Tally::maximum on empty tally");
     return max_;
   }
-  /// Population variance.
-  double variance() const {
-    util::require(count_ > 0, "Tally::variance on empty tally");
-    const double m = mean();
-    return sum_sq_ / static_cast<double>(count_) - m * m;
-  }
 
  private:
   std::size_t count_ = 0;
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "diagnostics/load.hpp"
+#include "netcalc/load.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -15,7 +15,9 @@ namespace {
 
 using netcalc::DagEdge;
 using netcalc::DagSpec;
+using netcalc::Interval;
 using netcalc::ModelPolicy;
+using netcalc::NodeLoad;
 using netcalc::NodeSpec;
 using netcalc::RateBasis;
 using netcalc::SourceSpec;
@@ -228,7 +230,7 @@ LintReport lint_pipeline(const std::vector<NodeSpec>& nodes,
 
   // Stability on the chain's one-path DAG.
   lint_loads(nodes,
-             propagate_chain_load(
+             netcalc::propagate_chain_load(
                  nodes, policy.service_basis,
                  Interval::point(source.rate.in_bytes_per_sec())),
              source, report);
@@ -372,9 +374,12 @@ LintReport lint_dag(const DagSpec& dag, const SourceSpec& source,
 
   // Stability in topological order.
   lint_loads(dag.nodes,
-             propagate_load(dag.nodes, dag.entries, dag.edges, order,
-                            policy.service_basis,
-                            Interval::point(source.rate.in_bytes_per_sec())),
+             netcalc::propagate_load(
+                 dag.nodes, dag.entries, dag.edges, order,
+                 policy.service_basis,
+                 netcalc::entry_rates(
+                     dag.entries,
+                     Interval::point(source.rate.in_bytes_per_sec()))),
              source, report);
   return report;
 }

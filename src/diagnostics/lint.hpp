@@ -11,7 +11,8 @@
 //     inside Curve::rate_latency;
 //   * stability (NC1xx): the paper's rho < 1 condition, checked per node
 //     with the volume-normalization and upstream-clipping recurrence of
-//     diagnostics/load.hpp, which the stability certificate shares;
+//     netcalc/load.hpp, which the models and the stability certificate
+//     share;
 //   * topology (NC3xx): flow conservation at fan-out, cycles, nodes that
 //     receive no flow (which crash the DAG builder), vanishing residual
 //     service on shared paths;

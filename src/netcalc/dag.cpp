@@ -9,6 +9,7 @@
 #include "minplus/deviation.hpp"
 #include "minplus/operations.hpp"
 #include "netcalc/bounds.hpp"
+#include "netcalc/load.hpp"
 #include "netcalc/packetizer.hpp"
 #include "util/error.hpp"
 
@@ -20,6 +21,28 @@ using util::DataRate;
 using util::DataSize;
 using util::Duration;
 }  // namespace
+
+Curve source_arrival(const SourceSpec& source) {
+  Curve alpha = Curve::affine(source.rate, source.burst);
+  if (source.job_volume.is_finite()) {
+    // min(alpha, job_volume for t > 0): all data of the job.
+    alpha = minplus::minimum(alpha,
+                             Curve::constant(source.job_volume.in_bytes()));
+  }
+  return packetize_arrival(alpha, source.packet);
+}
+
+DataRate basis_rate(const NodeSpec& node, RateBasis basis) {
+  switch (basis) {
+    case RateBasis::kMin:
+      return node.rate_min();
+    case RateBasis::kAvg:
+      return node.rate_avg();
+    case RateBasis::kMax:
+      return node.rate_max();
+  }
+  return node.rate_min();
+}
 
 void DagSpec::validate() const {
   util::require(!nodes.empty(), "DagSpec requires at least one node");
@@ -103,7 +126,7 @@ std::vector<std::vector<std::size_t>> DagSpec::paths() const {
 }
 
 DagModel::DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy)
-    : DagModel(std::move(dag), source, policy, {}) {}
+    : DagModel(std::move(dag), source, policy, {}, {}) {}
 
 DagModel DagModel::with_entry_arrivals(DagSpec dag, SourceSpec source,
                                        ModelPolicy policy,
@@ -111,11 +134,16 @@ DagModel DagModel::with_entry_arrivals(DagSpec dag, SourceSpec source,
   util::require(entry_envelopes.size() == dag.entries.size(),
                 "DagModel::with_entry_arrivals requires one envelope per "
                 "entry");
-  return DagModel(std::move(dag), source, policy, std::move(entry_envelopes));
+  std::vector<double> rates;
+  rates.reserve(entry_envelopes.size());
+  for (const Curve& e : entry_envelopes) rates.push_back(e.tail_slope());
+  return DagModel(std::move(dag), source, policy, std::move(entry_envelopes),
+                  std::move(rates));
 }
 
 DagModel::DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy,
-                   std::vector<Curve> entry_envelopes)
+                   std::vector<Curve> entry_envelopes,
+                   std::vector<double> offered)
     : dag_(std::move(dag)),
       source_(source),
       policy_(policy),
@@ -123,35 +151,24 @@ DagModel::DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy,
   dag_.validate();
   util::require(source_.rate > DataRate::bytes_per_sec(0),
                 "DagModel requires a positive source rate");
-  build();
+  build(offered);
 }
 
-void DagModel::build() {
+void DagModel::build(const std::vector<double>& offered) {
   const std::size_t n = dag_.nodes.size();
-  const std::vector<std::size_t> order = dag_.topological_order();
   arrival_.resize(n);
   service_.resize(n);
   max_service_.resize(n);
   output_.resize(n);
   edge_curve_.resize(dag_.edges.size());
-  vol_in_.assign(n, 0.0);
+  vol_in_.resize(n);
+  vol_best_.resize(n);
+  wait_.resize(n);
 
-  // Worst-case volume factors: entry edges carry `fraction` of the source
-  // volume; graph edges carry fraction x the producer's output volume.
-  std::vector<double> vol_out(n, 0.0);
-  for (const DagEdge& e : dag_.entries) vol_in_[e.to] += e.fraction;
-  for (std::size_t i : order) {
-    for (const DagEdge& e : dag_.edges) {
-      if (e.to == i) {
-        vol_in_[i] += e.fraction * vol_out[e.from];
-      }
-    }
-    vol_out[i] = vol_in_[i] * dag_.nodes[i].volume.max;
-  }
-
-  // Per-entry envelopes, unless given: proportional splitters with block
-  // granularity.
+  std::vector<Interval> rates;
   if (entry_curve_.empty()) {
+    // Per-entry envelopes from the source: proportional splitters with
+    // block granularity.
     const Curve alpha = source_arrival(source_);
     entry_curve_.resize(dag_.entries.size());
     for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
@@ -163,37 +180,54 @@ void DagModel::build() {
             entry_curve_[k].plus_step(source_.packet.in_bytes());
       }
     }
+    rates = entry_rates(dag_.entries,
+                        Interval::point(source_.rate.in_bytes_per_sec()));
+  } else {
+    for (double r : offered) rates.push_back(Interval::point(r));
   }
 
-  for (std::size_t i : order) build_node(i);
+  for (const NodeLoad& load :
+       propagate_load(dag_.nodes, dag_.entries, dag_.edges,
+                      dag_.topological_order(), policy_.service_basis,
+                      rates)) {
+    build_node(load);
+  }
 }
 
-void DagModel::build_node(std::size_t i) {
+void DagModel::build_node(const NodeLoad& load) {
+  const std::size_t i = load.node;
   const NodeSpec& node = dag_.nodes[i];
   // Merge incoming envelopes: entries first, then edges, both in
-  // declaration order.
-  Curve merged = Curve::zero();
+  // declaration order. A single incoming envelope is the arrival as is.
+  std::size_t incoming = 0;
+  const auto merge = [&](const Curve& c) {
+    arrival_[i] = incoming++ == 0 ? c : minplus::add(arrival_[i], c);
+  };
   for (std::size_t k = 0; k < dag_.entries.size(); ++k) {
-    if (dag_.entries[k].to == i) {
-      merged = minplus::add(merged, entry_curve_[k]);
-    }
+    if (dag_.entries[k].to == i) merge(entry_curve_[k]);
   }
   for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
-    if (dag_.edges[k].to == i) {
-      merged = minplus::add(merged, edge_curve_[k]);
-    }
+    if (dag_.edges[k].to == i) merge(edge_curve_[k]);
   }
-  arrival_[i] = std::move(merged);
 
-  // Normalized service curves.
-  const double vol = vol_in_[i];
+  // Normalized service curves: beta over the worst-case volume, gamma
+  // over the best case (the most compression upstream).
+  const double vol = load.vol_in;
   SC_ASSERT(vol > 0.0);
-  const double rate_lo =
-      basis_rate(node, policy_.service_basis).in_bytes_per_sec() / vol;
+  vol_in_[i] = vol;
+  vol_best_[i] = load.vol_best;
+  const double rate_lo = load.rate.lo;
   const double rate_hi =
-      basis_rate(node, policy_.max_service_basis).in_bytes_per_sec() / vol;
-  // Collection wait only when the node's block exceeds the granularity
-  // of what reaches it (the chain model's b_n > b*_{n-1} condition).
+      basis_rate(node, policy_.max_service_basis).in_bytes_per_sec() /
+      load.vol_best;
+  // Job-ratio collection wait (paper, Section 3): a node that must collect
+  // a block larger than the granularity of what reaches it waits
+  // b_n / R_alpha_{n-1} before it can dispatch, R_alpha_{n-1} being the
+  // sustained arrival clipped by every upstream guaranteed rate. (The
+  // propagated arrival *envelope* is not used: a finite job caps it, and
+  // after a few hops its burst can cover the whole job, which says nothing
+  // about the pace at which a block fills.) A predecessor's effective
+  // packet is smaller than its block_out when it filters.
   double incoming_block = std::numeric_limits<double>::infinity();
   for (const DagEdge& e : dag_.entries) {
     if (e.to == i) {
@@ -203,23 +237,24 @@ void DagModel::build_node(std::size_t i) {
   for (const DagEdge& e : dag_.edges) {
     if (e.to == i) {
       const NodeSpec& prev = dag_.nodes[e.from];
-      // Effective emitted packet: filters emit less than block_out.
       incoming_block = std::min(
           incoming_block, std::min(prev.block_out.in_bytes(),
                                    prev.block_in.in_bytes() * prev.volume.min));
     }
   }
-  Duration latency = node.latency();
-  if (node.aggregates && node.block_in.in_bytes() > incoming_block) {
-    const double sustained = arrival_[i].tail_slope();
-    if (sustained > 0.0 && std::isfinite(sustained)) {
-      // One upstream packet of slack for arrival-phase misalignment.
-      latency += Duration::seconds(
-          (node.block_in.in_bytes() +
-           (std::isfinite(incoming_block) ? incoming_block : 0.0)) /
-          vol / sustained);
-    }
+  Duration wait = Duration::seconds(0);
+  const double sustained = load.arrival.hi;
+  if (node.aggregates && node.block_in.in_bytes() > incoming_block &&
+      sustained > 0.0 && std::isfinite(sustained)) {
+    // One upstream packet of slack for arrival-phase misalignment (the
+    // block may start filling just after a packet boundary).
+    wait = Duration::seconds((node.block_in.in_bytes() + incoming_block) /
+                             vol / sustained);
   }
+  wait_[i] = wait;
+  const Duration latency = node.latency() + wait;
+  // The node's output packetizer degrades the service curve by one output
+  // block ([beta - l_max]^+) and leaves the maximum service curve alone.
   service_[i] = Curve::rate_latency(rate_lo, latency.in_seconds());
   const double out_block_norm =
       node.block_out.in_bytes() / (vol * node.volume.max);
@@ -233,13 +268,15 @@ void DagModel::build_node(std::size_t i) {
 
   output_[i] = output_bound(arrival_[i], service_[i], max_service_[i]);
 
-  // Outgoing edge envelopes.
+  // Outgoing edge envelopes: a fraction below 1 splits the output.
   for (std::size_t k = 0; k < dag_.edges.size(); ++k) {
-    if (dag_.edges[k].from == i) {
-      edge_curve_[k] = output_[i].scale_value(dag_.edges[k].fraction);
-      if (dag_.edges[k].fraction < 1.0) {
-        edge_curve_[k] = edge_curve_[k].plus_step(out_block_norm);
-      }
+    const DagEdge& e = dag_.edges[k];
+    if (e.from != i) continue;
+    if (e.fraction < 1.0) {
+      edge_curve_[k] =
+          output_[i].scale_value(e.fraction).plus_step(out_block_norm);
+    } else {
+      edge_curve_[k] = output_[i];
     }
   }
 }
@@ -254,6 +291,31 @@ const Curve& DagModel::node_service(std::size_t i) const {
   return service_[i];
 }
 
+const Curve& DagModel::node_max_service(std::size_t i) const {
+  util::require(i < max_service_.size(), "node index out of range");
+  return max_service_[i];
+}
+
+const Curve& DagModel::node_output(std::size_t i) const {
+  util::require(i < output_.size(), "node index out of range");
+  return output_[i];
+}
+
+double DagModel::volume_in_worst(std::size_t i) const {
+  util::require(i < vol_in_.size(), "node index out of range");
+  return vol_in_[i];
+}
+
+double DagModel::volume_in_best(std::size_t i) const {
+  util::require(i < vol_best_.size(), "node index out of range");
+  return vol_best_[i];
+}
+
+Duration DagModel::aggregation_wait(std::size_t i) const {
+  util::require(i < wait_.size(), "node index out of range");
+  return wait_[i];
+}
+
 std::vector<NodeAnalysis> DagModel::per_node_analysis() const {
   std::vector<NodeAnalysis> out;
   out.reserve(dag_.nodes.size());
@@ -266,6 +328,7 @@ std::vector<NodeAnalysis> DagModel::per_node_analysis() const {
     a.delay = delay_bound_for(i);
     a.backlog = backlog_bound_for(i);
     a.buffer_bytes = a.backlog * vol_in_[i];
+    a.aggregation_wait = wait_[i];
     out.push_back(std::move(a));
   }
   return out;

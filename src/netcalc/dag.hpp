@@ -2,12 +2,21 @@
 // Section 4: "streaming data applications are often modeled as a chain of
 // nodes interconnected into a directed acyclic graph").
 //
-// The DAG model generalizes PipelineModel: a node's output may be split
-// among several successors (a *proportional* splitter routing a fixed
-// fraction of each emitted block down each edge), and a node may join the
-// flows of several predecessors (its arrival curve is the sum of the
-// incoming edge envelopes). Analysis walks the graph in topological order:
+// DagModel is the one per-node model: a node's output may be split among
+// several successors (a *proportional* splitter routing a fixed fraction
+// of each emitted block down each edge), and a node may join the flows of
+// several predecessors (its arrival curve is the sum of the incoming edge
+// envelopes). A chain is its one-path DAG: PipelineModel holds one and
+// adds only the chain's end-to-end curves. Analysis walks the graph in
+// topological order:
 //
+//   * the load recurrence (netcalc/load.hpp) gives each node's worst- and
+//     best-case input volume and its sustained arrival rate clipped by
+//     every upstream guaranteed rate;
+//   * each node's normalized service curve carries the paper's job-ratio
+//     collection wait b_n / R_alpha_{n-1} (Section 3) when it collects a
+//     larger block than what reaches it, and its maximum service curve is
+//     scaled by the best-case volume (Section 5);
 //   * per-edge arrival envelopes, normalized to pipeline-input bytes,
 //     propagate through output bounds and splitter scaling;
 //   * per-node delay/backlog bounds come from (sum of incoming envelopes,
@@ -23,10 +32,69 @@
 #include <vector>
 
 #include "minplus/curve.hpp"
+#include "netcalc/bounds.hpp"
 #include "netcalc/node.hpp"
-#include "netcalc/pipeline.hpp"
+#include "util/units.hpp"
 
 namespace streamcalc::netcalc {
+
+/// The flow offered to the first stage.
+struct SourceSpec {
+  util::DataRate rate;                        ///< sustained input rate
+  util::DataSize burst;                       ///< instantaneous burst
+  util::DataSize packet = util::DataSize{};   ///< source packetization l_max
+  /// Total volume of the job traversing the pipeline. Infinite (the
+  /// default) models an endless stream; a finite volume caps the arrival
+  /// curve at this value, which keeps the delay/backlog bounds finite even
+  /// when the offered rate exceeds the bottleneck — the paper's
+  /// "estimates on required queue size for individual nodes as a job
+  /// traverses the system" (Section 3).
+  util::DataSize job_volume = util::DataSize::infinite();
+};
+
+/// Which measured rate feeds each curve family. The sound worst-case choice
+/// for the service curve is the minimum measured rate; the paper's BITW
+/// study instead derives its service curves from the sustained averages
+/// (Table 2's primary columns), so the basis is configurable.
+enum class RateBasis { kMin, kAvg, kMax };
+
+/// The measured rate of `node` that `basis` selects (bytes of the node's
+/// own input). Every model builder, lint pass and interval certificate
+/// reads node rates through this one mapping.
+util::DataRate basis_rate(const NodeSpec& node, RateBasis basis);
+
+/// Arrival curve of `source`: a leaky bucket, capped at the job volume
+/// when that is finite, then packetized. PipelineModel and DagModel both
+/// start from it.
+minplus::Curve source_arrival(const SourceSpec& source);
+
+/// Modeling choices that select how NodeSpec measurements become curves.
+struct ModelPolicy {
+  RateBasis service_basis = RateBasis::kMin;      ///< beta: guarantee
+  RateBasis max_service_basis = RateBasis::kMax;  ///< gamma: ceiling
+  /// Give gamma the same latency as beta (paper, Section 5: the BITW
+  /// maximum service curve is the baseline service curve scaled by the
+  /// maximum observed compression). Default: gamma starts at the origin.
+  bool max_service_latency = false;
+  /// Apply the per-node packetizer adjustments ([beta - l]^+). The paper's
+  /// quantitative results collapse the pipeline into a single node and use
+  /// the plain rate-latency formulas, so its reproduction benches turn
+  /// this off; the ablation bench quantifies the difference.
+  bool packetize = true;
+};
+
+/// Per-node results from propagating the arrival curve through the graph.
+struct NodeAnalysis {
+  std::string name;
+  Regime load_regime = Regime::kUnderloaded;
+  util::DataRate arrival_rate;   ///< sustained arrival (input-normalized)
+  util::DataRate service_rate;   ///< guaranteed service (input-normalized)
+  util::Duration delay;          ///< per-node delay bound
+  util::DataSize backlog;        ///< per-node backlog bound (normalized)
+  util::DataSize buffer_bytes;   ///< recommended buffer in local raw bytes
+  util::Duration aggregation_wait;  ///< job-collection latency at this node
+};
+
 
 /// A directed edge: `fraction` of node `from`'s output volume flows to
 /// node `to`. Fractions out of a node must sum to at most 1 (the
@@ -85,14 +153,20 @@ DelayReport worst_path_delay(const std::vector<DagPathAnalysis>& paths,
 std::vector<util::Duration> delay_bounds_by_head(
     const std::vector<DagPathAnalysis>& paths, std::size_t node_count);
 
+struct NodeLoad;
+class PipelineModel;
+
 /// Network-calculus model of a DAG pipeline.
 class DagModel {
  public:
+  /// Entry k is fed `entries[k].fraction` of `source`'s arrival curve and
+  /// offers that fraction of its sustained rate.
   DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy = {});
 
   /// Models `dag` with entry k fed by `entry_envelopes[k]` (bytes over
   /// seconds) instead of the fraction-scaled, splitter-stepped source
-  /// arrival curve: the DAG twin of PipelineModel::with_arrival. `source`
+  /// arrival curve: the DAG twin of PipelineModel::with_arrival. Entry k
+  /// offers the envelope's tail slope as its sustained rate; `source`
   /// still provides the packet granularity of collection waits. Requires
   /// one envelope per entry.
   static DagModel with_entry_arrivals(DagSpec dag, SourceSpec source,
@@ -101,14 +175,26 @@ class DagModel {
                                           entry_envelopes);
 
   const DagSpec& dag() const { return dag_; }
+  const SourceSpec& source() const { return source_; }
+  const ModelPolicy& policy() const { return policy_; }
 
   /// Arrival envelope entering node i (sum of incoming edges), normalized.
   const minplus::Curve& node_arrival(std::size_t i) const;
   /// Service curve of node i (normalized to pipeline input).
   const minplus::Curve& node_service(std::size_t i) const;
+  /// Maximum service curve of node i (normalized to pipeline input).
+  const minplus::Curve& node_max_service(std::size_t i) const;
+  /// Output bound of node i (normalized to pipeline input).
+  const minplus::Curve& node_output(std::size_t i) const;
+  /// Bytes at node i's input per pipeline-input byte, worst case (most
+  /// data downstream).
+  double volume_in_worst(std::size_t i) const;
+  /// Best case (least data downstream).
+  double volume_in_best(std::size_t i) const;
+  /// Job-collection latency at node i, included in its service latency.
+  util::Duration aggregation_wait(std::size_t i) const;
 
-  /// Per-node bounds, one row per `dag().nodes` entry in index order;
-  /// `aggregation_wait` stays zero.
+  /// Per-node bounds, one row per `dag().nodes` entry in index order.
   std::vector<NodeAnalysis> per_node_analysis() const;
 
   /// Delay bound along every source-to-sink path (residual concatenation)
@@ -130,16 +216,20 @@ class DagModel {
   BacklogReport backlog_bound(double epsilon) const;
 
  private:
-  /// Seeds the entry envelopes from `source` when `entry_envelopes` is
+  friend class PipelineModel;  // builds its one-path DAG through the below
+
+  /// Entry k is fed `entry_envelopes[k]` at sustained rate `offered[k]`
+  /// (bytes/s); both are seeded from `source` when `entry_envelopes` is
   /// empty.
   DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy,
-           std::vector<minplus::Curve> entry_envelopes);
+           std::vector<minplus::Curve> entry_envelopes,
+           std::vector<double> offered);
 
-  void build();
-  /// One step of the topological walk for node i: merges its incoming
-  /// envelopes, builds its normalized service and max-service curves and
-  /// output bound, and writes its outgoing edge envelopes.
-  void build_node(std::size_t i);
+  void build(const std::vector<double>& offered);
+  /// One step of the topological walk for the node of `load`: merges its
+  /// incoming envelopes, builds its normalized service and max-service
+  /// curves and output bound, and writes its outgoing edge envelopes.
+  void build_node(const NodeLoad& load);
   util::Duration delay_bound_for(std::size_t i) const;
   util::DataSize backlog_bound_for(std::size_t i) const;
 
@@ -153,6 +243,8 @@ class DagModel {
   std::vector<minplus::Curve> edge_curve_;   ///< per edge envelope
   std::vector<minplus::Curve> entry_curve_;  ///< per entry envelope
   std::vector<double> vol_in_;               ///< worst-case volume at input
+  std::vector<double> vol_best_;             ///< best-case volume at input
+  std::vector<util::Duration> wait_;         ///< collection wait per node
 };
 
 }  // namespace streamcalc::netcalc

@@ -8,7 +8,10 @@
 //   * per-node arrival/service/max-service curves, normalized so every
 //     curve is expressed in *pipeline-input bytes* (following Timcheck &
 //     Buhler: stages with lossless compression or filtering change the data
-//     volume; normalization keeps curves comparable along the chain);
+//     volume; normalization keeps curves comparable along the chain). A
+//     chain is its one-path DAG: these curves, the volumes, the collection
+//     waits and the per-node rows come from the DagModel the PipelineModel
+//     holds (netcalc/dag.hpp);
 //   * the end-to-end service curve (min-plus convolution of the per-node
 //     curves — "pay bursts only once") including the paper's job-ratio
 //     aggregation latency T_n^tot = T_{n-1}^tot + b_n / R_alpha_{n-1} + T_n
@@ -26,78 +29,21 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "minplus/curve.hpp"
 #include "netcalc/bounds.hpp"
+#include "netcalc/dag.hpp"
 #include "netcalc/node.hpp"
 #include "util/units.hpp"
 
 namespace streamcalc::netcalc {
-
-/// The flow offered to the first stage.
-struct SourceSpec {
-  util::DataRate rate;                        ///< sustained input rate
-  util::DataSize burst;                       ///< instantaneous burst
-  util::DataSize packet = util::DataSize{};   ///< source packetization l_max
-  /// Total volume of the job traversing the pipeline. Infinite (the
-  /// default) models an endless stream; a finite volume caps the arrival
-  /// curve at this value, which keeps the delay/backlog bounds finite even
-  /// when the offered rate exceeds the bottleneck — the paper's
-  /// "estimates on required queue size for individual nodes as a job
-  /// traverses the system" (Section 3).
-  util::DataSize job_volume = util::DataSize::infinite();
-};
-
-/// Which measured rate feeds each curve family. The sound worst-case choice
-/// for the service curve is the minimum measured rate; the paper's BITW
-/// study instead derives its service curves from the sustained averages
-/// (Table 2's primary columns), so the basis is configurable.
-enum class RateBasis { kMin, kAvg, kMax };
-
-/// The measured rate of `node` that `basis` selects (bytes of the node's
-/// own input). Every model builder, lint pass and interval certificate
-/// reads node rates through this one mapping.
-util::DataRate basis_rate(const NodeSpec& node, RateBasis basis);
-
-/// Arrival curve of `source`: a leaky bucket, capped at the job volume
-/// when that is finite, then packetized. PipelineModel and DagModel both
-/// start from it.
-minplus::Curve source_arrival(const SourceSpec& source);
-
-/// Modeling choices that select how NodeSpec measurements become curves.
-struct ModelPolicy {
-  RateBasis service_basis = RateBasis::kMin;      ///< beta: guarantee
-  RateBasis max_service_basis = RateBasis::kMax;  ///< gamma: ceiling
-  /// Give gamma the same latency as beta (paper, Section 5: the BITW
-  /// maximum service curve is the baseline service curve scaled by the
-  /// maximum observed compression). Default: gamma starts at the origin.
-  bool max_service_latency = false;
-  /// Apply the per-node packetizer adjustments ([beta - l]^+). The paper's
-  /// quantitative results collapse the pipeline into a single node and use
-  /// the plain rate-latency formulas, so its reproduction benches turn
-  /// this off; the ablation bench quantifies the difference.
-  bool packetize = true;
-};
 
 /// Finite-horizon throughput numbers (Tables 1 and 3 of the paper).
 struct ThroughputBounds {
   util::DataRate lower;        ///< beta(h)/h: guaranteed average rate
   util::DataRate upper;        ///< min(alpha, gamma)(h)/h: offered/achievable
   util::DataRate loose_upper;  ///< alpha*(h)/h: output-flow bound (loose)
-};
-
-/// Per-node results from propagating the arrival curve down the chain.
-struct NodeAnalysis {
-  std::string name;
-  Regime load_regime = Regime::kUnderloaded;
-  util::DataRate arrival_rate;   ///< sustained arrival (input-normalized)
-  util::DataRate service_rate;   ///< guaranteed service (input-normalized)
-  util::Duration delay;          ///< per-node delay bound
-  util::DataSize backlog;        ///< per-node backlog bound (normalized)
-  util::DataSize buffer_bytes;   ///< recommended buffer in local raw bytes
-  util::Duration aggregation_wait;  ///< job-collection latency at this node
 };
 
 /// Network-calculus model of one pipeline. Immutable after construction;
@@ -168,8 +114,8 @@ class PipelineModel {
 
   // --- Structure and per-node analysis --------------------------------------
 
-  const std::vector<NodeSpec>& nodes() const { return nodes_; }
-  const SourceSpec& source() const { return source_; }
+  const std::vector<NodeSpec>& nodes() const { return model_.dag().nodes; }
+  const SourceSpec& source() const { return model_.source(); }
 
   /// Index of the stage with the smallest normalized guaranteed rate.
   std::size_t bottleneck() const;
@@ -177,7 +123,9 @@ class PipelineModel {
   /// Propagates the arrival curve node by node and reports per-node bounds
   /// (the analysis the paper uses to attribute data occupancy to individual
   /// nodes for buffer allocation).
-  std::vector<NodeAnalysis> per_node_analysis() const;
+  std::vector<NodeAnalysis> per_node_analysis() const {
+    return model_.per_node_analysis();
+  }
 
   /// Model of the contiguous stage range [first, first + count): the
   /// paper's "analyze any desired subset of the streaming application".
@@ -185,17 +133,25 @@ class PipelineModel {
   PipelineModel subrange(std::size_t first, std::size_t count) const;
 
   /// Per-node normalized service curve (worst case) — exposed for plotting.
-  const minplus::Curve& node_service_curve(std::size_t i) const;
+  const minplus::Curve& node_service_curve(std::size_t i) const {
+    return model_.node_service(i);
+  }
   /// Propagated arrival envelope at node i's input (i == nodes().size()
   /// yields the pipeline's output envelope) — exposed for certification.
   const minplus::Curve& node_arrival_curve(std::size_t i) const;
   /// Per-node normalized maximum service curve.
-  const minplus::Curve& node_max_service_curve(std::size_t i) const;
+  const minplus::Curve& node_max_service_curve(std::size_t i) const {
+    return model_.node_max_service(i);
+  }
   /// Data volume seen at a node's input per pipeline-input byte,
   /// worst case (most data downstream).
-  double volume_in_worst(std::size_t i) const;
+  double volume_in_worst(std::size_t i) const {
+    return model_.volume_in_worst(i);
+  }
   /// Best case (least data downstream).
-  double volume_in_best(std::size_t i) const;
+  double volume_in_best(std::size_t i) const {
+    return model_.volume_in_best(i);
+  }
 
  private:
   /// Internal: model a chain fed by an arbitrary arrival curve.
@@ -203,20 +159,12 @@ class PipelineModel {
                 ModelPolicy policy, minplus::Curve arrival);
   void build();
 
-  std::vector<NodeSpec> nodes_;
-  SourceSpec source_;
-  ModelPolicy policy_;
+  DagModel model_;  ///< the chain's one-path DAG: every per-node curve
   minplus::Curve arrival_;
   minplus::Curve service_;
   minplus::Curve max_service_;
   minplus::Curve output_;
   minplus::Curve guaranteed_;
-  std::vector<minplus::Curve> node_service_;
-  std::vector<minplus::Curve> node_max_service_;
-  std::vector<minplus::Curve> node_arrival_;  ///< propagated, per node input
-  std::vector<double> vol_worst_;  ///< volume at node input, worst case
-  std::vector<double> vol_best_;
-  std::vector<util::Duration> aggregation_wait_;
   util::Duration total_latency_;
 };
 

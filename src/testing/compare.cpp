@@ -1,7 +1,9 @@
 #include "testing/compare.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -127,6 +129,30 @@ std::string gap_str(const CurveGap& gap) {
      << util::format_significant(gap.a_value, 17)
      << ", rhs=" << util::format_significant(gap.b_value, 17);
   return os.str();
+}
+
+std::string bit_diff(const minplus::Curve& a, const minplus::Curve& b) {
+  const auto& sa = a.segments();
+  const auto& sb = b.segments();
+  if (sa.size() != sb.size()) {
+    return "segment count " + std::to_string(sa.size()) + " vs " +
+           std::to_string(sb.size());
+  }
+  for (std::size_t k = 0; k < sa.size(); ++k) {
+    const double lhs[] = {sa[k].x, sa[k].value_at, sa[k].value_after,
+                          sa[k].slope};
+    const double rhs[] = {sb[k].x, sb[k].value_at, sb[k].value_after,
+                          sb[k].slope};
+    for (int f = 0; f < 4; ++f) {
+      if (std::bit_cast<std::uint64_t>(lhs[f]) !=
+          std::bit_cast<std::uint64_t>(rhs[f])) {
+        return "segment " + std::to_string(k) + " field " +
+               std::to_string(f) + ": " + std::to_string(lhs[f]) + " vs " +
+               std::to_string(rhs[f]);
+      }
+    }
+  }
+  return "";
 }
 
 }  // namespace streamcalc::testing

@@ -1,8 +1,9 @@
 // Tolerant pointwise comparison of piecewise-linear curves, for property
 // assertions.
 //
-// Exact segment equality (Curve::operator==) is the right notion for
-// bit-identity contracts (parallel == serial, traced == untraced), but
+// Exact segment equality (Curve::operator==, or bit_diff on the bit
+// patterns) is the right notion for bit-identity contracts (parallel ==
+// serial, traced == untraced), but
 // algebraic-law checks compare results of *different* computation orders —
 // e.g. conv(conv(f,g),h) against conv(f,conv(g,h)) — whose breakpoints
 // carry different rounding noise. These helpers compare curves by value at
@@ -48,6 +49,11 @@ std::optional<CurveGap> first_gap(const minplus::Curve& a,
 std::optional<CurveGap> first_above(const minplus::Curve& a,
                                     const minplus::Curve& b,
                                     double rtol = 1e-9, double atol = 1e-9);
+
+/// Empty when `a` and `b` carry identical IEEE-754 bit patterns in every
+/// segment field; otherwise names the first difference. Stricter than
+/// Curve::operator==, which compares doubles (0.0 == -0.0).
+std::string bit_diff(const minplus::Curve& a, const minplus::Curve& b);
 
 inline bool approx_equal(const minplus::Curve& a, const minplus::Curve& b,
                          double rtol = 1e-9, double atol = 1e-9) {

@@ -7,40 +7,6 @@
 namespace streamcalc::des {
 namespace {
 
-TEST(TimeWeighted, MaxMinOfStepSignal) {
-  TimeWeighted m;
-  m.record(0.0, 5.0);
-  m.record(1.0, 2.0);
-  m.record(2.0, 8.0);
-  EXPECT_EQ(m.maximum(), 8.0);
-  EXPECT_EQ(m.minimum(), 2.0);
-}
-
-TEST(TimeWeighted, TimeAverageWeightsByDuration) {
-  TimeWeighted m;
-  m.record(0.0, 10.0);  // held for 1s
-  m.record(1.0, 0.0);   // held for 3s
-  EXPECT_DOUBLE_EQ(m.time_average(4.0), (10.0 * 1 + 0.0 * 3) / 4.0);
-}
-
-TEST(TimeWeighted, TimeAverageTruncatesAtEnd) {
-  TimeWeighted m;
-  m.record(0.0, 4.0);
-  m.record(10.0, 100.0);  // past the averaging window
-  EXPECT_DOUBLE_EQ(m.time_average(5.0), 4.0);
-}
-
-TEST(TimeWeighted, RejectsDecreasingTimes) {
-  TimeWeighted m;
-  m.record(2.0, 1.0);
-  EXPECT_THROW(m.record(1.0, 1.0), util::PreconditionError);
-}
-
-TEST(TimeWeighted, EmptyAverageThrows) {
-  TimeWeighted m;
-  EXPECT_THROW(m.time_average(1.0), util::PreconditionError);
-}
-
 TEST(Tally, BasicStatistics) {
   Tally t;
   t.add(1.0);
@@ -50,7 +16,6 @@ TEST(Tally, BasicStatistics) {
   EXPECT_DOUBLE_EQ(t.mean(), 3.0);
   EXPECT_EQ(t.minimum(), 1.0);
   EXPECT_EQ(t.maximum(), 5.0);
-  EXPECT_NEAR(t.variance(), 8.0 / 3.0, 1e-12);
 }
 
 TEST(Tally, EmptyThrows) {
@@ -58,7 +23,6 @@ TEST(Tally, EmptyThrows) {
   EXPECT_THROW(t.mean(), util::PreconditionError);
   EXPECT_THROW(t.minimum(), util::PreconditionError);
   EXPECT_THROW(t.maximum(), util::PreconditionError);
-  EXPECT_THROW(t.variance(), util::PreconditionError);
 }
 
 TEST(Tally, SingleValue) {
@@ -67,7 +31,6 @@ TEST(Tally, SingleValue) {
   EXPECT_DOUBLE_EQ(t.mean(), 7.0);
   EXPECT_EQ(t.minimum(), 7.0);
   EXPECT_EQ(t.maximum(), 7.0);
-  EXPECT_NEAR(t.variance(), 0.0, 1e-12);
 }
 
 }  // namespace

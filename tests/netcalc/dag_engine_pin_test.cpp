@@ -19,12 +19,14 @@
 #include "minplus/curve.hpp"
 #include "netcalc/dag.hpp"
 #include "netcalc/pipeline.hpp"
+#include "testing/compare.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::netcalc {
 namespace {
 
 using minplus::Curve;
+using testing::bit_diff;
 using util::DataRate;
 using util::DataSize;
 using namespace util::literals;
@@ -93,32 +95,6 @@ ModelPolicy averaged_policy() {
   p.service_basis = RateBasis::kAvg;
   p.max_service_basis = RateBasis::kAvg;
   return p;
-}
-
-/// Empty when `a` and `b` carry identical segment bit patterns; otherwise
-/// names the first difference.
-std::string bit_diff(const Curve& a, const Curve& b) {
-  const auto& sa = a.segments();
-  const auto& sb = b.segments();
-  if (sa.size() != sb.size()) {
-    return "segment count " + std::to_string(sa.size()) + " vs " +
-           std::to_string(sb.size());
-  }
-  for (std::size_t k = 0; k < sa.size(); ++k) {
-    const double lhs[] = {sa[k].x, sa[k].value_at, sa[k].value_after,
-                          sa[k].slope};
-    const double rhs[] = {sb[k].x, sb[k].value_at, sb[k].value_after,
-                          sb[k].slope};
-    for (int f = 0; f < 4; ++f) {
-      if (std::bit_cast<std::uint64_t>(lhs[f]) !=
-          std::bit_cast<std::uint64_t>(rhs[f])) {
-        return "segment " + std::to_string(k) + " field " +
-               std::to_string(f) + ": " + std::to_string(lhs[f]) + " vs " +
-               std::to_string(rhs[f]);
-      }
-    }
-  }
-  return "";
 }
 
 /// The envelope the DagModel constructor seeds entry `e` with: the

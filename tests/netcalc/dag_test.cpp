@@ -3,15 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cli/options.hpp"
+#include "cli/spec.hpp"
 #include "minplus/curve.hpp"
+#include "netcalc/pipeline.hpp"
+#include "streamsim/pipeline_sim.hpp"
+#include "testing/compare.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::netcalc {
 namespace {
 
+using testing::bit_diff;
 using util::DataRate;
 using util::DataSize;
 using util::Duration;
@@ -127,24 +136,133 @@ TEST(DagSpec, PathEnumeration) {
   EXPECT_EQ(paths[1], (std::vector<std::size_t>{0, 2, 3}));
 }
 
-TEST(DagModel, ChainMatchesPipelineModelBounds) {
-  const DagSpec d = chain_dag();
-  const SourceSpec src = source(50);
-  ModelPolicy pol;
-  pol.packetize = false;
-  const DagModel dag_model(d, src, pol);
-  const PipelineModel chain_model(d.nodes, src, pol);
-  // Same per-node service rates.
-  for (std::size_t i = 0; i < d.nodes.size(); ++i) {
-    EXPECT_NEAR(dag_model.node_service(i).tail_slope(),
-                chain_model.node_service_curve(i).tail_slope(), 1.0);
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// `nodes` as their one-path DAG: entry 1.0 into node 0, edge 1.0 from
+/// node i to node i + 1.
+DagSpec one_path(const std::vector<NodeSpec>& nodes) {
+  DagSpec d;
+  d.nodes = nodes;
+  d.entries = {{0, 0, 1.0}};
+  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
+    d.edges.push_back({i, i + 1, 1.0});
   }
-  // The DAG's max-path delay is close to the chain's end-to-end bound
-  // (identical latency structure; the DAG pays per-edge packet steps, so
-  // allow a modest gap).
-  EXPECT_NEAR(dag_model.delay_bound().value.in_seconds(),
-              chain_model.delay_bound().value.in_seconds(),
-              0.5 * chain_model.delay_bound().value.in_seconds());
+  return d;
+}
+
+/// A DagModel of the chain's one-path DAG against the PipelineModel of the
+/// chain, bit for bit: per-node curves and rows, and the one path's delay
+/// against the chain's end-to-end delay bound.
+void expect_chain_matches_one_path(const std::vector<NodeSpec>& nodes,
+                                   const SourceSpec& src,
+                                   const ModelPolicy& policy,
+                                   const std::string& what) {
+  const DagModel dag_model(one_path(nodes), src, policy);
+  const PipelineModel chain_model(nodes, src, policy);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(bit_diff(dag_model.node_service(i),
+                       chain_model.node_service_curve(i)),
+              "")
+        << what << ": service of node " << i;
+    EXPECT_EQ(bit_diff(dag_model.node_max_service(i),
+                       chain_model.node_max_service_curve(i)),
+              "")
+        << what << ": max service of node " << i;
+    EXPECT_EQ(bit_diff(dag_model.node_arrival(i),
+                       chain_model.node_arrival_curve(i)),
+              "")
+        << what << ": arrival of node " << i;
+  }
+  const auto dag_rows = dag_model.per_node_analysis();
+  const auto chain_rows = chain_model.per_node_analysis();
+  ASSERT_EQ(dag_rows.size(), chain_rows.size()) << what;
+  for (std::size_t i = 0; i < chain_rows.size(); ++i) {
+    const NodeAnalysis& d = dag_rows[i];
+    const NodeAnalysis& c = chain_rows[i];
+    const std::string row = what + ": row " + c.name;
+    EXPECT_EQ(d.name, c.name) << row;
+    EXPECT_EQ(d.load_regime, c.load_regime) << row;
+    EXPECT_EQ(bits(d.arrival_rate.in_bytes_per_sec()),
+              bits(c.arrival_rate.in_bytes_per_sec()))
+        << row;
+    EXPECT_EQ(bits(d.service_rate.in_bytes_per_sec()),
+              bits(c.service_rate.in_bytes_per_sec()))
+        << row;
+    EXPECT_EQ(bits(d.delay.in_seconds()), bits(c.delay.in_seconds())) << row;
+    EXPECT_EQ(bits(d.backlog.in_bytes()), bits(c.backlog.in_bytes())) << row;
+    EXPECT_EQ(bits(d.buffer_bytes.in_bytes()), bits(c.buffer_bytes.in_bytes()))
+        << row;
+    EXPECT_EQ(bits(d.aggregation_wait.in_seconds()),
+              bits(c.aggregation_wait.in_seconds()))
+        << row;
+  }
+  const auto paths = dag_model.per_path_analysis();
+  ASSERT_EQ(paths.size(), 1u) << what;
+  EXPECT_EQ(bits(paths[0].delay.in_seconds()),
+            bits(chain_model.delay_bound().value.in_seconds()))
+      << what << ": delay";
+}
+
+cli::Spec read_spec(const std::string& dir, const std::string& stem) {
+  std::string text;
+  EXPECT_TRUE(cli::read_spec_text(dir + "/" + stem + ".scspec", text))
+      << stem;
+  return cli::parse_spec(text);
+}
+
+TEST(DagModel, ChainMatchesPipelineModelBounds) {
+  ModelPolicy unpacketized;
+  unpacketized.packetize = false;
+  expect_chain_matches_one_path(chain_dag().nodes, source(50), unpacketized,
+                                "chain_dag");
+  // The shipped chain specs (fork_join, the fourth example spec, is a DAG)
+  // and the BLAST fixture.
+  const std::pair<const char*, const char*> specs[] = {
+      {SC_SPEC_DIR, "quickstart"},
+      {SC_SPEC_DIR, "bitw"},
+      {SC_SPEC_DIR, "onoff_users"},
+      {SC_LINT_SPEC_DIR, "blast_base"},
+  };
+  for (const auto& [dir, stem] : specs) {
+    const cli::Spec spec = read_spec(dir, stem);
+    ASSERT_FALSE(spec.is_dag()) << stem;
+    expect_chain_matches_one_path(spec.nodes, spec.source, spec.policy, stem);
+  }
+}
+
+/// fork_join_dag() with a join that collects 1 MiB blocks from the
+/// branches' 64 KiB packets.
+DagSpec collecting_join_dag() {
+  DagSpec d = fork_join_dag();
+  d.nodes[3] = NodeSpec::from_rates("join", NodeKind::kCompute, 1_MiB,
+                                    DataRate::mib_per_sec(200),
+                                    DataRate::mib_per_sec(210),
+                                    DataRate::mib_per_sec(220));
+  return d;
+}
+
+TEST(DagModel, FiniteJobKeepsTheCollectionWait) {
+  // The join fills a block at the sustained rate that reaches it, whether
+  // or not the job is finite: a 64 MiB job caps the arrival envelope, not
+  // the pace at which the branches deliver.
+  const DagSpec d = collecting_join_dag();
+  SourceSpec job = source(80);
+  job.job_volume = 64_MiB;
+  const DagModel stream(d, source(80));
+  const DagModel finite(d, job);
+  EXPECT_EQ(bit_diff(finite.node_service(3), stream.node_service(3)), "");
+
+  // 0.75 s emits 60 MiB, under the job: the bound must cover every run.
+  const Duration bound = finite.delay_bound().value;
+  ASSERT_TRUE(bound.is_finite());
+  streamsim::SimConfig cfg;
+  cfg.horizon = Duration::seconds(0.75);
+  cfg.max_trace_samples = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    cfg.seed = seed;
+    const streamsim::SimResult r = streamsim::simulate_dag(d, job, cfg);
+    EXPECT_LE(r.max_delay.in_seconds(), bound.in_seconds()) << "seed " << seed;
+  }
 }
 
 TEST(DagModel, ForkJoinArrivalsSumAtTheJoin) {
