@@ -1,10 +1,18 @@
 // Microbenchmarks of the discrete-event kernel and pipeline simulator:
-// raw event throughput, store handoff cost, and end-to-end simulated
-// events per second for the paper's two applications.
+// raw event throughput, store handoff cost, end-to-end simulated events
+// per second for the paper's two applications, and the simulation that
+// `streamcalc analyze` runs on the quickstart and fork_join example specs.
+// `--json <path>` writes the rows (BENCH_micro_des.json).
 #include <benchmark/benchmark.h>
+
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "apps/bitw.hpp"
 #include "apps/blast.hpp"
+#include "benchmark_json.hpp"
+#include "cli/spec.hpp"
 #include "des/simulation.hpp"
 #include "des/store.hpp"
 #include "streamsim/pipeline_sim.hpp"
@@ -80,4 +88,49 @@ void BM_BitwPipelineSim(benchmark::State& state) {
 }
 BENCHMARK(BM_BitwPipelineSim)->Unit(benchmark::kMillisecond);
 
+streamcalc::cli::Spec load_spec(const char* name) {
+  std::ifstream in(std::string(SC_SPEC_DIR) + "/" + name + ".scspec");
+  std::stringstream text;
+  text << in.rdbuf();
+  return streamcalc::cli::parse_spec(text.str());
+}
+
+/// The simulation configuration of `streamcalc analyze` (cli/report.cpp):
+/// warmup a fifth of the horizon and no traces.
+streamcalc::streamsim::SimConfig analyze_config(
+    const streamcalc::cli::Spec& spec) {
+  streamcalc::streamsim::SimConfig cfg;
+  cfg.horizon = spec.analysis.horizon;
+  cfg.warmup = spec.analysis.horizon / 5.0;
+  cfg.seed = spec.analysis.seed;
+  cfg.queue_capacity = spec.analysis.queue_capacity;
+  cfg.max_trace_samples = 0;
+  return cfg;
+}
+
+void BM_QuickstartSim(benchmark::State& state) {
+  const streamcalc::cli::Spec spec = load_spec("quickstart");
+  const streamcalc::streamsim::SimConfig cfg = analyze_config(spec);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        streamcalc::streamsim::simulate(spec.nodes, spec.source, cfg));
+  }
+}
+BENCHMARK(BM_QuickstartSim)->Unit(benchmark::kMicrosecond);
+
+void BM_ForkJoinSim(benchmark::State& state) {
+  const streamcalc::cli::Spec spec = load_spec("fork_join");
+  const streamcalc::netcalc::DagSpec dag = spec.dag();
+  const streamcalc::streamsim::SimConfig cfg = analyze_config(spec);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        streamcalc::streamsim::simulate_dag(dag, spec.source, cfg));
+  }
+}
+BENCHMARK(BM_ForkJoinSim)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
+
+int main(int argc, char** argv) {
+  return streamcalc::bench::run_benchmarks_main(argc, argv);
+}

@@ -106,12 +106,12 @@ IntervalCertificate certify_stability_dag(const netcalc::DagSpec& dag,
                                           const netcalc::SourceSpec& source,
                                           const netcalc::ModelPolicy& policy,
                                           const ParamBox& box) {
-  dag.validate();
+  const std::vector<std::size_t> order = dag.validate();
   validate_box(box, dag.nodes.size());
   return certificate(dag.nodes,
                      netcalc::propagate_load(
-                         dag.nodes, dag.entries, dag.edges,
-                         dag.topological_order(), policy.service_basis,
+                         dag.nodes, dag.entries, dag.edges, order,
+                         policy.service_basis,
                          netcalc::entry_rates(dag.entries, box.source_rate),
                          box.service_scale),
                      source, box);

@@ -44,7 +44,7 @@ DataRate basis_rate(const NodeSpec& node, RateBasis basis) {
   return node.rate_min();
 }
 
-void DagSpec::validate() const {
+std::vector<std::size_t> DagSpec::validate() const {
   util::require(!nodes.empty(), "DagSpec requires at least one node");
   util::require(!entries.empty(), "DagSpec requires at least one entry");
   for (const NodeSpec& n : nodes) n.validate();
@@ -83,6 +83,7 @@ void DagSpec::validate() const {
       if (e.from == i) fed[e.to] = true;
     }
   }
+  return order;
 }
 
 std::vector<std::size_t> DagSpec::topological_order() const {
@@ -148,13 +149,14 @@ DagModel::DagModel(DagSpec dag, SourceSpec source, ModelPolicy policy,
       source_(source),
       policy_(policy),
       entry_curve_(std::move(entry_envelopes)) {
-  dag_.validate();
+  const std::vector<std::size_t> order = dag_.validate();
   util::require(source_.rate > DataRate::bytes_per_sec(0),
                 "DagModel requires a positive source rate");
-  build(offered);
+  build(order, offered);
 }
 
-void DagModel::build(const std::vector<double>& offered) {
+void DagModel::build(const std::vector<std::size_t>& order,
+                     const std::vector<double>& offered) {
   const std::size_t n = dag_.nodes.size();
   arrival_.resize(n);
   service_.resize(n);
@@ -187,9 +189,8 @@ void DagModel::build(const std::vector<double>& offered) {
   }
 
   for (const NodeLoad& load :
-       propagate_load(dag_.nodes, dag_.entries, dag_.edges,
-                      dag_.topological_order(), policy_.service_basis,
-                      rates)) {
+       propagate_load(dag_.nodes, dag_.entries, dag_.edges, order,
+                      policy_.service_basis, rates)) {
     build_node(load);
   }
 }

@@ -114,8 +114,9 @@ struct DagSpec {
 
   /// Validates shape: indices in range, acyclic, every node reachable from
   /// an entry, fractions in (0, 1] with per-node outgoing sums <= 1
-  /// (+eps). Throws PreconditionError.
-  void validate() const;
+  /// (+eps). Throws PreconditionError. Returns topological_order(),
+  /// which the acyclicity check computes anyway.
+  std::vector<std::size_t> validate() const;
 
   /// Node indices in a topological order (entries first).
   std::vector<std::size_t> topological_order() const;
@@ -225,7 +226,10 @@ class DagModel {
            std::vector<minplus::Curve> entry_envelopes,
            std::vector<double> offered);
 
-  void build(const std::vector<double>& offered);
+  /// Builds every node in `order`, the topological order validate()
+  /// returned.
+  void build(const std::vector<std::size_t>& order,
+             const std::vector<double>& offered);
   /// One step of the topological walk for the node of `load`: merges its
   /// incoming envelopes, builds its normalized service and max-service
   /// curves and output bound, and writes its outgoing edge envelopes.

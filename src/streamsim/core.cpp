@@ -75,7 +75,7 @@ Network chain_network(const std::vector<NodeSpec>& nodes,
 
 Network dag_network(const netcalc::DagSpec& dag, const SourceSpec& source,
                     const SimConfig& config) {
-  dag.validate();
+  std::vector<std::size_t> order = dag.validate();
   validate_run(source, config, "simulate_dag");
   util::require(config.onoff_users == 0,
                 "on/off sources apply to chain simulations only");
@@ -109,7 +109,7 @@ Network dag_network(const netcalc::DagSpec& dag, const SourceSpec& source,
   if (covered < 1.0 - 1e-9) {
     net.entries.push_back({kDropped, 1.0 - covered});
   }
-  net.order = dag.topological_order();
+  net.order = std::move(order);
   return net;
 }
 
@@ -224,22 +224,57 @@ std::vector<JobStep> job_steps(const Network& net, const SimConfig& config,
 Recorder::Recorder(const SimConfig& config)
     : horizon_(config.horizon.in_seconds()),
       warmup_(config.warmup.in_seconds()),
+      traced_(config.max_trace_samples > 0),
       output_trace_(config.max_trace_samples),
       backlog_trace_(config.max_trace_samples),
       delay_trace_(config.max_trace_samples) {}
 
+std::size_t Recorder::deliver(std::span<const double> emits, double bytes,
+                              std::span<const Arrival> deliveries) {
+  return traced_ ? merge<true>(emits, bytes, deliveries, false)
+                 : merge<false>(emits, bytes, deliveries, false);
+}
+
+void Recorder::emit(std::span<const double> emits, double bytes) {
+  if (traced_) {
+    merge<true>(emits, bytes, {}, true);
+  } else {
+    merge<false>(emits, bytes, {}, true);
+  }
+}
+
+template <bool kTraced>
+std::size_t Recorder::merge(std::span<const double> emits, double bytes,
+                            std::span<const Arrival> deliveries,
+                            bool every_emit) {
+  Totals s = totals_;
+  std::size_t e = 0;
+  for (const Arrival& a : deliveries) {
+    for (; e < emits.size() && emits[e] <= a.time; ++e) {
+      add_backlog<kTraced>(s, emits[e], bytes);
+    }
+    add_delivery<kTraced>(s, a.time, a.packet);
+  }
+  if (every_emit) {
+    for (; e < emits.size(); ++e) add_backlog<kTraced>(s, emits[e], bytes);
+  }
+  totals_ = s;
+  return e;
+}
+
 SimResult Recorder::result(const Network& net, const std::vector<double>& busy,
                            const std::vector<std::uint64_t>& jobs) {
   SimResult r;
-  r.throughput =
-      DataRate::bytes_per_sec(measured_input_bytes_ / (horizon_ - warmup_));
-  if (delays_.count() > 0) {
-    r.min_delay = Duration::seconds(delays_.minimum());
-    r.max_delay = Duration::seconds(delays_.maximum());
-    r.mean_delay = Duration::seconds(delays_.mean());
+  r.throughput = DataRate::bytes_per_sec(totals_.measured_input_bytes /
+                                         (horizon_ - warmup_));
+  const des::Tally& delays = totals_.delays;
+  if (delays.count() > 0) {
+    r.min_delay = Duration::seconds(delays.minimum());
+    r.max_delay = Duration::seconds(delays.maximum());
+    r.mean_delay = Duration::seconds(delays.mean());
   }
-  r.max_backlog = DataSize::bytes(std::max(0.0, max_backlog_));
-  r.packets_delivered = packets_delivered_;
+  r.max_backlog = DataSize::bytes(std::max(0.0, totals_.max_backlog));
+  r.packets_delivered = totals_.packets_delivered;
   r.output_trace = output_trace_.take();
   r.backlog_trace = backlog_trace_.take();
   r.delay_trace = delay_trace_.take();

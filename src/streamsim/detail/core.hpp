@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -306,6 +307,12 @@ class JobStep {
 std::vector<JobStep> job_steps(const Network& net, const SimConfig& config,
                                util::Xoshiro256& root);
 
+/// A packet and the time it reaches a queue (or leaves the system).
+struct Arrival {
+  double time;
+  Packet packet;
+};
+
 /// Whole-run statistics, fed one event at a time in DES event order:
 /// source emits into the system, split drops out of it, and sink
 /// deliveries.
@@ -321,39 +328,68 @@ class Recorder {
     backlog_trace_.reserve(backlog_events);
   }
 
-  void emit(double t, double bytes) { adjust_backlog(t, bytes); }
-  void drop(double t, double input_bytes) { adjust_backlog(t, -input_bytes); }
-  void deliver(double t, const Packet& p) {
-    delivered_input_bytes_ += p.input_bytes;
-    ++packets_delivered_;
-    if (t >= warmup_) {
-      measured_input_bytes_ += p.input_bytes;
-      delays_.add(t - p.created_at);
-    }
-    delay_trace_.record(t, t - p.created_at);
-    adjust_backlog(t, -p.input_bytes);
-    output_trace_.record(t, delivered_input_bytes_);
+  void emit(double t, double bytes) { add_backlog<true>(totals_, t, bytes); }
+  void drop(double t, double input_bytes) {
+    add_backlog<true>(totals_, t, -input_bytes);
   }
+  void deliver(double t, const Packet& p) { add_delivery<true>(totals_, t, p); }
+
+  /// Records the time-sorted `deliveries`, each after the source emits
+  /// (`bytes` each) from the front of the time-sorted `emits` at or before
+  /// its time, and returns how many emits it recorded: what emit() and
+  /// deliver() record when called in that order, with the running totals
+  /// held in locals.
+  std::size_t deliver(std::span<const double> emits, double bytes,
+                      std::span<const Arrival> deliveries);
+  /// Records source emits of `bytes` each, as emit() does.
+  void emit(std::span<const double> emits, double bytes);
 
   /// The result, with per-node busy time and job counts.
   SimResult result(const Network& net, const std::vector<double>& busy,
                    const std::vector<std::uint64_t>& jobs);
 
  private:
-  void adjust_backlog(double t, double delta) {
-    backlog_ += delta;
-    if (t >= warmup_) max_backlog_ = std::max(max_backlog_, backlog_);
-    backlog_trace_.record(t, backlog_);
+  /// The running totals, apart from the traces.
+  struct Totals {
+    double backlog = 0.0;
+    double max_backlog = 0.0;
+    double delivered_input_bytes = 0.0;
+    double measured_input_bytes = 0.0;
+    std::uint64_t packets_delivered = 0;
+    des::Tally delays;
+  };
+
+  /// One delivery into `s`; kTraced = false skips the traces.
+  template <bool kTraced>
+  void add_delivery(Totals& s, double t, const Packet& p) {
+    s.delivered_input_bytes += p.input_bytes;
+    ++s.packets_delivered;
+    if (t >= warmup_) {
+      s.measured_input_bytes += p.input_bytes;
+      s.delays.add(t - p.created_at);
+    }
+    if (kTraced) delay_trace_.record(t, t - p.created_at);
+    add_backlog<kTraced>(s, t, -p.input_bytes);
+    if (kTraced) output_trace_.record(t, s.delivered_input_bytes);
   }
+
+  template <bool kTraced>
+  void add_backlog(Totals& s, double t, double delta) {
+    s.backlog += delta;
+    if (t >= warmup_) s.max_backlog = std::max(s.max_backlog, s.backlog);
+    if (kTraced) backlog_trace_.record(t, s.backlog);
+  }
+
+  /// deliver(), and with `every_emit` also the emits after the last
+  /// delivery; kTraced = false skips the traces.
+  template <bool kTraced>
+  std::size_t merge(std::span<const double> emits, double bytes,
+                    std::span<const Arrival> deliveries, bool every_emit);
 
   double horizon_;
   double warmup_;
-  double backlog_ = 0.0;
-  double max_backlog_ = 0.0;
-  double delivered_input_bytes_ = 0.0;
-  double measured_input_bytes_ = 0.0;
-  std::uint64_t packets_delivered_ = 0;
-  des::Tally delays_;
+  bool traced_;
+  Totals totals_;
   Trace output_trace_;
   Trace backlog_trace_;
   Trace delay_trace_;

@@ -19,9 +19,13 @@
 // upstream, so a per-packet max-plus (Lindley) recurrence walks the nodes
 // in topological order: a job starts at max(arrival of the packet that
 // completes it, previous finish) and finishes at start + exec, with
-// draws from the same per-node streams as the DES. Its statistics are
-// merged in DES event order; where a source emit and a sink delivery fall
-// at one instant the emit comes first. Any other same-instant meeting of
+// draws from the same per-node streams as the DES. A packet moves on to a
+// single-producer successor in a loop, and the deliveries of a chain, or
+// of a join that runs last with no drop before it, fold against the
+// source emits with two pointers as they come; joins and every other
+// shape's statistics take a k-way merge. Its statistics are merged in
+// DES event order; where a source emit and a sink delivery fall at one
+// instant the emit comes first. Any other same-instant meeting of
 // two event streams (two producers into a join or the sink, a split drop
 // beside another event) has a DES order the recurrence does not track, so
 // it reruns the simulation on the coroutine DES. The DES (src/des) stays

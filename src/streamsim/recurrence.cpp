@@ -2,16 +2,32 @@
 // queues without an event calendar.
 //
 // With unlimited queues a node never blocks its upstream, so each node's
-// schedule depends only on its own input sequence. Each source packet is
-// pushed through every node that has a single producer as soon as it is
-// emitted (a chain is a one-path DAG); a join runs, in topological order,
-// once its producers are done, over their streams merged by time. A job
-// starts at max(arrival of the packet that completes it, previous finish)
-// and finishes at start + exec; a job that would finish after the horizon
-// emits nothing and adds no busy time, the DES's `time <= horizon` rule.
-// Draws come from the same per-node streams in job order, and source gaps
-// from the root stream after the node splits, so every time and size
-// matches the DES bit for bit.
+// schedule depends only on the order of its own input and on its own RNG
+// stream. Each source packet is pushed through every node that has a
+// single producer as soon as it is emitted (a chain is a one-path DAG); a
+// join runs, in topological order, once its producers are done, over
+// their streams merged by time. A job starts at max(arrival of the packet
+// that completes it, previous finish) and finishes at start + exec; a job
+// that would finish after the horizon emits nothing and adds no busy time,
+// the DES's `time <= horizon` rule. Draws come from the same per-node
+// streams in job order, and source gaps from the root stream after the
+// node splits, so every time and size matches the DES bit for bit.
+//
+// Two common shapes take a direct path:
+//   * Hand-off: hand_off() runs a node on its input and moves on, in a
+//     loop, to the single-producer successor that the output of its last
+//     job goes to; a sole weight-1 edge skips the router. Only the outputs
+//     of earlier jobs from the same input recurse, so a chain of one job
+//     per packet walks each packet to the sink without recursion.
+//   * Stats fold: when the sink's one producer is a chain's last node, or
+//     a join that runs last with no split drop before it, Recorder folds
+//     the deliveries against the emits with two pointers and its totals in
+//     locals, in chunks as they come: while the source runs for a chain,
+//     while the join runs for a join. Neither keeps a sink buffer per
+//     packet (nor, for a chain, an emit buffer).
+// Joins merge their producers' streams with the k-way merge over stream
+// cursors, and the stats of every other shape (lossy splits, several sink
+// producers, nodes after the last join) take it too.
 //
 // What the recurrence does not track is the DES's sequence order among
 // events at one instant. Where that order is observable it follows a
@@ -25,7 +41,9 @@
 //     advance — returns nullopt, and the caller runs the DES instead.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <span>
 
 #include "streamsim/detail/core.hpp"
 #include "streamsim/detail/engines.hpp"
@@ -37,12 +55,6 @@ namespace {
 
 using netcalc::SourceSpec;
 
-/// A packet and the time it reaches a queue (or leaves the system).
-struct Arrival {
-  double time;
-  Packet packet;
-};
-
 /// Where a routed packet goes. A node with a single producer is fed
 /// directly, so packets stream through chains without buffers. Packets
 /// for a node with several producers (a join), for the sink and out of a
@@ -52,6 +64,22 @@ struct Target {
   enum class Kind { kNode, kStream };
   Kind kind;
   std::size_t index;  ///< node index for kNode, stream index for kStream
+};
+
+constexpr std::size_t kNone = SIZE_MAX;
+
+/// Folded deliveries and chain emits are recorded in chunks of this many.
+constexpr std::size_t kFoldChunk = 128;
+constexpr double kEnd = std::numeric_limits<double>::infinity();
+
+/// How a producer (the source or a node) routes its packets: a sole
+/// weight-1 edge goes straight to its one target, anything else through a
+/// WeightedRouter over target ids.
+struct Route {
+  std::optional<Target> sole;
+  std::size_t chained = kNone;  ///< the node `sole` feeds, if it is one
+  std::optional<WeightedRouter> router;
+  std::size_t drop_target = 0;  ///< where the router's kDropped goes
 };
 
 /// Read position in one stream.
@@ -89,11 +117,11 @@ class Recurrence {
         schedule_(net, source, config),
         steps_(job_steps(net, config, rng_)),
         nodes_(net.nodes->size()),
+        routes_(net.nodes->size()),
         inputs_(net.nodes->size()),
-        busy_(net.nodes->size(), 0.0),
-        jobs_(net.nodes->size(), 0),
         recorder_(config) {
-    // Streams start sized for every source packet, up to 64Ki entries.
+    // Streams start sized for every source packet, up to 64Ki entries;
+    // deliveries that fold as they come need two chunks.
     const double packets =
         horizon_ * schedule_.peak_rate() / schedule_.packet_bytes();
     expected_packets_ = std::min<std::size_t>(
@@ -109,7 +137,13 @@ class Recurrence {
       if (!inputs_[i].empty() && !run_join(i)) return std::nullopt;
     }
     if (!record_stats()) return std::nullopt;
-    return recorder_.result(net_, busy_, jobs_);
+    std::vector<double> busy;
+    std::vector<std::uint64_t> jobs;
+    for (const NodeRun& node : nodes_) {
+      busy.push_back(node.busy);
+      jobs.push_back(node.jobs);
+    }
+    return recorder_.result(net_, busy, jobs);
   }
 
  private:
@@ -119,11 +153,10 @@ class Recurrence {
 
   /// A node's schedule state between packets.
   struct NodeRun {
-    std::optional<WeightedRouter> router;
-    std::size_t drop_target = 0;
-    double last_arrival = 0.0;
     double free_at = 0.0;
-    bool done = false;  ///< a job ran past the horizon
+    double busy = 0.0;        ///< total execution time of its jobs
+    std::uint64_t jobs = 0;   ///< jobs finished within the horizon
+    bool done = false;        ///< a job ran past the horizon
   };
 
   std::size_t add_target(Target::Kind kind, std::size_t index) {
@@ -131,9 +164,8 @@ class Recurrence {
     return targets_.size() - 1;
   }
 
-  std::size_t add_stream(Role role, std::size_t reserve) {
+  std::size_t add_stream(Role role) {
     streams_.emplace_back();
-    streams_.back().reserve(reserve);
     roles_.push_back(role);
     return streams_.size() - 1;
   }
@@ -159,8 +191,8 @@ class Recurrence {
 
     // One target per (producer, destination queue); a repeated edge
     // shares its producer's stream.
-    const auto retarget = [&](const std::vector<Destination>& dests,
-                              std::size_t dropped) {
+    const auto make_route = [&](const std::vector<Destination>& dests,
+                                std::size_t dropped) {
       std::vector<Destination> out;
       std::vector<std::pair<std::size_t, std::size_t>> made;
       for (const Destination& d : dests) {
@@ -175,7 +207,7 @@ class Recurrence {
             id = add_target(Target::Kind::kNode, d.queue);
           } else {
             const Role role = d.queue < n ? Role::kJoinInput : Role::kDelivery;
-            const std::size_t s = add_stream(role, expected_packets_);
+            const std::size_t s = add_stream(role);
             if (d.queue < n) inputs_[d.queue].push_back(s);
             id = add_target(Target::Kind::kStream, s);
           }
@@ -183,52 +215,138 @@ class Recurrence {
         }
         out.push_back({id, d.weight});
       }
-      return WeightedRouter(std::move(out));
+      Route r;
+      r.drop_target = dropped;
+      // WeightedRouter::route() always picks a sole weight-1 destination.
+      if (out.size() == 1 && out.front().weight == 1.0 &&
+          dests.front().queue != kDropped) {
+        r.sole = targets_[out.front().queue];
+        if (r.sole->kind == Target::Kind::kNode) r.chained = r.sole->index;
+      } else {
+        r.router.emplace(std::move(out));
+      }
+      return r;
     };
     // The source's unmodeled share never enters the system.
-    source_router_.emplace(retarget(net_.entries, kDropped));
+    source_route_ = make_route(net_.entries, kDropped);
     for (std::size_t i = 0; i < n; ++i) {
-      NodeRun& node = nodes_[i];
-      node.drop_target =
-          add_target(Target::Kind::kStream, add_stream(Role::kDrop, 0));
-      node.router.emplace(retarget(net_.outputs[i], node.drop_target));
+      const std::size_t drops =
+          add_target(Target::Kind::kStream, add_stream(Role::kDrop));
+      routes_[i] = make_route(net_.outputs[i], drops);
+    }
+    find_fold();
+    const bool folds = folding_ || sink_join_ != kNone;
+    for (std::size_t s = 0; s < streams_.size(); ++s) {
+      if (roles_[s] == Role::kDrop) continue;
+      streams_[s].reserve(s == sink_ && folds ? 2 * kFoldChunk
+                                              : expected_packets_);
     }
   }
 
-  void send(std::size_t target, double t, const Packet& p) {
-    const Target& to = targets_[target];
-    if (to.kind == Target::Kind::kNode) {
-      feed(to.index, t, p);
-    } else {
-      streams_[to.index].push_back({t, p});
-    }
-  }
-
-  /// Delivers one packet to node i at time t and runs every job it
-  /// completes: start = max(arrival, previous finish), finish = start +
-  /// exec, outputs sent on at the finish time.
-  void feed(std::size_t i, double t, const Packet& p) {
-    NodeRun& node = nodes_[i];
-    if (node.done) return;
-    JobStep& step = steps_[i];
-    step.add(p);
-    node.last_arrival = t;
-    while (!step.needs_input()) {
-      const Job job = step.start();
-      const double start = std::max(node.last_arrival, node.free_at);
-      const double finish = start + job.exec;
-      if (finish > horizon_) {
-        node.done = true;
+  /// Finds the sink's one delivery stream, if it has one producer, and
+  /// whether its deliveries can fold as they come: from a chain, whose
+  /// sole edges drop nothing and whose deliveries come in source order; or
+  /// from a join, the last node to run, if the nodes before it dropped
+  /// nothing (decided in run_join()). Otherwise every outlet stream is
+  /// kept to the end.
+  void find_fold() {
+    for (std::size_t s = 0; s < streams_.size(); ++s) {
+      if (roles_[s] != Role::kDelivery) continue;
+      if (sink_ != kNone) {
+        sink_ = kNone;
         return;
       }
-      node.free_at = finish;
-      busy_[i] += job.exec;
-      ++jobs_[i];
-      const JobOutput out = step.finish(job);
-      for (std::size_t k = 0; k < out.count; ++k) {
-        const std::size_t to = node.router->route();
-        send(to == kDropped ? node.drop_target : to, finish, out.packet);
+      sink_ = s;
+    }
+    if (sink_ == kNone) return;
+    bool chain = true;
+    for (std::size_t i = 0; i < routes_.size(); ++i) {
+      const std::optional<Target>& sole = routes_[i].sole;
+      if (!sole || !inputs_[i].empty()) chain = false;
+      if (sole && sole->kind == Target::Kind::kStream && sole->index == sink_ &&
+          !inputs_[i].empty()) {
+        sink_join_ = i;
       }
+    }
+    folding_ = chain;
+  }
+
+  /// Hands `count` copies of `p` at time t to one target.
+  void send(const Target& to, double t, const Packet& p, std::size_t count) {
+    if (to.kind == Target::Kind::kNode) {
+      hand_off(to.index, t, p, count);
+    } else {
+      std::vector<Arrival>& s = streams_[to.index];
+      for (std::size_t k = 0; k < count; ++k) s.push_back({t, p});
+    }
+  }
+
+  /// Routes the copies of `out`, leaving node i at time t. With
+  /// `keep_last`, returns the single-producer node that the last copy goes
+  /// to, unsent, for hand_off() to run next; else kNone.
+  std::size_t route(Route& r, double t, const JobOutput& out,
+                    bool keep_last) {
+    if (r.sole) {
+      send(*r.sole, t, out.packet, out.count);
+      return kNone;
+    }
+    for (std::size_t k = 0; k < out.count; ++k) {
+      const std::size_t to = r.router->route();
+      const Target& target = targets_[to == kDropped ? r.drop_target : to];
+      if (keep_last && k + 1 == out.count &&
+          target.kind == Target::Kind::kNode) {
+        return target.index;
+      }
+      send(target, t, out.packet, 1);
+    }
+    return kNone;
+  }
+
+  /// Delivers `count` copies of `p` at time t to node i and runs every
+  /// job they complete: start = max(arrival, previous finish), finish =
+  /// start + exec, outputs routed on at the finish time. The output of
+  /// the last job goes on to a single-producer successor in this loop:
+  /// all of it over a sole edge, or its last copy out of a router. Earlier
+  /// outputs recurse first, so every node still sees its input in time
+  /// order.
+  void hand_off(std::size_t i, double t, Packet p, std::size_t count) {
+    const double horizon = horizon_;
+    for (;;) {
+      NodeRun& node = nodes_[i];
+      JobStep& step = steps_[i];
+      Route& r = routes_[i];
+      std::size_t next = kNone;
+      for (std::size_t k = 0; k < count && next == kNone; ++k) {
+        if (node.done) return;
+        step.add(p);
+        while (!step.needs_input()) {
+          const Job job = step.start();
+          const double finish = std::max(t, node.free_at) + job.exec;
+          if (finish > horizon) {
+            node.done = true;
+            return;
+          }
+          node.free_at = finish;
+          node.busy += job.exec;
+          ++node.jobs;
+          const JobOutput out = step.finish(job);
+          const bool last = k + 1 == count && step.needs_input();
+          std::size_t copies = out.count;
+          if (last && r.chained != kNone) {
+            next = r.chained;
+          } else if ((next = route(r, finish, out, last)) != kNone) {
+            copies = 1;
+          }
+          if (next != kNone) {  // the hand-off this loop moves on to
+            t = finish;
+            p = out.packet;
+            count = copies;
+            break;
+          }
+        }
+      }
+      if (next == kNone) return;
+      i = next;
     }
   }
 
@@ -237,12 +355,24 @@ class Recurrence {
   /// advance.
   bool run_source() {
     const double bytes = schedule_.packet_bytes();
-    emits_.reserve(expected_packets_);
+    emits_.reserve(folding_ ? kFoldChunk : expected_packets_);
     const auto emit = [&](double t) {
-      const std::size_t to = source_router_->route();
-      if (to == kDropped) return;  // never enters the system
+      const Target* to = source_route_.sole ? &*source_route_.sole : nullptr;
+      if (to == nullptr) {
+        const std::size_t id = source_route_.router->route();
+        if (id == kDropped) return;  // never enters the system
+        to = &targets_[id];
+      }
+      if (folding_ && emits_.size() == kFoldChunk) {
+        // Every delivery before t is in, and every later one comes after
+        // the emits so far.
+        fold(t);
+        recorder_.emit(std::span(emits_).subspan(emits_done_), bytes);
+        emits_.clear();
+        emits_done_ = 0;
+      }
       emits_.push_back(t);
-      send(to, t, Packet{bytes, bytes, t});
+      send(*to, t, Packet{bytes, bytes, t}, 1);
     };
     for (std::size_t k = 0; k < schedule_.burst_packets(); ++k) emit(0.0);
     double t = 0.0;
@@ -263,6 +393,42 @@ class Recurrence {
     }
   }
 
+  /// Feeds join node i its producers' streams merged by time. False on a
+  /// same-instant tie between two producers.
+  bool run_join(std::size_t i) {
+    if (i == sink_join_) {
+      folding_ = true;
+      for (std::size_t s = 0; s < streams_.size(); ++s) {
+        if (roles_[s] == Role::kDrop && !streams_[s].empty()) folding_ = false;
+      }
+    }
+    const auto feed = [&](const Arrival& a) {
+      hand_off(i, a.time, a.packet, 1);
+      if (folding_ && streams_[sink_].size() >= kFoldChunk) fold(kEnd);
+    };
+    cursors_.clear();
+    open_cursors(inputs_[i]);
+    for (;;) {
+      bool tie = false;
+      const std::size_t c = earliest(cursors_, tie);
+      if (c == cursors_.size()) return true;
+      if (tie) return false;
+      feed(*cursors_[c].next++);
+    }
+  }
+
+  /// Records the sink deliveries before `until`, each after the emits at
+  /// or before its time, and drops them from the sink stream.
+  void fold(double until) {
+    std::vector<Arrival>& d = streams_[sink_];
+    const auto end = std::partition_point(
+        d.begin(), d.end(), [&](const Arrival& a) { return a.time < until; });
+    emits_done_ += recorder_.deliver(
+        std::span(emits_).subspan(emits_done_), schedule_.packet_bytes(),
+        std::span(d.begin(), end));
+    d.erase(d.begin(), end);
+  }
+
   /// Fills cursors_ with the non-empty streams among `streams`.
   void open_cursors(const std::vector<std::size_t>& streams) {
     for (const std::size_t s : streams) {
@@ -274,23 +440,16 @@ class Recurrence {
     }
   }
 
-  /// Feeds join node i its producers' streams merged by time. False on a
-  /// same-instant tie between two producers.
-  bool run_join(std::size_t i) {
-    cursors_.clear();
-    open_cursors(inputs_[i]);
-    for (;;) {
-      bool tie = false;
-      const std::size_t c = earliest(cursors_, tie);
-      if (c == cursors_.size()) return true;
-      if (tie) return false;
-      const Arrival& a = *cursors_[c].next++;
-      feed(i, a.time, a.packet);
-    }
-  }
-
-  /// Feeds the recorder emits, drops and deliveries in DES order.
+  /// Feeds the recorder emits, drops and deliveries in DES order. Folded
+  /// deliveries need only their last chunk; otherwise the outlet streams
+  /// take the k-way merge.
   bool record_stats() {
+    const double bytes = schedule_.packet_bytes();
+    if (folding_) {
+      fold(kEnd);
+      recorder_.emit(std::span(emits_).subspan(emits_done_), bytes);
+      return true;
+    }
     std::vector<std::size_t> outlets;
     for (std::size_t s = 0; s < streams_.size(); ++s) {
       if (roles_[s] != Role::kJoinInput) outlets.push_back(s);
@@ -305,7 +464,6 @@ class Recurrence {
       if (!c.drops) deliveries += size;
     }
     recorder_.reserve(deliveries, events);
-    const double bytes = schedule_.packet_bytes();
     std::size_t e = 0;
     for (;;) {
       bool tie = false;
@@ -336,16 +494,19 @@ class Recurrence {
   SourceSchedule schedule_;
   std::vector<JobStep> steps_;
   std::vector<NodeRun> nodes_;
-  std::optional<WeightedRouter> source_router_;
+  Route source_route_;
+  std::vector<Route> routes_;
   std::vector<Target> targets_;
   std::vector<std::vector<Arrival>> streams_;
   std::vector<Role> roles_;
   std::vector<std::vector<std::size_t>> inputs_;  ///< a join's streams
   std::vector<double> emits_;
   std::vector<Cursor> cursors_;
+  std::size_t sink_ = kNone;       ///< the sink's one delivery stream
+  std::size_t sink_join_ = kNone;  ///< a join feeding it over a sole edge
+  bool folding_ = false;           ///< deliveries fold as they come
+  std::size_t emits_done_ = 0;     ///< emits_ already recorded
   std::size_t expected_packets_ = 0;
-  std::vector<double> busy_;
-  std::vector<std::uint64_t> jobs_;
   Recorder recorder_;
 };
 

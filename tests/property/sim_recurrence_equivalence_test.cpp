@@ -1,16 +1,21 @@
 // Equivalence of the two streamsim engines. Wherever the max-plus
 // recurrence answers, its SimResult must equal the coroutine DES's bit for
 // bit: throughput, delays, max backlog, delivered count, all three traces
-// and every node's jobs and utilization. Cases are the example specs over
-// 200 seeds each, and seeded random chains and DAGs (aggregation, block
-// misalignment, every volume mode, restoring stages, lossy splits, bursts,
-// rate profiles, Poisson arrivals with exponential service, deterministic
-// mode). Constructed same-instant cases pin the tie rules: a source emit
-// precedes a sink delivery, the horizon is inclusive, and twin producers
-// into a join or the sink make simulate_dag() fall back to the DES and
-// still return the DES result.
+// and every node's jobs and utilization. Cases are the example specs and
+// seeded random chains and DAGs (aggregation, block misalignment, every
+// volume mode, restoring stages, lossy splits, bursts, rate profiles,
+// Poisson arrivals with exponential service, deterministic mode), 200 per
+// family at the default budget; every family grows with
+// STREAMCALC_FUZZ_CASES through testing::scaled_cases, and a smaller
+// budget (the sanitizer jobs') still runs 200. Constructed
+// same-instant cases pin the tie rules: a source emit precedes a sink
+// delivery, the horizon is inclusive, and twin producers into a join or
+// the sink make simulate_dag() fall back to the DES and still return the
+// DES result. Constructed cases also pin each direct path of the
+// recurrence (hand-off, chunked stats fold) and the two-producer join.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <fstream>
@@ -23,6 +28,7 @@
 #include "obs/obs.hpp"
 #include "streamsim/detail/engines.hpp"
 #include "streamsim/pipeline_sim.hpp"
+#include "testing/property.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -39,7 +45,11 @@ using util::DataSize;
 using util::Duration;
 using util::Xoshiro256;
 
-constexpr int kSeeds = 200;
+/// Cases per family: 200 at the default budget and never fewer.
+int seeds() {
+  static const int n = std::max(200, streamcalc::testing::scaled_cases(200));
+  return n;
+}
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -173,7 +183,7 @@ class ExampleSpecs : public ::testing::TestWithParam<const char*> {};
 TEST_P(ExampleSpecs, RecurrenceMatchesDesOnEverySeed) {
   const cli::Spec spec = load_spec(GetParam());
   Coverage cov;
-  for (int k = 0; k < kSeeds; ++k) {
+  for (int k = 0; k < seeds(); ++k) {
     const SimConfig c = spec_config(spec, k);
     const std::string label =
         std::string(GetParam()) + " seed " + std::to_string(c.seed);
@@ -184,7 +194,7 @@ TEST_P(ExampleSpecs, RecurrenceMatchesDesOnEverySeed) {
     }
   }
   // Continuous draws never tie; only deterministic seeds may fall back.
-  EXPECT_GE(cov.answered, kSeeds * 9 / 10) << cov.cases << " cases";
+  EXPECT_GE(cov.answered, seeds() * 9 / 10) << cov.cases << " cases";
 }
 
 INSTANTIATE_TEST_SUITE_P(Specs, ExampleSpecs,
@@ -284,7 +294,7 @@ double passed_on(const NodeSpec& n, double offered) {
 
 void random_chains(Family family, const char* name) {
   Coverage cov;
-  for (int k = 0; k < kSeeds; ++k) {
+  for (int k = 0; k < seeds(); ++k) {
     Xoshiro256 rng(0xC4A1 + 7919 * static_cast<std::uint64_t>(k) +
                    static_cast<std::uint64_t>(family));
     Run run = random_run(rng, family, 0.0);
@@ -315,8 +325,8 @@ void random_chains(Family family, const char* name) {
     check_chain(nodes, run.source, run.config,
                 std::string(name) + " case " + std::to_string(k), cov);
   }
-  const int floor = family == Family::kDeterministic ? kSeeds / 2
-                                                     : kSeeds * 19 / 20;
+  const int floor = family == Family::kDeterministic ? seeds() / 2
+                                                     : seeds() * 19 / 20;
   EXPECT_GE(cov.answered, floor) << cov.cases << " cases";
 }
 
@@ -379,7 +389,7 @@ DagSpec random_dag(Xoshiro256& rng, double rate) {
 
 void random_dags(Family family, const char* name) {
   Coverage cov;
-  for (int k = 0; k < kSeeds; ++k) {
+  for (int k = 0; k < seeds(); ++k) {
     Xoshiro256 rng(0xDA6 + 104729 * static_cast<std::uint64_t>(k) +
                    static_cast<std::uint64_t>(family));
     Run run = random_run(rng, family, 0.0);
@@ -396,8 +406,8 @@ void random_dags(Family family, const char* name) {
     check_dag(dag, run.source, run.config,
               std::string(name) + " case " + std::to_string(k), cov);
   }
-  const int floor = family == Family::kDeterministic ? kSeeds / 4
-                                                     : kSeeds * 19 / 20;
+  const int floor = family == Family::kDeterministic ? seeds() / 4
+                                                     : seeds() * 19 / 20;
   EXPECT_GE(cov.answered, floor) << cov.cases << " cases";
 }
 
@@ -565,6 +575,170 @@ TEST_F(EngineSelection, JoinTieFallsBackToTheDes) {
   EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks + 1.0);
   EXPECT_GT(r.packets_delivered, 0u);
   EXPECT_TRUE(identical(r, detail::simulate_dag_des(dag, src, c)));
+}
+
+// --- Direct paths ----------------------------------------------------------
+
+/// Runs simulate() (or simulate_dag()) once traced and once untraced, each
+/// of which must take the recurrence, adding one to
+/// streamsim.recurrence.runs and none to the fallbacks, and match the DES
+/// bit for bit. Returns the untraced result.
+class DirectPath : public EngineSelection {
+ protected:
+  SimResult expect_recurrence(const std::vector<NodeSpec>& nodes,
+                              const SourceSpec& src, SimConfig c) {
+    return expect_recurrence_run(c, [&](const SimConfig& k) {
+      return std::pair{simulate(nodes, src, k),
+                       detail::simulate_des(nodes, src, k)};
+    });
+  }
+
+  SimResult expect_recurrence(const DagSpec& dag, const SourceSpec& src,
+                              SimConfig c) {
+    return expect_recurrence_run(c, [&](const SimConfig& k) {
+      return std::pair{simulate_dag(dag, src, k),
+                       detail::simulate_dag_des(dag, src, k)};
+    });
+  }
+
+ private:
+  template <typename Run>
+  SimResult expect_recurrence_run(SimConfig c, Run run) {
+    SimResult untraced;
+    for (const std::size_t samples : {std::size_t{4096}, std::size_t{0}}) {
+      c.max_trace_samples = samples;
+      const double runs = counter("streamsim.recurrence.runs");
+      const double fallbacks = counter("streamsim.recurrence.fallbacks");
+      auto [r, des] = run(c);
+      EXPECT_EQ(counter("streamsim.recurrence.runs"), runs + 1.0)
+          << "seed " << c.seed << ", " << samples << " trace samples";
+      EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks);
+      EXPECT_TRUE(identical(r, des))
+          << "seed " << c.seed << ", " << samples << " trace samples";
+      untraced = std::move(r);
+    }
+    return untraced;
+  }
+};
+
+/// A 64 KiB stage that emits four 16 KiB packets per job, then two
+/// 16 KiB stages, the middle one taking `mid_min`-`mid_max` per job. Every
+/// hand-off after the first node carries four copies.
+std::vector<NodeSpec> splitting_chain(Duration mid_min, Duration mid_max) {
+  return {NodeSpec::compute("split", DataSize::kib(64), DataSize::kib(16),
+                            Duration::micros(200), Duration::micros(500)),
+          NodeSpec::compute("mid", DataSize::kib(16), DataSize::kib(16),
+                            mid_min, mid_max),
+          NodeSpec::compute("tail", DataSize::kib(16), DataSize::kib(16),
+                            Duration::micros(30), Duration::micros(100))};
+}
+
+SimConfig sampled_config(double horizon, std::uint64_t seed) {
+  SimConfig c;
+  c.horizon = Duration::seconds(horizon);
+  c.warmup = Duration::seconds(horizon / 5.0);
+  c.seed = seed;
+  return c;
+}
+
+TEST_F(DirectPath, ChainJobsEmittingSeveralPacketsMatchTheDes) {
+  const std::vector<NodeSpec> nodes =
+      splitting_chain(Duration::micros(50), Duration::micros(140));
+  const SourceSpec src = dyadic_source();
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const SimResult r = expect_recurrence(nodes, src, sampled_config(0.2, seed));
+    ASSERT_EQ(r.node_stats.size(), 3u);
+    EXPECT_GT(r.node_stats[0].jobs, 100u);
+    // One job upstream is four jobs downstream, but for the horizon cut.
+    EXPECT_GE(r.node_stats[1].jobs + 4, 4 * r.node_stats[0].jobs);
+  }
+}
+
+/// Gathers four source packets per 256 KiB job, whose output an
+/// aggregating 64 KiB stage splits into about four jobs. The volume ratio
+/// of the first stage is sampled, so some packets complete three jobs or
+/// five and leave a remainder for the next one.
+TEST_F(DirectPath, AggregatingNodeCompletingSeveralJobsFromOnePacket) {
+  std::vector<NodeSpec> nodes{
+      NodeSpec::compute("gather", DataSize::kib(256), DataSize::kib(256),
+                        Duration::micros(300), Duration::micros(900)),
+      NodeSpec::compute("cut", DataSize::kib(64), DataSize::kib(64),
+                        Duration::micros(60), Duration::micros(200)),
+      NodeSpec::compute("out", DataSize::kib(64), DataSize::kib(64),
+                        Duration::micros(40), Duration::micros(150))};
+  nodes[0].volume = {0.8, 1.0, 1.2};
+  const SourceSpec src = dyadic_source();
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const SimResult r = expect_recurrence(nodes, src, sampled_config(0.2, seed));
+    EXPECT_GT(r.node_stats[1].jobs, 3 * r.node_stats[0].jobs);
+  }
+}
+
+/// The middle stage runs at 1.6x load, so its backlog carries it past the
+/// horizon while the first stage still hands it packets: the horizon cuts
+/// it partway through the four copies of a hand-off in some seeds, and a
+/// cut node must take no later input, even where a later draw would end
+/// within the horizon.
+TEST_F(DirectPath, NodeCutAtTheHorizonInTheMiddleOfAHandOff) {
+  const std::vector<NodeSpec> nodes =
+      splitting_chain(Duration::micros(200), Duration::micros(600));
+  const SourceSpec src = dyadic_source();
+  int cut_in_a_hand_off = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const double horizon = 0.05 + 1e-5 * static_cast<double>(seed);
+    const SimResult r =
+        expect_recurrence(nodes, src, sampled_config(horizon, seed));
+    // All four copies of a hand-off arrive at once, so a count that is
+    // not a multiple of four means one was cut partway.
+    if (r.node_stats[1].jobs % 4 != 0) ++cut_in_a_hand_off;
+  }
+  EXPECT_GT(cut_in_a_hand_off, 5);
+}
+
+/// An alternating fork into a slow branch, 2^-16 s behind its 2P arrival
+/// period and so ever more backlogged, and a fast one. With the source
+/// period P = 2^-10 s, the slow branch's 96th output leaves at 194.5 P,
+/// exactly when the fast branch's 97th does; no two outputs meet before.
+DagSpec late_tie_join() {
+  DagSpec d;
+  d.nodes = {dyadic_stage("fork", 0x1p-14),
+             dyadic_stage("slow", 0x1p-9 + 0x1p-16),
+             dyadic_stage("fast", 0x1p-11), dyadic_stage("join", 0x1p-12)};
+  d.edges = {{0, 1, 0.5}, {0, 2, 0.5}, {1, 3, 1.0}, {2, 3, 1.0}};
+  d.entries = {{0, 0, 1.0}};
+  return d;
+}
+
+TEST_F(DirectPath, TwoProducerJoinAnswersBeforeALateTieAndFallsBackAfter) {
+  const DagSpec dag = late_tie_join();
+  const SourceSpec src = dyadic_source();
+  SimConfig c = dyadic_config();
+  c.horizon = Duration::seconds(194.0 * 0x1p-10);
+  const SimResult prefix = expect_recurrence(dag, src, c);
+  EXPECT_GT(prefix.packets_delivered, 150u);
+
+  c.horizon = Duration::seconds(0.25);
+  ASSERT_FALSE(detail::simulate_dag_recurrence(dag, src, c).has_value());
+  const double runs = counter("streamsim.recurrence.runs");
+  const double fallbacks = counter("streamsim.recurrence.fallbacks");
+  const SimResult r = simulate_dag(dag, src, c);
+  EXPECT_EQ(counter("streamsim.recurrence.runs"), runs);
+  EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks + 1.0);
+  EXPECT_GT(r.packets_delivered, prefix.packets_delivered);
+  EXPECT_TRUE(identical(r, detail::simulate_dag_des(dag, src, c)));
+}
+
+/// Every delivery of the dyadic chain lands on the instant of an emit,
+/// also after the warmup, where the order sets the peak backlog: the emit
+/// first holds two packets, the delivery first only one.
+TEST_F(DirectPath, EmitBeforeDeliveryTieAfterWarmupInTheOneOutletFold) {
+  const std::vector<NodeSpec> nodes{dyadic_stage("stage")};
+  const SourceSpec src = dyadic_source();
+  SimConfig c = dyadic_config();
+  c.warmup = Duration::seconds(0.125);
+  const SimResult r = expect_recurrence(nodes, src, c);
+  EXPECT_EQ(r.max_backlog.in_bytes(), 2.0 * 65536.0);
+  EXPECT_GT(r.packets_delivered, 200u);
 }
 
 }  // namespace
