@@ -92,14 +92,8 @@ IntervalCertificate certify_stability(const std::vector<NodeSpec>& nodes,
                                       const netcalc::SourceSpec& source,
                                       const netcalc::ModelPolicy& policy,
                                       const ParamBox& box) {
-  util::require(!nodes.empty(),
-                "certify_stability requires at least one node");
-  validate_box(box, nodes.size());
-  return certificate(nodes,
-                     netcalc::propagate_chain_load(
-                         nodes, policy.service_basis, box.source_rate,
-                         box.service_scale),
-                     source, box);
+  return certify_stability_dag(netcalc::DagSpec::chain(nodes), source,
+                               policy, box);
 }
 
 IntervalCertificate certify_stability_dag(const netcalc::DagSpec& dag,
@@ -110,8 +104,7 @@ IntervalCertificate certify_stability_dag(const netcalc::DagSpec& dag,
   validate_box(box, dag.nodes.size());
   return certificate(dag.nodes,
                      netcalc::propagate_load(
-                         dag.nodes, dag.entries, dag.edges, order,
-                         policy.service_basis,
+                         dag, order, policy.service_basis,
                          netcalc::entry_rates(dag.entries, box.source_rate),
                          box.service_scale),
                      source, box);

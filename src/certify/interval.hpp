@@ -76,7 +76,8 @@ struct IntervalCertificate {
   diagnostics::LintReport report;
 };
 
-/// Certifies stability of a chain pipeline over `box`.
+/// Certifies stability of a chain pipeline over `box`: the DAG
+/// certificate below on the chain's one-path DAG (DagSpec::chain).
 IntervalCertificate certify_stability(
     const std::vector<netcalc::NodeSpec>& nodes,
     const netcalc::SourceSpec& source, const netcalc::ModelPolicy& policy,

@@ -213,27 +213,12 @@ void lint_loads(const std::vector<NodeSpec>& nodes,
 LintReport lint_pipeline(const std::vector<NodeSpec>& nodes,
                          const SourceSpec& source,
                          const ModelPolicy& policy) {
+  if (!nodes.empty()) return lint_dag(DagSpec::chain(nodes), source, policy);
   SC_OBS_SPAN("lint", "preflight");
   SC_OBS_COUNT("lint.passes", 1);
   LintReport report;
-  if (nodes.empty()) {
-    report.add({"NC001", Severity::kError, "model",
-                "pipeline has no nodes", "declare at least one [node]"});
-    return report;
-  }
-  bool structural_ok = lint_source(source, report);
-  for (const NodeSpec& n : nodes) {
-    structural_ok &= lint_node(n, report);
-  }
-  lint_policy(policy, report);
-  if (!structural_ok) return report;
-
-  // Stability on the chain's one-path DAG.
-  lint_loads(nodes,
-             netcalc::propagate_chain_load(
-                 nodes, policy.service_basis,
-                 Interval::point(source.rate.in_bytes_per_sec())),
-             source, report);
+  report.add({"NC001", Severity::kError, "model", "pipeline has no nodes",
+              "declare at least one [node]"});
   return report;
 }
 
@@ -375,8 +360,7 @@ LintReport lint_dag(const DagSpec& dag, const SourceSpec& source,
   // Stability in topological order.
   lint_loads(dag.nodes,
              netcalc::propagate_load(
-                 dag.nodes, dag.entries, dag.edges, order,
-                 policy.service_basis,
+                 dag, order, policy.service_basis,
                  netcalc::entry_rates(
                      dag.entries,
                      Interval::point(source.rate.in_bytes_per_sec()))),

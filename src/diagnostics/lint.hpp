@@ -21,7 +21,8 @@
 //   * policy sanity (NC5xx): rate-basis choices that make the "guarantee"
 //     unsound.
 //
-// Entry points mirror the two model shapes (chain, DAG); NC2xx is retired
+// Entry points mirror the two model shapes (chain, DAG); a chain is linted
+// as its one-path DAG (netcalc::DagSpec::chain). NC2xx is retired
 // (the curve-shape pass had no caller). preflight() wires a report into a
 // driver in the Context's lint mode: print findings in warn mode (the
 // default), throw in strict mode (STREAMCALC_LINT=strict), do nothing when
@@ -39,7 +40,8 @@
 
 namespace streamcalc::diagnostics {
 
-/// Lints a chain pipeline (the PipelineModel input form).
+/// Lints a chain pipeline (the PipelineModel input form): lint_dag on its
+/// one-path DAG, or one NC001 error when `nodes` is empty.
 LintReport lint_pipeline(const std::vector<netcalc::NodeSpec>& nodes,
                          const netcalc::SourceSpec& source,
                          const netcalc::ModelPolicy& policy = {});

@@ -309,7 +309,6 @@ QueryIndex::QueryIndex(std::span<const std::uint8_t> query_packed,
   for (std::size_t k = 0; k < kKmers; ++k) {
     if (offsets_[k + 1] != 0) {
       present_[k / 32] |= std::uint32_t{1} << (k % 32);
-      ++distinct_;
     }
     offsets_[k + 1] += offsets_[k];
   }

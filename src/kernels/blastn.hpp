@@ -72,8 +72,6 @@ class QueryIndex {
 
   std::uint64_t query_bases() const { return bases_; }
   std::span<const std::uint8_t> query_packed() const { return packed_; }
-  /// Number of distinct 8-mers present.
-  std::size_t distinct_kmers() const { return distinct_; }
 
   /// Packs 8 consecutive bases starting at `pos` into a 16-bit k-mer key.
   /// Requires pos + 8 <= 4 * packed.size().
@@ -86,7 +84,6 @@ class QueryIndex {
 
   std::vector<std::uint8_t> packed_;
   std::uint64_t bases_;
-  std::size_t distinct_ = 0;
   /// One bit per 8-mer, in 32-bit words: the AVX2 seed_match gathers
   /// them 8 at a time.
   std::array<std::uint32_t, kKmers / 32> present_{};

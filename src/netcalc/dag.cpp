@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <queue>
 
 #include "minplus/deviation.hpp"
 #include "minplus/operations.hpp"
@@ -44,6 +43,16 @@ DataRate basis_rate(const NodeSpec& node, RateBasis basis) {
   return node.rate_min();
 }
 
+DagSpec DagSpec::chain(std::vector<NodeSpec> nodes) {
+  DagSpec dag;
+  dag.entries = {{0, 0, 1.0}};
+  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
+    dag.edges.push_back({i, i + 1, 1.0});
+  }
+  dag.nodes = std::move(nodes);
+  return dag;
+}
+
 std::vector<std::size_t> DagSpec::validate() const {
   util::require(!nodes.empty(), "DagSpec requires at least one node");
   util::require(!entries.empty(), "DagSpec requires at least one entry");
@@ -77,8 +86,10 @@ std::vector<std::size_t> DagSpec::validate() const {
   std::vector<bool> fed(nodes.size(), false);
   for (const DagEdge& e : entries) fed[e.to] = true;
   for (std::size_t i : order) {
-    util::require(fed[i], "DagSpec node '" + nodes[i].name +
-                              "' is unreachable from the entries");
+    if (!fed[i]) {
+      throw util::PreconditionError("DagSpec node '" + nodes[i].name +
+                                    "' is unreachable from the entries");
+    }
     for (const DagEdge& e : edges) {
       if (e.from == i) fed[e.to] = true;
     }
@@ -89,18 +100,17 @@ std::vector<std::size_t> DagSpec::validate() const {
 std::vector<std::size_t> DagSpec::topological_order() const {
   std::vector<std::size_t> indegree(nodes.size(), 0);
   for (const DagEdge& e : edges) ++indegree[e.to];
-  std::queue<std::size_t> ready;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (indegree[i] == 0) ready.push(i);
-  }
+  // Kahn's algorithm with `order` as its FIFO: nodes are settled in the
+  // order they become ready.
   std::vector<std::size_t> order;
   order.reserve(nodes.size());
-  while (!ready.empty()) {
-    const std::size_t i = ready.front();
-    ready.pop();
-    order.push_back(i);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (indegree[i] == 0) order.push_back(i);
+  }
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::size_t i = order[k];
     for (const DagEdge& e : edges) {
-      if (e.from == i && --indegree[e.to] == 0) ready.push(e.to);
+      if (e.from == i && --indegree[e.to] == 0) order.push_back(e.to);
     }
   }
   return order;
@@ -189,8 +199,7 @@ void DagModel::build(const std::vector<std::size_t>& order,
   }
 
   for (const NodeLoad& load :
-       propagate_load(dag_.nodes, dag_.entries, dag_.edges, order,
-                      policy_.service_basis, rates)) {
+       propagate_load(dag_, order, policy_.service_basis, rates)) {
     build_node(load);
   }
 }

@@ -6,9 +6,11 @@
 // several successors (a *proportional* splitter routing a fixed fraction
 // of each emitted block down each edge), and a node may join the flows of
 // several predecessors (its arrival curve is the sum of the incoming edge
-// envelopes). A chain is its one-path DAG: PipelineModel holds one and
-// adds only the chain's end-to-end curves. Analysis walks the graph in
-// topological order:
+// envelopes). A chain is its one-path DAG, built in one place
+// (DagSpec::chain): PipelineModel holds that DAG's DagModel and adds only
+// the chain's end-to-end curves, and the chain entry points of lint, the
+// stability certificate and the simulator run their DAG code on it.
+// Analysis walks the graph in topological order:
 //
 //   * the load recurrence (netcalc/load.hpp) gives each node's worst- and
 //     best-case input volume and its sustained arrival rate clipped by
@@ -111,6 +113,12 @@ struct DagSpec {
   std::vector<NodeSpec> nodes;
   std::vector<DagEdge> edges;
   std::vector<DagEdge> entries;  ///< `from` ignored; `to` = entry node
+
+  /// The chain `nodes` as its one-path DAG: one entry of fraction 1 into
+  /// node 0, and an edge of fraction 1 from each node i to node i + 1.
+  /// The only place a chain becomes a DAG; validate() rejects an empty
+  /// chain.
+  static DagSpec chain(std::vector<NodeSpec> nodes);
 
   /// Validates shape: indices in range, acyclic, every node reachable from
   /// an entry, fractions in (0, 1] with per-node outgoing sums <= 1

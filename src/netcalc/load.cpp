@@ -17,11 +17,11 @@ std::vector<Interval> entry_rates(const std::vector<DagEdge>& entries,
 }
 
 std::vector<NodeLoad> propagate_load(
-    const std::vector<NodeSpec>& nodes, const std::vector<DagEdge>& entries,
-    const std::vector<DagEdge>& edges, const std::vector<std::size_t>& order,
+    const DagSpec& dag, const std::vector<std::size_t>& order,
     RateBasis basis, const std::vector<Interval>& entry_rate,
     const std::vector<Interval>& service_scale) {
-  util::require(entry_rate.size() == entries.size(),
+  const std::vector<NodeSpec>& nodes = dag.nodes;
+  util::require(entry_rate.size() == dag.entries.size(),
                 "propagate_load requires one rate per entry");
   const std::size_t n = nodes.size();
   std::vector<double> vol_in(n, 0.0);
@@ -31,8 +31,8 @@ std::vector<NodeLoad> propagate_load(
   std::vector<Interval> arrival(n, Interval::point(0.0));
   std::vector<Interval> output(n, Interval::point(0.0));
   std::vector<std::size_t> fan_in(n, 0);
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    const DagEdge& e = entries[k];
+  for (std::size_t k = 0; k < dag.entries.size(); ++k) {
+    const DagEdge& e = dag.entries[k];
     vol_in[e.to] += e.fraction;
     best_in[e.to] += e.fraction;
     arrival[e.to].lo += entry_rate[k].lo;
@@ -42,7 +42,7 @@ std::vector<NodeLoad> propagate_load(
   std::vector<NodeLoad> rows;
   rows.reserve(order.size());
   for (std::size_t i : order) {
-    for (const DagEdge& e : edges) {
+    for (const DagEdge& e : dag.edges) {
       if (e.to != i) continue;
       vol_in[i] += e.fraction * vol_out[e.from];
       best_in[i] += e.fraction * best_out[e.from];
@@ -63,21 +63,6 @@ std::vector<NodeLoad> propagate_load(
                  std::min(arrival[i].hi, rate.hi)};
   }
   return rows;
-}
-
-std::vector<NodeLoad> propagate_chain_load(
-    const std::vector<NodeSpec>& nodes, RateBasis basis, Interval source_rate,
-    const std::vector<Interval>& service_scale) {
-  if (nodes.empty()) return {};
-  const std::vector<DagEdge> entries = {{0, 0, 1.0}};
-  std::vector<DagEdge> edges;
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (i + 1 < nodes.size()) edges.push_back({i, i + 1, 1.0});
-    order.push_back(i);
-  }
-  return propagate_load(nodes, entries, edges, order, basis, {source_rate},
-                        service_scale);
 }
 
 }  // namespace streamcalc::netcalc

@@ -19,7 +19,7 @@
 // source rate, or the rate of the envelope that feeds it). Both endpoints
 // run the same expression, so a zero-width interval gives the pointwise
 // doubles bit for bit (base * 1.0 and min of equal endpoints are exact). A
-// chain is its one-path DAG (propagate_chain_load): there the walk does
+// chain runs the walk on its one-path DAG (DagSpec::chain): there it does
 // the chain's multiplications and mins in the chain's order (0.0 + 1.0 * x
 // and 1.0 * x are exact).
 #pragma once
@@ -55,21 +55,13 @@ struct NodeLoad {
 std::vector<Interval> entry_rates(const std::vector<DagEdge>& entries,
                                   Interval source_rate);
 
-/// Walks the DAG (`nodes`, `entries`, `edges`) in the topological `order`
-/// with entry k offering `entry_rate[k]` bytes/s and node i's basis rate
-/// scaled by `service_scale[i]` (all 1 when empty). Returns one row per
-/// node the entries reach, in `order`.
+/// Walks `dag` in the topological `order` with entry k offering
+/// `entry_rate[k]` bytes/s and node i's basis rate scaled by
+/// `service_scale[i]` (all 1 when empty). Returns one row per node the
+/// entries reach, in `order`.
 std::vector<NodeLoad> propagate_load(
-    const std::vector<NodeSpec>& nodes, const std::vector<DagEdge>& entries,
-    const std::vector<DagEdge>& edges, const std::vector<std::size_t>& order,
+    const DagSpec& dag, const std::vector<std::size_t>& order,
     RateBasis basis, const std::vector<Interval>& entry_rate,
-    const std::vector<Interval>& service_scale = {});
-
-/// propagate_load on the chain's one-path DAG: one entry of fraction 1 into
-/// node 0 offering `source_rate`, and an edge of fraction 1 from each node
-/// i to node i + 1.
-std::vector<NodeLoad> propagate_chain_load(
-    const std::vector<NodeSpec>& nodes, RateBasis basis, Interval source_rate,
     const std::vector<Interval>& service_scale = {});
 
 }  // namespace streamcalc::netcalc

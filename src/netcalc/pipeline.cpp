@@ -12,20 +12,6 @@ using minplus::Curve;
 using util::DataRate;
 using util::DataSize;
 using util::Duration;
-
-/// The chain's one-path DAG: one entry of fraction 1 into node 0, and an
-/// edge of fraction 1 from each node i to node i + 1.
-DagSpec one_path(std::vector<NodeSpec> nodes) {
-  util::require(!nodes.empty(), "PipelineModel requires at least one node");
-  DagSpec dag;
-  dag.entries = {{0, 0, 1.0}};
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    dag.edges.push_back({i, i + 1, 1.0});
-  }
-  dag.nodes = std::move(nodes);
-  return dag;
-}
-
 }  // namespace
 
 PipelineModel::PipelineModel(std::vector<NodeSpec> nodes, SourceSpec source,
@@ -35,7 +21,7 @@ PipelineModel::PipelineModel(std::vector<NodeSpec> nodes, SourceSpec source,
 
 PipelineModel::PipelineModel(std::vector<NodeSpec> nodes, SourceSpec source,
                              ModelPolicy policy, Curve arrival)
-    : model_(one_path(std::move(nodes)), source, policy, {arrival},
+    : model_(DagSpec::chain(std::move(nodes)), source, policy, {arrival},
              {source.rate.in_bytes_per_sec()}),
       arrival_(std::move(arrival)) {
   build();

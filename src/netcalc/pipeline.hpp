@@ -9,9 +9,9 @@
 //     curve is expressed in *pipeline-input bytes* (following Timcheck &
 //     Buhler: stages with lossless compression or filtering change the data
 //     volume; normalization keeps curves comparable along the chain). A
-//     chain is its one-path DAG: these curves, the volumes, the collection
-//     waits and the per-node rows come from the DagModel the PipelineModel
-//     holds (netcalc/dag.hpp);
+//     chain is its one-path DAG (DagSpec::chain): these curves, the
+//     volumes, the collection waits and the per-node rows come from that
+//     DAG's DagModel, which the PipelineModel holds (netcalc/dag.hpp);
 //   * the end-to-end service curve (min-plus convolution of the per-node
 //     curves — "pay bursts only once") including the paper's job-ratio
 //     aggregation latency T_n^tot = T_{n-1}^tot + b_n / R_alpha_{n-1} + T_n

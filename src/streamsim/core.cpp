@@ -21,28 +21,19 @@ using util::Duration;
 /// programs emit at most ~10k packets per run and the tests ~60k.
 constexpr double kMaxSourcePackets = 1e7;
 
-/// Checks shared by both entry points, made before either engine runs.
-void validate_run(const SourceSpec& source, const SimConfig& config,
-                  const char* who) {
-  if (!(config.horizon > Duration::seconds(0) && config.horizon.is_finite())) {
-    throw util::PreconditionError(std::string(who) +
-                                  " requires a positive finite horizon");
-  }
-  if (!(source.rate > DataRate::bytes_per_sec(0))) {
-    throw util::PreconditionError(std::string(who) +
-                                  " requires a positive source rate");
-  }
+}  // namespace
+
+Network network(const netcalc::DagSpec& dag, const SourceSpec& source,
+                const SimConfig& config) {
+  std::vector<std::size_t> order = dag.validate();
+  util::require(config.horizon > Duration::seconds(0) &&
+                    config.horizon.is_finite(),
+                "simulate requires a positive finite horizon");
+  util::require(source.rate > DataRate::bytes_per_sec(0),
+                "simulate requires a positive source rate");
   const double h = config.horizon.in_seconds();
   const double w = config.warmup.in_seconds();
   util::require(w >= 0.0 && w < h, "warmup must lie within the horizon");
-}
-
-}  // namespace
-
-Network chain_network(const std::vector<NodeSpec>& nodes,
-                      const SourceSpec& source, const SimConfig& config) {
-  util::require(!nodes.empty(), "simulate requires at least one node");
-  validate_run(source, config, "simulate");
   if (config.onoff_users > 0) {
     util::require(config.onoff_peak > DataRate::bytes_per_sec(0),
                   "on/off sources require a positive peak rate");
@@ -50,7 +41,6 @@ Network chain_network(const std::vector<NodeSpec>& nodes,
                       config.onoff_mean_off > Duration::seconds(0),
                   "on/off sources require positive mean sojourns");
   }
-  for (const NodeSpec& n : nodes) n.validate();
   const auto& profile = config.rate_profile;
   if (!profile.empty()) {
     util::require(profile.front().first == 0.0,
@@ -62,25 +52,6 @@ Network chain_network(const std::vector<NodeSpec>& nodes,
                     "rate_profile times must be strictly increasing");
     }
   }
-
-  Network net;
-  net.nodes = &nodes;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    net.outputs.push_back({Destination{i + 1, 1.0}});  // i + 1 == n: sink
-    net.order.push_back(i);
-  }
-  net.entries = {Destination{0, 1.0}};
-  return net;
-}
-
-Network dag_network(const netcalc::DagSpec& dag, const SourceSpec& source,
-                    const SimConfig& config) {
-  std::vector<std::size_t> order = dag.validate();
-  validate_run(source, config, "simulate_dag");
-  util::require(config.onoff_users == 0,
-                "on/off sources apply to chain simulations only");
-  util::require(config.rate_profile.empty(),
-                "rate profiles apply to chain simulations only");
 
   Network net;
   net.nodes = &dag.nodes;

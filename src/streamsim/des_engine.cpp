@@ -157,15 +157,9 @@ class DesRunner {
 
 }  // namespace
 
-SimResult simulate_des(const std::vector<netcalc::NodeSpec>& nodes,
-                       const SourceSpec& source, const SimConfig& config) {
-  const Network net = chain_network(nodes, source, config);
-  return DesRunner(net, source, config).run();
-}
-
-SimResult simulate_dag_des(const netcalc::DagSpec& dag,
-                           const SourceSpec& source, const SimConfig& config) {
-  const Network net = dag_network(dag, source, config);
+SimResult simulate_des(const netcalc::DagSpec& dag, const SourceSpec& source,
+                       const SimConfig& config) {
+  const Network net = network(dag, source, config);
   return DesRunner(net, source, config).run();
 }
 

@@ -108,8 +108,10 @@ class WeightedRouter {
   double total_ = 0.0;  ///< packets routed; exact below 2^53
 };
 
-/// The topology both engines walk; queue nodes->size() is the sink. A
-/// chain is the one-path DAG 0 -> 1 -> ... -> sink.
+/// The topology both engines walk, built from a DagSpec; queue
+/// nodes->size() is the sink. A chain arrives as its one-path DAG
+/// (DagSpec::chain): node i feeds node i + 1, the last node feeds the sink,
+/// nothing is dropped and the order is 0 .. n - 1.
 struct Network {
   const std::vector<netcalc::NodeSpec>* nodes = nullptr;
   std::vector<std::vector<Destination>> outputs;  ///< per node
@@ -120,14 +122,11 @@ struct Network {
   std::size_t first_entry() const { return entries.front().queue; }
 };
 
-/// Validates the chain inputs and builds its network.
-Network chain_network(const std::vector<netcalc::NodeSpec>& nodes,
-                      const netcalc::SourceSpec& source,
-                      const SimConfig& config);
-/// Validates the DAG inputs and builds its network.
-Network dag_network(const netcalc::DagSpec& dag,
-                    const netcalc::SourceSpec& source,
-                    const SimConfig& config);
+/// Validates the DAG, the run (horizon, warmup, source rate) and the
+/// on/off and rate-profile fields where set, then builds `dag`'s network.
+/// The network points into `dag`, which must outlive it.
+Network network(const netcalc::DagSpec& dag,
+                const netcalc::SourceSpec& source, const SimConfig& config);
 
 /// The source's packet size and rate schedule: a burst of whole packets at
 /// time 0, then one packet per gap at the rate in effect (the constant

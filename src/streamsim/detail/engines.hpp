@@ -1,5 +1,8 @@
 // The two engines behind simulate() and simulate_dag(), exposed so tests
-// can run each one directly.
+// can run each one directly. Both take a DagSpec: simulate() hands them
+// the chain's one-path DAG (DagSpec::chain), and they accept the on/off
+// and rate-profile fields on any DAG (simulate_dag() rejects those at its
+// own entry).
 //
 // simulate()/simulate_dag() pick the engine themselves: the max-plus
 // recurrence when recurrence_applies(config), falling back to the
@@ -9,11 +12,8 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "netcalc/dag.hpp"
-#include "netcalc/node.hpp"
-#include "netcalc/pipeline.hpp"
 #include "streamsim/pipeline_sim.hpp"
 
 namespace streamcalc::streamsim::detail {
@@ -23,21 +23,15 @@ namespace streamcalc::streamsim::detail {
 bool recurrence_applies(const SimConfig& config);
 
 /// Coroutine DES, the reference engine. Covers every configuration.
-SimResult simulate_des(const std::vector<netcalc::NodeSpec>& nodes,
+SimResult simulate_des(const netcalc::DagSpec& dag,
                        const netcalc::SourceSpec& source,
                        const SimConfig& config);
-SimResult simulate_dag_des(const netcalc::DagSpec& dag,
-                           const netcalc::SourceSpec& source,
-                           const SimConfig& config);
 
 /// Max-plus recurrence. Requires recurrence_applies(config). Returns
 /// nullopt when two event streams meet at one instant in a way whose DES
 /// order the recurrence cannot reproduce (see recurrence.cpp).
-std::optional<SimResult> simulate_recurrence(
-    const std::vector<netcalc::NodeSpec>& nodes,
-    const netcalc::SourceSpec& source, const SimConfig& config);
-std::optional<SimResult> simulate_dag_recurrence(
-    const netcalc::DagSpec& dag, const netcalc::SourceSpec& source,
-    const SimConfig& config);
+std::optional<SimResult> simulate_recurrence(const netcalc::DagSpec& dag,
+                                             const netcalc::SourceSpec& source,
+                                             const SimConfig& config);
 
 }  // namespace streamcalc::streamsim::detail

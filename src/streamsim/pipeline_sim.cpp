@@ -3,6 +3,7 @@
 #include "obs/obs.hpp"
 #include "streamsim/detail/core.hpp"
 #include "streamsim/detail/engines.hpp"
+#include "util/error.hpp"
 
 namespace streamcalc::streamsim {
 
@@ -14,36 +15,34 @@ double sample_in_range(util::Xoshiro256& rng, double lo, double mid,
 namespace {
 
 /// The recurrence where it applies and answers, else the DES.
-template <typename Recurrence, typename Des>
-SimResult pick_engine(const SimConfig& config, Recurrence recurrence,
-                      Des des) {
+SimResult run(const netcalc::DagSpec& dag, const netcalc::SourceSpec& source,
+              const SimConfig& config) {
   if (detail::recurrence_applies(config)) {
-    if (std::optional<SimResult> r = recurrence()) {
+    if (std::optional<SimResult> r =
+            detail::simulate_recurrence(dag, source, config)) {
       SC_OBS_COUNT("streamsim.recurrence.runs", 1);
       return std::move(*r);
     }
     SC_OBS_COUNT("streamsim.recurrence.fallbacks", 1);
   }
-  return des();
+  return detail::simulate_des(dag, source, config);
 }
 
 }  // namespace
 
 SimResult simulate(const std::vector<netcalc::NodeSpec>& nodes,
                    const netcalc::SourceSpec& source, const SimConfig& config) {
-  return pick_engine(
-      config,
-      [&] { return detail::simulate_recurrence(nodes, source, config); },
-      [&] { return detail::simulate_des(nodes, source, config); });
+  return run(netcalc::DagSpec::chain(nodes), source, config);
 }
 
 SimResult simulate_dag(const netcalc::DagSpec& dag,
                        const netcalc::SourceSpec& source,
                        const SimConfig& config) {
-  return pick_engine(
-      config,
-      [&] { return detail::simulate_dag_recurrence(dag, source, config); },
-      [&] { return detail::simulate_dag_des(dag, source, config); });
+  util::require(config.onoff_users == 0,
+                "on/off sources apply to chain simulations only");
+  util::require(config.rate_profile.empty(),
+                "rate profiles apply to chain simulations only");
+  return run(dag, source, config);
 }
 
 }  // namespace streamcalc::streamsim

@@ -14,8 +14,10 @@
 // Figs. 4 and 10), end-to-end packet delays (shortest/longest observed),
 // and total data resident in the system (max backlog).
 //
-// Two engines compute the same SimResult. With unlimited queues and no
-// on/off users (the paper's base configuration) a node never blocks its
+// Both entry points simulate a DagSpec: simulate() runs the chain's
+// one-path DAG (DagSpec::chain), so a chain and that DAG give the same
+// SimResult bit for bit. Two engines compute it. With unlimited queues and
+// no on/off users (the paper's base configuration) a node never blocks its
 // upstream, so a per-packet max-plus (Lindley) recurrence walks the nodes
 // in topological order: a job starts at max(arrival of the packet that
 // completes it, previous finish) and finishes at start + exec, with
@@ -138,10 +140,11 @@ struct SimResult {
   std::vector<NodeStats> node_stats;
 };
 
-/// Simulates `nodes` fed by `source` (recurrence or DES, see above).
-/// Deterministic for a fixed config (seeded RNG, deterministic event
-/// ordering). Throws PreconditionError on an invalid config, including a
-/// warmup outside [0, horizon), before any simulation runs.
+/// Simulates `nodes` fed by `source` (recurrence or DES, see above) as
+/// their one-path DAG. Deterministic for a fixed config (seeded RNG,
+/// deterministic event ordering). Throws PreconditionError on an invalid
+/// config, including a warmup outside [0, horizon), before any simulation
+/// runs.
 SimResult simulate(const std::vector<netcalc::NodeSpec>& nodes,
                    const netcalc::SourceSpec& source, const SimConfig& config);
 

@@ -517,21 +517,12 @@ bool recurrence_applies(const SimConfig& config) {
          config.onoff_users == 0;
 }
 
-std::optional<SimResult> simulate_recurrence(
-    const std::vector<netcalc::NodeSpec>& nodes, const SourceSpec& source,
-    const SimConfig& config) {
+std::optional<SimResult> simulate_recurrence(const netcalc::DagSpec& dag,
+                                             const SourceSpec& source,
+                                             const SimConfig& config) {
   util::require(recurrence_applies(config),
                 "the recurrence needs unlimited queues and no on/off users");
-  const Network net = chain_network(nodes, source, config);
-  return Recurrence(net, source, config).run();
-}
-
-std::optional<SimResult> simulate_dag_recurrence(const netcalc::DagSpec& dag,
-                                                 const SourceSpec& source,
-                                                 const SimConfig& config) {
-  util::require(recurrence_applies(config),
-                "the recurrence needs unlimited queues and no on/off users");
-  const Network net = dag_network(dag, source, config);
+  const Network net = network(dag, source, config);
   return Recurrence(net, source, config).run();
 }
 

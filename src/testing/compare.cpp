@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/format.hpp"
 
@@ -150,6 +153,78 @@ std::string bit_diff(const minplus::Curve& a, const minplus::Curve& b) {
                std::to_string(f) + ": " + std::to_string(lhs[f]) + " vs " +
                std::to_string(rhs[f]);
       }
+    }
+  }
+  return "";
+}
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+std::string trace_diff(const char* what,
+                       const std::vector<std::pair<double, double>>& a,
+                       const std::vector<std::pair<double, double>>& b) {
+  if (a.size() != b.size()) {
+    return std::string(what) + " sizes " + std::to_string(a.size()) +
+           " vs " + std::to_string(b.size());
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i].first, b[i].first) ||
+        !same_bits(a[i].second, b[i].second)) {
+      std::ostringstream os;
+      os << what << "[" << i << "] (" << a[i].first << ", " << a[i].second
+         << ") vs (" << b[i].first << ", " << b[i].second << ")";
+      return os.str();
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+std::string bit_diff(const streamsim::SimResult& a,
+                     const streamsim::SimResult& b) {
+  const std::pair<const char*, std::pair<double, double>> scalars[] = {
+      {"throughput",
+       {a.throughput.in_bytes_per_sec(), b.throughput.in_bytes_per_sec()}},
+      {"min_delay", {a.min_delay.in_seconds(), b.min_delay.in_seconds()}},
+      {"max_delay", {a.max_delay.in_seconds(), b.max_delay.in_seconds()}},
+      {"mean_delay", {a.mean_delay.in_seconds(), b.mean_delay.in_seconds()}},
+      {"max_backlog", {a.max_backlog.in_bytes(), b.max_backlog.in_bytes()}},
+  };
+  std::ostringstream os;
+  for (const auto& [name, v] : scalars) {
+    if (!same_bits(v.first, v.second)) {
+      os << name << " " << v.first << " vs " << v.second;
+      return os.str();
+    }
+  }
+  if (a.packets_delivered != b.packets_delivered) {
+    os << "packets_delivered " << a.packets_delivered << " vs "
+       << b.packets_delivered;
+    return os.str();
+  }
+  for (const std::string& d :
+       {trace_diff("output_trace", a.output_trace, b.output_trace),
+        trace_diff("backlog_trace", a.backlog_trace, b.backlog_trace),
+        trace_diff("delay_trace", a.delay_trace, b.delay_trace)}) {
+    if (!d.empty()) return d;
+  }
+  if (a.node_stats.size() != b.node_stats.size()) {
+    return "node_stats sizes differ";
+  }
+  for (std::size_t i = 0; i < a.node_stats.size(); ++i) {
+    const streamsim::NodeStats& x = a.node_stats[i];
+    const streamsim::NodeStats& y = b.node_stats[i];
+    if (x.name != y.name || x.jobs != y.jobs ||
+        !same_bits(x.utilization, y.utilization)) {
+      os << "node " << i << " (" << x.name << "): jobs " << x.jobs << " vs "
+         << y.jobs << ", utilization " << x.utilization << " vs "
+         << y.utilization;
+      return os.str();
     }
   }
   return "";

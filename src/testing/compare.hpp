@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "minplus/curve.hpp"
+#include "streamsim/pipeline_sim.hpp"
 
 namespace streamcalc::testing {
 
@@ -54,6 +55,13 @@ std::optional<CurveGap> first_above(const minplus::Curve& a,
 /// segment field; otherwise names the first difference. Stricter than
 /// Curve::operator==, which compares doubles (0.0 == -0.0).
 std::string bit_diff(const minplus::Curve& a, const minplus::Curve& b);
+
+/// Empty when every SimResult field of `a` and `b` is identical, doubles
+/// bit for bit: throughput, delays, max backlog, delivered count, all
+/// three traces and every node's name, jobs and utilization. Otherwise
+/// names the first difference.
+std::string bit_diff(const streamsim::SimResult& a,
+                     const streamsim::SimResult& b);
 
 inline bool approx_equal(const minplus::Curve& a, const minplus::Curve& b,
                          double rtol = 1e-9, double atol = 1e-9) {

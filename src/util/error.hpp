@@ -23,13 +23,6 @@ class PreconditionError : public Error {
   explicit PreconditionError(const std::string& what) : Error(what) {}
 };
 
-/// Thrown when a model is queried in a configuration where the requested
-/// bound does not exist (e.g. backlog bound with arrival rate > service rate).
-class UnboundedError : public Error {
- public:
-  explicit UnboundedError(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 [[noreturn]] inline void assert_fail(const char* expr,
                                      const std::source_location loc) {

@@ -160,8 +160,7 @@ TEST(IntervalTest, DagDegenerateBoxAgreesWithLint) {
 }
 
 TEST(IntervalTest, DagPartialBoxNamesViolatingFace) {
-  netcalc::DagSpec dag;
-  dag.nodes = {
+  const netcalc::DagSpec dag = netcalc::DagSpec::chain({
       NodeSpec::from_rates("split", NodeKind::kCompute,
                            util::DataSize::kib(64),
                            util::DataRate::mib_per_sec(180),
@@ -172,9 +171,7 @@ TEST(IntervalTest, DagPartialBoxNamesViolatingFace) {
                            util::DataRate::mib_per_sec(90),
                            util::DataRate::mib_per_sec(100),
                            util::DataRate::mib_per_sec(110)),
-  };
-  dag.edges = {{0, 1, 1.0}};
-  dag.entries = {{0, 0, 1.0}};
+  });
   ParamBox box = ParamBox::at(source_at(80.0), 2);
   box.source_rate.hi = source_at(120.0).rate.in_bytes_per_sec();
   const auto cert = certify_stability_dag(dag, source_at(80.0), {}, box);

@@ -45,12 +45,8 @@ SourceSpec source(double mibps) {
 
 /// a -> b -> c chain expressed as a DAG.
 DagSpec chain_dag() {
-  DagSpec d;
-  d.nodes = {stage("a", 200, 220, 240), stage("b", 100, 110, 120),
-             stage("c", 300, 320, 340)};
-  d.edges = {{0, 1, 1.0}, {1, 2, 1.0}};
-  d.entries = {{0, 0, 1.0}};
-  return d;
+  return DagSpec::chain({stage("a", 200, 220, 240), stage("b", 100, 110, 120),
+                         stage("c", 300, 320, 340)});
 }
 
 /// Fork-join: src -> split(a 50%, b 50%); both feed join.
@@ -61,6 +57,24 @@ DagSpec fork_join_dag() {
   d.edges = {{0, 1, 0.5}, {0, 2, 0.5}, {1, 3, 1.0}, {2, 3, 1.0}};
   d.entries = {{0, 0, 1.0}};
   return d;
+}
+
+TEST(DagSpec, ChainIsItsOnePathDag) {
+  const DagSpec d = chain_dag();
+  ASSERT_EQ(d.nodes.size(), 3u);
+  EXPECT_EQ(d.nodes[2].name, "c");
+  ASSERT_EQ(d.entries.size(), 1u);
+  EXPECT_EQ(d.entries[0].to, 0u);
+  EXPECT_EQ(d.entries[0].fraction, 1.0);
+  ASSERT_EQ(d.edges.size(), 2u);
+  for (std::size_t i = 0; i < d.edges.size(); ++i) {
+    EXPECT_EQ(d.edges[i].from, i);
+    EXPECT_EQ(d.edges[i].to, i + 1);
+    EXPECT_EQ(d.edges[i].fraction, 1.0);
+  }
+  EXPECT_EQ(d.validate(), (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_TRUE(DagSpec::chain({stage("a", 200, 220, 240)}).edges.empty());
+  EXPECT_THROW(DagSpec::chain({}).validate(), util::PreconditionError);
 }
 
 TEST(DagSpec, ValidatesGoodGraphs) {
@@ -138,18 +152,6 @@ TEST(DagSpec, PathEnumeration) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// `nodes` as their one-path DAG: entry 1.0 into node 0, edge 1.0 from
-/// node i to node i + 1.
-DagSpec one_path(const std::vector<NodeSpec>& nodes) {
-  DagSpec d;
-  d.nodes = nodes;
-  d.entries = {{0, 0, 1.0}};
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    d.edges.push_back({i, i + 1, 1.0});
-  }
-  return d;
-}
-
 /// A DagModel of the chain's one-path DAG against the PipelineModel of the
 /// chain, bit for bit: per-node curves and rows, and the one path's delay
 /// against the chain's end-to-end delay bound.
@@ -157,7 +159,7 @@ void expect_chain_matches_one_path(const std::vector<NodeSpec>& nodes,
                                    const SourceSpec& src,
                                    const ModelPolicy& policy,
                                    const std::string& what) {
-  const DagModel dag_model(one_path(nodes), src, policy);
+  const DagModel dag_model(DagSpec::chain(nodes), src, policy);
   const PipelineModel chain_model(nodes, src, policy);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     EXPECT_EQ(bit_diff(dag_model.node_service(i),

@@ -93,28 +93,18 @@ TEST(CertifyCleanProperty, DegenerateBoxAgreesWithLintVerdicts) {
   }
 }
 
-/// The chain as a DAG: entry 1.0 into node 0, edge 1.0 from i to i + 1.
-netcalc::DagSpec one_path_dag(const std::vector<netcalc::NodeSpec>& nodes) {
-  netcalc::DagSpec dag;
-  dag.nodes = nodes;
-  dag.entries = {{0, 0, 1.0}};
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    dag.edges.push_back({i, i + 1, 1.0});
-  }
-  return dag;
-}
-
 TEST(CertifyCleanProperty, ChainAgreesWithItsOnePathDag) {
-  // A chain is its one-path DAG: lint must report the same findings, word
-  // for word, and the stability certificate the same rho intervals, bit
-  // for bit, whichever entry point takes it. At 4x the offered rate most
-  // scenarios overload, so the NC101 messages are compared too.
+  // A chain is its one-path DAG: the chain entry points are forwards to
+  // the DAG ones on DagSpec::chain, so lint must report the same findings,
+  // word for word, and the stability certificate the same rho intervals,
+  // bit for bit, whichever entry point takes it. At 4x the offered rate
+  // most scenarios overload, so the NC101 messages are compared too.
   ScenarioGenConfig gen;
   ScenarioGenerator scenarios(gen, 0x5e23);
   const int n = scaled_cases(150);
   for (int i = 0; i < n; ++i) {
     const Scenario s = scenarios.next();
-    const netcalc::DagSpec dag = one_path_dag(s.nodes);
+    const netcalc::DagSpec dag = netcalc::DagSpec::chain(s.nodes);
     for (const double factor : {1.0, 4.0}) {
       netcalc::SourceSpec src = s.source;
       src.rate = util::DataRate::bytes_per_sec(

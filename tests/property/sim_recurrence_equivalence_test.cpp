@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <optional>
@@ -28,6 +27,7 @@
 #include "obs/obs.hpp"
 #include "streamsim/detail/engines.hpp"
 #include "streamsim/pipeline_sim.hpp"
+#include "testing/compare.hpp"
 #include "testing/property.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -51,73 +51,11 @@ int seeds() {
   return n;
 }
 
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-::testing::AssertionResult same_trace(
-    const char* what, const std::vector<std::pair<double, double>>& a,
-    const std::vector<std::pair<double, double>>& b) {
-  if (a.size() != b.size()) {
-    return ::testing::AssertionFailure()
-           << what << " sizes " << a.size() << " vs " << b.size();
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!same_bits(a[i].first, b[i].first) ||
-        !same_bits(a[i].second, b[i].second)) {
-      return ::testing::AssertionFailure()
-             << what << "[" << i << "] (" << a[i].first << ", "
-             << a[i].second << ") vs (" << b[i].first << ", " << b[i].second
-             << ")";
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
 /// Every SimResult field, compared bit for bit.
 ::testing::AssertionResult identical(const SimResult& a, const SimResult& b) {
-  const std::pair<const char*, std::pair<double, double>> scalars[] = {
-      {"throughput",
-       {a.throughput.in_bytes_per_sec(), b.throughput.in_bytes_per_sec()}},
-      {"min_delay", {a.min_delay.in_seconds(), b.min_delay.in_seconds()}},
-      {"max_delay", {a.max_delay.in_seconds(), b.max_delay.in_seconds()}},
-      {"mean_delay", {a.mean_delay.in_seconds(), b.mean_delay.in_seconds()}},
-      {"max_backlog", {a.max_backlog.in_bytes(), b.max_backlog.in_bytes()}},
-  };
-  for (const auto& [name, v] : scalars) {
-    if (!same_bits(v.first, v.second)) {
-      return ::testing::AssertionFailure()
-             << name << " " << v.first << " vs " << v.second;
-    }
-  }
-  if (a.packets_delivered != b.packets_delivered) {
-    return ::testing::AssertionFailure()
-           << "packets_delivered " << a.packets_delivered << " vs "
-           << b.packets_delivered;
-  }
-  for (const auto& r : {same_trace("output_trace", a.output_trace,
-                                   b.output_trace),
-                        same_trace("backlog_trace", a.backlog_trace,
-                                   b.backlog_trace),
-                        same_trace("delay_trace", a.delay_trace,
-                                   b.delay_trace)}) {
-    if (!r) return r;
-  }
-  if (a.node_stats.size() != b.node_stats.size()) {
-    return ::testing::AssertionFailure() << "node_stats sizes differ";
-  }
-  for (std::size_t i = 0; i < a.node_stats.size(); ++i) {
-    const NodeStats& x = a.node_stats[i];
-    const NodeStats& y = b.node_stats[i];
-    if (x.name != y.name || x.jobs != y.jobs ||
-        !same_bits(x.utilization, y.utilization)) {
-      return ::testing::AssertionFailure()
-             << "node " << i << " (" << x.name << "): jobs " << x.jobs
-             << " vs " << y.jobs << ", utilization " << x.utilization
-             << " vs " << y.utilization;
-    }
-  }
-  return ::testing::AssertionSuccess();
+  const std::string diff = streamcalc::testing::bit_diff(a, b);
+  if (diff.empty()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << diff;
 }
 
 /// Tally of one case family: how often the recurrence answered.
@@ -131,29 +69,16 @@ struct Coverage {
   }
 };
 
-/// Runs both chain engines on one case; the recurrence's answer, if any,
-/// must match the DES.
-void check_chain(const std::vector<NodeSpec>& nodes, const SourceSpec& source,
-                 const SimConfig& config, const std::string& label,
-                 Coverage& cov) {
+/// Runs both engines on one case (a chain as its one-path DAG); the
+/// recurrence's answer, if any, must match the DES.
+void check(const DagSpec& dag, const SourceSpec& source,
+           const SimConfig& config, const std::string& label, Coverage& cov) {
   const std::optional<SimResult> rec =
-      detail::simulate_recurrence(nodes, source, config);
+      detail::simulate_recurrence(dag, source, config);
   ++cov.cases;
   if (!rec) return;
   ++cov.answered;
-  EXPECT_TRUE(identical(*rec, detail::simulate_des(nodes, source, config)))
-      << label;
-}
-
-void check_dag(const DagSpec& dag, const SourceSpec& source,
-               const SimConfig& config, const std::string& label,
-               Coverage& cov) {
-  const std::optional<SimResult> rec =
-      detail::simulate_dag_recurrence(dag, source, config);
-  ++cov.cases;
-  if (!rec) return;
-  ++cov.answered;
-  EXPECT_TRUE(identical(*rec, detail::simulate_dag_des(dag, source, config)))
+  EXPECT_TRUE(identical(*rec, detail::simulate_des(dag, source, config)))
       << label;
 }
 
@@ -187,11 +112,8 @@ TEST_P(ExampleSpecs, RecurrenceMatchesDesOnEverySeed) {
     const SimConfig c = spec_config(spec, k);
     const std::string label =
         std::string(GetParam()) + " seed " + std::to_string(c.seed);
-    if (spec.is_dag()) {
-      check_dag(spec.dag(), spec.source, c, label, cov);
-    } else {
-      check_chain(spec.nodes, spec.source, c, label, cov);
-    }
+    check(spec.is_dag() ? spec.dag() : DagSpec::chain(spec.nodes),
+          spec.source, c, label, cov);
   }
   // Continuous draws never tie; only deterministic seeds may fall back.
   EXPECT_GE(cov.answered, seeds() * 9 / 10) << cov.cases << " cases";
@@ -322,8 +244,8 @@ void random_chains(Family family, const char* name) {
         }
       }
     }
-    check_chain(nodes, run.source, run.config,
-                std::string(name) + " case " + std::to_string(k), cov);
+    check(DagSpec::chain(nodes), run.source, run.config,
+          std::string(name) + " case " + std::to_string(k), cov);
   }
   const int floor = family == Family::kDeterministic ? seeds() / 2
                                                      : seeds() * 19 / 20;
@@ -403,7 +325,7 @@ void random_dags(Family family, const char* name) {
       run.config.horizon = Duration::seconds(h);
       run.config.warmup = Duration::seconds(h * 0.2);
     }
-    check_dag(dag, run.source, run.config,
+    check(dag, run.source, run.config,
               std::string(name) + " case " + std::to_string(k), cov);
   }
   const int floor = family == Family::kDeterministic ? seeds() / 4
@@ -447,13 +369,12 @@ SimConfig dyadic_config() {
 }
 
 TEST(SameInstant, EmitPrecedesDeliveryAndTheHorizonIsInclusive) {
-  const std::vector<NodeSpec> nodes{dyadic_stage("stage")};
+  const DagSpec dag = DagSpec::chain({dyadic_stage("stage")});
   const SourceSpec src = dyadic_source();
   const SimConfig c = dyadic_config();
-  const std::optional<SimResult> rec =
-      detail::simulate_recurrence(nodes, src, c);
+  const std::optional<SimResult> rec = detail::simulate_recurrence(dag, src, c);
   ASSERT_TRUE(rec.has_value());
-  EXPECT_TRUE(identical(*rec, detail::simulate_des(nodes, src, c)));
+  EXPECT_TRUE(identical(*rec, detail::simulate_des(dag, src, c)));
   std::size_t shared_instants = 0;
   for (std::size_t i = 1; i < rec->backlog_trace.size(); ++i) {
     if (rec->backlog_trace[i].first == rec->backlog_trace[i - 1].first) {
@@ -504,10 +425,10 @@ TEST(SameInstant, DropBesideAnEmitFallsBackToTheDes) {
   dag.entries = {{0, 0, 1.0}};
   const SourceSpec src = dyadic_source();
   const SimConfig c = dyadic_config();
-  EXPECT_FALSE(detail::simulate_dag_recurrence(dag, src, c).has_value());
+  EXPECT_FALSE(detail::simulate_recurrence(dag, src, c).has_value());
   const SimResult r = simulate_dag(dag, src, c);
   EXPECT_GT(r.packets_delivered, 0u);
-  EXPECT_TRUE(identical(r, detail::simulate_dag_des(dag, src, c)));
+  EXPECT_TRUE(identical(r, detail::simulate_des(dag, src, c)));
 }
 
 TEST(SameInstant, TwinSinkDeliveriesFallBackToTheDes) {
@@ -518,10 +439,10 @@ TEST(SameInstant, TwinSinkDeliveriesFallBackToTheDes) {
   c.horizon = Duration::seconds(0.2);
   c.deterministic = true;
   const DagSpec dag = tied_sink();
-  EXPECT_FALSE(detail::simulate_dag_recurrence(dag, src, c).has_value());
+  EXPECT_FALSE(detail::simulate_recurrence(dag, src, c).has_value());
   const SimResult r = simulate_dag(dag, src, c);
   EXPECT_GT(r.packets_delivered, 0u);
-  EXPECT_TRUE(identical(r, detail::simulate_dag_des(dag, src, c)));
+  EXPECT_TRUE(identical(r, detail::simulate_des(dag, src, c)));
 }
 
 double counter(const char* name) {
@@ -544,7 +465,8 @@ TEST_F(EngineSelection, QuickstartTakesTheRecurrence) {
   EXPECT_EQ(counter("streamsim.recurrence.runs"), runs + 1.0);
   EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks);
   EXPECT_EQ(counter("des.events"), events);
-  EXPECT_TRUE(identical(r, detail::simulate_des(spec.nodes, spec.source, c)));
+  EXPECT_TRUE(identical(
+      r, detail::simulate_des(DagSpec::chain(spec.nodes), spec.source, c)));
 }
 
 TEST_F(EngineSelection, FiniteQueuesStayOnTheDes) {
@@ -567,14 +489,14 @@ TEST_F(EngineSelection, JoinTieFallsBackToTheDes) {
   SimConfig c;
   c.horizon = Duration::seconds(0.2);
   c.deterministic = true;
-  ASSERT_FALSE(detail::simulate_dag_recurrence(dag, src, c).has_value());
+  ASSERT_FALSE(detail::simulate_recurrence(dag, src, c).has_value());
   const double runs = counter("streamsim.recurrence.runs");
   const double fallbacks = counter("streamsim.recurrence.fallbacks");
   const SimResult r = simulate_dag(dag, src, c);
   EXPECT_EQ(counter("streamsim.recurrence.runs"), runs);
   EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks + 1.0);
   EXPECT_GT(r.packets_delivered, 0u);
-  EXPECT_TRUE(identical(r, detail::simulate_dag_des(dag, src, c)));
+  EXPECT_TRUE(identical(r, detail::simulate_des(dag, src, c)));
 }
 
 // --- Direct paths ----------------------------------------------------------
@@ -589,7 +511,7 @@ class DirectPath : public EngineSelection {
                               const SourceSpec& src, SimConfig c) {
     return expect_recurrence_run(c, [&](const SimConfig& k) {
       return std::pair{simulate(nodes, src, k),
-                       detail::simulate_des(nodes, src, k)};
+                       detail::simulate_des(DagSpec::chain(nodes), src, k)};
     });
   }
 
@@ -597,7 +519,7 @@ class DirectPath : public EngineSelection {
                               SimConfig c) {
     return expect_recurrence_run(c, [&](const SimConfig& k) {
       return std::pair{simulate_dag(dag, src, k),
-                       detail::simulate_dag_des(dag, src, k)};
+                       detail::simulate_des(dag, src, k)};
     });
   }
 
@@ -718,14 +640,14 @@ TEST_F(DirectPath, TwoProducerJoinAnswersBeforeALateTieAndFallsBackAfter) {
   EXPECT_GT(prefix.packets_delivered, 150u);
 
   c.horizon = Duration::seconds(0.25);
-  ASSERT_FALSE(detail::simulate_dag_recurrence(dag, src, c).has_value());
+  ASSERT_FALSE(detail::simulate_recurrence(dag, src, c).has_value());
   const double runs = counter("streamsim.recurrence.runs");
   const double fallbacks = counter("streamsim.recurrence.fallbacks");
   const SimResult r = simulate_dag(dag, src, c);
   EXPECT_EQ(counter("streamsim.recurrence.runs"), runs);
   EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks + 1.0);
   EXPECT_GT(r.packets_delivered, prefix.packets_delivered);
-  EXPECT_TRUE(identical(r, detail::simulate_dag_des(dag, src, c)));
+  EXPECT_TRUE(identical(r, detail::simulate_des(dag, src, c)));
 }
 
 /// Every delivery of the dyadic chain lands on the instant of an emit,

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cli/options.hpp"
+#include "cli/spec.hpp"
 #include "netcalc/dag.hpp"
 #include "streamsim/pipeline_sim.hpp"
+#include "testing/compare.hpp"
 #include "util/error.hpp"
 
 namespace streamcalc::streamsim {
@@ -51,18 +58,55 @@ DagSpec fork_join() {
   return d;
 }
 
+cli::Spec read_spec(const std::string& dir, const std::string& stem) {
+  std::string text;
+  EXPECT_TRUE(cli::read_spec_text(dir + "/" + stem + ".scspec", text))
+      << stem;
+  return cli::parse_spec(text);
+}
+
 TEST(DagSim, ChainMatchesLinearSimulator) {
-  DagSpec d;
-  d.nodes = {stage("a", 200, 220, 240), stage("b", 100, 110, 120)};
-  d.edges = {{0, 1, 1.0}};
-  d.entries = {{0, 0, 1.0}};
-  const auto dag_result = simulate_dag(d, source(50), config(2.0));
-  const auto chain_result = simulate(d.nodes, source(50), config(2.0));
-  EXPECT_NEAR(dag_result.throughput.in_mib_per_sec(),
-              chain_result.throughput.in_mib_per_sec(), 2.0);
-  EXPECT_NEAR(dag_result.max_delay.in_seconds(),
-              chain_result.max_delay.in_seconds(),
-              0.5 * chain_result.max_delay.in_seconds() + 1e-6);
+  // simulate() runs the chain's one-path DAG, so simulate_dag() on
+  // DagSpec::chain must return the same SimResult bit for bit, traced and
+  // untraced, on the recurrence and (bitw's queue capacity of 2) the DES.
+  struct Case {
+    std::string name;
+    std::vector<NodeSpec> nodes;
+    SourceSpec source;
+    SimConfig config;
+  };
+  std::vector<Case> cases{{"two-stage chain",
+                           {stage("a", 200, 220, 240),
+                            stage("b", 100, 110, 120)},
+                           source(50),
+                           config(2.0)}};
+  const std::pair<const char*, const char*> specs[] = {
+      {SC_SPEC_DIR, "quickstart"},
+      {SC_SPEC_DIR, "bitw"},
+      {SC_SPEC_DIR, "onoff_users"},
+      {SC_LINT_SPEC_DIR, "blast_base"},
+  };
+  for (const auto& [dir, stem] : specs) {
+    const cli::Spec spec = read_spec(dir, stem);
+    ASSERT_FALSE(spec.is_dag()) << stem;
+    SimConfig c;
+    c.horizon = spec.analysis.horizon;
+    c.warmup = spec.analysis.horizon / 5.0;
+    c.seed = spec.analysis.seed;
+    c.queue_capacity = spec.analysis.queue_capacity;
+    cases.push_back({stem, spec.nodes, spec.source, c});
+  }
+  for (Case& k : cases) {
+    for (const std::size_t traces : {std::size_t{4096}, std::size_t{0}}) {
+      k.config.max_trace_samples = traces;
+      const SimResult chain = simulate(k.nodes, k.source, k.config);
+      const SimResult dag =
+          simulate_dag(DagSpec::chain(k.nodes), k.source, k.config);
+      EXPECT_EQ(streamcalc::testing::bit_diff(chain, dag), "")
+          << k.name << ", trace cap " << traces;
+      EXPECT_GT(chain.packets_delivered, 0u) << k.name;
+    }
+  }
 }
 
 TEST(DagSim, ForkJoinConservesThroughput) {

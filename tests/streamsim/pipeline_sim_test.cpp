@@ -11,6 +11,7 @@
 namespace streamcalc::streamsim {
 namespace {
 
+using netcalc::DagSpec;
 using netcalc::NodeKind;
 using netcalc::NodeSpec;
 using netcalc::SourceSpec;
@@ -212,13 +213,14 @@ TEST(PipelineSim, RejectsBadConfig) {
                util::PreconditionError);
   // The warmup is checked before either engine runs, whichever is picked.
   const std::vector<NodeSpec> nodes{stage("s", 80, 100, 120)};
+  const DagSpec dag = DagSpec::chain(nodes);
   for (const double warmup : {-0.1, 1.0, 2.0}) {
     SimConfig c3 = config(1.0);
     c3.warmup = Duration::seconds(warmup);
-    EXPECT_THROW(detail::simulate_des(nodes, source(50), c3),
+    EXPECT_THROW(detail::simulate_des(dag, source(50), c3),
                  util::PreconditionError)
         << warmup;
-    EXPECT_THROW(detail::simulate_recurrence(nodes, source(50), c3),
+    EXPECT_THROW(detail::simulate_recurrence(dag, source(50), c3),
                  util::PreconditionError)
         << warmup;
     c3.queue_capacity = 4;
@@ -232,9 +234,10 @@ TEST(PipelineSim, RefusesARunPastTheSourcePacketBudget) {
   // 1e7 packets one run may emit. Both engines refuse it before running.
   const std::vector<NodeSpec> nodes{stage("s", 80, 100, 120)};
   const SimConfig c = config(12600.0);
-  EXPECT_THROW(detail::simulate_recurrence(nodes, source(50), c),
+  const DagSpec dag = DagSpec::chain(nodes);
+  EXPECT_THROW(detail::simulate_recurrence(dag, source(50), c),
                util::PreconditionError);
-  EXPECT_THROW(detail::simulate_des(nodes, source(50), c),
+  EXPECT_THROW(detail::simulate_des(dag, source(50), c),
                util::PreconditionError);
   try {
     (void)simulate(nodes, source(50), c);
@@ -274,11 +277,11 @@ TEST(PipelineSim, TraceCapsOfZeroAndOneStayBounded) {
   // Both engines directly, on the same chain.
   auto c = config(1.0);
   c.max_trace_samples = 0;
-  const auto rec = detail::simulate_recurrence(nodes, source(100), c);
+  const DagSpec dag = DagSpec::chain(nodes);
+  const auto rec = detail::simulate_recurrence(dag, source(100), c);
   ASSERT_TRUE(rec.has_value());
   EXPECT_TRUE(rec->backlog_trace.empty());
-  EXPECT_TRUE(
-      detail::simulate_des(nodes, source(100), c).backlog_trace.empty());
+  EXPECT_TRUE(detail::simulate_des(dag, source(100), c).backlog_trace.empty());
 }
 
 
