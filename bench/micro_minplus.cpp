@@ -11,7 +11,6 @@
 
 #include "minplus/curve.hpp"
 #include "minplus/deviation.hpp"
-#include "minplus/inverse.hpp"
 #include "minplus/operations.hpp"
 #include "util/rng.hpp"
 
@@ -174,15 +173,6 @@ void BM_BacklogBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BacklogBound)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_PseudoInverseCurve(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const Curve a = concave_curve(n, 16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(streamcalc::minplus::lower_inverse_curve(a));
-  }
-}
-BENCHMARK(BM_PseudoInverseCurve)->Arg(4)->Arg(16)->Arg(64);
 
 }  // namespace
 

@@ -40,11 +40,6 @@ ExtRat ExtRat::operator+(const Rational& o) const {
   return ExtRat(value_ + o);
 }
 
-ExtRat ExtRat::operator-(const Rational& o) const {
-  if (inf_) return *this;
-  return ExtRat(value_ - o);
-}
-
 double ExtRat::approx() const {
   return inf_ ? std::numeric_limits<double>::infinity() : value_.approx();
 }

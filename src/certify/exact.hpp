@@ -61,8 +61,6 @@ class ExtRat {
 
   /// inf + finite = inf.
   ExtRat operator+(const util::Rational& o) const;
-  /// inf - finite = inf.
-  ExtRat operator-(const util::Rational& o) const;
 
   double approx() const;
   std::string to_string() const;

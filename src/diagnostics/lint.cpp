@@ -271,6 +271,7 @@ LintReport lint_dag(const DagSpec& dag, const SourceSpec& source,
   // Flow conservation at fan-out (NC301/NC302) and at the source.
   std::vector<double> out_sum(n, 0.0);
   std::vector<bool> has_out(n, false);
+  std::vector<bool> fed(n, false);  // an incoming edge or an entry (NC304)
   for (const DagEdge& e : dag.edges) {
     if (e.fraction <= 0.0 || e.fraction > 1.0) {
       report.add({"NC301", Severity::kError, dag.nodes[e.from].name,
@@ -282,6 +283,7 @@ LintReport lint_dag(const DagSpec& dag, const SourceSpec& source,
     }
     out_sum[e.from] += e.fraction;
     has_out[e.from] = true;
+    fed[e.to] = true;
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (out_sum[i] > 1.0 + 1e-9) {
@@ -313,6 +315,7 @@ LintReport lint_dag(const DagSpec& dag, const SourceSpec& source,
       structural_ok = false;
     }
     entry_sum += e.fraction;
+    fed[e.to] = true;
   }
   if (entry_sum > 1.0 + 1e-9) {
     report.add({"NC301", Severity::kError, "topology",
@@ -323,15 +326,12 @@ LintReport lint_dag(const DagSpec& dag, const SourceSpec& source,
     structural_ok = false;
   }
 
-  // Cycles (NC303) and unfed nodes (NC304) via Kahn's algorithm — the
-  // builder's topological_order, but reporting *which* nodes are stuck
-  // instead of throwing at the first one as DagSpec::validate() does.
-  std::vector<std::size_t> indegree(n, 0);
-  std::vector<bool> entry_fed(n, false);
-  for (const DagEdge& e : dag.edges) ++indegree[e.to];
-  for (const DagEdge& e : dag.entries) entry_fed[e.to] = true;
+  // Unfed nodes (NC304) from the flags the edge and entry loops set, then
+  // cycles (NC303) via the builder's topological_order (Kahn's
+  // algorithm), reporting *which* nodes are stuck instead of throwing at
+  // the first one as DagSpec::validate() does.
   for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0 && !entry_fed[i]) {
+    if (!fed[i]) {
       report.add({"NC304", Severity::kError, dag.nodes[i].name,
                   "node is not an entry and has no incoming edges: it "
                   "receives no flow",

@@ -210,15 +210,6 @@ void Fa2Bit::finish() {
   }
 }
 
-void Fa2Bit::reset() {
-  packed_.clear();
-  bases_ = 0;
-  ambiguous_ = 0;
-  pending_ = 0;
-  pending_count_ = 0;
-  in_header_ = false;
-}
-
 std::vector<std::uint8_t> fa2bit(std::string_view fasta) {
   Fa2Bit conv;
   conv.feed(fasta);

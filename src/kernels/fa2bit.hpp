@@ -48,9 +48,6 @@ class Fa2Bit {
   /// Ambiguous (non-ACGT) bases mapped to A.
   std::uint64_t ambiguous() const { return ambiguous_; }
 
-  /// Clears all state for reuse.
-  void reset();
-
  private:
   friend struct BlastScan;  // the two feed backends (scan_impl.hpp)
   /// feed(), converting whole blocks of plain bases with AVX2 if `avx2`.

@@ -30,7 +30,6 @@
 // Curve algebra.
 #include "minplus/curve.hpp"
 #include "minplus/deviation.hpp"
-#include "minplus/inverse.hpp"
 #include "minplus/operations.hpp"
 
 // Network-calculus models and bounds.

@@ -145,7 +145,7 @@ RangeSampler::RangeSampler(double lo, double mid, double hi)
       high_span_(hi - mid) {
   if (fixed_) return;
   util::require(lo <= mid && mid <= hi,
-                "sample_in_range requires lo <= mid <= hi");
+                "RangeSampler requires lo <= mid <= hi");
   p_low_ = (hi - mid) / (hi - lo);
 }
 

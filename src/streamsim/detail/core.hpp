@@ -174,9 +174,10 @@ struct JobOutput {
   Packet packet;
 };
 
-/// The sampler behind sample_in_range(): a two-piece uniform mixture over
-/// [lo, mid] and [mid, hi] with mean exactly `mid`, its weight and spans
-/// computed once so a node's per-job draws skip the division.
+/// Samples from [lo, hi] with mean exactly `mid`: a two-piece uniform
+/// mixture over [lo, mid] and [mid, hi], its weight and spans computed
+/// once so a node's per-job draws skip the division. Requires
+/// lo <= mid <= hi.
 class RangeSampler {
  public:
   RangeSampler(double lo, double mid, double hi);

@@ -7,11 +7,6 @@
 
 namespace streamcalc::streamsim {
 
-double sample_in_range(util::Xoshiro256& rng, double lo, double mid,
-                       double hi) {
-  return detail::RangeSampler(lo, mid, hi).draw(rng);
-}
-
 namespace {
 
 /// The recurrence where it applies and answers, else the DES.

@@ -158,9 +158,4 @@ SimResult simulate_dag(const netcalc::DagSpec& dag,
                        const netcalc::SourceSpec& source,
                        const SimConfig& config);
 
-/// Samples from [lo, hi] with mean exactly `mid` (a two-piece uniform
-/// mixture over [lo, mid] and [mid, hi]). Requires lo <= mid <= hi.
-double sample_in_range(util::Xoshiro256& rng, double lo, double mid,
-                       double hi);
-
 }  // namespace streamcalc::streamsim

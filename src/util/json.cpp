@@ -29,16 +29,6 @@ const Json::Array& Json::as_array() const {
   return arr_;
 }
 
-const Json::Object& Json::as_object() const {
-  require(kind_ == Kind::kObject, "Json: not an object");
-  return obj_;
-}
-
-Json::Object& Json::as_object() {
-  require(kind_ == Kind::kObject, "Json: not an object");
-  return obj_;
-}
-
 const Json* Json::find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
   const auto it = obj_.find(key);

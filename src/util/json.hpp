@@ -83,8 +83,6 @@ class Json {
   double as_number() const;
   const std::string& as_string() const;
   const Array& as_array() const;
-  const Object& as_object() const;
-  Object& as_object();
 
   /// Object field lookup: nullptr when this is not an object or the key is
   /// absent. The pointer is into this value; do not outlive it.

@@ -1,7 +1,6 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -71,10 +70,6 @@ std::string Table::render() const {
     }
   }
   return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const Table& t) {
-  return os << t.render();
 }
 
 }  // namespace streamcalc::util

@@ -2,7 +2,6 @@
 // paper's tables in an aligned, diff-friendly form.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -41,7 +40,5 @@ class Table {
   std::vector<Align> alignments_;
   std::vector<Row> rows_;
 };
-
-std::ostream& operator<<(std::ostream& os, const Table& t);
 
 }  // namespace streamcalc::util

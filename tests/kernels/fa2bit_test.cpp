@@ -52,16 +52,6 @@ TEST(Fa2Bit, StreamingChunksMatchOneShot) {
   EXPECT_EQ(conv.packed(), fa2bit(fasta));
 }
 
-TEST(Fa2Bit, ResetClearsState) {
-  Fa2Bit conv;
-  conv.feed("ACG");
-  conv.reset();
-  conv.feed("ACGT");
-  conv.finish();
-  EXPECT_EQ(conv.bases(), 4u);
-  EXPECT_EQ(conv.packed().size(), 1u);
-}
-
 TEST(Fa2Bit, UnpackRoundTrips) {
   const std::string bases = "ACGTTGCAATCG";
   const auto packed = fa2bit(bases);

@@ -2,7 +2,8 @@
 // program. A module that only tests and micro benches include is code
 // without a user, so this walks the quoted-include graph that srclint
 // builds (build_project_model) from the program roots and requires every
-// src/<dir> to be in the closure.
+// src/<dir> to be in the closure. There is no exemption list: code that
+// no program runs lives outside src/ (tools/srclint/, tests/support/).
 //
 // Program roots are tools/*.cpp, examples/*.cpp and the paper programs in
 // bench/: every bench/*.cpp except the micro benches (micro_*.cpp) and
@@ -12,8 +13,17 @@
 // library would. A dir-less include resolves next to the including file,
 // so bench/report.hpp is followed but the umbrella header streamcalc.hpp
 // is not: it includes every module and would make the census vacuous.
+//
+// Two boundary checks run on the same include graph, since the layer
+// rule (SC913) sees only src/:
+//   * srclint (tools/srclint/ and tools/srclint.cpp) includes only its
+//     own headers, util/json.hpp and util/error.hpp, so it keeps building
+//     from sc_json alone;
+//   * nothing under src/, tools/ or examples/, and no bench paper
+//     program, reaches the test library in tests/support/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -30,11 +40,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Modules no program needs, each with the reason it stays.
-const std::map<std::string, std::string> kExempt = {
-    {"testing", "the test-oracle library that the property suites link"},
-};
-
 bool is_program_root(const std::string& path) {
   const fs::path p(path);
   const std::string dir = p.parent_path().string();
@@ -45,12 +50,13 @@ bool is_program_root(const std::string& path) {
          name != "stoch_bounds.cpp";
 }
 
-/// The sources of src/ and of the program directories, with paths
-/// relative to the repository root.
+/// The sources of src/, of the program directories and of the test
+/// library, with paths relative to the repository root.
 std::vector<SourceFile> repository_files() {
   const fs::path root(SC_SRCLINT_SOURCE_DIR);
   std::vector<SourceFile> files;
-  for (const char* dir : {"src", "tools", "examples", "bench"}) {
+  for (const char* dir :
+       {"src", "tools", "examples", "bench", "tests/support"}) {
     for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
       const fs::path& p = entry.path();
       if (p.extension() != ".cpp" && p.extension() != ".hpp") continue;
@@ -63,7 +69,7 @@ std::vector<SourceFile> repository_files() {
   return files;
 }
 
-/// The non-exempt modules of `files` that no program root reaches.
+/// The modules of `files` that no program root reaches.
 std::vector<std::string> unreached_modules(
     const std::vector<SourceFile>& files) {
   const ProjectModel project = build_project_model(files);
@@ -103,10 +109,81 @@ std::vector<std::string> unreached_modules(
 
   std::vector<std::string> out;
   for (const auto& [module, members] : by_module) {
-    if (reached.count(module) == 0 && kExempt.count(module) == 0) {
+    if (reached.count(module) == 0) {
       out.push_back(module);
     }
   }
+  return out;
+}
+
+bool starts_with(const std::string& s, const std::string& prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
+
+bool is_srclint_file(const std::string& path) {
+  return starts_with(path, "tools/srclint/") || path == "tools/srclint.cpp";
+}
+
+/// Every quoted include of srclint's sources that is not one of its own
+/// headers, util/json.hpp or util/error.hpp, as "path:line: target".
+std::vector<std::string> srclint_foreign_includes(
+    const std::vector<SourceFile>& files) {
+  std::vector<std::string> out;
+  for (const FileModel& f : build_project_model(files).files) {
+    if (!is_srclint_file(f.path)) continue;
+    for (const IncludeRef& inc : f.includes) {
+      if (starts_with(inc.target, "srclint/") ||
+          inc.target == "util/json.hpp" || inc.target == "util/error.hpp") {
+        continue;
+      }
+      out.push_back(f.path + ":" + std::to_string(inc.line) + ": " +
+                    inc.target);
+    }
+  }
+  return out;
+}
+
+/// Every include by which src/, tools/, examples/ or a bench paper
+/// program reaches tests/support/, as "path:line: target". Every file of
+/// the first three is a root; a dir-less include is followed to the file
+/// next to the includer (a bench paper program's local headers), and a
+/// `dir/file` include reaches the test library when tests/support/ holds
+/// that file.
+std::vector<std::string> test_library_reaches(
+    const std::vector<SourceFile>& files) {
+  const ProjectModel project = build_project_model(files);
+  std::map<std::string, const FileModel*> by_path;
+  std::vector<const FileModel*> work;
+  std::set<std::string> seen;
+  for (const FileModel& f : project.files) {
+    by_path[f.path] = &f;
+    if (starts_with(f.path, "src/") || starts_with(f.path, "tools/") ||
+        starts_with(f.path, "examples/") || is_program_root(f.path)) {
+      work.push_back(&f);
+      seen.insert(f.path);
+    }
+  }
+  std::vector<std::string> out;
+  while (!work.empty()) {
+    const FileModel* f = work.back();
+    work.pop_back();
+    for (const IncludeRef& inc : f->includes) {
+      if (inc.target.find('/') != std::string::npos) {
+        if (by_path.count("tests/support/" + inc.target) != 0) {
+          out.push_back(f->path + ":" + std::to_string(inc.line) + ": " +
+                        inc.target);
+        }
+        continue;
+      }
+      const std::string local =
+          (fs::path(f->path).parent_path() / inc.target).generic_string();
+      const auto it = by_path.find(local);
+      if (it != by_path.end() && seen.insert(local).second) {
+        work.push_back(it->second);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -133,6 +210,52 @@ TEST(ModuleCensus, PlantedModuleIsReportedUntilAProgramIncludesIt) {
                    "#include \"orphan/orphan.hpp\"\n"
                    "int main() { return orphan(); }\n"});
   EXPECT_TRUE(unreached_modules(files).empty());
+}
+
+TEST(ModuleCensus, SrclintIncludesOnlyItselfAndTheJsonModule) {
+  const std::vector<SourceFile> files = repository_files();
+  std::size_t srclint_files = 0;
+  for (const SourceFile& f : files) srclint_files += is_srclint_file(f.path);
+  ASSERT_GE(srclint_files, 17u) << "tools/srclint/ went missing";
+  for (const std::string& inc : srclint_foreign_includes(files)) {
+    ADD_FAILURE() << inc
+                  << ": srclint includes only srclint/, util/json.hpp and "
+                     "util/error.hpp (it links sc_json alone)";
+  }
+}
+
+TEST(ModuleCensus, PlantedSrclintIncludeIsReported) {
+  std::vector<SourceFile> files = repository_files();
+  files.push_back({"tools/srclint/planted.cpp",
+                   "#include \"srclint/scan.hpp\"\n"
+                   "#include \"util/error.hpp\"\n"
+                   "#include \"obs/runtime.hpp\"\n"});
+  EXPECT_EQ(srclint_foreign_includes(files),
+            std::vector<std::string>{
+                "tools/srclint/planted.cpp:3: obs/runtime.hpp"});
+}
+
+TEST(ModuleCensus, NoProgramReachesTheTestLibrary) {
+  const std::vector<SourceFile> files = repository_files();
+  std::size_t support_files = 0;
+  for (const SourceFile& f : files) {
+    support_files += starts_with(f.path, "tests/support/");
+  }
+  ASSERT_GE(support_files, 10u) << "tests/support/ went missing";
+  for (const std::string& inc : test_library_reaches(files)) {
+    ADD_FAILURE() << inc
+                  << ": src/, tools/, examples/ and the bench paper "
+                     "programs must not reach tests/support/";
+  }
+}
+
+TEST(ModuleCensus, PlantedTestLibraryIncludeIsReported) {
+  std::vector<SourceFile> files = repository_files();
+  files.push_back({"src/netcalc/planted.hpp",
+                   "#pragma once\n#include \"testing/generator.hpp\"\n"});
+  EXPECT_EQ(test_library_reaches(files),
+            std::vector<std::string>{
+                "src/netcalc/planted.hpp:2: testing/generator.hpp"});
 }
 
 }  // namespace

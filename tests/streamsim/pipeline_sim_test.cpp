@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 
+#include "streamsim/detail/core.hpp"
 #include "streamsim/detail/engines.hpp"
 #include "util/error.hpp"
 
@@ -307,14 +308,16 @@ TEST(SampleInRange, MeanMatchesMid) {
   util::Xoshiro256 rng(5);
   double sum = 0.0;
   constexpr int kN = 200000;
-  for (int i = 0; i < kN; ++i) sum += sample_in_range(rng, 1.0, 1.3, 4.0);
+  const detail::RangeSampler sampler(1.0, 1.3, 4.0);
+  for (int i = 0; i < kN; ++i) sum += sampler.draw(rng);
   EXPECT_NEAR(sum / kN, 1.3, 0.01);
 }
 
 TEST(SampleInRange, StaysWithinBounds) {
   util::Xoshiro256 rng(5);
+  const detail::RangeSampler sampler(2.0, 3.0, 5.0);
   for (int i = 0; i < 10000; ++i) {
-    const double v = sample_in_range(rng, 2.0, 3.0, 5.0);
+    const double v = sampler.draw(rng);
     EXPECT_GE(v, 2.0);
     EXPECT_LE(v, 5.0);
   }
@@ -322,7 +325,7 @@ TEST(SampleInRange, StaysWithinBounds) {
 
 TEST(SampleInRange, DegenerateRange) {
   util::Xoshiro256 rng(5);
-  EXPECT_EQ(sample_in_range(rng, 2.0, 2.0, 2.0), 2.0);
+  EXPECT_EQ(detail::RangeSampler(2.0, 2.0, 2.0).draw(rng), 2.0);
 }
 
 TEST(SampleVolumeRatio, MeanMatchesAvg) {
@@ -331,7 +334,8 @@ TEST(SampleVolumeRatio, MeanMatchesAvg) {
       netcalc::VolumeRatio::from_compression(1.0, 2.2, 5.3);
   double sum = 0.0;
   constexpr int kN = 200000;
-  for (int i = 0; i < kN; ++i) sum += sample_in_range(rng, v.min, v.avg, v.max);
+  const detail::RangeSampler sampler(v.min, v.avg, v.max);
+  for (int i = 0; i < kN; ++i) sum += sampler.draw(rng);
   EXPECT_NEAR(sum / kN, v.avg, 0.005);
 }
 
