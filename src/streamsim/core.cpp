@@ -100,12 +100,14 @@ SourceSchedule::SourceSchedule(const Network& net, const SourceSpec& source,
   const double packets =
       (source.burst.in_bytes() + config.horizon.in_seconds() * peak) /
       packet_bytes_;
-  util::require(packets <= kMaxSourcePackets,
-                "simulation would emit " + util::format_significant(packets) +
-                    " source packets, more than the " +
-                    util::format_significant(kMaxSourcePackets) +
-                    " one run holds: shorten the horizon or lower the "
-                    "source rate");
+  if (!(packets <= kMaxSourcePackets)) {
+    // The message is built only here: every simulation passes this check.
+    throw util::PreconditionError(
+        "simulation would emit " + util::format_significant(packets) +
+        " source packets, more than the " +
+        util::format_significant(kMaxSourcePackets) +
+        " one run holds: shorten the horizon or lower the source rate");
+  }
   // Initial burst: the arrival curve's instantaneous component.
   double burst_left = source.burst.in_bytes();
   while (burst_left >= packet_bytes_) {

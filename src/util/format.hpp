@@ -22,4 +22,12 @@ std::string format_size(DataSize size, int digits = 3);
 /// "46.9 ms", "38 us", "1.2 s".
 std::string format_duration(Duration d, int digits = 3);
 
+/// The format_* texts appended to `out`: writers that build one document
+/// string skip the temporary. Digits come from snprintf("%.*g") into a
+/// stack buffer.
+void append_significant(std::string& out, double value, int digits = 3);
+void append_rate(std::string& out, DataRate rate, int digits = 3);
+void append_size(std::string& out, DataSize size, int digits = 3);
+void append_duration(std::string& out, Duration d, int digits = 3);
+
 }  // namespace streamcalc::util

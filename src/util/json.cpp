@@ -51,9 +51,7 @@ bool Json::bool_or(const std::string& key, bool fallback) const {
   return (v != nullptr && v->is_bool()) ? v->bool_ : fallback;
 }
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void append_json_quote(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -76,14 +74,29 @@ std::string json_quote(std::string_view s) {
     }
   }
   out += '"';
+}
+
+void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+  out.append(buf, static_cast<std::size_t>(n));
+}
+
+std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_json_quote(out, s);
   return out;
 }
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string out;
+  append_json_number(out, v);
+  return out;
 }
 
 void Json::dump_to(std::string& out) const {
@@ -95,10 +108,10 @@ void Json::dump_to(std::string& out) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::kNumber:
-      out += json_number(num_);
+      append_json_number(out, num_);
       break;
     case Kind::kString:
-      out += json_quote(str_);
+      append_json_quote(out, str_);
       break;
     case Kind::kArray: {
       out += '[';
@@ -117,7 +130,7 @@ void Json::dump_to(std::string& out) const {
       for (const auto& [k, v] : obj_) {
         if (!first) out += ',';
         first = false;
-        out += json_quote(k);
+        append_json_quote(out, k);
         out += ':';
         v.dump_to(out);
       }

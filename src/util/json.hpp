@@ -45,6 +45,11 @@ std::string json_quote(std::string_view s);
 /// NaN and infinities, which JSON cannot represent.
 std::string json_number(double v);
 
+/// json_quote(s) and json_number(v), appended to `out`: writers that build
+/// one document string skip the temporary.
+void append_json_quote(std::string& out, std::string_view s);
+void append_json_number(std::string& out, double v);
+
 /// One JSON value. A tagged union over the seven RFC 8259 kinds (null,
 /// true/false collapse into kBool). Copyable; small protocol messages make
 /// deep copies acceptable.

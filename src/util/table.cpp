@@ -1,7 +1,6 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -26,6 +25,12 @@ void Table::add_row(std::vector<std::string> cells) {
 void Table::add_separator() { rows_.push_back(Row{{}, /*separator=*/true}); }
 
 std::string Table::render() const {
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Table::append_to(std::string& out) const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     widths[c] = headers_[c].size();
@@ -36,40 +41,42 @@ std::string Table::render() const {
       widths[c] = std::max(widths[c], row.cells[c].size());
     }
   }
+  // Every line is "|" + " cell |" per column + "\n".
+  std::size_t line = 2;
+  for (const std::size_t w : widths) line += w + 3;
+  out.reserve(out.size() + line * (rows_.size() + 2));
 
-  auto emit_cells = [&](std::ostringstream& os,
-                        const std::vector<std::string>& cells) {
-    os << '|';
+  auto emit_cells = [&](const std::vector<std::string>& cells) {
+    out += '|';
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const std::string& text = cells[c];
       const std::size_t pad = widths[c] - text.size();
-      os << ' ';
-      if (alignments_[c] == Align::kRight) os << std::string(pad, ' ');
-      os << text;
-      if (alignments_[c] == Align::kLeft) os << std::string(pad, ' ');
-      os << " |";
+      out += ' ';
+      if (alignments_[c] == Align::kRight) out.append(pad, ' ');
+      out += text;
+      if (alignments_[c] == Align::kLeft) out.append(pad, ' ');
+      out += " |";
     }
-    os << '\n';
+    out += '\n';
   };
-  auto emit_separator = [&](std::ostringstream& os) {
-    os << '|';
-    for (std::size_t c = 0; c < widths.size(); ++c) {
-      os << std::string(widths[c] + 2, '-') << '|';
+  auto emit_separator = [&] {
+    out += '|';
+    for (const std::size_t w : widths) {
+      out.append(w + 2, '-');
+      out += '|';
     }
-    os << '\n';
+    out += '\n';
   };
 
-  std::ostringstream os;
-  emit_cells(os, headers_);
-  emit_separator(os);
+  emit_cells(headers_);
+  emit_separator();
   for (const Row& row : rows_) {
     if (row.separator) {
-      emit_separator(os);
+      emit_separator();
     } else {
-      emit_cells(os, row.cells);
+      emit_cells(row.cells);
     }
   }
-  return os.str();
 }
 
 }  // namespace streamcalc::util

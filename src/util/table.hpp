@@ -29,6 +29,8 @@ class Table {
   void add_separator();
 
   std::string render() const;
+  /// render(), appended to `out`.
+  void append_to(std::string& out) const;
   std::size_t row_count() const { return rows_.size(); }
 
  private:
