@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "util/error.hpp"
 
 namespace streamcalc::kernels {
@@ -89,6 +95,49 @@ TEST(ArqLink, Deterministic) {
   EXPECT_EQ(a.packets_delivered, b.packets_delivered);
   EXPECT_EQ(a.throughput_avg.in_bytes_per_sec(),
             b.throughput_avg.in_bytes_per_sec());
+}
+
+/// Every ArqLinkMeasurement field, doubles as their bit patterns, in
+/// declaration order: throughput min/avg/max, latency min/avg/max,
+/// packet, packets delivered, retransmissions.
+std::string measurement_bits(const ArqLinkMeasurement& m) {
+  std::string out;
+  for (const double v : {m.throughput_min.in_bytes_per_sec(),
+                         m.throughput_avg.in_bytes_per_sec(),
+                         m.throughput_max.in_bytes_per_sec(),
+                         m.latency_min.in_seconds(), m.latency_avg.in_seconds(),
+                         m.latency_max.in_seconds(), m.packet.in_bytes()}) {
+    char word[24];
+    std::snprintf(word, sizeof word, "%016" PRIx64 " ",
+                  std::bit_cast<std::uint64_t>(v));
+    out += word;
+  }
+  out += std::to_string(m.packets_delivered) + " " +
+         std::to_string(m.retransmissions);
+  return out;
+}
+
+TEST(ArqLink, MeasurementsMatchRecordedBits) {
+  ArqLinkParams lossless = base_params();
+  ArqLinkParams lossy = base_params();
+  lossy.loss_rate = 0.05;
+  lossy.seed = 9;
+  ArqLinkParams narrow = base_params();
+  narrow.window = 2;
+  narrow.loss_rate = 0.01;
+  narrow.seed = 4;
+  EXPECT_EQ(measurement_bits(measure_arq_link(lossless)),
+            "41cffb8000000000 41cffd6000000000 41d0040000000000 "
+            "3f111b71758e2196 3f2971afcc40c9bd 3f3346dc5d638866 "
+            "40d0000000000000 13103 0");
+  EXPECT_EQ(measurement_bits(measure_arq_link(lossy)),
+            "41cde20000000000 41ce604000000000 41cee88000000000 "
+            "3f151b71758e2196 3f2b229ab4afe0fe 3f50ae48e8a71e00 "
+            "40d0000000000000 12442 661");
+  EXPECT_EQ(measurement_bits(measure_arq_link(narrow)),
+            "41af400000000000 41b08ec000000000 41b0fe0000000000 "
+            "3f111b71758e2000 3f11d16c0aefb3f8 3f37a92a30553280 "
+            "40d0000000000000 3391 31");
 }
 
 TEST(ArqLink, RejectsBadParams) {

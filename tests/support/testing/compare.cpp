@@ -230,4 +230,36 @@ std::string bit_diff(const streamsim::SimResult& a,
   return "";
 }
 
+std::uint64_t bit_digest(const streamsim::SimResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto word = [&](std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((w >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  const auto real = [&](double v) { word(std::bit_cast<std::uint64_t>(v)); };
+  real(r.throughput.in_bytes_per_sec());
+  real(r.min_delay.in_seconds());
+  real(r.max_delay.in_seconds());
+  real(r.mean_delay.in_seconds());
+  real(r.max_backlog.in_bytes());
+  word(r.packets_delivered);
+  for (const auto* trace :
+       {&r.output_trace, &r.backlog_trace, &r.delay_trace}) {
+    word(trace->size());
+    for (const auto& [t, v] : *trace) {
+      real(t);
+      real(v);
+    }
+  }
+  word(r.node_stats.size());
+  for (const streamsim::NodeStats& n : r.node_stats) {
+    word(n.name.size());
+    for (const char c : n.name) word(static_cast<unsigned char>(c));
+    real(n.utilization);
+    word(n.jobs);
+  }
+  return h;
+}
+
 }  // namespace streamcalc::testing

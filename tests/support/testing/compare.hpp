@@ -13,6 +13,7 @@
 // tolerance. Infinities compare equal only to infinities.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,6 +63,11 @@ std::string bit_diff(const minplus::Curve& a, const minplus::Curve& b);
 /// names the first difference.
 std::string bit_diff(const streamsim::SimResult& a,
                      const streamsim::SimResult& b);
+
+/// FNV-1a digest of every SimResult field bit_diff compares, doubles by
+/// their bit patterns: equal results have equal digests, and a pin of the
+/// digest fails on any changed bit.
+std::uint64_t bit_digest(const streamsim::SimResult& r);
 
 inline bool approx_equal(const minplus::Curve& a, const minplus::Curve& b,
                          double rtol = 1e-9, double atol = 1e-9) {

@@ -302,4 +302,19 @@ std::string Scenario::describe() const {
   return os.str();
 }
 
+OnOffScenario dress_with_on_off(Scenario s, util::Xoshiro256& rng) {
+  OnOffScenario out;
+  out.users = static_cast<std::size_t>(rng.uniform(1.0, 9.0));
+  const double duty = rng.uniform(0.15, 0.6);
+  const double mean = s.source.rate.in_bytes_per_sec();
+  const double peak = mean / (static_cast<double>(out.users) * duty);
+  out.peak = util::DataRate::bytes_per_sec(peak);
+  const double window = s.source.packet.in_bytes() / peak;
+  const double on = window * rng.uniform(20.0, 80.0);
+  out.mean_on = util::Duration::seconds(on);
+  out.mean_off = util::Duration::seconds(on * (1.0 - duty) / duty);
+  out.base = std::move(s);
+  return out;
+}
+
 }  // namespace streamcalc::testing

@@ -21,6 +21,7 @@
 #include "netcalc/node.hpp"
 #include "netcalc/pipeline.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace streamcalc::testing {
 
@@ -109,5 +110,21 @@ class ScenarioGenerator {
   ScenarioGenConfig config_;
   util::Xoshiro256 rng_;
 };
+
+/// A scenario dressed with an on/off source population (streamsim
+/// SimConfig::onoff_users) whose aggregate mean rate equals the scenario's
+/// source rate: 1-8 users, a duty cycle in [0.15, 0.6) and mean on-periods
+/// of 20-80 whole packet windows, so on-periods emit plenty of packets and
+/// the discarded partial window is a small bias.
+struct OnOffScenario {
+  Scenario base;
+  std::size_t users = 1;
+  util::DataRate peak;  ///< per-user on-rate
+  util::Duration mean_on;
+  util::Duration mean_off;
+};
+
+/// Dresses `s`, drawing from `rng` (the scenario generator's stream).
+OnOffScenario dress_with_on_off(Scenario s, util::Xoshiro256& rng);
 
 }  // namespace streamcalc::testing
