@@ -12,6 +12,7 @@
 #include "apps/bitw.hpp"
 #include "apps/blast.hpp"
 #include "benchmark_json.hpp"
+#include "cli/report.hpp"
 #include "cli/spec.hpp"
 #include "des/simulation.hpp"
 #include "des/store.hpp"
@@ -95,22 +96,10 @@ streamcalc::cli::Spec load_spec(const char* name) {
   return streamcalc::cli::parse_spec(text.str());
 }
 
-/// The simulation configuration of `streamcalc analyze` (cli/report.cpp):
-/// warmup a fifth of the horizon and no traces.
-streamcalc::streamsim::SimConfig analyze_config(
-    const streamcalc::cli::Spec& spec) {
-  streamcalc::streamsim::SimConfig cfg;
-  cfg.horizon = spec.analysis.horizon;
-  cfg.warmup = spec.analysis.horizon / 5.0;
-  cfg.seed = spec.analysis.seed;
-  cfg.queue_capacity = spec.analysis.queue_capacity;
-  cfg.max_trace_samples = 0;
-  return cfg;
-}
-
 void BM_QuickstartSim(benchmark::State& state) {
   const streamcalc::cli::Spec spec = load_spec("quickstart");
-  const streamcalc::streamsim::SimConfig cfg = analyze_config(spec);
+  const streamcalc::streamsim::SimConfig cfg =
+      streamcalc::cli::simulation_config(spec);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         streamcalc::streamsim::simulate(spec.nodes, spec.source, cfg));
@@ -121,7 +110,8 @@ BENCHMARK(BM_QuickstartSim)->Unit(benchmark::kMicrosecond);
 void BM_ForkJoinSim(benchmark::State& state) {
   const streamcalc::cli::Spec spec = load_spec("fork_join");
   const streamcalc::netcalc::DagSpec dag = spec.dag();
-  const streamcalc::streamsim::SimConfig cfg = analyze_config(spec);
+  const streamcalc::streamsim::SimConfig cfg =
+      streamcalc::cli::simulation_config(spec);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         streamcalc::streamsim::simulate_dag(dag, spec.source, cfg));

@@ -169,12 +169,7 @@ netcalc::PipelineModel chain_model(const Spec& spec) {
 SimulationCheck simulation_check(const Spec& spec, const Analysis& a,
                                  const netcalc::DagSpec* dag) {
   SC_OBS_SPAN("cli", "simulate");
-  streamsim::SimConfig cfg;
-  cfg.horizon = spec.analysis.horizon;
-  cfg.warmup = spec.analysis.horizon / 5.0;
-  cfg.seed = spec.analysis.seed;
-  cfg.queue_capacity = spec.analysis.queue_capacity;
-  cfg.max_trace_samples = 0;  // the reports read no trace
+  const streamsim::SimConfig cfg = simulation_config(spec);
   streamsim::SimResult sim =
       dag != nullptr ? streamsim::simulate_dag(*dag, spec.source, cfg)
                      : streamsim::simulate(spec.nodes, spec.source, cfg);
@@ -395,6 +390,16 @@ void node_json(Out& os, const netcalc::NodeAnalysis& r, bool agg) {
 }
 
 }  // namespace
+
+streamsim::SimConfig simulation_config(const Spec& spec) {
+  streamsim::SimConfig cfg;
+  cfg.horizon = spec.analysis.horizon;
+  cfg.warmup = spec.analysis.horizon / 5.0;
+  cfg.seed = spec.analysis.seed;
+  cfg.queue_capacity = spec.analysis.queue_capacity;
+  cfg.max_trace_samples = 0;
+  return cfg;
+}
 
 Analysis compute_analysis(const Spec& spec, const util::Context& ctx,
                           double epsilon) {

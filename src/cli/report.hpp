@@ -38,6 +38,11 @@ struct SimulationCheck {
   bool backlog_within_bound = false;
 };
 
+/// The configuration analyze simulates `spec` with: the spec's horizon,
+/// seed and queue capacity, a warmup of a fifth of the horizon, and no
+/// traces (the reports read none).
+streamsim::SimConfig simulation_config(const Spec& spec);
+
 /// The numbers only a chain reports.
 struct ChainFacts {
   netcalc::Regime regime = netcalc::Regime::kUnderloaded;

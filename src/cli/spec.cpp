@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 
 #include "util/error.hpp"
 
@@ -36,16 +35,33 @@ std::string_view trim(std::string_view s) {
   fail("line " + std::to_string(line) + ": " + message);
 }
 
-double parse_number(std::string_view text, std::string_view what) {
+/// The number `text` holds, all of it; a failure names `line` when given.
+double parse_number(std::string_view text, std::string_view what,
+                    int line = 0) {
   const std::string_view t = trim(text);
   double value = 0.0;
   const auto [ptr, ec] =
       std::from_chars(t.data(), t.data() + t.size(), value);
   if (ec != std::errc{} || ptr != t.data() + t.size()) {
-    fail("cannot parse " + std::string(what) + " number from '" +
-         std::string(text) + "'");
+    const std::string message = "cannot parse " + std::string(what) +
+                                " number from '" + std::string(text) + "'";
+    if (line > 0) fail_at(line, message);
+    fail(message);
   }
   return value;
+}
+
+/// The whitespace-separated words of `text`.
+std::vector<std::string_view> words(std::string_view text) {
+  std::vector<std::string_view> out;
+  for (;;) {
+    text = trim(text);
+    if (text.empty()) return out;
+    std::size_t end = 0;
+    while (end < text.size() && !is_space(text[end])) ++end;
+    out.push_back(text.substr(0, end));
+    text.remove_prefix(end);
+  }
 }
 
 struct Quantity {
@@ -327,12 +343,14 @@ netcalc::NodeSpec parse_node(Document& doc, const Section& s, bool validate) {
   }
   if (auto* v = keys.take("compression")) {
     // "min avg max" observed compression ratios.
-    double a, b, c;
-    if (std::sscanf(std::string(v->value).c_str(), "%lf %lf %lf", &a, &b,
-                    &c) != 3) {
-      fail_at(s.line, "compression expects three ratios 'min avg max'");
+    const std::vector<std::string_view> r = words(v->value);
+    if (r.size() != 3) {
+      fail_at(v->line, "compression expects three ratios 'min avg max'");
     }
-    n.volume = netcalc::VolumeRatio::from_compression(a, b, c);
+    n.volume = netcalc::VolumeRatio::from_compression(
+        parse_number(r[0], "compression", v->line),
+        parse_number(r[1], "compression", v->line),
+        parse_number(r[2], "compression", v->line));
   }
   if (auto* v = keys.take("restores_volume")) {
     n.restores_volume = parse_bool(v->value, s.line);
@@ -365,35 +383,29 @@ netcalc::DagSpec Spec::dag() const {
 
 namespace {
 
-/// "from to fraction" or "to fraction" (entries) with node-name lookup.
+/// "from to [fraction]" or "to [fraction]" (entries) with node-name
+/// lookup; the fraction defaults to 1.
 netcalc::DagEdge parse_topology_edge(
     const Entry& line, const std::vector<netcalc::NodeSpec>& nodes) {
   const bool entry = line.key == "entry";
-  const auto index_of = [&](const char* name) -> std::size_t {
+  const auto index_of = [&](std::string_view name) -> std::size_t {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (nodes[i].name == name) return i;
     }
     fail_at(line.line, "unknown node '" + std::string(name) + "'");
   };
-  // sscanf needs the value NUL-terminated.
-  const std::string value(line.value);
-  char a[128], b[128];
-  double fraction = 1.0;
-  netcalc::DagEdge e;
-  if (entry) {
-    const int got = std::sscanf(value.c_str(), "%127s %lf", a, &fraction);
-    if (got < 1) fail_at(line.line, "entry expects '<node> [fraction]'");
-    e.to = index_of(a);
-  } else {
-    const int got =
-        std::sscanf(value.c_str(), "%127s %127s %lf", a, b, &fraction);
-    if (got < 2) {
-      fail_at(line.line, "edge expects '<from> <to> [fraction]'");
-    }
-    e.from = index_of(a);
-    e.to = index_of(b);
+  const std::vector<std::string_view> w = words(line.value);
+  const std::size_t names = entry ? 1 : 2;
+  if (w.size() < names || w.size() > names + 1) {
+    fail_at(line.line, entry ? "entry expects '<node> [fraction]'"
+                             : "edge expects '<from> <to> [fraction]'");
   }
-  e.fraction = fraction;
+  netcalc::DagEdge e;
+  if (!entry) e.from = index_of(w[0]);
+  e.to = index_of(w[names - 1]);
+  e.fraction = w.size() > names
+                   ? parse_number(w[names], "fraction", line.line)
+                   : 1.0;
   return e;
 }
 

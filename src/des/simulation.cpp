@@ -4,26 +4,10 @@
 
 namespace streamcalc::des {
 
-void Process::promise_type::FinalAwaiter::await_suspend(
-    std::coroutine_handle<promise_type> h) noexcept {
-  promise_type& p = h.promise();
-  p.finished = true;
-  if (p.sim != nullptr) {
-    for (std::coroutine_handle<> w : p.waiters) p.sim->schedule_now(w);
-  }
-  p.waiters.clear();
-  // Stay suspended: the Simulation owns and later destroys the frame.
-}
-
 void Process::promise_type::unhandled_exception() {
-  finished = true;
   if (sim != nullptr && !sim->pending_exception_) {
     sim->pending_exception_ = std::current_exception();
   }
-  if (sim != nullptr) {
-    for (std::coroutine_handle<> w : waiters) sim->schedule_now(w);
-  }
-  waiters.clear();
 }
 
 Simulation::~Simulation() {
@@ -33,13 +17,12 @@ Simulation::~Simulation() {
   for (auto h : owned_) h.destroy();
 }
 
-Process::Awaiter Simulation::spawn(Process p) {
+void Simulation::spawn(Process p) {
   auto h = p.release();
   util::require(static_cast<bool>(h), "spawn() requires a live process");
   h.promise().sim = this;
   owned_.push_back(h);
   schedule_now(h);
-  return Process::Awaiter{h};
 }
 
 void Simulation::schedule(double t, std::coroutine_handle<> h) {

@@ -7,8 +7,6 @@
 //   co_await sim.timeout(dt);     // resume dt simulated seconds later
 //   co_await store.get();         // resume when an item is available
 //   co_await store.put(item);     // resume when capacity is available
-//   co_await other_process;       // resume when that process finishes
-//   co_await event;               // resume when the event is triggered
 //
 // The kernel is single-threaded and deterministic: events at equal times
 // fire in schedule order (a monotonically increasing sequence number breaks
@@ -38,20 +36,14 @@ class Process {
  public:
   struct promise_type {
     Simulation* sim = nullptr;
-    bool finished = false;
-    std::vector<std::coroutine_handle<>> waiters;
 
     Process get_return_object() {
       return Process(
           std::coroutine_handle<promise_type>::from_promise(*this));
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
-    struct FinalAwaiter {
-      bool await_ready() noexcept { return false; }
-      void await_suspend(std::coroutine_handle<promise_type> h) noexcept;
-      void await_resume() noexcept {}
-    };
-    FinalAwaiter final_suspend() noexcept { return {}; }
+    /// Stays suspended: the Simulation owns and later destroys the frame.
+    std::suspend_always final_suspend() noexcept { return {}; }
     void return_void() {}
     void unhandled_exception();
   };
@@ -70,23 +62,6 @@ class Process {
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
   ~Process() { destroy(); }
-
-  /// True once the coroutine has run to completion.
-  bool finished() const { return handle_.promise().finished; }
-
-  /// Awaitable: suspends the awaiting process until this one finishes.
-  /// The awaited process must have been spawned.
-  struct Awaiter {
-    std::coroutine_handle<promise_type> awaited;
-    bool await_ready() const noexcept {
-      return awaited.promise().finished;
-    }
-    void await_suspend(std::coroutine_handle<> h) const {
-      awaited.promise().waiters.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-  Awaiter operator co_await() const { return Awaiter{handle_}; }
 
  private:
   friend class Simulation;
@@ -118,8 +93,7 @@ class Simulation {
   double now() const { return now_; }
 
   /// Registers a process and schedules its first step at the current time.
-  /// Returns a non-owning reference usable with `co_await`.
-  Process::Awaiter spawn(Process p);
+  void spawn(Process p);
 
   /// Awaitable that resumes the awaiting process after `dt` simulated
   /// seconds. Requires dt >= 0.

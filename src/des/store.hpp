@@ -30,26 +30,6 @@ class Store {
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
-  std::size_t size() const { return items_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  bool empty() const { return items_.empty(); }
-  std::size_t waiting_putters() const { return putters_.size(); }
-  std::size_t waiting_getters() const { return getters_.size(); }
-
-  /// Non-blocking put; returns false if the store is full (or putters are
-  /// already queued, preserving FIFO fairness).
-  bool try_put(T item) {
-    if (!can_accept()) return false;
-    commit_put(std::move(item));
-    return true;
-  }
-
-  /// Non-blocking get; empty optional if no item is ready.
-  std::optional<T> try_get() {
-    if (items_.empty()) return std::nullopt;
-    return commit_get();
-  }
-
   /// Awaitable put: completes immediately when capacity allows, otherwise
   /// suspends until a get frees a slot.
   struct [[nodiscard]] PutAwaiter {
@@ -97,6 +77,7 @@ class Store {
     std::coroutine_handle<> handle;
   };
 
+  /// False while putters queue, so a put never jumps them.
   bool can_accept() const {
     return putters_.empty() && items_.size() < capacity_;
   }

@@ -4,9 +4,8 @@
 #include <limits>
 #include <vector>
 
-#include "des/monitor.hpp"
-#include "des/resource.hpp"
 #include "des/simulation.hpp"
+#include "des/store.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -14,11 +13,17 @@ namespace streamcalc::kernels {
 
 namespace {
 
+/// A held unit of the window or the wire. A token store of capacity n
+/// admits n holders: put() acquires a unit, waiting in FIFO order while
+/// all are held, and an immediately ready get() releases one.
+struct Token {};
+using Units = des::Store<Token>;
+
 /// Shared state of one measurement run.
 struct LinkRun {
   des::Simulation sim;
-  des::Resource* window = nullptr;
-  des::Resource* wire = nullptr;
+  Units* window = nullptr;
+  Units* wire = nullptr;
   util::Xoshiro256 rng{1};
   double serialization = 0.0;
   double propagation = 0.0;
@@ -26,15 +31,20 @@ struct LinkRun {
   double loss = 0.0;
   double packet_bytes = 0.0;
 
-  des::Tally latencies;
   std::uint64_t delivered = 0;
+  double latency_sum = 0.0;
+  double latency_min = std::numeric_limits<double>::infinity();
+  double latency_max = -std::numeric_limits<double>::infinity();
   std::uint64_t retransmissions = 0;
   std::vector<double> interval_bytes;
   double interval_len = 0.0;
 
   void record_delivery(double created) {
+    const double latency = sim.now() - created;
     ++delivered;
-    latencies.add(sim.now() - created);
+    latency_sum += latency;
+    latency_min = std::min(latency_min, latency);
+    latency_max = std::max(latency_max, latency);
     const auto idx = static_cast<std::size_t>(sim.now() / interval_len);
     if (idx < interval_bytes.size()) interval_bytes[idx] += packet_bytes;
   }
@@ -43,15 +53,15 @@ struct LinkRun {
 des::Process packet_process(LinkRun& run, double created) {
   for (;;) {
     // Exclusive use of the wire for serialization.
-    co_await run.wire->acquire();
+    co_await run.wire->put(Token{});
     co_await run.sim.timeout(run.serialization);
-    run.wire->release();
+    co_await run.wire->get();
     co_await run.sim.timeout(run.propagation);
     if (run.rng.uniform01() >= run.loss) {
       run.record_delivery(created);
       // Cumulative ack returns after one more propagation delay.
       co_await run.sim.timeout(run.propagation);
-      run.window->release();
+      co_await run.window->get();
       co_return;
     }
     ++run.retransmissions;
@@ -62,7 +72,7 @@ des::Process packet_process(LinkRun& run, double created) {
 
 des::Process sender_process(LinkRun& run) {
   for (;;) {
-    co_await run.window->acquire();
+    co_await run.window->put(Token{});
     run.sim.spawn(packet_process(run, run.sim.now()));
   }
 }
@@ -113,8 +123,8 @@ ArqLinkMeasurement measure_arq_link(const ArqLinkParams& params) {
   run.interval_len = params.measure_time.in_seconds() / kIntervals;
   run.interval_bytes.assign(kIntervals, 0.0);
 
-  des::Resource window(run.sim, params.window);
-  des::Resource wire(run.sim, 1);
+  Units window(run.sim, params.window);
+  Units wire(run.sim, 1);
   run.window = &window;
   run.wire = &wire;
 
@@ -128,9 +138,10 @@ ArqLinkMeasurement measure_arq_link(const ArqLinkParams& params) {
   util::require(run.delivered > 0,
                 "measure_arq_link: nothing delivered (measurement time too "
                 "short for the configured RTT?)");
-  m.latency_min = util::Duration::seconds(run.latencies.minimum());
-  m.latency_avg = util::Duration::seconds(run.latencies.mean());
-  m.latency_max = util::Duration::seconds(run.latencies.maximum());
+  m.latency_min = util::Duration::seconds(run.latency_min);
+  m.latency_avg = util::Duration::seconds(
+      run.latency_sum / static_cast<double>(run.delivered));
+  m.latency_max = util::Duration::seconds(run.latency_max);
   m.throughput_avg = util::DataRate::bytes_per_sec(
       static_cast<double>(run.delivered) * run.packet_bytes /
       params.measure_time.in_seconds());

@@ -35,6 +35,8 @@ Network network(const netcalc::DagSpec& dag, const SourceSpec& source,
   const double w = config.warmup.in_seconds();
   util::require(w >= 0.0 && w < h, "warmup must lie within the horizon");
   if (config.onoff_users > 0) {
+    util::require(config.queue_capacity == SimConfig::kUnlimitedQueue,
+                  "on/off sources require unlimited queues");
     util::require(config.onoff_peak > DataRate::bytes_per_sec(0),
                   "on/off sources require a positive peak rate");
     util::require(config.onoff_mean_on > Duration::seconds(0) &&
@@ -86,19 +88,15 @@ Network network(const netcalc::DagSpec& dag, const SourceSpec& source,
 
 SourceSchedule::SourceSchedule(const Network& net, const SourceSpec& source,
                                const SimConfig& config)
-    : packet_bytes_(source.packet > DataSize::bytes(0)
+    : config_(&config),
+      packet_bytes_(source.packet > DataSize::bytes(0)
                         ? source.packet.in_bytes()
                         : (*net.nodes)[net.first_entry()].block_in.in_bytes()),
       constant_rate_(source.rate.in_bytes_per_sec()),
       poisson_(config.poisson_arrivals && !config.deterministic),
       profile_(&config.rate_profile) {
-  const double peak =
-      config.onoff_users > 0
-          ? static_cast<double>(config.onoff_users) *
-                config.onoff_peak.in_bytes_per_sec()
-          : peak_rate();
   const double packets =
-      (source.burst.in_bytes() + config.horizon.in_seconds() * peak) /
+      (source.burst.in_bytes() + config.horizon.in_seconds() * peak_rate()) /
       packet_bytes_;
   if (!(packets <= kMaxSourcePackets)) {
     // The message is built only here: every simulation passes this check.
@@ -117,6 +115,10 @@ SourceSchedule::SourceSchedule(const Network& net, const SourceSpec& source,
 }
 
 double SourceSchedule::peak_rate() const {
+  if (onoff()) {
+    return static_cast<double>(config_->onoff_users) *
+           config_->onoff_peak.in_bytes_per_sec();
+  }
   if (profile_->empty()) return constant_rate_;
   double peak = 0.0;
   for (const auto& [start, r] : *profile_) peak = std::max(peak, r);
@@ -137,6 +139,40 @@ double SourceSchedule::next_change(double t) const {
     if (start > t) return start;
   }
   return std::numeric_limits<double>::infinity();
+}
+
+OnOffUsers::OnOffUsers(const SimConfig& config, double packet_bytes,
+                       util::Xoshiro256& root)
+    : horizon_(config.horizon.in_seconds()),
+      window_(packet_bytes / config.onoff_peak.in_bytes_per_sec()),
+      mean_on_(config.onoff_mean_on.in_seconds()),
+      mean_off_(config.onoff_mean_off.in_seconds()) {
+  users_.reserve(config.onoff_users);
+  for (std::size_t u = 0; u < config.onoff_users; ++u) {
+    users_.push_back(User{root.split(1000 + u)});
+    due_.emplace(release(users_.back()), u);
+  }
+}
+
+double OnOffUsers::next() {
+  const auto [t, u] = due_.top();
+  due_.pop();
+  due_.emplace(release(users_[u]), u);
+  return t;
+}
+
+double OnOffUsers::release(User& u) const {
+  while (u.on_left < window_) {
+    // An on-period too short for another packet (at the start, the empty
+    // one before the first silence): its rest passes, then a silence.
+    if (u.t > horizon_) return u.t;
+    u.t = u.t + u.on_left;
+    u.t = u.t + u.rng.exponential(mean_off_);
+    u.on_left = u.rng.exponential(mean_on_);
+  }
+  u.t = u.t + window_;
+  u.on_left -= window_;
+  return u.t;
 }
 
 RangeSampler::RangeSampler(double lo, double mid, double hi)
@@ -240,11 +276,11 @@ SimResult Recorder::result(const Network& net, const std::vector<double>& busy,
   SimResult r;
   r.throughput = DataRate::bytes_per_sec(totals_.measured_input_bytes /
                                          (horizon_ - warmup_));
-  const des::Tally& delays = totals_.delays;
-  if (delays.count() > 0) {
-    r.min_delay = Duration::seconds(delays.minimum());
-    r.max_delay = Duration::seconds(delays.maximum());
-    r.mean_delay = Duration::seconds(delays.mean());
+  if (totals_.delays > 0) {
+    r.min_delay = Duration::seconds(totals_.min_delay);
+    r.max_delay = Duration::seconds(totals_.max_delay);
+    r.mean_delay = Duration::seconds(totals_.delay_sum /
+                                     static_cast<double>(totals_.delays));
   }
   r.max_backlog = DataSize::bytes(std::max(0.0, totals_.max_backlog));
   r.packets_delivered = totals_.packets_delivered;

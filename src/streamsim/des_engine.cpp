@@ -1,7 +1,8 @@
 // The coroutine DES engine: one process per node plus a source and a sink,
 // connected by des::Store queues. It is the reference the recurrence is
 // checked against, and the engine for bounded queues (backpressure) and
-// on/off source populations.
+// for the same-instant ties the recurrence does not order. It runs no
+// on/off users: they never block, so the recurrence takes them.
 #include <cmath>
 #include <memory>
 
@@ -9,6 +10,7 @@
 #include "des/store.hpp"
 #include "streamsim/detail/core.hpp"
 #include "streamsim/detail/engines.hpp"
+#include "util/error.hpp"
 
 namespace streamcalc::streamsim::detail {
 
@@ -40,13 +42,7 @@ class DesRunner {
   }
 
   SimResult run() {
-    if (config_.onoff_users > 0) {
-      for (std::size_t u = 0; u < config_.onoff_users; ++u) {
-        sim_.spawn(onoff_source_process(u));
-      }
-    } else {
-      sim_.spawn(source_process());
-    }
+    sim_.spawn(source_process());
     for (std::size_t i = 0; i < net_.nodes->size(); ++i) {
       sim_.spawn(node_process(i));
     }
@@ -71,31 +67,6 @@ class DesRunner {
       }
       co_await sim_.timeout(schedule_.gap(rate, rng_));
       co_await route_source_packet();
-    }
-  }
-
-  /// One on/off user: exponential silences and on-periods; while on, a
-  /// whole packet is released after each accumulation window of `packet`
-  /// bytes at the peak rate, and the partial window at the on->off switch
-  /// is discarded (the fluid envelope in stochcalc dominates this source).
-  /// User RNG streams are split off a 1000+ base so they never collide
-  /// with the per-node streams (split(i + 1)).
-  des::Process onoff_source_process(std::size_t user) {
-    Xoshiro256 rng = rng_.split(1000 + user);
-    const double window =
-        schedule_.packet_bytes() / config_.onoff_peak.in_bytes_per_sec();
-    const double mean_on = config_.onoff_mean_on.in_seconds();
-    const double mean_off = config_.onoff_mean_off.in_seconds();
-    for (;;) {
-      co_await sim_.timeout(rng.exponential(mean_off));
-      double on_left = rng.exponential(mean_on);
-      while (on_left >= window) {
-        co_await sim_.timeout(window);
-        on_left -= window;
-        co_await route_source_packet();
-      }
-      // Partial accumulation window: sojourn ends mid-packet, bytes lost.
-      co_await sim_.timeout(on_left);
     }
   }
 
@@ -160,6 +131,9 @@ class DesRunner {
 SimResult simulate_des(const netcalc::DagSpec& dag, const SourceSpec& source,
                        const SimConfig& config) {
   const Network net = network(dag, source, config);
+  util::require(config.onoff_users == 0,
+                "the DES runs no on/off sources; simulate() takes them on "
+                "the recurrence");
   return DesRunner(net, source, config).run();
 }
 

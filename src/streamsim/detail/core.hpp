@@ -8,12 +8,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "des/monitor.hpp"
 #include "netcalc/dag.hpp"
 #include "netcalc/node.hpp"
 #include "netcalc/pipeline.hpp"
@@ -128,9 +129,49 @@ struct Network {
 Network network(const netcalc::DagSpec& dag,
                 const netcalc::SourceSpec& source, const SimConfig& config);
 
-/// The source's packet size and rate schedule: a burst of whole packets at
-/// time 0, then one packet per gap at the rate in effect (the constant
-/// SourceSpec rate, or SimConfig::rate_profile).
+/// On/off users (SimConfig::onoff_users), which replace the constant-rate
+/// source, with their releases merged by time. Each user starts off and
+/// alternates Exp(mean_off) silences with Exp(mean_on) on-periods, drawn
+/// from its own stream; while on, it releases one whole packet per
+/// `packet / peak` window, and it discards the partial window when it
+/// turns off. A user's clock advances as t + dt, the DES's now + dt, so
+/// each release falls on the instant a DES timeout chain would give it.
+/// Users releasing at one instant release identical packets, so their
+/// order there cannot change a SimResult.
+class OnOffUsers {
+ public:
+  /// User u draws from root.split(1000 + u), split in user order; the
+  /// 1000 base keeps them clear of the node streams (split(i + 1)).
+  OnOffUsers(const SimConfig& config, double packet_bytes,
+             util::Xoshiro256& root);
+
+  /// The next release time, in time order. Past the horizon it returns
+  /// some time after it.
+  double next();
+
+ private:
+  struct User {
+    util::Xoshiro256 rng;
+    double t = 0.0;        ///< the user's clock
+    double on_left = 0.0;  ///< on-time left from t
+  };
+  using Release = std::pair<double, std::size_t>;  ///< (time, user)
+
+  /// Advances `u` to its next release and returns its time.
+  double release(User& u) const;
+
+  double horizon_;
+  double window_;
+  double mean_on_;
+  double mean_off_;
+  std::vector<User> users_;
+  std::priority_queue<Release, std::vector<Release>, std::greater<>> due_;
+};
+
+/// The source's packet size and release schedule: a burst of whole
+/// packets at time 0, then one packet per gap at the rate in effect (the
+/// constant SourceSpec rate, or SimConfig::rate_profile); or, when
+/// SimConfig::onoff_users is set, the on/off users' releases instead.
 class SourceSchedule {
  public:
   SourceSchedule(const Network& net, const netcalc::SourceSpec& source,
@@ -140,7 +181,7 @@ class SourceSchedule {
   std::size_t burst_packets() const { return burst_packets_; }
   /// Rate (bytes/s) in effect at time t.
   double rate_at(double t) const;
-  /// Highest rate (bytes/s) the schedule ever takes.
+  /// Highest rate (bytes/s) the source ever releases at.
   double peak_rate() const;
   /// First rate change strictly after t; +inf if none.
   double next_change(double t) const;
@@ -150,8 +191,15 @@ class SourceSchedule {
     const double mean_gap = packet_bytes_ / rate;
     return poisson_ ? root.exponential(mean_gap) : mean_gap;
   }
+  /// True when on/off users replace the constant-rate source.
+  bool onoff() const { return config_->onoff_users > 0; }
+  /// The on/off users, their streams split off `root` (after the nodes').
+  OnOffUsers users(util::Xoshiro256& root) const {
+    return OnOffUsers(*config_, packet_bytes_, root);
+  }
 
  private:
+  const SimConfig* config_;
   double packet_bytes_;
   std::size_t burst_packets_ = 0;
   double constant_rate_;
@@ -356,7 +404,11 @@ class Recorder {
     double delivered_input_bytes = 0.0;
     double measured_input_bytes = 0.0;
     std::uint64_t packets_delivered = 0;
-    des::Tally delays;
+    /// Post-warmup delays: count, sum, minimum and maximum.
+    std::uint64_t delays = 0;
+    double delay_sum = 0.0;
+    double min_delay = std::numeric_limits<double>::infinity();
+    double max_delay = -std::numeric_limits<double>::infinity();
   };
 
   /// One delivery into `s`; kTraced = false skips the traces.
@@ -366,7 +418,11 @@ class Recorder {
     ++s.packets_delivered;
     if (t >= warmup_) {
       s.measured_input_bytes += p.input_bytes;
-      s.delays.add(t - p.created_at);
+      const double delay = t - p.created_at;
+      ++s.delays;
+      s.delay_sum += delay;
+      s.min_delay = std::min(s.min_delay, delay);
+      s.max_delay = std::max(s.max_delay, delay);
     }
     if (kTraced) delay_trace_.record(t, t - p.created_at);
     add_backlog<kTraced>(s, t, -p.input_bytes);

@@ -16,22 +16,23 @@
 //
 // Both entry points simulate a DagSpec: simulate() runs the chain's
 // one-path DAG (DagSpec::chain), so a chain and that DAG give the same
-// SimResult bit for bit. Two engines compute it. With unlimited queues and
-// no on/off users (the paper's base configuration) a node never blocks its
-// upstream, so a per-packet max-plus (Lindley) recurrence walks the nodes
-// in topological order: a job starts at max(arrival of the packet that
-// completes it, previous finish) and finishes at start + exec, with
-// draws from the same per-node streams as the DES. A packet moves on to a
-// single-producer successor in a loop, and the deliveries of a chain, or
-// of a join that runs last with no drop before it, fold against the
-// source emits with two pointers as they come; joins and every other
-// shape's statistics take a k-way merge. Its statistics are merged in
-// DES event order; where a source emit and a sink delivery fall at one
-// instant the emit comes first. Any other same-instant meeting of
-// two event streams (two producers into a join or the sink, a split drop
-// beside another event) has a DES order the recurrence does not track, so
-// it reruns the simulation on the coroutine DES. The DES (src/des) stays
-// the reference, and the engine for bounded queues and on/off sources.
+// SimResult bit for bit. Two engines compute it. With unlimited queues
+// (the paper's base configuration) a node never blocks its upstream, so a
+// per-packet max-plus (Lindley) recurrence walks the nodes in topological
+// order: a job starts at max(arrival of the packet that completes it,
+// previous finish) and finishes at start + exec, with draws from the same
+// per-node streams as the DES. A packet moves on to a single-producer
+// successor in a loop, and the deliveries of a chain, or of a join that
+// runs last with no drop before it, fold against the source emits with
+// two pointers as they come; joins and every other shape's statistics
+// take a k-way merge. Its statistics are merged in DES event order; where
+// a source emit and a sink delivery fall at one instant the emit comes
+// first. Any other same-instant meeting of two event streams (two
+// producers into a join or the sink, a split drop beside another event)
+// has a DES order the recurrence does not track, so it reruns the
+// simulation on the coroutine DES. The DES (src/des) stays the reference,
+// and the engine for bounded queues; on/off users, which never block
+// behind an unlimited queue, run on the recurrence alone.
 // streamsim/detail/engines.hpp exposes both engines for tests; the obs
 // counters streamsim.recurrence.runs and streamsim.recurrence.fallbacks
 // record which one answered.
@@ -90,14 +91,15 @@ struct SimConfig {
   /// Cap on recorded trace samples (traces are thinned beyond this; 0
   /// records none).
   std::size_t max_trace_samples = 4096;
-  /// Markov-modulated on/off source population (chain simulate() only):
-  /// when `onoff_users` > 0 the constant-rate source is replaced by that
-  /// many independent on/off users, each alternating exponential silences
-  /// (mean `onoff_mean_off`) and exponential on-periods (mean
-  /// `onoff_mean_on`) during which it emits whole source-packet-sized
-  /// packets at rate `onoff_peak`; the partial accumulation window at an
-  /// on->off switch is discarded. This is the DES twin of
-  /// stochcalc::Arrival::on_off for the tail-quantile oracle.
+  /// Markov-modulated on/off source population (chain simulate() with
+  /// unlimited queues only): when `onoff_users` > 0 the constant-rate
+  /// source is replaced by that many independent on/off users, each
+  /// alternating exponential silences (mean `onoff_mean_off`) and
+  /// exponential on-periods (mean `onoff_mean_on`) during which it emits
+  /// whole source-packet-sized packets at rate `onoff_peak`; the partial
+  /// accumulation window at an on->off switch is discarded. This is the
+  /// simulated twin of stochcalc::Arrival::on_off for the tail-quantile
+  /// oracle.
   std::size_t onoff_users = 0;
   util::DataRate onoff_peak;
   util::Duration onoff_mean_on;
@@ -143,8 +145,8 @@ struct SimResult {
 /// Simulates `nodes` fed by `source` (recurrence or DES, see above) as
 /// their one-path DAG. Deterministic for a fixed config (seeded RNG,
 /// deterministic event ordering). Throws PreconditionError on an invalid
-/// config, including a warmup outside [0, horizon), before any simulation
-/// runs.
+/// config, including a warmup outside [0, horizon) and on/off users with
+/// a finite queue_capacity, before any simulation runs.
 SimResult simulate(const std::vector<netcalc::NodeSpec>& nodes,
                    const netcalc::SourceSpec& source, const SimConfig& config);
 

@@ -11,7 +11,10 @@
 // that would finish after the horizon emits nothing and adds no busy time,
 // the DES's `time <= horizon` rule. Draws come from the same per-node
 // streams in job order, and source gaps from the root stream after the
-// node splits, so every time and size matches the DES bit for bit.
+// node splits, so every time and size matches the DES bit for bit. On/off
+// users (OnOffUsers, from streams split after the nodes') replace the
+// constant-rate source and have no DES twin; the pins in
+// tests/property/onoff_pin_test.cpp hold them to the DES they replaced.
 //
 // Two common shapes take a direct path:
 //   * Hand-off: hand_off() runs a node on its input and moves on, in a
@@ -34,7 +37,9 @@
 // fixed rule or gives up:
 //   * A source emit and a sink delivery at one time: the emit comes first,
 //     since its timeout was scheduled before that time and the sink's
-//     resume is scheduled at it.
+//     resume is scheduled at it. An on/off release is one window after
+//     the user's last event, and the source packet cap keeps a window
+//     above 1e-7 of the horizon, so its timer too starts before the time.
 //   * Any other meeting of two streams at one instant — two producers
 //     feeding one queue (a join, or the sink), a split drop beside an emit,
 //     a delivery or another node's drop, or a source whose clock did not
@@ -374,6 +379,11 @@ class Recurrence {
       emits_.push_back(t);
       send(*to, t, Packet{bytes, bytes, t}, 1);
     };
+    if (schedule_.onoff()) {
+      OnOffUsers users = schedule_.users(rng_);
+      for (double t = users.next(); t <= horizon_; t = users.next()) emit(t);
+      return true;
+    }
     for (std::size_t k = 0; k < schedule_.burst_packets(); ++k) emit(0.0);
     double t = 0.0;
     for (;;) {
@@ -513,15 +523,14 @@ class Recurrence {
 }  // namespace
 
 bool recurrence_applies(const SimConfig& config) {
-  return config.queue_capacity == SimConfig::kUnlimitedQueue &&
-         config.onoff_users == 0;
+  return config.queue_capacity == SimConfig::kUnlimitedQueue;
 }
 
 std::optional<SimResult> simulate_recurrence(const netcalc::DagSpec& dag,
                                              const SourceSpec& source,
                                              const SimConfig& config) {
   util::require(recurrence_applies(config),
-                "the recurrence needs unlimited queues and no on/off users");
+                "the recurrence needs unlimited queues");
   const Network net = network(dag, source, config);
   return Recurrence(net, source, config).run();
 }

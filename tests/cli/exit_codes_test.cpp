@@ -624,12 +624,17 @@ TEST(SrclintExitCodes, GraphUsageErrorsExitThree) {
 }
 
 TEST(SrclintExitCodes, GraphLayersWithoutALayersFileExitsOne) {
+  // srclint reads ./srclint.layers by default, so run it from the temporary
+  // tree, where there is none: from the repository root it would find one.
   const std::string root = ::testing::TempDir() + "/exit_codes_nolayers";
   write_tree_file(root, "src/x/a.cpp", "int x;\n");
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(root);
   std::string err;
-  EXPECT_EQ(run_srclint_args({"--graph", "layers", root + "/src"}, nullptr,
-                             &err),
-            1);
+  const int code =
+      run_srclint_args({"--graph", "layers", "src"}, nullptr, &err);
+  std::filesystem::current_path(cwd);
+  EXPECT_EQ(code, 1);
   EXPECT_NE(err.find("layers"), std::string::npos) << err;
   std::filesystem::remove_all(root);
 }

@@ -357,6 +357,45 @@ TEST(ParseSpec, ExactTopologyMessages) {
             "spec: line 8: edge expects '<from> <to> [fraction]'");
   EXPECT_EQ(parse_error(head + "[topology]\nnode = a\n"),
             "spec: line 8: [topology] accepts only 'edge' and 'entry' keys");
+  EXPECT_EQ(parse_error(head + "[topology]\nentry = a 1.0 x\n"),
+            "spec: line 8: entry expects '<node> [fraction]'");
+  EXPECT_EQ(parse_error(head + "[topology]\nentry = a\nedge = a a 1 2\n"),
+            "spec: line 9: edge expects '<from> <to> [fraction]'");
+  EXPECT_EQ(parse_error(head + "[topology]\nentry = a 0.6oops\n"),
+            "spec: line 8: cannot parse fraction number from '0.6oops'");
+  EXPECT_EQ(parse_error(head + "compression = 1.0 2.2\n"),
+            "spec: line 7: compression expects three ratios 'min avg max'");
+  EXPECT_EQ(parse_error(head + "compression = 1.0 2.2 5.3x\n"),
+            "spec: line 7: cannot parse compression number from '5.3x'");
+}
+
+TEST(ParseSpec, TrailingJunkOnAnyValueIsAnError) {
+  // Every value of the real specs, with a seeded junk word glued to it or
+  // appended after a space, must fail to parse with a spec: message: the
+  // format promises that a typo is an error, not a silently different
+  // value. Junk is never numeric, so it cannot be read as an optional
+  // edge fraction.
+  static const char* const kJunk[] = {"oops", "x", " oops", " extra words",
+                                      "\tjunk", "#", " #"};
+  util::Xoshiro256 rng(0x7a11);
+  int values = 0;
+  for (const std::vector<std::string>& lines : real_spec_lines()) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].find(" = ") == std::string::npos) continue;
+      std::vector<std::string> mutant = lines;
+      mutant[i] += kJunk[rng() % std::size(kJunk)];
+      std::string text;
+      for (const std::string& line : mutant) text += line + "\n";
+      ++values;
+      try {
+        (void)parse_spec(text);
+        ADD_FAILURE() << "accepted '" << mutant[i] << "'";
+      } catch (const util::PreconditionError& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("spec: ", 0), 0u) << e.what();
+      }
+    }
+  }
+  EXPECT_GE(values, 300);
 }
 
 TEST(ParseSpec, RatesRequireAllThree) {

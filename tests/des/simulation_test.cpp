@@ -65,42 +65,6 @@ TEST(Simulation, EventsAtExactBoundaryIncluded) {
   EXPECT_EQ(times.size(), 3u);
 }
 
-TEST(Simulation, AwaitProcessCompletion) {
-  Simulation sim;
-  std::vector<int> order;
-  auto child = [](Simulation& s, std::vector<int>& o) -> Process {
-    co_await s.timeout(2.0);
-    o.push_back(1);
-  };
-  auto parent = [](Simulation& s, std::vector<int>& o,
-                   Process::Awaiter c) -> Process {
-    co_await c;
-    o.push_back(2);
-    EXPECT_EQ(s.now(), 2.0);
-  };
-  auto c = sim.spawn(child(sim, order));
-  sim.spawn(parent(sim, order, c));
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(Simulation, AwaitAlreadyFinishedProcessResumesImmediately) {
-  Simulation sim;
-  auto quick = [](Simulation& s) -> Process { co_await s.timeout(0.0); };
-  auto c = sim.spawn(quick(sim));
-  sim.run();
-  bool resumed = false;
-  auto waiter = [](Simulation& s, Process::Awaiter c2,
-                   bool& flag) -> Process {
-    co_await c2;
-    flag = true;
-    EXPECT_EQ(s.now(), 0.0);
-  };
-  sim.spawn(waiter(sim, c, resumed));
-  sim.run();
-  EXPECT_TRUE(resumed);
-}
-
 TEST(Simulation, ExceptionPropagatesFromRun) {
   Simulation sim;
   auto bad = [](Simulation& s) -> Process {
@@ -142,28 +106,6 @@ TEST(Simulation, UnfinishedProcessesDestroyedCleanly) {
   sim.run_until(2.5);
   EXPECT_EQ(times.size(), 2u);
   // sim destructor runs here with the process still pending
-}
-
-
-TEST(Simulation, WaitersResumeWhenAwaitedProcessThrows) {
-  // A process awaiting a failing process must still be resumed (the
-  // failure surfaces from run(), not as a deadlock).
-  Simulation sim;
-  bool waiter_resumed = false;
-  auto bad = [](Simulation& s) -> Process {
-    co_await s.timeout(1.0);
-    throw std::runtime_error("boom");
-  };
-  auto waiter = [](Process::Awaiter c, bool& flag) -> Process {
-    co_await c;
-    flag = true;
-  };
-  auto c = sim.spawn(bad(sim));
-  sim.spawn(waiter(c, waiter_resumed));
-  EXPECT_THROW(sim.run(), std::runtime_error);
-  // Drain the rescheduled waiter.
-  sim.run();
-  EXPECT_TRUE(waiter_resumed);
 }
 
 TEST(Simulation, SubProcessExceptionSurfacesFromRunUntil) {

@@ -11,27 +11,6 @@
 namespace streamcalc::des {
 namespace {
 
-TEST(Store, TryPutTryGetFifo) {
-  Simulation sim;
-  Store<int> store(sim);
-  EXPECT_TRUE(store.try_put(1));
-  EXPECT_TRUE(store.try_put(2));
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.try_get(), 1);
-  EXPECT_EQ(store.try_get(), 2);
-  EXPECT_EQ(store.try_get(), std::nullopt);
-}
-
-TEST(Store, TryPutRespectsCapacity) {
-  Simulation sim;
-  Store<int> store(sim, 2);
-  EXPECT_TRUE(store.try_put(1));
-  EXPECT_TRUE(store.try_put(2));
-  EXPECT_FALSE(store.try_put(3));
-  store.try_get();
-  EXPECT_TRUE(store.try_put(3));
-}
-
 TEST(Store, RejectsZeroCapacity) {
   Simulation sim;
   EXPECT_THROW(Store<int>(sim, 0), util::PreconditionError);
@@ -114,7 +93,6 @@ TEST(Store, MultipleGettersServedInOrder) {
 TEST(Store, BlockedPuttersAdmittedInOrder) {
   Simulation sim;
   Store<int> store(sim, 1);
-  store.try_put(0);
   std::vector<int> drained;
   auto putter = [](Store<int>& st, int v) -> Process {
     co_await st.put(v);
@@ -126,6 +104,8 @@ TEST(Store, BlockedPuttersAdmittedInOrder) {
       d.push_back(co_await st.get());
     }
   };
+  // The first put fills the store; the next two queue behind it.
+  sim.spawn(putter(store, 0));
   sim.spawn(putter(store, 1));
   sim.spawn(putter(store, 2));
   sim.spawn(consumer(sim, store, drained));
@@ -133,38 +113,44 @@ TEST(Store, BlockedPuttersAdmittedInOrder) {
   EXPECT_EQ(drained, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Store, TryPutFalseWhilePuttersQueuedPreservesFifo) {
-  Simulation sim;
-  Store<int> store(sim, 1);
-  store.try_put(0);
-  auto putter = [](Store<int>& st, int v) -> Process {
-    co_await st.put(v);
-  };
-  sim.spawn(putter(store, 1));
-  sim.run();
-  EXPECT_EQ(store.waiting_putters(), 1u);
-  // Even though the queue may momentarily have space after a get, a
-  // try_put must not jump the queued putter.
-  EXPECT_FALSE(store.try_put(99));
-}
-
 TEST(Store, MoveOnlyItemsSupported) {
   Simulation sim;
   Store<std::unique_ptr<int>> store(sim);
-  EXPECT_TRUE(store.try_put(std::make_unique<int>(7)));
-  auto v = store.try_get();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(**v, 7);
+  int got = 0;
+  auto putter = [](Store<std::unique_ptr<int>>& st) -> Process {
+    co_await st.put(std::make_unique<int>(7));
+  };
+  auto getter = [](Store<std::unique_ptr<int>>& st, int& g) -> Process {
+    const std::unique_ptr<int> v = co_await st.get();
+    g = *v;
+  };
+  sim.spawn(putter(store));
+  sim.spawn(getter(store, got));
+  sim.run();
+  EXPECT_EQ(got, 7);
 }
 
-TEST(Store, CountsWaiters) {
+TEST(Store, TokenStoreLimitsConcurrentHolders) {
+  // A store of capacity n used as n units (as kernels/arq_link does): put
+  // acquires a unit, an immediately ready get releases it, and a waiting
+  // putter takes the freed unit at the release instant, in FIFO order.
+  struct Token {};
   Simulation sim;
-  Store<int> store(sim, 1);
-  auto getter = [](Store<int>& st) -> Process { (void)co_await st.get(); };
-  sim.spawn(getter(store));
+  Store<Token> units(sim, 2);
+  std::vector<std::pair<double, int>> starts;
+  auto worker = [](Simulation& s, Store<Token>& u,
+                   std::vector<std::pair<double, int>>& log,
+                   int id) -> Process {
+    co_await u.put(Token{});
+    log.emplace_back(s.now(), id);
+    co_await s.timeout(1.0);
+    (void)co_await u.get();
+  };
+  for (int i = 0; i < 5; ++i) sim.spawn(worker(sim, units, starts, i));
   sim.run();
-  EXPECT_EQ(store.waiting_getters(), 1u);
-  EXPECT_EQ(store.waiting_putters(), 0u);
+  const std::vector<std::pair<double, int>> expected{
+      {0.0, 0}, {0.0, 1}, {1.0, 2}, {1.0, 3}, {2.0, 4}};
+  EXPECT_EQ(starts, expected);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 // the sink make simulate_dag() fall back to the DES and still return the
 // DES result. Constructed cases also pin each direct path of the
 // recurrence (hand-off, chunked stats fold) and the two-producer join.
+// On/off users run on the recurrence alone (EngineSelection); their pins
+// are in onoff_pin_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +31,7 @@
 #include "streamsim/pipeline_sim.hpp"
 #include "testing/compare.hpp"
 #include "testing/property.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -479,6 +482,43 @@ TEST_F(EngineSelection, FiniteQueuesStayOnTheDes) {
   (void)simulate(spec.nodes, spec.source, c);
   EXPECT_EQ(counter("streamsim.recurrence.runs"), runs);
   EXPECT_GT(counter("des.events"), events);
+}
+
+/// quickstart's analysis configuration fed by three on/off users.
+SimConfig onoff_config(const cli::Spec& spec) {
+  SimConfig c = spec_config(spec, 0);
+  c.onoff_users = 3;
+  c.onoff_peak = spec.source.rate;
+  c.onoff_mean_on = spec.analysis.horizon / 50.0;
+  c.onoff_mean_off = spec.analysis.horizon / 25.0;
+  return c;
+}
+
+TEST_F(EngineSelection, OnOffUsersTakeTheRecurrence) {
+  const cli::Spec spec = load_spec("quickstart");
+  const SimConfig c = onoff_config(spec);
+  ASSERT_TRUE(detail::recurrence_applies(c));
+  const double runs = counter("streamsim.recurrence.runs");
+  const double fallbacks = counter("streamsim.recurrence.fallbacks");
+  const double events = counter("des.events");
+  const SimResult r = simulate(spec.nodes, spec.source, c);
+  EXPECT_EQ(counter("streamsim.recurrence.runs"), runs + 1.0);
+  EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks);
+  EXPECT_EQ(counter("des.events"), events);
+  EXPECT_GT(r.packets_delivered, 0u);
+}
+
+TEST_F(EngineSelection, OnOffUsersNeedUnlimitedQueues) {
+  const cli::Spec spec = load_spec("quickstart");
+  const DagSpec dag = DagSpec::chain(spec.nodes);
+  SimConfig c = onoff_config(spec);
+  // The DES runs no on/off users at all.
+  EXPECT_THROW(detail::simulate_des(dag, spec.source, c),
+               util::PreconditionError);
+  c.queue_capacity = 4;
+  EXPECT_THROW(simulate(spec.nodes, spec.source, c), util::PreconditionError);
+  EXPECT_THROW(detail::simulate_des(dag, spec.source, c),
+               util::PreconditionError);
 }
 
 TEST_F(EngineSelection, JoinTieFallsBackToTheDes) {

@@ -20,7 +20,10 @@
 //     own headers, util/json.hpp and util/error.hpp, so it keeps building
 //     from sc_json alone;
 //   * nothing under src/, tools/ or examples/, and no bench paper
-//     program, reaches the test library in tests/support/.
+//     program, reaches the test library in tests/support/;
+//   * in src/, only the DES engine (streamsim/des_engine.cpp) and the ARQ
+//     link model (kernels/arq_link.cpp) include the des/ kernel, so the
+//     DES keeps its two clients and no new one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -187,6 +190,26 @@ std::vector<std::string> test_library_reaches(
   return out;
 }
 
+/// Every des/ include in src/ outside src/des/ itself, the DES engine and
+/// the ARQ link model, as "path:line: target".
+std::vector<std::string> des_includers(const std::vector<SourceFile>& files) {
+  std::vector<std::string> out;
+  for (const FileModel& f : build_project_model(files).files) {
+    if (!starts_with(f.path, "src/") || starts_with(f.path, "src/des/") ||
+        f.path == "src/streamsim/des_engine.cpp" ||
+        f.path == "src/kernels/arq_link.cpp") {
+      continue;
+    }
+    for (const IncludeRef& inc : f.includes) {
+      if (starts_with(inc.target, "des/")) {
+        out.push_back(f.path + ":" + std::to_string(inc.line) + ": " +
+                      inc.target);
+      }
+    }
+  }
+  return out;
+}
+
 TEST(ModuleCensus, EveryModuleIsIncludedByAProgram) {
   const std::vector<SourceFile> files = repository_files();
   ASSERT_GE(files.size(), 100u);
@@ -256,6 +279,25 @@ TEST(ModuleCensus, PlantedTestLibraryIncludeIsReported) {
   EXPECT_EQ(test_library_reaches(files),
             std::vector<std::string>{
                 "src/netcalc/planted.hpp:2: testing/generator.hpp"});
+}
+
+TEST(ModuleCensus, OnlyTheDesEngineAndTheArqLinkIncludeTheDes) {
+  const std::vector<SourceFile> files = repository_files();
+  for (const std::string& inc : des_includers(files)) {
+    ADD_FAILURE() << inc
+                  << ": in src/, only streamsim/des_engine.cpp and "
+                     "kernels/arq_link.cpp may include des/ headers";
+  }
+}
+
+TEST(ModuleCensus, PlantedDesIncludeIsReported) {
+  std::vector<SourceFile> files = repository_files();
+  files.push_back({"src/streamsim/planted.cpp",
+                   "#include \"streamsim/detail/core.hpp\"\n"
+                   "#include \"des/store.hpp\"\n"});
+  EXPECT_EQ(des_includers(files),
+            std::vector<std::string>{
+                "src/streamsim/planted.cpp:2: des/store.hpp"});
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cli/options.hpp"
+#include "cli/report.hpp"
 #include "cli/spec.hpp"
 #include "netcalc/dag.hpp"
 #include "streamsim/pipeline_sim.hpp"
@@ -89,12 +90,8 @@ TEST(DagSim, ChainMatchesLinearSimulator) {
   for (const auto& [dir, stem] : specs) {
     const cli::Spec spec = read_spec(dir, stem);
     ASSERT_FALSE(spec.is_dag()) << stem;
-    SimConfig c;
-    c.horizon = spec.analysis.horizon;
-    c.warmup = spec.analysis.horizon / 5.0;
-    c.seed = spec.analysis.seed;
-    c.queue_capacity = spec.analysis.queue_capacity;
-    cases.push_back({stem, spec.nodes, spec.source, c});
+    cases.push_back(
+        {stem, spec.nodes, spec.source, cli::simulation_config(spec)});
   }
   for (Case& k : cases) {
     for (const std::size_t traces : {std::size_t{4096}, std::size_t{0}}) {
