@@ -15,11 +15,12 @@
 //
 // Default-off is deliberate: certification re-evaluates every bound on
 // arbitrary-precision rationals. In perfbench's analyze workload (4-core
-// Xeon VM) one certify_spec pass costs about 0.9x the whole analyze path
-// of the same spec (parse, lint, model, bounds, DES, report), so turning
-// it on nearly doubles an analysis — the right default for benches and
-// examples is to opt in (CI's certify job and the mutation/property
-// suites run strict).
+// Xeon VM) one certify_spec pass costs about 1.2x the whole analyze path
+// of the same spec (parse, lint, model, bounds, simulation, report; the
+// max-plus recurrence runs the simulation of every spec without a finite
+// queue_capacity), so turning it on more than doubles an analysis — the
+// right default for benches and examples is to opt in (CI's certify job
+// and the mutation/property suites run strict).
 #pragma once
 
 #include <string>
