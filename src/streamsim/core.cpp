@@ -15,11 +15,21 @@ using util::DataRate;
 using util::DataSize;
 using util::Duration;
 
-/// Most source packets one run may emit. Each packet stays in memory until
-/// the run ends, so a horizon and rate past this (a 1e30 GiB/s typo in a
-/// spec) are refused up front instead of exhausting memory. The paper
-/// programs emit at most ~10k packets per run and the tests ~60k.
+/// Most source packets one run may emit. A run's time grows with its
+/// packets, and a join whose branch stays silent holds every packet of the
+/// other branches until the run ends, so a horizon and rate past this (a
+/// 1e30 GiB/s typo in a spec) are refused up front instead of running for
+/// hours or exhausting memory. The paper programs emit at most ~10k packets
+/// per run and the tests ~60k.
 constexpr double kMaxSourcePackets = 1e7;
+
+/// Most on/off cycles (a silence and an on-period) one run may expect,
+/// users x horizon / (mean_on + mean_off). A user cycles until the horizon
+/// even when no on-period lasts a window and it releases nothing, at about
+/// 30 ns a cycle, so nanosecond sojourns over a 100 s horizon are refused
+/// up front instead of spinning for half an hour. The on/off tests expect
+/// at most ~330 cycles per run.
+constexpr double kMaxOnOffCycles = 1e7;
 
 }  // namespace
 
@@ -105,6 +115,19 @@ SourceSchedule::SourceSchedule(const Network& net, const SourceSpec& source,
         " source packets, more than the " +
         util::format_significant(kMaxSourcePackets) +
         " one run holds: shorten the horizon or lower the source rate");
+  }
+  if (onoff()) {
+    const double cycles =
+        static_cast<double>(config.onoff_users) * config.horizon.in_seconds() /
+        (config.onoff_mean_on + config.onoff_mean_off).in_seconds();
+    if (!(cycles <= kMaxOnOffCycles)) {
+      throw util::PreconditionError(
+          "simulation would run " + util::format_significant(cycles) +
+          " on/off cycles, more than the " +
+          util::format_significant(kMaxOnOffCycles) +
+          " one run allows: shorten the horizon or lengthen the on/off "
+          "sojourns");
+    }
   }
   // Initial burst: the arrival curve's instantaneous component.
   double burst_left = source.burst.in_bytes();

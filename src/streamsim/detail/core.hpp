@@ -85,24 +85,77 @@ class WeightedRouter {
 
   /// Destination queue for the next packet (kDropped if it leaves).
   std::size_t route() {
+    std::size_t to;
+    route(std::span(&to, 1));
+    return to;
+  }
+
+  /// Destination queues for the next out.size() packets, in order: the
+  /// decisions of as many route() calls.
+  void route(std::span<std::size_t> out) {
     // A sole destination of weight 1 is always a deficit of 1 ahead.
-    if (sole_) return dests_.front().queue;
-    total_ += 1.0;
-    std::size_t best = 0;
-    double best_deficit = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < dests_.size(); ++i) {
-      const double deficit = dests_[i].weight * total_ - sent_[i];
-      if (deficit > best_deficit) {
-        best_deficit = deficit;
-        best = i;
+    if (sole_) {
+      std::fill(out.begin(), out.end(), dests_.front().queue);
+      return;
+    }
+    if (dests_.size() == 2) {
+      route_pair(out);
+      return;
+    }
+    const Destination* dests = dests_.data();
+    const std::size_t n = dests_.size();
+    double* sent = sent_.data();
+    double total = total_;
+    for (std::size_t& to : out) {
+      total += 1.0;
+      std::size_t best = 0;
+      double best_deficit = -std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < n; ++i) {
+        const double deficit = dests[i].weight * total - sent[i];
+        if (deficit > best_deficit) {
+          best_deficit = deficit;
+          best = i;
+        }
+      }
+      if (best_deficit <= 0.0) {
+        to = kDropped;  // only the remainder is due
+      } else {
+        sent[best] += 1.0;
+        to = dests[best].queue;
       }
     }
-    if (best_deficit <= 0.0) return kDropped;  // only the remainder is due
-    sent_[best] += 1.0;
-    return dests_[best].queue;
+    total_ = total;
   }
 
  private:
+  /// route(out) for two destinations (a two-way split, or one edge and the
+  /// remainder that leaves), the same arithmetic with both counts held in
+  /// registers and the winner selected, not branched on: each decision
+  /// waits on the count the last one raised, and a round trip through
+  /// memory about triples that wait.
+  void route_pair(std::span<std::size_t> out) {
+    const double w0 = dests_[0].weight;
+    const double w1 = dests_[1].weight;
+    const std::size_t q0 = dests_[0].queue;
+    const std::size_t q1 = dests_[1].queue;
+    double s0 = sent_[0];
+    double s1 = sent_[1];
+    double total = total_;
+    for (std::size_t& to : out) {
+      total += 1.0;
+      const double d0 = w0 * total - s0;
+      const double d1 = w1 * total - s1;
+      const bool second = d1 > d0;
+      const bool due = (second ? d1 : d0) > 0.0;
+      s0 += due && !second ? 1.0 : 0.0;
+      s1 += due && second ? 1.0 : 0.0;
+      to = !due ? kDropped : second ? q1 : q0;
+    }
+    sent_[0] = s0;
+    sent_[1] = s1;
+    total_ = total;
+  }
+
   std::vector<Destination> dests_;
   std::vector<double> sent_;
   bool sole_;

@@ -13,6 +13,7 @@
 // one-path DAG's single entry, where no tie is left to order.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 
 #include "netcalc/dag.hpp"
@@ -22,6 +23,10 @@ namespace streamcalc::streamsim::detail {
 
 /// True for the configurations the recurrence covers: unlimited queues.
 bool recurrence_applies(const SimConfig& config);
+
+/// Source packets the recurrence releases per round (see recurrence.cpp);
+/// the round-boundary tests size their runs from it.
+inline constexpr std::size_t kRoundPackets = 128;
 
 /// Coroutine DES, the reference engine. Covers every configuration but
 /// on/off users, which it rejects.

@@ -3,34 +3,29 @@
 //
 // With unlimited queues a node never blocks its upstream, so each node's
 // schedule depends only on the order of its own input and on its own RNG
-// stream. Each source packet is pushed through every node that has a
-// single producer as soon as it is emitted (a chain is a one-path DAG); a
-// join runs, in topological order, once its producers are done, over
-// their streams merged by time. A job starts at max(arrival of the packet
-// that completes it, previous finish) and finishes at start + exec; a job
-// that would finish after the horizon emits nothing and adds no busy time,
-// the DES's `time <= horizon` rule. Draws come from the same per-node
-// streams in job order, and source gaps from the root stream after the
-// node splits, so every time and size matches the DES bit for bit. On/off
-// users (OnOffUsers, from streams split after the nodes') replace the
-// constant-rate source and have no DES twin; the pins in
-// tests/property/onoff_pin_test.cpp hold them to the DES they replaced.
+// stream. A job starts at max(arrival of the packet that completes it,
+// previous finish) and finishes at start + exec; a job that would finish
+// after the horizon emits nothing and adds no busy time, the DES's
+// `time <= horizon` rule, and its node takes no later input. Draws come
+// from the same per-node streams in job order, and source gaps from the
+// root stream after the node splits, so every time and size matches the
+// DES bit for bit. On/off users (OnOffUsers, from streams split after the
+// nodes') replace the constant-rate source and have no DES twin; the pins
+// in tests/property/onoff_pin_test.cpp hold them to the DES they replaced.
 //
-// Two common shapes take a direct path:
-//   * Hand-off: hand_off() runs a node on its input and moves on, in a
-//     loop, to the single-producer successor that the output of its last
-//     job goes to; a sole weight-1 edge skips the router. Only the outputs
-//     of earlier jobs from the same input recurse, so a chain of one job
-//     per packet walks each packet to the sink without recursion.
-//   * Stats fold: when the sink's one producer is a chain's last node, or
-//     a join that runs last with no split drop before it, Recorder folds
-//     the deliveries against the emits with two pointers and its totals in
-//     locals, in chunks as they come: while the source runs for a chain,
-//     while the join runs for a join. Neither keeps a sink buffer per
-//     packet (nor, for a chain, an emit buffer).
-// Joins merge their producers' streams with the k-way merge over stream
-// cursors, and the stats of every other shape (lossy splits, several sink
-// producers, nodes after the last join) take it too.
+// One round loop runs chains and DAGs alike (a chain is a one-path DAG).
+// Each round the source releases up to kRoundPackets packets. Then every
+// node, in topological order, runs its jobs over the input buffered for it
+// and writes its outputs into one Stream per (producer, destination): a
+// node's input, the sink, or the producer's split drops. A router routes
+// all of a node's outputs of the round in one call. A node with one
+// producer takes its whole input. A join merges its producers' streams by
+// time, but only below the watermark: the smallest latest time among the
+// producers that can still send, since none of them sends anything
+// earlier. At the end of the round the recorder takes the emits, drops and
+// deliveries before the earliest time anything may still happen: the
+// source's clock or a join input still held back. So a stream holds about
+// a round of packets, not the run.
 //
 // What the recurrence does not track is the DES's sequence order among
 // events at one instant. Where that order is observable it follows a
@@ -43,9 +38,13 @@
 //   * Any other meeting of two streams at one instant — two producers
 //     feeding one queue (a join, or the sink), a split drop beside an emit,
 //     a delivery or another node's drop, or a source whose clock did not
-//     advance — returns nullopt, and the caller runs the DES instead.
+//     advance — returns nullopt, and the caller runs the DES instead. A
+//     join checks every head it takes, also once its node has passed the
+//     horizon.
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <optional>
 #include <span>
@@ -60,38 +59,47 @@ namespace {
 
 using netcalc::SourceSpec;
 
-/// Where a routed packet goes. A node with a single producer is fed
-/// directly, so packets stream through chains without buffers. Packets
-/// for a node with several producers (a join), for the sink and out of a
-/// lossy split are kept in one time-sorted stream per producer and merged
-/// later.
-struct Target {
-  enum class Kind { kNode, kStream };
-  Kind kind;
-  std::size_t index;  ///< node index for kNode, stream index for kStream
-};
-
 constexpr std::size_t kNone = SIZE_MAX;
 
-/// Folded deliveries and chain emits are recorded in chunks of this many.
-constexpr std::size_t kFoldChunk = 128;
 constexpr double kEnd = std::numeric_limits<double>::infinity();
 
-/// How a producer (the source or a node) routes its packets: a sole
-/// weight-1 edge goes straight to its one target, anything else through a
-/// WeightedRouter over target ids.
-struct Route {
-  std::optional<Target> sole;
-  std::size_t chained = kNone;  ///< the node `sole` feeds, if it is one
-  std::optional<WeightedRouter> router;
-  std::size_t drop_target = 0;  ///< where the router's kDropped goes
+/// The packets one producer (the source or a node) sends one way: into a
+/// node, into the sink, or out of its split. Those before `head` are taken.
+struct Stream {
+  std::vector<Arrival> items;
+  std::size_t head = 0;
+  std::size_t producer = kNone;  ///< node index; kNone for the source
+  bool drops = false;            ///< split drops rather than sink deliveries
+  double last = -kEnd;           ///< latest time taken, once items is empty
+
+  bool empty() const { return head == items.size(); }
+  /// Latest time this stream ever held.
+  double latest() const { return items.empty() ? last : items.back().time; }
+  /// Forgets the items taken.
+  void compact() {
+    if (head == 0) return;
+    last = items.back().time;
+    items.erase(items.begin(),
+                items.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
 };
 
-/// Read position in one stream.
+/// How a producer routes its packets: a sole weight-1 edge goes straight to
+/// its one stream, anything else through a WeightedRouter over indices
+/// into `streams`.
+struct Route {
+  std::size_t sole = kNone;
+  std::optional<WeightedRouter> router;
+  std::vector<std::size_t> streams;
+  std::size_t drops = kNone;  ///< where kDropped goes; kNone: nowhere
+};
+
+/// Read position in one stream, up to `end`.
 struct Cursor {
   const Arrival* next;
   const Arrival* end;
-  bool drops;  ///< split drops rather than sink deliveries
+  Stream* stream;
 };
 
 /// Index of the cursor with the earliest head, or cursors.size() when all
@@ -122,26 +130,25 @@ class Recurrence {
         schedule_(net, source, config),
         steps_(job_steps(net, config, rng_)),
         nodes_(net.nodes->size()),
-        routes_(net.nodes->size()),
-        inputs_(net.nodes->size()),
         recorder_(config) {
-    // Streams start sized for every source packet, up to 64Ki entries;
-    // deliveries that fold as they come need two chunks.
-    const double packets =
-        horizon_ * schedule_.peak_rate() / schedule_.packet_bytes();
-    expected_packets_ = std::min<std::size_t>(
-        schedule_.burst_packets() + 1 +
-            static_cast<std::size_t>(std::min(packets, 65536.0)),
-        65536);
+    if (schedule_.onoff()) {
+      users_.emplace(schedule_.users(rng_));
+    } else {
+      burst_left_ = schedule_.burst_packets();
+    }
     wire();
   }
 
   std::optional<SimResult> run() {
-    if (!run_source()) return std::nullopt;
-    for (const std::size_t i : net_.order) {
-      if (!inputs_[i].empty() && !run_join(i)) return std::nullopt;
+    for (;;) {
+      const bool final = !release();
+      if (stalled_) return std::nullopt;
+      for (const std::size_t i : net_.order) {
+        if (!run_node(i, final)) return std::nullopt;
+      }
+      if (!record(final ? kEnd : held_back())) return std::nullopt;
+      if (final) break;
     }
-    if (!record_stats()) return std::nullopt;
     std::vector<double> busy;
     std::vector<std::uint64_t> jobs;
     for (const NodeRun& node : nodes_) {
@@ -152,350 +159,324 @@ class Recurrence {
   }
 
  private:
-  /// What a stream holds: a join's input from one producer, one
-  /// producer's sink deliveries, or one node's split drops.
-  enum class Role { kJoinInput, kDelivery, kDrop };
-
-  /// A node's schedule state between packets.
+  /// A node's schedule state between rounds, and its wiring.
   struct NodeRun {
     double free_at = 0.0;
     double busy = 0.0;        ///< total execution time of its jobs
     std::uint64_t jobs = 0;   ///< jobs finished within the horizon
     bool done = false;        ///< a job ran past the horizon
+    std::vector<std::size_t> inputs;  ///< one stream per producer
+    Route route;
   };
 
-  std::size_t add_target(Target::Kind kind, std::size_t index) {
-    targets_.push_back({kind, index});
-    return targets_.size() - 1;
-  }
+  /// A routed node's job output, held until the round's routing call.
+  struct Output {
+    double time;
+    JobOutput out;
+  };
 
-  std::size_t add_stream(Role role) {
+  std::size_t add_stream(std::size_t producer, bool drops) {
     streams_.emplace_back();
-    roles_.push_back(role);
+    streams_.back().producer = producer;
+    streams_.back().drops = drops;
     return streams_.size() - 1;
   }
 
-  /// Producer-side routing: each destination becomes a Target, and every
-  /// router is rebuilt over target ids instead of queue indices.
+  /// One stream per (producer, destination queue); a repeated edge shares
+  /// its producer's stream. Every router is rebuilt over stream slots
+  /// instead of queue indices.
   void wire() {
     const std::size_t n = net_.nodes->size();
-    std::vector<std::size_t> producers(n, 0);
-    const auto count = [&](const std::vector<Destination>& dests) {
-      std::vector<std::size_t> seen;
-      for (const Destination& d : dests) {
-        if (d.queue >= n ||
-            std::find(seen.begin(), seen.end(), d.queue) != seen.end()) {
-          continue;
-        }
-        seen.push_back(d.queue);
-        ++producers[d.queue];
-      }
-    };
-    count(net_.entries);
-    for (const auto& dests : net_.outputs) count(dests);
-
-    // One target per (producer, destination queue); a repeated edge
-    // shares its producer's stream.
-    const auto make_route = [&](const std::vector<Destination>& dests,
-                                std::size_t dropped) {
-      std::vector<Destination> out;
-      std::vector<std::pair<std::size_t, std::size_t>> made;
-      for (const Destination& d : dests) {
-        std::size_t id = dropped;
-        if (d.queue != kDropped) {
-          const auto it = std::find_if(made.begin(), made.end(), [&](auto& m) {
-            return m.first == d.queue;
-          });
-          if (it != made.end()) {
-            id = it->second;
-          } else if (d.queue < n && producers[d.queue] == 1) {
-            id = add_target(Target::Kind::kNode, d.queue);
-          } else {
-            const Role role = d.queue < n ? Role::kJoinInput : Role::kDelivery;
-            const std::size_t s = add_stream(role);
-            if (d.queue < n) inputs_[d.queue].push_back(s);
-            id = add_target(Target::Kind::kStream, s);
-          }
-          made.emplace_back(d.queue, id);
-        }
-        out.push_back({id, d.weight});
-      }
+    const auto make_route = [&](std::size_t producer,
+                                const std::vector<Destination>& dests,
+                                std::size_t drops) {
       Route r;
-      r.drop_target = dropped;
+      r.drops = drops;
+      std::vector<std::size_t> queues;
+      std::vector<Destination> slots;
+      for (const Destination& d : dests) {
+        std::size_t slot = kDropped;
+        if (d.queue != kDropped) {
+          slot = static_cast<std::size_t>(
+              std::find(queues.begin(), queues.end(), d.queue) -
+              queues.begin());
+          if (slot == queues.size()) {
+            const std::size_t s = add_stream(producer, false);
+            (d.queue < n ? nodes_[d.queue].inputs : outlets_).push_back(s);
+            queues.push_back(d.queue);
+            r.streams.push_back(s);
+          }
+        }
+        slots.push_back({slot, d.weight});
+      }
       // WeightedRouter::route() always picks a sole weight-1 destination.
-      if (out.size() == 1 && out.front().weight == 1.0 &&
+      if (slots.size() == 1 && slots.front().weight == 1.0 &&
           dests.front().queue != kDropped) {
-        r.sole = targets_[out.front().queue];
-        if (r.sole->kind == Target::Kind::kNode) r.chained = r.sole->index;
+        r.sole = r.streams.front();
       } else {
-        r.router.emplace(std::move(out));
+        r.router.emplace(std::move(slots));
       }
       return r;
     };
     // The source's unmodeled share never enters the system.
-    source_route_ = make_route(net_.entries, kDropped);
+    source_route_ = make_route(kNone, net_.entries, kNone);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t drops =
-          add_target(Target::Kind::kStream, add_stream(Role::kDrop));
-      routes_[i] = make_route(net_.outputs[i], drops);
+      const std::size_t drops = add_stream(i, true);
+      outlets_.push_back(drops);
+      nodes_[i].route = make_route(i, net_.outputs[i], drops);
     }
-    find_fold();
-    const bool folds = folding_ || sink_join_ != kNone;
-    for (std::size_t s = 0; s < streams_.size(); ++s) {
-      if (roles_[s] == Role::kDrop) continue;
-      streams_[s].reserve(s == sink_ && folds ? 2 * kFoldChunk
-                                              : expected_packets_);
+    for (Stream& s : streams_) {
+      if (!s.drops) s.items.reserve(kRoundPackets);
     }
+    emits_.reserve(kRoundPackets);
   }
 
-  /// Finds the sink's one delivery stream, if it has one producer, and
-  /// whether its deliveries can fold as they come: from a chain, whose
-  /// sole edges drop nothing and whose deliveries come in source order; or
-  /// from a join, the last node to run, if the nodes before it dropped
-  /// nothing (decided in run_join()). Otherwise every outlet stream is
-  /// kept to the end.
-  void find_fold() {
-    for (std::size_t s = 0; s < streams_.size(); ++s) {
-      if (roles_[s] != Role::kDelivery) continue;
-      if (sink_ != kNone) {
-        sink_ = kNone;
-        return;
-      }
-      sink_ = s;
+  /// Releases the source's next packets, up to kRoundPackets, into the
+  /// streams they enter and the emits. False once the source has ended.
+  bool release() {
+    std::array<double, kRoundPackets> times;
+    std::size_t n = 0;
+    for (; n < kRoundPackets && burst_left_ > 0; --burst_left_) {
+      times[n++] = 0.0;
     }
-    if (sink_ == kNone) return;
-    bool chain = true;
-    for (std::size_t i = 0; i < routes_.size(); ++i) {
-      const std::optional<Target>& sole = routes_[i].sole;
-      if (!sole || !inputs_[i].empty()) chain = false;
-      if (sole && sole->kind == Target::Kind::kStream && sole->index == sink_ &&
-          !inputs_[i].empty()) {
-        sink_join_ = i;
+    while (users_ && n < kRoundPackets && !ended_) {
+      const double t = users_->next();
+      if (t > horizon_) {
+        ended_ = true;
+      } else {
+        times[n++] = clock_ = t;
       }
     }
-    folding_ = chain;
-  }
-
-  /// Hands `count` copies of `p` at time t to one target.
-  void send(const Target& to, double t, const Packet& p, std::size_t count) {
-    if (to.kind == Target::Kind::kNode) {
-      hand_off(to.index, t, p, count);
-    } else {
-      std::vector<Arrival>& s = streams_[to.index];
-      for (std::size_t k = 0; k < count; ++k) s.push_back({t, p});
-    }
-  }
-
-  /// Routes the copies of `out`, leaving node i at time t. With
-  /// `keep_last`, returns the single-producer node that the last copy goes
-  /// to, unsent, for hand_off() to run next; else kNone.
-  std::size_t route(Route& r, double t, const JobOutput& out,
-                    bool keep_last) {
-    if (r.sole) {
-      send(*r.sole, t, out.packet, out.count);
-      return kNone;
-    }
-    for (std::size_t k = 0; k < out.count; ++k) {
-      const std::size_t to = r.router->route();
-      const Target& target = targets_[to == kDropped ? r.drop_target : to];
-      if (keep_last && k + 1 == out.count &&
-          target.kind == Target::Kind::kNode) {
-        return target.index;
-      }
-      send(target, t, out.packet, 1);
-    }
-    return kNone;
-  }
-
-  /// Delivers `count` copies of `p` at time t to node i and runs every
-  /// job they complete: start = max(arrival, previous finish), finish =
-  /// start + exec, outputs routed on at the finish time. The output of
-  /// the last job goes on to a single-producer successor in this loop:
-  /// all of it over a sole edge, or its last copy out of a router. Earlier
-  /// outputs recurse first, so every node still sees its input in time
-  /// order.
-  void hand_off(std::size_t i, double t, Packet p, std::size_t count) {
-    const double horizon = horizon_;
-    for (;;) {
-      NodeRun& node = nodes_[i];
-      JobStep& step = steps_[i];
-      Route& r = routes_[i];
-      std::size_t next = kNone;
-      for (std::size_t k = 0; k < count && next == kNone; ++k) {
-        if (node.done) return;
-        step.add(p);
-        while (!step.needs_input()) {
-          const Job job = step.start();
-          const double finish = std::max(t, node.free_at) + job.exec;
-          if (finish > horizon) {
-            node.done = true;
-            return;
-          }
-          node.free_at = finish;
-          node.busy += job.exec;
-          ++node.jobs;
-          const JobOutput out = step.finish(job);
-          const bool last = k + 1 == count && step.needs_input();
-          std::size_t copies = out.count;
-          if (last && r.chained != kNone) {
-            next = r.chained;
-          } else if ((next = route(r, finish, out, last)) != kNone) {
-            copies = 1;
-          }
-          if (next != kNone) {  // the hand-off this loop moves on to
-            t = finish;
-            p = out.packet;
-            count = copies;
-            break;
-          }
-        }
-      }
-      if (next == kNone) return;
-      i = next;
-    }
-  }
-
-  /// Emits the source's packets up to the horizon, streaming each through
-  /// the nodes it reaches directly. False when the source clock fails to
-  /// advance.
-  bool run_source() {
-    const double bytes = schedule_.packet_bytes();
-    emits_.reserve(folding_ ? kFoldChunk : expected_packets_);
-    const auto emit = [&](double t) {
-      const Target* to = source_route_.sole ? &*source_route_.sole : nullptr;
-      if (to == nullptr) {
-        const std::size_t id = source_route_.router->route();
-        if (id == kDropped) return;  // never enters the system
-        to = &targets_[id];
-      }
-      if (folding_ && emits_.size() == kFoldChunk) {
-        // Every delivery before t is in, and every later one comes after
-        // the emits so far.
-        fold(t);
-        recorder_.emit(std::span(emits_).subspan(emits_done_), bytes);
-        emits_.clear();
-        emits_done_ = 0;
-      }
-      emits_.push_back(t);
-      send(*to, t, Packet{bytes, bytes, t}, 1);
-    };
-    if (schedule_.onoff()) {
-      OnOffUsers users = schedule_.users(rng_);
-      for (double t = users.next(); t <= horizon_; t = users.next()) emit(t);
-      return true;
-    }
-    for (std::size_t k = 0; k < schedule_.burst_packets(); ++k) emit(0.0);
-    double t = 0.0;
-    for (;;) {
-      const double rate = schedule_.rate_at(t);
+    while (!users_ && n < kRoundPackets && !ended_) {
+      const double rate = schedule_.rate_at(clock_);
       if (rate <= 0.0) {
         // Idle phase: sleep through to the next profile change.
-        const double next = schedule_.next_change(t);
-        if (!std::isfinite(next) || t + (next - t) > horizon_) return true;
-        t = t + (next - t);
+        const double next = schedule_.next_change(clock_);
+        if (!std::isfinite(next) || clock_ + (next - clock_) > horizon_) {
+          ended_ = true;
+        } else {
+          clock_ = clock_ + (next - clock_);
+        }
         continue;
       }
-      const double at = t + schedule_.gap(rate, rng_);
-      if (at > horizon_) return true;
-      if (at == t) return false;
-      t = at;
-      emit(t);
-    }
-  }
-
-  /// Feeds join node i its producers' streams merged by time. False on a
-  /// same-instant tie between two producers.
-  bool run_join(std::size_t i) {
-    if (i == sink_join_) {
-      folding_ = true;
-      for (std::size_t s = 0; s < streams_.size(); ++s) {
-        if (roles_[s] == Role::kDrop && !streams_[s].empty()) folding_ = false;
-      }
-    }
-    const auto feed = [&](const Arrival& a) {
-      hand_off(i, a.time, a.packet, 1);
-      if (folding_ && streams_[sink_].size() >= kFoldChunk) fold(kEnd);
-    };
-    cursors_.clear();
-    open_cursors(inputs_[i]);
-    for (;;) {
-      bool tie = false;
-      const std::size_t c = earliest(cursors_, tie);
-      if (c == cursors_.size()) return true;
-      if (tie) return false;
-      feed(*cursors_[c].next++);
-    }
-  }
-
-  /// Records the sink deliveries before `until`, each after the emits at
-  /// or before its time, and drops them from the sink stream.
-  void fold(double until) {
-    std::vector<Arrival>& d = streams_[sink_];
-    const auto end = std::partition_point(
-        d.begin(), d.end(), [&](const Arrival& a) { return a.time < until; });
-    emits_done_ += recorder_.deliver(
-        std::span(emits_).subspan(emits_done_), schedule_.packet_bytes(),
-        std::span(d.begin(), end));
-    d.erase(d.begin(), end);
-  }
-
-  /// Fills cursors_ with the non-empty streams among `streams`.
-  void open_cursors(const std::vector<std::size_t>& streams) {
-    for (const std::size_t s : streams) {
-      const std::vector<Arrival>& v = streams_[s];
-      if (!v.empty()) {
-        cursors_.push_back(
-            {v.data(), v.data() + v.size(), roles_[s] == Role::kDrop});
-      }
-    }
-  }
-
-  /// Feeds the recorder emits, drops and deliveries in DES order. Folded
-  /// deliveries need only their last chunk; otherwise the outlet streams
-  /// take the k-way merge.
-  bool record_stats() {
-    const double bytes = schedule_.packet_bytes();
-    if (folding_) {
-      fold(kEnd);
-      recorder_.emit(std::span(emits_).subspan(emits_done_), bytes);
-      return true;
-    }
-    std::vector<std::size_t> outlets;
-    for (std::size_t s = 0; s < streams_.size(); ++s) {
-      if (roles_[s] != Role::kJoinInput) outlets.push_back(s);
-    }
-    cursors_.clear();
-    open_cursors(outlets);
-    std::size_t deliveries = 0;
-    std::size_t events = emits_.size();
-    for (const Cursor& c : cursors_) {
-      const auto size = static_cast<std::size_t>(c.end - c.next);
-      events += size;
-      if (!c.drops) deliveries += size;
-    }
-    recorder_.reserve(deliveries, events);
-    std::size_t e = 0;
-    for (;;) {
-      bool tie = false;
-      const std::size_t c = earliest(cursors_, tie);
-      if (c == cursors_.size()) {
-        for (; e < emits_.size(); ++e) recorder_.emit(emits_[e], bytes);
-        return true;
-      }
-      if (tie) return false;
-      Cursor& cur = cursors_[c];
-      if (e < emits_.size() && emits_[e] <= cur.next->time) {
-        if (emits_[e] == cur.next->time && cur.drops) return false;
-        recorder_.emit(emits_[e++], bytes);
-        continue;
-      }
-      if (cur.drops) {
-        recorder_.drop(cur.next->time, cur.next->packet.input_bytes);
+      const double at = clock_ + schedule_.gap(rate, rng_);
+      if (at > horizon_) {
+        ended_ = true;
+      } else if (at == clock_) {
+        ended_ = stalled_ = true;
       } else {
-        recorder_.deliver(cur.next->time, cur.next->packet);
+        times[n++] = clock_ = at;
       }
-      ++cur.next;
     }
+
+    const double bytes = schedule_.packet_bytes();
+    const Route& r = source_route_;
+    if (r.sole != kNone) {
+      std::vector<Arrival>& to = streams_[r.sole].items;
+      for (std::size_t k = 0; k < n; ++k) {
+        to.push_back({times[k], Packet{bytes, bytes, times[k]}});
+      }
+      emits_.insert(emits_.end(), times.begin(), times.begin() + n);
+    } else {
+      dests_.resize(n);
+      source_route_.router->route(dests_);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (dests_[k] == kDropped) continue;  // never enters the system
+        emits_.push_back(times[k]);
+        streams_[r.streams[dests_[k]]].items.push_back(
+            {times[k], Packet{bytes, bytes, times[k]}});
+      }
+    }
+    return !ended_;
+  }
+
+  /// Runs node i over its input of this round and routes what it emits.
+  /// False on a same-instant tie between two of a join's producers.
+  bool run_node(std::size_t i, bool final) {
+    NodeRun& node = nodes_[i];
+    if (node.inputs.size() == 1) {
+      Stream& in = streams_[node.inputs.front()];
+      run_jobs(node, steps_[i], in.items);
+      in.head = in.items.size();
+      in.compact();
+    } else if (merge(node, final)) {
+      run_jobs(node, steps_[i], merged_);
+    } else {
+      return false;
+    }
+    if (!outputs_.empty()) route_outputs(node.route);
+    return true;
+  }
+
+  /// Merges a join's input streams by time into merged_, below the
+  /// watermark unless this is the final round. False on a same-instant tie
+  /// between two of its producers.
+  bool merge(const NodeRun& node, bool final) {
+    double watermark = kEnd;
+    cursors_.clear();
+    for (const std::size_t s : node.inputs) {
+      Stream& in = streams_[s];
+      if (!final && (in.producer == kNone || !nodes_[in.producer].done)) {
+        watermark = std::min(watermark, in.latest());
+      }
+      if (!in.empty()) {
+        cursors_.push_back({in.items.data() + in.head,
+                            in.items.data() + in.items.size(), &in});
+      }
+    }
+    merged_.clear();
+    bool ok = true;
+    for (;;) {
+      bool tie = false;
+      const std::size_t c = earliest(cursors_, tie);
+      if (c == cursors_.size() || !(cursors_[c].next->time < watermark)) {
+        break;
+      }
+      if (tie) {
+        ok = false;
+        break;
+      }
+      merged_.push_back(*cursors_[c].next++);
+    }
+    take(cursors_);
+    return ok;
+  }
+
+  /// Moves each cursor's stream past what the cursor read, and forgets it.
+  static void take(const std::vector<Cursor>& cursors) {
+    for (const Cursor& c : cursors) {
+      Stream& s = *c.stream;
+      s.head = static_cast<std::size_t>(c.next - s.items.data());
+      s.compact();
+    }
+  }
+
+  /// Delivers a node its input packets in order and runs every job they
+  /// complete: start = max(arrival, previous finish), finish = start +
+  /// exec, outputs leaving at the finish time. A sole edge takes them at
+  /// once; a router's go to outputs_.
+  void run_jobs(NodeRun& node, JobStep& step, std::span<const Arrival> input) {
+    std::vector<Arrival>* sole =
+        node.route.sole == kNone ? nullptr : &streams_[node.route.sole].items;
+    double free_at = node.free_at;
+    double busy = node.busy;
+    std::uint64_t jobs = node.jobs;
+    for (const Arrival& a : input) {
+      if (node.done) break;
+      step.add(a.packet);
+      while (!step.needs_input()) {
+        const Job job = step.start();
+        const double finish = std::max(a.time, free_at) + job.exec;
+        if (finish > horizon_) {
+          node.done = true;
+          break;
+        }
+        free_at = finish;
+        busy += job.exec;
+        ++jobs;
+        const JobOutput out = step.finish(job);
+        if (sole != nullptr) {
+          for (std::size_t k = 0; k < out.count; ++k) {
+            sole->push_back({finish, out.packet});
+          }
+        } else {
+          outputs_.push_back({finish, out});
+          copies_ += out.count;
+        }
+      }
+    }
+    node.free_at = free_at;
+    node.busy = busy;
+    node.jobs = jobs;
+  }
+
+  /// Routes the copies in outputs_ with one router call, in job order.
+  void route_outputs(Route& r) {
+    dests_.resize(copies_);
+    r.router->route(dests_);
+    const std::size_t* to = dests_.data();
+    for (const Output& o : outputs_) {
+      for (std::size_t k = 0; k < o.out.count; ++k, ++to) {
+        const std::size_t s = *to == kDropped ? r.drops : r.streams[*to];
+        streams_[s].items.push_back({o.time, o.out.packet});
+      }
+    }
+    outputs_.clear();
+    copies_ = 0;
+  }
+
+  /// The earliest time a later round may emit, drop or deliver at: the
+  /// source's clock, or an earlier join input still held back.
+  double held_back() const {
+    double t = clock_;
+    for (const NodeRun& node : nodes_) {
+      if (node.inputs.size() == 1) continue;
+      for (const std::size_t s : node.inputs) {
+        const Stream& in = streams_[s];
+        if (!in.empty()) t = std::min(t, in.items[in.head].time);
+      }
+    }
+    return t;
+  }
+
+  /// Feeds the recorder the emits, drops and deliveries before `until` in
+  /// DES order. One delivery stream takes Recorder's two-pointer fold;
+  /// several outlets take the k-way merge. False on a same-instant meeting
+  /// of two outlets, or of a drop and an emit.
+  bool record(double until) {
+    const double bytes = schedule_.packet_bytes();
+    const std::span<const double> emits(
+        emits_.begin(),
+        std::partition_point(emits_.begin(), emits_.end(),
+                             [&](double t) { return t < until; }));
+    cursors_.clear();
+    for (const std::size_t s : outlets_) {
+      Stream& o = streams_[s];
+      if (o.empty() || !(o.items[o.head].time < until)) continue;
+      const Arrival* begin = o.items.data() + o.head;
+      const Arrival* end = std::partition_point(
+          begin, static_cast<const Arrival*>(o.items.data() + o.items.size()),
+          [&](const Arrival& a) { return a.time < until; });
+      cursors_.push_back({begin, end, &o});
+    }
+    std::size_t e = 0;
+    bool ok = true;
+    if (cursors_.size() == 1 && !cursors_.front().stream->drops) {
+      Cursor& c = cursors_.front();
+      e = recorder_.deliver(emits, bytes, std::span(c.next, c.end));
+      c.next = c.end;
+    } else {
+      for (;;) {
+        bool tie = false;
+        const std::size_t c = earliest(cursors_, tie);
+        if (c == cursors_.size()) break;
+        if (tie) {
+          ok = false;
+          break;
+        }
+        Cursor& cur = cursors_[c];
+        if (e < emits.size() && emits[e] <= cur.next->time) {
+          if (emits[e] == cur.next->time && cur.stream->drops) {
+            ok = false;
+            break;
+          }
+          recorder_.emit(emits[e++], bytes);
+          continue;
+        }
+        if (cur.stream->drops) {
+          recorder_.drop(cur.next->time, cur.next->packet.input_bytes);
+        } else {
+          recorder_.deliver(cur.next->time, cur.next->packet);
+        }
+        ++cur.next;
+      }
+      if (!ok) return false;
+    }
+    recorder_.emit(emits.subspan(e), bytes);
+    emits_.erase(emits_.begin(),
+                 emits_.begin() + static_cast<std::ptrdiff_t>(emits.size()));
+    take(cursors_);
+    return true;
   }
 
   const Network& net_;
@@ -503,20 +484,21 @@ class Recurrence {
   util::Xoshiro256 rng_;
   SourceSchedule schedule_;
   std::vector<JobStep> steps_;
+  std::optional<OnOffUsers> users_;
+  std::size_t burst_left_ = 0;
+  double clock_ = 0.0;    ///< the source's clock: its latest release
+  bool ended_ = false;    ///< the source releases nothing more
+  bool stalled_ = false;  ///< its clock failed to advance
   std::vector<NodeRun> nodes_;
   Route source_route_;
-  std::vector<Route> routes_;
-  std::vector<Target> targets_;
-  std::vector<std::vector<Arrival>> streams_;
-  std::vector<Role> roles_;
-  std::vector<std::vector<std::size_t>> inputs_;  ///< a join's streams
-  std::vector<double> emits_;
+  std::vector<Stream> streams_;
+  std::vector<std::size_t> outlets_;  ///< sink deliveries and split drops
+  std::vector<double> emits_;         ///< source emits not yet recorded
+  std::vector<Output> outputs_;
+  std::size_t copies_ = 0;  ///< packets in outputs_
+  std::vector<std::size_t> dests_;
   std::vector<Cursor> cursors_;
-  std::size_t sink_ = kNone;       ///< the sink's one delivery stream
-  std::size_t sink_join_ = kNone;  ///< a join feeding it over a sole edge
-  bool folding_ = false;           ///< deliveries fold as they come
-  std::size_t emits_done_ = 0;     ///< emits_ already recorded
-  std::size_t expected_packets_ = 0;
+  std::vector<Arrival> merged_;  ///< a join's input of the round
   Recorder recorder_;
 };
 

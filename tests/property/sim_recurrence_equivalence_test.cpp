@@ -11,8 +11,10 @@
 // same-instant cases pin the tie rules: a source emit precedes a sink
 // delivery, the horizon is inclusive, and twin producers into a join or
 // the sink make simulate_dag() fall back to the DES and still return the
-// DES result. Constructed cases also pin each direct path of the
-// recurrence (hand-off, chunked stats fold) and the two-producer join.
+// DES result. Constructed cases also pin jobs emitting several packets,
+// aggregation, a node cut at the horizon, the two-producer join and the
+// emit-before-delivery fold (DirectPath), and the recurrence's rounds
+// where one ends (RoundBoundary).
 // On/off users run on the recurrence alone (EngineSelection); their pins
 // are in onoff_pin_test.cpp.
 #include <gtest/gtest.h>
@@ -701,6 +703,177 @@ TEST_F(DirectPath, EmitBeforeDeliveryTieAfterWarmupInTheOneOutletFold) {
   const SimResult r = expect_recurrence(nodes, src, c);
   EXPECT_EQ(r.max_backlog.in_bytes(), 2.0 * 65536.0);
   EXPECT_GT(r.packets_delivered, 200u);
+}
+
+// --- Round boundaries -----------------------------------------------------
+
+/// Pins the round loop where a round ends: the recurrence releases
+/// detail::kRoundPackets source packets per round, and every node, join
+/// watermark and stats fold picks up across that boundary.
+class RoundBoundary : public DirectPath {
+ protected:
+  /// Runs simulate_dag() once traced and once untraced, each of which must
+  /// find a tie the recurrence does not order, add one to
+  /// streamsim.recurrence.fallbacks and none to the runs, and return the
+  /// DES result bit for bit.
+  void expect_fallback(const DagSpec& dag, const SourceSpec& src,
+                       SimConfig c) {
+    for (const std::size_t samples : {std::size_t{4096}, std::size_t{0}}) {
+      c.max_trace_samples = samples;
+      EXPECT_FALSE(detail::simulate_recurrence(dag, src, c).has_value());
+      const double runs = counter("streamsim.recurrence.runs");
+      const double fallbacks = counter("streamsim.recurrence.fallbacks");
+      const SimResult r = simulate_dag(dag, src, c);
+      EXPECT_EQ(counter("streamsim.recurrence.runs"), runs) << samples;
+      EXPECT_EQ(counter("streamsim.recurrence.fallbacks"), fallbacks + 1.0)
+          << samples;
+      EXPECT_TRUE(identical(r, detail::simulate_des(dag, src, c))) << samples;
+    }
+  }
+};
+
+constexpr double kRound = static_cast<double>(detail::kRoundPackets);
+/// The dyadic source's period: one 64 KiB packet every 2^-10 s.
+constexpr double kPeriod = 0x1p-10;
+
+/// Source emits in a traced result: the backlog rises at each one.
+std::size_t emits(const SimResult& r) {
+  std::size_t n = 0;
+  double backlog = 0.0;
+  for (const auto& [t, b] : r.backlog_trace) {
+    if (b > backlog) ++n;
+    backlog = b;
+  }
+  return n;
+}
+
+/// A 64 KiB stage taking `lo`-`hi` microseconds per job.
+NodeSpec sampled_stage(const char* name, double lo, double hi) {
+  return NodeSpec::compute(name, DataSize::kib(64), DataSize::kib(64),
+                           Duration::micros(lo), Duration::micros(hi));
+}
+
+/// A fork into two branches of `left` and `right` shares, joined again.
+DagSpec sampled_fork_join(double left, double right) {
+  DagSpec d;
+  d.nodes = {sampled_stage("fork", 100, 300), sampled_stage("left", 200, 900),
+             sampled_stage("right", 200, 900), sampled_stage("join", 100, 400)};
+  d.edges = {{0, 1, left}, {0, 2, right}, {1, 3, 1.0}, {2, 3, 1.0}};
+  d.entries = {{0, 0, 1.0}};
+  return d;
+}
+
+TEST_F(RoundBoundary, SourcePacketCountsAroundTheRoundSize) {
+  const std::vector<NodeSpec> chain{sampled_stage("a", 300, 900),
+                                    sampled_stage("b", 200, 800)};
+  const DagSpec dag = sampled_fork_join(0.5, 0.5);
+  const SourceSpec src = dyadic_source();
+  for (const double packets : {kRound - 1, kRound, kRound + 1,
+                               2 * kRound - 1, 2 * kRound, 2 * kRound + 1}) {
+    // Emits at k periods for k = 1 .. packets, the last on the horizon.
+    SimConfig c = sampled_config(packets * kPeriod, 7);
+    const SimResult r = expect_recurrence(chain, src, c);
+    EXPECT_GT(r.packets_delivered, 0u) << packets;
+    (void)expect_recurrence(dag, src, c);
+    c.max_trace_samples = 4096;
+    EXPECT_EQ(emits(simulate(chain, src, c)), packets);
+    EXPECT_EQ(emits(simulate_dag(dag, src, c)), packets);
+  }
+}
+
+/// The rare branch gets one packet in fifty and gathers sixteen per job,
+/// so it sends the join nothing for about six rounds: the join's
+/// watermark holds at its silence and every packet of the busy branch
+/// waits for it.
+TEST_F(RoundBoundary, SilentBranchHoldsTheJoinWatermark) {
+  DagSpec dag = sampled_fork_join(0.98, 0.02);
+  dag.nodes[2].name = "rare";
+  dag.nodes[2].block_in = DataSize::mib(1);
+  dag.nodes[2].block_out = DataSize::kib(64);
+  const SourceSpec src = dyadic_source();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const SimResult r =
+        expect_recurrence(dag, src, sampled_config(1500 * kPeriod, seed));
+    EXPECT_GT(r.node_stats[2].jobs, 0u);
+    EXPECT_GT(r.node_stats[3].jobs, 1000u);
+  }
+}
+
+/// A fifth of the fork's output leaves the system, so drops meet the emits
+/// and deliveries in the stats merge, on either side of each round's end.
+TEST_F(RoundBoundary, LossySplitBeforeAJoin) {
+  const DagSpec dag = sampled_fork_join(0.5, 0.3);
+  const SourceSpec src = dyadic_source();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SimConfig c = sampled_config(600 * kPeriod, seed);
+    (void)expect_recurrence(dag, src, c);
+    c.max_trace_samples = 4096;
+    const SimResult traced = simulate_dag(dag, src, c);
+    EXPECT_LT(static_cast<double>(traced.packets_delivered),
+              0.85 * static_cast<double>(emits(traced)));
+  }
+}
+
+/// The gather stage takes three source packets per job, and a round's 128
+/// is not a multiple of three: a job starts from the last packets of one
+/// round and completes with the first of the next.
+TEST_F(RoundBoundary, AggregatingJobSpansARoundBoundary) {
+  std::vector<NodeSpec> nodes{
+      NodeSpec::compute("gather", DataSize::kib(192), DataSize::kib(192),
+                        Duration::micros(500), Duration::micros(2500)),
+      sampled_stage("out", 300, 2000)};
+  nodes[0].volume = {0.8, 1.0, 1.2};
+  const SourceSpec src = dyadic_source();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const SimResult r =
+        expect_recurrence(nodes, src, sampled_config(400 * kPeriod, seed));
+    EXPECT_GE(r.node_stats[0].jobs, 130u);
+  }
+}
+
+/// late_tie_join() with a join taking three periods per job against one
+/// arrival per period: the join passes the horizon (256 periods) partway
+/// through the first round, after about 85 jobs, and its producers meet
+/// at 194.5 periods in the second. A node past the horizon runs no more
+/// jobs, but the tie on its input must still send the run to the DES.
+TEST_F(RoundBoundary, JoinPastTheHorizonStillFallsBackOnALaterTie) {
+  DagSpec dag = late_tie_join();
+  dag.nodes[3] = dyadic_stage("join", 3 * kPeriod);
+  const SourceSpec src = dyadic_source();
+  SimConfig c = dyadic_config();
+  c.horizon = Duration::seconds(194.0 * kPeriod);
+  (void)expect_recurrence(dag, src, c);
+
+  c.horizon = Duration::seconds(0.25);
+  expect_fallback(dag, src, c);
+  const SimResult des = detail::simulate_des(dag, src, c);
+  EXPECT_GT(des.node_stats[3].jobs, 60u);
+  EXPECT_LT(des.node_stats[3].jobs, 100u);
+}
+
+/// The source feeds a join directly and through a stage that takes two
+/// periods and 2^-16 s per job, getting every other packet and falling
+/// behind by 2^-16 s a job. The stage's 64th output, from packet 127 of
+/// the first round, leaves at 130 periods, the instant the source sends
+/// packet 130 of the second round straight to the join: the first round
+/// computes one side of the tie and the second the other. At a 130-period
+/// horizon the second round is the last; at 256 periods it is not, and
+/// the join's watermark holds the first side back.
+TEST_F(RoundBoundary, JoinTieAcrossARoundBoundary) {
+  DagSpec dag;
+  dag.nodes = {dyadic_stage("lag", 2 * kPeriod + 0x1p-16),
+               dyadic_stage("join", kPeriod / 4)};
+  dag.edges = {{0, 1, 1.0}};
+  dag.entries = {{0, 0, 0.5}, {0, 1, 0.5}};
+  const SourceSpec src = dyadic_source();
+  SimConfig c = dyadic_config();
+  c.horizon = Duration::seconds(129.0 * kPeriod);
+  (void)expect_recurrence(dag, src, c);
+
+  for (const double periods : {130.0, 256.0}) {
+    c.horizon = Duration::seconds(periods * kPeriod);
+    expect_fallback(dag, src, c);
+  }
 }
 
 }  // namespace

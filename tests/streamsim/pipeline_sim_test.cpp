@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "streamsim/detail/core.hpp"
 #include "streamsim/detail/engines.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace streamcalc::streamsim {
 namespace {
@@ -230,6 +235,69 @@ TEST(PipelineSim, RejectsBadConfig) {
   }
 }
 
+/// The deficit rule applied to one packet: the largest weight * total -
+/// sent wins, the first on a tie, and nothing is due when no deficit is
+/// positive.
+std::size_t deficit_rule(const std::vector<detail::Destination>& dests,
+                         std::vector<double>& sent, double& total) {
+  total += 1.0;
+  std::size_t best = 0;
+  double best_deficit = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < dests.size(); ++i) {
+    const double deficit = dests[i].weight * total - sent[i];
+    if (deficit > best_deficit) {
+      best_deficit = deficit;
+      best = i;
+    }
+  }
+  if (best_deficit <= 0.0) return detail::kDropped;
+  sent[best] += 1.0;
+  return dests[best].queue;
+}
+
+TEST(WeightedRouter, BatchesMatchTheDeficitRulePacketByPacket) {
+  // One to five shares, normalized (some to decimal shares such as 0.6 and
+  // 0.4) or scaled short of one with the remainder dropped, as network()
+  // builds them. Chunks of 1 to 300 decisions and single route() calls
+  // must both follow the rule packet by packet.
+  util::Xoshiro256 rng(42);
+  std::size_t drops = 0;
+  for (int c = 0; c < 500; ++c) {
+    const std::size_t n = 1 + rng() % 5;
+    const std::uint64_t mode = rng() % 3;
+    std::vector<double> w(n);
+    double sum = 0.0;
+    for (double& x : w) sum += (x = rng.uniform(0.05, 1.0));
+    std::vector<detail::Destination> dests;
+    double covered = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double f = w[i] / sum;
+      if (mode == 1) f = std::max(0.1, std::round(f * 10.0) / 10.0);
+      if (mode == 2) f *= 0.8;
+      dests.push_back({i, f});
+      covered += f;
+    }
+    if (covered < 1.0 - 1e-9) {
+      dests.push_back({detail::kDropped, 1.0 - covered});
+    }
+    detail::WeightedRouter batched(dests);
+    detail::WeightedRouter single(dests);
+    std::vector<double> sent(dests.size(), 0.0);
+    double total = 0.0;
+    for (int chunk = 0; chunk < 8; ++chunk) {
+      std::vector<std::size_t> out(1 + rng() % 300);
+      batched.route(out);
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        const std::size_t want = deficit_rule(dests, sent, total);
+        ASSERT_EQ(out[k], want) << "case " << c << ", chunk " << chunk;
+        ASSERT_EQ(single.route(), want) << "case " << c << ", chunk " << chunk;
+        if (want == detail::kDropped) ++drops;
+      }
+    }
+  }
+  EXPECT_GT(drops, 1000u);
+}
+
 TEST(PipelineSim, RefusesARunPastTheSourcePacketBudget) {
   // 50 MiB/s in 64 KiB packets is 800 packets/s: 12,600 s is just over the
   // 1e7 packets one run may emit. Both engines refuse it before running.
@@ -245,6 +313,32 @@ TEST(PipelineSim, RefusesARunPastTheSourcePacketBudget) {
     ADD_FAILURE() << "ran past the packet budget";
   } catch (const util::PreconditionError& e) {
     EXPECT_NE(std::string(e.what()).find("source packets"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PipelineSim, RefusesOnOffUsersPastTheCycleBudget) {
+  // Three users alternating 1 ns silences and 1 ns on-periods expect
+  // 3 x 100 s / 2 ns = 1.5e11 cycles, far past the 1e7 one run may make,
+  // and release nothing: a 1 KiB window at 1 MiB/s outlasts every
+  // on-period. Run, it would spin for about half an hour; it is refused
+  // before the first cycle, with about 3e5 packets well inside their budget.
+  const std::vector<NodeSpec> nodes{stage("s", 80, 100, 120)};
+  SourceSpec src = source(1);
+  src.packet = DataSize::kib(1);
+  SimConfig c = config(100.0);
+  c.onoff_users = 3;
+  c.onoff_peak = DataRate::mib_per_sec(1);
+  c.onoff_mean_on = Duration::nanos(1);
+  c.onoff_mean_off = Duration::nanos(1);
+  EXPECT_THROW(detail::simulate_recurrence(DagSpec::chain(nodes), src, c),
+               util::PreconditionError);
+  try {
+    (void)simulate(nodes, src, c);
+    ADD_FAILURE() << "ran past the on/off cycle budget";
+  } catch (const util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("1.5e+11 on/off cycles"),
               std::string::npos)
         << e.what();
   }
