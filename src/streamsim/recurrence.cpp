@@ -25,7 +25,10 @@
 // earlier. At the end of the round the recorder takes the emits, drops and
 // deliveries before the earliest time anything may still happen: the
 // source's clock or a join input still held back. So a stream holds about
-// a round of packets, not the run.
+// a round of packets, not the run, unless a join's watermark holds a
+// backlog back (one branch running ahead of another, or one long silent);
+// a stream forgets its taken packets once they are half of it, so each
+// packet moves at most once.
 //
 // What the recurrence does not track is the DES's sequence order among
 // events at one instant. Where that order is observable it follows a
@@ -63,6 +66,17 @@ constexpr std::size_t kNone = SIZE_MAX;
 
 constexpr double kEnd = std::numeric_limits<double>::infinity();
 
+/// Forgets the first `taken` items once they are at least half of `items`,
+/// and returns the read position after them. Each item then moves at most
+/// once, however long a backlog waits behind a join's watermark.
+template <class T>
+std::size_t forget(std::vector<T>& items, std::size_t taken) {
+  if (2 * taken < items.size()) return taken;
+  items.erase(items.begin(),
+              items.begin() + static_cast<std::ptrdiff_t>(taken));
+  return 0;
+}
+
 /// The packets one producer (the source or a node) sends one way: into a
 /// node, into the sink, or out of its split. Those before `head` are taken.
 struct Stream {
@@ -75,13 +89,11 @@ struct Stream {
   bool empty() const { return head == items.size(); }
   /// Latest time this stream ever held.
   double latest() const { return items.empty() ? last : items.back().time; }
-  /// Forgets the items taken.
+  /// Forgets the items taken, or enough of them.
   void compact() {
     if (head == 0) return;
     last = items.back().time;
-    items.erase(items.begin(),
-                items.begin() + static_cast<std::ptrdiff_t>(head));
-    head = 0;
+    head = forget(items, head);
   }
 };
 
@@ -296,7 +308,7 @@ class Recurrence {
     NodeRun& node = nodes_[i];
     if (node.inputs.size() == 1) {
       Stream& in = streams_[node.inputs.front()];
-      run_jobs(node, steps_[i], in.items);
+      run_jobs(node, steps_[i], std::span(in.items).subspan(in.head));
       in.head = in.items.size();
       in.compact();
     } else if (merge(node, final)) {
@@ -425,10 +437,11 @@ class Recurrence {
   /// of two outlets, or of a drop and an emit.
   bool record(double until) {
     const double bytes = schedule_.packet_bytes();
+    const auto first =
+        emits_.begin() + static_cast<std::ptrdiff_t>(emit_head_);
     const std::span<const double> emits(
-        emits_.begin(),
-        std::partition_point(emits_.begin(), emits_.end(),
-                             [&](double t) { return t < until; }));
+        first, std::partition_point(first, emits_.end(),
+                                    [&](double t) { return t < until; }));
     cursors_.clear();
     for (const std::size_t s : outlets_) {
       Stream& o = streams_[s];
@@ -473,8 +486,7 @@ class Recurrence {
       if (!ok) return false;
     }
     recorder_.emit(emits.subspan(e), bytes);
-    emits_.erase(emits_.begin(),
-                 emits_.begin() + static_cast<std::ptrdiff_t>(emits.size()));
+    emit_head_ = forget(emits_, emit_head_ + emits.size());
     take(cursors_);
     return true;
   }
@@ -493,7 +505,8 @@ class Recurrence {
   Route source_route_;
   std::vector<Stream> streams_;
   std::vector<std::size_t> outlets_;  ///< sink deliveries and split drops
-  std::vector<double> emits_;         ///< source emits not yet recorded
+  std::vector<double> emits_;         ///< source emits
+  std::size_t emit_head_ = 0;         ///< emits_ before it are recorded
   std::vector<Output> outputs_;
   std::size_t copies_ = 0;  ///< packets in outputs_
   std::vector<std::size_t> dests_;

@@ -799,6 +799,25 @@ TEST_F(RoundBoundary, SilentBranchHoldsTheJoinWatermark) {
   }
 }
 
+/// The left branch gets a packet every two periods and takes about three
+/// per job, so its finish times run ever further ahead of the source while
+/// the join's watermark follows the right branch near the source's clock.
+/// The join holds a growing backlog of left outputs round after round,
+/// taking only those below the watermark, until the left branch passes
+/// the horizon and the final round releases the rest.
+TEST_F(RoundBoundary, OverloadedBranchBacklogsTheJoin) {
+  DagSpec dag = sampled_fork_join(0.5, 0.5);
+  dag.nodes[1] = sampled_stage("left", 2500, 3500);
+  const SourceSpec src = dyadic_source();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const SimResult r =
+        expect_recurrence(dag, src, sampled_config(4000 * kPeriod, seed));
+    // About two thirds of the left branch's 2000 packets finish in time.
+    EXPECT_LT(r.node_stats[1].jobs, 1500u);
+    EXPECT_GT(r.node_stats[3].jobs, 2500u);
+  }
+}
+
 /// A fifth of the fork's output leaves the system, so drops meet the emits
 /// and deliveries in the stats merge, on either side of each round's end.
 TEST_F(RoundBoundary, LossySplitBeforeAJoin) {
