@@ -1,7 +1,7 @@
-// Microbenchmarks of the discrete-event kernel and pipeline simulator:
-// raw event throughput, store handoff cost, end-to-end simulated events
-// per second for the paper's two applications, and the simulation that
-// `streamcalc analyze` runs on the quickstart and fork_join example specs.
+// Microbenchmarks of the pipeline simulation: the paper's two
+// applications at their bounded queue capacity (the tandem-with-blocking
+// recursion), and the simulation `streamcalc analyze` runs on the
+// quickstart and fork_join example specs (the round loop).
 // `--json <path>` writes the rows (BENCH_micro_des.json).
 #include <benchmark/benchmark.h>
 
@@ -14,56 +14,9 @@
 #include "benchmark_json.hpp"
 #include "cli/report.hpp"
 #include "cli/spec.hpp"
-#include "des/simulation.hpp"
-#include "des/store.hpp"
 #include "streamsim/pipeline_sim.hpp"
 
 namespace {
-
-using streamcalc::des::Process;
-using streamcalc::des::Simulation;
-using streamcalc::des::Store;
-
-Process ticker(Simulation& sim, int count) {
-  for (int i = 0; i < count; ++i) co_await sim.timeout(1.0);
-}
-
-void BM_TimeoutEvents(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Simulation sim;
-    sim.spawn(ticker(sim, n));
-    sim.run();
-    benchmark::DoNotOptimize(sim.executed_events());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_TimeoutEvents)->Arg(1000)->Arg(10000);
-
-Process producer(Simulation& sim, Store<int>& st, int count) {
-  for (int i = 0; i < count; ++i) {
-    co_await st.put(i);
-    co_await sim.timeout(0.5);
-  }
-}
-
-Process consumer(Store<int>& st, int count) {
-  for (int i = 0; i < count; ++i) (void)co_await st.get();
-}
-
-void BM_StoreHandoff(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Simulation sim;
-    Store<int> st(sim, 4);
-    sim.spawn(producer(sim, st, n));
-    sim.spawn(consumer(st, n));
-    sim.run();
-    benchmark::DoNotOptimize(sim.executed_events());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_StoreHandoff)->Arg(1000)->Arg(10000);
 
 void BM_BlastPipelineSim(benchmark::State& state) {
   namespace blast = streamcalc::apps::blast;

@@ -1,10 +1,11 @@
 // A reliable sliding-window link simulator — the measurable stand-in for
 // the paper's FPGA TCP/CMAC network stack (EasyNet [15], TCP demo [24]).
 //
-// The link is modeled at packet granularity on the DES kernel: a sender
-// with a bounded in-flight window, per-packet serialization at the line
-// rate, one-way propagation, i.i.d. packet loss with timeout
-// retransmission, and cumulative acknowledgements releasing window slots.
+// The link is modeled at packet granularity on a small event loop of its
+// own (arq_link.cpp): a sender with a bounded in-flight window, per-packet
+// serialization at the line rate, one-way propagation, i.i.d. packet loss
+// with timeout retransmission, and cumulative acknowledgements releasing
+// window slots.
 // measure_arq_link() runs the simulation and summarizes the *effective*
 // throughput spread (per-interval min/avg/max) and per-packet latencies —
 // exactly the isolated measurement the paper would take of its network

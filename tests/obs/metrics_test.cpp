@@ -162,13 +162,10 @@ TEST(RegistryTest, ReplicationRunnerCountsEachReplication) {
   rc.threads = 1;  // deterministic inline execution
   const std::uint64_t reps0 = counter("sim.replications");
   const std::uint64_t runs0 = counter("streamsim.recurrence.runs");
-  const std::uint64_t batches0 = counter("des.batches");
   (void)streamsim::ReplicationRunner(rc).run({node}, source, base);
   EXPECT_EQ(counter("sim.replications") - reps0, 3u);
-  // Each replication runs one simulation; with unlimited queues that is
-  // the max-plus recurrence rather than the DES event loop.
+  // Each replication runs one simulation on the max-plus recurrence.
   EXPECT_EQ(counter("streamsim.recurrence.runs") - runs0, 3u);
-  EXPECT_EQ(counter("des.batches") - batches0, 0u);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "des/pipeline.hpp"
 #include "streamsim/detail/core.hpp"
-#include "streamsim/detail/engines.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -217,22 +217,51 @@ TEST(PipelineSim, RejectsBadConfig) {
   c2.warmup = Duration::seconds(2.0);  // beyond horizon
   EXPECT_THROW(simulate({stage("s", 1, 2, 3)}, source(50), c2),
                util::PreconditionError);
-  // The warmup is checked before either engine runs, whichever is picked.
+  // The warmup is checked before any simulation runs, with bounded queues
+  // too, and so is the DES oracle's.
   const std::vector<NodeSpec> nodes{stage("s", 80, 100, 120)};
   const DagSpec dag = DagSpec::chain(nodes);
   for (const double warmup : {-0.1, 1.0, 2.0}) {
     SimConfig c3 = config(1.0);
     c3.warmup = Duration::seconds(warmup);
-    EXPECT_THROW(detail::simulate_des(dag, source(50), c3),
-                 util::PreconditionError)
+    EXPECT_THROW(des::simulate(dag, source(50), c3), util::PreconditionError)
         << warmup;
-    EXPECT_THROW(detail::simulate_recurrence(dag, source(50), c3),
-                 util::PreconditionError)
+    EXPECT_THROW(simulate(nodes, source(50), c3), util::PreconditionError)
         << warmup;
     c3.queue_capacity = 4;
     EXPECT_THROW(simulate(nodes, source(50), c3), util::PreconditionError)
         << warmup;
   }
+  // A queue of no packets would block every put for ever.
+  SimConfig empty_queue = config(1.0);
+  empty_queue.queue_capacity = 0;
+  EXPECT_THROW(simulate(nodes, source(50), empty_queue),
+               util::PreconditionError);
+  EXPECT_THROW(des::simulate(dag, source(50), empty_queue),
+               util::PreconditionError);
+  // Bounded queues run on chains only: a split, a join or a dropped share
+  // is refused up front. A chain written as a DAG runs.
+  SimConfig bounded = config(1.0);
+  bounded.queue_capacity = 4;
+  DagSpec split;
+  split.nodes = {stage("a", 80, 100, 120), stage("b", 80, 100, 120),
+                 stage("c", 80, 100, 120)};
+  split.entries = {{0, 0, 1.0}};
+  split.edges = {{0, 1, 0.5}, {0, 2, 0.5}};
+  DagSpec join = split;
+  join.edges = {{0, 2, 1.0}, {1, 2, 1.0}};
+  join.entries = {{0, 0, 0.5}, {0, 1, 0.5}};
+  DagSpec dropped = DagSpec::chain(nodes);
+  dropped.entries.front().fraction = 0.7;
+  DagSpec lossy =
+      DagSpec::chain({stage("a", 80, 100, 120), stage("b", 80, 100, 120)});
+  lossy.edges.front().fraction = 0.5;
+  for (const DagSpec* d : {&split, &join, &dropped, &lossy}) {
+    EXPECT_NO_THROW(simulate_dag(*d, source(50), config(1.0)));
+    EXPECT_THROW(simulate_dag(*d, source(50), bounded),
+                 util::PreconditionError);
+  }
+  EXPECT_NO_THROW(simulate_dag(DagSpec::chain(nodes), source(50), bounded));
 }
 
 /// The deficit rule applied to one packet: the largest weight * total -
@@ -304,10 +333,7 @@ TEST(PipelineSim, RefusesARunPastTheSourcePacketBudget) {
   const std::vector<NodeSpec> nodes{stage("s", 80, 100, 120)};
   const SimConfig c = config(12600.0);
   const DagSpec dag = DagSpec::chain(nodes);
-  EXPECT_THROW(detail::simulate_recurrence(dag, source(50), c),
-               util::PreconditionError);
-  EXPECT_THROW(detail::simulate_des(dag, source(50), c),
-               util::PreconditionError);
+  EXPECT_THROW(des::simulate(dag, source(50), c), util::PreconditionError);
   try {
     (void)simulate(nodes, source(50), c);
     ADD_FAILURE() << "ran past the packet budget";
@@ -332,8 +358,6 @@ TEST(PipelineSim, RefusesOnOffUsersPastTheCycleBudget) {
   c.onoff_peak = DataRate::mib_per_sec(1);
   c.onoff_mean_on = Duration::nanos(1);
   c.onoff_mean_off = Duration::nanos(1);
-  EXPECT_THROW(detail::simulate_recurrence(DagSpec::chain(nodes), src, c),
-               util::PreconditionError);
   try {
     (void)simulate(nodes, src, c);
     ADD_FAILURE() << "ran past the on/off cycle budget";
@@ -369,14 +393,11 @@ TEST(PipelineSim, TraceCapsOfZeroAndOneStayBounded) {
       }
     }
   }
-  // Both engines directly, on the same chain.
+  // The DES oracle too.
   auto c = config(1.0);
   c.max_trace_samples = 0;
-  const DagSpec dag = DagSpec::chain(nodes);
-  const auto rec = detail::simulate_recurrence(dag, source(100), c);
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_TRUE(rec->backlog_trace.empty());
-  EXPECT_TRUE(detail::simulate_des(dag, source(100), c).backlog_trace.empty());
+  EXPECT_TRUE(des::simulate(DagSpec::chain(nodes), source(100), c)
+                  .backlog_trace.empty());
 }
 
 

@@ -230,6 +230,39 @@ std::string bit_diff(const streamsim::SimResult& a,
   return "";
 }
 
+std::vector<std::string> differing_fields(const streamsim::SimResult& a,
+                                          const streamsim::SimResult& b) {
+  std::vector<std::string> out;
+  const auto check = [&](const char* name, bool same) {
+    if (!same) out.emplace_back(name);
+  };
+  check("throughput", same_bits(a.throughput.in_bytes_per_sec(),
+                                b.throughput.in_bytes_per_sec()));
+  check("min_delay",
+        same_bits(a.min_delay.in_seconds(), b.min_delay.in_seconds()));
+  check("max_delay",
+        same_bits(a.max_delay.in_seconds(), b.max_delay.in_seconds()));
+  check("mean_delay",
+        same_bits(a.mean_delay.in_seconds(), b.mean_delay.in_seconds()));
+  check("max_backlog",
+        same_bits(a.max_backlog.in_bytes(), b.max_backlog.in_bytes()));
+  check("packets_delivered", a.packets_delivered == b.packets_delivered);
+  check("output_trace",
+        trace_diff("", a.output_trace, b.output_trace).empty());
+  check("backlog_trace",
+        trace_diff("", a.backlog_trace, b.backlog_trace).empty());
+  check("delay_trace", trace_diff("", a.delay_trace, b.delay_trace).empty());
+  bool nodes = a.node_stats.size() == b.node_stats.size();
+  for (std::size_t i = 0; nodes && i < a.node_stats.size(); ++i) {
+    const streamsim::NodeStats& x = a.node_stats[i];
+    const streamsim::NodeStats& y = b.node_stats[i];
+    nodes = x.name == y.name && x.jobs == y.jobs &&
+            same_bits(x.utilization, y.utilization);
+  }
+  check("node_stats", nodes);
+  return out;
+}
+
 std::uint64_t bit_digest(const streamsim::SimResult& r) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto word = [&](std::uint64_t w) {

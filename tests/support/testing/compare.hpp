@@ -64,6 +64,12 @@ std::string bit_diff(const minplus::Curve& a, const minplus::Curve& b);
 std::string bit_diff(const streamsim::SimResult& a,
                      const streamsim::SimResult& b);
 
+/// The names of the SimResult fields in which `a` and `b` differ, in
+/// declaration order ("throughput" .. "packets_delivered", the three
+/// traces, "node_stats"); empty when bit_diff is.
+std::vector<std::string> differing_fields(const streamsim::SimResult& a,
+                                          const streamsim::SimResult& b);
+
 /// FNV-1a digest of every SimResult field bit_diff compares, doubles by
 /// their bit patterns: equal results have equal digests, and a pin of the
 /// digest fails on any changed bit.
