@@ -1,9 +1,9 @@
-// Internals shared by the two streamsim engines: the coroutine DES
-// (des_engine.cpp) and the max-plus recurrence (recurrence.cpp).
-//
-// Both engines walk the same Network, run every job through the same
-// JobStep and feed the same Recorder. The recurrence calls the Recorder in
-// the order the DES would, so the two produce bit-identical SimResults.
+// The parts of a simulation run: the Network built from a DagSpec, the
+// source's schedule, each node's JobStep and the Recorder of the
+// statistics. The max-plus recurrence (recurrence.cpp) runs on them, and
+// so does the coroutine DES the tests keep as its oracle
+// (tests/support/des/pipeline.cpp); the recurrence calls the Recorder in
+// the order the DES does, so the two produce bit-identical SimResults.
 #pragma once
 
 #include <algorithm>
@@ -162,7 +162,7 @@ class WeightedRouter {
   double total_ = 0.0;  ///< packets routed; exact below 2^53
 };
 
-/// The topology both engines walk, built from a DagSpec; queue
+/// The topology a run walks, built from a DagSpec; queue
 /// nodes->size() is the sink. A chain arrives as its one-path DAG
 /// (DagSpec::chain): node i feeds node i + 1, the last node feeds the sink,
 /// nothing is dropped and the order is 0 .. n - 1.
@@ -176,8 +176,9 @@ struct Network {
   std::size_t first_entry() const { return entries.front().queue; }
 };
 
-/// Validates the DAG, the run (horizon, warmup, source rate) and the
-/// on/off and rate-profile fields where set, then builds `dag`'s network.
+/// Validates the DAG, the run (horizon, warmup, source rate, a queue
+/// capacity of at least 1, and of a chain when finite) and the on/off and
+/// rate-profile fields where set, then builds `dag`'s network.
 /// The network points into `dag`, which must outlive it.
 Network network(const netcalc::DagSpec& dag,
                 const netcalc::SourceSpec& source, const SimConfig& config);
@@ -298,7 +299,7 @@ class RangeSampler {
   double high_span_;
 };
 
-/// One node's job step, shared by both engines. Delivered packets collect
+/// One node's job step. Delivered packets collect
 /// as pending bytes until they make a job (a full block when the node
 /// aggregates, else any data); start() forms the job and draws its
 /// execution time, finish() draws its output volume and splits it into
@@ -414,7 +415,7 @@ struct Arrival {
   Packet packet;
 };
 
-/// Whole-run statistics, fed one event at a time in DES event order:
+/// Whole-run statistics, fed one event at a time in event order:
 /// source emits into the system, split drops out of it, and sink
 /// deliveries.
 class Recorder {

@@ -16,26 +16,21 @@
 //
 // Both entry points simulate a DagSpec: simulate() runs the chain's
 // one-path DAG (DagSpec::chain), so a chain and that DAG give the same
-// SimResult bit for bit. Two engines compute it. With unlimited queues
-// (the paper's base configuration) a node never blocks its upstream, so a
-// per-packet max-plus (Lindley) recurrence walks the nodes in topological
-// order: a job starts at max(arrival of the packet that completes it,
-// previous finish) and finishes at start + exec, with draws from the same
-// per-node streams as the DES. A packet moves on to a single-producer
-// successor in a loop, and the deliveries of a chain, or of a join that
-// runs last with no drop before it, fold against the source emits with
-// two pointers as they come; joins and every other shape's statistics
-// take a k-way merge. Its statistics are merged in DES event order; where
-// a source emit and a sink delivery fall at one instant the emit comes
-// first. Any other same-instant meeting of two event streams (two
-// producers into a join or the sink, a split drop beside another event)
-// has a DES order the recurrence does not track, so it reruns the
-// simulation on the coroutine DES. The DES (src/des) stays the reference,
-// and the engine for bounded queues; on/off users, which never block
-// behind an unlimited queue, run on the recurrence alone.
-// streamsim/detail/engines.hpp exposes both engines for tests; the obs
-// counters streamsim.recurrence.runs and streamsim.recurrence.fallbacks
-// record which one answered.
+// SimResult bit for bit. One engine computes it, the max-plus recurrence
+// (recurrence.cpp), with draws from per-node streams. With unlimited
+// queues (the paper's base configuration) a node never blocks its
+// upstream: a job starts at max(arrival of the packet that completes it,
+// previous finish) and finishes at start + exec, and the nodes run in
+// topological order over rounds of source packets. A finite
+// queue_capacity (chains only) runs the tandem with blocking after
+// service: a packet enters the next queue once the consumer has taken the
+// packet queue_capacity places ahead of it. Where events meet at one
+// instant the order is fixed: a source emit whose timer expires there
+// first, a burst emit released by a blocked put after the deliveries, and
+// any other meeting in the producers' topological order. The coroutine DES
+// in tests/support/des runs the same pipeline as the tests' oracle, and
+// equals the recurrence bit for bit on every generated case; the obs
+// counter streamsim.recurrence.runs counts the simulations.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +68,8 @@ struct SimConfig {
   /// still record the full run.
   util::Duration warmup;
   std::uint64_t seed = 1;     ///< RNG seed (split per node)
-  /// Inter-stage queue capacity in packets; kUnlimitedQueue = no
-  /// backpressure (the paper's base configuration).
+  /// Inter-stage queue capacity in packets, at least 1; kUnlimitedQueue =
+  /// no backpressure (the paper's base configuration).
   std::size_t queue_capacity = kUnlimitedQueue;
   /// Use mean execution times and volumes instead of sampling (for
   /// variance-free regression tests).
@@ -142,11 +137,11 @@ struct SimResult {
   std::vector<NodeStats> node_stats;
 };
 
-/// Simulates `nodes` fed by `source` (recurrence or DES, see above) as
-/// their one-path DAG. Deterministic for a fixed config (seeded RNG,
-/// deterministic event ordering). Throws PreconditionError on an invalid
-/// config, including a warmup outside [0, horizon) and on/off users with
-/// a finite queue_capacity, before any simulation runs.
+/// Simulates `nodes` fed by `source` as their one-path DAG. Deterministic
+/// for a fixed config (seeded RNG, fixed order at one instant). Throws
+/// PreconditionError on an invalid config, including a warmup outside
+/// [0, horizon), a queue_capacity of 0 and on/off users with a finite
+/// queue_capacity, before any simulation runs.
 SimResult simulate(const std::vector<netcalc::NodeSpec>& nodes,
                    const netcalc::SourceSpec& source, const SimConfig& config);
 
@@ -155,7 +150,9 @@ SimResult simulate(const std::vector<netcalc::NodeSpec>& nodes,
 /// round-robin matching the edge fractions; fraction mass not covered by
 /// edges leaves the modeled system. Packets reaching nodes without
 /// outgoing edges are delivered to the sink. Statistics as in simulate().
-/// Rate profiles and on/off users apply to chains only and are rejected.
+/// Rate profiles, on/off users and a finite queue_capacity apply to chains
+/// only: they are rejected, the last on a DAG with a split, a join or a
+/// dropped share.
 SimResult simulate_dag(const netcalc::DagSpec& dag,
                        const netcalc::SourceSpec& source,
                        const SimConfig& config);

@@ -9,7 +9,7 @@
 //
 // Concurrency & determinism contract:
 //   * Replications are independent: each runs its own simulate() call on
-//     one thread (both streamsim engines stay single-threaded and
+//     one thread (the streamsim recurrence stays single-threaded and
 //     deterministic per replication).
 //   * Seeds derive from the base seed by a fixed splitmix64 stream, so the
 //     seed set depends only on (base_seed, replications).
