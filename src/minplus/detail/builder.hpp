@@ -1,6 +1,7 @@
-// Internal: reconstruction of piecewise-linear curves from exact point
-// evaluators, shared by the operation implementations. Not part of the
-// public API.
+// Internal: helpers shared by the operation implementations: the branch
+// envelope folds of the general kernels, the tolerant tail-slope
+// divergence test, the rechord repair for translated breakpoints and the
+// candidate grid of subtract_clamped. Not part of the public API.
 #pragma once
 
 #include <algorithm>
@@ -103,151 +104,6 @@ inline std::vector<double> canonical_candidates(std::vector<double> xs) {
   }
   SC_ASSERT(!out.empty() && out.front() == 0.0);
   return out;
-}
-
-/// Builds a curve from point evaluators. `at(t)` gives f(t), `right(t)`
-/// gives the right limit. The evaluators must be exact on the candidate
-/// grid (the function must be linear between adjacent candidates); the
-/// builder recovers each linear piece from a midpoint sample and the final
-/// infinite segment from a probe one span past the last candidate.
-///
-/// `slope_set`, when given, lists every slope the result can possibly
-/// take (for min/max/add of piecewise-linear curves each linear piece
-/// lies on an operand piece or a sum of them, so the set is known
-/// exactly). Recovered chord slopes within rounding distance of a member
-/// snap to it bit-exactly — without this, a tail slope one ulp above the
-/// true operand slope makes downstream divergence tests (deconvolution's
-/// tail-slope comparison) misfire.
-template <typename AtFn, typename RightFn>
-Curve build_from_evaluators(const std::vector<double>& candidates,
-                            const AtFn& at, const RightFn& right,
-                            const std::vector<double>* slope_set = nullptr) {
-  const std::size_t n = candidates.size();
-  // Phase 1 — per-candidate evaluation: value, right limit, and the slope
-  // recovered from a midpoint probe.
-  std::vector<double> v_at(n), v_after(n), v_slope(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = candidates[i];
-    const double value_at = at(x);
-    double value_after = std::max(right(x), value_at);
-    double slope = 0.0;
-    if (value_after != kInf) {
-      double probe_x1, probe_x2;
-      if (i + 1 < n) {
-        const double span = candidates[i + 1] - x;
-        probe_x1 = x + 0.5 * span;
-        probe_x2 = x + 0.75 * span;
-      } else {
-        const double span = std::max(1.0, x);
-        probe_x1 = x + span;
-        probe_x2 = x + 2.0 * span;
-      }
-      const double p1 = at(probe_x1);
-      if (p1 == kInf) {
-        // The function reaches +inf between this candidate and the
-        // probe. Candidates cover every breakpoint, so the only way
-        // to get here is an inf transition within the dedup
-        // tolerance of x (two constructed breakpoints one ulp
-        // apart, collapsed onto x by canonical_candidates).
-        // Canonicalize the sliver away: jump to +inf at x itself.
-        v_at[i] = value_at;
-        v_after[i] = kInf;
-        v_slope[i] = 0.0;
-        continue;
-      }
-      const double p2 = at(probe_x2);
-      double rise = p1 - value_after;
-      double run = probe_x1 - x;
-      if (p2 != kInf) {
-        // Two probes per piece: if the candidate-to-probe chord and
-        // the probe-to-probe chord disagree, a kink sits between x
-        // and the first probe — a real crossing that fell inside the
-        // candidate dedup tolerance of x and was collapsed into it.
-        // A single probe would then fabricate an averaged slope
-        // whose downstream crossing searches land at absurd
-        // abscissae. Take the post-kink slope from the probe pair
-        // and fold the kink into x by lifting the right limit to
-        // the probe line's back-extrapolation.
-        const double s01 = rise / run;
-        const double s12 = (p2 - p1) / (probe_x2 - probe_x1);
-        const double kink_noise =
-            64.0 * std::numeric_limits<double>::epsilon() *
-                (std::fabs(p1) + std::fabs(p2) + std::fabs(value_after)) /
-                (probe_x2 - probe_x1) +
-            1e-9 * std::max(std::fabs(s01), std::fabs(s12));
-        if (std::fabs(s12 - s01) > kink_noise) {
-          const double post = std::max(0.0, s12);
-          const double extrap = p1 - post * (probe_x1 - x);
-          value_after = std::max(value_after, std::min(extrap, p1));
-          rise = p1 - value_after;
-          // Recompute over the probe pair: better conditioned than
-          // dividing the adjusted rise by the half span.
-          slope = post;
-        }
-      }
-      if (value_after != kInf && slope == 0.0) {
-        slope = std::max(0.0, rise / run);
-      }
-      // A probe within rounding distance of value_after is a flat
-      // piece: dividing the ulp-level residue by the span would
-      // fabricate a tiny nonzero slope, and downstream crossing
-      // searches against a genuinely flat curve would then place a
-      // kink at an absurd abscissa (~|value| / noise) where the
-      // noise has accumulated into a real divergence.
-      const double noise = 64.0 * std::numeric_limits<double>::epsilon() *
-                           (std::fabs(p1) + std::fabs(value_after)) / run;
-      if (slope <= noise) {
-        slope = 0.0;
-      } else if (slope_set != nullptr) {
-        double best = slope;
-        double best_d = kInf;
-        for (const double cand : *slope_set) {
-          const double d = std::fabs(slope - cand);
-          if (d <= noise + 1e-12 * std::fabs(cand) && d < best_d) {
-            best = cand;
-            best_d = d;
-          }
-        }
-        slope = best;
-      }
-    }
-    v_at[i] = value_at;
-    v_after[i] = value_after;
-    v_slope[i] = slope;
-  }
-  // Phase 2 — assembly with the monotonicity guard, which chains each
-  // breakpoint to its predecessor.
-  std::vector<Segment> segs;
-  segs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = candidates[i];
-    double value_at = v_at[i];
-    double value_after = v_after[i];
-    // Guard against rounding-induced monotonicity violations.
-    if (!segs.empty()) {
-      Segment& p = segs.back();
-      const double left_limit =
-          p.value_after == kInf ? kInf
-                                : p.value_after + p.slope * (x - p.x);
-      if (left_limit != kInf && value_at < left_limit) {
-        if (value_at >= p.value_after) {
-          // The previous piece overextends: its breakpoint rounded past
-          // the true crossing (or a kink within the dedup tolerance of
-          // this candidate was dropped), so the stored slope runs above
-          // the exact value here. The value is the trustworthy quantity —
-          // rechord the previous piece down to it instead of lifting the
-          // value to the stale extrapolation (which would propagate the
-          // overshoot into the whole tail via this same guard).
-          p.slope = (value_at - p.value_after) / (x - p.x);
-        } else {
-          value_at = left_limit;
-          value_after = std::max(value_after, value_at);
-        }
-      }
-    }
-    segs.push_back(Segment{x, value_at, value_after, v_slope[i]});
-  }
-  return Curve(std::move(segs));
 }
 
 }  // namespace streamcalc::minplus::detail

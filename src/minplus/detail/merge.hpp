@@ -1,21 +1,22 @@
-// Internal: direct segment-arithmetic envelopes (pointwise minimum and
-// maximum) of two curves in O(n + m), shared by the operation
-// implementations. Not part of the public API.
+// Internal: direct segment arithmetic on two curves in O(n + m), shared by
+// the operation implementations. Not part of the public API.
 //
-// This is the workhorse behind the shape-aware kernels (DESIGN.md §11):
-// the general min-plus convolution reduces O(n) branch curves through a
-// pairwise minimum tree, so the cost of one two-curve minimum multiplies
-// into everything. The evaluator-based builder (builder.hpp) recovers each
-// piece from point probes — several binary searches and midpoint samples
-// per candidate breakpoint. The merge below instead sweeps both operand
-// segment lists with two cursors and emits the winning line per interval
-// directly: values and slopes are copied bit-exactly from the winning
-// operand (no slope recovery, no snapping), and at most one crossing
-// breakpoint is synthesized per interval from the closed-form intersection
-// of the two lines.
+// sweep_grid walks the union of both operands' breakpoints with one cursor
+// per segment list and hands each grid point the two operand lines there.
+// Two operations run on it:
+//   * add (operations.cpp): each piece of f + g is the sum of one piece of
+//     each operand, so values, right limits and slopes add at every grid
+//     point, one rounding each, and Curve's constructor canonicalizes the
+//     result;
+//   * merge_envelope: the pointwise minimum or maximum, the workhorse
+//     behind the shape-aware kernels (DESIGN.md §11). The general min-plus
+//     convolution reduces O(n) branch curves through a pairwise minimum
+//     tree, so the cost of one two-curve minimum multiplies into
+//     everything. Values and slopes are copied bit-exactly from the winning
+//     operand, and at most one crossing breakpoint is synthesized per
+//     interval from the closed-form intersection of the two lines.
 //
-// Numerical guards mirror the evaluator path so downstream tolerances keep
-// working:
+// The envelope's numerical guards:
 //   * nearly-parallel lines (slope gap at noise level relative to the
 //     slopes) produce no crossing — the division would fabricate an absurd
 //     abscissa;
@@ -44,43 +45,57 @@ struct MergeLine {
   double slope = 0.0;  ///< slope on the open interval (until the next point)
 };
 
-template <bool kMin>
-Curve merge_envelope(const Curve& A, const Curve& B) {
+/// The line of segs[i], the segment containing grid point x: its stored
+/// value and right limit at its own breakpoint, else its extension to x.
+inline MergeLine line_of(const std::vector<Segment>& segs, std::size_t i,
+                         double x) {
+  const Segment& s = segs[i];
+  MergeLine ln;
+  if (x == s.x) {
+    ln.at = s.value_at;
+    ln.after = s.value_after;
+  } else {
+    const double v =
+        s.value_after == kInf ? kInf : s.value_after + s.slope * (x - s.x);
+    ln.at = v;
+    ln.after = v;
+  }
+  ln.slope = s.slope;
+  return ln;
+}
+
+/// Calls visit(x, nx, a, b) at each point x of the union of A's and B's
+/// breakpoints, in increasing order: a and b are the operands' lines at x,
+/// nx the next grid point (+inf after the last).
+template <typename Visit>
+void sweep_grid(const Curve& A, const Curve& B, const Visit& visit) {
   const std::vector<Segment>& as = A.segments();
   const std::vector<Segment>& bs = B.segments();
+  std::size_t ia = 0, ib = 0;  // segment containing the current grid point
+  double x = 0.0;
+  while (true) {
+    const double na = ia + 1 < as.size() ? as[ia + 1].x : kInf;
+    const double nb = ib + 1 < bs.size() ? bs[ib + 1].x : kInf;
+    const double nx = std::min(na, nb);
+    visit(x, nx, line_of(as, ia, x), line_of(bs, ib, x));
+    if (nx == kInf) return;
+    x = nx;
+    while (ia + 1 < as.size() && as[ia + 1].x <= x) ++ia;
+    while (ib + 1 < bs.size() && bs[ib + 1].x <= x) ++ib;
+  }
+}
+
+template <bool kMin>
+Curve merge_envelope(const Curve& A, const Curve& B) {
   std::vector<Segment> out;
-  out.reserve(as.size() + bs.size() + 4);
+  out.reserve(A.segments().size() + B.segments().size() + 4);
 
   const auto op = [](double x, double y) {
     return kMin ? std::min(x, y) : std::max(x, y);
   };
-  const auto line_of = [](const std::vector<Segment>& segs, std::size_t i,
-                          double x) {
-    const Segment& s = segs[i];
-    MergeLine ln;
-    if (x == s.x) {
-      ln.at = s.value_at;
-      ln.after = s.value_after;
-    } else {
-      const double v = s.value_after == kInf
-                           ? kInf
-                           : s.value_after + s.slope * (x - s.x);
-      ln.at = v;
-      ln.after = v;
-    }
-    ln.slope = s.slope;
-    return ln;
-  };
 
-  std::size_t ia = 0, ib = 0;  // segment containing the current grid point
-  double x = 0.0;
-  while (true) {
-    const MergeLine a = line_of(as, ia, x);
-    const MergeLine b = line_of(bs, ib, x);
-    const double na = ia + 1 < as.size() ? as[ia + 1].x : kInf;
-    const double nb = ib + 1 < bs.size() ? bs[ib + 1].x : kInf;
-    const double nx = std::min(na, nb);
-
+  sweep_grid(A, B, [&](double x, double nx, const MergeLine& a,
+                       const MergeLine& b) {
     const double out_at = op(a.at, b.at);
     const double out_after = op(a.after, b.after);
 
@@ -156,11 +171,7 @@ Curve merge_envelope(const Curve& A, const Curve& B) {
       }
       out.push_back(Segment{cross_t, v, v, cross_slope});
     }
-    if (nx == kInf) break;
-    x = nx;
-    while (ia + 1 < as.size() && as[ia + 1].x <= x) ++ia;
-    while (ib + 1 < bs.size() && bs[ib + 1].x <= x) ++ib;
-  }
+  });
   // Crossing abscissae round independently of the grid values; lower any
   // slope whose extrapolation overshoots the next exact value (never
   // raised: that would erase a jump).

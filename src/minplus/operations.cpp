@@ -84,19 +84,6 @@ void add_crossings(const Curve& f, const Curve& g, std::vector<double>& xs) {
   crossing_in(grid.back(), kInf);
 }
 
-template <typename Op>
-Curve pointwise(const Curve& f, const Curve& g, const Op& op,
-                const std::vector<double>* slope_set = nullptr) {
-  std::vector<double> xs = breakpoints(f);
-  const std::vector<double> gx = breakpoints(g);
-  xs.insert(xs.end(), gx.begin(), gx.end());
-  const std::vector<double> grid = detail::canonical_candidates(std::move(xs));
-  return detail::build_from_evaluators(
-      grid, [&](double t) { return op(f.value(t), g.value(t)); },
-      [&](double t) { return op(f.value_right(t), g.value_right(t)); },
-      slope_set);
-}
-
 /// Returns the latency T if the curve is exactly delta_T, else a negative
 /// sentinel.
 double pure_delay_latency(const Curve& c) {
@@ -529,16 +516,15 @@ Curve convolve_affine_convex(const Curve& f, const Curve& g) {
 }  // namespace
 
 Curve add(const Curve& f, const Curve& g) {
-  // A piece of f + g lies on the sum of one piece of each operand.
-  std::vector<double> slopes;
-  for (const Segment& a : f.segments()) {
-    if (a.slope == kInf) continue;
-    for (const Segment& b : g.segments()) {
-      if (b.slope != kInf) slopes.push_back(a.slope + b.slope);
-    }
-  }
-  return pointwise(f, g, [](double a, double b) { return add_inf(a, b); },
-                   &slopes);
+  // A piece of f + g is the sum of one piece of each operand.
+  std::vector<Segment> out;
+  out.reserve(f.segments().size() + g.segments().size());
+  detail::sweep_grid(f, g, [&](double x, double, const detail::MergeLine& a,
+                               const detail::MergeLine& b) {
+    out.push_back(Segment{x, add_inf(a.at, b.at), add_inf(a.after, b.after),
+                          a.slope + b.slope});
+  });
+  return Curve(std::move(out));
 }
 
 Curve minimum(const Curve& f, const Curve& g) {

@@ -98,8 +98,8 @@ TEST(EnvelopePin, GeneralConvolveMatchesRecordedBits) {
 TEST(EnvelopePin, DeconvolveMatchesRecordedBits) {
   const std::vector<std::pair<int, std::uint64_t>> pins = {
       {8, 0xd5c99a88575f314aULL},
-      {48, 0x5c91417c61e5556aULL},
-      {200, 0xb53f37767dd24457ULL}};
+      {48, 0xb1b52b8e71168d45ULL},
+      {200, 0x7538cbf29b1b3c1cULL}};
   for (const auto& [n, pinned] : pins) {
     const Curve a = concave_curve(n, 8);
     const Curve b = add(convex_curve(n, 9), Curve::rate(80.0));
