@@ -274,19 +274,8 @@ class Recurrence {
       }
     }
     while (!users_ && n < kRoundPackets && !ended_) {
-      const double rate = schedule_.rate_at(clock_);
-      if (rate <= 0.0) {
-        // Idle phase: sleep through to the next profile change.
-        const double next = schedule_.next_change(clock_);
-        if (!std::isfinite(next) || clock_ + (next - clock_) > horizon_) {
-          ended_ = true;
-        } else {
-          clock_ = clock_ + (next - clock_);
-        }
-        continue;
-      }
-      const double at = clock_ + schedule_.gap(rate, rng_);
-      if (at > horizon_) {
+      const double at = schedule_.next_emit(clock_, rng_);
+      if (at == kEnd) {
         ended_ = true;
       } else {
         times[n++] = clock_ = at;
@@ -528,16 +517,8 @@ class Tandem {
       open = send(clock, k > 0, clock);
     }
     while (open) {
-      const double rate = schedule_.rate_at(clock);
-      if (rate <= 0.0) {
-        // Idle phase: sleep through to the next profile change.
-        const double next = schedule_.next_change(clock);
-        if (!std::isfinite(next) || clock + (next - clock) > horizon_) break;
-        clock = clock + (next - clock);
-        continue;
-      }
-      const double at = clock + schedule_.gap(rate, rng_);
-      if (at > horizon_) break;
+      const double at = schedule_.next_emit(clock, rng_);
+      if (at == kEnd) break;
       open = send(at, false, clock);
     }
     for (std::size_t p = 0; p < stages_.size(); ++p) advance(p, kAll);
