@@ -22,6 +22,7 @@
 #include "minplus/operations.hpp"
 #include "testing/compare.hpp"
 #include "testing/property.hpp"
+#include "util/error.hpp"
 #include "util/format.hpp"
 
 namespace streamcalc::testing {
@@ -282,6 +283,65 @@ TEST(MinPlusLaws, AddOfABurstDelayCurveIsInfiniteAfterItsLatency) {
                    }
                  }
                  return std::string();
+               });
+}
+
+/// "" if subtract_clamped(f, g) takes max(0, f(t) - g(t)), as value and as
+/// right limit, at every probe of probe_times, or rejects the pair (its
+/// [f - g]^+ falls). Above the positive part it is held to the steps of
+/// check_sum at operand scale. Below, it may also lose the rise over two
+/// ulps of abscissa at f's steepest slope: the residual's zero crossing is
+/// rounded up, so that its sloped part never starts above f - g.
+std::string check_residual(const Curve& f, const Curve& g) {
+  Curve r;
+  try {
+    r = minplus::subtract_clamped(f, g);
+  } catch (const util::PreconditionError&) {
+    return "";
+  }
+  double steepest = 0.0;
+  for (const minplus::Segment& s : f.segments()) {
+    steepest = std::max(steepest, s.slope);
+  }
+  for (const double t : probe_times(f, g)) {
+    for (const bool right : {false, true}) {
+      const double fv = right ? f.value_right(t) : f.value(t);
+      const double gv = right ? g.value_right(t) : g.value(t);
+      const double want =
+          fv == kInf ? kInf : gv == kInf ? 0.0 : std::max(0.0, fv - gv);
+      const double got = right ? r.value_right(t) : r.value(t);
+      if (got == want) continue;
+      const double scale = 1.0 + std::max(std::fabs(fv),
+                                          gv == kInf ? 0.0 : std::fabs(gv));
+      const double steps =
+          (1.0 + 2.0 * merged_before(f, g, r, t)) * kSumRtol * scale;
+      const double ulp = std::nextafter(t, kInf) - t;
+      if (got != kInf && want != kInf &&
+          (got > want ? got - want <= steps
+                      : want - got <= steps + 2.0 * steepest * ulp)) {
+        continue;
+      }
+      return "[f-g]+(" + util::format_significant(t, 17) +
+             (right ? "+) = " : ") = ") + util::format_significant(got, 17) +
+             " but max(0, f - g) = " + util::format_significant(want, 17);
+    }
+  }
+  return "";
+}
+
+TEST(MinPlusLaws, SubtractClampedOfZeroIsIdentity) {
+  expect_holds(spec({CurveKind::kAny}, 0xa014),
+               [](const std::vector<Curve>& c) {
+                 const std::string diff =
+                     bit_diff(subtract_clamped(c[0], Curve::zero()), c[0]);
+                 return diff.empty() ? diff : "[f-0]+ != f: " + diff;
+               });
+}
+
+TEST(MinPlusLaws, SubtractClampedMatchesThePositivePart) {
+  expect_holds(spec({CurveKind::kAny, CurveKind::kAny}, 0xa015),
+               [](const std::vector<Curve>& c) {
+                 return check_residual(c[0], c[1]);
                });
 }
 
