@@ -32,58 +32,6 @@ double sub_inf(double a, double b) {
   return a - b;
 }
 
-std::vector<double> breakpoints(const Curve& c) {
-  std::vector<double> xs;
-  xs.reserve(c.segments().size());
-  for (const Segment& s : c.segments()) xs.push_back(s.x);
-  return xs;
-}
-
-/// Adds the crossing abscissae of f and g (where f - g changes sign inside
-/// a linear piece) to `xs`, which must already contain all breakpoints of
-/// both curves.
-void add_crossings(const Curve& f, const Curve& g, std::vector<double>& xs) {
-  const std::vector<double> grid = detail::canonical_candidates(xs);
-  auto crossing_in = [&](double x1, double x2_or_inf) {
-    const double vf = f.value_right(x1);
-    const double vg = g.value_right(x1);
-    if (vf == kInf || vg == kInf) return;
-    double mf, mg;
-    if (std::isfinite(x2_or_inf)) {
-      const double lf = f.value_left(x2_or_inf);
-      const double lg = g.value_left(x2_or_inf);
-      if (lf == kInf || lg == kInf) return;
-      mf = (lf - vf) / (x2_or_inf - x1);
-      mg = (lg - vg) / (x2_or_inf - x1);
-    } else {
-      mf = f.tail_slope();
-      mg = g.tail_slope();
-      if (mf == kInf || mg == kInf) return;
-    }
-    const double d0 = vf - vg;
-    const double ms = mf - mg;
-    // Nearly-parallel pieces have no numerically meaningful crossing; the
-    // division below would fabricate a breakpoint at an absurd abscissa.
-    if (std::fabs(ms) <= 1e-9 * (std::fabs(mf) + std::fabs(mg))) return;
-    const double t = x1 - d0 / ms;
-    // A crossing at (or within rounding distance of) an interval endpoint
-    // adds nothing — and keeping it would make the later dedup drop the
-    // true breakpoint (losing any jump there) in favour of the crossing.
-    // The margin sits just above canonical_candidates' dedup tolerance
-    // (1e-12 relative): any coarser and steep pieces lose real kinks that
-    // sit barely inside the interval (slope ~1e9 turns an 1e-10 abscissa
-    // gap into an O(1) value change).
-    const double tol = 4e-12 * (1.0 + std::fabs(t));
-    if (t <= x1 + tol) return;
-    if (std::isfinite(x2_or_inf) && t >= x2_or_inf - tol) return;
-    xs.push_back(t);
-  };
-  for (std::size_t i = 0; i + 1 < grid.size(); ++i) {
-    crossing_in(grid[i], grid[i + 1]);
-  }
-  crossing_in(grid.back(), kInf);
-}
-
 /// Returns the latency T if the curve is exactly delta_T, else a negative
 /// sentinel.
 double pure_delay_latency(const Curve& c) {
@@ -541,74 +489,53 @@ Curve subtract_clamped(const Curve& f, const Curve& g) {
     if (b == kInf) return 0.0;
     return std::max(a - b, 0.0);
   };
-  std::vector<double> xs = breakpoints(f);
-  const std::vector<double> gx = breakpoints(g);
-  xs.insert(xs.end(), gx.begin(), gx.end());
-  add_crossings(f, g, xs);
-  const std::vector<double> grid = detail::canonical_candidates(std::move(xs));
-
-  // Built by hand rather than through the generic builder: that builder
-  // clamps away monotonicity violations, but a residual curve that is not
-  // wide-sense increasing is simply not a valid service curve (Le Boudec
-  // Thm. 6.2.1's proviso) and silently raising it would be unsound.
-  std::vector<Segment> segs;
-  segs.reserve(grid.size());
-  // Appends the piece that starts at x, with its slope taken from the
-  // secant to probe_x.
-  const auto push_piece = [&](double x, double probe_x) {
-    const double at = diff(f.value(x), g.value(x));
-    double after = diff(f.value_right(x), g.value_right(x));
-    // A downward jump (cross-traffic burst) makes the residual invalid.
-    util::require(after >= at - 1e-9 * (1.0 + std::fabs(at)),
+  // A residual that is not wide-sense increasing is not a valid service
+  // curve (Le Boudec Thm. 6.2.1's proviso); raising it silently would be
+  // unsound, so any fall beyond value noise is rejected.
+  const auto require_increasing = [](bool ok) {
+    util::require(ok,
                   "subtract_clamped: [f - g]^+ is not wide-sense "
                   "increasing and is not a valid residual service curve");
+  };
+  std::vector<Segment> segs;
+  segs.reserve(f.segments().size() + g.segments().size());
+  detail::sweep_grid(f, g, [&](double x, double nx, const detail::MergeLine& a,
+                               const detail::MergeLine& b) {
+    const double at = diff(a.at, b.at);
+    double after = diff(a.after, b.after);
+    // A downward jump (cross-traffic burst) makes the residual invalid.
+    require_increasing(after >= at - 1e-9 * (1.0 + std::fabs(at)));
     after = std::max(after, at);
-    double slope = 0.0;
-    if (after != kInf) {
-      const double probe = diff(f.value(probe_x), g.value(probe_x));
-      slope = (probe - after) / (probe_x - x);
-      util::require(slope >= -1e-9 * (1.0 + std::fabs(probe)),
-                    "subtract_clamped: [f - g]^+ is not wide-sense "
-                    "increasing and is not a valid residual service curve");
-      slope = std::max(0.0, slope);
-    }
     if (!segs.empty()) {
       const Segment& p = segs.back();
       const double left =
           p.value_after == kInf ? kInf : p.value_after + p.slope * (x - p.x);
-      util::require(left == kInf || at >= left - 1e-9 * (1.0 + left),
-                    "subtract_clamped: [f - g]^+ is not wide-sense "
-                    "increasing and is not a valid residual service curve");
+      require_increasing(left == kInf || at >= left - 1e-9 * (1.0 + left));
     }
-    segs.push_back(Segment{x, at, after, slope});
-  };
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const double x = grid[i];
-    const double probe_x = (i + 1 < grid.size()) ? 0.5 * (x + grid[i + 1])
-                                                 : x + std::max(1.0, x);
-    // f - g is linear on (x, probe_x]. If it rises from below zero to
-    // above it there, the crossing fell within add_crossings' tolerance
-    // past x: the residual is 0 up to the crossing, and a secant from x
-    // would lie above it. Split the piece at the crossing, rounded up so
-    // the flat part never lies above [f - g]^+.
-    const double fr = f.value_right(x);
-    const double gr = g.value_right(x);
-    if (fr != kInf && gr != kInf && fr < gr) {
-      const double probe = f.value(probe_x) - g.value(probe_x);
-      if (probe > 0.0 && probe != kInf) {
-        const double gap = gr - fr;
-        const double cross = std::nextafter(
-            x + (probe_x - x) * gap / (gap + probe), kInf);
-        if (cross < probe_x) {
-          push_piece(x, cross);
-          segs.back().slope = 0.0;
-          push_piece(cross, probe_x);
-          continue;
-        }
-      }
+    if (a.after == kInf || b.after == kInf) {
+      segs.push_back(Segment{x, at, after, 0.0});
+      return;
     }
-    push_piece(x, probe_x);
-  }
+    // On (x, nx), f - g is the line d + ds * (t - x).
+    const double d = a.after - b.after;
+    const double ds = a.slope - b.slope;
+    if (d >= 0.0 && ds >= 0.0) {
+      segs.push_back(Segment{x, at, after, ds});
+      return;
+    }
+    segs.push_back(Segment{x, at, after, 0.0});
+    if (d > 0.0) {
+      // A real fall of [f - g]^+, rejected unless its drop over the piece
+      // is at value noise level.
+      require_increasing(std::min(d, -ds * (nx - x)) <= 1e-9 * (1.0 + d));
+    } else if (d < 0.0 && ds > 0.0) {
+      // Flat at 0 up to the zero crossing, rounded up so that the sloped
+      // part never starts above f - g.
+      const double cross = std::nextafter(x - d / ds, kInf);
+      if (cross < nx) segs.push_back(Segment{cross, 0.0, 0.0, ds});
+    }
+    // Otherwise f - g starts at or below zero and does not rise: flat 0.
+  });
   return Curve(std::move(segs));
 }
 

@@ -78,7 +78,7 @@ TEST(PointwiseOps, MaximumCrossingJustPastABreakpointDoesNotOvershoot) {
 }
 
 // The residual [f - g]^+ of the same pair: f - g crosses zero 1.8 ps past
-// the latency, closer than add_crossings keeps a crossing. The residual
+// the latency, a crossing at the scale of rounding noise. The residual
 // must stay 0 up to the crossing and never lie above max(0, f - g).
 TEST(PointwiseOps, SubtractClampedCrossingJustPastABreakpointStaysBelow) {
   const Curve f = Curve::rate_latency(3.28e9, 0.0518);
