@@ -18,11 +18,10 @@
 //   f(t) = value_at                                  if t == x_i
 //   f(t) = value_after + slope * (t - x_i)           if x_i < t < x_{i+1}
 //
-// add, minimum and maximum are segment arithmetic: one sweep over both
-// operands' breakpoints (detail/merge.hpp) computes each result piece from
-// the operand pieces, with one rounding per value and no probes. Two
-// places still evaluate curves at probe points: subtract_clamped takes
-// each piece's slope from a secant to a midpoint probe, and the general
+// add, minimum, maximum and subtract_clamped are segment arithmetic: one
+// sweep over both operands' breakpoints (detail/merge.hpp) computes each
+// result piece from the operand pieces, with one rounding per value and no
+// probes. One place still evaluates curves at probe points: the general
 // convolution and deconvolution repair their breakpoint values against a
 // direct evaluator. Tests validate every operation against brute-force
 // evaluation.

@@ -3,11 +3,14 @@
 //
 // sweep_grid walks the union of both operands' breakpoints with one cursor
 // per segment list and hands each grid point the two operand lines there.
-// Two operations run on it:
+// Three operations run on it:
 //   * add (operations.cpp): each piece of f + g is the sum of one piece of
 //     each operand, so values, right limits and slopes add at every grid
 //     point, one rounding each, and Curve's constructor canonicalizes the
 //     result;
+//   * subtract_clamped (operations.cpp): each piece of f - g is the
+//     difference of one piece of each operand; the clamp at 0 adds at most
+//     one zero crossing per interval, from the closed form rounded up;
 //   * merge_envelope: the pointwise minimum or maximum, the workhorse
 //     behind the shape-aware kernels (DESIGN.md §11). The general min-plus
 //     convolution reduces O(n) branch curves through a pairwise minimum

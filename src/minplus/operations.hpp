@@ -38,7 +38,11 @@ Curve maximum(const Curve& f, const Curve& g);
 /// Pointwise clamped difference [f - g]^+ = max(f - g, 0). The workhorse
 /// of residual ("leftover") service curves: a server guaranteeing beta
 /// that also carries cross-traffic bounded by alpha_cross leaves at least
-/// [beta - alpha_cross]^+ for the flow of interest.
+/// [beta - alpha_cross]^+ for the flow of interest. Throws
+/// util::PreconditionError when [f - g]^+ is not wide-sense increasing: a
+/// downward jump, or a piece that starts at d > 0 and falls by more than
+/// 1e-9 * (1 + d) over its span. A zero crossing of f - g is rounded up,
+/// so the residual never lies above f - g.
 Curve subtract_clamped(const Curve& f, const Curve& g);
 
 /// Min-plus convolution (f (x) g). Exact; see file comment.
