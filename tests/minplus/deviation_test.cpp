@@ -126,7 +126,7 @@ TEST_P(DeviationProperty, BoundsAgreeWithConvolutionDefinition) {
   Curve g = random_curve(rng, 1 + (GetParam() / 4) % 4, 4.0);
   g = add(g, Curve::rate(4.5));
   const double v = vertical_deviation(f, g);
-  const double d0 = deconvolve_at(f, g, 0.0);
+  const double d0 = deconvolve(f, g).value(0.0);
   EXPECT_NEAR(v, d0, 1e-6 * (1.0 + v));
 }
 

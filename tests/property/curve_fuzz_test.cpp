@@ -13,13 +13,16 @@
 #include <string>
 #include <vector>
 
+#include "certify/exact.hpp"
 #include "minplus/deviation.hpp"
 #include "minplus/operations.hpp"
 #include "minplus/reference.hpp"
 #include "testing/compare.hpp"
+#include "testing/exact_minplus.hpp"
 #include "testing/property.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/rational.hpp"
 
 namespace streamcalc::testing {
 namespace {
@@ -131,21 +134,149 @@ TEST(OperatorFuzz, ConvolveMatchesBruteForce) {
   });
 }
 
-TEST(OperatorFuzz, ConvolveAtMatchesFullCurve) {
+/// "" if `result`'s value and right limit match the exact reference
+/// `want` (an ExactPoint at a double time) within close() at every
+/// breakpoint of the result and at sample_ts(f, g); otherwise names the
+/// first disagreement. A result breakpoint sits at a rounded sum or
+/// difference of operand abscissae, up to half an ulp from the exact one,
+/// so where the pointwise comparison fails the values may instead lie in
+/// the exact range over a window of 8 ulps of 1 + t around t.
+template <typename Want>
+std::string matches_exact(const char* op, const Curve& result,
+                          const Curve& f, const Curve& g, const Want& want) {
+  std::vector<double> ts = sample_ts(f, g);
+  for (const minplus::Segment& s : result.segments()) ts.push_back(s.x);
+  for (const double t : ts) {
+    const double got = result.value(t);
+    const double got_right = result.value_right(t);
+    const ExactPoint exact = want(t);
+    if (close(got, exact.value.approx()) &&
+        close(got_right, exact.right.approx())) {
+      continue;
+    }
+    const double d = 8.0 * std::numeric_limits<double>::epsilon() * (1.0 + t);
+    const double lo = want(std::max(0.0, t - d)).value.approx();
+    const double hi = want(t + d).right.approx();
+    const auto inside = [&](double v) {
+      return close(v, lo) || close(v, hi) || (lo <= v && v <= hi);
+    };
+    if (inside(got) && inside(got_right)) continue;
+    return std::string(op) + "(t=" + util::format_significant(t, 17) +
+           ") = " + util::format_significant(got, 17) + " (right limit " +
+           util::format_significant(got_right, 17) + "), exact reference " +
+           exact.value.to_string() + " (right limit " +
+           exact.right.to_string() + ")";
+  }
+  return std::string();
+}
+
+TEST(OperatorFuzz, ConvolveMatchesExactReference) {
   FuzzSpec spec{{CurveKind::kAny, CurveKind::kAny}, {}, 0xb005};
   expect_holds(spec, [](const std::vector<Curve>& c) {
-    const Curve result = convolve(c[0], c[1]);
-    for (const double t : sample_ts(c[0], c[1])) {
-      const double full = result.value(t);
-      const double direct = convolve_at(c[0], c[1], t);
-      if (!close(full, direct)) {
-        return "convolve_at(t=" + util::format_significant(t, 17) +
-               ") = " + util::format_significant(direct, 17) +
-               " != curve value " + util::format_significant(full, 17);
-      }
-    }
-    return std::string();
+    const certify::ExactCurve f = certify::ExactCurve::from(c[0]);
+    const certify::ExactCurve g = certify::ExactCurve::from(c[1]);
+    return matches_exact("convolve", convolve(c[0], c[1]), c[0], c[1],
+                         [&](double t) {
+                           return exact_convolve_at(
+                               f, g, util::Rational::from_double(t));
+                         });
   });
+}
+
+TEST(OperatorFuzz, DeconvolveMatchesExactReference) {
+  FuzzSpec spec{{CurveKind::kAny, CurveKind::kAny}, {}, 0xb00a};
+  expect_holds(spec, [](const std::vector<Curve>& c) {
+    // Tail slopes within the divergence test's tolerance of each other are
+    // "equal tails" to the kernel and not to the exact reference.
+    const bool diverges = c[1].is_finite() &&
+                          c[0].tail_slope() > c[1].tail_slope();
+    if (diverges != (minplus::detail::classify_deconvolve(c[0], c[1]) ==
+                     minplus::detail::DeconvKernel::kDivergent)) {
+      return std::string();
+    }
+    const certify::ExactCurve f = certify::ExactCurve::from(c[0]);
+    const certify::ExactCurve g = certify::ExactCurve::from(c[1]);
+    return matches_exact("deconvolve", deconvolve(c[0], c[1]), c[0], c[1],
+                         [&](double t) {
+                           return exact_deconvolve_at(
+                               f, g, util::Rational::from_double(t));
+                         });
+  });
+}
+
+// --- One-sided limits --------------------------------------------------------
+// Hand-built pairs whose exact value at one time is reached only as a
+// one-sided limit of the split: f jumps at x and g at y, and the
+// infimum (supremum) is approached, never attained, as the split tends to
+// them from one side. Every value is a small dyadic, so the kernels must
+// hit the exact reference, and the hand-derived number, bit for bit.
+
+/// Asserts that `result` and its right limit at `t` equal the exact
+/// reference bit for bit, that result(t) == `expected`, and that the rest
+/// of `result` matches the reference as the fuzz tests require.
+template <typename Want>
+void expect_exact(const char* op, const Curve& result, const Curve& f,
+                  const Curve& g, double t, double expected,
+                  const Want& want) {
+  EXPECT_EQ(result.value(t), expected) << result.describe();
+  const ExactPoint exact = want(t);
+  EXPECT_EQ(exact_relative_gap(result.value(t), exact.value), 0.0)
+      << result.describe();
+  EXPECT_EQ(exact_relative_gap(result.value_right(t), exact.right), 0.0)
+      << result.describe();
+  EXPECT_EQ(matches_exact(op, result, f, g, want), "");
+}
+
+TEST(OneSidedLimit, ConvolveLeftLimitOfFMeetsRightLimitOfG) {
+  // f rises at slope 1 to f(1-) = 1 and jumps to 5 at 1; g is 0 up to and
+  // at 2, then jumps to g(2+) = 2 and rises at slope 2. At t = 3 the split
+  // s -> 1- gives f(s) + g(3 - s) = 3 + (1 - s) -> 3; s = 1 gives 5 + 0.
+  const Curve f({{0.0, 0.0, 0.0, 1.0}, {1.0, 5.0, 5.0, 0.0}});
+  const Curve g({{0.0, 0.0, 0.0, 0.0}, {2.0, 0.0, 2.0, 2.0}});
+  ASSERT_EQ(minplus::detail::classify_convolve(f, g),
+            minplus::detail::ConvKernel::kGeneral);
+  for (const bool swap : {false, true}) {
+    const Curve& a = swap ? g : f;
+    const Curve& b = swap ? f : g;
+    expect_exact("convolve", convolve(a, b), a, b, 3.0, 3.0,
+                 [&](double t) { return exact_convolve_at(a, b, t); });
+  }
+}
+
+TEST(OneSidedLimit, ConvolveJumpsOfBothOperandsAtOneSum) {
+  // f jumps at 1 from f(1-) = 0 through f(1) = 1 to 3; g jumps at 2 from 0
+  // to 5. At t = 3 the split s = 1 gives f(1) + g(2) = 1, while s -> 1-
+  // meets g's right limit: 0 + 5. Pairing f's left limit with g's point
+  // value there would give 0.
+  const Curve f({{0.0, 0.0, 0.0, 0.0}, {1.0, 1.0, 3.0, 0.0}});
+  const Curve g({{0.0, 0.0, 0.0, 0.0}, {2.0, 0.0, 5.0, 0.0}});
+  for (const bool swap : {false, true}) {
+    const Curve& a = swap ? g : f;
+    const Curve& b = swap ? f : g;
+    expect_exact("convolve", convolve(a, b), a, b, 3.0, 1.0,
+                 [&](double t) { return exact_convolve_at(a, b, t); });
+  }
+}
+
+TEST(OneSidedLimit, DeconvolveLeftLimitsOfBothOperands) {
+  // g is 0 before 1 and jumps to g(1) = 5; f rises at slope 4 from 1 to
+  // f(2-) = 4 and jumps to 6 at 2. At t = 1 the split s -> 1- gives
+  // f(1 + s) - g(s) = 4s -> 4, while s = 1 gives 6 - 5.
+  const Curve f({{0.0, 0.0, 0.0, 0.0}, {1.0, 0.0, 0.0, 4.0},
+                 {2.0, 6.0, 6.0, 0.0}});
+  const Curve g({{0.0, 0.0, 0.0, 0.0}, {1.0, 5.0, 5.0, 1.0}});
+  expect_exact("deconvolve", deconvolve(f, g), f, g, 1.0, 4.0,
+               [&](double t) { return exact_deconvolve_at(f, g, t); });
+}
+
+TEST(OneSidedLimit, DeconvolveRightLimitsOfBothOperands) {
+  // f jumps at 2 from f(2) = 1 to 6; g jumps at 1 from g(1) = 0 to 2 and
+  // rises at slope 1. At t = 1 the split s -> 1+ gives 6 - (2 + (s - 1))
+  // -> 4, while s = 1 gives 1 - 0.
+  const Curve f({{0.0, 0.0, 0.0, 0.0}, {2.0, 1.0, 6.0, 0.0}});
+  const Curve g({{0.0, 0.0, 0.0, 0.0}, {1.0, 0.0, 2.0, 1.0}});
+  expect_exact("deconvolve", deconvolve(f, g), f, g, 1.0, 4.0,
+               [&](double t) { return exact_deconvolve_at(f, g, t); });
 }
 
 TEST(OperatorFuzz, DeconvolveMatchesBruteForce) {

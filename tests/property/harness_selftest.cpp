@@ -44,16 +44,17 @@ Curve broken_convolve(const Curve& f, const Curve& g) {
   std::sort(xs.begin(), xs.end());
   xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
 
+  const Curve real = convolve(f, g);
   std::vector<Segment> segs;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double v = minplus::convolve_at(f, g, xs[i]);
+    const double v = real.value(xs[i]);
     if (v == std::numeric_limits<double>::infinity()) {
       segs.push_back(Segment{xs[i], v, v, 0.0});
       break;
     }
     double slope = 0.0;
     if (i + 1 < xs.size()) {
-      const double vn = minplus::convolve_at(f, g, xs[i + 1]);
+      const double vn = real.value(xs[i + 1]);
       if (std::isfinite(vn)) slope = (vn - v) / (xs[i + 1] - xs[i]);
     } else {
       slope = f.segments().back().slope + g.segments().back().slope;

@@ -24,11 +24,14 @@
 #include <string>
 #include <vector>
 
+#include "certify/exact.hpp"
 #include "minplus/curve.hpp"
 #include "minplus/operations.hpp"
 #include "testing/compare.hpp"
+#include "testing/exact_minplus.hpp"
 #include "testing/generator.hpp"
 #include "testing/property.hpp"
+#include "util/rational.hpp"
 
 namespace streamcalc::minplus {
 namespace {
@@ -54,13 +57,17 @@ std::string convolve_matches_general(const Curve& f, const Curve& g) {
   return "";
 }
 
-/// "" if convolve(f, g) agrees with the pointwise evaluator convolve_at at
-/// every probe time of the result against either operand.
+/// "" if convolve(f, g) agrees with the exact reference at every probe
+/// time of the result against either operand.
 std::string convolve_matches_pointwise(const Curve& f, const Curve& g) {
   const Curve out = convolve(f, g);
+  const certify::ExactCurve ef = certify::ExactCurve::from(f);
+  const certify::ExactCurve eg = certify::ExactCurve::from(g);
   for (const Curve* op : {&f, &g}) {
     for (const double t : testing::probe_times(out, *op)) {
-      const double want = convolve_at(f, g, t);
+      const double want =
+          testing::exact_convolve_at(ef, eg, util::Rational::from_double(t))
+              .value.approx();
       const double got = out.value(t);
       if (got == want ||
           std::fabs(got - want) <= 1e-9 * (1.0 + std::fabs(want))) {
@@ -68,7 +75,7 @@ std::string convolve_matches_pointwise(const Curve& f, const Curve& g) {
       }
       std::ostringstream os;
       os << "convolve(f, g)(" << t << ") = " << got
-         << " but convolve_at gives " << want;
+         << " but the exact reference gives " << want;
       return os.str();
     }
   }
