@@ -454,7 +454,12 @@ Curve Curve::shift_left(double T) const {
   }
   for (std::size_t i = i0 + 1; i < segs_.size(); ++i) {
     const Segment& s = segs_[i];
-    out.push_back(Segment{s.x - T, s.value_at, s.value_after, s.slope});
+    const Segment& p = segs_[i - 1];
+    const double x = s.x - T;
+    const double at = detail::translated_value(
+        s.x, -T, x, extend(p.value_after, p.slope, s.x - p.x), s.value_at,
+        s.value_after);
+    out.push_back(Segment{x, at, s.value_after, s.slope});
   }
   detail::rechord_translated(out);
   return Curve(std::move(out));

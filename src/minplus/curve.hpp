@@ -21,10 +21,10 @@
 // add, minimum, maximum and subtract_clamped are segment arithmetic: one
 // sweep over both operands' breakpoints (detail/merge.hpp) computes each
 // result piece from the operand pieces, with one rounding per value and no
-// probes. One place still evaluates curves at probe points: the general
-// convolution and deconvolution repair their breakpoint values against a
-// direct evaluator. Tests validate every operation against brute-force
-// evaluation.
+// probes. The general convolution and deconvolution fold shifted operand
+// copies on the same merge, and take their point values from the
+// operands' point and one-sided values. Tests validate every operation
+// against brute-force evaluation.
 #pragma once
 
 #include <string>

@@ -32,6 +32,11 @@ double sub_inf(double a, double b) {
   return a - b;
 }
 
+/// The line of segment s extended to x >= s.x, +inf-aware.
+double extend(const Segment& s, double x) {
+  return s.value_after == kInf ? kInf : s.value_after + s.slope * (x - s.x);
+}
+
 /// Returns the latency T if the curve is exactly delta_T, else a negative
 /// sentinel.
 double pure_delay_latency(const Curve& c) {
@@ -112,69 +117,31 @@ Curve conv_branch(const Curve& g, double T, double c) {
   std::vector<Segment> out;
   const double plateau = add_inf(g.value(0.0), c);
   if (T > 0.0) out.push_back(Segment{0.0, plateau, plateau, 0.0});
-  for (const Segment& s : g.segments()) {
+  const std::vector<Segment>& gs = g.segments();
+  for (std::size_t i = 0; i < gs.size(); ++i) {
+    const Segment& s = gs[i];
     const double x = s.x + T;
     if (!out.empty() && x <= out.back().x) continue;  // ulp collision
-    out.push_back(Segment{x, add_inf(s.value_at, c),
-                          add_inf(s.value_after, c), s.slope});
+    const double at =
+        i == 0 ? s.value_at
+               : detail::translated_value(
+                     s.x, T, x, extend(gs[i - 1], s.x), s.value_at,
+                     s.value_after);
+    out.push_back(
+        Segment{x, add_inf(at, c), add_inf(s.value_after, c), s.slope});
   }
   detail::rechord_translated(out);
   return Curve(std::move(out));
 }
 
-/// Replaces each breakpoint's value_at with the exact evaluator's value
-/// (clamped into [left limit, right limit] so rounding noise cannot break
-/// monotonicity). The envelope construction is exact on open intervals and
-/// at right limits, but at isolated breakpoints the true value can differ
-/// from the branch minimum/maximum; this repairs those points.
-template <typename AtFn>
-Curve repair_point_values(const Curve& env, const AtFn& at) {
-  std::vector<Segment> segs = env.segments();
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    Segment& s = segs[i];
-    const double exact = at(s.x);
-    double lo = 0.0;
-    if (i > 0) {
-      const Segment& p = segs[i - 1];
-      lo = p.value_after == kInf ? kInf
-                                 : p.value_after + p.slope * (s.x - p.x);
-    }
-    if (i > 0 && lo != kInf && exact < lo &&
-        exact >= segs[i - 1].value_after) {
-      // The previous piece overextends past this breakpoint's exact
-      // value: its abscissa rounded beyond the true crossing, so the
-      // stored slope's extrapolation overshoots. Rechord the previous
-      // piece down to the exact value rather than clamping the exact
-      // value up to the stale extrapolation (which would bake the
-      // overshoot into the entire tail).
-      Segment& p = segs[i - 1];
-      p.slope = (exact - p.value_after) / (s.x - p.x);
-      lo = exact;
-    }
-    if (lo != kInf && s.value_after < lo - 1e-9 * (1.0 + lo)) {
-      // Degenerate envelope piece: the previous segment's extrapolation
-      // overshoots this breakpoint's right limit by more than the curve
-      // tolerance (normalize() merges collinear pieces with a tolerance,
-      // so the stored slope can drift over long near-flat spans). Lift
-      // the point to the left limit to keep the curve wide-sense
-      // increasing; the bump stays within the merge tolerance.
-      s.value_at = lo;
-      s.value_after = lo;
-      continue;
-    }
-    s.value_at = std::min(std::max(exact, lo), s.value_after);
-  }
-  return Curve(std::move(segs));
-}
-
 /// Branch of the deconvolution supremum anchored at t + s = X with
 /// f-contribution c: max(0, c - g(X - t)) on [0, X], constant after (safe
-/// because deconv(t) >= f(t) - g(0) >= c - g(0) for t >= X).
+/// because deconv(t) >= f(t) - g(0) >= c - g(0) for t >= X). The caller
+/// passes the copy of g whose point values the anchor's split reaches.
 ///
 /// Built directly from g's segments. Re-evaluating g at fl(X - t) for a
 /// candidate t = fl(X - x_j) rounds twice and can land an ulp past the
-/// jump at x_j, which both misses the jump value and lets the midpoint
-/// probe fabricate a wrong slope; carrying g's exact values to the
+/// jump at x_j and miss the jump value; carrying g's exact values to the
 /// reflected breakpoints avoids re-evaluation entirely.
 Curve deconv_reflected_branch(const Curve& g, double X, double c) {
   const std::vector<Segment>& gs = g.segments();
@@ -203,10 +170,14 @@ Curve deconv_reflected_branch(const Curve& g, double X, double c) {
     const Segment& sj = gs[jj];
     const double tj = X - sj.x;
     if (tj <= 0.0) continue;  // coincides with the start point
-    const double at = sub_inf(c, sj.value_at);
+    // Reflected: t past X - x_j puts u = X - t short of x_j.
+    const double left = jj > 0 ? g.value_left(sj.x) : sj.value_at;
+    const double at = sub_inf(
+        c, detail::translated_value(X, -sj.x, tj, sj.value_after,
+                                    sj.value_at, left));
     double after, slope;
     if (jj > 0) {
-      after = sub_inf(c, g.value_left(sj.x));
+      after = sub_inf(c, left);
       slope = gs[jj - 1].slope;
     } else {
       after = at;  // constant plateau past t = X
@@ -246,180 +217,24 @@ Curve deconv_reflected_branch(const Curve& g, double X, double c) {
   return Curve(std::move(out));
 }
 
-double conv_at_impl(const Curve& f, const Curve& g, double t) {
-  // Candidate splits (s, u) with s + u == t up to one rounding. Each split
-  // keeps the anchoring operand's breakpoint abscissa EXACT and rounds
-  // only the complement: recomputing u = t - s after s = t - b.x already
-  // rounded can land one ulp past b.x and miss the operand's pre-jump
-  // point value there.
-  //
-  // This runs once per envelope breakpoint during repair, so its cost
-  // multiplies into every general convolution. As the anchoring breakpoint
-  // abscissa ascends, the complement t - x descends monotonically, so one
-  // backward cursor into the other operand replaces a binary search per
-  // evaluation, and the anchoring operand's one-sided values are read
-  // straight off its segment (no lookup at all).
-  const std::vector<Segment>& fsg = f.segments();
-  const std::vector<Segment>& gsg = g.segments();
-  const auto ext = [](double v, double m, double dx) {
-    return v == kInf ? kInf : v + m * dx;
-  };
-  double best = kInf;
-
-  // Splits anchored at f's breakpoints: s = a.x exact, u = t - s.
-  {
-    std::size_t j = gsg.size() - 1;
-    for (std::size_t i = 0; i < fsg.size(); ++i) {
-      const Segment& a = fsg[i];
-      if (a.x > t) break;
-      const double u = t - a.x;
-      while (j > 0 && gsg[j].x > u) --j;
-      const Segment& bs = gsg[j];
-      const double g_interior = ext(bs.value_after, bs.slope, u - bs.x);
-      best = std::min(
-          best, add_inf(a.value_at, u == bs.x ? bs.value_at : g_interior));
-      if (u > 0.0) {
-        // u == bs.x > 0 implies j > 0 (g's first breakpoint sits at 0).
-        const double g_left =
-            u == bs.x ? ext(gsg[j - 1].value_after, gsg[j - 1].slope,
-                            u - gsg[j - 1].x)
-                      : g_interior;
-        best = std::min(best, add_inf(a.value_after, g_left));
-      }
-      double f_left = a.value_at;
-      if (a.x > 0.0) {
-        const Segment& p = fsg[i - 1];
-        f_left = ext(p.value_after, p.slope, a.x - p.x);
-        const double g_right = u == bs.x ? bs.value_after : g_interior;
-        best = std::min(best, add_inf(f_left, g_right));
-      }
-      // Breakpoint pairs whose rounded sum lands exactly on t. The
-      // envelope construction places result breakpoints at fl(x_f + x_g);
-      // the split complement above recomputes t - x, which can round one
-      // ulp past the other operand's jump and miss its point value — and
-      // does so differently for (f, g) and (g, f). Evaluating the pair
-      // directly is symmetric in the operands and anchors the jump at the
-      // representable breakpoint. Only b.x within one rounding of t - a.x
-      // qualifies — a slack window around the cursor.
-      const double slack = 4.0 * std::numeric_limits<double>::epsilon() *
-                           (std::fabs(t) + std::fabs(a.x) + 1.0);
-      const auto pair_eval = [&](std::size_t k) {
-        const Segment& b = gsg[k];
-        if (a.x + b.x != t) return;
-        best = std::min(best, add_inf(a.value_at, b.value_at));
-        if (a.x > 0.0) {
-          best = std::min(best, add_inf(f_left, b.value_after));
-        }
-        if (b.x > 0.0) {
-          const double g_left = ext(gsg[k - 1].value_after, gsg[k - 1].slope,
-                                    b.x - gsg[k - 1].x);
-          best = std::min(best, add_inf(a.value_after, g_left));
-        }
-      };
-      for (std::size_t k = j; gsg[k].x >= u - slack; --k) {
-        pair_eval(k);
-        if (k == 0) break;
-      }
-      for (std::size_t k = j + 1; k < gsg.size() && gsg[k].x <= u + slack;
-           ++k) {
-        pair_eval(k);
-      }
-    }
-  }
-
-  // Splits anchored at g's breakpoints: u = b.x exact, s = t - u.
-  {
-    std::size_t i = fsg.size() - 1;
-    for (std::size_t k = 0; k < gsg.size(); ++k) {
-      const Segment& b = gsg[k];
-      if (b.x > t) break;
-      const double s = t - b.x;
-      while (i > 0 && fsg[i].x > s) --i;
-      const Segment& as = fsg[i];
-      const double f_interior = ext(as.value_after, as.slope, s - as.x);
-      best = std::min(
-          best, add_inf(s == as.x ? as.value_at : f_interior, b.value_at));
-      if (b.x > 0.0) {
-        const double f_right = s == as.x ? as.value_after : f_interior;
-        const double g_left = ext(gsg[k - 1].value_after, gsg[k - 1].slope,
-                                  b.x - gsg[k - 1].x);
-        best = std::min(best, add_inf(f_right, g_left));
-      }
-      if (s > 0.0) {
-        // s == as.x > 0 implies i > 0 (f's first breakpoint sits at 0).
-        const double f_left =
-            s == as.x ? ext(fsg[i - 1].value_after, fsg[i - 1].slope,
-                            s - fsg[i - 1].x)
-                      : f_interior;
-        best = std::min(best, add_inf(f_left, b.value_after));
-      }
-    }
-  }
-  return best;
+/// c with every point value replaced by its right limit: the values a
+/// split approaching a breakpoint of the other operand from the left
+/// sees.
+Curve right_continuous(const Curve& c) {
+  std::vector<Segment> segs = c.segments();
+  for (Segment& s : segs) s.value_at = s.value_after;
+  return Curve(std::move(segs));
 }
 
-double deconv_at_impl(const Curve& f, const Curve& g, double t,
-                      bool right_limit) {
-  std::vector<double> ss{0.0};
-  for (const Segment& s : g.segments()) ss.push_back(s.x);
-  for (const Segment& s : f.segments()) {
-    if (s.x >= t) ss.push_back(s.x - t);
+/// c with every point value after the origin replaced by its left limit,
+/// the extension of the piece before it (which a canonical curve never
+/// exceeds there).
+Curve left_continuous(const Curve& c) {
+  std::vector<Segment> segs = c.segments();
+  for (std::size_t i = 1; i < segs.size(); ++i) {
+    segs[i].value_at = extend(segs[i - 1], segs[i].x);
   }
-  // One probe beyond every breakpoint: past it the difference is affine
-  // with non-positive slope (callers rule out the unbounded case first),
-  // so no larger value exists further out.
-  ss.push_back(std::max(f.last_breakpoint(), g.last_breakpoint()) + 1.0);
-
-  double best = 0.0;  // deconvolution of cumulative curves clamps at 0
-  for (double s : ss) {
-    if (s < 0.0) continue;
-    const double a = t + s;
-    if (right_limit) {
-      best = std::max(best, sub_inf(f.value_right(a), g.value(s)));
-      best = std::max(best, sub_inf(f.value_right(a), g.value_right(s)));
-      best = std::max(best, sub_inf(f.value(a), g.value(s)));
-      if (s > 0.0) {
-        best = std::max(best, sub_inf(f.value(a), g.value_left(s)));
-      }
-    } else {
-      best = std::max(best, sub_inf(f.value(a), g.value(s)));
-      best = std::max(best, sub_inf(f.value_right(a), g.value_right(s)));
-      if (s > 0.0) {
-        best = std::max(best, sub_inf(f.value_left(a), g.value_left(s)));
-      }
-    }
-    if (best == kInf) break;
-  }
-  if (best == kInf) return best;
-  // Dual of the pair scan in conv_at_impl: result breakpoints sit at
-  // fl(x_f - x_g), and recomputing t + s can round past a jump of f.
-  // Evaluate pairs whose rounded difference is exactly t directly; only
-  // b.x within one rounding of a.x - t qualifies, found by binary search.
-  const std::vector<Segment>& gsegs = g.segments();
-  for (const Segment& a : f.segments()) {
-    const double target = a.x - t;
-    const double slack = 4.0 * std::numeric_limits<double>::epsilon() *
-                         (std::fabs(t) + std::fabs(a.x) + 1.0);
-    if (target < -slack) continue;
-    auto it = std::lower_bound(
-        gsegs.begin(), gsegs.end(), target - slack,
-        [](const Segment& s, double v) { return s.x < v; });
-    for (; it != gsegs.end() && it->x <= target + slack; ++it) {
-      const Segment& b = *it;
-      if (a.x - b.x != t) continue;
-      best = std::max(best, sub_inf(f.value(a.x), g.value(b.x)));
-      best = std::max(best, sub_inf(f.value_right(a.x), g.value_right(b.x)));
-      if (right_limit) {
-        best = std::max(best, sub_inf(f.value_right(a.x), g.value(b.x)));
-        if (b.x > 0.0) {
-          best = std::max(best, sub_inf(f.value(a.x), g.value_left(b.x)));
-        }
-      } else if (b.x > 0.0) {
-        best = std::max(best, sub_inf(f.value_left(a.x), g.value_left(b.x)));
-      }
-    }
-  }
-  return best;
+  return Curve(std::move(segs));
 }
 
 /// Branch descriptor for the convolution envelope: the branch curve is
@@ -430,16 +245,18 @@ struct ConvBranchDesc {
   double c;
 };
 
-/// Anchor branches at every breakpoint of `anchor` (both the point value
-/// and, where it differs, the left limit — jumps contribute one-sided
-/// values to the infimum).
+/// Anchor branches at every breakpoint x of `anchor`: its point value
+/// against `shape`, and, where it differs, its left limit against
+/// `shape_right`, the right-continuous copy of `shape`. A split s -> x-
+/// pushes t - s above t - x, so the left limit meets the other operand's
+/// right limits only.
 void add_conv_anchors(std::vector<ConvBranchDesc>& descs, const Curve& anchor,
-                      const Curve& shape) {
+                      const Curve& shape, const Curve& shape_right) {
   for (const Segment& s : anchor.segments()) {
     descs.push_back(ConvBranchDesc{&shape, s.x, s.value_at});
     const double left = anchor.value_left(s.x);
     if (left != s.value_at) {
-      descs.push_back(ConvBranchDesc{&shape, s.x, left});
+      descs.push_back(ConvBranchDesc{&shape_right, s.x, left});
     }
   }
 }
@@ -451,7 +268,7 @@ void add_conv_anchors(std::vector<ConvBranchDesc>& descs, const Curve& anchor,
 /// — the s = 0 split keeps f's origin value; every s > 0 split pays the
 /// origin jump b0 plus the convex convolution of the pure rate m with g.
 /// Convex finite curves are continuous, so no one-sided combinations are
-/// missed and no point repair is needed. This catches the ubiquitous
+/// missed. This catches the ubiquitous
 /// leaky-bucket (x) rate-latency pair, which is neither convex (x) convex
 /// (the burst jumps at 0) nor concave (x) concave.
 Curve convolve_affine_convex(const Curve& f, const Curve& g) {
@@ -507,9 +324,7 @@ Curve subtract_clamped(const Curve& f, const Curve& g) {
     require_increasing(after >= at - 1e-9 * (1.0 + std::fabs(at)));
     after = std::max(after, at);
     if (!segs.empty()) {
-      const Segment& p = segs.back();
-      const double left =
-          p.value_after == kInf ? kInf : p.value_after + p.slope * (x - p.x);
+      const double left = extend(segs.back(), x);
       require_increasing(left == kInf || at >= left - 1e-9 * (1.0 + left));
     }
     if (a.after == kInf || b.after == kInf) {
@@ -537,11 +352,6 @@ Curve subtract_clamped(const Curve& f, const Curve& g) {
     // Otherwise f - g starts at or below zero and does not rise: flat 0.
   });
   return Curve(std::move(segs));
-}
-
-double convolve_at(const Curve& f, const Curve& g, double t) {
-  util::require(t >= 0.0 && !std::isnan(t), "convolve_at requires t >= 0");
-  return conv_at_impl(f, g, t);
 }
 
 Curve convolve(const Curve& f, const Curve& g) {
@@ -586,12 +396,6 @@ Curve convolve(const Curve& f, const Curve& g) {
   }();
   SC_OBS_OBSERVE("minplus.convolve.result_pieces", out.segments().size());
   return out;
-}
-
-double deconvolve_at(const Curve& f, const Curve& g, double t) {
-  util::require(t >= 0.0 && !std::isnan(t), "deconvolve_at requires t >= 0");
-  if (detail::tail_diverges(f, g)) return kInf;
-  return deconv_at_impl(f, g, t, /*right_limit=*/false);
 }
 
 Curve deconvolve(const Curve& f, const Curve& g) {
@@ -669,41 +473,65 @@ DeconvKernel classify_deconvolve(const Curve& f, const Curve& g) {
 }
 
 Curve convolve_general(const Curve& f, const Curve& g) {
-  // The infimum over the split point s is attained (or approached) where s
-  // or t - s sits at an operand breakpoint; each such anchoring yields a
-  // whole *branch curve* in t — a shifted copy of one operand plus a
-  // constant from the other. The convolution is the pointwise minimum of
-  // all branches; crossing kinks come from the direct segment merge, and
-  // isolated point values are repaired from the exact evaluator.
+  // For fixed t, f(s) + g(t - s) is piecewise linear in s, so its infimum
+  // is a value or a one-sided limit where s or t - s sits at an operand
+  // breakpoint. Each such anchoring is a whole *branch curve* in t, a
+  // shifted copy of one operand plus a constant from the other, and the
+  // convolution is the pointwise minimum of all branches; crossing kinks
+  // come from the direct segment merge. The anchors cover every split
+  // exactly: at s = x (a breakpoint of f) the point value pairs with g's
+  // point values, s -> x- pairs f's left limit with g's right limits
+  // (add_conv_anchors), and s -> x+ meets g's left limit only where t - x
+  // is a breakpoint of g, which the mirrored anchor there covers with f's
+  // right limits. So every breakpoint's value and right limit come out
+  // exact, with no repair.
+  const Curve f_right = right_continuous(f);
+  const Curve g_right = right_continuous(g);
   std::vector<ConvBranchDesc> descs;
-  add_conv_anchors(descs, f, g);
-  add_conv_anchors(descs, g, f);
-  const Curve env = fold_envelope(
+  add_conv_anchors(descs, f, g, g_right);
+  add_conv_anchors(descs, g, f, f_right);
+  return fold_envelope(
       descs.size(),
       [&](std::size_t i) {
         return conv_branch(*descs[i].shape, descs[i].T, descs[i].c);
       },
       [](const Curve& a, const Curve& b) { return merge_minimum(a, b); });
-  return repair_point_values(env,
-                             [&](double t) { return conv_at_impl(f, g, t); });
 }
 
 Curve deconvolve_general(const Curve& f, const Curve& g) {
-  // Reflected-branch envelope, dual to convolve_general(): the supremum
-  // over s is attained (or approached) where s sits at a breakpoint of g
-  // or where t + s sits at a breakpoint of f. Each anchoring is a whole
-  // curve in t; the deconvolution is their pointwise maximum, with
-  // isolated point values repaired afterwards.
+  // Reflected-branch envelope, dual to convolve_general(): the supremum of
+  // f(t + s) - g(s) over s is a value or a one-sided limit where s sits at
+  // a breakpoint y of g or t + s at a breakpoint x of f. Each anchoring is
+  // a whole curve in t; the deconvolution is their pointwise maximum. The
+  // anchors pair each one-sided value with the one-sided copy of the other
+  // operand its split reaches:
+  //   * g(y) with f's point values, and g(y-) (s -> y-, so t + s -> (t +
+  //     y)-) with f's left limits;
+  //   * f(x+) (t + s -> x+, so s -> (x - t)+) with g's right limits, and,
+  //     where f jumps, f(x) with g's point values.
+  // s -> y+ pairs g(y+) with f's right limits, never above the point
+  // anchor unless t + y is a breakpoint of f, which the f(x+) anchor
+  // covers. Every breakpoint's value and right limit come out exact.
   struct BranchDesc {
-    double s;     ///< g-anchor abscissa (shift), or f-anchor abscissa
-    double c;     ///< constant contribution
-    bool from_f;  ///< true: reflected branch anchored at an f breakpoint
+    double s;             ///< g-anchor abscissa (shift), or f-anchor abscissa
+    double c;             ///< constant contribution
+    const Curve* shape;   ///< the operand copy the branch is built from
+    bool from_f;          ///< true: reflected branch anchored at an f breakpoint
   };
+  const Curve f_left = left_continuous(f);
+  const Curve g_right = right_continuous(g);
   std::vector<BranchDesc> descs;
   const auto add_g_anchor = [&](double s) {
-    for (double c : {g.value(s), g.value_left(s)}) {
-      if (c == kInf) continue;
-      descs.push_back(BranchDesc{s, c, /*from_f=*/false});
+    const double at = g.value(s);
+    const double left = g.value_left(s);
+    if (at != kInf) descs.push_back(BranchDesc{s, at, &f, false});
+    // Pushed even where g is continuous, as a duplicate of the point
+    // anchor: the fold's crossing re-chords (merge_maximum,
+    // rechord_translated) lower slopes, so the branch count shapes the
+    // merge tree, and a shorter list moved output arrival curves down.
+    if (left != kInf) {
+      descs.push_back(
+          BranchDesc{s, left, left == at ? &f : &f_left, false});
     }
   };
   for (const Segment& sg : g.segments()) add_g_anchor(sg.x);
@@ -711,21 +539,21 @@ Curve deconvolve_general(const Curve& f, const Curve& g) {
   // unbounded case was excluded by dispatch), so the tail is fully covered.
   add_g_anchor(std::max(f.last_breakpoint(), g.last_breakpoint()) + 1.0);
   for (const Segment& sf : f.segments()) {
-    descs.push_back(BranchDesc{sf.x, f.value_right(sf.x), /*from_f=*/true});
+    descs.push_back(BranchDesc{sf.x, sf.value_after, &g_right, true});
+    if (sf.value_at != sf.value_after) {
+      descs.push_back(BranchDesc{sf.x, sf.value_at, &g, true});
+    }
   }
   // Branch 0 is the zero floor: the deconvolution clamps at 0.
-  const Curve env = fold_envelope(
+  return fold_envelope(
       descs.size() + 1,
       [&](std::size_t i) {
         if (i == 0) return Curve::zero();
         const BranchDesc& d = descs[i - 1];
-        return d.from_f ? deconv_reflected_branch(g, d.s, d.c)
-                        : f.shift_left(d.s).minus_clamped(d.c);
+        return d.from_f ? deconv_reflected_branch(*d.shape, d.s, d.c)
+                        : d.shape->shift_left(d.s).minus_clamped(d.c);
       },
       [](const Curve& a, const Curve& b) { return merge_maximum(a, b); });
-  return repair_point_values(env, [&](double t) {
-    return deconv_at_impl(f, g, t, /*right_limit=*/false);
-  });
 }
 
 }  // namespace detail

@@ -11,14 +11,17 @@
 //   * delta_T is the shift operator: f (x) delta_T = f shifted right by T;
 //   * convex (x) convex = slope-sorted concatenation of segments;
 //   * concave-from-origin (x) concave-from-origin = pointwise minimum;
-// and otherwise falls back to an exact breakpoint-enumeration algorithm
-// (the result of convolving piecewise-linear curves is piecewise linear
-// with breakpoints contained in the Minkowski sum of the operand
-// breakpoints; we evaluate the infimum exactly at those candidates and at
-// interval midpoints, which pins down every linear piece).
+// and otherwise falls back to a branch envelope: the infimum over the
+// split is a value or a one-sided limit where the split sits at an
+// operand breakpoint, each such anchor is a whole shifted copy of the
+// other operand, and the result is the pointwise minimum of those copies.
+// An anchor's left limit is paired with the other operand's right limits,
+// so every point value comes out of the envelope directly, with no probe.
+// Deconvolution is the dual, a pointwise maximum.
 //
-// All functions are exact — no sampling error; the test suite validates
-// them against brute-force evaluation on dense grids.
+// No function samples its operands; the test suite validates them against
+// an exact-rational evaluation of the defining inf/sup and against
+// brute-force evaluation on dense grids.
 #pragma once
 
 #include "minplus/curve.hpp"
@@ -54,13 +57,6 @@ Curve convolve(const Curve& f, const Curve& g);
 /// +inf everywhere; the returned curve is identically +inf (check with
 /// Curve::is_finite()).
 Curve deconvolve(const Curve& f, const Curve& g);
-
-/// Evaluates (f (x) g)(t) directly without building the full result curve.
-double convolve_at(const Curve& f, const Curve& g, double t);
-
-/// Evaluates (f (/) g)(t) directly (clamped at 0) without building the full
-/// result curve. May return +inf.
-double deconvolve_at(const Curve& f, const Curve& g, double t);
 
 namespace detail {
 

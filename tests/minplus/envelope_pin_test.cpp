@@ -4,8 +4,8 @@
 // (detail::fold_envelope). These operands, from the micro_minplus
 // generators, cross two or more tiles and end on a partial tile. Each
 // result is pinned by a hash of its segments' bit patterns, so any change
-// to the fold order or the repair pass shows up as a changed hash, not as
-// a tolerance drift.
+// to the fold order or to the branches' anchors shows up as a changed
+// hash, not as a tolerance drift.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -85,9 +85,9 @@ void expect_pinned(const Curve& result, std::uint64_t pinned,
 
 TEST(EnvelopePin, GeneralConvolveMatchesRecordedBits) {
   const std::vector<std::pair<int, std::uint64_t>> pins = {
-      {8, 0x8e50b175d626e2d7ULL},
-      {48, 0xbe60a5aa922c33baULL},
-      {200, 0x98fb1a7eca879a28ULL}};
+      {8, 0xf6a822ac20fddf31ULL},
+      {48, 0xb5af15678f2c932cULL},
+      {200, 0xc92b971ba12daebeULL}};
   for (const auto& [n, pinned] : pins) {
     const Curve a = concave_curve(n, 6).plus_step(2.0);  // general path
     const Curve b = convex_curve(n, 7);
@@ -99,7 +99,7 @@ TEST(EnvelopePin, DeconvolveMatchesRecordedBits) {
   const std::vector<std::pair<int, std::uint64_t>> pins = {
       {8, 0xd5c99a88575f314aULL},
       {48, 0xb1b52b8e71168d45ULL},
-      {200, 0x7538cbf29b1b3c1cULL}};
+      {200, 0x1ddb7e7e5daf83fdULL}};
   for (const auto& [n, pinned] : pins) {
     const Curve a = concave_curve(n, 8);
     const Curve b = add(convex_curve(n, 9), Curve::rate(80.0));
