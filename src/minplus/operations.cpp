@@ -321,7 +321,9 @@ Curve subtract_clamped(const Curve& f, const Curve& g) {
     const double at = diff(a.at, b.at);
     double after = diff(a.after, b.after);
     // A downward jump (cross-traffic burst) makes the residual invalid.
-    require_increasing(after >= at - 1e-9 * (1.0 + std::fabs(at)));
+    // Where f is +inf, so is the residual, and nothing can fall.
+    require_increasing(at == kInf ||
+                       after >= at - 1e-9 * (1.0 + std::fabs(at)));
     after = std::max(after, at);
     if (!segs.empty()) {
       const double left = extend(segs.back(), x);

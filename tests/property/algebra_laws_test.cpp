@@ -345,6 +345,26 @@ TEST(MinPlusLaws, SubtractClampedMatchesThePositivePart) {
                });
 }
 
+TEST(MinPlusLaws, SubtractClampedOfABurstDelayCurveIsThatCurve) {
+  // [delta_T - g]^+ is 0 up to T and +inf after it, whatever g is: past T
+  // the residual is +inf and cannot fall, even where g has a breakpoint.
+  EXPECT_EQ(subtract_clamped(Curve::delta(0.287), Curve::step(1.12e9, 1.31)),
+            Curve::delta(0.287));
+  expect_holds(spec({CurveKind::kAny}, 0xa016),
+               [](const std::vector<Curve>& c) {
+                 for (const double T : {0.287, 1.0, 2.5}) {
+                   const std::string diff = bit_diff(
+                       subtract_clamped(Curve::delta(T), c[0]),
+                       Curve::delta(T));
+                   if (!diff.empty()) {
+                     return "[delta_" + util::format_significant(T, 17) +
+                            " - g]+ != delta: " + diff;
+                   }
+                 }
+                 return std::string();
+               });
+}
+
 TEST(DeviationLaws, DeviationsAreAntitoneInService) {
   // A better service curve (pointwise larger) can only improve both bounds.
   expect_holds(
