@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace streamcalc::netcalc {
@@ -34,10 +37,21 @@ TEST(Packetizer, ServiceLosesLmaxClamped) {
 }
 
 TEST(Packetizer, ServiceEffectiveLatencyGrowsByLmaxOverRate) {
+  // [beta - l]^+ of a rate-latency curve is rate-latency again, with its
+  // latency grown by l / rate. The zero crossing is rounded up, the safe
+  // side for a service curve: at the exact latency or one ulp past it.
   const double rate = 10.0, latency = 1.0, l = 5.0;
   const Curve packed = packetize_service(Curve::rate_latency(rate, latency),
                                          util::DataSize::bytes(l));
-  EXPECT_EQ(packed, Curve::rate_latency(rate, latency + l / rate));
+  const double exact = latency + l / rate;  // 1.5, exact in binary
+  const std::vector<minplus::Segment>& segs = packed.segments();
+  ASSERT_EQ(segs.size(), 2u);
+  EXPECT_EQ(segs[0], (minplus::Segment{0.0, 0.0, 0.0, 0.0}));
+  EXPECT_GE(segs[1].x, exact);
+  EXPECT_LE(segs[1].x, std::nextafter(exact, 2.0 * exact));
+  EXPECT_EQ(segs[1].value_at, 0.0);
+  EXPECT_EQ(segs[1].value_after, 0.0);
+  EXPECT_EQ(segs[1].slope, rate);
 }
 
 TEST(Packetizer, RejectsNegativeOrInfiniteLmax) {
