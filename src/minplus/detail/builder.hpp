@@ -69,24 +69,18 @@ inline bool tail_diverges(const Curve& f, const Curve& g) {
   return fs > gs + 1e-9 * (1.0 + std::fabs(gs));
 }
 
-/// Where a translated breakpoint x = fl(x0 + d) landed against the exact
-/// sum x0 + d, from the rounding error of the sum (Knuth's two-sum, exact
-/// for finite operands): +1 past it, -1 short of it, 0 on it. A curve
-/// translated by d takes at x the value its source has at exactly x - d:
-/// the source's right limit at x0 past the sum, its left limit short of
-/// it, so the translated point value is exact at the float abscissa.
-inline int rounding_side(double x0, double d, double x) {
-  const double dd = x - x0;
-  const double err = (x0 - (x - dd)) + (d - dd);  // (x0 + d) - x, exactly
-  return (err < 0.0) - (err > 0.0);
-}
-
-/// The value a source breakpoint with left limit `left`, point value `at`
-/// and right limit `after` takes at its translated abscissa fl(x0 + d).
+/// The value a source breakpoint at x0 with left limit `left`, point value
+/// `at` and right limit `after` takes once translated to x = fl(x0 + d).
+/// The translated curve's value at x is its source's at exactly x - d,
+/// and the rounding error of the sum (Knuth's two-sum, exact for finite
+/// operands) tells which side of x0 that is: the right limit where x
+/// landed past x0 + d, the left limit where it fell short, the point value
+/// where the sum is exact.
 inline double translated_value(double x0, double d, double x, double left,
                                double at, double after) {
-  const int side = rounding_side(x0, d, x);
-  return side > 0 ? after : side < 0 ? left : at;
+  const double dd = x - x0;
+  const double err = (x0 - (x - dd)) + (d - dd);  // (x0 + d) - x, exactly
+  return err < 0.0 ? after : err > 0.0 ? left : at;
 }
 
 /// Repairs segment slopes after breakpoint abscissae were translated

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "minplus/detail/builder.hpp"
@@ -14,7 +13,7 @@ namespace streamcalc::minplus {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+using detail::kInf;
 
 double add_inf(double a, double b) {
   if (a == kInf || b == kInf) return kInf;
@@ -485,8 +484,9 @@ Curve convolve_general(const Curve& f, const Curve& g) {
   // point values, s -> x- pairs f's left limit with g's right limits
   // (add_conv_anchors), and s -> x+ meets g's left limit only where t - x
   // is a breakpoint of g, which the mirrored anchor there covers with f's
-  // right limits. So every breakpoint's value and right limit come out
-  // exact, with no repair.
+  // right limits. A branch's translated breakpoints carry the value at
+  // their float abscissa (detail::translated_value), so the minimum of the
+  // branches gives every point value, with no repair.
   const Curve f_right = right_continuous(f);
   const Curve g_right = right_continuous(g);
   std::vector<ConvBranchDesc> descs;
@@ -513,12 +513,12 @@ Curve deconvolve_general(const Curve& f, const Curve& g) {
   //     where f jumps, f(x) with g's point values.
   // s -> y+ pairs g(y+) with f's right limits, never above the point
   // anchor unless t + y is a breakpoint of f, which the f(x+) anchor
-  // covers. Every breakpoint's value and right limit come out exact.
+  // covers.
   struct BranchDesc {
-    double s;             ///< g-anchor abscissa (shift), or f-anchor abscissa
-    double c;             ///< constant contribution
-    const Curve* shape;   ///< the operand copy the branch is built from
-    bool from_f;          ///< true: reflected branch anchored at an f breakpoint
+    double s;            ///< g-anchor abscissa (shift), or f-anchor abscissa
+    double c;            ///< constant contribution
+    const Curve* shape;  ///< the operand copy the branch is built from
+    bool from_f;         ///< true: reflected branch at an f breakpoint
   };
   const Curve f_left = left_continuous(f);
   const Curve g_right = right_continuous(g);

@@ -279,6 +279,35 @@ TEST(OneSidedLimit, DeconvolveRightLimitsOfBothOperands) {
                [&](double t) { return exact_deconvolve_at(f, g, t); });
 }
 
+// A shifted jump lands on a rounded abscissa. Where fl(x + y) lies past
+// the exact sum, the operator there is already past the jump, and a
+// branch that kept the operand's point value would report the value from
+// before it.
+
+TEST(OneSidedLimit, ConvolveJumpBeforeARoundedSum) {
+  // f and g step from 0 to 1 right after 0.1 and 0.2. The exact sum of
+  // those doubles lies below fl(0.1 + 0.2), so there the convolution is 1,
+  // not the 0 that the split s = 0.1 gives at the exact sum.
+  const Curve f({{0.0, 0.0, 0.0, 0.0}, {0.1, 0.0, 1.0, 0.0}});
+  const Curve g({{0.0, 0.0, 0.0, 0.0}, {0.2, 0.0, 1.0, 0.0}});
+  for (const bool swap : {false, true}) {
+    const Curve& a = swap ? g : f;
+    const Curve& b = swap ? f : g;
+    expect_exact("convolve", convolve(a, b), a, b, 0.1 + 0.2, 1.0,
+                 [&](double t) { return exact_convolve_at(a, b, t); });
+  }
+}
+
+TEST(OneSidedLimit, DeconvolveJumpBeforeARoundedDifference) {
+  // f steps from 0 to 1 right after 0.5 and g from 0 to 10 right after
+  // 0.1, so (f (/) g)(t) = f(t + 0.1). fl(0.5 - 0.1) = 0.4 lies above the
+  // exact difference, so there the deconvolution is already 1.
+  const Curve f({{0.0, 0.0, 0.0, 0.0}, {0.5, 0.0, 1.0, 0.0}});
+  const Curve g({{0.0, 0.0, 0.0, 0.0}, {0.1, 0.0, 10.0, 0.0}});
+  expect_exact("deconvolve", deconvolve(f, g), f, g, 0.5 - 0.1, 1.0,
+               [&](double t) { return exact_deconvolve_at(f, g, t); });
+}
+
 TEST(OperatorFuzz, DeconvolveMatchesBruteForce) {
   FuzzSpec spec{{CurveKind::kFinite, CurveKind::kFinite}, {}, 0xb006};
   spec.cases = scaled_cases(150);
