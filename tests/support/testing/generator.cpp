@@ -173,7 +173,7 @@ Curve CurveGenerator::pathological(const Curve& base) {
     case 0: {
       // Micro-segment: split a piece epsilon after its breakpoint with an
       // infinitesimally different slope — the near-degenerate shape that
-      // once slipped past envelope construction (repair_point_values).
+      // once slipped past the general kernels' envelope construction.
       const std::size_t i = rng_() % segs.size();
       const Segment s = segs[i];
       if (s.value_after == kInf) return base;
