@@ -267,9 +267,9 @@ void add_conv_anchors(std::vector<ConvBranchDesc>& descs, const Curve& anchor,
 /// — the s = 0 split keeps f's origin value; every s > 0 split pays the
 /// origin jump b0 plus the convex convolution of the pure rate m with g.
 /// Convex finite curves are continuous, so no one-sided combinations are
-/// missed. This catches the ubiquitous
-/// leaky-bucket (x) rate-latency pair, which is neither convex (x) convex
-/// (the burst jumps at 0) nor concave (x) concave.
+/// missed. This catches the ubiquitous leaky-bucket (x) rate-latency pair,
+/// which is neither convex (x) convex (the burst jumps at 0) nor concave
+/// (x) concave.
 Curve convolve_affine_convex(const Curve& f, const Curve& g) {
   const Segment& s = f.segments().front();
   const Curve ramp = convolve_convex(Curve::rate(s.slope), g);
